@@ -317,9 +317,10 @@ def _encrypt_with_rng(sk: SecretKey, params: FheParams, bit: int,
 
 
 def decrypt_bit(sk: SecretKey, ct: Ciphertext) -> int:
-    """Recover the bit; refuses when the tracked noise reached the budget."""
+    """Recover the bit; refuses when the tracked noise reached the budget
+    (or is not a number, which no comparison would catch)."""
     params = ct.params
-    if ct.noise_estimate >= params.noise_budget:
+    if not ct.noise_estimate < params.noise_budget:
         raise NoiseExhaustionError(
             f"noise estimate {ct.noise_estimate:.1f} reached the budget "
             f"{params.noise_budget:.1f}; a refresh was required earlier"

@@ -1,12 +1,14 @@
 """Real arithmetic over encrypted bits via a scaled two's-complement format.
 
 A real r is stored as the integer floor(r * scale) in ``total_bits`` bits,
-``scale = 2**frac_bits``.  Multiplication takes the full double-width
-product and arithmetic-shifts it right by ``frac_bits`` (truncation toward
--inf, the same floor as the encoding), so the extra error of one multiply
-is one-sided and below 1/scale.  ReLU and max are computed exactly through
-oblivious selection: their outputs are bitwise identical to one of the
-inputs (or to zero) and add no numerical error.
+``scale = 2**frac_bits``.  Multiplication keeps bits f..f+w-1 of the
+exact product, i.e. the product arithmetic-shifted right by ``frac_bits``
+(truncation toward -inf, the same floor as the encoding), so the extra
+error of one multiply is one-sided and below 1/scale.  The multiplier
+circuit builds only those product bits and the carries they need.  ReLU
+and max are computed exactly through oblivious selection: their outputs
+are bitwise identical to one of the inputs (or to zero) and add no
+numerical error.
 
 On the clear backend with ``fast_arith`` enabled, each operation runs as
 exact integer arithmetic with the same wraparound/floor semantics as the
@@ -179,22 +181,25 @@ def _guard_range(values, fmt: FixedPointFormat, what: str) -> None:
 
 # ----------------------------------------------------------------------
 # circuit cost model: fast-arith mode advances the gate counters by the
-# exact NAND count of the equivalent circuit (counts depend only on widths)
+# exact NAND count of the equivalent circuit (counts depend only on the
+# format, never on values)
 # ----------------------------------------------------------------------
 
 _COST_CACHE: dict = {}
 
 
 def _circuit_cost(kind: str, fmt: FixedPointFormat) -> int:
-    key = (kind, fmt.total_bits)
+    key = (kind, fmt.total_bits, fmt.frac_bits)
     cost = _COST_CACHE.get(key)
     if cost is None:
         probe = ClearBackend()
-        a = encode_const(0.0, FixedPointFormat(fmt.total_bits, 0), probe)
-        b = encode_const(0.0, FixedPointFormat(fmt.total_bits, 0), probe)
+        a = encode_const(0.0, fmt, probe)
+        b = encode_const(0.0, fmt, probe)
         before = probe.stats.nand_count
         if kind == "add":
             _gate_add(a, b)
+        elif kind == "sub":
+            _gate_sub(a, b)
         elif kind == "mul":
             _gate_mul_bits(a, b)
         elif kind == "geq_zero":
@@ -236,16 +241,19 @@ def fp_add(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
     return out
 
 
+def _gate_sub(a, b):
+    return FixedPointCipher(gates.sub(a.bits, b.bits), a.fmt)
+
+
 def fp_sub(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
     _check_formats(a, b)
     if _fast(a):
         za, zb = _lane_values(a), _lane_values(b)
         _guard_range([x - y for x, y in zip(za, zb)], a.fmt, "subtraction")
-        _charge(a, "add")  # sub is w extra NOTs; charge the adder cost
-        a.backend.stats.bump_nand(a.fmt.total_bits)
+        _charge(a, "sub")
         return _from_ints([_wrap(x - y, a.fmt.total_bits) for x, y in zip(za, zb)],
                           a.fmt, a.backend)
-    out = FixedPointCipher(gates.sub(a.bits, b.bits), a.fmt)
+    out = _gate_sub(a, b)
     _maybe_diagnose_add(a, b, -1)
     return out
 
@@ -258,14 +266,14 @@ def _maybe_diagnose_add(a, b, sign):
 
 
 def _gate_mul_bits(a, b) -> FixedPointCipher:
-    full = gates.mul_wallace(a.bits, b.bits)
     f = a.fmt.frac_bits
     return FixedPointCipher(
-        BitVector(full.bits[f:f + a.fmt.total_bits]), a.fmt)
+        gates.mul_wallace(a.bits, b.bits, lo=f, hi=f + a.fmt.total_bits), a.fmt)
 
 
 def fp_mul(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
-    """Full double-width product, floored back to the format's scale."""
+    """Product floored back to the format's scale: bits f..f+w-1 of the
+    exact double-width product, the only ones the circuit builds."""
     _check_formats(a, b)
     if _fast(a):
         za, zb = _lane_values(a), _lane_values(b)
@@ -314,8 +322,8 @@ def fp_geq_zero(x: FixedPointCipher) -> EncBit:
 
 def _gate_relu(x) -> FixedPointCipher:
     keep = _gate_geq_zero(x)
-    zero = encode_const(0.0, x.fmt, x.backend)
-    return FixedPointCipher(gates.mux(keep, x.bits, zero.bits), x.fmt)
+    return FixedPointCipher(
+        BitVector(gates.and_gate(keep, bit) for bit in x.bits.bits), x.fmt)
 
 
 def fp_relu(x: FixedPointCipher) -> FixedPointCipher:
@@ -328,7 +336,7 @@ def fp_relu(x: FixedPointCipher) -> FixedPointCipher:
 
 
 def _gate_max_fold(cur, nxt) -> FixedPointCipher:
-    take_next = gates.compare(cur.bits, nxt.bits).is_negative
+    take_next = gates.less_than(cur.bits, nxt.bits)
     return FixedPointCipher(gates.mux(take_next, nxt.bits, cur.bits), cur.fmt)
 
 

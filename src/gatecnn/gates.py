@@ -1,11 +1,11 @@
 """Boolean circuits composed from the single NAND primitive.
 
 Everything here is a pure function over immutable bits: derived gates,
-ripple adders, two's-complement subtract, a Wallace-tree multiplier
-(3:2 full-adder compressors only), sign-based comparison and an
-oblivious multiplexer.  The gate sequence of every circuit depends only
-on operand widths, never on values, so encrypted evaluation leaks
-nothing through the trace.
+ripple adders, two's-complement subtract, a Baugh–Wooley multiplier with
+a Wallace-tree reduction that builds only a requested window of product
+bits, sign-based comparison and an oblivious multiplexer.  The gate
+sequence of every circuit depends only on operand widths, never on
+values, so encrypted evaluation leaks nothing through the trace.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "mul_wallace",
     "mul_schoolbook",
     "compare",
+    "less_than",
     "mux",
     "wallace_depth",
 ]
@@ -140,76 +141,157 @@ def _check_widths(a: BitVector, b: BitVector) -> None:
         raise WidthMismatchError(f"width mismatch: {a.width} vs {b.width}")
 
 
-def _ripple(a_bits, b_bits, cin: EncBit):
+def _xor3(a: EncBit, b: EncBit, c: EncBit) -> EncBit:
+    """a ^ b ^ c in 8 NANDs: a full adder's sum without its carry."""
+    return xor_gate(xor_gate(a, b), c)
+
+
+def _majority(a: EncBit, b: EncBit, c: EncBit) -> EncBit:
+    """Carry of a + b + c in 6 NANDs: a full adder's carry without its sum."""
+    return nand(nand(a, b), nand(c, nand(not_gate(a), not_gate(b))))
+
+
+def _ripple(a_bits, b_bits, carry):
+    """Sum bits of a + b + carry modulo 2^len (``carry`` None means 0).
+
+    A half adder serves a position without carry-in, and the top position
+    builds only its sum, since its carry-out leaves the word.
+    """
     out = []
-    carry = cin
-    for x, y in zip(a_bits, b_bits):
-        s, carry = full_adder(x, y, carry)
+    top = len(a_bits) - 1
+    for k, (x, y) in enumerate(zip(a_bits, b_bits)):
+        if k == top:
+            s = xor_gate(x, y) if carry is None else _xor3(x, y, carry)
+        elif carry is None:
+            s, carry = half_adder(x, y)
+        else:
+            s, carry = full_adder(x, y, carry)
         out.append(s)
-    return out, carry
+    return out
 
 
 def add(a: BitVector, b: BitVector) -> BitVector:
     """Two's-complement sum modulo 2^width (ripple carry, wraparound)."""
     _check_widths(a, b)
-    zero = trivial_const(0, a.backend)
-    out, _ = _ripple(a.bits, b.bits, zero)
-    return BitVector(out)
+    return BitVector(_ripple(a.bits, b.bits, None))
 
 
 def sub(a: BitVector, b: BitVector) -> BitVector:
-    """a - b as a + ~b + 1, same width."""
+    """a - b as a + ~b + 1, same width.
+
+    Bit 0 folds the +1: its sum is a0 ^ b0 and its carry a0 | ~b0.
+    """
     _check_widths(a, b)
-    one = trivial_const(1, a.backend)
-    out, _ = _ripple(a.bits, [not_gate(y) for y in b.bits], one)
-    return BitVector(out)
+    a0, b0 = a.bits[0], b.bits[0]
+    low = xor_gate(a0, b0)
+    if a.width == 1:
+        return BitVector([low])
+    carry = nand(not_gate(a0), b0)
+    rest = _ripple(a.bits[1:], [not_gate(y) for y in b.bits[1:]], carry)
+    return BitVector([low] + rest)
 
 
 def _sign_extend(v: BitVector, width: int):
     return list(v.bits) + [v.bits[-1]] * (width - v.width)
 
 
-def mul_wallace(a: BitVector, b: BitVector) -> BitVector:
-    """Full 2w-bit signed product.
+def _partial_products(width: int, hi: int):
+    """Baugh–Wooley partial products of a signed width x width multiply,
+    per column, for the columns below ``hi``.
 
-    Both operands are sign-extended to 2w, the partial-product triangle is
-    formed with ANDs, columns are compressed with 3:2 full adders until at
-    most two rows remain, and a final ripple add produces the result.
-    Working modulo 2^(2w) makes the sign handling automatic.
+    A term (i, j, positive) stands for a_i & b_j, or for its complement
+    NAND(a_i, b_j) when ``positive`` is False.  With t = width - 1,
+
+        a*b = a_t b_t 2^(2t) + sum_{i,j<t} a_i b_j 2^(i+j)
+              + sum_{i<t} (~(a_t b_i) + ~(a_i b_t)) 2^(t+i)
+              + 2^width - 2^(2 width - 1).
+
+    The constant 2^width enters as p + 1 = ~p + 2p for a term p of column
+    ``width``, preferably an AND whose NAND the circuit builds anyway.
+    The constant -2^(2 width - 1) flips the top product bit; mul_wallace
+    applies it.  Width 1 has no constant (the two cancel).
+    """
+    t = width - 1
+    columns = [[] for _ in range(hi)]
+
+    def put(column, term):
+        if column < hi:
+            columns[column].append(term)
+
+    for i in range(t):
+        for j in range(t):
+            put(i + j, (i, j, True))
+    for i in range(t):
+        put(t + i, (t, i, False))
+        put(t + i, (i, t, False))
+    put(2 * t, (t, t, True))
+    if t and width < hi:
+        col = columns[width]
+        k = next((k for k, term in enumerate(col) if term[2]), 0)
+        i, j, positive = col[k]
+        col[k] = (i, j, not positive)
+        put(width + 1, (i, j, positive))
+    return columns
+
+
+def mul_wallace(a: BitVector, b: BitVector, lo: int = 0, hi: int | None = None) -> BitVector:
+    """Bits [lo, hi) of the signed product; by default all 2w bits.
+
+    Baugh–Wooley partial products fill the columns below ``hi`` (none
+    above is built), a Wallace tree of full and half adders compresses
+    them to two rows, and a final ripple add produces bits lo..hi-1.
+    Compressors in column hi-1 drop their carries, and the final adder
+    forms only carries below ``lo``.  Every kept bit is exact because
+    the circuit works modulo 2^hi.
     """
     _check_widths(a, b)
-    w2 = 2 * a.width
-    backend = a.backend
-    aa = _sign_extend(a, w2)
-    bb = _sign_extend(b, w2)
-    columns = [[] for _ in range(w2)]
-    for j in range(w2):
-        for i in range(w2 - j):
-            columns[i + j].append(and_gate(aa[i], bb[j]))
-    columns = _compress_columns(columns)
-    zero = trivial_const(0, backend)
-    row0 = BitVector(col[0] if len(col) > 0 else zero for col in columns)
-    row1 = BitVector(col[1] if len(col) > 1 else zero for col in columns)
-    return add(row0, row1)
+    width = a.width
+    if hi is None:
+        hi = 2 * width
+    if not 0 <= lo < hi <= 2 * width:
+        raise ParameterError(f"product window [{lo}, {hi}) outside [0, {2 * width})")
+    a_bits, b_bits = a.bits, b.bits
+    nands = {}
+
+    def materialize(term):
+        i, j, positive = term
+        n = nands.get((i, j))
+        if n is None:
+            n = nands[(i, j)] = nand(a_bits[i], b_bits[j])
+        return not_gate(n) if positive else n
+
+    columns = [[materialize(term) for term in col]
+               for col in _partial_products(width, hi)]
+    out = _final_add(_compress_columns(columns), lo, a.backend)
+    if hi == 2 * width and width > 1:
+        out[-1] = not_gate(out[-1])
+    return BitVector(out)
 
 
 def _compress_columns(columns):
     """One classic Wallace reduction: full adders on triples, a half adder
-    on a leftover pair, until every column holds at most two bits."""
+    on a leftover pair, until every column holds at most two bits.  The
+    last column's carries would leave the window, so there a full adder
+    keeps only its sum and a half adder becomes an XOR."""
+    top = len(columns) - 1
     while max(len(col) for col in columns) > 2:
         nxt = [[] for _ in range(len(columns))]
         for c, col in enumerate(columns):
             i = 0
             while len(col) - i >= 3:
-                s, cout = full_adder(col[i], col[i + 1], col[i + 2])
-                nxt[c].append(s)
-                if c + 1 < len(columns):
+                if c == top:
+                    nxt[c].append(_xor3(col[i], col[i + 1], col[i + 2]))
+                else:
+                    s, cout = full_adder(col[i], col[i + 1], col[i + 2])
+                    nxt[c].append(s)
                     nxt[c + 1].append(cout)
                 i += 3
             if len(col) - i == 2:
-                s, cout = half_adder(col[i], col[i + 1])
-                nxt[c].append(s)
-                if c + 1 < len(columns):
+                if c == top:
+                    nxt[c].append(xor_gate(col[i], col[i + 1]))
+                else:
+                    s, cout = half_adder(col[i], col[i + 1])
+                    nxt[c].append(s)
                     nxt[c + 1].append(cout)
             else:
                 nxt[c].extend(col[i:])
@@ -217,13 +299,41 @@ def _compress_columns(columns):
     return columns
 
 
-def wallace_depth(width: int) -> int:
-    """Number of compression stages for a width-w multiply (no gates built).
+def _final_add(columns, lo: int, backend):
+    """Add the (at most) two rows left in ``columns``; return the sum bits
+    of columns lo and up.  Below ``lo`` only the carry is formed; a column
+    holding a single bit and no carry passes through without a gate."""
+    out = []
+    carry = None
+    top = len(columns) - 1
+    for c, col in enumerate(columns):
+        bits = col if carry is None else [*col, carry]
+        carry = None
+        if c < lo:
+            if len(bits) == 3:
+                carry = _majority(*bits)
+            elif len(bits) == 2:
+                carry = and_gate(*bits)
+        elif not bits:
+            out.append(trivial_const(0, backend))
+        elif len(bits) == 1:
+            out.append(bits[0])
+        elif c == top:
+            out.append(xor_gate(*bits) if len(bits) == 2 else _xor3(*bits))
+        elif len(bits) == 2:
+            s, carry = half_adder(*bits)
+            out.append(s)
+        else:
+            s, carry = full_adder(*bits)
+            out.append(s)
+    return out
 
-    Column c of the sign-extended partial-product triangle holds c+1 bits;
-    the height evolution mirrors _compress_columns exactly.
-    """
-    heights = [c + 1 for c in range(2 * width)]
+
+def wallace_depth(width: int) -> int:
+    """Number of compression stages for a full width-w multiply (no gates
+    built).  The heights start from the Baugh–Wooley columns and evolve
+    exactly as in _compress_columns."""
+    heights = [len(col) for col in _partial_products(width, 2 * width)]
     stages = 0
     while max(heights) > 2:
         heights = _compress_heights(heights)
@@ -275,6 +385,24 @@ def compare(a: BitVector, b: BitVector) -> CompareResult:
     for x in not_bits[1:]:
         all_zero = and_gate(all_zero, x)
     return CompareResult(is_negative=diff.bits[-1], is_zero=all_zero)
+
+
+def less_than(a: BitVector, b: BitVector) -> EncBit:
+    """Sign of a - b, i.e. a < b, without the difference's other bits.
+
+    Only the carry chain of a + ~b + 1 is built (6 NANDs a bit), plus the
+    sum of the sign position.  Same precondition as compare.
+    """
+    _check_widths(a, b)
+    a_bits, b_bits = a.bits, b.bits
+    if a.width == 1:
+        return xor_gate(a_bits[0], b_bits[0])
+    carry = nand(not_gate(a_bits[0]), b_bits[0])
+    for x, y in zip(a_bits[1:-1], b_bits[1:-1]):
+        # majority(x, ~y, carry)
+        carry = nand(nand(x, not_gate(y)), nand(carry, nand(not_gate(x), y)))
+    # a ^ ~b ^ carry
+    return not_gate(_xor3(a_bits[-1], b_bits[-1], carry))
 
 
 def mux(sel: EncBit, on_true: BitVector, on_false: BitVector) -> BitVector:

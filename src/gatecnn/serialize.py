@@ -25,6 +25,7 @@ encoded bit, LSB-first within bytes.  Round trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -147,6 +148,8 @@ def _parse_header(rd: _Reader):
         raise ModelFormatError(f"unknown backend id {backend_id}")
     sect = _Reader(rd.section())
     lattice_dim, stddev, budget = sect.unpack("<Idd")
+    if not (math.isfinite(stddev) and math.isfinite(budget)):
+        raise ModelFormatError("params block holds a non-finite noise field")
     params = FheParams(lattice_dim, log_q, stddev, budget,
                        preset=_ID_PRESETS.get(preset_id, "custom"))
     if params.ct_dim != ct_dim:
@@ -211,6 +214,9 @@ def _read_bits(rd: _Reader, count: int, backend):
     bits = []
     for _ in range(count):
         (estimate,) = rd.unpack("<d")
+        if not (math.isfinite(estimate) and estimate >= 0):
+            raise ModelFormatError(f"ciphertext noise estimate {estimate} is not "
+                                   "a finite non-negative number")
         matrix = _unpack_entries(rd.bytes(nn * nn * esize), nn * nn, esize)
         ct = Ciphertext(matrix.reshape(nn, nn), estimate, params)
         bits.append(EncBit(backend, ciphertext=ct))

@@ -178,6 +178,15 @@ def test_chain_past_budget_raises_on_decrypt(toy_params, toy_key):
         fc.refresh(toy_key, x.ciphertext, toy_params, 1)
 
 
+def test_nan_noise_estimate_refused(toy_params, toy_key):
+    ct = fc.encrypt_bit(toy_key, toy_params, 1, rng_seed=3)
+    ct.noise_estimate = float("nan")
+    with pytest.raises(NoiseExhaustionError):
+        fc.decrypt_bit(toy_key, ct)
+    with pytest.raises(NoiseExhaustionError):
+        fc.refresh(toy_key, ct, toy_params, 1)
+
+
 def test_eager_noise_check_raises_in_nand(toy_params, toy_key):
     gsw = fc.GswBackend(toy_params, key=toy_key, seed=10, auto_refresh=False,
                         eager_noise_check=True)

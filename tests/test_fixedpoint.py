@@ -276,3 +276,47 @@ def test_detached_decryption_oracle(toy_params, toy_key):
         type(x.bits)([fc.EncBit(server, ciphertext=b.ciphertext) for b in x.bits.bits]),
         small)
     assert fp.decode(moved, sk_oracle=toy_key) == 0.625
+
+
+@pytest.mark.parametrize("width", [10, 32])
+def test_mul_fast_equals_gate_at_every_frac_position(width):
+    """The product window depends on f: values and charged NAND counts of
+    the fast path must match the circuit at the lowest, middle and top f."""
+    rnd = random.Random(width)
+    for frac in (0, width // 2, width - 1):
+        fmt = fp.FixedPointFormat(width, frac)
+        fast = fc.ClearBackend(fast_arith=True)
+        gate = fc.ClearBackend()
+        for _ in range(20):
+            za = zb = fmt.max_int + 1
+            while not fmt.min_int <= (za * zb) >> frac <= fmt.max_int:
+                za = rnd.randrange(fmt.min_int, fmt.max_int + 1)
+                reach = min(fmt.max_int, (fmt.max_int << frac) // max(1, abs(za)))
+                zb = rnd.randrange(-reach, reach + 1)
+            got = []
+            for backend in (fast, gate):
+                a = fp.encode(za / fmt.scale, fmt, backend)
+                b = fp.encode(zb / fmt.scale, fmt, backend)
+                got.append(scaled(fp.fp_mul(a, b)))
+            assert got[0] == got[1] == (za * zb) >> frac, (fmt, za, zb)
+        assert fast.stats.nand_count == gate.stats.nand_count > 0
+
+
+def _op_nands(fmt, op):
+    backend = fc.ClearBackend()
+    a = fp.encode(0.5, fmt, backend)
+    b = fp.encode(-0.25, fmt, backend)
+    before = backend.stats.nand_count
+    op(a, b)
+    return backend.stats.nand_count - before
+
+
+def test_fixedpoint_nand_budgets():
+    small = fp.FixedPointFormat(10, 5)
+    assert _op_nands(small, fp.fp_mul) <= 903
+    assert _op_nands(FMT, fp.fp_mul) <= 9982
+    for fmt in (small, FMT):
+        w = fmt.total_bits
+        assert _op_nands(fmt, lambda a, b: fp.fp_relu(a)) <= 2 * w + 1
+        assert _op_nands(fmt, lambda a, b: fp.fp_sub(a, b)) <= 10 * w
+    assert _op_nands(FMT, lambda a, b: fp.fp_max([a, b])) <= 323

@@ -4,7 +4,7 @@ import pytest
 
 from gatecnn import fhe_core as fc
 from gatecnn import gates as g
-from gatecnn.errors import WidthMismatchError
+from gatecnn.errors import ParameterError, WidthMismatchError
 
 
 def wrap(v, w):
@@ -91,7 +91,8 @@ def test_add_sub_exhaustive_width6():
 def test_width_mismatch_rejected(clear):
     a = g.BitVector.from_int(1, 4, clear)
     b = g.BitVector.from_int(1, 5, clear)
-    for op in (g.add, g.sub, g.mul_wallace, g.compare, lambda x, y: g.mux(clear.const(1), x, y)):
+    for op in (g.add, g.sub, g.mul_wallace, g.compare, g.less_than,
+               lambda x, y: g.mux(clear.const(1), x, y)):
         with pytest.raises(WidthMismatchError):
             op(a, b)
 
@@ -117,6 +118,61 @@ def test_mul_exhaustive_width4():
         assert p == x * y == q
 
 
+@pytest.mark.parametrize("width", range(1, 7))
+def test_mul_window_exhaustive(width):
+    """Every product window [lo, hi) equals bits lo..hi-1 of x*y."""
+    half = 1 << (width - 1)
+    pairs = [(x, y) for x in range(-half, half) for y in range(-half, half)]
+    backend = fc.ClearBackend(lanes=len(pairs))
+    a = g.BitVector.from_lane_ints([p[0] for p in pairs], width, backend)
+    b = g.BitVector.from_lane_ints([p[1] for p in pairs], width, backend)
+    for lo in range(2 * width):
+        for hi in range(lo + 1, 2 * width + 1):
+            got = g.mul_wallace(a, b, lo=lo, hi=hi)
+            assert got.width == hi - lo
+            mask = (1 << (hi - lo)) - 1
+            for lane, (x, y) in enumerate(pairs):
+                assert got.to_int(lane) & mask == ((x * y) >> lo) & mask, (lo, hi, x, y)
+
+
+def test_mul_window_rejects_bad_bounds(clear):
+    a = g.BitVector.from_int(1, 4, clear)
+    for lo, hi in ((0, 0), (3, 2), (-1, 4), (0, 9)):
+        with pytest.raises(ParameterError):
+            g.mul_wallace(a, a, lo=lo, hi=hi)
+
+
+def test_less_than_exhaustive_in_range():
+    for width in range(1, 7):
+        half = 1 << (width - 1)
+        pairs = [(x, y) for x in range(-half, half) for y in range(-half, half)
+                 if -half <= x - y < half]
+        backend = fc.ClearBackend(lanes=len(pairs))
+        a = g.BitVector.from_lane_ints([p[0] for p in pairs], width, backend)
+        b = g.BitVector.from_lane_ints([p[1] for p in pairs], width, backend)
+        lt = g.less_than(a, b)
+        for lane, (x, y) in enumerate(pairs):
+            assert backend.reveal_bit(lt, lane) == (1 if x < y else 0), (width, x, y)
+
+
+def _nands(clear, fn):
+    before = clear.stats.nand_count
+    fn()
+    return clear.stats.nand_count - before
+
+
+def test_circuit_nand_budgets(clear):
+    def vec(width):
+        return g.BitVector.from_int(0, width, clear)
+
+    w = 32
+    assert _nands(clear, lambda: g.add(vec(w), vec(w))) == 9 * w - 5
+    assert _nands(clear, lambda: g.sub(vec(w), vec(w))) == 10 * w - 5
+    assert _nands(clear, lambda: g.less_than(vec(w), vec(w))) == 6 * w - 1
+    assert _nands(clear, lambda: g.mul_wallace(vec(10), vec(10), lo=5, hi=15)) <= 903
+    assert _nands(clear, lambda: g.mul_wallace(vec(32), vec(32), lo=16, hi=48)) <= 9982
+
+
 @pytest.mark.parametrize("width", [16, 32])
 def test_add_sub_compare_random_wide(width):
     rnd = random.Random(width)
@@ -128,11 +184,13 @@ def test_add_sub_compare_random_wide(width):
     sums = g.add(a, b).to_lane_ints()
     diffs = g.sub(a, b).to_lane_ints()
     cmp_result = g.compare(a, b)
+    lt = g.less_than(a, b)
     for lane, ((x, y), s, d) in enumerate(zip(pairs, sums, diffs)):
         assert s == wrap(x + y, width)
         assert d == wrap(x - y, width)
         if lo <= x - y < hi:
             assert backend.reveal_bit(cmp_result.is_negative, lane) == (1 if x < y else 0)
+            assert backend.reveal_bit(lt, lane) == (1 if x < y else 0)
             assert backend.reveal_bit(cmp_result.is_zero, lane) == (1 if x == y else 0)
 
 
@@ -240,7 +298,9 @@ def test_data_obliviousness_gate_traces():
         g.add(a, b)
         g.sub(a, b)
         g.mul_wallace(a, b)
+        g.mul_wallace(a, b, lo=3, hi=11)
         g.compare(a, b)
+        g.less_than(a, b)
         g.mux(backend.const(x & 1), a, b)
         counts.append(backend.stats.nand_count)
     assert len(set(counts)) == 1
@@ -271,18 +331,22 @@ def test_structural_audit_only_nand_reachable():
     a = g.BitVector([backend.from_mask(v) for v in (1, 0, 1, 0, 1, 1)])
     b = g.BitVector([backend.from_mask(v) for v in (0, 1, 1, 0, 0, 1)])
     g.mul_wallace(a, b)
+    g.mul_wallace(a, b, lo=2, hi=8)
+    g.mul_schoolbook(a, b)  # pads with public zeros
     g.compare(a, b)
+    g.less_than(a, b)
     g.mux(backend.from_mask(1), a, b)
     assert backend.nands == backend.stats.nand_count > 0
     assert backend.consts > 0
 
 
-@pytest.mark.parametrize("op", ["add", "sub", "mul", "compare", "mux"])
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "mul_window", "compare",
+                                "less_than", "mux"])
 def test_gsw_clear_observational_equivalence(op, toy_params, toy_key):
     rnd = random.Random(hash(op) & 0xFFFF)
     clear = fc.ClearBackend()
     gsw = fc.GswBackend(toy_params, key=toy_key, seed=17, auto_refresh=True)
-    width = 4 if op == "mul" else 5
+    width = 4 if op.startswith("mul") else 5
     x = rnd.randrange(-(1 << (width - 1)), 1 << (width - 1))
     y = rnd.randrange(-(1 << (width - 1)), 1 << (width - 1))
     results = {}
@@ -295,6 +359,10 @@ def test_gsw_clear_observational_equivalence(op, toy_params, toy_key):
             results[tag] = g.sub(a, b).to_int()
         elif op == "mul":
             results[tag] = g.mul_wallace(a, b).to_int()
+        elif op == "mul_window":
+            results[tag] = g.mul_wallace(a, b, lo=2, hi=6).to_int()
+        elif op == "less_than":
+            results[tag] = backend.reveal_bit(g.less_than(a, b))
         elif op == "compare":
             r = g.compare(a, b)
             results[tag] = (backend.reveal_bit(r.is_negative),

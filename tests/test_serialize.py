@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,32 @@ def test_atomic_write_replaces(tmp_path):
     serialize.atomic_write_bytes(path, b"two")
     assert path.read_bytes() == b"two"
     assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
+
+
+@pytest.mark.parametrize("field", [float("nan"), float("inf"), -1.0])
+def test_ciphertext_with_bad_noise_field_rejected(tmp_path, toy_params, toy_key, field):
+    """A tracked noise estimate that is not a finite non-negative number
+    would slip past the decryption budget check, so loading refuses it."""
+    fmt = fp.FixedPointFormat(4, 2)
+    backend = GswBackend(toy_params, key=toy_key, seed=11)
+    scores = cnn.EncScores([fp.encode(0.5, fmt, backend)])
+    path = tmp_path / "s.bin"
+    serialize.save_scores(scores, fmt, backend, path)
+    data = bytearray(path.read_bytes())
+    first = struct.pack("<d", scores.scores[0].bits.bits[0].ciphertext.noise_estimate)
+    offset = data.index(first)
+    data[offset:offset + 8] = struct.pack("<d", field)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ModelFormatError):
+        serialize.load_scores(path, GswBackend(toy_params, key=toy_key))
+
+
+def test_params_with_nan_noise_field_rejected(tmp_path, toy_key):
+    path = tmp_path / "k.key"
+    serialize.save_secret_key(toy_key, path)
+    data = bytearray(path.read_bytes())
+    # header (16) + section length (4) + u32 lattice_dim: then noise_stddev
+    data[24:32] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(data))
+    with pytest.raises(ModelFormatError):
+        serialize.load_secret_key(path)
