@@ -9,8 +9,9 @@ channel-major, then row, then column.
 
 Independent output channels and nodes are embarrassingly parallel; a
 ``workers`` knob fans them out while per-task seed scopes keep results
-bit-identical for any worker count.  Scores stay encrypted: argmax is
-the client's job after decryption.
+bit-identical for any worker count; a clear backend with ``fast_arith``
+runs each layer as one whole-array integer computation instead.  Scores
+stay encrypted: argmax is the client's job after decryption.
 """
 
 from __future__ import annotations
@@ -19,17 +20,25 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ShapeError
 from .fixedpoint import (
     FixedPointCipher,
     FixedPointFormat,
+    _from_ints,
+    _lane_values,
+    circuit_cost,
     encode,
+    float_to_scaled,
     fp_add,
     fp_max,
     fp_mul,
     fp_mul_const,
     fp_relu,
+    guard_range,
+    int_dtype,
+    scaled_mul,
 )
 
 __all__ = [
@@ -217,6 +226,8 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
     if side_h % pool or side_w % pool:
         raise ShapeError(f"conv output {side_h}x{side_w} not divisible by pool {pool}")
     backend = img.channels[0][0][0].backend
+    if backend.fast_arith:
+        return _int_conv_layer(img, spec, backend)
 
     def one_channel(oc: int):
         flat_w = spec.weights[oc].ravel()
@@ -260,6 +271,8 @@ def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
     if len(features) != spec.in_channels:
         raise ShapeError(f"{len(features)} features, layer expects {spec.in_channels}")
     backend = features[0].backend
+    if backend.fast_arith:
+        return _int_fc_layer(features, spec, backend)
 
     def one_node(node: int):
         with backend.seed_scope(layer_index, node):
@@ -270,6 +283,59 @@ def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
             return value
 
     return EncScores(_parallel_map(one_node, list(range(spec.out_channels)), workers))
+
+
+# ----------------------------------------------------------------------
+# whole-layer integer evaluation (clear backend with fast_arith)
+# ----------------------------------------------------------------------
+
+def _int_neurons(x, spec: LayerSpec, fmt: FixedPointFormat, backend):
+    """``dot_product`` of x (lanes, ..., fan-in) with every output's weights,
+    then the activation: (lanes, ..., out).  The bias comes first and each
+    floored product is added in input order; every product and partial sum
+    is range-checked.  Charges the NANDs of the circuits this stands for."""
+    to_int = np.frompyfunc(lambda r: float_to_scaled(r, fmt), 1, 1)
+    weights = to_int(spec.weights.reshape(spec.out_channels, -1)).astype(x.dtype)
+    terms = scaled_mul(x[..., None, :], weights, fmt)
+    guard_range(terms, fmt, "multiplication")
+    np.cumsum(terms, axis=-1, out=terms)  # in place: the products become partial sums
+    terms += to_int(spec.biases).astype(x.dtype)[:, None]
+    guard_range(terms, fmt, "addition")
+    values = terms[..., -1]
+    nands = terms[0].size * (circuit_cost("mul", fmt) + circuit_cost("add", fmt))
+    if spec.activation == RELU:
+        values = np.maximum(values, 0)
+        nands += values[0].size * circuit_cost("relu", fmt)
+    backend.stats.bump_nand(nands)
+    return values
+
+
+def _int_conv_layer(img: EncImage, spec: LayerSpec, backend) -> EncImage:
+    fmt = img.channels[0][0][0].fmt
+    k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
+    x = np.array([[[_lane_values(v) for v in row] for row in grid] for grid in img.channels],
+                 dtype=int_dtype(fmt))                         # (c, h, w, lanes)
+    win = sliding_window_view(x, (k, k), axis=(1, 2)).transpose(3, 1, 2, 0, 4, 5)
+    lanes, side_h, side_w = win.shape[:3]                      # window order (c, kr, kc)
+    values = _int_neurons(win.reshape(lanes, side_h, side_w, -1), spec, fmt, backend)
+    h, w = side_h // pool, side_w // pool
+    blocks = values.reshape(lanes, h, pool, w, pool, out).swapaxes(2, 3)
+    blocks = blocks.reshape(lanes, h, w, pool * pool, out)     # pool window in row order
+    values = blocks[:, :, :, 0]
+    for i in range(1, pool * pool):
+        guard_range(values - blocks[:, :, :, i], fmt, "comparison")
+        values = np.maximum(values, blocks[:, :, :, i])
+    backend.stats.bump_nand(values[0].size * (pool * pool - 1) * circuit_cost("maxfold", fmt))
+    cells = [_from_ints(v, fmt, backend)
+             for v in values.transpose(3, 1, 2, 0).reshape(-1, lanes).tolist()]
+    return EncImage(np.array(cells, dtype=object).reshape(out, h, w).tolist(), h, w)
+
+
+def _int_fc_layer(features, spec: LayerSpec, backend) -> EncScores:
+    fmt = features[0].fmt
+    x = np.array([_lane_values(v) for v in features], dtype=int_dtype(fmt)).T
+    values = _int_neurons(x, spec, fmt, backend)               # (lanes, out)
+    return EncScores([_from_ints(v, fmt, backend) for v in values.T.tolist()])
 
 
 def classify(img: EncImage, net: NetworkSpec, encrypt_weights: bool = False,

@@ -407,9 +407,9 @@ class ClearBackend(_SeedScopeMixin):
 
     ``lanes`` packs that many independent evaluations into each bit
     (clear_value is a lane mask), so one pass over a circuit checks many
-    inputs.  ``fast_arith`` lets the fixed-point layer shortcut whole
-    word-level operations through exact integer arithmetic; the gate-level
-    path stays the default for circuit tests.
+    inputs.  With ``fast_arith``, CNN layers run as whole-array integer
+    arithmetic with the circuits' semantics and charge their circuits'
+    NAND counts; single fixed-point operations always run gate by gate.
     """
 
     tag = "clear"
@@ -564,9 +564,12 @@ class GswBackend(_SeedScopeMixin):
             fresh = float(fresh_noise_bound(params))
             threshold = params.noise_budget / 2
             if self._projected_noise(ca, cb) >= threshold:
+                same = ca is cb  # not_gate: one refresh serves both sides
                 if ca.noise_estimate > fresh:
                     ca = self._oracle_refresh(ca)
-                if cb.noise_estimate > fresh:
+                if same:
+                    cb = ca
+                elif cb.noise_estimate > fresh:
                     cb = self._oracle_refresh(cb)
         elif self.eager_noise_check:
             if self._projected_noise(ca, cb) >= params.noise_budget:

@@ -10,18 +10,24 @@ and max are computed exactly through oblivious selection: their outputs
 are bitwise identical to one of the inputs (or to zero) and add no
 numerical error.
 
-On the clear backend with ``fast_arith`` enabled, each operation runs as
-exact integer arithmetic with the same wraparound/floor semantics as the
-circuits (the test suite pins bit-for-bit equality), and the gate counters
-advance by the per-operation circuit cost so reports stay meaningful.
-The clear backend also raises OverflowDiagnostic when a value leaves its
-representable range, since a silent wrap voids the error analysis.
+Each operation is defined once, by its circuit.  On the clear backend it
+also checks its exact integer result against the format's range and
+raises OverflowDiagnostic instead of wrapping, since a silent wrap voids
+the error analysis.  Those checks share the integer semantics written out
+here (``scaled_mul``, ``guard_range``) with the whole-layer evaluator in
+:mod:`gatecnn.cnn`: on a clear backend with ``fast_arith``, layers run as
+whole-array integer arithmetic and charge the gate counter the NANDs of
+the circuits they stand for (``circuit_cost``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import gates
 from .errors import (
@@ -155,11 +161,6 @@ def _lane_values(x: FixedPointCipher):
     return x._lane_cache
 
 
-def _wrap(z: int, width: int) -> int:
-    z &= (1 << width) - 1
-    return z - (1 << width) if z >> (width - 1) else z
-
-
 def _from_ints(values, fmt: FixedPointFormat, backend) -> FixedPointCipher:
     bits = BitVector.from_lane_ints(values, fmt.total_bits, backend)
     out = FixedPointCipher(bits, fmt)
@@ -167,177 +168,84 @@ def _from_ints(values, fmt: FixedPointFormat, backend) -> FixedPointCipher:
     return out
 
 
-def _fast(x: FixedPointCipher) -> bool:
-    return x.backend.fast_arith
-
-
-def _guard_range(values, fmt: FixedPointFormat, what: str) -> None:
-    for z in values:
-        if not fmt.min_int <= z <= fmt.max_int:
-            raise OverflowDiagnostic(
-                f"{what} produced integer {z} outside the w={fmt.total_bits} "
-                "range; the error bound no longer applies")
-
-
 # ----------------------------------------------------------------------
-# circuit cost model: fast-arith mode advances the gate counters by the
-# exact NAND count of the equivalent circuit (counts depend only on the
-# format, never on values)
+# integer semantics of the circuits, shared by the clear-backend range
+# diagnostics below and the whole-layer evaluator in cnn
 # ----------------------------------------------------------------------
 
-_COST_CACHE: dict = {}
+def int_dtype(fmt: FixedPointFormat):
+    """Array dtype holding every product of two format integers exactly:
+    int64 up to w = 32, Python ints above."""
+    return np.int64 if fmt.total_bits <= 32 else object
 
 
-def _circuit_cost(kind: str, fmt: FixedPointFormat) -> int:
-    key = (kind, fmt.total_bits, fmt.frac_bits)
-    cost = _COST_CACHE.get(key)
-    if cost is None:
-        probe = ClearBackend()
-        a = encode_const(0.0, fmt, probe)
-        b = encode_const(0.0, fmt, probe)
-        before = probe.stats.nand_count
-        if kind == "add":
-            _gate_add(a, b)
-        elif kind == "sub":
-            _gate_sub(a, b)
-        elif kind == "mul":
-            _gate_mul_bits(a, b)
-        elif kind == "geq_zero":
-            _gate_geq_zero(a)
-        elif kind == "relu":
-            _gate_relu(a)
-        elif kind == "maxfold":
-            _gate_max_fold(a, b)
-        else:
-            raise ParameterError(f"unknown circuit kind {kind!r}")
-        cost = probe.stats.nand_count - before
-        _COST_CACHE[key] = cost
-    return cost
+def scaled_mul(za, zb, fmt: FixedPointFormat):
+    """The product floored back to the scale, as ``fp_mul`` computes it."""
+    product = za * zb
+    product >>= fmt.frac_bits  # in place on arrays: no second temporary
+    return product
 
 
-def _charge(x: FixedPointCipher, kind: str, times: int = 1) -> None:
-    x.backend.stats.bump_nand(_circuit_cost(kind, x.fmt) * times)
+def guard_range(values: np.ndarray, fmt: FixedPointFormat, what: str) -> None:
+    """Raise OverflowDiagnostic naming the first of ``values`` (in C order)
+    outside the format's range, where the circuit would silently wrap."""
+    outside = (values < fmt.min_int) | (values > fmt.max_int)
+    if outside.any():
+        raise OverflowDiagnostic(
+            f"{what} produced integer {values[outside][0]} outside the "
+            f"w={fmt.total_bits} range; the error bound no longer applies")
+
+
+def _diagnose(a: FixedPointCipher, b: FixedPointCipher, combine, what: str) -> None:
+    """Clear-backend range check of one operation on its exact integers."""
+    if not a.backend.is_encrypted:
+        za, zb = (np.array(_lane_values(x), dtype=int_dtype(a.fmt)) for x in (a, b))
+        guard_range(combine(za, zb), a.fmt, what)
 
 
 # ----------------------------------------------------------------------
 # arithmetic
 # ----------------------------------------------------------------------
 
-def _gate_add(a, b):
-    return FixedPointCipher(gates.add(a.bits, b.bits), a.fmt)
-
-
 def fp_add(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
     """Exact fixed-point sum; adds no representation error."""
     _check_formats(a, b)
-    if _fast(a):
-        za, zb = _lane_values(a), _lane_values(b)
-        _guard_range([x + y for x, y in zip(za, zb)], a.fmt, "addition")
-        _charge(a, "add")
-        return _from_ints([_wrap(x + y, a.fmt.total_bits) for x, y in zip(za, zb)],
-                          a.fmt, a.backend)
-    out = _gate_add(a, b)
-    _maybe_diagnose_add(a, b, +1)
-    return out
-
-
-def _gate_sub(a, b):
-    return FixedPointCipher(gates.sub(a.bits, b.bits), a.fmt)
+    _diagnose(a, b, operator.add, "addition")
+    return FixedPointCipher(gates.add(a.bits, b.bits), a.fmt)
 
 
 def fp_sub(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
     _check_formats(a, b)
-    if _fast(a):
-        za, zb = _lane_values(a), _lane_values(b)
-        _guard_range([x - y for x, y in zip(za, zb)], a.fmt, "subtraction")
-        _charge(a, "sub")
-        return _from_ints([_wrap(x - y, a.fmt.total_bits) for x, y in zip(za, zb)],
-                          a.fmt, a.backend)
-    out = _gate_sub(a, b)
-    _maybe_diagnose_add(a, b, -1)
-    return out
-
-
-def _maybe_diagnose_add(a, b, sign):
-    if not a.backend.is_encrypted:
-        za, zb = _lane_values(a), _lane_values(b)
-        _guard_range([x + sign * y for x, y in zip(za, zb)], a.fmt,
-                     "addition" if sign > 0 else "subtraction")
-
-
-def _gate_mul_bits(a, b) -> FixedPointCipher:
-    f = a.fmt.frac_bits
-    return FixedPointCipher(
-        gates.mul_wallace(a.bits, b.bits, lo=f, hi=f + a.fmt.total_bits), a.fmt)
+    _diagnose(a, b, operator.sub, "subtraction")
+    return FixedPointCipher(gates.sub(a.bits, b.bits), a.fmt)
 
 
 def fp_mul(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
     """Product floored back to the format's scale: bits f..f+w-1 of the
     exact double-width product, the only ones the circuit builds."""
     _check_formats(a, b)
-    if _fast(a):
-        za, zb = _lane_values(a), _lane_values(b)
-        products = [(x * y) >> a.fmt.frac_bits for x, y in zip(za, zb)]
-        _guard_range(products, a.fmt, "multiplication")
-        _charge(a, "mul")
-        return _from_ints([_wrap(p, a.fmt.total_bits) for p in products],
-                          a.fmt, a.backend)
-    out = _gate_mul_bits(a, b)
-    if not a.backend.is_encrypted:
-        za, zb = _lane_values(a), _lane_values(b)
-        _guard_range([(x * y) >> a.fmt.frac_bits for x, y in zip(za, zb)],
-                     a.fmt, "multiplication")
-    return out
+    _diagnose(a, b, lambda za, zb: scaled_mul(za, zb, a.fmt), "multiplication")
+    f = a.fmt.frac_bits
+    return FixedPointCipher(
+        gates.mul_wallace(a.bits, b.bits, lo=f, hi=f + a.fmt.total_bits), a.fmt)
 
 
 def fp_mul_const(a: FixedPointCipher, c: float) -> FixedPointCipher:
     """Multiply by a public real: the constant enters as noiseless bits,
     which makes half the partial products free on the encrypted backend."""
-    zc = float_to_scaled(c, a.fmt)
-    if _fast(a):
-        za = _lane_values(a)
-        products = [(x * zc) >> a.fmt.frac_bits for x in za]
-        _guard_range(products, a.fmt, "constant multiplication")
-        _charge(a, "mul")
-        return _from_ints([_wrap(p, a.fmt.total_bits) for p in products],
-                          a.fmt, a.backend)
-    const = encode_const(zc / a.fmt.scale, a.fmt, a.backend)
-    return fp_mul(a, const)
-
-
-def _gate_geq_zero(x) -> EncBit:
-    return gates.not_gate(x.bits.bits[-1])
+    return fp_mul(a, encode_const(c, a.fmt, a.backend))
 
 
 def fp_geq_zero(x: FixedPointCipher) -> EncBit:
     """NOT of the sign bit: decodes to 1 iff x >= 0."""
-    if _fast(x):
-        _charge(x, "geq_zero")
-        mask = 0
-        for lane, z in enumerate(_lane_values(x)):
-            mask |= (1 if z >= 0 else 0) << lane
-        return x.backend.from_mask(mask)
-    return _gate_geq_zero(x)
-
-
-def _gate_relu(x) -> FixedPointCipher:
-    keep = _gate_geq_zero(x)
-    return FixedPointCipher(
-        BitVector(gates.and_gate(keep, bit) for bit in x.bits.bits), x.fmt)
+    return gates.not_gate(x.bits.bits[-1])
 
 
 def fp_relu(x: FixedPointCipher) -> FixedPointCipher:
     """Oblivious max(x, 0): output is bitwise x or bitwise zero."""
-    if _fast(x):
-        _charge(x, "relu")
-        return _from_ints([z if z >= 0 else 0 for z in _lane_values(x)],
-                          x.fmt, x.backend)
-    return _gate_relu(x)
-
-
-def _gate_max_fold(cur, nxt) -> FixedPointCipher:
-    take_next = gates.less_than(cur.bits, nxt.bits)
-    return FixedPointCipher(gates.mux(take_next, nxt.bits, cur.bits), cur.fmt)
+    keep = fp_geq_zero(x)
+    return FixedPointCipher(
+        BitVector(gates.and_gate(keep, bit) for bit in x.bits.bits), x.fmt)
 
 
 def fp_max(values) -> FixedPointCipher:
@@ -352,24 +260,25 @@ def fp_max(values) -> FixedPointCipher:
     cur = values[0]
     for nxt in values[1:]:
         _check_formats(cur, nxt)
-        if not cur.backend.is_encrypted:
-            _diagnose_compare_range(cur, nxt)
-        if _fast(cur):
-            _charge(cur, "maxfold")
-            zc, zn = _lane_values(cur), _lane_values(nxt)
-            cur = _from_ints(
-                [n if _wrap(c - n, cur.fmt.total_bits) < 0 else c
-                 for c, n in zip(zc, zn)],
-                cur.fmt, cur.backend)
-        else:
-            cur = _gate_max_fold(cur, nxt)
+        _diagnose(cur, nxt, operator.sub, "comparison")
+        take_next = gates.less_than(cur.bits, nxt.bits)
+        cur = FixedPointCipher(gates.mux(take_next, nxt.bits, cur.bits), cur.fmt)
     return cur
 
 
-def _diagnose_compare_range(a, b):
-    for za, zb in zip(_lane_values(a), _lane_values(b)):
-        d = za - zb
-        if not a.fmt.min_int <= d <= a.fmt.max_int:
-            raise OverflowDiagnostic(
-                f"comparison of values {d} apart exceeds the w="
-                f"{a.fmt.total_bits} subtraction range")
+_COST_OPS = {
+    "mul": fp_mul,
+    "add": fp_add,
+    "relu": lambda a, b: fp_relu(a),
+    "maxfold": lambda a, b: fp_max([a, b]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def circuit_cost(kind: str, fmt: FixedPointFormat) -> int:
+    """NANDs of one ``kind`` circuit at ``fmt``, counted on a gate-level
+    backend; counts depend only on the format, never on values."""
+    probe = ClearBackend()
+    a = encode_const(0.0, fmt, probe)
+    _COST_OPS[kind](a, a)
+    return probe.stats.nand_count

@@ -160,7 +160,12 @@ def load_image(path) -> np.ndarray:
     if text_path.lower().endswith((".pgm", ".pnm")):
         return _load_pgm(path)
     if text_path.lower().endswith(".csv"):
-        data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise ModelFormatError(f"bad CSV image {path}: {exc}")
+        if not np.isfinite(data).all():
+            raise ModelFormatError(f"CSV image {path} holds a NaN or infinite pixel")
         return data[None, :, :]
     raise ModelFormatError(f"unsupported image format for {path} (expect .pgm or .csv)")
 
@@ -173,6 +178,8 @@ def _load_pgm(path) -> np.ndarray:
     while len(fields) < 4:
         while pos < len(data) and data[pos:pos + 1].isspace():
             pos += 1
+        if pos == len(data):
+            raise ModelFormatError("PGM header ended early")
         if data[pos:pos + 1] == b"#":
             while pos < len(data) and data[pos] != 0x0A:
                 pos += 1
@@ -181,14 +188,24 @@ def _load_pgm(path) -> np.ndarray:
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
         fields.append(data[start:pos])
-    magic, width, height, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        magic, width, height, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
+    except ValueError:
+        raise ModelFormatError(f"non-numeric PGM header field in {fields[1:]}")
+    if width < 1 or height < 1:
+        raise ModelFormatError(f"bad PGM dimensions {width}x{height}")
     if maxval != 255:
         raise ModelFormatError(f"only 8-bit PGM supported, maxval={maxval}")
     if magic == b"P5":
         pos += 1  # single whitespace after maxval
+        if len(data) - pos < width * height:
+            raise ModelFormatError("PGM raster shorter than declared dimensions")
         raster = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     elif magic == b"P2":
-        raster = np.array(data[pos:].split()[: width * height], dtype=np.uint8)
+        try:
+            raster = np.array(data[pos:].split()[: width * height], dtype=np.uint8)
+        except (ValueError, OverflowError):
+            raise ModelFormatError("bad P2 PGM raster value")
     else:
         raise ModelFormatError(f"not a PGM file: magic {magic!r}")
     if raster.size != width * height:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from gatecnn.cnn import argmax, classify, encrypt_image, reference_classify
+from gatecnn.cnn import EncImage, argmax, classify, encrypt_image, reference_classify
 from gatecnn.demo import preset_model, synthetic_images, tiny_model
 from gatecnn.error_analysis import theorem_bound
 from gatecnn.fhe_core import ClearBackend, GswBackend, keygen, preset_params
-from gatecnn.fixedpoint import decode_lanes
+from gatecnn.fixedpoint import _lane_values, decode_lanes, encode_lanes
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +61,23 @@ def verify_run(preset_net, demo_images):
     report.bound_violations = int((stacked > report.total_bound).sum())
     report.slack_violations = int((stacked > report.bound_with_slack).sum())
     return report, matches
+
+
+@pytest.fixture(scope="session")
+def fast_vs_gate():
+    """Classify a stack of (c, h, w) images, one per clear lane, on the
+    whole-layer evaluator and gate by gate; returns the (per-class lane
+    integers, NAND count) pair of each."""
+    def run(net, images):
+        stack = np.asarray(images, dtype=np.float64)
+        _, c, h, w = stack.shape
+        out = []
+        for fast in (True, False):
+            backend = ClearBackend(lanes=len(stack), fast_arith=fast)
+            img = EncImage([[[encode_lanes(stack[:, ch, r, col], net.fmt, backend)
+                              for col in range(w)] for r in range(h)] for ch in range(c)],
+                           h, w)
+            scores = classify(img, net)
+            out.append(([_lane_values(s) for s in scores.scores], backend.stats.nand_count))
+        return out
+    return run

@@ -150,6 +150,13 @@ def test_verify_fails_cleanly_on_corrupt_model(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_malformed_image_is_io_error(workdir, capsys):
+    (workdir / "cut.pgm").write_bytes(b"P5\n2 ")
+    code = run("verify", "--model", workdir / "micro.txt", "--images", workdir / "cut.pgm")
+    assert code == cli.EXIT_IO
+    assert "PGM header" in capsys.readouterr().err
+
+
 def test_missing_file_is_io_error(workdir):
     assert run("bound", "--model", workdir / "nope.txt") == cli.EXIT_IO
 

@@ -5,7 +5,7 @@ import pytest
 
 from gatecnn import cnn
 from gatecnn import fixedpoint as fp
-from gatecnn.errors import ParameterError, ShapeError
+from gatecnn.errors import ParameterError, RangeError, ShapeError
 from gatecnn.fhe_core import ClearBackend, GswBackend
 
 FMT = fp.FixedPointFormat(32, 16)
@@ -81,29 +81,31 @@ def test_dot_product_examples():
 
 def test_dot_product_dual_oracle():
     """Bit-exact against a plain fixed-point oracle; within the error-
-    propagation bound against float64."""
+    propagation bound against float64.  60 trials: three weight vectors,
+    each against 20 input vectors packed one per lane."""
     rnd = random.Random(11)
-    for trial in range(60):
-        n = 25
-        xs_vals = [rnd.uniform(-1, 1) for _ in range(n)]
+    n, lanes = 25, 20
+    for trial in range(3):
         ws = [rnd.uniform(-1, 1) for _ in range(n)]
         bias = rnd.uniform(-0.5, 0.5)
-        backend = ClearBackend(fast_arith=True)
-        xs = [fp.encode(v, FMT, backend) for v in xs_vals]
+        rows = [[rnd.uniform(-1, 1) for _ in range(n)] for _ in range(lanes)]
+        backend = ClearBackend(lanes=lanes)
+        xs = [fp.encode_lanes([row[i] for row in rows], FMT, backend) for i in range(n)]
         got = cnn.dot_product(xs, ws, bias)
 
-        # oracle 1: integer fixed-point semantics
-        acc = (int(np.floor(bias * FMT.scale)))
-        for v, w in zip(xs_vals, ws):
-            zx = int(np.floor(v * FMT.scale))
-            zw = int(np.floor(w * FMT.scale))
-            acc += (zx * zw) >> 16
-        assert fp._lane_values(got)[0] == acc, trial
+        for lane, xs_vals in enumerate(rows):
+            # oracle 1: integer fixed-point semantics
+            acc = (int(np.floor(bias * FMT.scale)))
+            for v, w in zip(xs_vals, ws):
+                zx = int(np.floor(v * FMT.scale))
+                zw = int(np.floor(w * FMT.scale))
+                acc += (zx * zw) >> 16
+            assert fp._lane_values(got)[lane] == acc, (trial, lane)
 
-        # oracle 2: double precision within sqrt(n)*|w| * delta + floors
-        exact = float(np.dot(xs_vals, ws) + bias)
-        bound = (np.sqrt(n) * np.linalg.norm(ws) + n + 1 + n) / FMT.scale
-        assert abs(fp.decode(got) - exact) <= bound
+            # oracle 2: double precision within sqrt(n)*|w| * delta + floors
+            exact = float(np.dot(xs_vals, ws) + bias)
+            bound = (np.sqrt(n) * np.linalg.norm(ws) + n + 1 + n) / FMT.scale
+            assert abs(fp.decode(got, lane=lane) - exact) <= bound
 
 
 def test_conv_identity_kernel():
@@ -211,7 +213,7 @@ def test_encrypt_weights_equivalence_classify(tiny_net):
     pixels = rng.uniform(-1, 1, (1, 6, 6))
     results = []
     for encrypt_weights in (False, True):
-        backend = ClearBackend(fast_arith=True)
+        backend = ClearBackend()  # gate level: the layer evaluator has no weight entry
         scores = cnn.classify(cnn.encrypt_image(pixels, tiny_net.fmt, backend),
                               tiny_net, encrypt_weights=encrypt_weights)
         results.append([s.bits.to_int() for s in scores.scores])
@@ -237,11 +239,53 @@ def test_workers_bit_identical(tiny_net):
     pixels = rng.uniform(-1, 1, (1, 6, 6))
     results = []
     for workers in (1, 4):
-        backend = ClearBackend(fast_arith=True)
+        backend = ClearBackend()  # gate level: the layer evaluator runs no threads
         scores = cnn.classify(cnn.encrypt_image(pixels, tiny_net.fmt, backend),
                               tiny_net, workers=workers)
         results.append([s.bits.to_int() for s in scores.scores])
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("seed, conv_act, fc_act, lanes", [
+    (0, cnn.RELU, cnn.RELU, 1),
+    (1, cnn.LINEAR, cnn.RELU, 1),
+    (2, cnn.RELU, cnn.LINEAR, 3),
+])
+def test_layer_evaluator_matches_gate_path(fast_vs_gate, seed, conv_act, fc_act, lanes):
+    """Two-channel 5x3 input, a three-map conv with pool 2, then fc -> fc."""
+    rng = np.random.default_rng(seed)
+    net = cnn.NetworkSpec(
+        [cnn.LayerSpec(cnn.CONVOLUTION, 2, 3, rng.normal(0, 0.5, (3, 2, 2, 2)),
+                       rng.normal(0, 0.2, 3), conv_act, kernel_size=2, pool_size=2),
+         make_fc(6, 3, act=fc_act, seed=seed),
+         make_fc(3, 2, seed=seed + 1)],
+        input_height=5, input_width=3, fmt=fp.FixedPointFormat(10, 5), input_channels=2)
+    fast, gate = fast_vs_gate(net, rng.uniform(-1, 1, (lanes, 2, 5, 3)))
+    assert fast == gate
+
+
+def test_layer_evaluator_wide_format(fast_vs_gate):
+    """w=40: in-range products reach 2^68, past int64, so the evaluator
+    runs on Python integers."""
+    fmt = fp.FixedPointFormat(40, 30)
+    assert fp.int_dtype(fmt) is object
+    rng = np.random.default_rng(40)
+    net = cnn.NetworkSpec(
+        [make_fc(2, 3, weights=rng.uniform(-12, 12, (3, 2)), act=cnn.RELU),
+         make_fc(3, 2, weights=rng.uniform(-0.3, 0.3, (2, 3)))],
+        input_height=1, input_width=2, fmt=fmt)
+    fast, gate = fast_vs_gate(net, rng.uniform(-20, 20, (2, 1, 1, 2)))
+    assert fast == gate
+
+
+def test_layer_evaluator_rejects_unencodable_weight():
+    spec = make_fc(2, 1, weights=np.array([[0.5, 100.0]]))
+    small = fp.FixedPointFormat(10, 5)
+    for fast in (True, False):
+        backend = ClearBackend(fast_arith=fast)
+        feats = [fp.encode(0.5, small, backend) for _ in range(2)]
+        with pytest.raises(RangeError):
+            cnn.fc_layer(feats, spec)
 
 
 def test_argmax_tie_rule():

@@ -9,6 +9,7 @@ from gatecnn.errors import (
     NoiseExhaustionError,
     ParameterError,
 )
+from gatecnn.gates import not_gate
 
 
 def test_params_invariants(toy_params):
@@ -232,6 +233,16 @@ def test_auto_refresh_sustains_deep_chains(toy_params, toy_key):
     assert gsw.reveal_bit(x) == value
     assert gsw.stats.refresh_count > 0
     assert gsw.stats.max_noise_seen < toy_params.noise_budget
+
+
+def test_not_gate_of_noisy_bit_refreshes_once(toy_params, toy_key):
+    gsw = fc.GswBackend(toy_params, key=toy_key, seed=15, auto_refresh=True)
+    noisy = fc.nand(gsw.encrypt_bit(1), gsw.encrypt_bit(0))
+    assert noisy.ciphertext.noise_estimate > fc.fresh_noise_bound(toy_params)
+    before = gsw.stats.refresh_count
+    out = not_gate(noisy)
+    assert gsw.stats.refresh_count - before == 1
+    assert gsw.reveal_bit(out) == 0
 
 
 def test_noise_soundness_random_dags(toy_params, toy_key):

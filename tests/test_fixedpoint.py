@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from gatecnn import cnn
 from gatecnn import fhe_core as fc
 from gatecnn import fixedpoint as fp
 from gatecnn.errors import (
@@ -97,18 +99,17 @@ def test_mul_examples_and_oracle():
 
 
 def test_mul_const_matches_mul_bit_exactly():
+    # 1000 pairs: 20 public constants, each against 50 lane-packed operands
     rnd = random.Random(7)
-    fast = fc.ClearBackend(fast_arith=True)
-    gate = fc.ClearBackend()
-    for i in range(1000):
-        backend = gate if i < 50 else fast  # full circuit on a slice
-        a_val, c_val = rnd.uniform(-1, 1), rnd.uniform(-1, 1)
-        a1 = fp.encode(a_val, FMT, backend)
-        via_const = fp.fp_mul_const(a1, c_val)
-        a2 = fp.encode(a_val, FMT, backend)
-        via_mul = fp.fp_mul(a2, fp.encode(c_val, FMT, backend))
-        assert scaled(via_const) == scaled(via_mul)
-    backend = gate
+    lanes = 50
+    backend = fc.ClearBackend(lanes=lanes)
+    for _ in range(20):
+        c_val = rnd.uniform(-1, 1)
+        a = fp.encode_lanes([rnd.uniform(-1, 1) for _ in range(lanes)], FMT, backend)
+        via_const = fp.fp_mul_const(a, c_val)
+        via_mul = fp.fp_mul(a, fp.encode_lanes([c_val] * lanes, FMT, backend))
+        assert fp._lane_values(via_const) == fp._lane_values(via_mul)
+    backend = fc.ClearBackend()
     assert fp.decode(fp.fp_mul_const(fp.encode(0.3, FMT, backend), 0.0)) == 0.0
     x = fp.encode(0.37, FMT, backend)
     assert scaled(fp.fp_mul_const(x, 1.0)) == scaled(x)
@@ -118,14 +119,14 @@ def test_mul_error_vs_real_product_bound():
     """|fp_mul(a,b) - a*b| <= |a|*d_b + |b|*d_a + d_a*d_b + 1/scale, where
     d_x is x's own representation error."""
     rnd = random.Random(17)
-    backend = fc.ClearBackend(fast_arith=True)
-    for _ in range(5000):
-        va, vb = rnd.uniform(-1, 1), rnd.uniform(-1, 1)
-        a = fp.encode(va, FMT, backend)
-        b = fp.encode(vb, FMT, backend)
-        da = va - fp.decode(a)
-        db = vb - fp.decode(b)
-        got = fp.decode(fp.fp_mul(a, b))
+    pairs = [(rnd.uniform(-1, 1), rnd.uniform(-1, 1)) for _ in range(5000)]
+    backend = fc.ClearBackend(lanes=len(pairs))
+    a = fp.encode_lanes([p[0] for p in pairs], FMT, backend)
+    b = fp.encode_lanes([p[1] for p in pairs], FMT, backend)
+    products = fp.decode_lanes(fp.fp_mul(a, b))
+    for (va, vb), ra, rb, got in zip(pairs, fp.decode_lanes(a), fp.decode_lanes(b), products):
+        da = va - ra
+        db = vb - rb
         bound = abs(va) * db + abs(vb) * da + da * db + 1 / FMT.scale
         assert abs(got - va * vb) <= bound + 1e-15
 
@@ -135,8 +136,8 @@ def test_geq_zero():
     assert backend.reveal_bit(fp.fp_geq_zero(fp.encode(0.25, FMT, backend))) == 1
     assert backend.reveal_bit(fp.fp_geq_zero(fp.encode(-0.25, FMT, backend))) == 0
     assert backend.reveal_bit(fp.fp_geq_zero(fp.encode(0.0, FMT, backend))) == 1
-    # lane-packed signs, fast path
-    lanes = fc.ClearBackend(lanes=4, fast_arith=True)
+    # lane-packed signs
+    lanes = fc.ClearBackend(lanes=4)
     x = fp.encode_lanes([0.5, -0.5, 0.0, -0.001], FMT, lanes)
     bit = fp.fp_geq_zero(x)
     assert [lanes.reveal_bit(bit, lane) for lane in range(4)] == [1, 0, 1, 0]
@@ -197,41 +198,49 @@ def test_format_mismatch_rejected():
         fp.fp_add(a, b)
 
 
-def test_fast_path_bit_identical_and_same_counts():
-    rnd = random.Random(10)
-    fast = fc.ClearBackend(fast_arith=True)
-    gate = fc.ClearBackend()
-    for _ in range(100):
-        va, vb = rnd.uniform(-1, 1), rnd.uniform(-1, 1)
-        ops = []
-        for backend in (fast, gate):
-            a = fp.encode(va, FMT, backend)
-            b = fp.encode(vb, FMT, backend)
-            ops.append((
-                scaled(fp.fp_add(a, b)),
-                scaled(fp.fp_sub(a, b)),
-                scaled(fp.fp_mul(a, b)),
-                scaled(fp.fp_mul_const(a, vb)),
-                scaled(fp.fp_relu(a)),
-                scaled(fp.fp_max([a, b])),
-                backend.reveal_bit(fp.fp_geq_zero(b)),
-            ))
-        assert ops[0] == ops[1], (va, vb)
-    assert fast.stats.nand_count == gate.stats.nand_count > 0
+def test_fast_path_bit_identical_and_same_counts(fast_vs_gate):
+    """The layer evaluator against the gate path at w=32: a conv layer
+    with ReLU and pooling and an fc head, 100 random images, one per lane."""
+    rng = np.random.default_rng(10)
+    net = cnn.NetworkSpec(
+        [cnn.LayerSpec(cnn.CONVOLUTION, 1, 2, rng.normal(0, 0.5, (2, 1, 2, 2)),
+                       rng.normal(0, 0.2, 2), cnn.RELU, kernel_size=2, pool_size=2),
+         cnn.LayerSpec(cnn.FULLY_CONNECTED, 2, 2, rng.normal(0, 0.5, (2, 2)),
+                       rng.normal(0, 0.2, 2), cnn.LINEAR)],
+        input_height=3, input_width=3, fmt=FMT)
+    fast, gate = fast_vs_gate(net, rng.uniform(-1, 1, (100, 1, 3, 3)))
+    assert fast == gate
+    assert fast[1] > 0
+
+
+def _fc_spec(weights):
+    return cnn.LayerSpec(cnn.FULLY_CONNECTED, len(weights), 1, np.array([weights]),
+                         np.zeros(1), cnn.LINEAR)
 
 
 def test_overflow_diagnostics_on_clear():
+    """A product, a partial sum and a pool difference out of range each
+    raise on both evaluators; so do the single operations."""
+    pool = cnn.LayerSpec(cnn.CONVOLUTION, 1, 1, np.ones((1, 1, 1, 1)), np.zeros(1),
+                         cnn.LINEAR, kernel_size=1, pool_size=2)
     for fast in (True, False):
         backend = fc.ClearBackend(fast_arith=fast)
         big = fp.encode(30000.0, FMT, backend)
-        with pytest.raises(OverflowDiagnostic):
-            fp.fp_add(big, big)
-        with pytest.raises(OverflowDiagnostic):
-            fp.fp_mul(big, big)
-        far_a = fp.encode(30000.0, FMT, backend)
-        far_b = fp.encode(-30000.0, FMT, backend)
-        with pytest.raises(OverflowDiagnostic):
-            fp.fp_max([far_a, far_b])
+        with pytest.raises(OverflowDiagnostic, match="multiplication"):
+            cnn.fc_layer([big], _fc_spec([2.0]))
+        with pytest.raises(OverflowDiagnostic, match="addition"):
+            cnn.fc_layer([big, big], _fc_spec([1.0, 1.0]))
+        far = cnn.encrypt_image(np.array([[30000.0, -30000.0], [0.0, 0.0]]), FMT, backend)
+        with pytest.raises(OverflowDiagnostic, match="comparison"):
+            cnn.conv_layer(far, pool)
+    backend = fc.ClearBackend()
+    big = fp.encode(30000.0, FMT, backend)
+    with pytest.raises(OverflowDiagnostic):
+        fp.fp_add(big, big)
+    with pytest.raises(OverflowDiagnostic):
+        fp.fp_mul(big, big)
+    with pytest.raises(OverflowDiagnostic):
+        fp.fp_max([big, fp.encode(-30000.0, FMT, backend)])
 
 
 def test_gsw_backend_never_diagnoses(toy_params, toy_key):
@@ -280,26 +289,27 @@ def test_detached_decryption_oracle(toy_params, toy_key):
 
 @pytest.mark.parametrize("width", [10, 32])
 def test_mul_fast_equals_gate_at_every_frac_position(width):
-    """The product window depends on f: values and charged NAND counts of
-    the fast path must match the circuit at the lowest, middle and top f."""
+    """The product window depends on f: a one-input fc layer on the layer
+    evaluator must match the circuit, values and NAND counts, at the
+    lowest, middle and top f."""
     rnd = random.Random(width)
+    nodes, lanes = 5, 4
     for frac in (0, width // 2, width - 1):
         fmt = fp.FixedPointFormat(width, frac)
-        fast = fc.ClearBackend(fast_arith=True)
-        gate = fc.ClearBackend()
-        for _ in range(20):
-            za = zb = fmt.max_int + 1
-            while not fmt.min_int <= (za * zb) >> frac <= fmt.max_int:
-                za = rnd.randrange(fmt.min_int, fmt.max_int + 1)
-                reach = min(fmt.max_int, (fmt.max_int << frac) // max(1, abs(za)))
-                zb = rnd.randrange(-reach, reach + 1)
-            got = []
-            for backend in (fast, gate):
-                a = fp.encode(za / fmt.scale, fmt, backend)
-                b = fp.encode(zb / fmt.scale, fmt, backend)
-                got.append(scaled(fp.fp_mul(a, b)))
-            assert got[0] == got[1] == (za * zb) >> frac, (fmt, za, zb)
-        assert fast.stats.nand_count == gate.stats.nand_count > 0
+        zbs = [rnd.randrange(fmt.min_int, fmt.max_int + 1) for _ in range(nodes)]
+        reach = min(fmt.max_int, (fmt.max_int << frac) // max(1, *map(abs, zbs)))
+        zas = [rnd.randrange(-reach, reach + 1) for _ in range(lanes)]
+        spec = cnn.LayerSpec(cnn.FULLY_CONNECTED, 1, nodes,
+                             np.array(zbs)[:, None] / fmt.scale, np.zeros(nodes), cnn.LINEAR)
+        got, counts = [], []
+        for fast in (True, False):
+            backend = fc.ClearBackend(lanes=lanes, fast_arith=fast)
+            x = fp.encode_lanes([za / fmt.scale for za in zas], fmt, backend)
+            got.append([fp._lane_values(s) for s in cnn.fc_layer([x], spec).scores])
+            counts.append(backend.stats.nand_count)
+        want = [[(za * zb) >> frac for za in zas] for zb in zbs]
+        assert got[0] == got[1] == want, fmt
+        assert counts[0] == counts[1] > 0
 
 
 def _op_nands(fmt, op):

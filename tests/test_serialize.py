@@ -175,6 +175,24 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(loaded[0], arr)
 
 
+@pytest.mark.parametrize("name, content", [
+    ("cut_header.pgm", b"P5\n3 "),
+    ("short_raster.pgm", b"P5\n3 2\n255\n\x00\x01"),
+    ("header_only.pgm", b"P5\n3 2\n255\n"),
+    ("bad_dims.pgm", b"P5\n-1 -1\n255\n\x00"),
+    ("bad_field.pgm", b"P5\n3 x\n255\n\x00"),
+    ("bad_p2_pixel.pgm", b"P2\n2 1\n255\n0 300\n"),
+    ("text.csv", b"0.5,abc\n0.1,0.2\n"),
+    ("nan.csv", b"0.5,nan\n0.1,0.2\n"),
+    ("inf.csv", b"0.5,0.1\n-inf,0.2\n"),
+])
+def test_malformed_image_is_format_error(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(ModelFormatError):
+        model_io.load_image(path)
+
+
 def test_three_byte_entry_serialization(tmp_path):
     """log_q in 17..24 packs entries into 3 bytes each."""
     params = preset_params("toy").__class__(lattice_dim=2, log_q=18, noise_stddev=1.0)
