@@ -2,16 +2,17 @@
 
 The scheme follows the matrix "approximate eigenvector" construction.
 A secret vector ``s`` of length ``n+1`` (last entry fixed to 1) induces
-``v = powers_of_two(s)`` of length ``N = (n+1) * log2(q)``.  A ciphertext
-is an ``N x N`` binary matrix ``C`` with
+``v = powers_of_two(s) = W @ s`` of length ``N = (n+1) * log2(q)``, with
+``W`` the N x (n+1) gadget matrix.  A ciphertext is an ``N x N`` binary
+matrix ``C = bit_decompose(M)`` with
 
-    C @ v = bit * v + e   (mod q),   |e| small.
+    C @ v = M @ s = bit * v + e   (mod q),   |e| small,
 
-NAND of two ciphertexts is ``flatten(I - C_b @ C_a)``: the plaintexts live
-on the diagonal, so the identity-minus-product form computes
-``1 - bit_a * bit_b``.  Because stored matrices are kept bit-decomposed
-("flattened"), the product only expands the left operand's noise by a
-factor of at most ``N``; the right operand's noise enters additively.
+and only its recomposition ``M = C @ W mod q`` is stored.  NAND is
+``flatten(I - C_b @ C_a)``, i.e. ``M_out = W - C_b @ M_a (mod q)``: the
+plaintexts live on the diagonal, so this computes ``1 - bit_a * bit_b``.
+As ``C_b`` is binary, the product expands the left operand's noise by at
+most ``N``; the right operand's noise enters additively.
 
 Noise here means the lattice randomness that secures the ciphertext and
 grows with every NAND; it is tracked pessimistically in
@@ -146,33 +147,31 @@ class SecretKey:
         if vec[-1] != 1:
             raise ParameterError("secret vector must end in 1")
 
-    @property
-    def eigenvector(self) -> np.ndarray:
-        """powers_of_two(s): the vector every ciphertext approximately scales."""
-        cached = getattr(self, "_eigenvector", None)
-        if cached is None:
-            cached = _powers_of_two(self.secret_vector, self.params)
-            object.__setattr__(self, "_eigenvector", cached)
-        return cached
-
 
 class Ciphertext:
-    """One encrypted bit: an N x N bit-decomposed matrix plus a noise bound.
+    """One encrypted bit: its recomposed N x (n+1) matrix plus a noise bound.
 
-    Entries are held in float64 (exact for the permitted moduli) so the
-    hot matrix kernels run through BLAS; values are integers in [0, q).
-    ``trivial_value`` is set for the canonical noiseless encodings
-    (0 -> zero matrix, 1 -> identity), which are public constants.
+    ``recomposed`` is ``M = C @ W mod q`` for the N x N binary GSW matrix
+    ``C``, held in float64 (exact for the permitted moduli) so the hot
+    matrix kernels run through BLAS; values are integers in [0, q).
+    ``matrix`` derives ``C`` on demand (the wire form).  ``trivial_value``
+    is set for the canonical noiseless encodings (0 -> zero matrix,
+    1 -> W, whose C is the identity), which are public constants.
     """
 
-    __slots__ = ("matrix", "noise_estimate", "params", "trivial_value")
+    __slots__ = ("recomposed", "noise_estimate", "params", "trivial_value")
 
-    def __init__(self, matrix: np.ndarray, noise_estimate: float,
+    def __init__(self, recomposed: np.ndarray, noise_estimate: float,
                  params: FheParams, trivial_value: int | None = None):
-        self.matrix = np.asarray(matrix, dtype=np.float64)
+        self.recomposed = np.asarray(recomposed, dtype=np.float64)
         self.noise_estimate = float(noise_estimate)
         self.params = params
         self.trivial_value = trivial_value
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The N x N binary matrix C = bit_decompose(M)."""
+        return _bit_decompose(self.recomposed, self.params)
 
     @property
     def is_trivial(self) -> bool:
@@ -227,11 +226,6 @@ class GateStats:
 # gadget decomposition helpers
 # ----------------------------------------------------------------------
 
-def _powers_of_two(secret: np.ndarray, params: FheParams) -> np.ndarray:
-    shifts = np.arange(params.log_q, dtype=np.int64)
-    return ((secret[:, None] % params.modulus) << shifts).ravel() % params.modulus
-
-
 _WEIGHTS_CACHE: dict = {}
 
 
@@ -245,6 +239,7 @@ def _decomp_weights(params: FheParams) -> np.ndarray:
         cached = np.zeros((n1 * ell, n1), dtype=np.float64)
         for i in range(n1):
             cached[i * ell:(i + 1) * ell, i] = 1 << np.arange(ell)
+        cached.flags.writeable = False  # shared by every trivial 1
         _WEIGHTS_CACHE[key] = cached
     return cached
 
@@ -257,14 +252,10 @@ def _bit_decompose(rows: np.ndarray, params: FheParams) -> np.ndarray:
     return bits.reshape(rows.shape[0], -1).astype(np.float64)
 
 
-def _flatten_recomposed(recomposed: np.ndarray, params: FheParams) -> np.ndarray:
-    """Binary N x N matrix from an already-recomposed N x (n+1) image.
-
-    For any matrix M, flatten(M) = bit_decompose(M @ W mod q) preserves
-    M @ powers_of_two(s) exactly; callers hand in M @ W directly, which
-    keeps every kernel on skinny (n+1)-wide operands.
-    """
-    return _bit_decompose(np.mod(recomposed, float(params.modulus)), params)
+def _phase(sk: SecretKey, recomposed: np.ndarray) -> np.ndarray:
+    """M @ s mod q (= C @ powers_of_two(s) mod q), in int64."""
+    q = sk.params.modulus
+    return (recomposed.astype(np.int64) @ (sk.secret_vector % q)) % q
 
 
 def fresh_noise_bound(params: FheParams) -> int:
@@ -312,8 +303,7 @@ def _encrypt_with_rng(sk: SecretKey, params: FheParams, bit: int,
     if bit:
         # flatten(I + bit_decompose(A)) recomposes to W + A
         lwe = (lwe + _decomp_weights(params).astype(np.int64)) % q
-    matrix = _bit_decompose(lwe, params)
-    return Ciphertext(matrix, float(fresh_noise_bound(params)), params)
+    return Ciphertext(lwe, float(fresh_noise_bound(params)), params)
 
 
 def decrypt_bit(sk: SecretKey, ct: Ciphertext) -> int:
@@ -333,7 +323,7 @@ def _raw_decrypt(sk: SecretKey, ct: Ciphertext) -> int:
     q = params.modulus
     # Row where the eigenvector carries coefficient q/4 on the trap-door 1.
     idx = params.lattice_dim * params.log_q + params.log_q - 2
-    value = int(ct.matrix[idx] @ sk.eigenvector) % q
+    value = int(_phase(sk, ct.recomposed[idx]))
     if value > q // 2:
         value -= q
     return 1 if q // 8 < value < 3 * q // 8 else 0
@@ -353,14 +343,9 @@ def _refresh_with_rng(sk_oracle: SecretKey, ct: Ciphertext, params: FheParams,
 
 def true_noise(sk: SecretKey, ct: Ciphertext) -> int:
     """Actual embedded noise magnitude (test instrumentation; needs the key)."""
-    params = ct.params
-    q = params.modulus
-    v = sk.eigenvector
-    err = (ct.matrix @ v) % q
+    q = ct.params.modulus
     bit = _raw_decrypt(sk, ct)
-    if bit:
-        err = (err - v) % q
-    err = err.astype(np.int64)
+    err = _phase(sk, ct.recomposed - bit * _decomp_weights(ct.params))
     err[err > q // 2] -= q
     return int(np.max(np.abs(err)))
 
@@ -493,16 +478,15 @@ class GswBackend(_SeedScopeMixin):
         self.stats = GateStats()
         self._init_seeds(seed)
         self._weights = _decomp_weights(params)
-        self._identity = np.eye(params.ct_dim)
 
     # -- constants and data entry ------------------------------------
 
     def const(self, bit: int) -> EncBit:
         if bit not in (0, 1):
             raise ParameterError("constant bit must be 0 or 1")
-        matrix = self._identity if bit else np.zeros(
-            (self.params.ct_dim, self.params.ct_dim))
-        return EncBit(self, ciphertext=Ciphertext(matrix, 0.0, self.params, trivial_value=bit))
+        recomposed = self._weights if bit else np.zeros(self._weights.shape)
+        return EncBit(self, ciphertext=Ciphertext(recomposed, 0.0, self.params,
+                                                  trivial_value=bit))
 
     def encrypt_bit(self, bit: int) -> EncBit:
         if self.key is None:
@@ -544,14 +528,13 @@ class GswBackend(_SeedScopeMixin):
         With C = bit * I the product collapses, so the estimate is exact:
         the surviving operand's noise passes through unamplified.
         """
-        params = self.params
         if ca.trivial_value == 0 or cb.trivial_value == 0:
             return self.const(1).ciphertext
         if ca.trivial_value == 1 and cb.trivial_value == 1:
             return self.const(0).ciphertext
         other = cb if ca.is_trivial else ca
-        flat = _flatten_recomposed(self._weights - other.matrix @ self._weights, params)
-        return Ciphertext(flat, other.noise_estimate, params)
+        recomposed = np.mod(self._weights - other.recomposed, float(self.params.modulus))
+        return Ciphertext(recomposed, other.noise_estimate, self.params)
 
     def _projected_noise(self, ca: Ciphertext, cb: Ciphertext) -> float:
         # estimate(out) = estimate(a) * ct_dim + estimate(b): the left
@@ -592,11 +575,11 @@ class GswBackend(_SeedScopeMixin):
         return EncBit(self, ciphertext=self._oracle_refresh(bit.ciphertext))
 
     def _nand_general(self, ca: Ciphertext, cb: Ciphertext) -> Ciphertext:
-        # flatten(I - C_b @ C_a) via its recomposition W - C_b @ (C_a @ W);
-        # binary matrices keep every product exact in float64
-        recomposed = self._weights - cb.matrix @ (ca.matrix @ self._weights)
-        flat = _flatten_recomposed(recomposed, self.params)
-        return Ciphertext(flat, self._projected_noise(ca, cb), self.params)
+        # flatten(I - C_b @ C_a) recomposes to W - C_b @ M_a; a binary C_b
+        # keeps the product exact in float64
+        recomposed = np.mod(self._weights - cb.matrix @ ca.recomposed,
+                            float(self.params.modulus))
+        return Ciphertext(recomposed, self._projected_noise(ca, cb), self.params)
 
 
 # ----------------------------------------------------------------------

@@ -82,9 +82,13 @@ class _TokenReader:
     def reals(self, n: int) -> np.ndarray:
         toks = self.take(n)
         try:
-            return np.array([float(t) for t in toks], dtype=np.float64)
+            values = np.array([float(t) for t in toks], dtype=np.float64)
         except ValueError as exc:
             raise ModelFormatError(f"bad real value in weights: {exc}")
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ModelFormatError(f"non-finite weight or bias {toks[int(bad.argmax())]!r}")
+        return values
 
 
 def load_model(path) -> NetworkSpec:

@@ -19,8 +19,11 @@ followed by length-prefixed sections (u32 LE byte count, then payload):
 
 Matrix and vector entries are row-major unsigned little-endian integers
 of ceil(log_q / 8) bytes.  A gsw ciphertext record is its f64 noise
-estimate followed by ct_dim^2 entries; clear payloads pack one bit per
-encoded bit, LSB-first within bytes.  Round trips are bit-exact.
+estimate followed by the ct_dim^2 entries (each 0 or 1) of its binary
+matrix C; loading recomposes C @ W, the form ciphertexts are kept in.
+Clear payloads pack one bit per encoded bit, LSB-first within bytes.
+Every section must have exactly its kind's length and nothing may follow
+the last one.  Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .fhe_core import (
     FheParams,
     SecretKey,
     _PRESET_IDS,
+    _decomp_weights,
 )
 from .fixedpoint import FixedPointCipher, FixedPointFormat
 from .gates import BitVector
@@ -128,9 +132,21 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.bytes(struct.calcsize(fmt)))
 
-    def section(self) -> bytes:
+    def section(self, expected: int | None = None) -> bytes:
         (length,) = self.unpack("<I")
+        if expected is not None and length != expected:
+            raise ModelFormatError(
+                f"section holds {length} bytes, expected {expected}")
         return self.bytes(length)
+
+    def section_fields(self, fmt: str):
+        """Unpack a section that holds exactly one ``fmt`` record."""
+        return struct.unpack(fmt, self.section(struct.calcsize(fmt)))
+
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise ModelFormatError(
+                f"{len(self.data) - self.pos} trailing bytes after the last section")
 
 
 def read_header(path):
@@ -146,8 +162,7 @@ def _parse_header(rd: _Reader):
     kind, preset_id, backend_id, _, ct_dim, log_q = rd.unpack("<BBBBII")
     if backend_id not in _BACKEND_NAMES:
         raise ModelFormatError(f"unknown backend id {backend_id}")
-    sect = _Reader(rd.section())
-    lattice_dim, stddev, budget = sect.unpack("<Idd")
+    lattice_dim, stddev, budget = rd.section_fields("<Idd")
     if not (math.isfinite(stddev) and math.isfinite(budget)):
         raise ModelFormatError("params block holds a non-finite noise field")
     params = FheParams(lattice_dim, log_q, stddev, budget,
@@ -178,7 +193,9 @@ def load_secret_key(path) -> SecretKey:
     if kind != KIND_KEY:
         raise ModelFormatError("file is not a secret key")
     esize = _entry_size(params.log_q)
-    vec = _unpack_entries(rd.section(), params.lattice_dim + 1, esize)
+    count = params.lattice_dim + 1
+    vec = _unpack_entries(rd.section(count * esize), count, esize)
+    rd.end()
     return SecretKey(vec, params)
 
 
@@ -205,20 +222,27 @@ def _write_bits(bits, backend) -> bytes:
 
 
 def _read_bits(rd: _Reader, count: int, backend):
+    """Reads the payload section of ``count`` bits, then expects the end."""
     if backend.tag == "clear":
-        blob = rd.bytes((count + 7) // 8)
+        blob = rd.section((count + 7) // 8)
+        rd.end()
         return [backend.from_mask((blob[i // 8] >> (i % 8)) & 1) for i in range(count)]
     params = backend.params
     esize = _entry_size(params.log_q)
     nn = params.ct_dim
+    payload = _Reader(rd.section(count * (8 + nn * nn * esize)))
+    rd.end()
+    weights = _decomp_weights(params)
     bits = []
     for _ in range(count):
-        (estimate,) = rd.unpack("<d")
+        (estimate,) = payload.unpack("<d")
         if not (math.isfinite(estimate) and estimate >= 0):
             raise ModelFormatError(f"ciphertext noise estimate {estimate} is not "
                                    "a finite non-negative number")
-        matrix = _unpack_entries(rd.bytes(nn * nn * esize), nn * nn, esize)
-        ct = Ciphertext(matrix.reshape(nn, nn), estimate, params)
+        matrix = _unpack_entries(payload.bytes(nn * nn * esize), nn * nn, esize)
+        if matrix.max() > 1:
+            raise ModelFormatError(f"ciphertext matrix entry {matrix.max()} is not 0 or 1")
+        ct = Ciphertext(matrix.reshape(nn, nn) @ weights, estimate, params)
         bits.append(EncBit(backend, ciphertext=ct))
     return bits
 
@@ -262,11 +286,9 @@ def load_enc_image(path, backend):
     if kind != KIND_IMAGE:
         raise ModelFormatError("file is not an encrypted image")
     _check_backend_match(tag, params, backend)
-    meta = _Reader(rd.section())
-    channels, height, width, total_bits, frac_bits = meta.unpack("<IIIII")
+    channels, height, width, total_bits, frac_bits = rd.section_fields("<IIIII")
     fmt = FixedPointFormat(total_bits, frac_bits)
-    payload = _Reader(rd.section())
-    raw = _read_bits(payload, channels * height * width * total_bits, backend)
+    raw = _read_bits(rd, channels * height * width * total_bits, backend)
     grids = []
     pos = 0
     for _ in range(channels):
@@ -306,11 +328,9 @@ def load_scores(path, backend):
     if kind != KIND_SCORES:
         raise ModelFormatError("file is not a score file")
     _check_backend_match(tag, params, backend)
-    meta = _Reader(rd.section())
-    count, total_bits, frac_bits = meta.unpack("<III")
+    count, total_bits, frac_bits = rd.section_fields("<III")
     fmt = FixedPointFormat(total_bits, frac_bits)
-    payload = _Reader(rd.section())
-    raw = _read_bits(payload, count * total_bits, backend)
+    raw = _read_bits(rd, count * total_bits, backend)
     values = [FixedPointCipher(BitVector(raw[i * total_bits:(i + 1) * total_bits]), fmt)
               for i in range(count)]
     return EncScores(values), fmt

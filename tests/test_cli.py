@@ -150,6 +150,16 @@ def test_verify_fails_cleanly_on_corrupt_model(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_non_finite_weight_is_io_error(workdir, capsys):
+    lines = (workdir / "micro.txt").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("weights"))
+    lines[at] = "weights nan " + " ".join(lines[at].split()[2:])
+    (workdir / "nan.txt").write_text("\n".join(lines) + "\n")
+    code = run("verify", "--model", workdir / "nan.txt", "--images", workdir / "img.csv")
+    assert code == cli.EXIT_IO
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_verify_malformed_image_is_io_error(workdir, capsys):
     (workdir / "cut.pgm").write_bytes(b"P5\n2 ")
     code = run("verify", "--model", workdir / "micro.txt", "--images", workdir / "cut.pgm")

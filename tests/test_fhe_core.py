@@ -1,9 +1,12 @@
+import hashlib
 import threading
 
 import numpy as np
 import pytest
 
+from gatecnn import cnn
 from gatecnn import fhe_core as fc
+from gatecnn.demo import micro_model, synthetic_images
 from gatecnn.errors import (
     BackendMismatchError,
     NoiseExhaustionError,
@@ -329,3 +332,58 @@ def test_keyless_backend_can_compute_but_not_decrypt(toy_params, toy_key):
     with pytest.raises(ParameterError):
         server.encrypt_bit(0)
     assert fc.decrypt_bit(toy_key, out.ciphertext) == 0
+
+
+def _produced_ciphertexts(backend):
+    """One ciphertext of every kind a backend makes: encrypt, NAND,
+    NAND with a trivial operand, refresh, and both constants."""
+    x, y = backend.encrypt_bit(1), backend.encrypt_bit(0)
+    return {
+        "encrypt": x.ciphertext,
+        "nand": fc.nand(x, y).ciphertext,
+        "trivial_nand": fc.nand(backend.const(1), x).ciphertext,
+        "refresh": backend.refresh_bit(x).ciphertext,
+        "const0": backend.const(0).ciphertext,
+        "const1": backend.const(1).ciphertext,
+    }
+
+
+@pytest.mark.parametrize("preset", ["toy", "demo"])
+def test_ciphertexts_are_kept_recomposed(preset):
+    """Every ciphertext holds only M = C @ W mod q, an N x (n+1) array
+    with entries in [0, q); its binary C recomposes to exactly M, and
+    C @ powers_of_two(s) = M @ s (mod q) is what decryption reads."""
+    params = fc.preset_params(preset)
+    sk = fc.keygen(params, 4)
+    backend = fc.GswBackend(params, key=sk, seed=8)
+    q = params.modulus
+    weights = fc._decomp_weights(params)
+    v = (weights.astype(np.int64) @ sk.secret_vector) % q
+    for kind, ct in _produced_ciphertexts(backend).items():
+        m = ct.recomposed
+        assert m.shape == (params.ct_dim, params.lattice_dim + 1), kind
+        assert m.min() >= 0 and m.max() < q, kind
+        c = ct.matrix
+        assert c.shape == (params.ct_dim, params.ct_dim), kind
+        assert set(np.unique(c)) <= {0.0, 1.0}, kind
+        assert np.array_equal((c @ weights) % q, m), kind
+        via_c = (c.astype(np.int64) @ v) % q
+        assert np.array_equal(via_c, (m.astype(np.int64) @ sk.secret_vector) % q), kind
+    assert np.array_equal(backend.const(1).ciphertext.matrix, np.eye(params.ct_dim))
+
+
+def test_golden_score_ciphertexts(toy_params, toy_key):
+    """The encrypted micro model (private weights, auto-refresh) yields
+    these exact score ciphertexts, noise estimates and counts."""
+    backend = fc.GswBackend(toy_params, key=toy_key, seed=5, auto_refresh=True)
+    net = micro_model()
+    img = cnn.encrypt_image(synthetic_images(1, 2, 2)[0], net.fmt, backend, encrypt=True)
+    scores = cnn.classify(img, net, encrypt_weights=True)
+    digest = hashlib.sha256()
+    for value in scores.scores:
+        for bit in value.bits.bits:
+            digest.update(bit.ciphertext.matrix.astype(np.int64).tobytes())
+            digest.update(repr(bit.ciphertext.noise_estimate).encode())
+    assert digest.hexdigest() == (
+        "6d4ad8ac0804d1f50425b8f9816b4ce443b5139a24c15a01676771a6ab8457be")
+    assert backend.stats.snapshot() == (7896, 13512, 218.0)

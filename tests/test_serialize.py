@@ -245,3 +245,98 @@ def test_params_with_nan_noise_field_rejected(tmp_path, toy_key):
     path.write_bytes(bytes(data))
     with pytest.raises(ModelFormatError):
         serialize.load_secret_key(path)
+
+
+def _gsw_files(tmp_path, params, key):
+    """A gsw image file and a gsw score file of freshly encrypted bits."""
+    fmt = fp.FixedPointFormat(4, 2)
+    backend = GswBackend(params, key=key, seed=12)
+    img = cnn.encrypt_image(np.array([[[0.75, -0.5]]]), fmt, backend)
+    image_path, scores_path = tmp_path / "img.bin", tmp_path / "s.bin"
+    serialize.save_enc_image(img, fmt, backend, image_path)
+    serialize.save_scores(cnn.EncScores([img.channels[0][0][1]]), fmt, backend, scores_path)
+    return image_path, scores_path
+
+
+def _payload_offset(data: bytes, kind: str) -> int:
+    """Position of the last (payload) section's u32 length prefix."""
+    rd = serialize._Reader(data)
+    serialize._parse_header(rd)
+    if kind != "key":
+        rd.section()  # metadata
+    return rd.pos
+
+
+def test_gsw_image_resave_is_byte_identical(tmp_path, toy_params, toy_key):
+    image_path, _ = _gsw_files(tmp_path, toy_params, toy_key)
+    backend = GswBackend(toy_params, key=toy_key)
+    loaded, fmt = serialize.load_enc_image(image_path, backend)
+    again = tmp_path / "again.bin"
+    serialize.save_enc_image(loaded, fmt, backend, again)
+    assert again.read_bytes() == image_path.read_bytes()
+
+
+@pytest.mark.parametrize("entry", ["two", "q_minus_1"])
+def test_gsw_matrix_entry_must_be_binary(tmp_path, toy_params, toy_key, entry):
+    """Loading recomposes C @ W, so a non-binary entry of C would silently
+    become a different ciphertext; the loader refuses it."""
+    image_path, _ = _gsw_files(tmp_path, toy_params, toy_key)
+    data = bytearray(image_path.read_bytes())
+    first_entry = _payload_offset(data, "image") + 4 + 8  # length, noise estimate
+    value = 2 if entry == "two" else toy_params.modulus - 1
+    data[first_entry:first_entry + 2] = struct.pack("<H", value)
+    image_path.write_bytes(bytes(data))
+    with pytest.raises(ModelFormatError, match="not 0 or 1"):
+        serialize.load_enc_image(image_path, GswBackend(toy_params, key=toy_key))
+
+
+@pytest.mark.parametrize("kind", ["key", "image", "scores", "clear_image"])
+@pytest.mark.parametrize("defect", ["trailing_byte", "long_payload", "short_payload"])
+def test_section_lengths_are_exact(tmp_path, toy_params, toy_key, kind, defect):
+    image_path, scores_path = _gsw_files(tmp_path, toy_params, toy_key)
+    key_path, clear_path = tmp_path / "k.key", tmp_path / "clear.bin"
+    serialize.save_secret_key(toy_key, key_path)
+    clear = ClearBackend()
+    img = cnn.encrypt_image(np.zeros((1, 3, 3)), fp.FixedPointFormat(6, 3), clear)
+    serialize.save_enc_image(img, fp.FixedPointFormat(6, 3), clear, clear_path,
+                             params=toy_params)
+    gsw = GswBackend(toy_params, key=toy_key)
+    path, load = {
+        "key": (key_path, serialize.load_secret_key),
+        "image": (image_path, lambda p: serialize.load_enc_image(p, gsw)),
+        "scores": (scores_path, lambda p: serialize.load_scores(p, gsw)),
+        "clear_image": (clear_path, lambda p: serialize.load_enc_image(p, ClearBackend())),
+    }[kind]
+    load(path)  # intact
+    data = bytearray(path.read_bytes())
+    if defect == "trailing_byte":
+        data += b"\x00"
+    else:
+        at = _payload_offset(data, kind.replace("clear_", ""))
+        (length,) = struct.unpack_from("<I", data, at)
+        if defect == "long_payload":
+            length += 1
+            data += b"\x00"
+        else:
+            length -= 1
+            del data[-1]
+        struct.pack_into("<I", data, at, length)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ModelFormatError, match="trailing" if defect == "trailing_byte"
+                       else "expected"):
+        load(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["weights", "biases"])
+def test_model_non_finite_real_rejected(tmp_path, token, field):
+    path = tmp_path / "m.txt"
+    model_io.save_model(micro_model(), path)
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(field))
+    words = lines[at].split()
+    words[1] = token
+    lines[at] = " ".join(words)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match="non-finite"):
+        model_io.load_model(path)
