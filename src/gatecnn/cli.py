@@ -12,12 +12,11 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import error_analysis, model_io, serialize
-from .cnn import argmax, classify, encrypt_image, reference_classify
+from .cnn import argmax, classify, encrypt_image
 from .errors import (
     FormatMismatchError,
     GatecnnError,
@@ -51,117 +50,91 @@ _EXIT_BY_ERROR = (
 )
 
 
-@dataclass
-class JobConfig:
-    backend: str = "clear"
-    preset: str = "toy"
-    model_path: str | None = None
-    image_paths: list = field(default_factory=list)
-    key_path: str | None = None
-    input_path: str | None = None
-    output_path: str | None = None
-    workers: int = 1
-    seed: int = 0
-    encrypt_weights: bool = False
-    gate_level: bool = False
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ParameterError("workers must be >= 1")
+def _make_backend(args, tag: str):
+    """The backend a file or ``--backend`` names; gsw needs ``--key``."""
+    if tag == "clear":
+        return ClearBackend(fast_arith=True)
+    if not args.key_path:
+        raise ParameterError("the gsw backend requires --key for this command")
+    sk = serialize.load_secret_key(args.key_path)
+    return GswBackend(sk.params, key=sk, seed=args.seed, auto_refresh=True)
 
 
-def _make_backend(config: JobConfig, need_key: bool):
-    if config.backend == "clear":
-        return ClearBackend(fast_arith=not config.gate_level, seed=config.seed)
-    if config.backend != "gsw":
-        raise ParameterError(f"unknown backend {config.backend!r}")
-    if need_key:
-        if not config.key_path:
-            raise ParameterError("the gsw backend requires --key for this command")
-        sk = serialize.load_secret_key(config.key_path)
-        return GswBackend(sk.params, key=sk, seed=config.seed, auto_refresh=True)
-    return GswBackend(preset_params(config.preset), seed=config.seed)
-
-
-def cmd_keygen(config: JobConfig) -> int:
-    if config.backend == "clear":
+def cmd_keygen(args) -> int:
+    if args.backend == "clear":
         raise ParameterError("the clear backend has no keys; use --backend gsw")
-    if not config.output_path:
+    if not args.output_path:
         raise ParameterError("keygen needs --out")
-    params = preset_params(config.preset)
-    sk = keygen(params, config.seed)
-    serialize.save_secret_key(sk, config.output_path)
-    print(f"wrote secret key for preset {config.preset!r} "
-          f"(n={params.lattice_dim}, log_q={params.log_q}) to {config.output_path}")
+    params = preset_params(args.preset)
+    sk = keygen(params, args.seed)
+    serialize.save_secret_key(sk, args.output_path)
+    print(f"wrote secret key for preset {args.preset!r} "
+          f"(n={params.lattice_dim}, log_q={params.log_q}) to {args.output_path}")
     return EXIT_OK
 
 
-def cmd_encrypt_image(config: JobConfig) -> int:
-    if not (config.model_path and config.image_paths and config.output_path):
+def cmd_encrypt_image(args) -> int:
+    if not (args.model_path and args.output_path):
         raise ParameterError("encrypt-image needs --model, --image and --out")
-    net = model_io.load_model(config.model_path)
-    pixels = model_io.load_image(config.image_paths[0])
+    net = model_io.load_model(args.model_path)
+    pixels = model_io.load_image(args.image)
     want = (net.input_channels, net.input_height, net.input_width)
     if pixels.shape != want:
         raise ShapeError(f"image shape {pixels.shape} does not match the "
                          f"model input {want}")
-    backend = _make_backend(config, need_key=True)
+    backend = _make_backend(args, args.backend)
     enc = encrypt_image(pixels, net.fmt, backend, encrypt=True)
-    serialize.save_enc_image(enc, net.fmt, backend, config.output_path,
-                             params=preset_params(config.preset))
+    serialize.save_enc_image(enc, net.fmt, backend, args.output_path,
+                             params=preset_params(args.preset))
     bits = int(np.prod(want)) * net.fmt.total_bits
-    print(f"encrypted {want[1]}x{want[2]} image to {config.output_path} "
-          f"({bits} bit records, backend {config.backend})")
+    print(f"encrypted {want[1]}x{want[2]} image to {args.output_path} "
+          f"({bits} bit records, backend {args.backend})")
     return EXIT_OK
 
 
-def cmd_classify(config: JobConfig) -> int:
-    if not (config.model_path and config.input_path and config.output_path):
+def cmd_classify(args) -> int:
+    if not (args.model_path and args.output_path):
         raise ParameterError("classify needs --model, --in and --out")
-    net = model_io.load_model(config.model_path)
+    net = model_io.load_model(args.model_path)
     # the input file knows its backend; the command line stays the same
-    _, _, file_tag = serialize.read_header(config.input_path)
-    config = JobConfig(**{**config.__dict__, "backend": file_tag})
-    backend = _make_backend(config, need_key=(file_tag == "gsw"))
-    enc, fmt = serialize.load_enc_image(config.input_path, backend)
+    _, _, file_tag = serialize.read_header(args.input_path)
+    backend = _make_backend(args, file_tag)
+    enc, fmt = serialize.load_enc_image(args.input_path, backend)
     if fmt != net.fmt:
         raise FormatMismatchError(
             f"image fixed-point format {fmt} does not match the model's {net.fmt}")
     started = time.perf_counter()
-    scores = classify(enc, net, encrypt_weights=config.encrypt_weights,
-                      workers=config.workers)
+    scores = classify(enc, net, encrypt_weights=args.encrypt_weights,
+                      workers=args.workers)
     elapsed = time.perf_counter() - started
-    serialize.save_scores(scores, net.fmt, backend, config.output_path,
-                          params=preset_params(config.preset))
+    serialize.save_scores(scores, net.fmt, backend, args.output_path,
+                          params=preset_params(args.preset))
     nands, refreshes, max_noise = backend.stats.snapshot()
     print(f"classified in {elapsed:.2f}s: {nands} NANDs, {refreshes} refreshes, "
           f"peak tracked noise {max_noise:.0f}")
-    print(f"wrote {len(scores.scores)} encrypted scores to {config.output_path}")
+    print(f"wrote {len(scores.scores)} encrypted scores to {args.output_path}")
     return EXIT_OK
 
 
-def cmd_decrypt_scores(config: JobConfig) -> int:
-    if not config.input_path:
-        raise ParameterError("decrypt-scores needs --in")
-    _, _, file_tag = serialize.read_header(config.input_path)
-    probe_config = JobConfig(**{**config.__dict__, "backend": file_tag})
-    backend = _make_backend(probe_config, need_key=(file_tag == "gsw"))
-    scores, fmt = serialize.load_scores(config.input_path, backend)
+def cmd_decrypt_scores(args) -> int:
+    _, _, file_tag = serialize.read_header(args.input_path)
+    backend = _make_backend(args, file_tag)
+    scores, fmt = serialize.load_scores(args.input_path, backend)
     values = [decode_lanes(s)[0] for s in scores.scores]
     winner = argmax(values)
     lines = [f"score[{i}] = {v:+.6f}" for i, v in enumerate(values)]
     lines.append(f"argmax = {winner}")
     text = "\n".join(lines)
     print(text)
-    if config.output_path:
-        serialize.atomic_write_bytes(config.output_path, (text + "\n").encode())
+    if args.output_path:
+        serialize.atomic_write_bytes(args.output_path, (text + "\n").encode())
     return EXIT_OK
 
 
-def cmd_bound(config: JobConfig) -> int:
-    if not config.model_path:
+def cmd_bound(args) -> int:
+    if not args.model_path:
         raise ParameterError("bound needs --model")
-    net = model_io.load_model(config.model_path)
+    net = model_io.load_model(args.model_path)
     report = error_analysis.theorem_bound(net)
     print(f"format: w={net.fmt.total_bits} f={net.fmt.frac_bits} "
           f"scale={net.fmt.scale}")
@@ -178,47 +151,34 @@ def cmd_bound(config: JobConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: JobConfig) -> int:
-    if not (config.model_path and config.image_paths):
+def cmd_verify(args) -> int:
+    """Print ``empirical_error``'s report over the ``--images`` files: one
+    line per image, then match count, error statistics, the bound and its
+    violations.  Any argmax mismatch or error beyond the bound-plus-slack
+    ceiling is a verification failure."""
+    if not args.model_path:
         raise ParameterError("verify needs --model and at least one --images path")
-    net = model_io.load_model(config.model_path)
-    report = error_analysis.theorem_bound(net)
-    mismatches = 0
-    bound_violations = 0
-    ceiling_violations = 0
-    all_errors = []
-    for path in config.image_paths:
-        pixels = model_io.load_image(path)
-        backend = ClearBackend(fast_arith=not config.gate_level, seed=config.seed)
-        enc = encrypt_image(pixels, net.fmt, backend)
-        scores = classify(enc, net, workers=config.workers)
-        got = np.array([decode_lanes(s)[0] for s in scores.scores])
-        want = reference_classify(pixels, net)
-        errors = np.abs(got - want)
-        all_errors.append(errors)
-        match = argmax(got) == argmax(want)
-        over_bound = int((errors > report.total_bound).sum())
-        over_ceiling = int((errors > report.bound_with_slack).sum())
-        mismatches += 0 if match else 1
-        bound_violations += over_bound
-        ceiling_violations += over_ceiling
-        status = "ok" if match and not over_ceiling else "FAIL"
-        print(f"{os.path.basename(str(path))}: class fp={argmax(got)} "
-              f"ref={argmax(want)} max_err={errors.max():.2e} [{status}]")
-    stacked = np.concatenate(all_errors)
-    total = len(config.image_paths)
+    net = model_io.load_model(args.model_path)
+    report = error_analysis.empirical_error(
+        net, (model_io.load_image(path) for path in args.images))
+    for path, (got, want), errors in zip(args.images, report.classes, report.errors):
+        ok = got == want and not (errors > report.bound_with_slack).any()
+        print(f"{os.path.basename(str(path))}: class fp={got} ref={want} "
+              f"max_err={errors.max():.2e} [{'ok' if ok else 'FAIL'}]")
+    mismatches = sum(got != want for got, want in report.classes)
+    total = report.images_checked
     print(f"classification matches: {total - mismatches}/{total}")
-    print(f"per-score error: mean={stacked.mean():.3e} std={stacked.std():.3e} "
-          f"max={stacked.max():.3e}")
+    print(f"per-score error: mean={report.empirical_mean:.3e} "
+          f"std={report.empirical_std:.3e} max={report.empirical_max_error:.3e}")
     print(f"theorem bound: {report.total_bound:.3e} "
           f"(+ rescaling slack {report.rescaling_slack:.3e})")
-    attributed = bound_violations - ceiling_violations
-    print(f"bound violations: {bound_violations} "
+    attributed = report.bound_violations - report.slack_violations
+    print(f"bound violations: {report.bound_violations} "
           f"({attributed} attributed to rescaling slack, "
-          f"{ceiling_violations} beyond the slack ceiling)")
-    if mismatches or ceiling_violations:
+          f"{report.slack_violations} beyond the slack ceiling)")
+    if mismatches or report.slack_violations:
         raise VerificationFailure(
-            f"{mismatches} classification mismatches, {ceiling_violations} "
+            f"{mismatches} classification mismatches, {report.slack_violations} "
             "errors beyond the bound-plus-slack ceiling")
     return EXIT_OK
 
@@ -238,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", dest="model_path")
         p.add_argument("--key", dest="key_path")
         p.add_argument("--out", dest="output_path")
-        p.add_argument("--gate-level", action="store_true",
-                       help="force gate-by-gate evaluation on the clear backend")
 
     p = sub.add_parser("keygen", help="generate a secret key file")
     common(p)
@@ -274,29 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> JobConfig:
-    return JobConfig(
-        backend=args.backend,
-        preset=args.preset,
-        model_path=args.model_path,
-        image_paths=list(getattr(args, "images", []) or
-                         ([args.image] if getattr(args, "image", None) else [])),
-        key_path=args.key_path,
-        input_path=getattr(args, "input_path", None),
-        output_path=args.output_path,
-        workers=args.workers,
-        seed=args.seed,
-        encrypt_weights=getattr(args, "encrypt_weights", False),
-        gate_level=args.gate_level,
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return args.func(config)
+        if args.workers < 1:
+            raise ParameterError("workers must be >= 1")
+        return args.func(args)
     except GatecnnError as exc:
         for err_type, code in _EXIT_BY_ERROR:
             if isinstance(exc, err_type):

@@ -27,11 +27,12 @@ desk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cnn import CONVOLUTION, NetworkSpec, classify, encrypt_image, reference_classify
+from .cnn import (CONVOLUTION, NetworkSpec, argmax, classify, encrypt_image,
+                  reference_classify)
 from .fhe_core import ClearBackend
 from .fixedpoint import decode_lanes
 
@@ -67,6 +68,8 @@ class ErrorBoundReport:
     scores_checked: int = 0
     bound_violations: int = 0         # against total_bound alone
     slack_violations: int = 0         # against total_bound + rescaling_slack
+    classes: list = field(default_factory=list)  # per image: (fixed-point, reference) argmax
+    errors: list = field(default_factory=list)   # per image: |fixed-point - reference| scores
 
     @property
     def bound_with_slack(self) -> float:
@@ -147,27 +150,27 @@ def _sound_ceiling(factors, delta: float) -> float:
     return err
 
 
-def empirical_error(net: NetworkSpec, images, sk_oracle=None,
-                    workers: int = 1) -> ErrorBoundReport:
+def empirical_error(net: NetworkSpec, images) -> ErrorBoundReport:
     """Populate a bound report with measured per-score errors.
 
-    Runs the fixed-point path on the clear backend (bit-identical to the
-    encrypted path by the cross-backend equivalence invariant) and the
-    float64 reference on identical weights.  ``sk_oracle`` is accepted
-    for interface parity with encrypted measurement harnesses; the clear
-    path needs no key.
+    Runs each (c, h, w) image of the iterable through the fixed-point path
+    on the clear backend (bit-identical to the encrypted path by the
+    cross-backend equivalence invariant) and through the float64 reference
+    on identical weights.  Besides the summary fields, the report keeps
+    each image's argmax pair in ``classes`` and its per-score error array
+    in ``errors``, in input order.
     """
     report = theorem_bound(net)
-    errors = []
     for pixels in images:
+        pixels = np.asarray(pixels, dtype=np.float64)
         backend = ClearBackend(fast_arith=True)
-        enc = encrypt_image(np.asarray(pixels, dtype=np.float64), net.fmt, backend)
-        scores = classify(enc, net, workers=workers)
+        scores = classify(encrypt_image(pixels, net.fmt, backend), net)
         got = np.array([decode_lanes(s)[0] for s in scores.scores])
         want = reference_classify(pixels, net)
-        errors.append(np.abs(got - want))
-    stacked = np.concatenate(errors) if errors else np.zeros(0)
-    report.images_checked = len(errors)
+        report.classes.append((argmax(got), argmax(want)))
+        report.errors.append(np.abs(got - want))
+    stacked = np.concatenate(report.errors) if report.errors else np.zeros(0)
+    report.images_checked = len(report.errors)
     report.scores_checked = int(stacked.size)
     if stacked.size:
         report.empirical_max_error = float(stacked.max())

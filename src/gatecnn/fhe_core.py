@@ -188,10 +188,6 @@ class EncBit:
         self.clear_value = clear_value
         self.ciphertext = ciphertext
 
-    @property
-    def backend_tag(self) -> str:
-        return self.backend.tag
-
 
 class GateStats:
     """Evaluation counters; safe under concurrent increments."""
@@ -400,14 +396,14 @@ class ClearBackend(_SeedScopeMixin):
     tag = "clear"
     is_encrypted = False
 
-    def __init__(self, lanes: int = 1, fast_arith: bool = False, seed: int = 0):
+    def __init__(self, lanes: int = 1, fast_arith: bool = False):
         if lanes < 1:
             raise ParameterError("lanes must be >= 1")
         self.lanes = lanes
         self.lane_mask = (1 << lanes) - 1
         self.fast_arith = fast_arith
         self.stats = GateStats()
-        self._init_seeds(seed)
+        self._init_seeds(0)
 
     def const(self, bit: int) -> EncBit:
         if bit not in (0, 1):
@@ -431,9 +427,6 @@ class ClearBackend(_SeedScopeMixin):
             raise BackendMismatchError("nand operands belong to a different backend")
         self.stats.bump_nand()
         return EncBit(self, clear_value=(a.clear_value & b.clear_value) ^ self.lane_mask)
-
-    def reveal_mask(self, bit: EncBit) -> int:
-        return bit.clear_value
 
     def reveal_bit(self, bit: EncBit, lane: int = 0) -> int:
         return (bit.clear_value >> lane) & 1

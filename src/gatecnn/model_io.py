@@ -21,10 +21,12 @@ byte-exactly.  Images come in as 8-bit PGM (P2 or P5), mapped to
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .cnn import CONVOLUTION, FULLY_CONNECTED, LINEAR, RELU, LayerSpec, NetworkSpec
-from .errors import ModelFormatError, ShapeError
+from .errors import ModelFormatError, ParameterError, ShapeError
 from .fixedpoint import FixedPointFormat
 
 __all__ = ["load_model", "save_model", "load_image", "save_pgm", "save_csv"]
@@ -72,12 +74,16 @@ class _TokenReader:
         if got != literal:
             raise ModelFormatError(f"expected {literal!r}, found {got!r}")
 
-    def integer(self) -> int:
+    def integer(self, minimum: int = 1) -> int:
+        """An integer >= ``minimum``: every count and size is at least 1."""
         tok = self.word()
         try:
-            return int(tok)
+            value = int(tok)
         except ValueError:
             raise ModelFormatError(f"expected an integer, found {tok!r}")
+        if value < minimum:
+            raise ModelFormatError(f"expected an integer >= {minimum}, found {value}")
+        return value
 
     def reals(self, n: int) -> np.ndarray:
         toks = self.take(n)
@@ -103,7 +109,7 @@ def load_model(path) -> NetworkSpec:
     if version != _VERSION:
         raise ModelFormatError(f"unsupported model version {version}")
     rd.expect("format")
-    total_bits, frac_bits = rd.integer(), rd.integer()
+    total_bits, frac_bits = rd.integer(), rd.integer(minimum=0)
     rd.expect("input")
     channels, height, width = rd.integer(), rd.integer(), rd.integer()
 
@@ -127,7 +133,7 @@ def load_model(path) -> NetworkSpec:
             w = rd.reals(cout * cin * k * k).reshape(cout, cin, k, k)
             rd.expect("biases")
             b = rd.reals(cout)
-            layers.append(LayerSpec(CONVOLUTION, cin, cout, w, b, act, k, pool))
+            layers.append((CONVOLUTION, cin, cout, w, b, act, k, pool))
         elif kind == "fc":
             cin, cout = rd.integer(), rd.integer()
             rd.expect("act")
@@ -136,16 +142,16 @@ def load_model(path) -> NetworkSpec:
             w = rd.reals(cout * cin).reshape(cout, cin)
             rd.expect("biases")
             b = rd.reals(cout)
-            layers.append(LayerSpec(FULLY_CONNECTED, cin, cout, w, b, act))
+            layers.append((FULLY_CONNECTED, cin, cout, w, b, act))
         else:
             raise ModelFormatError(f"unknown layer kind {kind!r}")
 
     try:
-        return NetworkSpec(layers, height, width,
+        return NetworkSpec([LayerSpec(*layer) for layer in layers], height, width,
                            FixedPointFormat(total_bits, frac_bits),
                            input_channels=channels)
-    except ShapeError as exc:
-        raise ModelFormatError(f"inconsistent layer shapes: {exc}")
+    except (ShapeError, ParameterError) as exc:
+        raise ModelFormatError(f"inconsistent model: {exc}")
 
 
 def _activation(word: str) -> str:
@@ -165,9 +171,13 @@ def load_image(path) -> np.ndarray:
         return _load_pgm(path)
     if text_path.lower().endswith(".csv"):
         try:
-            data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty file only warns
+                data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
         except ValueError as exc:
             raise ModelFormatError(f"bad CSV image {path}: {exc}")
+        if data.size == 0:
+            raise ModelFormatError(f"CSV image {path} holds no pixels")
         if not np.isfinite(data).all():
             raise ModelFormatError(f"CSV image {path} holds a NaN or infinite pixel")
         return data[None, :, :]

@@ -149,6 +149,14 @@ class _Reader:
                 f"{len(self.data) - self.pos} trailing bytes after the last section")
 
 
+def _untrusted(make, *fields, **named):
+    """Build a value from file fields; a field it rejects is a format error."""
+    try:
+        return make(*fields, **named)
+    except ParameterError as exc:
+        raise ModelFormatError(f"bad field in file: {exc}")
+
+
 def read_header(path):
     """Parse a file's header; returns (kind, params, backend_tag)."""
     with open(path, "rb") as fh:
@@ -165,8 +173,8 @@ def _parse_header(rd: _Reader):
     lattice_dim, stddev, budget = rd.section_fields("<Idd")
     if not (math.isfinite(stddev) and math.isfinite(budget)):
         raise ModelFormatError("params block holds a non-finite noise field")
-    params = FheParams(lattice_dim, log_q, stddev, budget,
-                       preset=_ID_PRESETS.get(preset_id, "custom"))
+    params = _untrusted(FheParams, lattice_dim, log_q, stddev, budget,
+                        preset=_ID_PRESETS.get(preset_id, "custom"))
     if params.ct_dim != ct_dim:
         raise ModelFormatError(
             f"header ct_dim {ct_dim} disagrees with (n+1)*log_q = {params.ct_dim}")
@@ -196,7 +204,7 @@ def load_secret_key(path) -> SecretKey:
     count = params.lattice_dim + 1
     vec = _unpack_entries(rd.section(count * esize), count, esize)
     rd.end()
-    return SecretKey(vec, params)
+    return _untrusted(SecretKey, vec, params)
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +295,7 @@ def load_enc_image(path, backend):
         raise ModelFormatError("file is not an encrypted image")
     _check_backend_match(tag, params, backend)
     channels, height, width, total_bits, frac_bits = rd.section_fields("<IIIII")
-    fmt = FixedPointFormat(total_bits, frac_bits)
+    fmt = _untrusted(FixedPointFormat, total_bits, frac_bits)
     raw = _read_bits(rd, channels * height * width * total_bits, backend)
     grids = []
     pos = 0
@@ -329,7 +337,7 @@ def load_scores(path, backend):
         raise ModelFormatError("file is not a score file")
     _check_backend_match(tag, params, backend)
     count, total_bits, frac_bits = rd.section_fields("<III")
-    fmt = FixedPointFormat(total_bits, frac_bits)
+    fmt = _untrusted(FixedPointFormat, total_bits, frac_bits)
     raw = _read_bits(rd, count * total_bits, backend)
     values = [FixedPointCipher(BitVector(raw[i * total_bits:(i + 1) * total_bits]), fmt)
               for i in range(count)]

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from gatecnn.cnn import EncImage, argmax, classify, encrypt_image, reference_classify
+from gatecnn.cnn import EncImage, classify
 from gatecnn.demo import preset_model, synthetic_images, tiny_model
-from gatecnn.error_analysis import theorem_bound
+from gatecnn.error_analysis import empirical_error
 from gatecnn.fhe_core import ClearBackend, GswBackend, keygen, preset_params
-from gatecnn.fixedpoint import _lane_values, decode_lanes, encode_lanes
+from gatecnn.fixedpoint import _lane_values, encode_lanes
 
 
 @pytest.fixture(scope="session")
@@ -42,25 +42,8 @@ def tiny_net():
 def verify_run(preset_net, demo_images):
     """One shared 20-image fixed-point-vs-float run (the expensive part of
     the acceptance suite); returns (populated report, argmax pairs)."""
-    matches = []
-    per_image_errors = []
-    for pixels in demo_images:
-        backend = ClearBackend(fast_arith=True)
-        scores = classify(encrypt_image(pixels, preset_net.fmt, backend), preset_net)
-        got = np.array([decode_lanes(s)[0] for s in scores.scores])
-        want = reference_classify(pixels, preset_net)
-        matches.append((argmax(got), argmax(want)))
-        per_image_errors.append(np.abs(got - want))
-    report = theorem_bound(preset_net)
-    stacked = np.concatenate(per_image_errors)
-    report.images_checked = len(per_image_errors)
-    report.scores_checked = int(stacked.size)
-    report.empirical_max_error = float(stacked.max())
-    report.empirical_mean = float(stacked.mean())
-    report.empirical_std = float(stacked.std())
-    report.bound_violations = int((stacked > report.total_bound).sum())
-    report.slack_violations = int((stacked > report.bound_with_slack).sum())
-    return report, matches
+    report = empirical_error(preset_net, demo_images)
+    return report, report.classes
 
 
 @pytest.fixture(scope="session")

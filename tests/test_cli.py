@@ -1,7 +1,11 @@
+import shlex
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gatecnn import cli, model_io, serialize
+from gatecnn import cli, error_analysis, model_io, serialize
 from gatecnn.demo import micro_model, write_demo_assets
 from gatecnn.errors import NoiseExhaustionError
 
@@ -142,6 +146,33 @@ def test_verify_passes_on_micro(workdir, capsys):
     assert "classification matches: 3/3" in out
 
 
+def test_verify_prints_the_empirical_error_report(workdir, capsys):
+    paths = []
+    for i in (2, 0, 1):
+        path = workdir / f"order{i}.csv"
+        model_io.save_csv(np.random.default_rng(40 + i).uniform(-1, 1, (2, 2)), path)
+        paths.append(path)
+    assert run("verify", "--model", workdir / "micro.txt", "--images", *paths) == 0
+    lines = capsys.readouterr().out.splitlines()
+    report = error_analysis.empirical_error(
+        model_io.load_model(workdir / "micro.txt"),
+        [model_io.load_image(path) for path in paths])
+    assert len(lines) == len(paths) + 4
+    for path, line, (got, want), errors in zip(paths, lines, report.classes, report.errors):
+        assert line == (f"{path.name}: class fp={got} ref={want} "
+                        f"max_err={errors.max():.2e} [ok]")
+    assert lines[3] == "classification matches: 3/3"
+    assert lines[4] == (f"per-score error: mean={report.empirical_mean:.3e} "
+                        f"std={report.empirical_std:.3e} "
+                        f"max={report.empirical_max_error:.3e}")
+    assert lines[5] == (f"theorem bound: {report.total_bound:.3e} "
+                        f"(+ rescaling slack {report.rescaling_slack:.3e})")
+    beyond = report.slack_violations
+    assert lines[6] == (f"bound violations: {report.bound_violations} "
+                        f"({report.bound_violations - beyond} attributed to rescaling "
+                        f"slack, {beyond} beyond the slack ceiling)")
+
+
 def test_verify_fails_cleanly_on_corrupt_model(workdir, capsys):
     (workdir / "corrupt.txt").write_text("gatecnn-model 1\nformat 32 16\ngarbage")
     code = run("verify", "--model", workdir / "corrupt.txt", "--images",
@@ -165,6 +196,98 @@ def test_verify_malformed_image_is_io_error(workdir, capsys):
     code = run("verify", "--model", workdir / "micro.txt", "--images", workdir / "cut.pgm")
     assert code == cli.EXIT_IO
     assert "PGM header" in capsys.readouterr().err
+
+
+def _model_text(fmt, shape, layer, weights, biases):
+    """A one-layer model file whose weight and bias counts follow ``layer``."""
+    return (f"gatecnn-model 1\nformat {fmt}\ninput {shape}\nlayer {layer}\n"
+            f"weights {' '.join(['0.5'] * weights)}\n"
+            f"biases {' '.join(['0.0'] * biases)}\nend\n")
+
+
+@pytest.mark.parametrize("text", [
+    _model_text("10 5", "1 2 2", "fc -2 -2 act linear", 4, 0),
+    _model_text("10 5", "1 2 2", "fc 4 0 act linear", 0, 0),
+    _model_text("0 0", "1 2 2", "fc 4 2 act linear", 8, 2),
+    _model_text("10 12", "1 2 2", "fc 4 2 act linear", 8, 2),
+    _model_text("10 5", "1 2 2", "conv 1 1 kernel 0 pool 1 act relu", 0, 1),
+    _model_text("10 5", "0 0 0", "fc 0 2 act linear", 0, 2),
+], ids=["fc_negative", "fc_no_outputs", "format_0_0", "format_f_above_w",
+        "kernel_0", "input_0_0_0"])
+@pytest.mark.parametrize("command", ["bound", "verify"])
+def test_bad_model_field_is_io_error(workdir, capsys, command, text):
+    (workdir / "bad_field.txt").write_text(text)
+    extra = ["--images", workdir / "img.csv"] if command == "verify" else []
+    assert run(command, "--model", workdir / "bad_field.txt", *extra) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_empty_csv_image_is_io_error(workdir, capsys):
+    (workdir / "empty.csv").write_text("")
+    code = run("verify", "--model", workdir / "micro.txt", "--images", workdir / "empty.csv")
+    assert code == cli.EXIT_IO
+    assert "no pixels" in capsys.readouterr().err
+
+
+# key file: 16-byte header (u32 log_q at 12), then the params section
+# (u32 length at 16, u32 lattice_dim at 20, f64 noise_stddev at 24,
+# f64 noise_budget at 32), then the secret section (u32 length at 40, nine
+# 2-byte entries from 44); the toy preset has noise_stddev 1.0
+@pytest.mark.parametrize("offset, packed", [
+    (20, struct.pack("<I", 0)),        # lattice_dim
+    (12, struct.pack("<I", 30)),       # log_q beyond the exact float64 limit
+    (24, struct.pack("<d", -1.0)),     # noise_stddev
+    (32, struct.pack("<d", 2.0)),      # noise_budget <= 2 * noise_stddev
+    (60, struct.pack("<H", 2)),        # the secret vector's last entry, not 1
+])
+def test_bad_key_params_field_is_io_error(workdir, capsys, offset, packed):
+    assert run("keygen", "--preset", "toy", "--seed", "2",
+               "--out", workdir / "field.key") == 0
+    data = bytearray((workdir / "field.key").read_bytes())
+    data[offset:offset + len(packed)] = packed
+    (workdir / "field.key").write_bytes(bytes(data))
+    capsys.readouterr()
+    code = run("encrypt-image", "--model", workdir / "micro.txt",
+               "--image", workdir / "img.csv", "--backend", "gsw",
+               "--key", workdir / "field.key", "--out", workdir / "field.bin")
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_image_file_zero_total_bits_is_io_error(workdir, capsys):
+    assert run("encrypt-image", "--model", workdir / "micro.txt",
+               "--image", workdir / "img.csv", "--backend", "clear",
+               "--out", workdir / "zero.bin") == 0
+    data = bytearray((workdir / "zero.bin").read_bytes())
+    # header 16 + params section 24 + meta length 4; total_bits is meta's 4th u32
+    struct.pack_into("<I", data, 16 + 24 + 4 + 12, 0)
+    (workdir / "zero.bin").write_bytes(bytes(data))
+    capsys.readouterr()
+    code = run("classify", "--model", workdir / "micro.txt",
+               "--in", workdir / "zero.bin", "--out", workdir / "zero_scores.bin")
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_workers_below_one_is_usage_error(workdir, capsys):
+    assert run("bound", "--model", workdir / "micro.txt", "--workers", "0") == cli.EXIT_USAGE
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    """Every ``$ gatecnn ...`` line of README.md parses with today's CLI, so a
+    removed or renamed flag cannot stay documented."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [line.split("$ gatecnn ", 1)[1]
+                for line in text.replace("\\\n", " ").splitlines()
+                if line.lstrip().startswith("$ gatecnn ")]
+    assert commands
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command, comments=True))
+        except SystemExit:
+            pytest.fail(f"README command does not parse: gatecnn {command}")
 
 
 def test_missing_file_is_io_error(workdir):

@@ -5,7 +5,8 @@ import pytest
 
 from gatecnn import cnn, error_analysis
 from gatecnn.demo import synthetic_images
-from gatecnn.fixedpoint import FixedPointFormat
+from gatecnn.fhe_core import ClearBackend
+from gatecnn.fixedpoint import FixedPointFormat, decode_lanes
 
 FMT = FixedPointFormat(32, 16)
 
@@ -129,6 +130,20 @@ def test_empirical_tiny_network_within_bounds(tiny_net):
     assert report.scores_checked == 10
     assert report.empirical_max_error <= report.bound_with_slack
     assert report.slack_violations == 0
+
+
+def test_empirical_error_keeps_each_image_classes_and_errors(tiny_net):
+    images = [img[:, :6, :6] for img in synthetic_images(3, 6, 6, seed=47)]
+    report = error_analysis.empirical_error(tiny_net, iter(images))
+    assert len(report.classes) == len(report.errors) == report.images_checked == 3
+    assert max(e.max() for e in report.errors) == report.empirical_max_error
+    for pixels, (fixed, ref), errors in zip(images, report.classes, report.errors):
+        backend = ClearBackend()  # gate level: independent of the layer evaluator
+        scores = cnn.classify(cnn.encrypt_image(pixels, tiny_net.fmt, backend), tiny_net)
+        got = np.array([decode_lanes(s)[0] for s in scores.scores])
+        want = cnn.reference_classify(pixels, tiny_net)
+        assert (fixed, ref) == (cnn.argmax(got), cnn.argmax(want))
+        np.testing.assert_array_equal(errors, np.abs(got - want))
 
 
 def test_report_flags_violations():
