@@ -57,7 +57,10 @@ def _make_backend(args, tag: str):
     if not args.key_path:
         raise ParameterError("the gsw backend requires --key for this command")
     sk = serialize.load_secret_key(args.key_path)
-    return GswBackend(sk.params, key=sk, seed=args.seed, auto_refresh=True)
+    try:
+        return GswBackend(sk.params, key=sk, seed=args.seed, auto_refresh=True)
+    except ParameterError as exc:  # params a key file states, not the command line
+        raise ModelFormatError(f"key file {args.key_path}: {exc}")
 
 
 def cmd_keygen(args) -> int:

@@ -10,14 +10,15 @@ channel-major, then row, then column.
 Independent output channels and nodes are embarrassingly parallel; a
 ``workers`` knob fans them out while per-task seed scopes keep results
 bit-identical for any worker count; a clear backend with ``fast_arith``
-runs each layer as one whole-array integer computation instead.  Scores
-stay encrypted: argmax is the client's job after decryption.
+runs each layer as one whole-array integer computation instead, charged
+the NANDs the gate path evaluates.  Scores stay encrypted: argmax is the
+client's job after decryption.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,11 +27,12 @@ from .errors import ParameterError, ShapeError
 from .fixedpoint import (
     FixedPointCipher,
     FixedPointFormat,
+    PRIVATE,
     _from_ints,
     _lane_values,
-    circuit_cost,
     encode,
     float_to_scaled,
+    fold_costs,
     fp_add,
     fp_max,
     fp_mul,
@@ -38,6 +40,7 @@ from .fixedpoint import (
     fp_relu,
     guard_range,
     int_dtype,
+    public_pattern,
     scaled_mul,
 )
 
@@ -83,6 +86,9 @@ class LayerSpec:
     activation: str = RELU
     kernel_size: int = 0
     pool_size: int = 1
+    # the whole-layer evaluator's NAND charges, kept per format, weight
+    # entry and input patterns (see _charge_layer)
+    charges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -182,9 +188,10 @@ def flatten_image(img: EncImage) -> list:
 def dot_product(inputs, weights, bias: float, encrypt_weights: bool = False) -> FixedPointCipher:
     """Weighted sum plus bias, accumulated in input order.
 
-    Public weights enter as noiseless constants; with ``encrypt_weights``
-    they are encrypted first, which changes nothing about the plaintext
-    result (a tested equivalence) but models the private-model setting.
+    Public weights enter as noiseless constants, and the gates their bits
+    fix fold away; with ``encrypt_weights`` they are encrypted first, which
+    changes nothing about the plaintext result (a tested equivalence) but
+    models the private-model setting, where no weight bit folds a gate.
     """
     inputs = list(inputs)
     weights = list(weights)
@@ -227,7 +234,7 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
         raise ShapeError(f"conv output {side_h}x{side_w} not divisible by pool {pool}")
     backend = img.channels[0][0][0].backend
     if backend.fast_arith:
-        return _int_conv_layer(img, spec, backend)
+        return _int_conv_layer(img, spec, backend, encrypt_weights)
 
     def one_channel(oc: int):
         flat_w = spec.weights[oc].ravel()
@@ -272,7 +279,7 @@ def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
         raise ShapeError(f"{len(features)} features, layer expects {spec.in_channels}")
     backend = features[0].backend
     if backend.fast_arith:
-        return _int_fc_layer(features, spec, backend)
+        return _int_fc_layer(features, spec, backend, encrypt_weights)
 
     def one_node(node: int):
         with backend.seed_scope(layer_index, node):
@@ -289,11 +296,11 @@ def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
 # whole-layer integer evaluation (clear backend with fast_arith)
 # ----------------------------------------------------------------------
 
-def _int_neurons(x, spec: LayerSpec, fmt: FixedPointFormat, backend):
+def _int_neurons(x, spec: LayerSpec, fmt: FixedPointFormat):
     """``dot_product`` of x (lanes, ..., fan-in) with every output's weights,
     then the activation: (lanes, ..., out).  The bias comes first and each
     floored product is added in input order; every product and partial sum
-    is range-checked.  Charges the NANDs of the circuits this stands for."""
+    is range-checked."""
     to_int = np.frompyfunc(lambda r: float_to_scaled(r, fmt), 1, 1)
     weights = to_int(spec.weights.reshape(spec.out_channels, -1)).astype(x.dtype)
     terms = scaled_mul(x[..., None, :], weights, fmt)
@@ -302,22 +309,19 @@ def _int_neurons(x, spec: LayerSpec, fmt: FixedPointFormat, backend):
     terms += to_int(spec.biases).astype(x.dtype)[:, None]
     guard_range(terms, fmt, "addition")
     values = terms[..., -1]
-    nands = terms[0].size * (circuit_cost("mul", fmt) + circuit_cost("add", fmt))
     if spec.activation == RELU:
         values = np.maximum(values, 0)
-        nands += values[0].size * circuit_cost("relu", fmt)
-    backend.stats.bump_nand(nands)
     return values
 
 
-def _int_conv_layer(img: EncImage, spec: LayerSpec, backend) -> EncImage:
+def _int_conv_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bool) -> EncImage:
     fmt = img.channels[0][0][0].fmt
     k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
     x = np.array([[[_lane_values(v) for v in row] for row in grid] for grid in img.channels],
                  dtype=int_dtype(fmt))                         # (c, h, w, lanes)
     win = sliding_window_view(x, (k, k), axis=(1, 2)).transpose(3, 1, 2, 0, 4, 5)
     lanes, side_h, side_w = win.shape[:3]                      # window order (c, kr, kc)
-    values = _int_neurons(win.reshape(lanes, side_h, side_w, -1), spec, fmt, backend)
+    values = _int_neurons(win.reshape(lanes, side_h, side_w, -1), spec, fmt)
     h, w = side_h // pool, side_w // pool
     blocks = values.reshape(lanes, h, pool, w, pool, out).swapaxes(2, 3)
     blocks = blocks.reshape(lanes, h, w, pool * pool, out)     # pool window in row order
@@ -325,17 +329,134 @@ def _int_conv_layer(img: EncImage, spec: LayerSpec, backend) -> EncImage:
     for i in range(1, pool * pool):
         guard_range(values - blocks[:, :, :, i], fmt, "comparison")
         values = np.maximum(values, blocks[:, :, :, i])
-    backend.stats.bump_nand(values[0].size * (pool * pool - 1) * circuit_cost("maxfold", fmt))
-    cells = [_from_ints(v, fmt, backend)
-             for v in values.transpose(3, 1, 2, 0).reshape(-1, lanes).tolist()]
+    patterns = _charge_layer(img.channels, spec, fmt, backend, encrypt_weights)
+    cells = [_from_ints(v, fmt, backend, pattern) for v, pattern in
+             zip(values.transpose(3, 1, 2, 0).reshape(-1, lanes).tolist(), patterns)]
     return EncImage(np.array(cells, dtype=object).reshape(out, h, w).tolist(), h, w)
 
 
-def _int_fc_layer(features, spec: LayerSpec, backend) -> EncScores:
+def _int_fc_layer(features, spec: LayerSpec, backend, encrypt_weights: bool) -> EncScores:
     fmt = features[0].fmt
     x = np.array([_lane_values(v) for v in features], dtype=int_dtype(fmt)).T
-    values = _int_neurons(x, spec, fmt, backend)               # (lanes, out)
-    return EncScores([_from_ints(v, fmt, backend) for v in values.T.tolist()])
+    values = _int_neurons(x, spec, fmt)                        # (lanes, out)
+    patterns = _charge_layer(features, spec, fmt, backend, encrypt_weights)
+    return EncScores([_from_ints(v, fmt, backend, pattern)
+                      for v, pattern in zip(values.T.tolist(), patterns)])
+
+
+# ----------------------------------------------------------------------
+# NAND charges of the whole-layer evaluator: what the gate path evaluates
+# ----------------------------------------------------------------------
+
+class _FoldTable:
+    """Interned public_patterns of one layer (id 0 is PRIVATE) and the
+    folded cost of each circuit kind on each pair of pattern ids."""
+
+    def __init__(self, fmt: FixedPointFormat):
+        self.fmt = fmt
+        self.patterns = [PRIVATE]
+        self._ids = {PRIVATE: 0}
+        self._costs = {}
+
+    def ids(self, patterns) -> np.ndarray:
+        out = []
+        for pattern in patterns:
+            i = self._ids.get(pattern)
+            if i is None:
+                i = self._ids[pattern] = len(self.patterns)
+                self.patterns.append(pattern)
+            out.append(i)
+        return np.array(out, dtype=np.int64)
+
+    def step(self, kind: str, a, b):
+        """Per element of the broadcast id arrays a, b: the NANDs one
+        ``kind`` circuit evaluates on those operands, and its output's id."""
+        a, b = np.broadcast_arrays(a, b)
+        n = len(self.patterns)
+        keys, inverse = np.unique((a * n + b).ravel(), return_inverse=True)
+        pairs = [divmod(key, n) for key in keys.tolist()]
+        todo = [pair for pair in pairs if (kind, pair) not in self._costs]
+        found = fold_costs(kind, self.fmt,
+                           [(self.patterns[i], self.patterns[j]) for i, j in todo])
+        for pair, (cost, pattern) in zip(todo, found):
+            self._costs[kind, pair] = (cost, self.ids([pattern])[0])
+        cost, out = np.array([self._costs[kind, pair] for pair in pairs]).T
+        return cost[inverse].reshape(a.shape), out[inverse].reshape(a.shape)
+
+
+def _neuron_charge(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bool):
+    """NANDs of ``dot_product`` and the activation for neurons whose inputs
+    have pattern ids ``in_ids`` (..., fan-in), and the outputs' ids
+    (..., out).  Weights and bias are public unless ``encrypt_weights``."""
+    fmt = table.fmt
+    weights = spec.weights.reshape(spec.out_channels, -1)
+    if encrypt_weights:
+        w_ids = np.zeros(weights.shape, dtype=np.int64)
+        b_ids = np.zeros(spec.out_channels, dtype=np.int64)
+    else:
+        full = (1 << fmt.total_bits) - 1
+        reals, where = np.unique(np.concatenate([weights.ravel(), spec.biases]),
+                                 return_inverse=True)
+        ids = table.ids([(full, float_to_scaled(r, fmt) & full) for r in reals])[where]
+        w_ids, b_ids = ids[:weights.size].reshape(weights.shape), ids[weights.size:]
+    # neurons whose inputs share patterns share charges: probe each input row once
+    rows, where, repeats = np.unique(in_ids.reshape(-1, in_ids.shape[-1]), axis=0,
+                                     return_inverse=True, return_counts=True)
+    cost, terms = table.step("mul", rows[:, None, :], w_ids)   # (rows, out, fan-in)
+    charge = cost.sum(axis=(1, 2))
+    # Sums turn private after the first private term, so one probe pass of
+    # every term onto a private sum serves nearly every add below.
+    table.step("add", 0, terms)
+    acc = np.broadcast_to(b_ids, terms.shape[:-1])
+    for j in range(terms.shape[-1]):
+        cost, acc = table.step("add", acc, terms[..., j])
+        charge += cost.sum(axis=1)
+    if spec.activation == RELU:
+        cost, acc = table.step("relu", acc, 0)
+        charge += cost.sum(axis=1)
+    return int(charge @ repeats), acc[where.ravel()].reshape(in_ids.shape[:-1] + acc.shape[1:])
+
+
+def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
+                  encrypt_weights: bool) -> list:
+    """Bump the counter by the NANDs the gate path evaluates for this layer
+    on ``inputs`` (a conv layer's channel grids or an fc layer's features),
+    and return each output's public_pattern, channel-major.
+
+    Folding makes the count depend on the public weights and on which
+    input bits are public, so it comes from FoldProbe runs of the real
+    circuits, one per distinct operand pair.  They run on the first call
+    and are kept in ``spec.charges`` for the same format, weight entry and
+    input patterns."""
+    table = _FoldTable(fmt)
+    cells = np.array(inputs, dtype=object)
+    in_ids = table.ids(public_pattern(v) for v in cells.ravel()).reshape(cells.shape)
+    key = (fmt, encrypt_weights, tuple(table.patterns), in_ids.shape, in_ids.tobytes())
+    if key not in spec.charges:
+        spec.charges[key] = _probe_layer(table, spec, in_ids, encrypt_weights)
+    nands, patterns = spec.charges[key]
+    backend.stats.bump_nand(nands)
+    return patterns
+
+
+def _probe_layer(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bool):
+    """(NANDs, output patterns) of the layer on inputs with pattern ids
+    ``in_ids``: (c, h, w) for convolution, (fan-in,) for fc."""
+    if spec.kind == FULLY_CONNECTED:
+        nands, out_ids = _neuron_charge(table, spec, in_ids, encrypt_weights)
+        return nands, [table.patterns[i] for i in out_ids]
+    k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
+    win = sliding_window_view(in_ids, (k, k), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
+    side_h, side_w = win.shape[:2]
+    nands, acc = _neuron_charge(table, spec, win.reshape(side_h, side_w, -1),
+                                encrypt_weights)
+    h, w = side_h // pool, side_w // pool
+    blocks = acc.reshape(h, pool, w, pool, out).swapaxes(1, 2).reshape(h, w, pool * pool, out)
+    acc = blocks[:, :, 0]
+    for i in range(1, pool * pool):
+        cost, acc = table.step("maxfold", acc, blocks[:, :, i])
+        nands += int(cost.sum())
+    return nands, [table.patterns[i] for i in acc.transpose(2, 0, 1).ravel()]
 
 
 def classify(img: EncImage, net: NetworkSpec, encrypt_weights: bool = False,

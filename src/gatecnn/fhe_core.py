@@ -45,6 +45,7 @@ __all__ = [
     "EncBit",
     "GateStats",
     "ClearBackend",
+    "FoldProbe",
     "GswBackend",
     "PRESETS",
     "preset_params",
@@ -70,14 +71,14 @@ class FheParams:
     log_q         bit size of the power-of-two modulus q
     noise_stddev  width of the centered-binomial fresh-noise sampler
     noise_budget  max tolerated noise magnitude before decryption fails
-                  (defaults to q/8, the correctness margin of the decoder)
+                  (None: q/8, the correctness margin of the decoder)
     preset        optional name, carried into serialized headers
     """
 
     lattice_dim: int
     log_q: int
     noise_stddev: float
-    noise_budget: float = 0.0
+    noise_budget: float | None = None
     preset: str = "custom"
 
     def __post_init__(self):
@@ -90,7 +91,7 @@ class FheParams:
             )
         if self.noise_stddev <= 0:
             raise ParameterError("noise_stddev must be positive")
-        if self.noise_budget == 0.0:
+        if self.noise_budget is None:
             object.__setattr__(self, "noise_budget", self.modulus / 8.0)
         if self.noise_budget <= 0:
             raise ParameterError("noise_budget must be positive")
@@ -179,14 +180,20 @@ class Ciphertext:
 
 
 class EncBit:
-    """A single bit under one backend: a clear lane mask or a ciphertext."""
+    """A single bit under one backend: a clear lane mask or a ciphertext.
 
-    __slots__ = ("backend", "clear_value", "ciphertext")
+    ``public`` is the bit's value (0 or 1) when it is a public constant,
+    made by a backend's ``const``; it is None for private data and for
+    every evaluated NAND's output.
+    """
 
-    def __init__(self, backend, clear_value=None, ciphertext=None):
+    __slots__ = ("backend", "clear_value", "ciphertext", "public")
+
+    def __init__(self, backend, clear_value=None, ciphertext=None, public=None):
         self.backend = backend
         self.clear_value = clear_value
         self.ciphertext = ciphertext
+        self.public = public
 
 
 class GateStats:
@@ -388,9 +395,11 @@ class ClearBackend(_SeedScopeMixin):
 
     ``lanes`` packs that many independent evaluations into each bit
     (clear_value is a lane mask), so one pass over a circuit checks many
-    inputs.  With ``fast_arith``, CNN layers run as whole-array integer
-    arithmetic with the circuits' semantics and charge their circuits'
-    NAND counts; single fixed-point operations always run gate by gate.
+    inputs.  ``const`` makes public bits, ``encrypt_bit`` and
+    ``from_mask`` private ones, as on the encrypted backend.  With
+    ``fast_arith``, CNN layers run as whole-array integer arithmetic with
+    the circuits' semantics and charge the NANDs the circuits evaluate;
+    single fixed-point operations always run gate by gate.
     """
 
     tag = "clear"
@@ -404,11 +413,14 @@ class ClearBackend(_SeedScopeMixin):
         self.fast_arith = fast_arith
         self.stats = GateStats()
         self._init_seeds(0)
+        self._consts = (EncBit(self, clear_value=0, public=0),
+                        EncBit(self, clear_value=self.lane_mask, public=1))
 
     def const(self, bit: int) -> EncBit:
+        """The shared public constant ``bit``, in every lane."""
         if bit not in (0, 1):
             raise ParameterError("constant bit must be 0 or 1")
-        return EncBit(self, clear_value=self.lane_mask if bit else 0)
+        return self._consts[bit]
 
     def encrypt_bit(self, bit: int) -> EncBit:
         """Private data entry: broadcasts a 0/1 value to every lane."""
@@ -430,6 +442,100 @@ class ClearBackend(_SeedScopeMixin):
 
     def reveal_bit(self, bit: EncBit, lane: int = 0) -> int:
         return (bit.clear_value >> lane) & 1
+
+
+class _ProbeBit(EncBit):
+    """A FoldProbe bit: ``clear_value`` holds each lane's value and
+    ``public_lanes`` the lanes in which the bit is public."""
+
+    __slots__ = ("public_lanes",)
+
+    def __init__(self, backend, value: int, public_lanes: int, public=None):
+        # the slots set directly: this runs once per probed gate
+        self.backend = backend
+        self.clear_value = value
+        self.ciphertext = None
+        self.public = public
+        self.public_lanes = public_lanes
+
+
+class FoldProbe:
+    """Three-valued, bit-sliced evaluation of how a circuit folds.
+
+    Each lane is an independent instance of the circuit whose bits are
+    public (with a value) or private.  A NAND output lane is public, and
+    the gate folded there, exactly where ``nand`` folds it on a real
+    backend; every other lane evaluates, and counts, one gate.  Values of
+    private lanes are arbitrary, since folding never reads them, so the
+    per-lane counts and public outputs hold for any private data.
+    """
+
+    def __init__(self, lanes: int):
+        if lanes < 1:
+            raise ParameterError("lanes must be >= 1")
+        self.lanes = lanes
+        self.lane_mask = (1 << lanes) - 1
+        self._consts = (_ProbeBit(self, 0, self.lane_mask, public=0),
+                        _ProbeBit(self, self.lane_mask, self.lane_mask, public=1))
+        self._in_every_lane = 0  # gates evaluated in all lanes
+        self._tally = []         # vertical counter: bit i of each lane's other gates
+
+    def const(self, bit: int) -> EncBit:
+        return self._consts[bit]
+
+    def word_bits(self, values, publics, width: int) -> list:
+        """The ``width`` bits of one word per lane: lane l holds
+        ``values[l]`` where ``publics[l]`` has a bit set, private bits
+        elsewhere."""
+        return [_ProbeBit(self, v & p, p) for v, p in zip(
+            _words_to_masks(values, width), _words_to_masks(publics, width))]
+
+    def words(self, bits):
+        """(values, publics) of ``bits`` as one uint64 word per lane, the
+        inverse of ``word_bits``; values of private bits read 0."""
+        publics = _masks_to_words([b.public_lanes for b in bits], self.lanes)
+        values = _masks_to_words([b.clear_value for b in bits], self.lanes)
+        return values & publics, publics
+
+    def lane_counts(self) -> np.ndarray:
+        """NANDs evaluated so far in each lane."""
+        return self._in_every_lane + _masks_to_words(self._tally, self.lanes)
+
+    def nand(self, a: _ProbeBit, b: _ProbeBit) -> _ProbeBit:
+        pa, pb, va, vb = a.public_lanes, b.public_lanes, a.clear_value, b.clear_value
+        folded = (pa & ~va) | (pb & ~vb) | (pa & pb)
+        carry = self.lane_mask ^ folded
+        if carry == self.lane_mask:
+            self._in_every_lane += 1
+        else:
+            for i, level in enumerate(self._tally):
+                if not carry:
+                    break
+                self._tally[i] = level ^ carry
+                carry &= level
+            if carry:
+                self._tally.append(carry)
+        return _ProbeBit(self, (va & vb) ^ self.lane_mask, folded)
+
+
+def _words_to_masks(words, width: int) -> list:
+    """Per-lane words (< 2^64) to ``width`` lane masks, bit i of lane l at
+    bit l of mask i."""
+    words = np.asarray(words, dtype=np.uint64)
+    bits = (words >> np.arange(width, dtype=np.uint64)[:, None]) & np.uint64(1)
+    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _masks_to_words(masks, lanes: int) -> np.ndarray:
+    """Inverse of ``_words_to_masks``: one uint64 word per lane."""
+    if not masks:
+        return np.zeros(lanes, dtype=np.uint64)
+    nbytes = (lanes + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=lanes,
+                         bitorder="little").astype(np.uint64)
+    return (bits << np.arange(len(masks), dtype=np.uint64)[:, None]).sum(axis=0)
 
 
 class GswBackend(_SeedScopeMixin):
@@ -471,15 +577,18 @@ class GswBackend(_SeedScopeMixin):
         self.stats = GateStats()
         self._init_seeds(seed)
         self._weights = _decomp_weights(params)
+        self._consts = tuple(
+            EncBit(self, ciphertext=Ciphertext(recomposed, 0.0, params, trivial_value=bit),
+                   public=bit)
+            for bit, recomposed in enumerate((np.zeros(self._weights.shape), self._weights)))
 
     # -- constants and data entry ------------------------------------
 
     def const(self, bit: int) -> EncBit:
+        """The shared noiseless encoding of the public constant ``bit``."""
         if bit not in (0, 1):
             raise ParameterError("constant bit must be 0 or 1")
-        recomposed = self._weights if bit else np.zeros(self._weights.shape)
-        return EncBit(self, ciphertext=Ciphertext(recomposed, 0.0, self.params,
-                                                  trivial_value=bit))
+        return self._consts[bit]
 
     def encrypt_bit(self, bit: int) -> EncBit:
         if self.key is None:
@@ -580,10 +689,23 @@ class GswBackend(_SeedScopeMixin):
 # ----------------------------------------------------------------------
 
 def nand(a: EncBit, b: EncBit) -> EncBit:
-    """The one homomorphic gate; everything else is built from it."""
-    if a.backend is not b.backend:
+    """The one homomorphic gate; everything else is built from it.
+
+    A gate whose output public operands fix (either one is a public 0, or
+    both are public) is folded: it returns the backend's shared public
+    constant and is neither evaluated nor counted, so ``stats.nand_count``
+    counts exactly the gates a backend evaluates.  NAND(public 1, x) is
+    NOT x, one evaluated gate.  Folding reads public values only, so the
+    gate trace still never depends on private data.
+    """
+    backend = a.backend
+    if b.backend is not backend:
         raise BackendMismatchError("nand operands belong to different backends")
-    return a.backend.nand(a, b)
+    if a.public == 0 or b.public == 0:
+        return backend.const(1)
+    if a.public is not None and b.public is not None:
+        return backend.const(0)
+    return backend.nand(a, b)
 
 
 def trivial_const(bit: int, backend) -> EncBit:

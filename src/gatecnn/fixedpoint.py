@@ -16,13 +16,13 @@ raises OverflowDiagnostic instead of wrapping, since a silent wrap voids
 the error analysis.  Those checks share the integer semantics written out
 here (``scaled_mul``, ``guard_range``) with the whole-layer evaluator in
 :mod:`gatecnn.cnn`: on a clear backend with ``fast_arith``, layers run as
-whole-array integer arithmetic and charge the gate counter the NANDs of
-the circuits they stand for (``circuit_cost``).
+whole-array integer arithmetic and charge the gate counter the NANDs the
+circuits they stand for evaluate once public constants fold
+(``fold_costs``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -36,7 +36,7 @@ from .errors import (
     ParameterError,
     RangeError,
 )
-from .fhe_core import ClearBackend, EncBit
+from .fhe_core import ClearBackend, EncBit, FoldProbe
 from .gates import BitVector
 
 __all__ = [
@@ -53,7 +53,12 @@ __all__ = [
     "fp_geq_zero",
     "fp_relu",
     "fp_max",
+    "fold_costs",
+    "public_pattern",
 ]
+
+# Widest format: fold_costs handles a word's bit pattern as one uint64.
+MAX_TOTAL_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,8 @@ class FixedPointFormat:
     frac_bits: int
 
     def __post_init__(self):
-        if self.total_bits < 2:
-            raise ParameterError("total_bits must be at least 2")
+        if not 2 <= self.total_bits <= MAX_TOTAL_BITS:
+            raise ParameterError(f"total_bits must be in [2, {MAX_TOTAL_BITS}]")
         if not 0 <= self.frac_bits < self.total_bits:
             raise ParameterError("frac_bits must satisfy 0 <= f < w")
 
@@ -161,8 +166,31 @@ def _lane_values(x: FixedPointCipher):
     return x._lane_cache
 
 
-def _from_ints(values, fmt: FixedPointFormat, backend) -> FixedPointCipher:
+PRIVATE = (0, 0)  # the public_pattern of a word without public bits
+
+
+def public_pattern(x: FixedPointCipher) -> tuple:
+    """(public, value): masks of the bits of x that are public constants
+    and of their values."""
+    bits = x.bits.bits
+    public = value = 0
+    if all(bit.public is None for bit in bits):
+        return PRIVATE
+    for i, bit in enumerate(bits):
+        if bit.public is not None:
+            public |= 1 << i
+            value |= bit.public << i
+    return public, value
+
+
+def _from_ints(values, fmt: FixedPointFormat, backend, pattern=PRIVATE) -> FixedPointCipher:
+    """One value per lane; the bits ``pattern`` marks public are the
+    backend's public constants (they must agree with the values)."""
     bits = BitVector.from_lane_ints(values, fmt.total_bits, backend)
+    public, value = pattern
+    if public:
+        bits = BitVector(backend.const((value >> i) & 1) if (public >> i) & 1 else bit
+                         for i, bit in enumerate(bits.bits))
     out = FixedPointCipher(bits, fmt)
     out._lane_cache = list(values)
     return out
@@ -198,7 +226,7 @@ def guard_range(values: np.ndarray, fmt: FixedPointFormat, what: str) -> None:
 
 def _diagnose(a: FixedPointCipher, b: FixedPointCipher, combine, what: str) -> None:
     """Clear-backend range check of one operation on its exact integers."""
-    if not a.backend.is_encrypted:
+    if isinstance(a.backend, ClearBackend):
         za, zb = (np.array(_lane_values(x), dtype=int_dtype(a.fmt)) for x in (a, b))
         guard_range(combine(za, zb), a.fmt, what)
 
@@ -231,8 +259,8 @@ def fp_mul(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
 
 
 def fp_mul_const(a: FixedPointCipher, c: float) -> FixedPointCipher:
-    """Multiply by a public real: the constant enters as noiseless bits,
-    which makes half the partial products free on the encrypted backend."""
+    """Multiply by a public real: the constant enters as public bits, so
+    every gate its bits decide folds away (all of them for c = 0)."""
     return fp_mul(a, encode_const(c, a.fmt, a.backend))
 
 
@@ -274,11 +302,23 @@ _COST_OPS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def circuit_cost(kind: str, fmt: FixedPointFormat) -> int:
-    """NANDs of one ``kind`` circuit at ``fmt``, counted on a gate-level
-    backend; counts depend only on the format, never on values."""
-    probe = ClearBackend()
-    a = encode_const(0.0, fmt, probe)
-    _COST_OPS[kind](a, a)
-    return probe.stats.nand_count
+_PROBE_LANES = 512  # lanes per FoldProbe pass: bounds its live lane masks
+
+
+def fold_costs(kind: str, fmt: FixedPointFormat, pairs) -> list:
+    """(NANDs evaluated, output public_pattern) of one ``kind`` circuit at
+    ``fmt`` for each (a, b) pair of operand public_patterns (``relu``
+    ignores b).  Counts depend on the formats and public bits only, never
+    on private values; one bit-sliced FoldProbe pass runs each chunk of
+    pairs through the real circuit."""
+    out = []
+    for start in range(0, len(pairs), _PROBE_LANES):
+        chunk = pairs[start:start + _PROBE_LANES]
+        probe = FoldProbe(len(chunk))
+        a, b = (FixedPointCipher(BitVector(probe.word_bits(
+                    [pair[i][1] for pair in chunk], [pair[i][0] for pair in chunk],
+                    fmt.total_bits)), fmt)
+                for i in (0, 1))
+        values, publics = probe.words(_COST_OPS[kind](a, b).bits.bits)
+        out += zip(probe.lane_counts().tolist(), zip(publics.tolist(), values.tolist()))
+    return out

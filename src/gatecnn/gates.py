@@ -4,8 +4,9 @@ Everything here is a pure function over immutable bits: derived gates,
 ripple adders, two's-complement subtract, a Baugh–Wooley multiplier with
 a Wallace-tree reduction that builds only a requested window of product
 bits, sign-based comparison and an oblivious multiplexer.  The gate
-sequence of every circuit depends only on operand widths, never on
-values, so encrypted evaluation leaks nothing through the trace.
+sequence of every circuit depends only on operand widths and on which
+bits are public constants (``nand`` folds gates those fix), never on
+private values, so encrypted evaluation leaks nothing through the trace.
 """
 
 from __future__ import annotations

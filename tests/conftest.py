@@ -51,7 +51,7 @@ def fast_vs_gate():
     """Classify a stack of (c, h, w) images, one per clear lane, on the
     whole-layer evaluator and gate by gate; returns the (per-class lane
     integers, NAND count) pair of each."""
-    def run(net, images):
+    def run(net, images, encrypt_weights=False):
         stack = np.asarray(images, dtype=np.float64)
         _, c, h, w = stack.shape
         out = []
@@ -60,7 +60,7 @@ def fast_vs_gate():
             img = EncImage([[[encode_lanes(stack[:, ch, r, col], net.fmt, backend)
                               for col in range(w)] for r in range(h)] for ch in range(c)],
                            h, w)
-            scores = classify(img, net)
+            scores = classify(img, net, encrypt_weights=encrypt_weights)
             out.append(([_lane_values(s) for s in scores.scores], backend.stats.nand_count))
         return out
     return run

@@ -212,8 +212,9 @@ def _model_text(fmt, shape, layer, weights, biases):
     _model_text("10 12", "1 2 2", "fc 4 2 act linear", 8, 2),
     _model_text("10 5", "1 2 2", "conv 1 1 kernel 0 pool 1 act relu", 0, 1),
     _model_text("10 5", "0 0 0", "fc 0 2 act linear", 0, 2),
+    _model_text("2000 1500", "1 2 2", "fc 4 2 act linear", 8, 2),
 ], ids=["fc_negative", "fc_no_outputs", "format_0_0", "format_f_above_w",
-        "kernel_0", "input_0_0_0"])
+        "kernel_0", "input_0_0_0", "format_too_wide"])
 @pytest.mark.parametrize("command", ["bound", "verify"])
 def test_bad_model_field_is_io_error(workdir, capsys, command, text):
     (workdir / "bad_field.txt").write_text(text)
@@ -238,6 +239,8 @@ def test_empty_csv_image_is_io_error(workdir, capsys):
     (12, struct.pack("<I", 30)),       # log_q beyond the exact float64 limit
     (24, struct.pack("<d", -1.0)),     # noise_stddev
     (32, struct.pack("<d", 2.0)),      # noise_budget <= 2 * noise_stddev
+    (32, struct.pack("<d", 0.0)),      # noise_budget 0, not a stated budget
+    (32, struct.pack("<d", 50.0)),     # too small a budget for auto-refresh
     (60, struct.pack("<H", 2)),        # the secret vector's last entry, not 1
 ])
 def test_bad_key_params_field_is_io_error(workdir, capsys, offset, packed):

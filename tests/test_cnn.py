@@ -278,6 +278,47 @@ def test_layer_evaluator_wide_format(fast_vs_gate):
     assert fast == gate
 
 
+def _folding_net():
+    """Public weights that fold: conv map 0 is all zeros, so its outputs are
+    public constants; map 1 has a zero and even power-of-two weights, so its
+    outputs keep a public low bit; map 2 has a tiny negative weight that
+    floors to -1.  The fc layers read those partly public inputs, and the
+    first has an all-zero row, whose output is public too."""
+    conv_w = np.array([[[[0.0, 0.0], [0.0, 0.0]]],
+                       [[[2.0, 0.0], [-2.0, 4.0]]],
+                       [[[-1e-3, 0.5], [0.75, -0.25]]]])
+    fc_w = np.array([[0.5, -1.0, 0.25, 0.5, -0.5, 0.125],
+                     [0.0] * 6,
+                     [-1e-3, 1.0, 0.0, -0.25, 0.5, 1.5]])
+    return cnn.NetworkSpec(
+        [cnn.LayerSpec(cnn.CONVOLUTION, 1, 3, conv_w, np.array([0.5, 2.0, -0.125]),
+                       cnn.RELU, kernel_size=2, pool_size=2),
+         make_fc(6, 3, weights=fc_w, biases=np.array([0.25, -0.5, 0.0]), act=cnn.RELU),
+         make_fc(3, 2, weights=np.array([[1.0, 0.0, -0.5], [0.25, 2.0, 0.0]]))],
+        input_height=5, input_width=3, fmt=fp.FixedPointFormat(10, 5))
+
+
+@pytest.mark.parametrize("encrypt_weights", [False, True])
+def test_layer_evaluator_matches_gate_path_with_folds(fast_vs_gate, encrypt_weights):
+    images = np.random.default_rng(6).uniform(-0.5, 0.5, (3, 1, 5, 3))
+    fast, gate = fast_vs_gate(_folding_net(), images, encrypt_weights=encrypt_weights)
+    assert fast == gate
+
+
+def test_public_weights_fold_on_both_evaluators(fast_vs_gate):
+    net = _folding_net()
+    images = np.random.default_rng(7).uniform(-0.5, 0.5, (1, 1, 5, 3))
+    (public_scores, public_nands), _ = fast_vs_gate(net, images)
+    (private_scores, private_nands), _ = fast_vs_gate(net, images, encrypt_weights=True)
+    assert public_scores == private_scores
+    assert public_nands < private_nands
+    for fast in (True, False):
+        backend = ClearBackend(fast_arith=fast)
+        out = cnn.conv_layer(cnn.encrypt_image(images[0], net.fmt, backend), net.layers[0])
+        patterns = [{fp.public_pattern(v) for row in grid for v in row} for grid in out.channels]
+        assert patterns == [{(2 ** 10 - 1, 16)}, {(1, 0)}, {fp.PRIVATE}]
+
+
 def test_layer_evaluator_rejects_unencodable_weight():
     spec = make_fc(2, 1, weights=np.array([[0.5, 100.0]]))
     small = fp.FixedPointFormat(10, 5)

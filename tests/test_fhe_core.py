@@ -37,6 +37,9 @@ def test_bad_params_rejected():
         fc.FheParams(lattice_dim=4, log_q=10, noise_stddev=-1.0)
     with pytest.raises(ParameterError):
         fc.FheParams(lattice_dim=4, log_q=4, noise_stddev=8.0)  # 2*sigma >= q/8
+    with pytest.raises(ParameterError):  # only an omitted budget means q/8
+        fc.FheParams(lattice_dim=4, log_q=10, noise_stddev=1.0, noise_budget=0.0)
+    assert fc.FheParams(lattice_dim=4, log_q=10, noise_stddev=1.0).noise_budget == 128.0
 
 
 def test_keygen_small_custom_params():
@@ -281,6 +284,59 @@ def test_gate_stats_concurrent_increments():
     for t in threads:
         t.join()
     assert stats.nand_count == 20000
+
+
+# operand kinds: (is public, value)
+_OPERAND_KINDS = [(public, value) for public in (True, False) for value in (0, 1)]
+
+
+def _folds(a, b):
+    """The fold rule: a public 0 operand, or two public operands."""
+    return (a[0] and a[1] == 0) or (b[0] and b[1] == 0) or (a[0] and b[0])
+
+
+@pytest.mark.parametrize("tag", ["clear", "gsw"])
+def test_nand_folds_exactly_the_publicly_fixed_gates(tag, toy_params, toy_key):
+    """Every public/private operand mix: a folded NAND returns the shared
+    public constant and leaves nand_count alone; any other, NAND(public 1,
+    x) included, is one evaluated and counted gate with a private output."""
+    backend = (fc.ClearBackend() if tag == "clear"
+               else fc.GswBackend(toy_params, key=toy_key, seed=9))
+
+    def operand(kind):
+        public, value = kind
+        return backend.const(value) if public else backend.encrypt_bit(value)
+
+    for a in _OPERAND_KINDS:
+        for b in _OPERAND_KINDS:
+            before = backend.stats.nand_count
+            out = fc.nand(operand(a), operand(b))
+            want = 1 - (a[1] & b[1])
+            assert backend.reveal_bit(out) == want, (a, b)
+            if _folds(a, b):
+                assert out is backend.const(want), (a, b)
+                assert backend.stats.nand_count == before, (a, b)
+            else:
+                assert out.public is None, (a, b)
+                assert backend.stats.nand_count == before + 1, (a, b)
+
+
+def test_fold_probe_lanes_follow_the_fold_rule():
+    """One FoldProbe lane per operand mix: each lane counts and folds as a
+    scalar NAND on those operands would."""
+    mixes = [(a, b) for a in _OPERAND_KINDS for b in _OPERAND_KINDS]
+    probe = fc.FoldProbe(len(mixes))
+    a, b = (probe.word_bits([mix[side][1] for mix in mixes],
+                            [int(mix[side][0]) for mix in mixes], 1)[0]
+            for side in (0, 1))
+    out = fc.nand(a, b)
+    values, publics = probe.words([out])
+    for lane, (x, y) in enumerate(mixes):
+        folded = _folds(x, y)
+        assert probe.lane_counts()[lane] == (0 if folded else 1), (x, y)
+        assert publics[lane] == folded, (x, y)
+        if folded:
+            assert values[lane] == 1 - (x[1] & y[1]), (x, y)
 
 
 def test_clear_lane_packing():

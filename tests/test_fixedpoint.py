@@ -6,6 +6,7 @@ import pytest
 from gatecnn import cnn
 from gatecnn import fhe_core as fc
 from gatecnn import fixedpoint as fp
+from gatecnn import gates as g
 from gatecnn.errors import (
     FormatMismatchError,
     OverflowDiagnostic,
@@ -31,6 +32,9 @@ def test_format_invariants():
         fp.FixedPointFormat(8, 8)
     with pytest.raises(ParameterError):
         fp.FixedPointFormat(8, -1)
+    with pytest.raises(ParameterError):
+        fp.FixedPointFormat(fp.MAX_TOTAL_BITS + 1, 16)
+    assert fp.FixedPointFormat(fp.MAX_TOTAL_BITS, 16).max_int == 2 ** 63 - 1
 
 
 def test_encode_examples():
@@ -330,3 +334,36 @@ def test_fixedpoint_nand_budgets():
         assert _op_nands(fmt, lambda a, b: fp.fp_relu(a)) <= 2 * w + 1
         assert _op_nands(fmt, lambda a, b: fp.fp_sub(a, b)) <= 10 * w
     assert _op_nands(FMT, lambda a, b: fp.fp_max([a, b])) <= 323
+
+
+_FOLD_OPS = {
+    "mul": fp.fp_mul,
+    "add": fp.fp_add,
+    "relu": lambda a, b: fp.fp_relu(a),
+    "maxfold": lambda a, b: fp.fp_max([a, b]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FOLD_OPS))
+def test_fold_costs_match_gate_level(kind):
+    """For operands with any mix of public and private bits, the bit-sliced
+    probe's NAND count and output public bits equal a gate-level run's."""
+    fmt = fp.FixedPointFormat(10, 5)
+    full = (1 << 10) - 1
+    rnd = random.Random(kind)
+    cases = [tuple((rnd.randrange(-64, 64), rnd.choice([0, full, rnd.randrange(full + 1)]))
+                   for _ in range(2))
+             for _ in range(30)]
+    # public weights: 0, -1 (a tiny negative real), 0.5, 1 and 2
+    cases += [((rnd.randrange(-64, 64), 0), (w, full)) for w in (0, -1, 16, 32, 64)]
+    probed = fp.fold_costs(kind, fmt, [tuple((mask, v & mask) for v, mask in case)
+                                       for case in cases])
+    for case, got in zip(cases, probed):
+        backend = fc.ClearBackend()
+        a, b = (fp.FixedPointCipher(g.BitVector(
+                    backend.const((v >> i) & 1) if (mask >> i) & 1
+                    else backend.encrypt_bit((v >> i) & 1) for i in range(10)), fmt)
+                for v, mask in case)
+        out = _FOLD_OPS[kind](a, b)
+        assert got == (backend.stats.nand_count, fp.public_pattern(out)), case
+

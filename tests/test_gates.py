@@ -36,9 +36,9 @@ def test_gate_nand_budgets(clear):
     for fn, budget in budgets.items():
         before = clear.stats.nand_count
         if fn is g.not_gate:
-            fn(clear.const(1))
+            fn(clear.encrypt_bit(1))
         else:
-            fn(clear.const(1), clear.const(0))
+            fn(clear.encrypt_bit(1), clear.encrypt_bit(0))
         used = clear.stats.nand_count - before
         assert used <= budget, (fn.__name__, used)
 
@@ -53,7 +53,7 @@ def test_full_adder_all_rows(clear):
 
 def test_full_adder_nand_count(clear):
     before = clear.stats.nand_count
-    g.full_adder(clear.const(1), clear.const(1), clear.const(1))
+    g.full_adder(clear.encrypt_bit(1), clear.encrypt_bit(1), clear.encrypt_bit(1))
     assert clear.stats.nand_count - before == 9
 
 
@@ -163,7 +163,7 @@ def _nands(clear, fn):
 
 def test_circuit_nand_budgets(clear):
     def vec(width):
-        return g.BitVector.from_int(0, width, clear)
+        return g.BitVector.from_int(0, width, clear, encrypt=True)
 
     w = 32
     assert _nands(clear, lambda: g.add(vec(w), vec(w))) == 9 * w - 5
@@ -283,25 +283,25 @@ def test_mux_selects_and_counts(clear):
         assert g.mux(clear.const(0), xa, ya).to_int() == y
         assert g.mux(clear.const(rnd.randrange(2)), xa, xa).to_int() == x
     before = clear.stats.nand_count
-    g.mux(clear.const(1), g.BitVector.from_int(7, 32, clear),
-          g.BitVector.from_int(9, 32, clear))
+    g.mux(clear.encrypt_bit(1), g.BitVector.from_int(7, 32, clear, encrypt=True),
+          g.BitVector.from_int(9, 32, clear, encrypt=True))
     assert clear.stats.nand_count - before <= 32 * 4 + 1
 
 
 def test_data_obliviousness_gate_traces():
-    """The nand trace depends on widths only, never on values."""
+    """The nand trace depends on widths only, never on private values."""
     counts = []
     for x, y in [(3, 5), (-17, 90), (0, 0), (127, -128)]:
         backend = fc.ClearBackend()
-        a = g.BitVector.from_int(x, 8, backend)
-        b = g.BitVector.from_int(y, 8, backend)
+        a = g.BitVector.from_int(x, 8, backend, encrypt=True)
+        b = g.BitVector.from_int(y, 8, backend, encrypt=True)
         g.add(a, b)
         g.sub(a, b)
         g.mul_wallace(a, b)
         g.mul_wallace(a, b, lo=3, hi=11)
         g.compare(a, b)
         g.less_than(a, b)
-        g.mux(backend.const(x & 1), a, b)
+        g.mux(backend.encrypt_bit(x & 1), a, b)
         counts.append(backend.stats.nand_count)
     assert len(set(counts)) == 1
 
@@ -351,8 +351,8 @@ def test_gsw_clear_observational_equivalence(op, toy_params, toy_key):
     y = rnd.randrange(-(1 << (width - 1)), 1 << (width - 1))
     results = {}
     for tag, backend in (("clear", clear), ("gsw", gsw)):
-        a = g.BitVector.from_int(x, width, backend, encrypt=(tag == "gsw"))
-        b = g.BitVector.from_int(y, width, backend, encrypt=(tag == "gsw"))
+        a = g.BitVector.from_int(x, width, backend, encrypt=True)
+        b = g.BitVector.from_int(y, width, backend, encrypt=True)
         if op == "add":
             results[tag] = g.add(a, b).to_int()
         elif op == "sub":
@@ -368,8 +368,6 @@ def test_gsw_clear_observational_equivalence(op, toy_params, toy_key):
             results[tag] = (backend.reveal_bit(r.is_negative),
                             backend.reveal_bit(r.is_zero))
         else:
-            results[tag] = g.mux(
-                backend.encrypt_bit(1) if tag == "gsw" else backend.const(1),
-                a, b).to_int()
+            results[tag] = g.mux(backend.encrypt_bit(1), a, b).to_int()
     assert results["clear"] == results["gsw"], (op, x, y)
     assert clear.stats.nand_count == gsw.stats.nand_count
