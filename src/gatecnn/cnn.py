@@ -87,8 +87,10 @@ class LayerSpec:
     kernel_size: int = 0
     pool_size: int = 1
     # the whole-layer evaluator's NAND charges, kept per format, weight
-    # entry and input patterns (see _charge_layer)
+    # entry and input patterns (see _charge_layer), and the scaled weights
+    # and biases per format (see scaled)
     charges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -107,6 +109,18 @@ class LayerSpec:
             raise ShapeError(f"{self.kind} weights shape {self.weights.shape}, expected {want}")
         if self.biases.shape != (self.out_channels,):
             raise ShapeError(f"bias shape {self.biases.shape}, expected ({self.out_channels},)")
+
+    def scaled(self, fmt: FixedPointFormat) -> tuple:
+        """(weights, biases) as ``fmt`` integers in its ``int_dtype``: an
+        (out, fan-in) and an (out,) array, computed once per format.  An
+        unencodable value raises RangeError."""
+        found = self._scaled.get(fmt)
+        if found is None:
+            to_int = np.frompyfunc(lambda r: float_to_scaled(r, fmt), 1, 1)
+            found = self._scaled[fmt] = tuple(
+                to_int(values).astype(int_dtype(fmt))
+                for values in (self.weights.reshape(self.out_channels, -1), self.biases))
+        return found
 
 
 @dataclass
@@ -301,12 +315,11 @@ def _int_neurons(x, spec: LayerSpec, fmt: FixedPointFormat):
     then the activation: (lanes, ..., out).  The bias comes first and each
     floored product is added in input order; every product and partial sum
     is range-checked."""
-    to_int = np.frompyfunc(lambda r: float_to_scaled(r, fmt), 1, 1)
-    weights = to_int(spec.weights.reshape(spec.out_channels, -1)).astype(x.dtype)
+    weights, biases = spec.scaled(fmt)
     terms = scaled_mul(x[..., None, :], weights, fmt)
     guard_range(terms, fmt, "multiplication")
     np.cumsum(terms, axis=-1, out=terms)  # in place: the products become partial sums
-    terms += to_int(spec.biases).astype(x.dtype)[:, None]
+    terms += biases[:, None]
     guard_range(terms, fmt, "addition")
     values = terms[..., -1]
     if spec.activation == RELU:
@@ -389,15 +402,15 @@ def _neuron_charge(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: 
     have pattern ids ``in_ids`` (..., fan-in), and the outputs' ids
     (..., out).  Weights and bias are public unless ``encrypt_weights``."""
     fmt = table.fmt
-    weights = spec.weights.reshape(spec.out_channels, -1)
+    weights, biases = spec.scaled(fmt)
     if encrypt_weights:
         w_ids = np.zeros(weights.shape, dtype=np.int64)
         b_ids = np.zeros(spec.out_channels, dtype=np.int64)
     else:
         full = (1 << fmt.total_bits) - 1
-        reals, where = np.unique(np.concatenate([weights.ravel(), spec.biases]),
-                                 return_inverse=True)
-        ids = table.ids([(full, float_to_scaled(r, fmt) & full) for r in reals])[where]
+        ints, where = np.unique(np.concatenate([weights.ravel(), biases]),
+                                return_inverse=True)
+        ids = table.ids([(full, z & full) for z in ints.tolist()])[where]
         w_ids, b_ids = ids[:weights.size].reshape(weights.shape), ids[weights.size:]
     # neurons whose inputs share patterns share charges: probe each input row once
     rows, where, repeats = np.unique(in_ids.reshape(-1, in_ids.shape[-1]), axis=0,

@@ -5,7 +5,9 @@ A real r is stored as the integer floor(r * scale) in ``total_bits`` bits,
 exact product, i.e. the product arithmetic-shifted right by ``frac_bits``
 (truncation toward -inf, the same floor as the encoding), so the extra
 error of one multiply is one-sided and below 1/scale.  The multiplier
-circuit builds only those product bits and the carries they need.  ReLU
+circuits build only those product bits and the carries they need: a
+shift-and-add over the constant's signed digits when one operand is
+wholly public (a model weight), a Wallace-tree array otherwise.  ReLU
 and max are computed exactly through oblivious selection: their outputs
 are bitwise identical to one of the inputs (or to zero) and add no
 numerical error.
@@ -169,6 +171,11 @@ def _lane_values(x: FixedPointCipher):
 PRIVATE = (0, 0)  # the public_pattern of a word without public bits
 
 
+def _signed(value: int, width: int) -> int:
+    """The two's-complement integer of a width-bit pattern."""
+    return value - (value >> (width - 1) << width)
+
+
 def public_pattern(x: FixedPointCipher) -> tuple:
     """(public, value): masks of the bits of x that are public constants
     and of their values."""
@@ -250,17 +257,25 @@ def fp_sub(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
 
 def fp_mul(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
     """Product floored back to the format's scale: bits f..f+w-1 of the
-    exact double-width product, the only ones the circuit builds."""
+    exact double-width product, the only ones the circuit builds.
+
+    When one operand is wholly public (b is tried first), its integer is a
+    constant and the shift-and-add ``gates.mul_const`` multiplies by it;
+    otherwise the Baugh–Wooley/Wallace array does."""
     _check_formats(a, b)
     _diagnose(a, b, lambda za, zb: scaled_mul(za, zb, a.fmt), "multiplication")
-    f = a.fmt.frac_bits
-    return FixedPointCipher(
-        gates.mul_wallace(a.bits, b.bits, lo=f, hi=f + a.fmt.total_bits), a.fmt)
+    f, w = a.fmt.frac_bits, a.fmt.total_bits
+    for x, y in ((a, b), (b, a)):
+        public, value = public_pattern(y)
+        if public == (1 << w) - 1:
+            return FixedPointCipher(
+                gates.mul_const(x.bits, _signed(value, w), lo=f, hi=f + w), a.fmt)
+    return FixedPointCipher(gates.mul_wallace(a.bits, b.bits, lo=f, hi=f + w), a.fmt)
 
 
 def fp_mul_const(a: FixedPointCipher, c: float) -> FixedPointCipher:
-    """Multiply by a public real: the constant enters as public bits, so
-    every gate its bits decide folds away (all of them for c = 0)."""
+    """Multiply by a public real: ``fp_mul`` by its public encoding, so a
+    shift-and-add over the constant's signed digits (no gate for c = 0)."""
     return fp_mul(a, encode_const(c, a.fmt, a.backend))
 
 
@@ -309,16 +324,90 @@ def fold_costs(kind: str, fmt: FixedPointFormat, pairs) -> list:
     """(NANDs evaluated, output public_pattern) of one ``kind`` circuit at
     ``fmt`` for each (a, b) pair of operand public_patterns (``relu``
     ignores b).  Counts depend on the formats and public bits only, never
-    on private values; one bit-sliced FoldProbe pass runs each chunk of
-    pairs through the real circuit."""
-    out = []
-    for start in range(0, len(pairs), _PROBE_LANES):
-        chunk = pairs[start:start + _PROBE_LANES]
-        probe = FoldProbe(len(chunk))
+    on private values.  A ``mul`` with a wholly public operand is charged
+    by walking its constant's digit plan (``_const_mul_cost``); one
+    bit-sliced FoldProbe pass runs each chunk of the other pairs through
+    the real circuit."""
+    out = [_const_mul_cost(fmt, *pair) if kind == "mul" else None for pair in pairs]
+    probed = [i for i, found in enumerate(out) if found is None]
+    for start in range(0, len(probed), _PROBE_LANES):
+        lanes = probed[start:start + _PROBE_LANES]
+        probe = FoldProbe(len(lanes))
         a, b = (FixedPointCipher(BitVector(probe.word_bits(
-                    [pair[i][1] for pair in chunk], [pair[i][0] for pair in chunk],
+                    [pairs[lane][i][1] for lane in lanes], [pairs[lane][i][0] for lane in lanes],
                     fmt.total_bits)), fmt)
                 for i in (0, 1))
         values, publics = probe.words(_COST_OPS[kind](a, b).bits.bits)
-        out += zip(probe.lane_counts().tolist(), zip(publics.tolist(), values.tolist()))
+        for lane, nands, pattern in zip(lanes, probe.lane_counts().tolist(),
+                                        zip(publics.tolist(), values.tolist())):
+            out[lane] = (nands, pattern)
     return out
+
+
+# (negative, carries, sum states, term states) -> (NANDs, output states) of
+# one mul_const step, where a state is a bit's public value or None for a
+# private bit.  Steps depend on nothing else, so every model and format
+# shares the entries.
+_STEP_COSTS = {}
+_STEP_COSTS_LIMIT = 1 << 16
+
+
+def _step_cost(step: gates.ConstMulStep, xs, ts):
+    key = (step.negative, step.carries, tuple(xs), tuple(ts))
+    found = _STEP_COSTS.get(key)
+    if found is None:
+        if len(_STEP_COSTS) >= _STEP_COSTS_LIMIT:
+            _STEP_COSTS.clear()
+        backend = ClearBackend()
+
+        def bit(state):
+            return backend.encrypt_bit(0) if state is None else backend.const(state)
+
+        out = gates.const_mul_step(step, [bit(x) for x in xs], [bit(t) for t in ts])
+        found = _STEP_COSTS[key] = (backend.stats.nand_count, [b.public for b in out])
+    return found
+
+
+def _const_mul_cost(fmt: FixedPointFormat, a: tuple, b: tuple):
+    """(NANDs, output public_pattern) of ``fp_mul`` on operands with
+    public_patterns a, b when one is wholly public, else None.
+
+    Walks ``gates.mul_const``'s plan for that constant over the other
+    operand's per-bit states (public value, or None), charging the shared
+    NOTs and each step; a step is run once per shape and operand states
+    (``_step_cost``), not once per constant."""
+    w, f = fmt.total_bits, fmt.frac_bits
+    full = (1 << w) - 1
+    for (x_public, x_value), (y_public, y_value) in ((a, b), (b, a)):
+        if y_public == full:
+            break
+    else:
+        return None
+    k = _signed(y_value, w)
+    if x_public == full:  # every gate folds
+        return 0, (full, (_signed(x_value, w) * k >> f) & full)
+    plan = gates.const_mul_plan(k, w, f, f + w)
+    states = _states((x_public, x_value), w)
+    inverted = _states((x_public, ~x_value), w)
+    nands = states[plan.inverted.start:plan.inverted.stop].count(None)  # the shared NOTs
+
+    def step(st, xs, ts):
+        nonlocal nands
+        cost, out = _step_cost(st, xs, ts)
+        nands += cost
+        return out
+
+    public = value = 0
+    for i, state in enumerate(gates.const_mul_walk(plan, states, inverted, 0, f, f + w, step)):
+        if state is not None:
+            public |= 1 << i
+            value |= state << i
+    return nands, (public, value)
+
+
+def _states(pattern, width: int) -> list:
+    """Per-bit public states of a public_pattern: the bit's value, or None."""
+    public, value = pattern
+    if not public:
+        return [None] * width
+    return [(value >> i) & 1 if (public >> i) & 1 else None for i in range(width)]

@@ -12,6 +12,7 @@ private values, so encrypted evaluation leaks nothing through the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BackendMismatchError, ParameterError, WidthMismatchError
 from .fhe_core import EncBit, nand, trivial_const
@@ -29,6 +30,12 @@ __all__ = [
     "sub",
     "mul_wallace",
     "mul_schoolbook",
+    "mul_const",
+    "ConstMulStep",
+    "ConstMulPlan",
+    "const_mul_plan",
+    "const_mul_walk",
+    "const_mul_step",
     "compare",
     "less_than",
     "mux",
@@ -371,6 +378,138 @@ def mul_schoolbook(a: BitVector, b: BitVector) -> BitVector:
         addend = BitVector(and_gate(bit, bb[j]) for bit in shifted)
         acc = add(acc, addend)
     return acc
+
+
+def _naf(k: int) -> list:
+    """Non-adjacent form of k, lowest column first: (column, digit) pairs
+    with digits ±1, no two in adjacent columns, and sum d·2^column == k."""
+    digits = []
+    column = 0
+    while k:
+        if k & 1:
+            digit = 2 - (k & 3)  # +1 if k = 1 mod 4, -1 if k = 3 mod 4
+            digits.append((column, digit))
+            k -= digit
+        k >>= 1
+        column += 1
+    return digits
+
+
+def _product_width(multiplier: int, width: int) -> int:
+    """Signed bits that hold a·multiplier for every width-bit a; the
+    widest product is the one of a = -2^(width-1)."""
+    extreme = -multiplier << (width - 1)
+    return (extreme if extreme >= 0 else ~extreme).bit_length() + 1
+
+
+class ConstMulStep(NamedTuple):
+    """One digit of a mul_const plan: add (or subtract) a·2^column into the
+    running sum over columns [column, end).  The sum then fits in ``end``
+    signed bits, so the columns above end - 1 are its sign extension.  The
+    lowest ``carries`` columns form only their carries."""
+
+    column: int
+    end: int
+    negative: bool
+    carries: int
+
+
+class ConstMulPlan(NamedTuple):
+    """mul_const's shift-and-add sequence for one public integer: the wire
+    term a·2^start (start None: the sum starts at 0), the other digits'
+    steps lowest first, and the indices of a whose NOT the subtractions
+    share."""
+
+    start: int | None
+    steps: tuple
+    inverted: range
+
+
+def const_mul_plan(k: int, width: int, lo: int, hi: int) -> ConstMulPlan:
+    """The plan of mul_const(a, k, lo, hi) for a width-bit a: k's
+    non-adjacent-form digits below hi, the lowest +1 digit as the wire
+    term.  A step forms sums only where a later step or the window [lo,
+    hi) reads them: below min(lo, next digit) it builds only carries."""
+    digits = [(j, d) for j, d in _naf(k) if j < hi]
+    start = next((j for j, d in digits if d > 0), None)
+    rest = [(j, d) for j, d in digits if j != start]
+    multiplier = 0 if start is None else 1 << start
+    steps = []
+    for i, (j, d) in enumerate(rest):
+        multiplier += d << j
+        end = min(_product_width(multiplier, width), hi)
+        following = rest[i + 1][0] if i + 1 < len(rest) else hi
+        steps.append(ConstMulStep(j, end, d < 0, max(0, min(lo, following, end - 1) - j)))
+    # a subtraction's terms are ~a's bits 1.. of its columns, sign-extended
+    tops = [min(step.end - step.column, width) - 1 for step in steps
+            if step.negative and step.end - step.column > 1]
+    inverted = range(min(1, width - 1), max(tops) + 1) if tops else range(0)
+    return ConstMulPlan(start, tuple(steps), inverted)
+
+
+def _sign_extended(bits, width: int) -> list:
+    return [*bits[:width], *[bits[-1]] * (width - len(bits))]
+
+
+def const_mul_walk(plan: ConstMulPlan, bits, inverted, zero, lo: int, hi: int, step):
+    """Columns [lo, hi) of mul_const's running sum, built from ``bits`` (a,
+    low bit first), ``inverted`` (its NOTs, read at plan.inverted) and
+    ``zero``, which may be bits or any stand-ins for them: each plan
+    step's output columns [column + carries, end) are set to
+    ``step(plan_step, sum items, term items)`` over its columns."""
+    if plan.start is None:
+        acc = [zero] * hi
+    else:
+        acc = [zero] * plan.start + _sign_extended(bits, hi - plan.start)
+    for st in plan.steps:
+        source = inverted if st.negative else bits
+        terms = [bits[0], *_sign_extended(source, st.end - st.column)[1:]]
+        acc[st.column + st.carries:st.end] = step(st, acc[st.column:st.end], terms)
+        acc[st.end:hi] = [acc[st.end - 1]] * (hi - st.end)
+    return acc[lo:hi]
+
+
+def const_mul_step(step: ConstMulStep, xs, ts) -> list:
+    """The sum bits of one plan step, from the running sum's bits ``xs``
+    and the term's bits ``ts`` over its columns: x + a ripple add, or
+    x - a as x + ~a + 1, where ``ts`` holds a in the lowest column (whose
+    sum x ^ a and carry x | ~a fold the +1) and ~a above it.  The top
+    column forms no carry: above it the sum is a sign extension."""
+    x, y = xs[0], ts[0]
+    if len(xs) == 1:
+        return [xor_gate(x, y)]
+    n = nand(x, y)
+    right = nand(y, n) if step.negative or not step.carries else None  # x | ~y
+    out = [] if step.carries else [nand(nand(x, n), right)]
+    carry = right if step.negative else not_gate(n)
+    top = len(xs) - 1
+    for c in range(1, top):
+        if c < step.carries:
+            carry = _majority(xs[c], ts[c], carry)
+        else:
+            s, carry = full_adder(xs[c], ts[c], carry)
+            out.append(s)
+    out.append(_xor3(xs[top], ts[top], carry))
+    return out
+
+
+def mul_const(a: BitVector, k: int, lo: int, hi: int) -> BitVector:
+    """Bits [lo, hi) of a·k modulo 2^hi for a public integer k.
+
+    Shift-and-add over k's non-adjacent form (Reitwiesner 1960), whose
+    digits ±1 average a third of the columns: the lowest +1 digit's term
+    a·2^j is a sign-extended wire and costs no gate, and every other
+    digit is one ripple add or subtract of a·2^j into the running sum,
+    lowest column first, sharing one ~a among the subtractions.  Each step
+    stops where the sum provably fits (``_product_width``) and
+    sign-extends above.  The gates depend on k and on which bits of a are
+    public, never on a's private values."""
+    if not 0 <= lo < hi:
+        raise ParameterError(f"product window [{lo}, {hi}) needs 0 <= lo < hi")
+    plan = const_mul_plan(k, a.width, lo, hi)
+    inverted = [not_gate(bit) if i in plan.inverted else None for i, bit in enumerate(a.bits)]
+    return BitVector(const_mul_walk(plan, a.bits, inverted, trivial_const(0, a.backend),
+                                    lo, hi, const_mul_step))
 
 
 def compare(a: BitVector, b: BitVector) -> CompareResult:

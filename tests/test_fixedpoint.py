@@ -1,9 +1,10 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gatecnn import cnn
+from gatecnn import cnn, demo
 from gatecnn import fhe_core as fc
 from gatecnn import fixedpoint as fp
 from gatecnn import gates as g
@@ -344,6 +345,26 @@ _FOLD_OPS = {
 }
 
 
+def _gate_level_fold(kind, fmt, case):
+    """NANDs and output public_pattern of one ``kind`` circuit run gate by
+    gate on operands given as (value, public mask) pairs."""
+    backend = fc.ClearBackend()
+    a, b = (fp.FixedPointCipher(g.BitVector(
+                backend.const((v >> i) & 1) if (mask >> i) & 1
+                else backend.encrypt_bit((v >> i) & 1) for i in range(fmt.total_bits)), fmt)
+            for v, mask in case)
+    out = _FOLD_OPS[kind](a, b)
+    return backend.stats.nand_count, fp.public_pattern(out)
+
+
+def _assert_fold_costs_match(kind, fmt, cases):
+    full = (1 << fmt.total_bits) - 1
+    probed = fp.fold_costs(kind, fmt, [tuple((mask, v & mask & full) for v, mask in case)
+                                       for case in cases])
+    for case, got in zip(cases, probed):
+        assert got == _gate_level_fold(kind, fmt, case), case
+
+
 @pytest.mark.parametrize("kind", sorted(_FOLD_OPS))
 def test_fold_costs_match_gate_level(kind):
     """For operands with any mix of public and private bits, the bit-sliced
@@ -356,14 +377,51 @@ def test_fold_costs_match_gate_level(kind):
              for _ in range(30)]
     # public weights: 0, -1 (a tiny negative real), 0.5, 1 and 2
     cases += [((rnd.randrange(-64, 64), 0), (w, full)) for w in (0, -1, 16, 32, 64)]
-    probed = fp.fold_costs(kind, fmt, [tuple((mask, v & mask) for v, mask in case)
-                                       for case in cases])
-    for case, got in zip(cases, probed):
-        backend = fc.ClearBackend()
-        a, b = (fp.FixedPointCipher(g.BitVector(
-                    backend.const((v >> i) & 1) if (mask >> i) & 1
-                    else backend.encrypt_bit((v >> i) & 1) for i in range(10)), fmt)
-                for v, mask in case)
-        out = _FOLD_OPS[kind](a, b)
-        assert got == (backend.stats.nand_count, fp.public_pattern(out)), case
+    _assert_fold_costs_match(kind, fmt, cases)
 
+
+@pytest.mark.parametrize("width, frac", [(10, 5), (32, 16), (40, 30)])
+def test_fold_costs_match_gate_level_public_weights(width, frac):
+    """fp_mul with a wholly public operand is charged by walking the
+    constant's digit plan; the composed charge and output public bits must
+    equal a gate-level run's, for extreme, power-of-two and random weights
+    against private and partly public operands, on either side.  At w=40
+    the product window reaches bit 69, past one uint64 word."""
+    fmt = fp.FixedPointFormat(width, frac)
+    full = (1 << width) - 1
+    rnd = random.Random(width)
+    weights = [fmt.min_int, fmt.max_int, 1, -1, 0, 1 << frac, -(1 << frac),
+               1 << (width - 2), -(1 << (width - 2)), 3 << 2, -(5 << 3)]
+    weights += [rnd.randrange(fmt.min_int, fmt.max_int + 1) for _ in range(6)]
+    cases = []
+    for k in weights:
+        reach = min(fmt.max_int, (fmt.max_int << frac) // max(1, abs(k)))  # no overflow
+        value = rnd.randrange(-reach, reach + 1)
+        for mask in (0, rnd.randrange(full + 1), full & ~0b1011):
+            cases.append(((value, mask), (k, full)))
+        cases.append(((k, full), (value, 0)))        # public first operand
+        cases.append(((k, full), (value, full)))     # both public: every gate folds
+    _assert_fold_costs_match("mul", fmt, cases)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_public_weight_mul_row():
+    """The README's NANDs for ``fp_mul`` by a public weight are what
+    fold_costs charges: on private operands (the Wallace array), and min /
+    mean / max over the micro model's weights at w=10 and the preset
+    model's at w=32."""
+    row = next(line for line in README.read_text().splitlines()
+               if line.strip().startswith("| `fp_mul` by a public weight |"))
+    want = []
+    for net in (demo.micro_model(), demo.preset_model()):
+        fmt = net.fmt
+        full = (1 << fmt.total_bits) - 1
+        private = fp.fold_costs("mul", fmt, [(fp.PRIVATE, fp.PRIVATE)])[0][0]
+        ks = [int(k) for layer in net.layers for k in layer.scaled(fmt)[0].ravel()]
+        costs = [n for n, _ in fp.fold_costs("mul", fmt, [(fp.PRIVATE, (full, k & full))
+                                                          for k in ks])]
+        want += [f"{private:,}",
+                 f"{min(costs):,} / {round(sum(costs) / len(costs)):,} / {max(costs):,}"]
+    assert [cell.strip() for cell in row.strip().strip("|").split("|")[1:]] == want

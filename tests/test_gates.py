@@ -135,6 +135,95 @@ def test_mul_window_exhaustive(width):
                 assert got.to_int(lane) & mask == ((x * y) >> lo) & mask, (lo, hi, x, y)
 
 
+def _lane_masks(values, width):
+    """Bit i of values[lane] at bit lane of mask i."""
+    return [sum(((v >> i) & 1) << lane for lane, v in enumerate(values))
+            for i in range(width)]
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_mul_const_exhaustive(width):
+    """For every k in [-2^width, 2^width] and every window [lo, hi) with hi
+    up to 2·width + 1, mul_const gives bits lo..hi-1 of a·k modulo 2^hi for
+    every width-bit a at once (one lane each)."""
+    half = 1 << (width - 1)
+    values = list(range(-half, half))
+    backend = fc.ClearBackend(lanes=len(values))
+    a = g.BitVector.from_lane_ints(values, width, backend)
+    for k in range(-2 * half, 2 * half + 1):
+        for hi in range(1, 2 * width + 2):
+            want = _lane_masks([v * k for v in values], hi)
+            for lo in range(hi):
+                got = g.mul_const(a, k, lo, hi)
+                assert [bit.clear_value for bit in got.bits] == want[lo:], (k, lo, hi)
+
+
+def test_mul_const_rejects_bad_window(clear):
+    a = g.BitVector.from_int(1, 4, clear)
+    for lo, hi in ((0, 0), (3, 2), (-1, 4)):
+        with pytest.raises(ParameterError):
+            g.mul_const(a, 3, lo, hi)
+
+
+class _TracingBackend(fc.ClearBackend):
+    """Records each evaluated NAND as the serial numbers of its operands
+    (a public constant as its value)."""
+
+    def __init__(self):
+        super().__init__()
+        self.serial = {}
+        self.bits = []  # keeps every numbered bit alive, so ids stay unique
+        self.trace = []
+
+    def _number(self, bit):
+        self.serial[id(bit)] = len(self.bits)
+        self.bits.append(bit)
+        return bit
+
+    def encrypt_bit(self, bit):
+        return self._number(super().encrypt_bit(bit))
+
+    def nand(self, a, b):
+        self.trace.append(tuple(self.serial.get(id(x), x.public) for x in (a, b)))
+        return self._number(super().nand(a, b))
+
+
+def test_mul_const_gate_trace_depends_on_k_only():
+    """Two private operands, the same constants: the same gates on the
+    same operands, in the same order."""
+    traces = []
+    for x in (37, -90):
+        backend = _TracingBackend()
+        a = g.BitVector.from_int(x, 8, backend, encrypt=True)
+        for k in (0, 1, -1, 2, 93, -93, 127, -128, 22):
+            g.mul_const(a, k, 4, 12)
+        traces.append(backend.trace)
+    assert traces[0] == traces[1]
+    assert traces[0]
+
+
+@pytest.mark.parametrize("width", [6, 8, 10])
+def test_mul_const_never_costs_more_than_folded_wallace(width):
+    """At the fixed-point window [f, f+w), a private operand times each
+    public w-bit k: the shift-and-add circuit evaluates no more NANDs than
+    the Wallace array with k's bits folded in, and under half as many on
+    average."""
+    f, mask, half = width // 2, (1 << width) - 1, 1 << (width - 1)
+    ks = range(-half, half)
+    probe = fc.FoldProbe(len(ks))
+    a = g.BitVector(probe.word_bits([0] * len(ks), [0] * len(ks), width))
+    b = g.BitVector(probe.word_bits([k & mask for k in ks], [mask] * len(ks), width))
+    g.mul_wallace(a, b, f, f + width)
+    wallace = probe.lane_counts().tolist()
+    const = []
+    for k in ks:
+        backend = fc.ClearBackend()
+        g.mul_const(g.BitVector.from_int(0, width, backend, encrypt=True), k, f, f + width)
+        const.append(backend.stats.nand_count)
+    assert all(c <= w for c, w in zip(const, wallace))
+    assert 2 * sum(const) < sum(wallace)
+
+
 def test_mul_window_rejects_bad_bounds(clear):
     a = g.BitVector.from_int(1, 4, clear)
     for lo, hi in ((0, 0), (3, 2), (-1, 4), (0, 9)):
@@ -299,6 +388,7 @@ def test_data_obliviousness_gate_traces():
         g.sub(a, b)
         g.mul_wallace(a, b)
         g.mul_wallace(a, b, lo=3, hi=11)
+        g.mul_const(a, -93, 3, 11)
         g.compare(a, b)
         g.less_than(a, b)
         g.mux(backend.encrypt_bit(x & 1), a, b)
