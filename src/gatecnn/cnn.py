@@ -11,12 +11,15 @@ Independent output channels and nodes are embarrassingly parallel; a
 ``workers`` knob fans them out while per-task seed scopes keep results
 bit-identical for any worker count; a clear backend with ``fast_arith``
 runs each layer as one whole-array integer computation instead, charged
-the NANDs the gate path evaluates.  Scores stay encrypted: argmax is the
-client's job after decryption.
+the NANDs the gate path evaluates.  With public weights, a convolution
+builds each input pixel's products with a kernel from one adder graph
+that they share.  Scores stay encrypted: argmax is the client's job
+after decryption.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -30,6 +33,7 @@ from .fixedpoint import (
     PRIVATE,
     _from_ints,
     _lane_values,
+    const_mul_costs,
     encode,
     float_to_scaled,
     fold_costs,
@@ -37,12 +41,14 @@ from .fixedpoint import (
     fp_max,
     fp_mul,
     fp_mul_const,
+    fp_mul_consts,
     fp_relu,
     guard_range,
     int_dtype,
     public_pattern,
     scaled_mul,
 )
+from .gates import const_mul_plan
 
 __all__ = [
     "LayerSpec",
@@ -66,6 +72,9 @@ FULLY_CONNECTED = "fc"
 RELU = "relu"
 LINEAR = "linear"
 
+# Inputs whose whole-layer charges a LayerSpec keeps (see _charge_layer).
+_CHARGES_LIMIT = 64
+
 # The network family the experiments use: 28x28 in, two 5x5 conv layers
 # (4 then 15 feature maps, 2x2 pooling), 240 features into 10 classes.
 paper_architecture_shapes = {
@@ -87,10 +96,12 @@ class LayerSpec:
     kernel_size: int = 0
     pool_size: int = 1
     # the whole-layer evaluator's NAND charges, kept per format, weight
-    # entry and input patterns (see _charge_layer), and the scaled weights
-    # and biases per format (see scaled)
+    # entry and input patterns for the last _CHARGES_LIMIT inputs (see
+    # _charge_layer), and per format the scaled weights and biases (see
+    # scaled) and a conv layer's kernel plans (see kernel_plans)
     charges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -120,6 +131,20 @@ class LayerSpec:
             found = self._scaled[fmt] = tuple(
                 to_int(values).astype(int_dtype(fmt))
                 for values in (self.weights.reshape(self.out_channels, -1), self.biases))
+        return found
+
+    def kernel_plans(self, fmt: FixedPointFormat) -> list:
+        """Per output and input channel of a conv layer, the adder-graph
+        plan (``gates.const_mul_plan``) of that k x k kernel's ``fmt``
+        integers, in (kr, kc) order, at fmt's product window; built once
+        per format."""
+        found = self._plans.get(fmt)
+        if found is None:
+            w, f = fmt.total_bits, fmt.frac_bits
+            kernels = self.scaled(fmt)[0].reshape(self.out_channels, self.in_channels, -1)
+            found = self._plans[fmt] = [
+                [const_mul_plan([int(z) for z in kernel], w, f, f + w) for kernel in per_input]
+                for per_input in kernels]
         return found
 
 
@@ -234,7 +259,12 @@ def _parallel_map(fn, items, workers: int):
 
 def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
                workers: int = 1, layer_index: int = 0) -> EncImage:
-    """Valid convolution over all input channels, bias, activation, pooling."""
+    """Valid convolution over all input channels, bias, activation, pooling.
+
+    With public weights each input pixel's products with a kernel come
+    from that kernel's shared adder graph (``_shared_product_sums``); with
+    ``encrypt_weights`` every window is a ``dot_product``.  Both add the
+    products to the bias in window order and give the same bits."""
     if spec.kind != CONVOLUTION:
         raise ParameterError("conv_layer needs a convolution LayerSpec")
     if len(img.channels) != spec.in_channels:
@@ -249,24 +279,21 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
     backend = img.channels[0][0][0].backend
     if backend.fast_arith:
         return _int_conv_layer(img, spec, backend, encrypt_weights)
+    plans = None if encrypt_weights else spec.kernel_plans(img.channels[0][0][0].fmt)
 
     def one_channel(oc: int):
-        flat_w = spec.weights[oc].ravel()
         bias = float(spec.biases[oc])
         with backend.seed_scope(layer_index, oc):
-            grid = []
-            for r in range(side_h):
-                row = []
-                for c in range(side_w):
-                    window = [img.channels[ic][r + kr][c + kc]
-                              for ic in range(spec.in_channels)
-                              for kr in range(k) for kc in range(k)]
-                    value = dot_product(window, flat_w, bias,
-                                        encrypt_weights=encrypt_weights)
-                    if spec.activation == RELU:
-                        value = fp_relu(value)
-                    row.append(value)
-                grid.append(row)
+            if plans is None:
+                sums = ((dot_product([img.channels[ic][r + kr][c + kc]
+                                      for ic in range(spec.in_channels)
+                                      for kr in range(k) for kc in range(k)],
+                                     spec.weights[oc].ravel(), bias, encrypt_weights=True)
+                         for c in range(side_w)) for r in range(side_h))
+            else:
+                sums = _shared_product_sums(img, k, plans[oc], bias)
+            grid = [[fp_relu(v) if spec.activation == RELU else v for v in row]
+                    for row in sums]
             if pool == 1:
                 return grid
             pooled = []
@@ -281,6 +308,49 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
 
     channels = _parallel_map(one_channel, list(range(spec.out_channels)), workers)
     return EncImage(channels, side_h // pool, side_w // pool)
+
+
+def _shared_product_sums(img: EncImage, k: int, plans, bias: float):
+    """Rows of one output channel's biased sums with public weights, equal
+    to ``dot_product``'s bit for bit.  Each input pixel's products with
+    its channel's k x k kernel come from one shared adder graph
+    (``fp_mul_consts`` with that kernel's plan), built for the kernel
+    entries whose windows read the pixel.  The products of the k input
+    rows the current output row reads are held; each sum adds them to the
+    bias in dot_product's order (input channel, kernel row, column)."""
+    side_h, side_w = img.height - k + 1, img.width - k + 1
+    first = img.channels[0][0][0]
+    rows, cols = _kernel_reads(img.height, k), _kernel_reads(img.width, k)
+
+    def products(r: int) -> list:
+        out = []
+        for grid, plan in zip(img.channels, plans):
+            cells = []
+            for c, x in enumerate(grid[r]):
+                wanted = [kr * k + kc for kr in rows[r] for kc in cols[c]]
+                cells.append(dict(zip(wanted, fp_mul_consts(x, plan, wanted))))
+            out.append(cells)
+        return out
+
+    held = [products(r) for r in range(k - 1)]  # held[kr]: input row r + kr
+    for r in range(side_h):
+        held.append(products(r + k - 1))
+        row = []
+        for c in range(side_w):
+            acc = encode(bias, first.fmt, first.backend, encrypt=False)
+            for cells in zip(*held):
+                for kr, per_row in enumerate(cells):
+                    for kc in range(k):
+                        acc = fp_add(acc, per_row[c + kc][kr * k + kc])
+            row.append(acc)
+        held.pop(0)
+        yield row
+
+
+def _kernel_reads(size: int, k: int) -> list:
+    """For each of ``size`` input rows (or columns) of a valid k x k
+    convolution, the kernel rows (or columns) whose windows read it."""
+    return [range(max(0, i - size + k), min(k, i + 1)) for i in range(size)]
 
 
 def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
@@ -397,10 +467,14 @@ class _FoldTable:
         return cost[inverse].reshape(a.shape), out[inverse].reshape(a.shape)
 
 
-def _neuron_charge(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bool):
+def _neuron_charge(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bool,
+                   products=None):
     """NANDs of ``dot_product`` and the activation for neurons whose inputs
     have pattern ids ``in_ids`` (..., fan-in), and the outputs' ids
-    (..., out).  Weights and bias are public unless ``encrypt_weights``."""
+    (..., out).  Weights and bias are public unless ``encrypt_weights``.
+    ``products`` (out, fan-in, input id) holds the product ids of a conv
+    layer's shared multiplies, whose NANDs _kernel_charge counts: the
+    products then cost nothing here."""
     fmt = table.fmt
     weights, biases = spec.scaled(fmt)
     if encrypt_weights:
@@ -415,8 +489,13 @@ def _neuron_charge(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: 
     # neurons whose inputs share patterns share charges: probe each input row once
     rows, where, repeats = np.unique(in_ids.reshape(-1, in_ids.shape[-1]), axis=0,
                                      return_inverse=True, return_counts=True)
-    cost, terms = table.step("mul", rows[:, None, :], w_ids)   # (rows, out, fan-in)
-    charge = cost.sum(axis=(1, 2))
+    if products is None:
+        cost, terms = table.step("mul", rows[:, None, :], w_ids)   # (rows, out, fan-in)
+        charge = cost.sum(axis=(1, 2))
+    else:
+        out, fan_in = weights.shape
+        terms = products[np.arange(out)[:, None], np.arange(fan_in), rows[:, None, :]]
+        charge = np.zeros(len(rows), dtype=np.int64)
     # Sums turn private after the first private term, so one probe pass of
     # every term onto a private sum serves nearly every add below.
     table.step("add", 0, terms)
@@ -437,17 +516,21 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
     and return each output's public_pattern, channel-major.
 
     Folding makes the count depend on the public weights and on which
-    input bits are public, so it comes from FoldProbe runs of the real
-    circuits, one per distinct operand pair.  They run on the first call
-    and are kept in ``spec.charges`` for the same format, weight entry and
-    input patterns."""
+    input bits are public, so it comes from walks and FoldProbe runs of
+    the real circuits, one per distinct operand pair.  They run on the
+    first call and are kept in ``spec.charges`` for the same format,
+    weight entry and input patterns; each public image has patterns of
+    its own, so only the latest _CHARGES_LIMIT are kept."""
     table = _FoldTable(fmt)
     cells = np.array(inputs, dtype=object)
     in_ids = table.ids(public_pattern(v) for v in cells.ravel()).reshape(cells.shape)
     key = (fmt, encrypt_weights, tuple(table.patterns), in_ids.shape, in_ids.tobytes())
-    if key not in spec.charges:
-        spec.charges[key] = _probe_layer(table, spec, in_ids, encrypt_weights)
-    nands, patterns = spec.charges[key]
+    found = spec.charges.get(key)
+    if found is None:
+        while len(spec.charges) >= _CHARGES_LIMIT:
+            del spec.charges[next(iter(spec.charges))]  # the oldest
+        found = spec.charges[key] = _probe_layer(table, spec, in_ids, encrypt_weights)
+    nands, patterns = found
     backend.stats.bump_nand(nands)
     return patterns
 
@@ -461,8 +544,10 @@ def _probe_layer(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bo
     k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
     win = sliding_window_view(in_ids, (k, k), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
     side_h, side_w = win.shape[:2]
-    nands, acc = _neuron_charge(table, spec, win.reshape(side_h, side_w, -1),
-                                encrypt_weights)
+    nands, products = (0, None) if encrypt_weights else _kernel_charge(table, spec, in_ids)
+    charge, acc = _neuron_charge(table, spec, win.reshape(side_h, side_w, -1),
+                                 encrypt_weights, products)
+    nands += charge
     h, w = side_h // pool, side_w // pool
     blocks = acc.reshape(h, pool, w, pool, out).swapaxes(1, 2).reshape(h, w, pool * pool, out)
     acc = blocks[:, :, 0]
@@ -470,6 +555,35 @@ def _probe_layer(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bo
         cost, acc = table.step("maxfold", acc, blocks[:, :, i])
         nands += int(cost.sum())
     return nands, [table.patterns[i] for i in acc.transpose(2, 0, 1).ravel()]
+
+
+def _kernel_charge(table: _FoldTable, spec: LayerSpec, in_ids):
+    """(NANDs, product ids) of a conv layer's shared multiplies
+    (``_shared_product_sums``) on input pattern ids ``in_ids`` (c, h, w):
+    the NANDs over every output channel and input pixel, and per output
+    channel, kernel entry (ic, kr, kc) and input id, the product's id.
+
+    A pixel's NANDs depend on its pattern and on which kernel entries'
+    windows read it, so each (input channel, pattern) is walked once per
+    output channel and charged once per such entry set."""
+    fmt, k = table.fmt, spec.kernel_size
+    channels, h, w = in_ids.shape
+    plans = spec.kernel_plans(fmt)
+    rows, cols = _kernel_reads(h, k), _kernel_reads(w, k)
+    pixels = Counter((ic, p, rows[r], cols[c]) for (ic, r, c), p in np.ndenumerate(in_ids))
+    groups = {}
+    for (ic, p, kr, kc), count in pixels.items():
+        groups.setdefault((ic, p), []).append(([a * k + b for a in kr for b in kc], count))
+    products = np.zeros((spec.out_channels, channels * k * k, len(table.patterns)),
+                        dtype=np.int64)
+    nands = 0
+    for (ic, p), sets in groups.items():
+        wanted, counts = zip(*sets)
+        for oc, per_input in enumerate(plans):
+            charges, patterns = const_mul_costs(fmt, per_input[ic], table.patterns[p], wanted)
+            nands += sum(n * count for n, count in zip(charges, counts))
+            products[oc, ic * k * k:(ic + 1) * k * k, p] = table.ids(patterns)
+    return nands, products
 
 
 def classify(img: EncImage, net: NetworkSpec, encrypt_weights: bool = False,

@@ -7,7 +7,9 @@ exact product, i.e. the product arithmetic-shifted right by ``frac_bits``
 error of one multiply is one-sided and below 1/scale.  The multiplier
 circuits build only those product bits and the carries they need: a
 shift-and-add over the constant's signed digits when one operand is
-wholly public (a model weight), a Wallace-tree array otherwise.  ReLU
+wholly public (a model weight), a Wallace-tree array otherwise.  The
+products of one value with several public constants (a convolution
+kernel) can share that shift-and-add's adders (``fp_mul_consts``).  ReLU
 and max are computed exactly through oblivious selection: their outputs
 are bitwise identical to one of the inputs (or to zero) and add no
 numerical error.
@@ -52,10 +54,12 @@ __all__ = [
     "fp_sub",
     "fp_mul",
     "fp_mul_const",
+    "fp_mul_consts",
     "fp_geq_zero",
     "fp_relu",
     "fp_max",
     "fold_costs",
+    "const_mul_costs",
     "public_pattern",
 ]
 
@@ -260,8 +264,9 @@ def fp_mul(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
     exact double-width product, the only ones the circuit builds.
 
     When one operand is wholly public (b is tried first), its integer is a
-    constant and the shift-and-add ``gates.mul_const`` multiplies by it;
-    otherwise the Baugh–Wooley/Wallace array does."""
+    constant and the shift-and-add ``gates.mul_const`` multiplies by it,
+    the one-constant case of ``fp_mul_consts``; otherwise the
+    Baugh–Wooley/Wallace array does."""
     _check_formats(a, b)
     _diagnose(a, b, lambda za, zb: scaled_mul(za, zb, a.fmt), "multiplication")
     f, w = a.fmt.frac_bits, a.fmt.total_bits
@@ -271,6 +276,19 @@ def fp_mul(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
             return FixedPointCipher(
                 gates.mul_const(x.bits, _signed(value, w), lo=f, hi=f + w), a.fmt)
     return FixedPointCipher(gates.mul_wallace(a.bits, b.bits, lo=f, hi=f + w), a.fmt)
+
+
+def fp_mul_consts(x: FixedPointCipher, plan: gates.ConstMulPlan, wanted) -> list:
+    """x times each public integer plan.constants[j], j in ``wanted``,
+    floored back to the scale: bit-identical to ``fp_mul`` by the
+    constant's encoding, with one shared adder graph
+    (``gates.mul_consts``) for all of them.  ``plan`` is the
+    ``gates.const_mul_plan`` of the constants at the window [f, f+w)."""
+    if isinstance(x.backend, ClearBackend):
+        zx = np.array(_lane_values(x), dtype=int_dtype(x.fmt))
+        for j in wanted:
+            guard_range(scaled_mul(zx, plan.constants[j], x.fmt), x.fmt, "multiplication")
+    return [FixedPointCipher(bits, x.fmt) for bits in gates.mul_consts(x.bits, plan, wanted)]
 
 
 def fp_mul_const(a: FixedPointCipher, c: float) -> FixedPointCipher:
@@ -319,29 +337,40 @@ _COST_OPS = {
 
 _PROBE_LANES = 512  # lanes per FoldProbe pass: bounds its live lane masks
 
+# (kind, format) -> {(a, b) public_patterns: (NANDs, output public_pattern)}
+# of each circuit fold_costs runs on the FoldProbe.  A circuit's cost
+# depends on nothing else, so every model in the process shares the
+# entries.
+_FOLD_COSTS = {}
+_FOLD_COSTS_LIMIT = 1 << 16  # entries per kind and format
+
 
 def fold_costs(kind: str, fmt: FixedPointFormat, pairs) -> list:
     """(NANDs evaluated, output public_pattern) of one ``kind`` circuit at
     ``fmt`` for each (a, b) pair of operand public_patterns (``relu``
     ignores b).  Counts depend on the formats and public bits only, never
     on private values.  A ``mul`` with a wholly public operand is charged
-    by walking its constant's digit plan (``_const_mul_cost``); one
-    bit-sliced FoldProbe pass runs each chunk of the other pairs through
-    the real circuit."""
+    by walking its constant's plan (``const_mul_costs``); one bit-sliced
+    FoldProbe pass runs each chunk of the other pairs not yet in
+    ``_FOLD_COSTS`` through the real circuit."""
     out = [_const_mul_cost(fmt, *pair) if kind == "mul" else None for pair in pairs]
-    probed = [i for i, found in enumerate(out) if found is None]
+    cache = _FOLD_COSTS.setdefault((kind, fmt), {})
+    known = {pair: cache.get(pair) for pair, found in zip(pairs, out) if found is None}
+    probed = [pair for pair, found in known.items() if found is None]
     for start in range(0, len(probed), _PROBE_LANES):
         lanes = probed[start:start + _PROBE_LANES]
         probe = FoldProbe(len(lanes))
         a, b = (FixedPointCipher(BitVector(probe.word_bits(
-                    [pairs[lane][i][1] for lane in lanes], [pairs[lane][i][0] for lane in lanes],
+                    [pair[i][1] for pair in lanes], [pair[i][0] for pair in lanes],
                     fmt.total_bits)), fmt)
                 for i in (0, 1))
         values, publics = probe.words(_COST_OPS[kind](a, b).bits.bits)
-        for lane, nands, pattern in zip(lanes, probe.lane_counts().tolist(),
+        if len(cache) + len(lanes) > _FOLD_COSTS_LIMIT:
+            cache.clear()
+        for pair, nands, pattern in zip(lanes, probe.lane_counts().tolist(),
                                         zip(publics.tolist(), values.tolist())):
-            out[lane] = (nands, pattern)
-    return out
+            known[pair] = cache[pair] = (nands, pattern)
+    return [known[pair] if found is None else found for pair, found in zip(pairs, out)]
 
 
 # (negative, carries, sum states, term states) -> (NANDs, output states) of
@@ -370,39 +399,71 @@ def _step_cost(step: gates.ConstMulStep, xs, ts):
 
 def _const_mul_cost(fmt: FixedPointFormat, a: tuple, b: tuple):
     """(NANDs, output public_pattern) of ``fp_mul`` on operands with
-    public_patterns a, b when one is wholly public, else None.
-
-    Walks ``gates.mul_const``'s plan for that constant over the other
-    operand's per-bit states (public value, or None), charging the shared
-    NOTs and each step; a step is run once per shape and operand states
-    (``_step_cost``), not once per constant."""
+    public_patterns a, b when one is wholly public, else None: the
+    one-constant plan of ``gates.mul_const``, walked by const_mul_costs."""
     w, f = fmt.total_bits, fmt.frac_bits
     full = (1 << w) - 1
-    for (x_public, x_value), (y_public, y_value) in ((a, b), (b, a)):
+    for x, (y_public, y_value) in ((a, b), (b, a)):
         if y_public == full:
-            break
-    else:
-        return None
-    k = _signed(y_value, w)
-    if x_public == full:  # every gate folds
-        return 0, (full, (_signed(x_value, w) * k >> f) & full)
-    plan = gates.const_mul_plan(k, w, f, f + w)
-    states = _states((x_public, x_value), w)
-    inverted = _states((x_public, ~x_value), w)
-    nands = states[plan.inverted.start:plan.inverted.stop].count(None)  # the shared NOTs
+            k = _signed(y_value, w)
+            if x[0] == full:  # every gate folds
+                return 0, _public_product(fmt, x, k)
+            plan = gates.const_mul_plan((k,), w, f, f + w)
+            (nands,), (pattern,) = const_mul_costs(fmt, plan, x, [[0]])
+            return nands, pattern
+    return None
+
+
+def const_mul_costs(fmt: FixedPointFormat, plan: gates.ConstMulPlan, pattern, wanted_sets):
+    """The NANDs ``fp_mul_consts(x, plan, wanted)`` evaluates for each
+    ``wanted`` of ``wanted_sets``, and each constant's product
+    public_pattern, for an x with public_pattern ``pattern``.
+
+    Walks the plan's nodes over x's per-bit states (public value, or
+    None); a node's step is run once per shape and operand states
+    (``_step_cost``), not once per plan.  A wanted set is charged the
+    steps of the nodes its products read and the shared NOTs of each node
+    a negative one of those steps reads."""
+    w = fmt.total_bits
+    if pattern[0] == (1 << w) - 1:  # every gate folds
+        return [0] * len(wanted_sets), [_public_product(fmt, pattern, k) for k in plan.constants]
+    nands = {}
 
     def step(st, xs, ts):
-        nonlocal nands
-        cost, out = _step_cost(st, xs, ts)
-        nands += cost
+        nands[st], out = _step_cost(st, xs, ts)
         return out
 
+    values = gates.const_mul_walk(plan, _states(pattern, w), 0, range(1, len(plan.steps) + 1),
+                                  step, _invert_state)
+    charges = []
+    for wanted in wanted_sets:
+        nodes = [plan.steps[i - 1] for i in plan.closure(wanted)]
+        negated = {st.term for st in nodes if st.negative and st.column < st.top}
+        charges.append(sum(nands.get(st, 0) for st in nodes)
+                       + sum([values[q][j] for j in plan.inverted[q]].count(None) for q in negated))
+    products = [_pattern_of(gates.const_mul_product(plan, values, j, 0))
+                for j in range(len(plan.constants))]
+    return charges, products
+
+
+def _public_product(fmt: FixedPointFormat, pattern, k: int) -> tuple:
+    """The public_pattern of fp_mul by k of a wholly public x."""
+    full = (1 << fmt.total_bits) - 1
+    return full, (_signed(pattern[1], fmt.total_bits) * k >> fmt.frac_bits) & full
+
+
+def _invert_state(state):
+    return state if state is None else 1 - state
+
+
+def _pattern_of(states) -> tuple:
+    """The public_pattern of per-bit states."""
     public = value = 0
-    for i, state in enumerate(gates.const_mul_walk(plan, states, inverted, 0, f, f + w, step)):
+    for i, state in enumerate(states):
         if state is not None:
             public |= 1 << i
             value |= state << i
-    return nands, (public, value)
+    return public, value
 
 
 def _states(pattern, width: int) -> list:

@@ -3,7 +3,9 @@
 Everything here is a pure function over immutable bits: derived gates,
 ripple adders, two's-complement subtract, a Baugh–Wooley multiplier with
 a Wallace-tree reduction that builds only a requested window of product
-bits, sign-based comparison and an oblivious multiplexer.  The gate
+bits, multiplication by public integers as shift-and-add over one adder
+graph that their products share (a digit chain for one integer),
+sign-based comparison and an oblivious multiplexer.  The gate
 sequence of every circuit depends only on operand widths and on which
 bits are public constants (``nand`` folds gates those fix), never on
 private values, so encrypted evaluation leaks nothing through the trace.
@@ -11,6 +13,7 @@ private values, so encrypted evaluation leaks nothing through the trace.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,10 +34,12 @@ __all__ = [
     "mul_wallace",
     "mul_schoolbook",
     "mul_const",
+    "mul_consts",
     "ConstMulStep",
     "ConstMulPlan",
     "const_mul_plan",
     "const_mul_walk",
+    "const_mul_product",
     "const_mul_step",
     "compare",
     "less_than",
@@ -402,71 +407,277 @@ def _product_width(multiplier: int, width: int) -> int:
     return (extreme if extreme >= 0 else ~extreme).bit_length() + 1
 
 
-class ConstMulStep(NamedTuple):
-    """One digit of a mul_const plan: add (or subtract) a·2^column into the
-    running sum over columns [column, end).  The sum then fits in ``end``
-    signed bits, so the columns above end - 1 are its sign extension.  The
-    lowest ``carries`` columns form only their carries."""
+def _odd_part(k: int) -> tuple:
+    """(u, s) with k = u·2^s and u odd, for k != 0."""
+    s = (k & -k).bit_length() - 1
+    return k >> s, s
 
+
+class ConstMulStep(NamedTuple):
+    """One node of a mul_const plan, a·u for an odd u, formed as
+    sum·2^shift ± term·2^column from two earlier nodes (node 0 is a
+    itself; ``sum`` None stands for 0).  The node is built over columns
+    [0, top) and read as its sign extension above: the columns below
+    ``column`` are the shifted sum's bits, and the step forms [column,
+    top), the lowest ``carries`` of them as carries only, since no reader
+    needs their sums."""
+
+    sum: int | None
+    shift: int
+    term: int
     column: int
-    end: int
     negative: bool
+    top: int
     carries: int
 
 
 class ConstMulPlan(NamedTuple):
-    """mul_const's shift-and-add sequence for one public integer: the wire
-    term a·2^start (start None: the sum starts at 0), the other digits'
-    steps lowest first, and the indices of a whose NOT the subtractions
-    share."""
+    """mul_const's adder graph for public integers ``constants`` at the
+    product window [lo, hi): the node steps (node i is steps[i - 1]), the
+    indices of each node's bits whose NOT the negative steps reading it
+    share, and per constant the node and shift whose bits [lo - shift,
+    hi - shift) are its product (node None: the product is 0) and the
+    nodes that product reads, as a bit mask."""
 
-    start: int | None
+    constants: tuple
     steps: tuple
-    inverted: range
+    inverted: tuple
+    targets: tuple
+    needs: tuple
+    lo: int
+    hi: int
+
+    def closure(self, wanted) -> list:
+        """The nodes above 0 that the products of constants ``wanted`` read,
+        in build order."""
+        mask = 0
+        for j in wanted:
+            mask |= self.needs[j]
+        nodes = []
+        while mask:
+            low = mask & -mask
+            nodes.append(low.bit_length() - 1)
+            mask ^= low
+        return nodes
 
 
-def const_mul_plan(k: int, width: int, lo: int, hi: int) -> ConstMulPlan:
-    """The plan of mul_const(a, k, lo, hi) for a width-bit a: k's
-    non-adjacent-form digits below hi, the lowest +1 digit as the wire
-    term.  A step forms sums only where a later step or the window [lo,
-    hi) reads them: below min(lo, next digit) it builds only carries."""
-    digits = [(j, d) for j, d in _naf(k) if j < hi]
+def _chain(u: int) -> list:
+    """Shift-and-add over the non-adjacent-form digits of an odd u, as
+    adder-graph nodes (value, sum, shift, term, column, negative) in node
+    values: the lowest +1 digit's term a·2^j is the first sum, shifted
+    (none if every digit is -1), and every other digit, lowest first, adds
+    or subtracts a·2^column into the running sum."""
+    digits = _naf(u)
     start = next((j for j, d in digits if d > 0), None)
-    rest = [(j, d) for j, d in digits if j != start]
-    multiplier = 0 if start is None else 1 << start
-    steps = []
-    for i, (j, d) in enumerate(rest):
-        multiplier += d << j
-        end = min(_product_width(multiplier, width), hi)
-        following = rest[i + 1][0] if i + 1 < len(rest) else hi
-        steps.append(ConstMulStep(j, end, d < 0, max(0, min(lo, following, end - 1) - j)))
-    # a subtraction's terms are ~a's bits 1.. of its columns, sign-extended
-    tops = [min(step.end - step.column, width) - 1 for step in steps
-            if step.negative and step.end - step.column > 1]
-    inverted = range(min(1, width - 1), max(tops) + 1) if tops else range(0)
-    return ConstMulPlan(start, tuple(steps), inverted)
+    total, node, shift = (0, None, 0) if start is None else (1 << start, 1, start)
+    ops = []
+    for j, d in digits:
+        if j != start:
+            total += d << j
+            ops.append((total, node, shift, 1, j, d < 0))
+            node, shift = total, 0
+    return ops
+
+
+def _adder_graph(targets) -> list:
+    """Adder-graph nodes, as in _chain, whose values include every odd
+    target (sorted, so the graph depends on the set alone): a greedy
+    RAG-n (Dempster & Macleod 1995).  Each round adds every target one
+    step from the built nodes; failing that, the one-step value that
+    brings the most targets within one step; failing that, the furthest
+    one-step prefix of the cheapest target's _chain.  Shifts stop where a
+    shifted node passes 2^(bits of the largest target + 1).  The one-step
+    values and each target's partners (the values one step from it with
+    the built nodes) grow with each node added."""
+    bound = 1 << max(abs(t) for t in targets).bit_length()
+    remaining = [t for t in targets if t != 1]
+    partners = {t: _partners_alone(t) for t in remaining}
+    nodes, built, reach, ops, shifted = [], set(), set(), [], []
+
+    def add(value):
+        if nodes:
+            ops.append((value, *_best_step(value, nodes, built)))
+        nodes.append(value)
+        built.add(value)
+        ys = [value << i for i in range(1, (2 * bound // abs(value)).bit_length())]
+        shifted.extend(ys)  # every built node's shifts
+        # value ± r·2^i, r·2^i - value, r ± value·2^i and value·2^i - r
+        reach.update([value + s for s in shifted], [value - s for s in shifted],
+                     [s - value for s in shifted], [r + s for r in nodes for s in ys],
+                     [r - s for r in nodes for s in ys], [s - r for r in nodes for s in ys])
+        reach.add(-value)
+        reach.difference_update(built)
+        for t in remaining:
+            if t not in built:
+                partners[t].update(_partners_with(t, value, ys, 2 * bound))
+
+    add(1)
+    while remaining:
+        ready = [t for t in remaining if t in reach]
+        if ready:
+            for t in ready:
+                add(t)
+        else:
+            votes = Counter()
+            for t in remaining:
+                votes.update(partners[t] & reach)
+            if votes:
+                most = max(votes.values())
+                add(min((s for s, n in votes.items() if n == most), key=lambda s: (abs(s), s)))
+            else:
+                t = min(remaining, key=lambda t: (len(_naf(t)), abs(t), t))
+                add(next(v for v, *_ in reversed(_chain(t)) if v in reach))
+        remaining = [t for t in remaining if t not in built]
+    live = set(targets)  # a greedy round may add a node no other node reads
+    for value, sum_value, _, term_value, _, _ in reversed(ops):
+        if value in live:
+            live.update((sum_value, term_value))
+    return [op for op in ops if op[0] in live]
+
+
+def _partners_alone(t: int) -> set:
+    """The values s from which one step forms t alone: -s, or s·(2^i ± 1)."""
+    out = {-t}
+    i = 2
+    while (1 << i) - 1 <= abs(t):
+        for m in ((1 << i) + 1, (1 << i) - 1, 1 - (1 << i)):
+            if t % m == 0:
+                out.add(t // m)
+        i += 1
+    return out
+
+
+def _partners_with(t: int, r: int, ys, limit: int) -> list:
+    """The values s from which one step forms t with node r, whose shifts
+    are ``ys``: t = s ± r·2^i, r·2^i - s, or r ± s·2^i and s·2^i - r with
+    |s·2^i| <= limit, the shifts _adder_graph offers."""
+    out = [t - s for s in ys] + [t + s for s in ys] + [s - t for s in ys]
+    for d, signs in ((t - r, (1, -1)), (t + r, (1,))):
+        if d and abs(d) <= limit:
+            out += [sign * _odd_part(d)[0] for sign in signs]
+    return out
+
+
+def _best_step(value: int, nodes, built) -> tuple:
+    """(sum, shift, term, column, negative) of a step that forms ``value``
+    from the built nodes, the one with the highest term column (it forms
+    the fewest columns), the earliest found on ties."""
+    found = [(None, 0, -value, 0, True)] if -value in built else []
+    for r in nodes:
+        y, column = _odd_part(value - r)  # value = r ± y·2^column
+        if y in built or -y in built:
+            found.append((r, 0, y, column, False) if y in built else (r, 0, -y, column, True))
+        if value + r:  # value = y·2^column - r
+            y, column = _odd_part(value + r)
+            if y in built:
+                found.append((y, column, r, 0, True))
+    return max(found, key=lambda step: step[3])
+
+
+def const_mul_plan(ks, width: int, lo: int, hi: int) -> ConstMulPlan:
+    """The plan of the products a·k, bits [lo, hi), of a width-bit a with
+    each public integer of ``ks``: one adder graph over the constants'
+    distinct odd parts (of their non-adjacent-form digits below hi), the
+    digit chain when there is one, else a greedy graph (_adder_graph).
+    The plan is a function of the set of constants: their order only
+    orders ``targets``.
+
+    Each node stops where its value provably fits (``_product_width``) or
+    where no reader needs more, and forms sums only from the lowest column
+    a reader needs: below that it builds only carries."""
+    ks = tuple(ks)
+    parts = []
+    for k in ks:
+        digits = [(j, d) for j, d in _naf(k) if j < hi]
+        parts.append(_odd_part(sum(d << j for j, d in digits)) if digits else None)
+    odd = sorted({part[0] for part in parts if part}, key=lambda u: (abs(u), u))
+    ops = [] if not odd else _chain(odd[0]) if len(odd) == 1 else _adder_graph(odd)
+    index = {1: 0}
+    for op in ops:
+        index[op[0]] = len(index)
+    need_lo, need_hi = [hi] * len(index), [0] * len(index)
+    targets = [(index[part[0]], part[1]) if part else (None, 0) for part in parts]
+    for node, shift in targets:
+        if node is not None:
+            need_lo[node] = min(need_lo[node], max(0, lo - shift))
+            need_hi[node] = max(need_hi[node], hi - shift)
+    steps = [None] * len(ops)
+    for i in range(len(ops), 0, -1):
+        value, summed, shift, term, column, negative = ops[i - 1]
+        top = min(_product_width(value, width), need_hi[i])
+        if summed is not None:
+            summed = index[summed]
+            need_lo[summed] = min(need_lo[summed], max(0, min(column, need_lo[i]) - shift))
+            need_hi[summed] = max(need_hi[summed], top - shift)
+        term = index[term]
+        if column < top:
+            need_lo[term] = 0
+            need_hi[term] = max(need_hi[term], top - column)
+        steps[i - 1] = ConstMulStep(summed, shift, term, column, negative, top,
+                                    max(0, min(need_lo[i], top - 1) - column))
+    # a negative step reads its term's bit 0 and ~term above it, sign-extended;
+    # a product reads the nodes its node reads (masks)
+    lengths, stops, masks = [width], [0] * len(index), [0]
+    for i, st in enumerate(steps, 1):
+        lengths.append(st.top)
+        reads = 1 << i if st.sum is None else 1 << i | masks[st.sum]
+        if st.column < st.top:
+            reads |= masks[st.term]
+            if st.negative and st.top - st.column > 1:
+                stops[st.term] = max(stops[st.term], min(st.top - st.column, lengths[st.term]))
+        masks.append(reads)
+    inverted = tuple(range(min(1, n - 1), stop) if stop else range(0)
+                     for n, stop in zip(lengths, stops))
+    needs = tuple(0 if node is None else masks[node] for node, _ in targets)
+    return ConstMulPlan(ks, tuple(steps), inverted, tuple(targets), needs, lo, hi)
 
 
 def _sign_extended(bits, width: int) -> list:
-    return [*bits[:width], *[bits[-1]] * (width - len(bits))]
+    return [*bits[:width], *bits[-1:] * (width - len(bits))]
 
 
-def const_mul_walk(plan: ConstMulPlan, bits, inverted, zero, lo: int, hi: int, step):
-    """Columns [lo, hi) of mul_const's running sum, built from ``bits`` (a,
-    low bit first), ``inverted`` (its NOTs, read at plan.inverted) and
-    ``zero``, which may be bits or any stand-ins for them: each plan
-    step's output columns [column + carries, end) are set to
-    ``step(plan_step, sum items, term items)`` over its columns."""
-    if plan.start is None:
-        acc = [zero] * hi
-    else:
-        acc = [zero] * plan.start + _sign_extended(bits, hi - plan.start)
-    for st in plan.steps:
-        source = inverted if st.negative else bits
-        terms = [bits[0], *_sign_extended(source, st.end - st.column)[1:]]
-        acc[st.column + st.carries:st.end] = step(st, acc[st.column:st.end], terms)
-        acc[st.end:hi] = [acc[st.end - 1]] * (hi - st.end)
-    return acc[lo:hi]
+def const_mul_walk(plan: ConstMulPlan, bits, zero, nodes, step, invert) -> list:
+    """The plan's nodes ``nodes`` (in build order, with every node they
+    read) built from ``bits`` (a, low bit first), ``zero``, ``invert``
+    (a NOT) and ``step`` (const_mul_step's contract), which may work on
+    bits or on any stand-ins for them: a list with the bits of each node
+    over its columns [0, top), None for the nodes not built.  The lowest
+    ``carries`` columns of a step's range are not the node's bits; no
+    reader reads them."""
+    values = [list(bits)] + [None] * len(plan.steps)
+    inverted = {}
+    for i in nodes:
+        st = plan.steps[i - 1]
+        if st.sum is None:
+            acc = [zero] * st.top
+        elif st.shift:
+            acc = ([zero] * st.shift + _sign_extended(values[st.sum], st.top - st.shift))[:st.top]
+        else:
+            acc = _sign_extended(values[st.sum], st.top)
+        if st.column < st.top:
+            width = st.top - st.column
+            term = values[st.term]
+            if st.negative:
+                if st.term not in inverted:
+                    inverted[st.term] = negated = [None] * len(term)
+                    for j in plan.inverted[st.term]:
+                        negated[j] = invert(term[j])
+                terms = [term[0], *_sign_extended(inverted[st.term], width)[1:]]
+            else:
+                terms = _sign_extended(term, width)
+            acc[st.column + st.carries:] = step(st, acc[st.column:], terms)
+        values[i] = acc
+    return values
+
+
+def const_mul_product(plan: ConstMulPlan, values, j: int, zero) -> list:
+    """Bits [lo, hi) of constant j's product, read from walked ``values``."""
+    node, shift = plan.targets[j]
+    if node is None:
+        return [zero] * (plan.hi - plan.lo)
+    start = plan.lo - shift
+    bits = _sign_extended(values[node], plan.hi - shift)
+    return [zero] * -start + bits if start < 0 else bits[start:]
 
 
 def const_mul_step(step: ConstMulStep, xs, ts) -> list:
@@ -493,23 +704,29 @@ def const_mul_step(step: ConstMulStep, xs, ts) -> list:
     return out
 
 
+def mul_consts(a: BitVector, plan: ConstMulPlan, wanted) -> list:
+    """Bits [lo, hi) of a·k modulo 2^hi for the plan's constants at indices
+    ``wanted``, from one shared adder graph: only the nodes those products
+    read are built, each once, and a product is wires into its node.  The
+    gates depend on the plan and on which bits of a are public, never on
+    a's private values."""
+    zero = trivial_const(0, a.backend)
+    values = const_mul_walk(plan, a.bits, zero, plan.closure(wanted), const_mul_step, not_gate)
+    return [BitVector(const_mul_product(plan, values, j, zero)) for j in wanted]
+
+
 def mul_const(a: BitVector, k: int, lo: int, hi: int) -> BitVector:
     """Bits [lo, hi) of a·k modulo 2^hi for a public integer k.
 
     Shift-and-add over k's non-adjacent form (Reitwiesner 1960), whose
-    digits ±1 average a third of the columns: the lowest +1 digit's term
-    a·2^j is a sign-extended wire and costs no gate, and every other
-    digit is one ripple add or subtract of a·2^j into the running sum,
-    lowest column first, sharing one ~a among the subtractions.  Each step
-    stops where the sum provably fits (``_product_width``) and
-    sign-extends above.  The gates depend on k and on which bits of a are
-    public, never on a's private values."""
+    digits ±1 average a third of the columns: the one-constant plan of
+    ``mul_consts``.  The lowest +1 digit's term a·2^j is a sign-extended
+    wire and costs no gate, and every other digit is one ripple add or
+    subtract of a·2^j into the running sum, lowest column first, sharing
+    one ~a among the subtractions."""
     if not 0 <= lo < hi:
         raise ParameterError(f"product window [{lo}, {hi}) needs 0 <= lo < hi")
-    plan = const_mul_plan(k, a.width, lo, hi)
-    inverted = [not_gate(bit) if i in plan.inverted else None for i, bit in enumerate(a.bits)]
-    return BitVector(const_mul_walk(plan, a.bits, inverted, trivial_const(0, a.backend),
-                                    lo, hi, const_mul_step))
+    return mul_consts(a, const_mul_plan((k,), a.width, lo, hi), [0])[0]
 
 
 def compare(a: BitVector, b: BitVector) -> CompareResult:

@@ -319,6 +319,85 @@ def test_public_weights_fold_on_both_evaluators(fast_vs_gate):
         assert patterns == [{(2 ** 10 - 1, 16)}, {(1, 0)}, {fp.PRIVATE}]
 
 
+def _edge_heavy_net():
+    """conv2's shape at w=8, f=3: a 5x5 kernel over a 12x12 input, whose
+    pixels meet every entry set from one corner entry to all 25.  A 1x1
+    layer first makes a private map (weight 1) and a partly public one
+    (weight 2: its low bit is a public 0); the 5x5 kernels have repeated,
+    zero and ±power-of-two weights."""
+    kernel = np.array([[0.5, -0.25, 0.0, 0.375, 0.5],
+                       [-1.0, 0.375, 0.125, -0.5, 0.0],
+                       [0.625, 0.0, -0.375, 0.375, 1.0],
+                       [-0.125, 0.25, -0.625, 0.0, 0.5],
+                       [0.75, -0.375, 0.25, -0.125, 0.875]])
+    return cnn.NetworkSpec(
+        [make_conv(1, 2, 1, 1, weights=np.array([[[[1.0]]], [[[2.0]]]]),
+                   biases=np.array([0.25, 0.5])),
+         make_conv(2, 1, 5, 2, weights=np.stack([kernel, -kernel[::-1]])[None],
+                   biases=np.array([-0.125]), act=cnn.LINEAR),
+         make_fc(16, 2, seed=3)],
+        input_height=12, input_width=12, fmt=fp.FixedPointFormat(8, 3))
+
+
+@pytest.mark.parametrize("encrypt_weights", [False, True])
+def test_layer_evaluator_matches_gate_path_5x5(fast_vs_gate, encrypt_weights):
+    images = np.random.default_rng(11).uniform(-0.5, 0.5, (2, 1, 12, 12))
+    fast, gate = fast_vs_gate(_edge_heavy_net(), images, encrypt_weights=encrypt_weights)
+    assert fast == gate
+
+
+def test_layer_evaluator_matches_gate_path_5x5_patterns():
+    """Layer by layer on one image: the same values, NANDs and output
+    public_patterns, the 1x1 layer's maps private and partly public."""
+    net = _edge_heavy_net()
+    pixels = np.random.default_rng(13).uniform(-0.5, 0.5, (12, 12))
+    runs = []
+    for fast in (True, False):
+        backend = ClearBackend(fast_arith=fast)
+        img = cnn.encrypt_image(pixels, net.fmt, backend)
+        layers = []
+        for layer in net.layers[:2]:
+            before = backend.stats.nand_count
+            img = cnn.conv_layer(img, layer)
+            layers.append(([[[(fp._lane_values(v)[0], fp.public_pattern(v)) for v in row]
+                             for row in grid] for grid in img.channels],
+                           backend.stats.nand_count - before))
+        runs.append(layers)
+    assert runs[0] == runs[1]
+    maps = runs[0][0][0]
+    assert {p for _, p in maps[0][0]} == {fp.PRIVATE} and {p for _, p in maps[1][0]} == {(1, 0)}
+
+
+def test_kernel_plans_are_planned_once_per_format():
+    net = _edge_heavy_net()
+    conv = net.layers[1]
+    plans = conv.kernel_plans(net.fmt)
+    assert conv.kernel_plans(net.fmt) is plans
+    fresh = make_conv(2, 1, 5, 2, weights=conv.weights, biases=conv.biases)
+    assert fresh.kernel_plans(net.fmt) == plans
+    assert [[plan.constants for plan in per_input] for per_input in plans] == [
+        [tuple(int(z) for z in kernel.ravel() * 8) for kernel in conv.weights[0]]]
+
+
+def test_layer_charges_keep_the_latest_inputs(monkeypatch):
+    """Each public image has public_patterns of its own; the layer
+    evaluator keeps the charges of the latest _CHARGES_LIMIT only, and
+    charges a kept one again exactly (encrypted weights, so gates are
+    left to charge)."""
+    monkeypatch.setattr(cnn, "_CHARGES_LIMIT", 3)
+    net = _folding_net()
+    images = np.random.default_rng(12).uniform(-0.5, 0.5, (6, 5, 3))
+    counts = []
+    for pixels in list(images) + [images[-1]]:
+        backend = ClearBackend(fast_arith=True)
+        cnn.classify(cnn.encrypt_image(pixels, net.fmt, backend, encrypt=False), net,
+                     encrypt_weights=True)
+        counts.append(backend.stats.nand_count)
+        assert all(len(layer.charges) <= 3 for layer in net.layers)
+    assert len(net.layers[0].charges) == 3
+    assert counts[-1] == counts[-2] > 0
+
+
 def test_layer_evaluator_rejects_unencodable_weight():
     spec = make_fc(2, 1, weights=np.array([[0.5, 100.0]]))
     small = fp.FixedPointFormat(10, 5)

@@ -1,5 +1,6 @@
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -404,6 +405,78 @@ def test_fold_costs_match_gate_level_public_weights(width, frac):
     _assert_fold_costs_match("mul", fmt, cases)
 
 
+def test_preset_kernel_products_match_scaled_mul():
+    """Every preset conv kernel (4 + 60, w=32) times lane-packed private
+    operands, min_int, max_int, -1, 0 and 1 among them, for the kernel
+    entries each corner and an interior pixel meet, and for one kernel
+    also each edge: each product of the shared adder graph is scaled_mul
+    of its weight, bit for bit.  (Every entry set of a 5 x 5 kernel runs
+    through the layer in test_layer_evaluator_matches_gate_path_5x5.)"""
+    net = demo.preset_model()
+    fmt = net.fmt
+    rnd = random.Random(64)
+    values = [fmt.min_int, fmt.max_int, -1, 0, 1] + [rnd.randrange(fmt.min_int, fmt.max_int)
+                                                    for _ in range(3)]
+    backend = fc.ClearBackend(lanes=len(values))
+    x = fp.FixedPointCipher(g.BitVector.from_lane_ints(values, 32, backend), fmt)
+    first, middle, last = range(0, 1), range(0, 5), range(4, 5)  # rows a pixel meets
+    corners = [(rows, cols) for rows in (first, last) for cols in (first, last)]
+    edges = [(first, middle), (last, middle), (middle, first), (middle, last)]
+    zx = np.array(values, dtype=np.int64)
+    plans = [plan for layer in net.layers[:2] for per_input in layer.kernel_plans(fmt)
+             for plan in per_input]
+    assert len(plans) == 64
+    for i, plan in enumerate(plans):
+        for rows, cols in corners + [(middle, middle)] + (edges if i == 0 else []):
+            wanted = [kr * 5 + kc for kr in rows for kc in cols]
+            for j, got in zip(wanted, fp.fp_mul_consts(x, plan, wanted)):
+                want = fp.scaled_mul(zx, plan.constants[j], fmt).tolist()
+                assert fp._lane_values(got) == want, (plan.constants[j], j)
+
+
+def _chain_nands(k, fmt):
+    """NANDs of the running-sum shift-and-add over k's non-adjacent-form
+    digits on a private operand at fmt's window, the reference the
+    one-constant adder graph may not exceed: the lowest +1 digit's term
+    a·2^j is a wire, and every other digit, lowest first, adds or
+    subtracts a·2^j into one running sum, which forms sums only from
+    min(f, next digit) and stops where it provably fits; the subtractions
+    share one ~a.  Each step is charged its cached cost."""
+    w, lo, hi = fmt.total_bits, fmt.frac_bits, fmt.frac_bits + fmt.total_bits
+    digits = [(j, d) for j, d in g._naf(k) if j < hi]
+    start = next((j for j, d in digits if d > 0), None)
+    rest = [(j, d) for j, d in digits if j != start]
+    steps, multiplier = [], 0 if start is None else 1 << start
+    for i, (j, d) in enumerate(rest):
+        multiplier += d << j
+        end = min(g._product_width(multiplier, w), hi)
+        following = rest[i + 1][0] if i + 1 < len(rest) else hi
+        steps.append((j, end, SimpleNamespace(
+            negative=d < 0, carries=max(0, min(lo, following, end - 1) - j))))
+    tops = [min(end - j, w) for j, end, st in steps if st.negative and end - j > 1]
+    nands = max(tops, default=1) - 1  # the shared NOTs of a's bits 1..
+    acc = [0] * hi if start is None else [0] * start + [None] * (hi - start)
+    for j, end, st in steps:
+        terms = [None] * (end - j)
+        cost, out = fp._step_cost(st, acc[j:end], terms)
+        nands += cost
+        acc[j + st.carries:end] = out
+        acc[end:hi] = [acc[end - 1]] * (hi - end)
+    return nands
+
+
+def test_one_constant_plan_never_costs_more_than_the_digit_chain():
+    """fp_mul by each weight of the micro (w=10) and preset (w=32) models
+    evaluates no more NANDs on a private operand than the digit chain."""
+    for net in (demo.micro_model(), demo.preset_model()):
+        fmt = net.fmt
+        full = (1 << fmt.total_bits) - 1
+        ks = sorted({int(k) for layer in net.layers for k in layer.scaled(fmt)[0].ravel()})
+        costs = fp.fold_costs("mul", fmt, [(fp.PRIVATE, (full, k & full)) for k in ks])
+        for k, (nands, _) in zip(ks, costs):
+            assert nands <= _chain_nands(k, fmt), k
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -424,4 +497,29 @@ def test_readme_public_weight_mul_row():
                                                           for k in ks])]
         want += [f"{private:,}",
                  f"{min(costs):,} / {round(sum(costs) / len(costs)):,} / {max(costs):,}"]
+    assert [cell.strip() for cell in row.strip().strip("|").split("|")[1:]] == want
+
+
+def test_readme_kernel_shared_mul_row():
+    """The README's mean NANDs per conv product of the preset model, on
+    private inputs: one digit chain per product (fold_costs of each weight,
+    once per window), and the shared adder graphs (the layer evaluator's
+    charge of the conv multiplies)."""
+    row = next(line for line in README.read_text().splitlines()
+               if line.strip().startswith("| `fp_mul_consts`, per conv product |"))
+    net = demo.preset_model()
+    fmt = net.fmt
+    full = (1 << fmt.total_bits) - 1
+    channels, side = net.input_channels, net.input_height
+    chain = shared = products = 0
+    for layer in net.layers[:2]:
+        windows = (side - layer.kernel_size + 1) ** 2
+        ks = [int(k) for k in layer.scaled(fmt)[0].ravel()]
+        costs = fp.fold_costs("mul", fmt, [(fp.PRIVATE, (full, k & full)) for k in ks])
+        chain += windows * sum(n for n, _ in costs)
+        ids = np.zeros((channels, side, side), dtype=np.int64)
+        shared += cnn._kernel_charge(cnn._FoldTable(fmt), layer, ids)[0]
+        products += windows * len(ks)
+        channels, side = layer.out_channels, (side - layer.kernel_size + 1) // layer.pool_size
+    want = ["—", "—", f"{round(chain / products):,}", f"{round(shared / products):,}"]
     assert [cell.strip() for cell in row.strip().strip("|").split("|")[1:]] == want

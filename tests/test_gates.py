@@ -224,6 +224,64 @@ def test_mul_const_never_costs_more_than_folded_wallace(width):
     assert 2 * sum(const) < sum(wallace)
 
 
+@pytest.mark.parametrize("width", [4, 6])
+def test_mul_consts_exhaustive_windows(width):
+    """One adder graph for a set of constants (zero, repeated, ±powers of
+    two, odd and even values) gives bits lo..hi-1 of a·k modulo 2^hi for
+    every width-bit a and every constant, at every window with hi up to
+    2·width + 1, for all constants at once and for each one alone."""
+    half = 1 << (width - 1)
+    values = list(range(-half, half))
+    backend = fc.ClearBackend(lanes=len(values))
+    a = g.BitVector.from_lane_ints(values, width, backend)
+    rnd = random.Random(width)
+    sets = [[0, 3, 3, -4, 1, -1, 2 * half - 1, -2 * half, 5, -6, 12]]
+    sets += [[rnd.randrange(-2 * half, 2 * half + 1) for _ in range(7)] for _ in range(4)]
+    for ks in sets:
+        for hi in range(1, 2 * width + 2):
+            for lo in range(hi):
+                plan = g.const_mul_plan(ks, width, lo, hi)
+                together = g.mul_consts(a, plan, range(len(ks)))
+                for j, k in enumerate(ks):
+                    want = _lane_masks([v * k for v in values], hi)[lo:]
+                    alone = g.mul_consts(a, plan, [j])[0]
+                    assert [bit.clear_value for bit in together[j].bits] == want, (ks, k, lo, hi)
+                    assert [bit.clear_value for bit in alone.bits] == want, (ks, k, lo, hi)
+
+
+def test_mul_consts_gate_trace_depends_on_the_plan_only():
+    """Two private pixels times one kernel's constants, for the products
+    of every kernel entry and of a corner's and an edge's entries: the
+    same gates on the same operands, in the same order."""
+    ks = [5, -3, 0, 12, 5, -16, 1, 93, -128, 127, 22, -7, 64, 0, 3, -3]
+    plan = g.const_mul_plan(ks, 8, 4, 12)
+    traces = []
+    for x in (37, -90):
+        backend = _TracingBackend()
+        a = g.BitVector.from_int(x, 8, backend, encrypt=True)
+        for wanted in (range(len(ks)), [0], [0, 1, 4, 5]):
+            g.mul_consts(a, plan, wanted)
+        traces.append(backend.trace)
+    assert traces[0] == traces[1]
+    assert traces[0]
+
+
+def test_const_mul_plan_is_a_function_of_the_constants():
+    """Planning reads the constants' integers only: planning again gives an
+    equal plan, and reordering the constants gives the same graph with the
+    targets reordered alike."""
+    rnd = random.Random(9)
+    ks = [rnd.randrange(-40000, 40000) for _ in range(23)] + [0, 4096]
+    plan = g.const_mul_plan(ks, 32, 16, 48)
+    assert g.const_mul_plan(list(ks), 32, 16, 48) == plan
+    order = list(range(len(ks)))
+    rnd.shuffle(order)
+    shuffled = g.const_mul_plan([ks[i] for i in order], 32, 16, 48)
+    assert shuffled.steps == plan.steps and shuffled.inverted == plan.inverted
+    assert list(shuffled.targets) == [plan.targets[i] for i in order]
+    assert list(shuffled.needs) == [plan.needs[i] for i in order]
+
+
 def test_mul_window_rejects_bad_bounds(clear):
     a = g.BitVector.from_int(1, 4, clear)
     for lo, hi in ((0, 0), (3, 2), (-1, 4), (0, 9)):
