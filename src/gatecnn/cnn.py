@@ -7,14 +7,15 @@ activation applied before the non-overlapping max pooling.  Flattening
 between the last convolution and the fully connected head is
 channel-major, then row, then column.
 
-Independent output channels and nodes are embarrassingly parallel; a
-``workers`` knob fans them out while per-task seed scopes keep results
-bit-identical for any worker count; a clear backend with ``fast_arith``
-runs each layer as one whole-array integer computation instead, charged
-the NANDs the gate path evaluates.  With public weights, a convolution
-builds each input pixel's products with a kernel from one adder graph
-that they share.  Scores stay encrypted: argmax is the client's job
-after decryption.
+Independent input rows, output channels and nodes are embarrassingly
+parallel; a ``workers`` knob fans them out while per-task seed scopes,
+each entered once, keep results bit-identical for any worker count; a
+clear backend with ``fast_arith`` runs each layer as one whole-array
+integer computation instead, charged the NANDs the gate path evaluates.
+With public weights, a convolution builds each input pixel's products
+with every output channel's kernel from one adder graph per input
+channel, which they share.  Scores stay encrypted: argmax is the
+client's job after decryption.
 """
 
 from __future__ import annotations
@@ -134,17 +135,18 @@ class LayerSpec:
         return found
 
     def kernel_plans(self, fmt: FixedPointFormat) -> list:
-        """Per output and input channel of a conv layer, the adder-graph
-        plan (``gates.const_mul_plan``) of that k x k kernel's ``fmt``
-        integers, in (kr, kc) order, at fmt's product window; built once
-        per format."""
+        """Per input channel of a conv layer, the adder-graph plan
+        (``gates.const_mul_plan``) of every output channel's k x k kernel
+        on that channel, at fmt's product window: its constants are the
+        kernels' ``fmt`` integers in (oc, kr, kc) order, so constant
+        oc·k² + kr·k + kc is output channel oc's.  Built once per format."""
         found = self._plans.get(fmt)
         if found is None:
             w, f = fmt.total_bits, fmt.frac_bits
             kernels = self.scaled(fmt)[0].reshape(self.out_channels, self.in_channels, -1)
             found = self._plans[fmt] = [
-                [const_mul_plan([int(z) for z in kernel], w, f, f + w) for kernel in per_input]
-                for per_input in kernels]
+                const_mul_plan([int(z) for z in kernels[:, ic].ravel()], w, f, f + w)
+                for ic in range(self.in_channels)]
         return found
 
 
@@ -261,10 +263,11 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
                workers: int = 1, layer_index: int = 0) -> EncImage:
     """Valid convolution over all input channels, bias, activation, pooling.
 
-    With public weights each input pixel's products with a kernel come
-    from that kernel's shared adder graph (``_shared_product_sums``); with
-    ``encrypt_weights`` every window is a ``dot_product``.  Both add the
-    products to the bias in window order and give the same bits."""
+    With public weights each input pixel's products with every output
+    channel's kernel come from its input channel's shared adder graph
+    (``_shared_conv``); with ``encrypt_weights`` every window is a
+    ``dot_product``.  Both add the products to the bias in window order
+    and give the same bits."""
     if spec.kind != CONVOLUTION:
         raise ParameterError("conv_layer needs a convolution LayerSpec")
     if len(img.channels) != spec.in_channels:
@@ -279,72 +282,92 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
     backend = img.channels[0][0][0].backend
     if backend.fast_arith:
         return _int_conv_layer(img, spec, backend, encrypt_weights)
-    plans = None if encrypt_weights else spec.kernel_plans(img.channels[0][0][0].fmt)
+    if not encrypt_weights:
+        channels = _shared_conv(img, spec, workers, layer_index)
+        return EncImage(channels, side_h // pool, side_w // pool)
 
     def one_channel(oc: int):
-        bias = float(spec.biases[oc])
         with backend.seed_scope(layer_index, oc):
-            if plans is None:
-                sums = ((dot_product([img.channels[ic][r + kr][c + kc]
-                                      for ic in range(spec.in_channels)
-                                      for kr in range(k) for kc in range(k)],
-                                     spec.weights[oc].ravel(), bias, encrypt_weights=True)
-                         for c in range(side_w)) for r in range(side_h))
-            else:
-                sums = _shared_product_sums(img, k, plans[oc], bias)
-            grid = [[fp_relu(v) if spec.activation == RELU else v for v in row]
-                    for row in sums]
-            if pool == 1:
-                return grid
-            pooled = []
-            for r in range(0, side_h, pool):
-                prow = []
-                for c in range(0, side_w, pool):
-                    window = [grid[r + dr][c + dc]
-                              for dr in range(pool) for dc in range(pool)]
-                    prow.append(fp_max(window))
-                pooled.append(prow)
-            return pooled
+            grid = [[_activate(dot_product([img.channels[ic][r + kr][c + kc]
+                                            for ic in range(spec.in_channels)
+                                            for kr in range(k) for kc in range(k)],
+                                           spec.weights[oc].ravel(), float(spec.biases[oc]),
+                                           encrypt_weights=True), spec)
+                     for c in range(side_w)] for r in range(side_h)]
+            return _max_pool(grid, pool)
 
     channels = _parallel_map(one_channel, list(range(spec.out_channels)), workers)
     return EncImage(channels, side_h // pool, side_w // pool)
 
 
-def _shared_product_sums(img: EncImage, k: int, plans, bias: float):
-    """Rows of one output channel's biased sums with public weights, equal
-    to ``dot_product``'s bit for bit.  Each input pixel's products with
-    its channel's k x k kernel come from one shared adder graph
-    (``fp_mul_consts`` with that kernel's plan), built for the kernel
-    entries whose windows read the pixel.  The products of the k input
-    rows the current output row reads are held; each sum adds them to the
-    bias in dot_product's order (input channel, kernel row, column)."""
+def _activate(v: FixedPointCipher, spec: LayerSpec) -> FixedPointCipher:
+    return fp_relu(v) if spec.activation == RELU else v
+
+
+def _max_pool(rows, pool: int) -> list:
+    """``rows`` max pooled over non-overlapping pool x pool windows."""
+    if pool == 1:
+        return rows
+    return [[fp_max([rows[r + dr][c + dc] for dr in range(pool) for dc in range(pool)])
+             for c in range(0, len(rows[0]), pool)] for r in range(0, len(rows), pool)]
+
+
+def _shared_conv(img: EncImage, spec: LayerSpec, workers: int, layer_index: int) -> list:
+    """Output channel grids of a conv layer with public weights, equal to
+    ``dot_product``'s bit for bit.  Each input pixel's products with every
+    output channel's kernel come from one adder graph, its input channel's
+    plan (``fp_mul_consts``), built for the kernel entries whose windows
+    read the pixel.  Only the products of the k input rows the current
+    output row reads are held; each output channel adds them to its bias
+    in dot_product's order (input channel, kernel row, column).
+
+    Work fans out over input rows for products, in seed scope
+    (layer_index, out_channels + row), and over output channels for sums,
+    activation and pooling, in scope (layer_index, channel, row): every
+    scope is entered once, so results are identical for any ``workers``."""
+    k, out = spec.kernel_size, spec.out_channels
     side_h, side_w = img.height - k + 1, img.width - k + 1
     first = img.channels[0][0][0]
+    backend, plans = first.backend, spec.kernel_plans(first.fmt)
     rows, cols = _kernel_reads(img.height, k), _kernel_reads(img.width, k)
 
     def products(r: int) -> list:
-        out = []
-        for grid, plan in zip(img.channels, plans):
-            cells = []
-            for c, x in enumerate(grid[r]):
-                wanted = [kr * k + kc for kr in rows[r] for kc in cols[c]]
-                cells.append(dict(zip(wanted, fp_mul_consts(x, plan, wanted))))
-            out.append(cells)
-        return out
+        with backend.seed_scope(layer_index, out + r):
+            held = []
+            for grid, plan in zip(img.channels, plans):
+                cells = []
+                for c, x in enumerate(grid[r]):
+                    wanted = [oc * k * k + kr * k + kc for oc in range(out)
+                              for kr in rows[r] for kc in cols[c]]
+                    cells.append(dict(zip(wanted, fp_mul_consts(x, plan, wanted))))
+                held.append(cells)
+            return held
 
-    held = [products(r) for r in range(k - 1)]  # held[kr]: input row r + kr
+    grids, pending = [[] for _ in range(out)], [[] for _ in range(out)]
+    held = []  # held[kr]: input row r + kr, per input channel and column
     for r in range(side_h):
-        held.append(products(r + k - 1))
-        row = []
-        for c in range(side_w):
-            acc = encode(bias, first.fmt, first.backend, encrypt=False)
-            for cells in zip(*held):
-                for kr, per_row in enumerate(cells):
-                    for kc in range(k):
-                        acc = fp_add(acc, per_row[c + kc][kr * k + kc])
-            row.append(acc)
+        # the rows r..r+k-1 not held yet: all k at first, then one
+        held += _parallel_map(products, list(range(r + len(held), r + k)), workers)
+
+        def one_row(oc: int):
+            bias, base = float(spec.biases[oc]), oc * k * k
+            with backend.seed_scope(layer_index, oc, r):
+                row = []
+                for c in range(side_w):
+                    acc = encode(bias, first.fmt, backend, encrypt=False)
+                    for cells in zip(*held):
+                        for kr, per_row in enumerate(cells):
+                            for kc in range(k):
+                                acc = fp_add(acc, per_row[c + kc][base + kr * k + kc])
+                    row.append(_activate(acc, spec))
+                pending[oc].append(row)
+                if len(pending[oc]) == spec.pool_size:
+                    grids[oc] += _max_pool(pending[oc], spec.pool_size)
+                    pending[oc] = []
+
+        _parallel_map(one_row, list(range(out)), workers)
         held.pop(0)
-        yield row
+    return grids
 
 
 def _kernel_reads(size: int, k: int) -> list:
@@ -559,30 +582,30 @@ def _probe_layer(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bo
 
 def _kernel_charge(table: _FoldTable, spec: LayerSpec, in_ids):
     """(NANDs, product ids) of a conv layer's shared multiplies
-    (``_shared_product_sums``) on input pattern ids ``in_ids`` (c, h, w):
-    the NANDs over every output channel and input pixel, and per output
-    channel, kernel entry (ic, kr, kc) and input id, the product's id.
+    (``_shared_conv``) on input pattern ids ``in_ids`` (c, h, w): the
+    NANDs over every input pixel, and per output channel, kernel entry
+    (ic, kr, kc) and input id, the product's id.
 
     A pixel's NANDs depend on its pattern and on which kernel entries'
-    windows read it, so each (input channel, pattern) is walked once per
-    output channel and charged once per such entry set."""
-    fmt, k = table.fmt, spec.kernel_size
+    windows read it (the same in every output channel's kernel), so each
+    (input channel, pattern) is walked once over its channel's plan and
+    charged once per such entry set."""
+    fmt, k, out = table.fmt, spec.kernel_size, spec.out_channels
     channels, h, w = in_ids.shape
     plans = spec.kernel_plans(fmt)
     rows, cols = _kernel_reads(h, k), _kernel_reads(w, k)
     pixels = Counter((ic, p, rows[r], cols[c]) for (ic, r, c), p in np.ndenumerate(in_ids))
     groups = {}
     for (ic, p, kr, kc), count in pixels.items():
-        groups.setdefault((ic, p), []).append(([a * k + b for a in kr for b in kc], count))
-    products = np.zeros((spec.out_channels, channels * k * k, len(table.patterns)),
-                        dtype=np.int64)
+        wanted = [oc * k * k + a * k + b for oc in range(out) for a in kr for b in kc]
+        groups.setdefault((ic, p), []).append((wanted, count))
+    products = np.zeros((out, channels * k * k, len(table.patterns)), dtype=np.int64)
     nands = 0
     for (ic, p), sets in groups.items():
         wanted, counts = zip(*sets)
-        for oc, per_input in enumerate(plans):
-            charges, patterns = const_mul_costs(fmt, per_input[ic], table.patterns[p], wanted)
-            nands += sum(n * count for n, count in zip(charges, counts))
-            products[oc, ic * k * k:(ic + 1) * k * k, p] = table.ids(patterns)
+        charges, patterns = const_mul_costs(fmt, plans[ic], table.patterns[p], wanted)
+        nands += sum(n * count for n, count in zip(charges, counts))
+        products[:, ic * k * k:(ic + 1) * k * k, p] = table.ids(patterns).reshape(out, k * k)
     return nands, products
 
 

@@ -8,11 +8,11 @@ error of one multiply is one-sided and below 1/scale.  The multiplier
 circuits build only those product bits and the carries they need: a
 shift-and-add over the constant's signed digits when one operand is
 wholly public (a model weight), a Wallace-tree array otherwise.  The
-products of one value with several public constants (a convolution
-kernel) can share that shift-and-add's adders (``fp_mul_consts``).  ReLU
-and max are computed exactly through oblivious selection: their outputs
-are bitwise identical to one of the inputs (or to zero) and add no
-numerical error.
+products of one value with several public constants (every kernel of a
+convolution layer on one input channel) can share that shift-and-add's
+adders (``fp_mul_consts``).  ReLU and max are computed exactly through
+oblivious selection: their outputs are bitwise identical to one of the
+inputs (or to zero) and add no numerical error.
 
 Each operation is defined once, by its circuit.  On the clear backend it
 also checks its exact integer result against the format's range and
@@ -373,16 +373,16 @@ def fold_costs(kind: str, fmt: FixedPointFormat, pairs) -> list:
     return [known[pair] if found is None else found for pair, found in zip(pairs, out)]
 
 
-# (negative, carries, sum states, term states) -> (NANDs, output states) of
-# one mul_const step, where a state is a bit's public value or None for a
-# private bit.  Steps depend on nothing else, so every model and format
-# shares the entries.
+# (negative, carries, width, sum public_pattern, term public_pattern) ->
+# (NANDs, output states) of one mul_const step over ``width`` columns,
+# where a state is a bit's public value or None for a private bit.  Steps
+# depend on nothing else, so every model and format shares the entries.
 _STEP_COSTS = {}
 _STEP_COSTS_LIMIT = 1 << 16
 
 
 def _step_cost(step: gates.ConstMulStep, xs, ts):
-    key = (step.negative, step.carries, tuple(xs), tuple(ts))
+    key = (step.negative, step.carries, len(xs), *_pattern_of(xs), *_pattern_of(ts))
     found = _STEP_COSTS.get(key)
     if found is None:
         if len(_STEP_COSTS) >= _STEP_COSTS_LIMIT:

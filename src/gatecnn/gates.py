@@ -4,18 +4,20 @@ Everything here is a pure function over immutable bits: derived gates,
 ripple adders, two's-complement subtract, a Baugh–Wooley multiplier with
 a Wallace-tree reduction that builds only a requested window of product
 bits, multiplication by public integers as shift-and-add over one adder
-graph that their products share (a digit chain for one integer),
-sign-based comparison and an oblivious multiplexer.  The gate
-sequence of every circuit depends only on operand widths and on which
-bits are public constants (``nand`` folds gates those fix), never on
-private values, so encrypted evaluation leaks nothing through the trace.
+graph that their products share (a digit chain for one integer, a
+greedy graph planned over numpy arrays for several), sign-based
+comparison and an oblivious multiplexer.  The gate sequence of every
+circuit depends only on operand widths and on which bits are public
+constants (``nand`` folds gates those fix), never on private values, so
+encrypted evaluation leaks nothing through the trace.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import BackendMismatchError, ParameterError, WidthMismatchError
 from .fhe_core import EncBit, nand, trivial_const
@@ -484,55 +486,115 @@ def _adder_graph(targets) -> list:
     target (sorted, so the graph depends on the set alone): a greedy
     RAG-n (Dempster & Macleod 1995).  Each round adds every target one
     step from the built nodes; failing that, the one-step value that
-    brings the most targets within one step; failing that, the furthest
-    one-step prefix of the cheapest target's _chain.  Shifts stop where a
-    shifted node passes 2^(bits of the largest target + 1).  The one-step
-    values and each target's partners (the values one step from it with
-    the built nodes) grow with each node added."""
+    brings the most targets within one step (_votes); failing that, the
+    furthest one-step prefix of the cheapest target's _chain.  Shifts stop
+    where a shifted node passes 2^(bits of the largest target + 1).
+
+    The values one step from the built nodes (``reach``) grow by numpy
+    arrays as nodes are added; targets' partners are formed only in the
+    rounds that vote.  With B = 2^(bits of the largest target), shifted
+    nodes stay within 2·B and nodes (targets, chain prefixes and vote
+    winners) within 3·B, so every one-step value fits reach's window of
+    8·B."""
     bound = 1 << max(abs(t) for t in targets).bit_length()
+    dtype = np.int64 if bound < 1 << 58 else object  # 8·bound fits an int64
+    reach = _OddSet(8 * bound, dtype)
     remaining = [t for t in targets if t != 1]
-    partners = {t: _partners_alone(t) for t in remaining}
-    nodes, built, reach, ops, shifted = [], set(), set(), [], []
+    nodes, built, ops = [], set(), []
+    shifted = np.zeros(0, dtype)  # every built node's shifts
 
     def add(value):
+        nonlocal shifted
         if nodes:
             ops.append((value, *_best_step(value, nodes, built)))
         nodes.append(value)
         built.add(value)
-        ys = [value << i for i in range(1, (2 * bound // abs(value)).bit_length())]
-        shifted.extend(ys)  # every built node's shifts
-        # value ± r·2^i, r·2^i - value, r ± value·2^i and value·2^i - r
-        reach.update([value + s for s in shifted], [value - s for s in shifted],
-                     [s - value for s in shifted], [r + s for r in nodes for s in ys],
-                     [r - s for r in nodes for s in ys], [s - r for r in nodes for s in ys])
-        reach.add(-value)
-        reach.difference_update(built)
-        for t in remaining:
-            if t not in built:
-                partners[t].update(_partners_with(t, value, ys, 2 * bound))
+        ys = np.array([value << i for i in range(1, (2 * bound // abs(value)).bit_length())],
+                      dtype)
+        shifted = np.concatenate([shifted, ys])
+        column = np.array(nodes, dtype)[:, None]
+        # value ± r·2^i, r·2^i - value, r ± value·2^i, value·2^i - r and -value
+        reach.add(np.concatenate([value + shifted, value - shifted, shifted - value,
+                                  (column + ys).ravel(), (column - ys).ravel(),
+                                  (ys - column).ravel(), np.array([-value], dtype)]))
+        reach.discard(column.ravel())
 
     add(1)
     while remaining:
-        ready = [t for t in remaining if t in reach]
+        within = set(reach.members(remaining).tolist())
+        ready = [t for t in remaining if t in within]
         if ready:
             for t in ready:
                 add(t)
         else:
-            votes = Counter()
-            for t in remaining:
-                votes.update(partners[t] & reach)
-            if votes:
-                most = max(votes.values())
-                add(min((s for s, n in votes.items() if n == most), key=lambda s: (abs(s), s)))
-            else:
+            best = _votes(remaining, np.array(nodes, dtype), shifted, 2 * bound, reach)
+            if best is None:
                 t = min(remaining, key=lambda t: (len(_naf(t)), abs(t), t))
-                add(next(v for v, *_ in reversed(_chain(t)) if v in reach))
+                prefixes = [v for v, *_ in _chain(t)]
+                within = set(reach.members(prefixes).tolist())
+                best = next(v for v in reversed(prefixes) if v in within)
+            add(best)
         remaining = [t for t in remaining if t not in built]
     live = set(targets)  # a greedy round may add a node no other node reads
     for value, sum_value, _, term_value, _, _ in reversed(ops):
         if value in live:
             live.update((sum_value, term_value))
     return [op for op in ops if op[0] in live]
+
+
+# Widest window of odd values an _OddSet keeps as a bitmap (one byte each).
+_BITMAP_SPAN = 1 << 22
+
+
+class _OddSet:
+    """A set of odd integers of magnitude below ``span`` that takes and
+    gives arrays of ``dtype``: a bitmap up to _BITMAP_SPAN, else a Python
+    set."""
+
+    def __init__(self, span: int, dtype):
+        self.span, self.dtype = span, dtype
+        self.bits = np.zeros(span, dtype=bool) if span <= _BITMAP_SPAN else None
+        self.items = set()
+
+    def add(self, values) -> None:
+        if self.bits is None:
+            self.items.update(values.tolist())
+        else:
+            self.bits[(values + self.span) >> 1] = True
+
+    def discard(self, values) -> None:
+        if self.bits is None:
+            self.items.difference_update(values.tolist())
+        else:
+            self.bits[(values + self.span) >> 1] = False
+
+    def members(self, values) -> np.ndarray:
+        """The distinct entries of ``values`` that are in the set."""
+        values = np.asarray(values, dtype=self.dtype)
+        if self.bits is None:
+            return np.array(list(self.items.intersection(values.tolist())), self.dtype)
+        found = np.sort(values[self.bits[(values + self.span) >> 1]])
+        return np.concatenate([found[:1], found[1:][found[1:] != found[:-1]]])
+
+
+def _votes(remaining, nodes, shifted, limit: int, reach: _OddSet):
+    """The value of ``reach`` that is a partner of the most ``remaining``
+    targets, the smallest (|s|, s) on ties; None if there is none.  A
+    target's partners, the values one step forms it from with a built node
+    or alone, are t ± r·2^i and r·2^i - t for every shifted node, the odd
+    parts s of t - r (t = r ± s·2^i) and of t + r (t = s·2^i - r) for
+    every node r with |t ∓ r| <= ``limit``, and _partners_alone(t)."""
+    found = []
+    for t in remaining:
+        near = [d[(d != 0) & (abs(d) <= limit)] for d in (t - nodes, t + nodes)]
+        near = [d // (d & -d) for d in near]  # odd parts
+        found.append(reach.members(np.concatenate([
+            np.array(list(_partners_alone(t)), nodes.dtype),
+            t - shifted, t + shifted, shifted - t, near[0], -near[0], near[1]])))
+    values, counts = np.unique(np.concatenate(found), return_counts=True)
+    if not len(values):
+        return None
+    return min(values[counts == counts.max()].tolist(), key=lambda s: (abs(s), s))
 
 
 def _partners_alone(t: int) -> set:
@@ -544,17 +606,6 @@ def _partners_alone(t: int) -> set:
             if t % m == 0:
                 out.add(t // m)
         i += 1
-    return out
-
-
-def _partners_with(t: int, r: int, ys, limit: int) -> list:
-    """The values s from which one step forms t with node r, whose shifts
-    are ``ys``: t = s ± r·2^i, r·2^i - s, or r ± s·2^i and s·2^i - r with
-    |s·2^i| <= limit, the shifts _adder_graph offers."""
-    out = [t - s for s in ys] + [t + s for s in ys] + [s - t for s in ys]
-    for d, signs in ((t - r, (1, -1)), (t + r, (1,))):
-        if d and abs(d) <= limit:
-            out += [sign * _odd_part(d)[0] for sign in signs]
     return out
 
 

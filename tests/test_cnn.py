@@ -1,4 +1,6 @@
 import random
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -246,6 +248,43 @@ def test_workers_bit_identical(tiny_net):
     assert results[0] == results[1]
 
 
+def test_workers_bit_identical_encrypted(toy_params, toy_key):
+    """A two-output-channel conv with public weights on the toy preset:
+    workers 1 and 2 give the same score ciphertext bytes, and no seed
+    scope id tuple is entered twice in one classify (a re-entered scope
+    would replay its randomness)."""
+    net = cnn.NetworkSpec(
+        [make_conv(1, 2, 2, 1, weights=np.array([[[[0.75, -1.25], [0.5, 1.75]]],
+                                                  [[[-0.75, 1.25], [1.5, -0.375]]]]),
+                   biases=np.array([0.25, -0.125])),
+         make_fc(8, 2, seed=4)],
+        input_height=3, input_width=3, fmt=fp.FixedPointFormat(8, 3))
+    pixels = np.random.default_rng(23).uniform(-1, 1, (3, 3))
+    runs = []
+    for workers in (1, 2):
+        backend = GswBackend(toy_params, key=toy_key, seed=3, auto_refresh=True)
+        entered, scope = [], backend.seed_scope
+
+        @contextmanager
+        def recording(*ids):
+            entered.append(ids)
+            with scope(*ids):
+                yield
+
+        backend.seed_scope = recording
+        img = cnn.encrypt_image(pixels, net.fmt, backend)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: a lost update would show
+        try:
+            scores = cnn.classify(img, net, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert entered and len(set(entered)) == len(entered)
+        runs.append((sorted(entered), b"".join(bit.ciphertext.recomposed.tobytes()
+                                               for s in scores.scores for bit in s.bits.bits)))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("seed, conv_act, fc_act, lanes", [
     (0, cnn.RELU, cnn.RELU, 1),
     (1, cnn.LINEAR, cnn.RELU, 1),
@@ -319,24 +358,43 @@ def test_public_weights_fold_on_both_evaluators(fast_vs_gate):
         assert patterns == [{(2 ** 10 - 1, 16)}, {(1, 0)}, {fp.PRIVATE}]
 
 
-def _edge_heavy_net():
-    """conv2's shape at w=8, f=3: a 5x5 kernel over a 12x12 input, whose
+EDGE_HEAVY_KERNEL = np.array([[0.5, -0.25, 0.0, 0.375, 0.5],
+                              [-1.0, 0.375, 0.125, -0.5, 0.0],
+                              [0.625, 0.0, -0.375, 0.375, 1.0],
+                              [-0.125, 0.25, -0.625, 0.0, 0.5],
+                              [0.75, -0.375, 0.25, -0.125, 0.875]])
+
+
+def _edge_heavy_net(kernels=None, biases=(-0.125,), act=cnn.LINEAR):
+    """conv2's shape at w=8, f=3: 5x5 kernels over a 12x12 input, whose
     pixels meet every entry set from one corner entry to all 25.  A 1x1
     layer first makes a private map (weight 1) and a partly public one
-    (weight 2: its low bit is a public 0); the 5x5 kernels have repeated,
-    zero and ±power-of-two weights."""
-    kernel = np.array([[0.5, -0.25, 0.0, 0.375, 0.5],
-                       [-1.0, 0.375, 0.125, -0.5, 0.0],
-                       [0.625, 0.0, -0.375, 0.375, 1.0],
-                       [-0.125, 0.25, -0.625, 0.0, 0.5],
-                       [0.75, -0.375, 0.25, -0.125, 0.875]])
+    (weight 2: its low bit is a public 0); the default 5x5 kernels (one
+    output channel) have repeated, zero and ±power-of-two weights."""
+    if kernels is None:
+        kernels = np.stack([EDGE_HEAVY_KERNEL, -EDGE_HEAVY_KERNEL[::-1]])[None]
+    out = len(kernels)
     return cnn.NetworkSpec(
         [make_conv(1, 2, 1, 1, weights=np.array([[[[1.0]]], [[[2.0]]]]),
                    biases=np.array([0.25, 0.5])),
-         make_conv(2, 1, 5, 2, weights=np.stack([kernel, -kernel[::-1]])[None],
-                   biases=np.array([-0.125]), act=cnn.LINEAR),
-         make_fc(16, 2, seed=3)],
+         make_conv(2, out, 5, 2, weights=kernels, biases=np.array(biases), act=act),
+         make_fc(16 * out, 2, seed=3)],
         input_height=12, input_width=12, fmt=fp.FixedPointFormat(8, 3))
+
+
+def _cross_channel_net():
+    """_edge_heavy_net with three output channels, so one input channel's
+    adder graph serves several kernels: channel 1 repeats channel 0's
+    kernel on the private map and negates it on the partly public one,
+    and channel 2's kernels hold only zeros and ±powers of two."""
+    kernel, other = EDGE_HEAVY_KERNEL, -EDGE_HEAVY_KERNEL[::-1]
+    powers = np.array([[0.0, 0.5, -0.25, 1.0, 0.0],
+                       [-1.0, 0.0, 0.125, 0.0, 0.25],
+                       [0.5, -0.125, 0.0, -0.5, 1.0],
+                       [0.0, 0.25, -1.0, 0.0, -0.125],
+                       [0.125, 0.0, 0.5, -0.25, 0.0]])
+    return _edge_heavy_net(np.stack([[kernel, other], [kernel, -other], [powers, -powers.T]]),
+                           biases=(-0.125, 0.25, 0.125), act=cnn.RELU)
 
 
 @pytest.mark.parametrize("encrypt_weights", [False, True])
@@ -346,37 +404,62 @@ def test_layer_evaluator_matches_gate_path_5x5(fast_vs_gate, encrypt_weights):
     assert fast == gate
 
 
-def test_layer_evaluator_matches_gate_path_5x5_patterns():
-    """Layer by layer on one image: the same values, NANDs and output
-    public_patterns, the 1x1 layer's maps private and partly public."""
-    net = _edge_heavy_net()
-    pixels = np.random.default_rng(13).uniform(-0.5, 0.5, (12, 12))
+def _layer_by_layer(net, pixels, encrypt_weights=False):
+    """Per conv layer of an _edge_heavy_net, on the whole-layer evaluator
+    and gate by gate: each output's (value, public_pattern) and the
+    layer's NANDs.  The 1x1 layer's weights stay public, so the 5x5 layer
+    reads a private and a partly public map; ``encrypt_weights`` applies
+    to the 5x5 layer."""
     runs = []
     for fast in (True, False):
         backend = ClearBackend(fast_arith=fast)
         img = cnn.encrypt_image(pixels, net.fmt, backend)
         layers = []
-        for layer in net.layers[:2]:
+        for i, layer in enumerate(net.layers[:2]):
             before = backend.stats.nand_count
-            img = cnn.conv_layer(img, layer)
+            img = cnn.conv_layer(img, layer, encrypt_weights=encrypt_weights and i == 1)
             layers.append(([[[(fp._lane_values(v)[0], fp.public_pattern(v)) for v in row]
                              for row in grid] for grid in img.channels],
                            backend.stats.nand_count - before))
         runs.append(layers)
-    assert runs[0] == runs[1]
-    maps = runs[0][0][0]
+    return runs
+
+
+def test_layer_evaluator_matches_gate_path_5x5_patterns():
+    """Layer by layer on one image: the same values, NANDs and output
+    public_patterns, the 1x1 layer's maps private and partly public."""
+    pixels = np.random.default_rng(13).uniform(-0.5, 0.5, (12, 12))
+    fast, gate = _layer_by_layer(_edge_heavy_net(), pixels)
+    assert fast == gate
+    maps = fast[0][0]
     assert {p for _, p in maps[0][0]} == {fp.PRIVATE} and {p for _, p in maps[1][0]} == {(1, 0)}
 
 
+@pytest.mark.parametrize("encrypt_weights", [False, True])
+def test_layer_evaluator_matches_gate_path_across_channels(encrypt_weights):
+    """Three output channels over the private and the partly public map,
+    with a repeated, a negated and a power-of-two kernel: layer by layer,
+    the same values, NANDs and output public_patterns."""
+    pixels = np.random.default_rng(17).uniform(-0.5, 0.5, (12, 12))
+    fast, gate = _layer_by_layer(_cross_channel_net(), pixels, encrypt_weights)
+    assert fast == gate
+    maps = fast[0][0]
+    assert {p for _, p in maps[0][0]} == {fp.PRIVATE} and {p for _, p in maps[1][0]} == {(1, 0)}
+    assert len(fast[1][0]) == 3 and fast[1][1] > 0
+
+
 def test_kernel_plans_are_planned_once_per_format():
-    net = _edge_heavy_net()
-    conv = net.layers[1]
-    plans = conv.kernel_plans(net.fmt)
-    assert conv.kernel_plans(net.fmt) is plans
-    fresh = make_conv(2, 1, 5, 2, weights=conv.weights, biases=conv.biases)
-    assert fresh.kernel_plans(net.fmt) == plans
-    assert [[plan.constants for plan in per_input] for per_input in plans] == [
-        [tuple(int(z) for z in kernel.ravel() * 8) for kernel in conv.weights[0]]]
+    """One plan per input channel, over every output channel's kernel on
+    it in (oc, kr, kc) order; a layer with the same weights plans the
+    same graphs."""
+    for net in (_edge_heavy_net(), _cross_channel_net()):
+        conv = net.layers[1]
+        plans = conv.kernel_plans(net.fmt)
+        assert conv.kernel_plans(net.fmt) is plans
+        fresh = make_conv(2, conv.out_channels, 5, 2, weights=conv.weights, biases=conv.biases)
+        assert fresh.kernel_plans(net.fmt) == plans
+        assert [plan.constants for plan in plans] == [
+            tuple(int(z) for z in conv.weights[:, ic].ravel() * 8) for ic in range(2)]
 
 
 def test_layer_charges_keep_the_latest_inputs(monkeypatch):

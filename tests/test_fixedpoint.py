@@ -406,12 +406,13 @@ def test_fold_costs_match_gate_level_public_weights(width, frac):
 
 
 def test_preset_kernel_products_match_scaled_mul():
-    """Every preset conv kernel (4 + 60, w=32) times lane-packed private
-    operands, min_int, max_int, -1, 0 and 1 among them, for the kernel
-    entries each corner and an interior pixel meet, and for one kernel
-    also each edge: each product of the shared adder graph is scaled_mul
-    of its weight, bit for bit.  (Every entry set of a 5 x 5 kernel runs
-    through the layer in test_layer_evaluator_matches_gate_path_5x5.)"""
+    """Every preset conv plan (one per input channel: 1 + 4, w=32, over
+    4 and 15 kernels) times lane-packed private operands, min_int,
+    max_int, -1, 0 and 1 among them, for the kernel entries each corner
+    and an interior pixel meet in every kernel, and for conv1's plan also
+    each edge: each product of the shared adder graph is scaled_mul of its
+    weight, bit for bit.  (Every entry set of a 5 x 5 kernel runs through
+    the layer in test_layer_evaluator_matches_gate_path_5x5.)"""
     net = demo.preset_model()
     fmt = net.fmt
     rnd = random.Random(64)
@@ -423,15 +424,26 @@ def test_preset_kernel_products_match_scaled_mul():
     corners = [(rows, cols) for rows in (first, last) for cols in (first, last)]
     edges = [(first, middle), (last, middle), (middle, first), (middle, last)]
     zx = np.array(values, dtype=np.int64)
-    plans = [plan for layer in net.layers[:2] for per_input in layer.kernel_plans(fmt)
-             for plan in per_input]
-    assert len(plans) == 64
-    for i, plan in enumerate(plans):
+    plans = [(layer.out_channels, plan) for layer in net.layers[:2]
+             for plan in layer.kernel_plans(fmt)]
+    assert len(plans) == 5
+    for i, (out, plan) in enumerate(plans):
         for rows, cols in corners + [(middle, middle)] + (edges if i == 0 else []):
-            wanted = [kr * 5 + kc for kr in rows for kc in cols]
+            wanted = [oc * 25 + kr * 5 + kc for oc in range(out) for kr in rows for kc in cols]
             for j, got in zip(wanted, fp.fp_mul_consts(x, plan, wanted)):
                 want = fp.scaled_mul(zx, plan.constants[j], fmt).tolist()
                 assert fp._lane_values(got) == want, (plan.constants[j], j)
+
+
+def test_preset_kernel_plan_sizes():
+    """The preset model's conv plans, one per input channel: 100 adder
+    nodes for conv1's 100 weights, 1,470 over conv2's four input channels
+    (1,500 weights).  One plan per kernel took 2,098 over both layers."""
+    net = demo.preset_model()
+    conv1, conv2 = ([len(plan.steps) for plan in layer.kernel_plans(net.fmt)]
+                    for layer in net.layers[:2])
+    assert conv1 == [100]
+    assert len(conv2) == 4 and sum(conv2) == 1470
 
 
 def _chain_nands(k, fmt):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -280,6 +281,48 @@ def test_const_mul_plan_is_a_function_of_the_constants():
     assert shuffled.steps == plan.steps and shuffled.inverted == plan.inverted
     assert list(shuffled.targets) == [plan.targets[i] for i in order]
     assert list(shuffled.needs) == [plan.needs[i] for i in order]
+
+
+def test_const_mul_plan_of_375_constants_stays_small():
+    """375 distinct random 16-bit constants, as many as one input
+    channel's plan of the paper's second conv layer holds, plan under a
+    16 MB peak of traced allocations."""
+    rnd = random.Random(375)
+    ks = [rnd.choice((1, -1)) * k for k in rnd.sample(range(1, 1 << 16), 375)]
+    tracemalloc.start()
+    try:
+        plan = g.const_mul_plan(ks, 32, 16, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan.targets) == 375 and plan.steps
+    assert peak < 16 << 20, peak
+
+
+def test_const_mul_plan_without_the_bitmap_plans_the_same(monkeypatch):
+    """Wide constants keep the planner's one-step values in a Python set
+    instead of a bitmap; forced onto that set, planning gives the same
+    plan."""
+    rnd = random.Random(12)
+    ks = [rnd.randrange(-40000, 40000) for _ in range(40)]
+    plan = g.const_mul_plan(ks, 32, 16, 48)
+    monkeypatch.setattr(g, "_BITMAP_SPAN", 0)
+    assert g.const_mul_plan(ks, 32, 16, 48) == plan
+
+
+def test_mul_consts_past_int64():
+    """Constants near 2^62, whose shifted nodes pass int64, plan over
+    Python integers, and every product of an 8-bit a is exact."""
+    values = list(range(-128, 128))
+    backend = fc.ClearBackend(lanes=len(values))
+    a = g.BitVector.from_lane_ints(values, 8, backend)
+    rnd = random.Random(62)
+    ks = [rnd.randrange(-(1 << 62), 1 << 62) for _ in range(4)] + [(1 << 62) - 1, 3]
+    lo, hi = 40, 71
+    products = g.mul_consts(a, g.const_mul_plan(ks, 8, lo, hi), range(len(ks)))
+    for k, product in zip(ks, products):
+        assert [bit.clear_value for bit in product.bits] == \
+            _lane_masks([v * k for v in values], hi)[lo:], k
 
 
 def test_mul_window_rejects_bad_bounds(clear):
