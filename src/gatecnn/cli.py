@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import error_analysis, model_io, serialize
-from .cnn import argmax, classify, encrypt_image
+from .cnn import PIXEL_BOUND, argmax, classify, encrypt_image
 from .errors import (
     FormatMismatchError,
     GatecnnError,
@@ -139,12 +139,18 @@ def cmd_bound(args) -> int:
         raise ParameterError("bound needs --model")
     net = model_io.load_model(args.model_path)
     report = error_analysis.theorem_bound(net)
+    certificate = net.certificate()  # RangeError if a weight does not encode
     print(f"format: w={net.fmt.total_bits} f={net.fmt.frac_bits} "
           f"scale={net.fmt.scale}")
     print(f"{'layer':>5} {'kind':>5} {'s':>5} {'r_i':>10} {'d_i':>10} {'d_i(sum)':>10}")
     for lf in report.factors:
         print(f"{lf.layer_index:>5} {lf.kind:>5} {lf.s:>5} "
               f"{lf.r_i:>10.4f} {lf.d_i:>10.4f} {lf.d_i_sum:>10.4f}")
+    print(f"certified bit widths, pixels in [-{PIXEL_BOUND}, {PIXEL_BOUND}]:")
+    print(f"{'layer':>5} {'b_x':>5} {'max b_s':>8} {'headroom':>8}")
+    for i, layer in enumerate(certificate):
+        widest = int(layer.sum_bits.max())
+        print(f"{i:>5} {layer.input_bits:>5} {widest:>8} {net.fmt.total_bits - widest:>8}")
     print("machine-readable:")
     print(f"initial_delta={report.initial_delta!r}")
     print(f"r_product={report.r_product!r}")

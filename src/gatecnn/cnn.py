@@ -14,12 +14,16 @@ clear backend with ``fast_arith`` runs each layer as one whole-array
 integer computation instead, charged the NANDs the gate path evaluates.
 With public weights, a convolution builds each input pixel's products
 with every output channel's kernel from one adder graph per input
-channel, which they share.  Scores stay encrypted: argmax is the
+channel, which they share, and ``classify`` builds every multiply and
+add only as wide as the network's interval certificate
+(``NetworkSpec.certificate``) proves its values need, for pixels in
+[-PIXEL_BOUND, PIXEL_BOUND].  Scores stay encrypted: argmax is the
 client's job after decryption.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, RangeError, ShapeError
 from .fixedpoint import (
     FixedPointCipher,
     FixedPointFormat,
@@ -52,7 +56,9 @@ from .fixedpoint import (
 from .gates import const_mul_plan
 
 __all__ = [
+    "PIXEL_BOUND",
     "LayerSpec",
+    "LayerCertificate",
     "NetworkSpec",
     "EncImage",
     "EncScores",
@@ -76,6 +82,10 @@ LINEAR = "linear"
 # Inputs whose whole-layer charges a LayerSpec keeps (see _charge_layer).
 _CHARGES_LIMIT = 64
 
+# Pixels are reals in [-PIXEL_BOUND, PIXEL_BOUND]: encrypt_image and
+# classify enforce it, and the error bound and the certificate assume it.
+PIXEL_BOUND = 1.0
+
 # The network family the experiments use: 28x28 in, two 5x5 conv layers
 # (4 then 15 feature maps, 2x2 pooling), 240 features into 10 classes.
 paper_architecture_shapes = {
@@ -97,9 +107,10 @@ class LayerSpec:
     kernel_size: int = 0
     pool_size: int = 1
     # the whole-layer evaluator's NAND charges, kept per format, weight
-    # entry and input patterns for the last _CHARGES_LIMIT inputs (see
-    # _charge_layer), and per format the scaled weights and biases (see
-    # scaled) and a conv layer's kernel plans (see kernel_plans)
+    # entry, input patterns and widths for the last _CHARGES_LIMIT inputs
+    # (see _charge_layer), per format the scaled weights and biases (see
+    # scaled), and per format and input width a conv layer's kernel plans
+    # (see kernel_plans)
     charges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -134,20 +145,54 @@ class LayerSpec:
                 for values in (self.weights.reshape(self.out_channels, -1), self.biases))
         return found
 
-    def kernel_plans(self, fmt: FixedPointFormat) -> list:
+    def kernel_plans(self, fmt: FixedPointFormat, input_bits: int | None = None) -> list:
         """Per input channel of a conv layer, the adder-graph plan
         (``gates.const_mul_plan``) of every output channel's k x k kernel
-        on that channel, at fmt's product window: its constants are the
-        kernels' ``fmt`` integers in (oc, kr, kc) order, so constant
-        oc·k² + kr·k + kc is output channel oc's.  Built once per format."""
-        found = self._plans.get(fmt)
+        on that channel, at fmt's product window, for inputs of
+        ``input_bits`` bits (default w): its constants are the kernels'
+        ``fmt`` integers in (oc, kr, kc) order, so constant oc·k² + kr·k +
+        kc is output channel oc's.  Built once per format and input width."""
+        w, f = fmt.total_bits, fmt.frac_bits
+        input_bits = w if input_bits is None else input_bits
+        found = self._plans.get((fmt, input_bits))
         if found is None:
-            w, f = fmt.total_bits, fmt.frac_bits
             kernels = self.scaled(fmt)[0].reshape(self.out_channels, self.in_channels, -1)
-            found = self._plans[fmt] = [
-                const_mul_plan([int(z) for z in kernels[:, ic].ravel()], w, f, f + w)
+            found = self._plans[fmt, input_bits] = [
+                const_mul_plan([int(z) for z in kernels[:, ic].ravel()], input_bits, f, f + w)
                 for ic in range(self.in_channels)]
         return found
+
+
+@dataclass(frozen=True, eq=False)
+class LayerCertificate:
+    """Intervals of one layer's scaled integers, each a (low, high) pair
+    of arrays in the format's ``int_dtype``, when every pixel lies in
+    [-PIXEL_BOUND, PIXEL_BOUND], and the bit widths built from them:
+
+    - ``inputs`` (fan-in,): the values each neuron's terms read, in
+      window order (input channel, kernel row, column) for convolution;
+    - ``products`` (out, fan-in): each floored product with a weight;
+    - ``sums`` (out, fan-in): the partial sum after each term, the bias
+      first, in ``dot_product``'s order;
+    - ``outputs`` (out,): each output channel or node after the
+      activation (max pooling keeps the interval);
+    - ``input_bits``: the signed bits every input fits, at most w;
+    - ``sum_bits`` (out, fan-in): the signed bits each partial sum fits,
+      at most w."""
+
+    inputs: tuple
+    products: tuple
+    sums: tuple
+    outputs: tuple
+    input_bits: int
+    sum_bits: np.ndarray
+
+
+def _signed_bits(low, high) -> np.ndarray:
+    """Per entry, the signed bits that hold every integer in [low, high]."""
+    magnitude = np.maximum(high, ~low)  # >= 0 wherever low <= high
+    return np.array([int(m).bit_length() + 1 for m in np.ravel(magnitude).tolist()],
+                    dtype=np.int64).reshape(np.shape(magnitude))
 
 
 @dataclass
@@ -157,6 +202,8 @@ class NetworkSpec:
     input_width: int
     fmt: FixedPointFormat
     input_channels: int = 1
+    # per format, the LayerCertificates (see certificate)
+    _certificates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -164,6 +211,48 @@ class NetworkSpec:
         if self.layers[-1].kind != FULLY_CONNECTED:
             raise ShapeError("final layer must be fully connected")
         self.check_shapes()
+
+    def certificate(self) -> list:
+        """Per layer, the LayerCertificate at ``fmt``, from an interval
+        walk over the scaled integers in the evaluators' order: pixels in
+        [-PIXEL_BOUND, PIXEL_BOUND] (as ``fmt`` integers), then per layer
+        the bias, each floored product (``scaled_mul``), each partial
+        sum, the activation and max pooling.  Products and outputs are
+        clipped to the format's range, outside which the clear backend
+        raises OverflowDiagnostic.  Computed once per format; an
+        unencodable weight raises RangeError."""
+        fmt = self.fmt
+        found = self._certificates.get(fmt)
+        if found is not None:
+            return found
+        w = fmt.total_bits
+        values = tuple(np.full(self.input_channels, bound, dtype=int_dtype(fmt)) for bound in (
+            max(math.floor(-PIXEL_BOUND * fmt.scale), fmt.min_int),
+            min(math.floor(PIXEL_BOUND * fmt.scale), fmt.max_int)))
+        # values holds one interval per channel (per node after an fc
+        # layer), each standing for ``pixels`` flattened features
+        sides, pixels = (self.input_height, self.input_width), self.input_height * self.input_width
+        found = []
+        for layer in self.layers:
+            weights, biases = layer.scaled(fmt)
+            repeat = layer.kernel_size ** 2 if layer.kind == CONVOLUTION else pixels
+            inputs = tuple(np.repeat(v, repeat) for v in values)
+            ends = [np.clip(scaled_mul(v, weights, fmt), fmt.min_int, fmt.max_int)
+                    for v in inputs]
+            products = (np.minimum(*ends), np.maximum(*ends))
+            sums = tuple(np.cumsum(v, axis=1) + biases[:, None] for v in products)
+            values = tuple(np.clip(v[:, -1], fmt.min_int, fmt.max_int) for v in sums)
+            if layer.activation == RELU:
+                values = tuple(np.maximum(v, 0) for v in values)
+            found.append(LayerCertificate(
+                inputs, products, sums, values,
+                min(w, int(_signed_bits(*inputs).max())),
+                np.minimum(_signed_bits(*sums), w)))
+            if layer.kind == CONVOLUTION:
+                sides = tuple((n - layer.kernel_size + 1) // layer.pool_size for n in sides)
+            pixels = sides[0] * sides[1] if layer.kind == CONVOLUTION else 1
+        self._certificates[fmt] = found
+        return found
 
     def check_shapes(self):
         """Walk the layer chain and verify every input/output shape agrees."""
@@ -226,13 +315,16 @@ def flatten_image(img: EncImage) -> list:
             for ch, r, c in flatten_order(len(img.channels), img.height, img.width)]
 
 
-def dot_product(inputs, weights, bias: float, encrypt_weights: bool = False) -> FixedPointCipher:
+def dot_product(inputs, weights, bias: float, encrypt_weights: bool = False,
+                input_bits: int | None = None, sum_bits=None) -> FixedPointCipher:
     """Weighted sum plus bias, accumulated in input order.
 
     Public weights enter as noiseless constants, and the gates their bits
     fix fold away; with ``encrypt_weights`` they are encrypted first, which
     changes nothing about the plaintext result (a tested equivalence) but
     models the private-model setting, where no weight bit folds a gate.
+    From a LayerCertificate, ``input_bits`` narrows each multiply by a
+    public weight and ``sum_bits`` (one per term) each add (``fp_add``).
     """
     inputs = list(inputs)
     weights = list(weights)
@@ -243,12 +335,12 @@ def dot_product(inputs, weights, bias: float, encrypt_weights: bool = False) -> 
         raise ParameterError("dot product needs at least one term")
     fmt, backend = inputs[0].fmt, inputs[0].backend
     acc = encode(float(bias), fmt, backend, encrypt=encrypt_weights)
-    for x, w in zip(inputs, weights):
+    for j, (x, w) in enumerate(zip(inputs, weights)):
         if encrypt_weights:
             term = fp_mul(x, encode(float(w), fmt, backend, encrypt=True))
         else:
-            term = fp_mul_const(x, float(w))
-        acc = fp_add(acc, term)
+            term = fp_mul_const(x, float(w), input_bits)
+        acc = fp_add(acc, term, None if sum_bits is None else int(sum_bits[j]))
     return acc
 
 
@@ -260,14 +352,16 @@ def _parallel_map(fn, items, workers: int):
 
 
 def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
-               workers: int = 1, layer_index: int = 0) -> EncImage:
+               workers: int = 1, layer_index: int = 0,
+               certificate: LayerCertificate | None = None) -> EncImage:
     """Valid convolution over all input channels, bias, activation, pooling.
 
     With public weights each input pixel's products with every output
     channel's kernel come from its input channel's shared adder graph
-    (``_shared_conv``); with ``encrypt_weights`` every window is a
-    ``dot_product``.  Both add the products to the bias in window order
-    and give the same bits."""
+    (``_shared_conv``), built for the layer's ``certificate`` widths when
+    one is given (w bits otherwise); with ``encrypt_weights`` every
+    window is a w-bit ``dot_product``.  Both add the products to the bias
+    in window order and give the same bits."""
     if spec.kind != CONVOLUTION:
         raise ParameterError("conv_layer needs a convolution LayerSpec")
     if len(img.channels) != spec.in_channels:
@@ -279,11 +373,13 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
         raise ShapeError(f"kernel {k} larger than image {img.height}x{img.width}")
     if side_h % pool or side_w % pool:
         raise ShapeError(f"conv output {side_h}x{side_w} not divisible by pool {pool}")
-    backend = img.channels[0][0][0].backend
+    first = img.channels[0][0][0]
+    backend = first.backend
+    widths = _widths(spec, first.fmt, certificate, encrypt_weights)
     if backend.fast_arith:
-        return _int_conv_layer(img, spec, backend, encrypt_weights)
+        return _int_conv_layer(img, spec, backend, encrypt_weights, widths)
     if not encrypt_weights:
-        channels = _shared_conv(img, spec, workers, layer_index)
+        channels = _shared_conv(img, spec, workers, layer_index, widths)
         return EncImage(channels, side_h // pool, side_w // pool)
 
     def one_channel(oc: int):
@@ -300,6 +396,14 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
     return EncImage(channels, side_h // pool, side_w // pool)
 
 
+def _widths(spec: LayerSpec, fmt: FixedPointFormat, certificate, encrypt_weights: bool) -> tuple:
+    """(input bits, (out, fan-in) partial-sum bits) the layer builds: its
+    certificate's with public weights, else w throughout."""
+    if certificate is None or encrypt_weights:
+        return fmt.total_bits, np.full(spec.scaled(fmt)[0].shape, fmt.total_bits)
+    return certificate.input_bits, certificate.sum_bits
+
+
 def _activate(v: FixedPointCipher, spec: LayerSpec) -> FixedPointCipher:
     return fp_relu(v) if spec.activation == RELU else v
 
@@ -312,14 +416,16 @@ def _max_pool(rows, pool: int) -> list:
              for c in range(0, len(rows[0]), pool)] for r in range(0, len(rows), pool)]
 
 
-def _shared_conv(img: EncImage, spec: LayerSpec, workers: int, layer_index: int) -> list:
+def _shared_conv(img: EncImage, spec: LayerSpec, workers: int, layer_index: int,
+                 widths: tuple) -> list:
     """Output channel grids of a conv layer with public weights, equal to
-    ``dot_product``'s bit for bit.  Each input pixel's products with every
-    output channel's kernel come from one adder graph, its input channel's
-    plan (``fp_mul_consts``), built for the kernel entries whose windows
-    read the pixel.  Only the products of the k input rows the current
-    output row reads are held; each output channel adds them to its bias
-    in dot_product's order (input channel, kernel row, column).
+    ``dot_product``'s bit for bit at the same ``widths`` (see _widths).
+    Each input pixel's products with every output channel's kernel come
+    from one adder graph, its input channel's plan (``fp_mul_consts``),
+    built for the kernel entries whose windows read the pixel.  Only the
+    products of the k input rows the current output row reads are held;
+    each output channel adds them to its bias in dot_product's order
+    (input channel, kernel row, column).
 
     Work fans out over input rows for products, in seed scope
     (layer_index, out_channels + row), and over output channels for sums,
@@ -328,7 +434,8 @@ def _shared_conv(img: EncImage, spec: LayerSpec, workers: int, layer_index: int)
     k, out = spec.kernel_size, spec.out_channels
     side_h, side_w = img.height - k + 1, img.width - k + 1
     first = img.channels[0][0][0]
-    backend, plans = first.backend, spec.kernel_plans(first.fmt)
+    input_bits, sum_bits = widths
+    backend, plans = first.backend, spec.kernel_plans(first.fmt, input_bits)
     rows, cols = _kernel_reads(img.height, k), _kernel_reads(img.width, k)
 
     def products(r: int) -> list:
@@ -355,10 +462,11 @@ def _shared_conv(img: EncImage, spec: LayerSpec, workers: int, layer_index: int)
                 row = []
                 for c in range(side_w):
                     acc = encode(bias, first.fmt, backend, encrypt=False)
-                    for cells in zip(*held):
+                    for ic, cells in enumerate(zip(*held)):
                         for kr, per_row in enumerate(cells):
                             for kc in range(k):
-                                acc = fp_add(acc, per_row[c + kc][base + kr * k + kc])
+                                acc = fp_add(acc, per_row[c + kc][base + kr * k + kc],
+                                             int(sum_bits[oc, (ic * k + kr) * k + kc]))
                     row.append(_activate(acc, spec))
                 pending[oc].append(row)
                 if len(pending[oc]) == spec.pool_size:
@@ -377,21 +485,25 @@ def _kernel_reads(size: int, k: int) -> list:
 
 
 def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
-             workers: int = 1, layer_index: int = 0) -> EncScores:
-    """One dot product per output node; linear activation is the identity."""
+             workers: int = 1, layer_index: int = 0,
+             certificate: LayerCertificate | None = None) -> EncScores:
+    """One dot product per output node; linear activation is the identity.
+    With public weights and a ``certificate``, its multiplies and adds are
+    built as wide as the certificate allows, else w bits wide."""
     if spec.kind != FULLY_CONNECTED:
         raise ParameterError("fc_layer needs a fully connected LayerSpec")
     features = list(features)
     if len(features) != spec.in_channels:
         raise ShapeError(f"{len(features)} features, layer expects {spec.in_channels}")
     backend = features[0].backend
+    input_bits, sum_bits = _widths(spec, features[0].fmt, certificate, encrypt_weights)
     if backend.fast_arith:
-        return _int_fc_layer(features, spec, backend, encrypt_weights)
+        return _int_fc_layer(features, spec, backend, encrypt_weights, (input_bits, sum_bits))
 
     def one_node(node: int):
         with backend.seed_scope(layer_index, node):
             value = dot_product(features, spec.weights[node], float(spec.biases[node]),
-                                encrypt_weights=encrypt_weights)
+                                encrypt_weights, input_bits, sum_bits[node])
             if spec.activation == RELU:
                 value = fp_relu(value)
             return value
@@ -403,31 +515,34 @@ def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
 # whole-layer integer evaluation (clear backend with fast_arith)
 # ----------------------------------------------------------------------
 
-def _int_neurons(x, spec: LayerSpec, fmt: FixedPointFormat):
+def _int_neurons(x, spec: LayerSpec, fmt: FixedPointFormat, sum_bits):
     """``dot_product`` of x (lanes, ..., fan-in) with every output's weights,
     then the activation: (lanes, ..., out).  The bias comes first and each
-    floored product is added in input order; every product and partial sum
-    is range-checked."""
+    floored product is added in input order; every product is checked
+    against the format's range and every partial sum against its
+    ``sum_bits`` (out, fan-in), where the adds are built."""
     weights, biases = spec.scaled(fmt)
     terms = scaled_mul(x[..., None, :], weights, fmt)
     guard_range(terms, fmt, "multiplication")
     np.cumsum(terms, axis=-1, out=terms)  # in place: the products become partial sums
     terms += biases[:, None]
-    guard_range(terms, fmt, "addition")
+    guard_range(terms, fmt, "addition", sum_bits)
     values = terms[..., -1]
     if spec.activation == RELU:
         values = np.maximum(values, 0)
     return values
 
 
-def _int_conv_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bool) -> EncImage:
+def _int_conv_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bool,
+                    widths: tuple) -> EncImage:
     fmt = img.channels[0][0][0].fmt
     k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
     x = np.array([[[_lane_values(v) for v in row] for row in grid] for grid in img.channels],
                  dtype=int_dtype(fmt))                         # (c, h, w, lanes)
+    guard_range(x, fmt, "a layer input", widths[0])
     win = sliding_window_view(x, (k, k), axis=(1, 2)).transpose(3, 1, 2, 0, 4, 5)
     lanes, side_h, side_w = win.shape[:3]                      # window order (c, kr, kc)
-    values = _int_neurons(win.reshape(lanes, side_h, side_w, -1), spec, fmt)
+    values = _int_neurons(win.reshape(lanes, side_h, side_w, -1), spec, fmt, widths[1])
     h, w = side_h // pool, side_w // pool
     blocks = values.reshape(lanes, h, pool, w, pool, out).swapaxes(2, 3)
     blocks = blocks.reshape(lanes, h, w, pool * pool, out)     # pool window in row order
@@ -435,17 +550,19 @@ def _int_conv_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bo
     for i in range(1, pool * pool):
         guard_range(values - blocks[:, :, :, i], fmt, "comparison")
         values = np.maximum(values, blocks[:, :, :, i])
-    patterns = _charge_layer(img.channels, spec, fmt, backend, encrypt_weights)
+    patterns = _charge_layer(img.channels, spec, fmt, backend, encrypt_weights, widths)
     cells = [_from_ints(v, fmt, backend, pattern) for v, pattern in
              zip(values.transpose(3, 1, 2, 0).reshape(-1, lanes).tolist(), patterns)]
     return EncImage(np.array(cells, dtype=object).reshape(out, h, w).tolist(), h, w)
 
 
-def _int_fc_layer(features, spec: LayerSpec, backend, encrypt_weights: bool) -> EncScores:
+def _int_fc_layer(features, spec: LayerSpec, backend, encrypt_weights: bool,
+                  widths: tuple) -> EncScores:
     fmt = features[0].fmt
     x = np.array([_lane_values(v) for v in features], dtype=int_dtype(fmt)).T
-    values = _int_neurons(x, spec, fmt)                        # (lanes, out)
-    patterns = _charge_layer(features, spec, fmt, backend, encrypt_weights)
+    guard_range(x, fmt, "a layer input", widths[0])
+    values = _int_neurons(x, spec, fmt, widths[1])             # (lanes, out)
+    patterns = _charge_layer(features, spec, fmt, backend, encrypt_weights, widths)
     return EncScores([_from_ints(v, fmt, backend, pattern)
                       for v, pattern in zip(values.T.tolist(), patterns)])
 
@@ -456,7 +573,8 @@ def _int_fc_layer(features, spec: LayerSpec, backend, encrypt_weights: bool) -> 
 
 class _FoldTable:
     """Interned public_patterns of one layer (id 0 is PRIVATE) and the
-    folded cost of each circuit kind on each pair of pattern ids."""
+    folded cost of each circuit kind and width on each pair of pattern
+    ids."""
 
     def __init__(self, fmt: FixedPointFormat):
         self.fmt = fmt
@@ -474,30 +592,36 @@ class _FoldTable:
             out.append(i)
         return np.array(out, dtype=np.int64)
 
-    def step(self, kind: str, a, b):
-        """Per element of the broadcast id arrays a, b: the NANDs one
-        ``kind`` circuit evaluates on those operands, and its output's id."""
-        a, b = np.broadcast_arrays(a, b)
+    def step(self, kind: str, a, b, width=None):
+        """Per element of the broadcast id arrays a, b and ``width``
+        (default w): the NANDs one ``kind`` circuit of that width
+        (``fold_costs``) evaluates on those operands, and its output's id."""
+        a, b, width = np.broadcast_arrays(a, b, self.fmt.total_bits if width is None else width)
         n = len(self.patterns)
-        keys, inverse = np.unique((a * n + b).ravel(), return_inverse=True)
-        pairs = [divmod(key, n) for key in keys.tolist()]
-        todo = [pair for pair in pairs if (kind, pair) not in self._costs]
-        found = fold_costs(kind, self.fmt,
-                           [(self.patterns[i], self.patterns[j]) for i, j in todo])
-        for pair, (cost, pattern) in zip(todo, found):
-            self._costs[kind, pair] = (cost, self.ids([pattern])[0])
-        cost, out = np.array([self._costs[kind, pair] for pair in pairs]).T
+        keys, inverse = np.unique(((width * n + a) * n + b).ravel(), return_inverse=True)
+        triples = [(key // (n * n), *divmod(key % (n * n), n)) for key in keys.tolist()]
+        todo = {}
+        for triple in triples:
+            if (kind, triple) not in self._costs:
+                todo.setdefault(triple[0], []).append(triple)
+        for bits, group in todo.items():
+            found = fold_costs(kind, self.fmt,
+                               [(self.patterns[i], self.patterns[j]) for _, i, j in group], bits)
+            for triple, (cost, pattern) in zip(group, found):
+                self._costs[kind, triple] = (cost, self.ids([pattern])[0])
+        cost, out = np.array([self._costs[kind, triple] for triple in triples]).T
         return cost[inverse].reshape(a.shape), out[inverse].reshape(a.shape)
 
 
 def _neuron_charge(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bool,
-                   products=None):
+                   widths: tuple, products=None):
     """NANDs of ``dot_product`` and the activation for neurons whose inputs
     have pattern ids ``in_ids`` (..., fan-in), and the outputs' ids
-    (..., out).  Weights and bias are public unless ``encrypt_weights``.
-    ``products`` (out, fan-in, input id) holds the product ids of a conv
-    layer's shared multiplies, whose NANDs _kernel_charge counts: the
-    products then cost nothing here."""
+    (..., out), at ``widths`` (see _widths).  Weights and bias are public
+    unless ``encrypt_weights``.  ``products`` (out, fan-in, input id)
+    holds the product ids of a conv layer's shared multiplies, whose NANDs
+    _kernel_charge counts: the products then cost nothing here."""
+    input_bits, sum_bits = widths
     fmt = table.fmt
     weights, biases = spec.scaled(fmt)
     if encrypt_weights:
@@ -513,7 +637,8 @@ def _neuron_charge(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: 
     rows, where, repeats = np.unique(in_ids.reshape(-1, in_ids.shape[-1]), axis=0,
                                      return_inverse=True, return_counts=True)
     if products is None:
-        cost, terms = table.step("mul", rows[:, None, :], w_ids)   # (rows, out, fan-in)
+        # (rows, out, fan-in)
+        cost, terms = table.step("mul", rows[:, None, :], w_ids, input_bits)
         charge = cost.sum(axis=(1, 2))
     else:
         out, fan_in = weights.shape
@@ -521,10 +646,10 @@ def _neuron_charge(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: 
         charge = np.zeros(len(rows), dtype=np.int64)
     # Sums turn private after the first private term, so one probe pass of
     # every term onto a private sum serves nearly every add below.
-    table.step("add", 0, terms)
+    table.step("add", 0, terms, sum_bits)
     acc = np.broadcast_to(b_ids, terms.shape[:-1])
     for j in range(terms.shape[-1]):
-        cost, acc = table.step("add", acc, terms[..., j])
+        cost, acc = table.step("add", acc, terms[..., j], sum_bits[:, j])
         charge += cost.sum(axis=1)
     if spec.activation == RELU:
         cost, acc = table.step("relu", acc, 0)
@@ -533,43 +658,47 @@ def _neuron_charge(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: 
 
 
 def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
-                  encrypt_weights: bool) -> list:
+                  encrypt_weights: bool, widths: tuple) -> list:
     """Bump the counter by the NANDs the gate path evaluates for this layer
-    on ``inputs`` (a conv layer's channel grids or an fc layer's features),
-    and return each output's public_pattern, channel-major.
+    on ``inputs`` (a conv layer's channel grids or an fc layer's features)
+    at ``widths`` (see _widths), and return each output's public_pattern,
+    channel-major.
 
     Folding makes the count depend on the public weights and on which
     input bits are public, so it comes from walks and FoldProbe runs of
     the real circuits, one per distinct operand pair.  They run on the
     first call and are kept in ``spec.charges`` for the same format,
-    weight entry and input patterns; each public image has patterns of
-    its own, so only the latest _CHARGES_LIMIT are kept."""
+    weight entry, widths and input patterns; each public image has
+    patterns of its own, so only the latest _CHARGES_LIMIT are kept."""
     table = _FoldTable(fmt)
     cells = np.array(inputs, dtype=object)
     in_ids = table.ids(public_pattern(v) for v in cells.ravel()).reshape(cells.shape)
-    key = (fmt, encrypt_weights, tuple(table.patterns), in_ids.shape, in_ids.tobytes())
+    key = (fmt, encrypt_weights, widths[0], widths[1].tobytes(), tuple(table.patterns),
+           in_ids.shape, in_ids.tobytes())
     found = spec.charges.get(key)
     if found is None:
         while len(spec.charges) >= _CHARGES_LIMIT:
             del spec.charges[next(iter(spec.charges))]  # the oldest
-        found = spec.charges[key] = _probe_layer(table, spec, in_ids, encrypt_weights)
+        found = spec.charges[key] = _probe_layer(table, spec, in_ids, encrypt_weights, widths)
     nands, patterns = found
     backend.stats.bump_nand(nands)
     return patterns
 
 
-def _probe_layer(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bool):
+def _probe_layer(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bool,
+                 widths: tuple):
     """(NANDs, output patterns) of the layer on inputs with pattern ids
     ``in_ids``: (c, h, w) for convolution, (fan-in,) for fc."""
     if spec.kind == FULLY_CONNECTED:
-        nands, out_ids = _neuron_charge(table, spec, in_ids, encrypt_weights)
+        nands, out_ids = _neuron_charge(table, spec, in_ids, encrypt_weights, widths)
         return nands, [table.patterns[i] for i in out_ids]
     k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
     win = sliding_window_view(in_ids, (k, k), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
     side_h, side_w = win.shape[:2]
-    nands, products = (0, None) if encrypt_weights else _kernel_charge(table, spec, in_ids)
+    nands, products = (0, None) if encrypt_weights else \
+        _kernel_charge(table, spec, in_ids, widths[0])
     charge, acc = _neuron_charge(table, spec, win.reshape(side_h, side_w, -1),
-                                 encrypt_weights, products)
+                                 encrypt_weights, widths, products)
     nands += charge
     h, w = side_h // pool, side_w // pool
     blocks = acc.reshape(h, pool, w, pool, out).swapaxes(1, 2).reshape(h, w, pool * pool, out)
@@ -580,11 +709,12 @@ def _probe_layer(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bo
     return nands, [table.patterns[i] for i in acc.transpose(2, 0, 1).ravel()]
 
 
-def _kernel_charge(table: _FoldTable, spec: LayerSpec, in_ids):
+def _kernel_charge(table: _FoldTable, spec: LayerSpec, in_ids, input_bits: int):
     """(NANDs, product ids) of a conv layer's shared multiplies
-    (``_shared_conv``) on input pattern ids ``in_ids`` (c, h, w): the
-    NANDs over every input pixel, and per output channel, kernel entry
-    (ic, kr, kc) and input id, the product's id.
+    (``_shared_conv``), planned for ``input_bits``-bit inputs, on input
+    pattern ids ``in_ids`` (c, h, w): the NANDs over every input pixel,
+    and per output channel, kernel entry (ic, kr, kc) and input id, the
+    product's id.
 
     A pixel's NANDs depend on its pattern and on which kernel entries'
     windows read it (the same in every output channel's kernel), so each
@@ -592,7 +722,7 @@ def _kernel_charge(table: _FoldTable, spec: LayerSpec, in_ids):
     charged once per such entry set."""
     fmt, k, out = table.fmt, spec.kernel_size, spec.out_channels
     channels, h, w = in_ids.shape
-    plans = spec.kernel_plans(fmt)
+    plans = spec.kernel_plans(fmt, input_bits)
     rows, cols = _kernel_reads(h, k), _kernel_reads(w, k)
     pixels = Counter((ic, p, rows[r], cols[c]) for (ic, r, c), p in np.ndenumerate(in_ids))
     groups = {}
@@ -611,36 +741,61 @@ def _kernel_charge(table: _FoldTable, spec: LayerSpec, in_ids):
 
 def classify(img: EncImage, net: NetworkSpec, encrypt_weights: bool = False,
              workers: int = 1) -> EncScores:
-    """Run all layers in order; returns per-class encrypted scores."""
+    """Run all layers in order; returns per-class encrypted scores.
+
+    With public weights every layer is built to the network's certificate
+    widths (``NetworkSpec.certificate``), exact for pixels in
+    [-PIXEL_BOUND, PIXEL_BOUND]; on a clear backend a pixel outside
+    raises RangeError."""
     if (len(img.channels), img.height, img.width) != (
             net.input_channels, net.input_height, net.input_width):
         raise ShapeError(
             f"image shape {(len(img.channels), img.height, img.width)} does not "
             f"match network input "
             f"{(net.input_channels, net.input_height, net.input_width)}")
+    if not img.channels[0][0][0].backend.is_encrypted:
+        _check_pixels([v for grid in img.channels for row in grid for v in row], net.fmt)
+    certificate = [None] * len(net.layers) if encrypt_weights else net.certificate()
     current = img
     features = None
     for i, layer in enumerate(net.layers):
         if layer.kind == CONVOLUTION:
             current = conv_layer(current, layer, encrypt_weights=encrypt_weights,
-                                 workers=workers, layer_index=i)
+                                 workers=workers, layer_index=i, certificate=certificate[i])
         else:
             if features is None:
                 features = flatten_image(current)
             features = fc_layer(features, layer, encrypt_weights=encrypt_weights,
-                                workers=workers, layer_index=i).scores
+                                workers=workers, layer_index=i,
+                                certificate=certificate[i]).scores
     return EncScores(features)
+
+
+def _check_pixels(values, fmt: FixedPointFormat) -> None:
+    """RangeError unless every lane of ``values`` encodes a real in
+    [-PIXEL_BOUND, PIXEL_BOUND]."""
+    bound = PIXEL_BOUND * fmt.scale
+    for v in values:
+        z = next((z for z in _lane_values(v) if abs(z) > bound), None)
+        if z is not None:
+            raise RangeError(f"pixel {z / fmt.scale!r} outside "
+                             f"[-{PIXEL_BOUND}, {PIXEL_BOUND}]")
 
 
 def encrypt_image(pixels: np.ndarray, fmt: FixedPointFormat, backend,
                   encrypt: bool = True) -> EncImage:
     """Encode (and on an encrypted backend, encrypt) a (c, h, w) or (h, w)
-    array of reals into an EncImage."""
+    array of reals in [-PIXEL_BOUND, PIXEL_BOUND] into an EncImage; a
+    pixel outside raises RangeError."""
     pixels = np.asarray(pixels, dtype=np.float64)
     if pixels.ndim == 2:
         pixels = pixels[None, :, :]
     if pixels.ndim != 3:
         raise ShapeError(f"expected a 2-D or 3-D pixel array, got shape {pixels.shape}")
+    outside = ~(np.abs(pixels) <= PIXEL_BOUND)  # NaN is outside too
+    if outside.any():
+        raise RangeError(f"pixel {float(pixels[outside][0])!r} outside "
+                         f"[-{PIXEL_BOUND}, {PIXEL_BOUND}]")
     _, h, w = pixels.shape
     channels = [[[encode(float(pixels[ch, r, c]), fmt, backend, encrypt=encrypt)
                   for c in range(w)] for r in range(h)]

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cnn import (CONVOLUTION, NetworkSpec, argmax, classify, encrypt_image,
-                  reference_classify)
+from .cnn import (CONVOLUTION, PIXEL_BOUND, NetworkSpec, argmax, classify,
+                  encrypt_image, reference_classify)
 from .fhe_core import ClearBackend
 from .fixedpoint import decode_lanes
 
@@ -109,7 +109,7 @@ def theorem_bound(net: NetworkSpec) -> ErrorBoundReport:
     pessimistic slack covering what that product omits."""
     delta = 1.0 / net.fmt.scale
     factors = []
-    magnitude = 1.0  # inputs are confined to [-1, 1]
+    magnitude = PIXEL_BOUND  # encrypt_image and classify confine the inputs
     for i, layer in enumerate(net.layers):
         lf = layer_factors(layer, i, magnitude)
         factors.append(lf)
@@ -140,7 +140,7 @@ def _sound_ceiling(factors, delta: float) -> float:
     the stored-value magnitude (true magnitude plus accumulated error),
     and the bias encoding."""
     err = delta
-    magnitude = 1.0
+    magnitude = PIXEL_BOUND
     for lf in factors:
         d_quant = lf.d_i + math.sqrt(lf.fan_in) * delta
         local = (lf.fan_in * (1.0 + magnitude + err) + 1.0) * delta

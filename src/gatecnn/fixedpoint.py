@@ -10,19 +10,23 @@ shift-and-add over the constant's signed digits when one operand is
 wholly public (a model weight), a Wallace-tree array otherwise.  The
 products of one value with several public constants (every kernel of a
 convolution layer on one input channel) can share that shift-and-add's
-adders (``fp_mul_consts``).  ReLU and max are computed exactly through
-oblivious selection: their outputs are bitwise identical to one of the
-inputs (or to zero) and add no numerical error.
+adders (``fp_mul_consts``).  A value certified to fit b < w bits (see
+``cnn.NetworkSpec.certificate``) can be built narrow: an add of width b
+ripples over the low b bits and copies bit b-1 upward as wires, and a
+constant multiply planned for b-bit operands reads only the low b bits.
+ReLU and max are computed exactly through oblivious selection: their
+outputs are bitwise identical to one of the inputs (or to zero) and add
+no numerical error.
 
 Each operation is defined once, by its circuit.  On the clear backend it
-also checks its exact integer result against the format's range and
-raises OverflowDiagnostic instead of wrapping, since a silent wrap voids
-the error analysis.  Those checks share the integer semantics written out
-here (``scaled_mul``, ``guard_range``) with the whole-layer evaluator in
-:mod:`gatecnn.cnn`: on a clear backend with ``fast_arith``, layers run as
-whole-array integer arithmetic and charge the gate counter the NANDs the
-circuits they stand for evaluate once public constants fold
-(``fold_costs``).
+also checks its exact integer result against the format's range (or the
+narrower width it is built for) and raises OverflowDiagnostic instead of
+wrapping, since a silent wrap voids the error analysis.  Those checks
+share the integer semantics written out here (``scaled_mul``,
+``guard_range``) with the whole-layer evaluator in :mod:`gatecnn.cnn`:
+on a clear backend with ``fast_arith``, layers run as whole-array integer
+arithmetic and charge the gate counter the NANDs the circuits they stand
+for evaluate once public constants fold (``fold_costs``).
 """
 
 from __future__ import annotations
@@ -225,32 +229,56 @@ def scaled_mul(za, zb, fmt: FixedPointFormat):
     return product
 
 
-def guard_range(values: np.ndarray, fmt: FixedPointFormat, what: str) -> None:
+def guard_range(values: np.ndarray, fmt: FixedPointFormat, what: str, bits=None) -> None:
     """Raise OverflowDiagnostic naming the first of ``values`` (in C order)
-    outside the format's range, where the circuit would silently wrap."""
-    outside = (values < fmt.min_int) | (values > fmt.max_int)
+    outside the format's range, where the circuit would silently wrap, or
+    outside the signed range of ``bits`` (an int or an array broadcasting
+    against values), where a circuit built that narrow would."""
+    if bits is None:
+        low, high = fmt.min_int, fmt.max_int
+    else:
+        half = np.left_shift(1, np.asarray(bits, dtype=int_dtype(fmt)) - 1)
+        low, high = -half, half - 1
+    outside = (values < low) | (values > high)
     if outside.any():
+        where = f"w={fmt.total_bits} range" if bits is None else \
+            f"{np.broadcast_to(bits, values.shape)[outside][0]}-bit range built for it"
         raise OverflowDiagnostic(
             f"{what} produced integer {values[outside][0]} outside the "
-            f"w={fmt.total_bits} range; the error bound no longer applies")
+            f"{where}; the error bound no longer applies")
 
 
-def _diagnose(a: FixedPointCipher, b: FixedPointCipher, combine, what: str) -> None:
+def _diagnose(a: FixedPointCipher, b: FixedPointCipher, combine, what: str,
+              bits=None) -> None:
     """Clear-backend range check of one operation on its exact integers."""
     if isinstance(a.backend, ClearBackend):
         za, zb = (np.array(_lane_values(x), dtype=int_dtype(a.fmt)) for x in (a, b))
-        guard_range(combine(za, zb), a.fmt, what)
+        guard_range(combine(za, zb), a.fmt, what, bits)
+
+
+def _low_bits(x: FixedPointCipher, width: int) -> BitVector:
+    """The lowest ``width`` bits of x."""
+    return x.bits if width == x.fmt.total_bits else BitVector(x.bits.bits[:width])
 
 
 # ----------------------------------------------------------------------
 # arithmetic
 # ----------------------------------------------------------------------
 
-def fp_add(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
-    """Exact fixed-point sum; adds no representation error."""
+def fp_add(a: FixedPointCipher, b: FixedPointCipher, width: int | None = None) -> FixedPointCipher:
+    """Exact fixed-point sum; adds no representation error.
+
+    With ``width`` (certified to hold the sum) the ripple adds only the
+    lowest ``width`` bits, and the sum's bits above are wires copying its
+    bit width - 1; the clear backend checks the sum fits."""
     _check_formats(a, b)
-    _diagnose(a, b, operator.add, "addition")
-    return FixedPointCipher(gates.add(a.bits, b.bits), a.fmt)
+    w = a.fmt.total_bits
+    width = w if width is None else width
+    _diagnose(a, b, operator.add, "addition", None if width == w else width)
+    out = gates.add(_low_bits(a, width), _low_bits(b, width))
+    if width < w:
+        out = BitVector(out.bits + out.bits[-1:] * (w - width))
+    return FixedPointCipher(out, a.fmt)
 
 
 def fp_sub(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
@@ -283,18 +311,28 @@ def fp_mul_consts(x: FixedPointCipher, plan: gates.ConstMulPlan, wanted) -> list
     floored back to the scale: bit-identical to ``fp_mul`` by the
     constant's encoding, with one shared adder graph
     (``gates.mul_consts``) for all of them.  ``plan`` is the
-    ``gates.const_mul_plan`` of the constants at the window [f, f+w)."""
+    ``gates.const_mul_plan`` of the constants at the window [f, f+w) for
+    operands of plan.width bits, at most w: only x's lowest plan.width
+    bits are read, so x must fit them (the clear backend checks)."""
     if isinstance(x.backend, ClearBackend):
         zx = np.array(_lane_values(x), dtype=int_dtype(x.fmt))
+        if plan.width < x.fmt.total_bits:
+            guard_range(zx, x.fmt, "a multiplication operand", plan.width)
         for j in wanted:
             guard_range(scaled_mul(zx, plan.constants[j], x.fmt), x.fmt, "multiplication")
-    return [FixedPointCipher(bits, x.fmt) for bits in gates.mul_consts(x.bits, plan, wanted)]
+    return [FixedPointCipher(bits, x.fmt)
+            for bits in gates.mul_consts(_low_bits(x, plan.width), plan, wanted)]
 
 
-def fp_mul_const(a: FixedPointCipher, c: float) -> FixedPointCipher:
-    """Multiply by a public real: ``fp_mul`` by its public encoding, so a
-    shift-and-add over the constant's signed digits (no gate for c = 0)."""
-    return fp_mul(a, encode_const(c, a.fmt, a.backend))
+def fp_mul_const(a: FixedPointCipher, c: float, width: int | None = None) -> FixedPointCipher:
+    """Multiply by a public real: bit-identical to ``fp_mul`` by its public
+    encoding, the shift-and-add over the constant's signed digits (no gate
+    for c = 0), here built for a's lowest ``width`` bits (default all w),
+    which must hold a (``fp_mul_consts``)."""
+    f, w = a.fmt.frac_bits, a.fmt.total_bits
+    plan = gates.const_mul_plan((float_to_scaled(c, a.fmt),), w if width is None else width,
+                                f, f + w)
+    return fp_mul_consts(a, plan, [0])[0]
 
 
 def fp_geq_zero(x: FixedPointCipher) -> EncBit:
@@ -328,33 +366,37 @@ def fp_max(values) -> FixedPointCipher:
 
 
 _COST_OPS = {
-    "mul": fp_mul,
+    "mul": lambda a, b, width: fp_mul(a, b),
     "add": fp_add,
-    "relu": lambda a, b: fp_relu(a),
-    "maxfold": lambda a, b: fp_max([a, b]),
+    "relu": lambda a, b, width: fp_relu(a),
+    "maxfold": lambda a, b, width: fp_max([a, b]),
 }
 
 
 _PROBE_LANES = 512  # lanes per FoldProbe pass: bounds its live lane masks
 
-# (kind, format) -> {(a, b) public_patterns: (NANDs, output public_pattern)}
-# of each circuit fold_costs runs on the FoldProbe.  A circuit's cost
-# depends on nothing else, so every model in the process shares the
-# entries.
+# (kind, format, width) -> {(a, b) public_patterns: (NANDs, output
+# public_pattern)} of each circuit fold_costs runs on the FoldProbe.  A
+# circuit's cost depends on nothing else, so every model in the process
+# shares the entries.
 _FOLD_COSTS = {}
-_FOLD_COSTS_LIMIT = 1 << 16  # entries per kind and format
+_FOLD_COSTS_LIMIT = 1 << 16  # entries per kind, format and width
 
 
-def fold_costs(kind: str, fmt: FixedPointFormat, pairs) -> list:
+def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width: int | None = None) -> list:
     """(NANDs evaluated, output public_pattern) of one ``kind`` circuit at
     ``fmt`` for each (a, b) pair of operand public_patterns (``relu``
-    ignores b).  Counts depend on the formats and public bits only, never
-    on private values.  A ``mul`` with a wholly public operand is charged
-    by walking its constant's plan (``const_mul_costs``); one bit-sliced
-    FoldProbe pass runs each chunk of the other pairs not yet in
-    ``_FOLD_COSTS`` through the real circuit."""
-    out = [_const_mul_cost(fmt, *pair) if kind == "mul" else None for pair in pairs]
-    cache = _FOLD_COSTS.setdefault((kind, fmt), {})
+    ignores b).  ``width`` (default w) is an ``add``'s width (``fp_add``)
+    and, for a ``mul`` by a wholly public operand, the other operand's
+    (``fp_mul_const``); the other kinds ignore it.  Counts depend on the
+    formats, widths and public bits only, never on private values.  A
+    ``mul`` with a wholly public operand is charged by walking its
+    constant's plan (``const_mul_costs``); one bit-sliced FoldProbe pass
+    runs each chunk of the other pairs not yet in ``_FOLD_COSTS`` through
+    the real circuit."""
+    width = fmt.total_bits if width is None else width
+    out = [_const_mul_cost(fmt, *pair, width) if kind == "mul" else None for pair in pairs]
+    cache = _FOLD_COSTS.setdefault((kind, fmt, width), {})
     known = {pair: cache.get(pair) for pair, found in zip(pairs, out) if found is None}
     probed = [pair for pair, found in known.items() if found is None]
     for start in range(0, len(probed), _PROBE_LANES):
@@ -364,7 +406,7 @@ def fold_costs(kind: str, fmt: FixedPointFormat, pairs) -> list:
                     [pair[i][1] for pair in lanes], [pair[i][0] for pair in lanes],
                     fmt.total_bits)), fmt)
                 for i in (0, 1))
-        values, publics = probe.words(_COST_OPS[kind](a, b).bits.bits)
+        values, publics = probe.words(_COST_OPS[kind](a, b, width).bits.bits)
         if len(cache) + len(lanes) > _FOLD_COSTS_LIMIT:
             cache.clear()
         for pair, nands, pattern in zip(lanes, probe.lane_counts().tolist(),
@@ -397,18 +439,16 @@ def _step_cost(step: gates.ConstMulStep, xs, ts):
     return found
 
 
-def _const_mul_cost(fmt: FixedPointFormat, a: tuple, b: tuple):
-    """(NANDs, output public_pattern) of ``fp_mul`` on operands with
-    public_patterns a, b when one is wholly public, else None: the
-    one-constant plan of ``gates.mul_const``, walked by const_mul_costs."""
+def _const_mul_cost(fmt: FixedPointFormat, a: tuple, b: tuple, width: int):
+    """(NANDs, output public_pattern) of ``fp_mul_const`` on operands with
+    public_patterns a, b, the other one built ``width`` bits wide, when
+    one is wholly public, else None: the one-constant plan, walked by
+    const_mul_costs."""
     w, f = fmt.total_bits, fmt.frac_bits
     full = (1 << w) - 1
     for x, (y_public, y_value) in ((a, b), (b, a)):
         if y_public == full:
-            k = _signed(y_value, w)
-            if x[0] == full:  # every gate folds
-                return 0, _public_product(fmt, x, k)
-            plan = gates.const_mul_plan((k,), w, f, f + w)
+            plan = gates.const_mul_plan((_signed(y_value, w),), width, f, f + w)
             (nands,), (pattern,) = const_mul_costs(fmt, plan, x, [[0]])
             return nands, pattern
     return None
@@ -419,22 +459,27 @@ def const_mul_costs(fmt: FixedPointFormat, plan: gates.ConstMulPlan, pattern, wa
     ``wanted`` of ``wanted_sets``, and each constant's product
     public_pattern, for an x with public_pattern ``pattern``.
 
-    Walks the plan's nodes over x's per-bit states (public value, or
-    None); a node's step is run once per shape and operand states
-    (``_step_cost``), not once per plan.  A wanted set is charged the
-    steps of the nodes its products read and the shared NOTs of each node
-    a negative one of those steps reads."""
-    w = fmt.total_bits
-    if pattern[0] == (1 << w) - 1:  # every gate folds
-        return [0] * len(wanted_sets), [_public_product(fmt, pattern, k) for k in plan.constants]
+    Walks the plan's nodes over the per-bit states (public value, or
+    None) of x's lowest plan.width bits, the ones the plan reads; a node's
+    step is run once per shape and operand states (``_step_cost``), not
+    once per plan.  A wanted set is charged the steps of the nodes its
+    products read and the shared NOTs of each node a negative one of those
+    steps reads."""
+    width = plan.width
+    low = (1 << width) - 1
+    if pattern[0] & low == low:  # every gate folds
+        x = _signed(pattern[1] & low, width)
+        full = (1 << fmt.total_bits) - 1
+        return [0] * len(wanted_sets), [(full, (x * k >> fmt.frac_bits) & full)
+                                        for k in plan.constants]
     nands = {}
 
     def step(st, xs, ts):
         nands[st], out = _step_cost(st, xs, ts)
         return out
 
-    values = gates.const_mul_walk(plan, _states(pattern, w), 0, range(1, len(plan.steps) + 1),
-                                  step, _invert_state)
+    values = gates.const_mul_walk(plan, _states(pattern, width), 0,
+                                  range(1, len(plan.steps) + 1), step, _invert_state)
     charges = []
     for wanted in wanted_sets:
         nodes = [plan.steps[i - 1] for i in plan.closure(wanted)]
@@ -444,12 +489,6 @@ def const_mul_costs(fmt: FixedPointFormat, plan: gates.ConstMulPlan, pattern, wa
     products = [_pattern_of(gates.const_mul_product(plan, values, j, 0))
                 for j in range(len(plan.constants))]
     return charges, products
-
-
-def _public_product(fmt: FixedPointFormat, pattern, k: int) -> tuple:
-    """The public_pattern of fp_mul by k of a wholly public x."""
-    full = (1 << fmt.total_bits) - 1
-    return full, (_signed(pattern[1], fmt.total_bits) * k >> fmt.frac_bits) & full
 
 
 def _invert_state(state):

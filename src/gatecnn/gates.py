@@ -6,7 +6,9 @@ a Wallace-tree reduction that builds only a requested window of product
 bits, multiplication by public integers as shift-and-add over one adder
 graph that their products share (a digit chain for one integer, a
 greedy graph planned over numpy arrays for several), sign-based
-comparison and an oblivious multiplexer.  The gate sequence of every
+comparison and an oblivious multiplexer.  A constant multiply is planned
+for its operand's width, which may be narrower than a word when the
+operand is known to fit fewer bits.  The gate sequence of every
 circuit depends only on operand widths and on which bits are public
 constants (``nand`` folds gates those fix), never on private values, so
 encrypted evaluation leaks nothing through the trace.
@@ -435,11 +437,11 @@ class ConstMulStep(NamedTuple):
 
 class ConstMulPlan(NamedTuple):
     """mul_const's adder graph for public integers ``constants`` at the
-    product window [lo, hi): the node steps (node i is steps[i - 1]), the
-    indices of each node's bits whose NOT the negative steps reading it
-    share, and per constant the node and shift whose bits [lo - shift,
-    hi - shift) are its product (node None: the product is 0) and the
-    nodes that product reads, as a bit mask."""
+    product window [lo, hi) of a ``width``-bit operand: the node steps
+    (node i is steps[i - 1]), the indices of each node's bits whose NOT
+    the negative steps reading it share, and per constant the node and
+    shift whose bits [lo - shift, hi - shift) are its product (node None:
+    the product is 0) and the nodes that product reads, as a bit mask."""
 
     constants: tuple
     steps: tuple
@@ -448,6 +450,7 @@ class ConstMulPlan(NamedTuple):
     needs: tuple
     lo: int
     hi: int
+    width: int
 
     def closure(self, wanted) -> list:
         """The nodes above 0 that the products of constants ``wanted`` read,
@@ -680,7 +683,7 @@ def const_mul_plan(ks, width: int, lo: int, hi: int) -> ConstMulPlan:
     inverted = tuple(range(min(1, n - 1), stop) if stop else range(0)
                      for n, stop in zip(lengths, stops))
     needs = tuple(0 if node is None else masks[node] for node, _ in targets)
-    return ConstMulPlan(ks, tuple(steps), inverted, tuple(targets), needs, lo, hi)
+    return ConstMulPlan(ks, tuple(steps), inverted, tuple(targets), needs, lo, hi, width)
 
 
 def _sign_extended(bits, width: int) -> list:
@@ -760,7 +763,10 @@ def mul_consts(a: BitVector, plan: ConstMulPlan, wanted) -> list:
     ``wanted``, from one shared adder graph: only the nodes those products
     read are built, each once, and a product is wires into its node.  The
     gates depend on the plan and on which bits of a are public, never on
-    a's private values."""
+    a's private values.  ``a`` must have the plan's operand width."""
+    if a.width != plan.width:
+        raise ParameterError(f"a {a.width}-bit operand for a plan of "
+                             f"{plan.width}-bit operands")
     zero = trivial_const(0, a.backend)
     values = const_mul_walk(plan, a.bits, zero, plan.closure(wanted), const_mul_step, not_gate)
     return [BitVector(const_mul_product(plan, values, j, zero)) for j in wanted]

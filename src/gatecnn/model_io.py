@@ -16,7 +16,8 @@ them:
 
 Weights are written with repr() so float64 values survive a round trip
 byte-exactly.  Images come in as 8-bit PGM (P2 or P5), mapped to
-[-1, 1] by v = pixel / 127.5 - 1, or as CSV of raw reals.
+[-1, 1] by v = pixel / 127.5 - 1, or as CSV of reals, which
+``cnn.encrypt_image`` accepts only in [-1, 1] (``cnn.PIXEL_BOUND``).
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import math
 import random
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gatecnn import cli, cnn, error_analysis, model_io
 from gatecnn import fhe_core as fc
@@ -103,6 +104,116 @@ def test_criterion_3_bound_property_random_networks():
     assert total_runs == 1000
     _report(3, f"100 random networks x 10 inputs: 0 violations of "
                f"bound+slack (worst usage {worst_margin:.1%})")
+
+
+def _exact_layers(net, pixels):
+    """Per layer, the scaled integers the evaluators compute for one
+    (c, h, w) image, as Python integers: the terms each neuron reads
+    (..., fan-in) in window order, the floored products and the partial
+    sums after each, the bias first (..., out, fan-in), and the outputs
+    after activation and pooling (..., out)."""
+    fmt = net.fmt
+    x = np.array([[[fp.float_to_scaled(v, fmt) for v in row] for row in grid]
+                  for grid in pixels], dtype=object)
+    layers = []
+    for layer in net.layers:
+        weights = np.array([[fp.float_to_scaled(v, fmt) for v in row]
+                            for row in layer.weights.reshape(layer.out_channels, -1)],
+                           dtype=object)
+        biases = np.array([fp.float_to_scaled(v, fmt) for v in layer.biases], dtype=object)
+        if layer.kind == cnn.CONVOLUTION:
+            k = layer.kernel_size
+            terms = sliding_window_view(x, (k, k), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
+            terms = terms.reshape(terms.shape[:2] + (-1,))
+        else:
+            terms = x.reshape(-1)
+        products = (terms[..., None, :] * weights) >> fmt.frac_bits
+        sums = np.cumsum(products, axis=-1) + biases[:, None]
+        outputs = sums[..., -1]
+        if layer.activation == cnn.RELU:
+            outputs = np.maximum(outputs, 0)
+        if layer.kind == cnn.CONVOLUTION:
+            pool = layer.pool_size
+            h, w = outputs.shape[0] // pool, outputs.shape[1] // pool
+            outputs = outputs.reshape(h, pool, w, pool, -1).max(axis=(1, 3))
+            x = outputs.transpose(2, 0, 1)
+        else:
+            x = outputs
+        layers.append((terms, products, sums, outputs))
+    return layers
+
+
+def _inside(values, interval) -> bool:
+    low, high = interval
+    return bool(((low <= values) & (values <= high)).all())
+
+
+def _layers_on_both_evaluators(net, pixels):
+    """Layer by layer at the certificate's widths, on the whole-layer
+    evaluator and gate by gate: each output's (value, public_pattern) and
+    the layer's NANDs."""
+    runs = []
+    for fast in (True, False):
+        backend = fc.ClearBackend(fast_arith=fast)
+        current = cnn.encrypt_image(pixels, net.fmt, backend)
+        layers = []
+        for layer, certificate in zip(net.layers, net.certificate()):
+            before = backend.stats.nand_count
+            if layer.kind == cnn.CONVOLUTION:
+                current = cnn.conv_layer(current, layer, certificate=certificate)
+                cells = [v for grid in current.channels for row in grid for v in row]
+            else:
+                if isinstance(current, cnn.EncImage):
+                    current = cnn.flatten_image(current)
+                current = cells = cnn.fc_layer(current, layer, certificate=certificate).scores
+            layers.append(([(fp._lane_values(v)[0], fp.public_pattern(v)) for v in cells],
+                           backend.stats.nand_count - before))
+        runs.append(layers)
+    return runs
+
+
+def test_certificate_holds_on_random_networks():
+    """Criterion 3's random networks on pixels in [-1, 1], the all +1 and
+    all -1 corners among them: every input, product, partial sum and
+    layer output, in exact integers, lies inside its certified interval;
+    each interval fits its certified width; and the scores are those of
+    classify.  On three of the networks, layer by layer, the whole-layer
+    evaluator and the gate path give the same values, NANDs and output
+    public_patterns, with fewer NANDs than at w bits."""
+    rng = np.random.default_rng(321)
+    for i in range(100):
+        net = _random_small_net(1000 + i)
+        fmt, shape = net.fmt, (1, net.input_height, net.input_width)
+        certificate = net.certificate()
+        for layer, widths in zip(net.layers, certificate):
+            limit = 1 << (widths.sum_bits - 1).astype(object)
+            assert _inside(widths.sums[0], (-limit, limit - 1))
+            assert _inside(widths.sums[1], (-limit, limit - 1))
+            half = 1 << (widths.input_bits - 1)
+            assert _inside(np.concatenate(widths.inputs), (-half, half - 1))
+        for pixels in (np.ones(shape), -np.ones(shape), rng.choice((-1.0, 1.0), shape),
+                       rng.uniform(-1, 1, shape)):
+            layers = _exact_layers(net, pixels)
+            for (terms, products, sums, outputs), widths in zip(layers, certificate):
+                assert _inside(terms, widths.inputs), i
+                assert _inside(products, widths.products), i
+                assert _inside(sums, widths.sums), i
+                assert _inside(outputs, widths.outputs), i
+            backend = fc.ClearBackend(fast_arith=True)
+            scores = cnn.classify(cnn.encrypt_image(pixels, fmt, backend), net)
+            assert [fp._lane_values(v)[0] for v in scores.scores] == layers[-1][3].tolist()
+    for seed in (1001, 1006, 1013):
+        net = _random_small_net(seed)
+        assert net.layers[0].kind == cnn.CONVOLUTION
+        pixels = rng.uniform(-1, 1, (1, net.input_height, net.input_width))
+        pixels[0, 0] = 1.0
+        fast, gate = _layers_on_both_evaluators(net, pixels)
+        assert fast == gate, seed
+        backend = fc.ClearBackend(fast_arith=True)
+        cnn.classify(cnn.encrypt_image(pixels, net.fmt, backend), net, encrypt_weights=True)
+        assert sum(nands for _, nands in fast) < backend.stats.nand_count
+    _report("3b", "100 random networks x 4 inputs in [-1, 1]: every value inside "
+                  "its certified interval; fast == gate per layer on 3 of them")
 
 
 # ----------------------------------------------------------------------
@@ -215,8 +326,9 @@ def test_criterion_7_encrypted_tiny_cnn(toy_params, toy_key, tiny_net):
     assert gsw_ints == clear_ints
     # public weights take the same shift-and-add circuits on both backends
     # (219,056 NANDs with the multiplier array unfolded, 123,781 folded,
-    # 28,244 with one digit chain per product)
-    assert gsw.stats.nand_count == clear.stats.nand_count == 26_037
+    # 28,244 with one digit chain per product, 26,037 with shared adder
+    # graphs, all 12 bits wide)
+    assert gsw.stats.nand_count == clear.stats.nand_count == 15_783
     _report(7, f"tiny CNN fully encrypted on the toy preset decrypts "
                f"bit-identical to the clear backend (scores {gsw_ints}, "
                f"{gsw.stats.nand_count} NANDs, {gsw.stats.refresh_count} refreshes)")

@@ -1,3 +1,4 @@
+import itertools
 import shlex
 import struct
 from pathlib import Path
@@ -133,6 +134,58 @@ def test_bound_empty_fc_only_model(workdir, capsys):
     kv = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines()
               if "=" in line and " " not in line)
     assert float(kv["total_bound"]) == pytest.approx(float(kv["initial_delta"]))
+
+
+def test_bound_prints_certified_widths(workdir, capsys):
+    """Per layer, b_x, the widest partial sum and the headroom to w.  The
+    micro model (w=10, f=5; one fc layer over 4 pixels in [-1, 1], ±32 as
+    integers) needs 7 input bits; its widest partial sum comes from every
+    corner of the inputs, the extremes of each floored product."""
+    assert run("bound", "--model", workdir / "micro.txt") == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("certified bit widths"))
+    assert lines[start + 1].split() == ["layer", "b_x", "max", "b_s", "headroom"]
+    net = model_io.load_model(workdir / "micro.txt")
+    weights, biases = net.layers[0].scaled(net.fmt)
+    widest = 0
+    for corner in itertools.product((-32, 32), repeat=4):
+        for node in range(2):
+            total = int(biases[node])
+            for x, z in zip(corner, weights[node]):
+                total += x * int(z) >> 5
+                widest = max(widest, (total if total >= 0 else ~total).bit_length() + 1)
+    assert lines[start + 2].split() == ["0", "7", str(widest), str(10 - widest)]
+
+
+def test_bound_of_a_model_whose_weights_do_not_encode_exits_4(workdir, capsys):
+    """A weight of 100 does not fit w=10, f=5, so no layer can be built or
+    certified: one error line, exit 4, and no partial report."""
+    net = model_io.load_model(workdir / "micro.txt")
+    net.layers[0].weights[0, 0] = 100.0
+    model_io.save_model(net, workdir / "big.txt")
+    capsys.readouterr()
+    assert run("bound", "--model", workdir / "big.txt") == cli.EXIT_SHAPE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: value 100.0") and err.count("\n") == 1
+
+
+def test_pixels_outside_the_unit_interval_exit_4(workdir, capsys):
+    """A CSV pixel of 1.5 is refused with exit 4 and a one-line error by
+    encrypt-image and verify; pixels of exactly ±1.0 classify."""
+    model_io.save_csv(np.array([[0.5, 1.5], [-1.0, 0.0]]), workdir / "over.csv")
+    capsys.readouterr()
+    for argv in (("encrypt-image", "--image", workdir / "over.csv", "--backend", "clear",
+                  "--out", workdir / "over.bin"),
+                 ("verify", "--images", workdir / "over.csv")):
+        assert run(*argv, "--model", workdir / "micro.txt") == cli.EXIT_SHAPE
+        err = capsys.readouterr().err
+        assert err.startswith("error: pixel 1.5 outside [-1.0, 1.0]") and err.count("\n") == 1
+    model_io.save_csv(np.array([[1.0, -1.0], [-1.0, 1.0]]), workdir / "edge.csv")
+    assert run("encrypt-image", "--model", workdir / "micro.txt", "--image",
+               workdir / "edge.csv", "--backend", "clear", "--out", workdir / "edge.bin") == 0
+    assert run("classify", "--model", workdir / "micro.txt", "--in", workdir / "edge.bin",
+               "--out", workdir / "edge_scores.bin") == 0
+    assert run("verify", "--model", workdir / "micro.txt", "--images", workdir / "edge.csv") == 0
 
 
 def test_verify_passes_on_micro(workdir, capsys):

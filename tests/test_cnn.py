@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from contextlib import contextmanager
@@ -7,7 +8,8 @@ import pytest
 
 from gatecnn import cnn
 from gatecnn import fixedpoint as fp
-from gatecnn.errors import ParameterError, RangeError, ShapeError
+from gatecnn.errors import (OverflowDiagnostic, ParameterError, RangeError,
+                            ShapeError)
 from gatecnn.fhe_core import ClearBackend, GswBackend
 
 FMT = fp.FixedPointFormat(32, 16)
@@ -304,16 +306,21 @@ def test_layer_evaluator_matches_gate_path(fast_vs_gate, seed, conv_act, fc_act,
 
 
 def test_layer_evaluator_wide_format(fast_vs_gate):
-    """w=40: in-range products reach 2^68, past int64, so the evaluator
-    runs on Python integers."""
+    """w=40: inputs in [-1, 1] times first-layer weights up to 200 give
+    in-range products past 2^63 on the scaled integers, past int64, so
+    the evaluator runs on Python integers."""
     fmt = fp.FixedPointFormat(40, 30)
     assert fp.int_dtype(fmt) is object
     rng = np.random.default_rng(40)
     net = cnn.NetworkSpec(
-        [make_fc(2, 3, weights=rng.uniform(-12, 12, (3, 2)), act=cnn.RELU),
+        [make_fc(2, 3, weights=rng.uniform(-200, 200, (3, 2)), act=cnn.RELU),
          make_fc(3, 2, weights=rng.uniform(-0.3, 0.3, (2, 3)))],
         input_height=1, input_width=2, fmt=fmt)
-    fast, gate = fast_vs_gate(net, rng.uniform(-20, 20, (2, 1, 1, 2)))
+    images = np.concatenate([[[[[1.0, -1.0]]]], rng.uniform(-1, 1, (1, 1, 1, 2))])
+    weights = net.layers[0].scaled(fmt)[0]
+    assert max(abs(fp.float_to_scaled(x, fmt) * int(z))
+               for x in images.ravel() for z in weights.ravel()) > 2 ** 63
+    fast, gate = fast_vs_gate(net, images)
     assert fast == gate
 
 
@@ -404,12 +411,13 @@ def test_layer_evaluator_matches_gate_path_5x5(fast_vs_gate, encrypt_weights):
     assert fast == gate
 
 
-def _layer_by_layer(net, pixels, encrypt_weights=False):
+def _layer_by_layer(net, pixels, encrypt_weights=False, certified=False):
     """Per conv layer of an _edge_heavy_net, on the whole-layer evaluator
     and gate by gate: each output's (value, public_pattern) and the
     layer's NANDs.  The 1x1 layer's weights stay public, so the 5x5 layer
     reads a private and a partly public map; ``encrypt_weights`` applies
-    to the 5x5 layer."""
+    to the 5x5 layer.  ``certified`` builds each layer to the network's
+    certificate widths, else w bits wide."""
     runs = []
     for fast in (True, False):
         backend = ClearBackend(fast_arith=fast)
@@ -417,7 +425,8 @@ def _layer_by_layer(net, pixels, encrypt_weights=False):
         layers = []
         for i, layer in enumerate(net.layers[:2]):
             before = backend.stats.nand_count
-            img = cnn.conv_layer(img, layer, encrypt_weights=encrypt_weights and i == 1)
+            img = cnn.conv_layer(img, layer, encrypt_weights=encrypt_weights and i == 1,
+                                 certificate=net.certificate()[i] if certified else None)
             layers.append(([[[(fp._lane_values(v)[0], fp.public_pattern(v)) for v in row]
                              for row in grid] for grid in img.channels],
                            backend.stats.nand_count - before))
@@ -433,6 +442,20 @@ def test_layer_evaluator_matches_gate_path_5x5_patterns():
     assert fast == gate
     maps = fast[0][0]
     assert {p for _, p in maps[0][0]} == {fp.PRIVATE} and {p for _, p in maps[1][0]} == {(1, 0)}
+
+
+def test_layer_evaluator_matches_gate_path_5x5_patterns_certified():
+    """The same at the certificate's widths (5x5 layer: 6-bit inputs of
+    w=8, partial sums of 4 to 8 bits), for fewer NANDs than at w bits."""
+    net = _edge_heavy_net()
+    assert net.certificate()[1].input_bits == 6
+    pixels = np.random.default_rng(13).uniform(-0.5, 0.5, (12, 12))
+    fast, gate = _layer_by_layer(net, pixels, certified=True)
+    assert fast == gate
+    maps = fast[0][0]
+    assert {p for _, p in maps[0][0]} == {fp.PRIVATE} and {p for _, p in maps[1][0]} == {(1, 0)}
+    wide = _layer_by_layer(net, pixels)[0]
+    assert all(narrow[1] < full[1] for narrow, full in zip(fast, wide))
 
 
 @pytest.mark.parametrize("encrypt_weights", [False, True])
@@ -479,6 +502,27 @@ def test_layer_charges_keep_the_latest_inputs(monkeypatch):
         assert all(len(layer.charges) <= 3 for layer in net.layers)
     assert len(net.layers[0].charges) == 3
     assert counts[-1] == counts[-2] > 0
+
+
+def test_layers_guard_the_certified_widths():
+    """Given a certificate, both evaluators check each layer input against
+    its input width and each partial sum against its width, where the
+    narrow circuits stop being exact: with pixels of 1.0 (18 bits at
+    f=16) the certified layer runs, a certificate one bit narrower on the
+    partial sums raises, and so does an input of 2.0 (19 bits)."""
+    spec = make_fc(2, 1, weights=np.array([[0.75, 0.5]]), biases=np.zeros(1))
+    (certificate,) = cnn.NetworkSpec([spec], 1, 2, FMT).certificate()
+    assert certificate.input_bits == 18 and certificate.sum_bits.tolist() == [[17, 18]]
+    narrow = dataclasses.replace(certificate, sum_bits=certificate.sum_bits - 1)
+    for fast in (True, False):
+        backend = ClearBackend(fast_arith=fast)
+        ones = [fp.encode(1.0, FMT, backend)] * 2
+        assert scores_of(cnn.fc_layer(ones, spec, certificate=certificate)) == [1.25]
+        with pytest.raises(OverflowDiagnostic, match="addition .* 16-bit range"):
+            cnn.fc_layer(ones, spec, certificate=narrow)
+        past = [fp.encode(2.0, FMT, backend), fp.encode(0.0, FMT, backend)]
+        with pytest.raises(OverflowDiagnostic, match="18-bit range"):
+            cnn.fc_layer(past, spec, certificate=certificate)
 
 
 def test_layer_evaluator_rejects_unencodable_weight():

@@ -236,7 +236,8 @@ def test_overflow_diagnostics_on_clear():
             cnn.fc_layer([big], _fc_spec([2.0]))
         with pytest.raises(OverflowDiagnostic, match="addition"):
             cnn.fc_layer([big, big], _fc_spec([1.0, 1.0]))
-        far = cnn.encrypt_image(np.array([[30000.0, -30000.0], [0.0, 0.0]]), FMT, backend)
+        far = cnn.EncImage([[[fp.encode(v, FMT, backend) for v in row]
+                             for row in ((30000.0, -30000.0), (0.0, 0.0))]], 2, 2)
         with pytest.raises(OverflowDiagnostic, match="comparison"):
             cnn.conv_layer(far, pool)
     backend = fc.ClearBackend()
@@ -435,6 +436,48 @@ def test_preset_kernel_products_match_scaled_mul():
                 assert fp._lane_values(got) == want, (plan.constants[j], j)
 
 
+def test_certified_width_plan_products_match_scaled_mul():
+    """conv1's plan for its certified 18-bit inputs, run on the low 18
+    bits of 32-bit operands: on 64 lanes, pixels ±1.0 (±65,536) among
+    them, every product equals scaled_mul bit for bit.  The clear backend
+    refuses an operand past 18 bits, where the plan would be wrong."""
+    net = demo.preset_model()
+    fmt, layer = net.fmt, net.layers[0]
+    assert net.certificate()[0].input_bits == 18
+    (plan,) = layer.kernel_plans(fmt, 18)
+    rnd = random.Random(18)
+    values = [-65536, 65536, -1, 0, 1] + [rnd.randrange(-65536, 65537) for _ in range(59)]
+    backend = fc.ClearBackend(lanes=len(values))
+    x = fp.FixedPointCipher(g.BitVector.from_lane_ints(values, 32, backend), fmt)
+    wanted = range(len(plan.constants))
+    zx = np.array(values, dtype=np.int64)
+    for k, got in zip(plan.constants, fp.fp_mul_consts(x, plan, wanted)):
+        assert fp._lane_values(got) == fp.scaled_mul(zx, k, fmt).tolist(), k
+    past = fp.FixedPointCipher(g.BitVector.from_lane_ints([1 << 17] * 64, 32, backend), fmt)
+    with pytest.raises(OverflowDiagnostic, match="18-bit range"):
+        fp.fp_mul_consts(past, plan, wanted)
+
+
+def test_narrow_add_is_exact_where_the_sum_fits():
+    """fp_add at width 6 of a w=10 format: the sum of every pair whose
+    sum fits 6 bits is exact, its bits above bit 5 are that bit's wires,
+    and it evaluates the gates of a 6-bit ripple.  On the clear backend a
+    sum past 6 bits raises."""
+    small = fp.FixedPointFormat(10, 5)
+    pairs = [(a, b) for a in range(-40, 40) for b in range(-40, 40) if -32 <= a + b < 32]
+    backend = fc.ClearBackend(lanes=len(pairs))
+    x, y = (fp.FixedPointCipher(g.BitVector.from_lane_ints([p[i] for p in pairs], 10, backend),
+                                small) for i in (0, 1))
+    before = backend.stats.nand_count
+    total = fp.fp_add(x, y, width=6)
+    assert fp._lane_values(total) == [a + b for a, b in pairs]
+    assert all(bit is total.bits.bits[5] for bit in total.bits.bits[6:])
+    assert backend.stats.nand_count - before == fp.fold_costs(
+        "add", fp.FixedPointFormat(6, 0), [(fp.PRIVATE, fp.PRIVATE)])[0][0]
+    with pytest.raises(OverflowDiagnostic, match="6-bit range"):
+        fp.fp_add(fp.encode(0.75, small, backend), fp.encode(0.5, small, backend), width=6)
+
+
 def test_preset_kernel_plan_sizes():
     """The preset model's conv plans, one per input channel: 100 adder
     nodes for conv1's 100 weights, 1,470 over conv2's four input channels
@@ -492,11 +535,16 @@ def test_one_constant_plan_never_costs_more_than_the_digit_chain():
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _spread(costs) -> str:
+    return f"{min(costs):,} / {round(sum(costs) / len(costs)):,} / {max(costs):,}"
+
+
 def test_readme_public_weight_mul_row():
     """The README's NANDs for ``fp_mul`` by a public weight are what
     fold_costs charges: on private operands (the Wallace array), and min /
     mean / max over the micro model's weights at w=10 and the preset
-    model's at w=32."""
+    model's at w=32, then with the operand at its layer's certified input
+    width."""
     row = next(line for line in README.read_text().splitlines()
                if line.strip().startswith("| `fp_mul` by a public weight |"))
     want = []
@@ -504,11 +552,13 @@ def test_readme_public_weight_mul_row():
         fmt = net.fmt
         full = (1 << fmt.total_bits) - 1
         private = fp.fold_costs("mul", fmt, [(fp.PRIVATE, fp.PRIVATE)])[0][0]
-        ks = [int(k) for layer in net.layers for k in layer.scaled(fmt)[0].ravel()]
-        costs = [n for n, _ in fp.fold_costs("mul", fmt, [(fp.PRIVATE, (full, k & full))
-                                                          for k in ks])]
-        want += [f"{private:,}",
-                 f"{min(costs):,} / {round(sum(costs) / len(costs)):,} / {max(costs):,}"]
+        costs, certified = [], []
+        for layer, widths in zip(net.layers, net.certificate()):
+            pairs = [(fp.PRIVATE, (full, int(k) & full)) for k in layer.scaled(fmt)[0].ravel()]
+            costs += [n for n, _ in fp.fold_costs("mul", fmt, pairs)]
+            certified += [n for n, _ in fp.fold_costs("mul", fmt, pairs, widths.input_bits)]
+        want += [f"{private:,}", _spread(costs)]
+    want.append(_spread(certified))
     assert [cell.strip() for cell in row.strip().strip("|").split("|")[1:]] == want
 
 
@@ -516,22 +566,24 @@ def test_readme_kernel_shared_mul_row():
     """The README's mean NANDs per conv product of the preset model, on
     private inputs: one digit chain per product (fold_costs of each weight,
     once per window), and the shared adder graphs (the layer evaluator's
-    charge of the conv multiplies)."""
+    charge of the conv multiplies), planned for w-bit inputs and for the
+    layer's certified input width."""
     row = next(line for line in README.read_text().splitlines()
                if line.strip().startswith("| `fp_mul_consts`, per conv product |"))
     net = demo.preset_model()
     fmt = net.fmt
     full = (1 << fmt.total_bits) - 1
     channels, side = net.input_channels, net.input_height
-    chain = shared = products = 0
-    for layer in net.layers[:2]:
+    chain = shared = certified = products = 0
+    for layer, widths in zip(net.layers[:2], net.certificate()):
         windows = (side - layer.kernel_size + 1) ** 2
         ks = [int(k) for k in layer.scaled(fmt)[0].ravel()]
         costs = fp.fold_costs("mul", fmt, [(fp.PRIVATE, (full, k & full)) for k in ks])
         chain += windows * sum(n for n, _ in costs)
         ids = np.zeros((channels, side, side), dtype=np.int64)
-        shared += cnn._kernel_charge(cnn._FoldTable(fmt), layer, ids)[0]
+        shared += cnn._kernel_charge(cnn._FoldTable(fmt), layer, ids, fmt.total_bits)[0]
+        certified += cnn._kernel_charge(cnn._FoldTable(fmt), layer, ids, widths.input_bits)[0]
         products += windows * len(ks)
         channels, side = layer.out_channels, (side - layer.kernel_size + 1) // layer.pool_size
-    want = ["—", "—", f"{round(chain / products):,}", f"{round(shared / products):,}"]
+    want = ["—", "—"] + [f"{round(n / products):,}" for n in (chain, shared, certified)]
     assert [cell.strip() for cell in row.strip().strip("|").split("|")[1:]] == want

@@ -250,6 +250,17 @@ def test_mul_consts_exhaustive_windows(width):
                     assert [bit.clear_value for bit in alone.bits] == want, (ks, k, lo, hi)
 
 
+def test_mul_consts_rejects_an_operand_of_another_width():
+    """A plan records the operand width it was planned for; an operand
+    wider or narrower than that is a ParameterError."""
+    backend = fc.ClearBackend()
+    narrow, wide = (g.const_mul_plan([5, -3, 12], width, 16, 48) for width in (18, 32))
+    assert (narrow.width, wide.width) == (18, 32)
+    for plan, width in ((narrow, 32), (narrow, 17), (wide, 18)):
+        with pytest.raises(ParameterError, match=f"{plan.width}-bit operands"):
+            g.mul_consts(g.BitVector.from_int(3, width, backend), plan, [0])
+
+
 def test_mul_consts_gate_trace_depends_on_the_plan_only():
     """Two private pixels times one kernel's constants, for the products
     of every kernel entry and of a corner's and an edge's entries: the

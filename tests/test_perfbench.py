@@ -36,4 +36,4 @@ def test_clear_paper_run_pins_the_folded_nand_count():
     result = _run("clear_paper", trace=0)
     assert result["correct"] is True
     assert result["failed"] == 0
-    assert result["metrics"]["nand_per_image"]["value"] == 111_678_243
+    assert result["metrics"]["nand_per_image"]["value"] == 69_586_326
