@@ -14,15 +14,17 @@ clear backend with ``fast_arith`` runs each layer as one whole-array
 integer computation instead, charged the NANDs the gate path evaluates.
 With public weights, a convolution builds each input pixel's products
 with every output channel's kernel from one adder graph per input
-channel, which they share, and ``classify`` builds every multiply and
-add only as wide as the network's interval certificate
+channel, which they share, and ``classify`` builds every multiply, add
+and ReLU only as wide as the network's interval certificate
 (``NetworkSpec.certificate``) proves its values need, for pixels in
-[-PIXEL_BOUND, PIXEL_BOUND].  Scores stay encrypted: argmax is the
+[-PIXEL_BOUND, PIXEL_BOUND], adding each neuron's terms narrowest first
+in a tree the certificate fixes.  Scores stay encrypted: argmax is the
 client's job after decryption.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -107,10 +109,10 @@ class LayerSpec:
     kernel_size: int = 0
     pool_size: int = 1
     # the whole-layer evaluator's NAND charges, kept per format, weight
-    # entry, input patterns and widths for the last _CHARGES_LIMIT inputs
-    # (see _charge_layer), per format the scaled weights and biases (see
-    # scaled), and per format and input width a conv layer's kernel plans
-    # (see kernel_plans)
+    # entry, input patterns, widths and add trees for the last
+    # _CHARGES_LIMIT inputs (see _charge_layer), per format the scaled
+    # weights and biases (see scaled), and per format and input width a
+    # conv layer's kernel plans (see kernel_plans)
     charges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -167,25 +169,34 @@ class LayerSpec:
 class LayerCertificate:
     """Intervals of one layer's scaled integers, each a (low, high) pair
     of arrays in the format's ``int_dtype``, when every pixel lies in
-    [-PIXEL_BOUND, PIXEL_BOUND], and the bit widths built from them:
+    [-PIXEL_BOUND, PIXEL_BOUND], and the circuits built from them.
+
+    Each neuron adds its fan-in + 1 leaves, the bias (leaf 0) and then
+    the floored products in window order (leaf j + 1 is product j), in a
+    tree of fan-in adds: node i (value fan-in + 1 + i) adds the two
+    values ``operands[:, i]`` names, and the last node is the neuron.
 
     - ``inputs`` (fan-in,): the values each neuron's terms read, in
       window order (input channel, kernel row, column) for convolution;
     - ``products`` (out, fan-in): each floored product with a weight;
-    - ``sums`` (out, fan-in): the partial sum after each term, the bias
-      first, in ``dot_product``'s order;
+    - ``sums`` (out, fan-in): each tree node;
     - ``outputs`` (out,): each output channel or node after the
       activation (max pooling keeps the interval);
+    - ``operands`` (out, fan-in, 2): the two values each node adds;
     - ``input_bits``: the signed bits every input fits, at most w;
-    - ``sum_bits`` (out, fan-in): the signed bits each partial sum fits,
-      at most w."""
+    - ``sum_bits`` (out, fan-in): the signed bits each node fits, at
+      most w;
+    - ``fits``: whether every input, product and node fits w bits, so
+      that no circuit of the layer can wrap."""
 
     inputs: tuple
     products: tuple
     sums: tuple
     outputs: tuple
+    operands: np.ndarray
     input_bits: int
     sum_bits: np.ndarray
+    fits: bool
 
 
 def _signed_bits(low, high) -> np.ndarray:
@@ -193,6 +204,32 @@ def _signed_bits(low, high) -> np.ndarray:
     magnitude = np.maximum(high, ~low)  # >= 0 wherever low <= high
     return np.array([int(m).bit_length() + 1 for m in np.ravel(magnitude).tolist()],
                     dtype=np.int64).reshape(np.shape(magnitude))
+
+
+def _sum_tree(lows: list, highs: list) -> tuple:
+    """The add tree over leaves with intervals [lows[i], highs[i]]: add the
+    two narrowest values (in signed bits; ties to the lower index) until
+    one is left, so most adds stay narrow.  Returns each node's operand
+    pair and its interval's ends, in build order; the last is the root."""
+    heap = [(max(high, ~low).bit_length(), i) for i, (low, high) in enumerate(zip(lows, highs))]
+    heapq.heapify(heap)
+    lows, highs, pairs = list(lows), list(highs), []
+    while len(heap) > 1:
+        (_, a), (_, b) = heapq.heappop(heap), heapq.heappop(heap)
+        pairs.append((a, b))
+        lows.append(lows[a] + lows[b])
+        highs.append(highs[a] + highs[b])
+        heapq.heappush(heap, (max(highs[-1], ~lows[-1]).bit_length(), len(lows) - 1))
+    leaves = len(pairs) + 1
+    return pairs, lows[leaves:], highs[leaves:]
+
+
+def _left_chain(out: int, fan_in: int) -> np.ndarray:
+    """(out, fan-in, 2) operands of the left chain: node i adds leaf i + 1
+    to node i - 1 (to the bias for i = 0)."""
+    first = np.concatenate([[0], np.arange(fan_in + 1, 2 * fan_in)])
+    return np.broadcast_to(np.stack([first, np.arange(1, fan_in + 1)], axis=1),
+                           (out, fan_in, 2))
 
 
 @dataclass
@@ -216,17 +253,19 @@ class NetworkSpec:
         """Per layer, the LayerCertificate at ``fmt``, from an interval
         walk over the scaled integers in the evaluators' order: pixels in
         [-PIXEL_BOUND, PIXEL_BOUND] (as ``fmt`` integers), then per layer
-        the bias, each floored product (``scaled_mul``), each partial
-        sum, the activation and max pooling.  Products and outputs are
-        clipped to the format's range, outside which the clear backend
-        raises OverflowDiagnostic.  Computed once per format; an
-        unencodable weight raises RangeError."""
+        each floored product (``scaled_mul``), each neuron's add tree
+        (``_sum_tree`` over the bias and the products, so the tree
+        depends on the public weights and the format alone), the
+        activation and max pooling.  Products and outputs are clipped to
+        the format's range, outside which the clear backend raises
+        OverflowDiagnostic.  Computed once per format; an unencodable
+        weight raises RangeError."""
         fmt = self.fmt
         found = self._certificates.get(fmt)
         if found is not None:
             return found
-        w = fmt.total_bits
-        values = tuple(np.full(self.input_channels, bound, dtype=int_dtype(fmt)) for bound in (
+        w, dtype = fmt.total_bits, int_dtype(fmt)
+        values = tuple(np.full(self.input_channels, bound, dtype=dtype) for bound in (
             max(math.floor(-PIXEL_BOUND * fmt.scale), fmt.min_int),
             min(math.floor(PIXEL_BOUND * fmt.scale), fmt.max_int)))
         # values holds one interval per channel (per node after an fc
@@ -237,17 +276,21 @@ class NetworkSpec:
             weights, biases = layer.scaled(fmt)
             repeat = layer.kernel_size ** 2 if layer.kind == CONVOLUTION else pixels
             inputs = tuple(np.repeat(v, repeat) for v in values)
-            ends = [np.clip(scaled_mul(v, weights, fmt), fmt.min_int, fmt.max_int)
-                    for v in inputs]
-            products = (np.minimum(*ends), np.maximum(*ends))
-            sums = tuple(np.cumsum(v, axis=1) + biases[:, None] for v in products)
+            ends = [scaled_mul(v, weights, fmt) for v in inputs]
+            ends = np.minimum(*ends), np.maximum(*ends)
+            fits = bool((_signed_bits(*ends) <= w).all())
+            products = tuple(np.clip(v, fmt.min_int, fmt.max_int) for v in ends)
+            pairs, lows, highs = zip(*(_sum_tree([b] + low, [b] + high) for b, low, high in zip(
+                biases.tolist(), products[0].tolist(), products[1].tolist())))
+            sums = np.array(lows, dtype=dtype), np.array(highs, dtype=dtype)
+            bits = _signed_bits(*sums)
+            fits = fits and bool((bits <= w).all())
             values = tuple(np.clip(v[:, -1], fmt.min_int, fmt.max_int) for v in sums)
             if layer.activation == RELU:
                 values = tuple(np.maximum(v, 0) for v in values)
             found.append(LayerCertificate(
-                inputs, products, sums, values,
-                min(w, int(_signed_bits(*inputs).max())),
-                np.minimum(_signed_bits(*sums), w)))
+                inputs, products, sums, values, np.array(pairs, dtype=np.int64),
+                min(w, int(_signed_bits(*inputs).max())), np.minimum(bits, w), fits))
             if layer.kind == CONVOLUTION:
                 sides = tuple((n - layer.kernel_size + 1) // layer.pool_size for n in sides)
             pixels = sides[0] * sides[1] if layer.kind == CONVOLUTION else 1
@@ -316,15 +359,18 @@ def flatten_image(img: EncImage) -> list:
 
 
 def dot_product(inputs, weights, bias: float, encrypt_weights: bool = False,
-                input_bits: int | None = None, sum_bits=None) -> FixedPointCipher:
-    """Weighted sum plus bias, accumulated in input order.
+                input_bits: int | None = None, sum_bits=None,
+                operands=None) -> FixedPointCipher:
+    """Weighted sum plus bias, added in a tree over the bias and then the
+    products in input order: node i adds the two values ``operands[i]``
+    names (see LayerCertificate), by default the left chain.
 
     Public weights enter as noiseless constants, and the gates their bits
     fix fold away; with ``encrypt_weights`` they are encrypted first, which
     changes nothing about the plaintext result (a tested equivalence) but
     models the private-model setting, where no weight bit folds a gate.
     From a LayerCertificate, ``input_bits`` narrows each multiply by a
-    public weight and ``sum_bits`` (one per term) each add (``fp_add``).
+    public weight and ``sum_bits`` (one per node) each add (``fp_add``).
     """
     inputs = list(inputs)
     weights = list(weights)
@@ -334,14 +380,36 @@ def dot_product(inputs, weights, bias: float, encrypt_weights: bool = False,
     if not inputs:
         raise ParameterError("dot product needs at least one term")
     fmt, backend = inputs[0].fmt, inputs[0].backend
-    acc = encode(float(bias), fmt, backend, encrypt=encrypt_weights)
-    for j, (x, w) in enumerate(zip(inputs, weights)):
+    fan_in = len(inputs)
+
+    def leaf(j: int) -> FixedPointCipher:
+        if j == 0:
+            return encode(float(bias), fmt, backend, encrypt=encrypt_weights)
+        x, w = inputs[j - 1], float(weights[j - 1])
         if encrypt_weights:
-            term = fp_mul(x, encode(float(w), fmt, backend, encrypt=True))
-        else:
-            term = fp_mul_const(x, float(w), input_bits)
-        acc = fp_add(acc, term, None if sum_bits is None else int(sum_bits[j]))
-    return acc
+            return fp_mul(x, encode(w, fmt, backend, encrypt=True))
+        return fp_mul_const(x, w, input_bits)
+
+    return _add_tree(leaf, _left_chain(1, fan_in)[0] if operands is None else operands,
+                     [fmt.total_bits] * fan_in if sum_bits is None else sum_bits)
+
+
+def _add_tree(leaf, operands, sum_bits) -> FixedPointCipher:
+    """The root of one neuron's add tree: node i adds the two values
+    ``operands[i]`` names at width ``sum_bits[i]``.  Leaf j is ``leaf(j)``,
+    built when a node first reads it; each value is read once and then
+    dropped, so the left chain builds and holds what a running sum
+    would."""
+    fan_in = len(sum_bits)
+    nodes = {}
+
+    def value(v: int) -> FixedPointCipher:
+        return leaf(v) if v <= fan_in else nodes.pop(v)
+
+    for i, ((a, b), bits) in enumerate(zip(np.asarray(operands).tolist(),
+                                          np.asarray(sum_bits).tolist())):
+        nodes[fan_in + 1 + i] = fp_add(value(a), value(b), bits)
+    return nodes.pop(2 * fan_in)
 
 
 def _parallel_map(fn, items, workers: int):
@@ -358,10 +426,10 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
 
     With public weights each input pixel's products with every output
     channel's kernel come from its input channel's shared adder graph
-    (``_shared_conv``), built for the layer's ``certificate`` widths when
-    one is given (w bits otherwise); with ``encrypt_weights`` every
-    window is a w-bit ``dot_product``.  Both add the products to the bias
-    in window order and give the same bits."""
+    (``_shared_conv``), and each window adds them in the ``certificate``'s
+    trees at its widths when one is given (the w-bit left chain
+    otherwise); with ``encrypt_weights`` every window is a w-bit
+    ``dot_product`` over the left chain.  Both give the same bits."""
     if spec.kind != CONVOLUTION:
         raise ParameterError("conv_layer needs a convolution LayerSpec")
     if len(img.channels) != spec.in_channels:
@@ -388,7 +456,7 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
                                             for ic in range(spec.in_channels)
                                             for kr in range(k) for kc in range(k)],
                                            spec.weights[oc].ravel(), float(spec.biases[oc]),
-                                           encrypt_weights=True), spec)
+                                           encrypt_weights=True), spec, first.fmt.total_bits)
                      for c in range(side_w)] for r in range(side_h)]
             return _max_pool(grid, pool)
 
@@ -397,15 +465,18 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
 
 
 def _widths(spec: LayerSpec, fmt: FixedPointFormat, certificate, encrypt_weights: bool) -> tuple:
-    """(input bits, (out, fan-in) partial-sum bits) the layer builds: its
-    certificate's with public weights, else w throughout."""
+    """(input bits, (out, fan-in) node bits, (out, fan-in, 2) node
+    operands) of the layer's circuits: its certificate's with public
+    weights, else w throughout over the left chain."""
     if certificate is None or encrypt_weights:
-        return fmt.total_bits, np.full(spec.scaled(fmt)[0].shape, fmt.total_bits)
-    return certificate.input_bits, certificate.sum_bits
+        shape = spec.scaled(fmt)[0].shape
+        return fmt.total_bits, np.full(shape, fmt.total_bits), _left_chain(*shape)
+    return certificate.input_bits, certificate.sum_bits, certificate.operands
 
 
-def _activate(v: FixedPointCipher, spec: LayerSpec) -> FixedPointCipher:
-    return fp_relu(v) if spec.activation == RELU else v
+def _activate(v: FixedPointCipher, spec: LayerSpec, width: int) -> FixedPointCipher:
+    """The activation of a neuron whose value fits ``width`` bits."""
+    return fp_relu(v, width) if spec.activation == RELU else v
 
 
 def _max_pool(rows, pool: int) -> list:
@@ -424,8 +495,8 @@ def _shared_conv(img: EncImage, spec: LayerSpec, workers: int, layer_index: int,
     from one adder graph, its input channel's plan (``fp_mul_consts``),
     built for the kernel entries whose windows read the pixel.  Only the
     products of the k input rows the current output row reads are held;
-    each output channel adds them to its bias in dot_product's order
-    (input channel, kernel row, column).
+    each output channel adds its bias and them, in window order (input
+    channel, kernel row, column), in its add tree.
 
     Work fans out over input rows for products, in seed scope
     (layer_index, out_channels + row), and over output channels for sums,
@@ -434,7 +505,7 @@ def _shared_conv(img: EncImage, spec: LayerSpec, workers: int, layer_index: int,
     k, out = spec.kernel_size, spec.out_channels
     side_h, side_w = img.height - k + 1, img.width - k + 1
     first = img.channels[0][0][0]
-    input_bits, sum_bits = widths
+    input_bits, sum_bits, operands = widths
     backend, plans = first.backend, spec.kernel_plans(first.fmt, input_bits)
     rows, cols = _kernel_reads(img.height, k), _kernel_reads(img.width, k)
 
@@ -461,13 +532,11 @@ def _shared_conv(img: EncImage, spec: LayerSpec, workers: int, layer_index: int,
             with backend.seed_scope(layer_index, oc, r):
                 row = []
                 for c in range(side_w):
-                    acc = encode(bias, first.fmt, backend, encrypt=False)
-                    for ic, cells in enumerate(zip(*held)):
-                        for kr, per_row in enumerate(cells):
-                            for kc in range(k):
-                                acc = fp_add(acc, per_row[c + kc][base + kr * k + kc],
-                                             int(sum_bits[oc, (ic * k + kr) * k + kc]))
-                    row.append(_activate(acc, spec))
+                    leaves = [encode(bias, first.fmt, backend, encrypt=False)]
+                    leaves += [per_row[c + kc][base + kr * k + kc] for cells in zip(*held)
+                               for kr, per_row in enumerate(cells) for kc in range(k)]
+                    acc = _add_tree(leaves.__getitem__, operands[oc], sum_bits[oc])
+                    row.append(_activate(acc, spec, int(sum_bits[oc, -1])))
                 pending[oc].append(row)
                 if len(pending[oc]) == spec.pool_size:
                     grids[oc] += _max_pool(pending[oc], spec.pool_size)
@@ -488,25 +557,25 @@ def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
              workers: int = 1, layer_index: int = 0,
              certificate: LayerCertificate | None = None) -> EncScores:
     """One dot product per output node; linear activation is the identity.
-    With public weights and a ``certificate``, its multiplies and adds are
-    built as wide as the certificate allows, else w bits wide."""
+    With public weights and a ``certificate``, its multiplies, add trees
+    and ReLU are built as the certificate allows, else w bits wide over
+    the left chain."""
     if spec.kind != FULLY_CONNECTED:
         raise ParameterError("fc_layer needs a fully connected LayerSpec")
     features = list(features)
     if len(features) != spec.in_channels:
         raise ShapeError(f"{len(features)} features, layer expects {spec.in_channels}")
     backend = features[0].backend
-    input_bits, sum_bits = _widths(spec, features[0].fmt, certificate, encrypt_weights)
+    widths = _widths(spec, features[0].fmt, certificate, encrypt_weights)
     if backend.fast_arith:
-        return _int_fc_layer(features, spec, backend, encrypt_weights, (input_bits, sum_bits))
+        return _int_fc_layer(features, spec, backend, encrypt_weights, widths)
+    input_bits, sum_bits, operands = widths
 
     def one_node(node: int):
         with backend.seed_scope(layer_index, node):
             value = dot_product(features, spec.weights[node], float(spec.biases[node]),
-                                encrypt_weights, input_bits, sum_bits[node])
-            if spec.activation == RELU:
-                value = fp_relu(value)
-            return value
+                                encrypt_weights, input_bits, sum_bits[node], operands[node])
+            return _activate(value, spec, int(sum_bits[node, -1]))
 
     return EncScores(_parallel_map(one_node, list(range(spec.out_channels)), workers))
 
@@ -515,22 +584,45 @@ def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
 # whole-layer integer evaluation (clear backend with fast_arith)
 # ----------------------------------------------------------------------
 
-def _int_neurons(x, spec: LayerSpec, fmt: FixedPointFormat, sum_bits):
+def _int_neurons(x, spec: LayerSpec, fmt: FixedPointFormat, widths: tuple):
     """``dot_product`` of x (lanes, ..., fan-in) with every output's weights,
-    then the activation: (lanes, ..., out).  The bias comes first and each
-    floored product is added in input order; every product is checked
-    against the format's range and every partial sum against its
-    ``sum_bits`` (out, fan-in), where the adds are built."""
+    then the activation: (lanes, ..., out).  Each output's add tree (see
+    _widths) runs over its bias and floored products; every product is
+    checked against the format's range and every tree node against its
+    width, as wide as its add is built."""
+    _, sum_bits, operands = widths
     weights, biases = spec.scaled(fmt)
-    terms = scaled_mul(x[..., None, :], weights, fmt)
-    guard_range(terms, fmt, "multiplication")
-    np.cumsum(terms, axis=-1, out=terms)  # in place: the products become partial sums
-    terms += biases[:, None]
-    guard_range(terms, fmt, "addition", sum_bits)
-    values = terms[..., -1]
+    values = np.empty(x.shape[:-1] + (len(biases), x.shape[-1] + 1), dtype=int_dtype(fmt))
+    values[..., 0] = biases
+    guard_range(scaled_mul(x[..., None, :], weights, fmt, out=values[..., 1:]), fmt,
+                "multiplication")
+
+    def add(i, a, b):
+        node = a + b
+        guard_range(node, fmt, "addition", sum_bits[:, i])
+        return node
+
+    values = _tree_root(values, operands, add)
     if spec.activation == RELU:
         values = np.maximum(values, 0)
     return values
+
+
+def _tree_root(leaves, operands, add):
+    """The root (..., out) of every output's add tree over its ``leaves``
+    (..., out, fan-in + 1), the bias and then the terms: node i is
+    ``add(i, a, b)`` of its operands' values a, b (..., out).  Each node
+    is written in place over its first operand, which no later node
+    reads."""
+    out, fan_in = operands.shape[:2]
+    outs = np.arange(out)
+    slots = np.zeros((out, 2 * fan_in + 1), dtype=np.int64)  # where each value is
+    slots[:, :fan_in + 1] = np.arange(fan_in + 1)
+    for i in range(fan_in):
+        a, b = slots[outs, operands[:, i, 0]], slots[outs, operands[:, i, 1]]
+        leaves[..., outs, a] = add(i, leaves[..., outs, a], leaves[..., outs, b])
+        slots[:, fan_in + 1 + i] = a
+    return leaves[..., outs, a]
 
 
 def _int_conv_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bool,
@@ -542,7 +634,7 @@ def _int_conv_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bo
     guard_range(x, fmt, "a layer input", widths[0])
     win = sliding_window_view(x, (k, k), axis=(1, 2)).transpose(3, 1, 2, 0, 4, 5)
     lanes, side_h, side_w = win.shape[:3]                      # window order (c, kr, kc)
-    values = _int_neurons(win.reshape(lanes, side_h, side_w, -1), spec, fmt, widths[1])
+    values = _int_neurons(win.reshape(lanes, side_h, side_w, -1), spec, fmt, widths)
     h, w = side_h // pool, side_w // pool
     blocks = values.reshape(lanes, h, pool, w, pool, out).swapaxes(2, 3)
     blocks = blocks.reshape(lanes, h, w, pool * pool, out)     # pool window in row order
@@ -561,7 +653,7 @@ def _int_fc_layer(features, spec: LayerSpec, backend, encrypt_weights: bool,
     fmt = features[0].fmt
     x = np.array([_lane_values(v) for v in features], dtype=int_dtype(fmt)).T
     guard_range(x, fmt, "a layer input", widths[0])
-    values = _int_neurons(x, spec, fmt, widths[1])             # (lanes, out)
+    values = _int_neurons(x, spec, fmt, widths)                # (lanes, out)
     patterns = _charge_layer(features, spec, fmt, backend, encrypt_weights, widths)
     return EncScores([_from_ints(v, fmt, backend, pattern)
                       for v, pattern in zip(values.T.tolist(), patterns)])
@@ -621,7 +713,7 @@ def _neuron_charge(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: 
     unless ``encrypt_weights``.  ``products`` (out, fan-in, input id)
     holds the product ids of a conv layer's shared multiplies, whose NANDs
     _kernel_charge counts: the products then cost nothing here."""
-    input_bits, sum_bits = widths
+    input_bits, sum_bits, operands = widths
     fmt = table.fmt
     weights, biases = spec.scaled(fmt)
     if encrypt_weights:
@@ -636,23 +728,26 @@ def _neuron_charge(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: 
     # neurons whose inputs share patterns share charges: probe each input row once
     rows, where, repeats = np.unique(in_ids.reshape(-1, in_ids.shape[-1]), axis=0,
                                      return_inverse=True, return_counts=True)
+    out, fan_in = weights.shape
     if products is None:
         # (rows, out, fan-in)
         cost, terms = table.step("mul", rows[:, None, :], w_ids, input_bits)
         charge = cost.sum(axis=(1, 2))
     else:
-        out, fan_in = weights.shape
         terms = products[np.arange(out)[:, None], np.arange(fan_in), rows[:, None, :]]
         charge = np.zeros(len(rows), dtype=np.int64)
-    # Sums turn private after the first private term, so one probe pass of
-    # every term onto a private sum serves nearly every add below.
-    table.step("add", 0, terms, sum_bits)
-    acc = np.broadcast_to(b_ids, terms.shape[:-1])
-    for j in range(terms.shape[-1]):
-        cost, acc = table.step("add", acc, terms[..., j], sum_bits[:, j])
-        charge += cost.sum(axis=1)
+
+    def add(i, a, b):
+        cost, ids = table.step("add", a, b, sum_bits[:, i])
+        charge[:] += cost.sum(axis=1)
+        return ids
+
+    leaves = np.empty(terms.shape[:-1] + (fan_in + 1,), dtype=np.int64)
+    leaves[..., 0] = b_ids
+    leaves[..., 1:] = terms
+    acc = _tree_root(leaves, operands, add)
     if spec.activation == RELU:
-        cost, acc = table.step("relu", acc, 0)
+        cost, acc = table.step("relu", acc, 0, sum_bits[:, -1])
         charge += cost.sum(axis=1)
     return int(charge @ repeats), acc[where.ravel()].reshape(in_ids.shape[:-1] + acc.shape[1:])
 
@@ -668,13 +763,13 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
     input bits are public, so it comes from walks and FoldProbe runs of
     the real circuits, one per distinct operand pair.  They run on the
     first call and are kept in ``spec.charges`` for the same format,
-    weight entry, widths and input patterns; each public image has
-    patterns of its own, so only the latest _CHARGES_LIMIT are kept."""
+    weight entry, widths, add trees and input patterns; each public image
+    has patterns of its own, so only the latest _CHARGES_LIMIT are kept."""
     table = _FoldTable(fmt)
     cells = np.array(inputs, dtype=object)
     in_ids = table.ids(public_pattern(v) for v in cells.ravel()).reshape(cells.shape)
-    key = (fmt, encrypt_weights, widths[0], widths[1].tobytes(), tuple(table.patterns),
-           in_ids.shape, in_ids.tobytes())
+    key = (fmt, encrypt_weights, widths[0], widths[1].tobytes(), widths[2].tobytes(),
+           tuple(table.patterns), in_ids.shape, in_ids.tobytes())
     found = spec.charges.get(key)
     if found is None:
         while len(spec.charges) >= _CHARGES_LIMIT:
@@ -744,18 +839,26 @@ def classify(img: EncImage, net: NetworkSpec, encrypt_weights: bool = False,
     """Run all layers in order; returns per-class encrypted scores.
 
     With public weights every layer is built to the network's certificate
-    widths (``NetworkSpec.certificate``), exact for pixels in
-    [-PIXEL_BOUND, PIXEL_BOUND]; on a clear backend a pixel outside
-    raises RangeError."""
+    (``NetworkSpec.certificate``), exact for pixels in [-PIXEL_BOUND,
+    PIXEL_BOUND]; on a clear backend a pixel outside raises RangeError.
+    An encrypted backend cannot check values as they are computed, so
+    there a certificate that does not fit w bits raises RangeError
+    before any gate."""
     if (len(img.channels), img.height, img.width) != (
             net.input_channels, net.input_height, net.input_width):
         raise ShapeError(
             f"image shape {(len(img.channels), img.height, img.width)} does not "
             f"match network input "
             f"{(net.input_channels, net.input_height, net.input_width)}")
-    if not img.channels[0][0][0].backend.is_encrypted:
+    encrypted = img.channels[0][0][0].backend.is_encrypted
+    if not encrypted:
         _check_pixels([v for grid in img.channels for row in grid for v in row], net.fmt)
     certificate = [None] * len(net.layers) if encrypt_weights else net.certificate()
+    unfit = next((i for i, c in enumerate(certificate) if c is not None and not c.fits), None)
+    if encrypted and unfit is not None:
+        raise RangeError(f"layer {unfit} needs more than w={net.fmt.total_bits} bits for "
+                         f"pixels in [-{PIXEL_BOUND}, {PIXEL_BOUND}], and an encrypted "
+                         f"backend cannot check its values; retrain or widen the format")
     current = img
     features = None
     for i, layer in enumerate(net.layers):

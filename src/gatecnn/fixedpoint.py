@@ -12,8 +12,10 @@ products of one value with several public constants (every kernel of a
 convolution layer on one input channel) can share that shift-and-add's
 adders (``fp_mul_consts``).  A value certified to fit b < w bits (see
 ``cnn.NetworkSpec.certificate``) can be built narrow: an add of width b
-ripples over the low b bits and copies bit b-1 upward as wires, and a
-constant multiply planned for b-bit operands reads only the low b bits.
+ripples over the low b bits and copies bit b-1 upward as wires, a
+constant multiply planned for b-bit operands reads only the low b bits,
+and a ReLU of width b selects only the bits below b-1, its output's
+bits from b-1 up being public zeros.
 ReLU and max are computed exactly through oblivious selection: their
 outputs are bitwise identical to one of the inputs (or to zero) and add
 no numerical error.
@@ -222,9 +224,10 @@ def int_dtype(fmt: FixedPointFormat):
     return np.int64 if fmt.total_bits <= 32 else object
 
 
-def scaled_mul(za, zb, fmt: FixedPointFormat):
-    """The product floored back to the scale, as ``fp_mul`` computes it."""
-    product = za * zb
+def scaled_mul(za, zb, fmt: FixedPointFormat, out=None):
+    """The product floored back to the scale, as ``fp_mul`` computes it;
+    on arrays, into ``out`` when given."""
+    product = za * zb if out is None else np.multiply(za, zb, out=out)
     product >>= fmt.frac_bits  # in place on arrays: no second temporary
     return product
 
@@ -340,11 +343,22 @@ def fp_geq_zero(x: FixedPointCipher) -> EncBit:
     return gates.not_gate(x.bits.bits[-1])
 
 
-def fp_relu(x: FixedPointCipher) -> FixedPointCipher:
-    """Oblivious max(x, 0): output is bitwise x or bitwise zero."""
+def fp_relu(x: FixedPointCipher, width: int | None = None) -> FixedPointCipher:
+    """Oblivious max(x, 0): output is bitwise x or bitwise zero.
+
+    For an x that fits ``width`` bits (default w; the clear backend
+    checks), only the bits below its sign bit width - 1 are selected: the
+    output is >= 0 and fits, so its bits from width - 1 up are the public
+    constant 0."""
+    w = x.fmt.total_bits
+    width = w if width is None else width
+    if width < w and isinstance(x.backend, ClearBackend):
+        guard_range(np.array(_lane_values(x), dtype=int_dtype(x.fmt)), x.fmt,
+                    "a ReLU operand", width)
     keep = fp_geq_zero(x)
     return FixedPointCipher(
-        BitVector(gates.and_gate(keep, bit) for bit in x.bits.bits), x.fmt)
+        BitVector([gates.and_gate(keep, bit) for bit in x.bits.bits[:width - 1]]
+                  + [x.backend.const(0)] * (w - width + 1)), x.fmt)
 
 
 def fp_max(values) -> FixedPointCipher:
@@ -368,7 +382,7 @@ def fp_max(values) -> FixedPointCipher:
 _COST_OPS = {
     "mul": lambda a, b, width: fp_mul(a, b),
     "add": fp_add,
-    "relu": lambda a, b, width: fp_relu(a),
+    "relu": lambda a, b, width: fp_relu(a, width),
     "maxfold": lambda a, b, width: fp_max([a, b]),
 }
 
@@ -386,9 +400,10 @@ _FOLD_COSTS_LIMIT = 1 << 16  # entries per kind, format and width
 def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width: int | None = None) -> list:
     """(NANDs evaluated, output public_pattern) of one ``kind`` circuit at
     ``fmt`` for each (a, b) pair of operand public_patterns (``relu``
-    ignores b).  ``width`` (default w) is an ``add``'s width (``fp_add``)
-    and, for a ``mul`` by a wholly public operand, the other operand's
-    (``fp_mul_const``); the other kinds ignore it.  Counts depend on the
+    ignores b).  ``width`` (default w) is an ``add``'s or a ``relu``'s
+    width (``fp_add``, ``fp_relu``) and, for a ``mul`` by a wholly public
+    operand, the other operand's (``fp_mul_const``); ``maxfold`` ignores
+    it.  Counts depend on the
     formats, widths and public bits only, never on private values.  A
     ``mul`` with a wholly public operand is charged by walking its
     constant's plan (``const_mul_costs``); one bit-sliced FoldProbe pass

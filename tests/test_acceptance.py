@@ -109,14 +109,14 @@ def test_criterion_3_bound_property_random_networks():
 def _exact_layers(net, pixels):
     """Per layer, the scaled integers the evaluators compute for one
     (c, h, w) image, as Python integers: the terms each neuron reads
-    (..., fan-in) in window order, the floored products and the partial
-    sums after each, the bias first (..., out, fan-in), and the outputs
-    after activation and pooling (..., out)."""
+    (..., fan-in) in window order, the floored products and the nodes of
+    each neuron's certified add tree over the bias and them (..., out,
+    fan-in), and the outputs after activation and pooling (..., out)."""
     fmt = net.fmt
     x = np.array([[[fp.float_to_scaled(v, fmt) for v in row] for row in grid]
                   for grid in pixels], dtype=object)
     layers = []
-    for layer in net.layers:
+    for layer, certificate in zip(net.layers, net.certificate()):
         weights = np.array([[fp.float_to_scaled(v, fmt) for v in row]
                             for row in layer.weights.reshape(layer.out_channels, -1)],
                            dtype=object)
@@ -128,7 +128,14 @@ def _exact_layers(net, pixels):
         else:
             terms = x.reshape(-1)
         products = (terms[..., None, :] * weights) >> fmt.frac_bits
-        sums = np.cumsum(products, axis=-1) + biases[:, None]
+        out, fan_in = weights.shape
+        values = np.concatenate([np.broadcast_to(biases[:, None], products.shape[:-1] + (1,)),
+                                 products, np.zeros_like(products)], axis=-1)
+        for i in range(fan_in):
+            for o in range(out):
+                a, b = certificate.operands[o, i]
+                values[..., o, fan_in + 1 + i] = values[..., o, a] + values[..., o, b]
+        sums = values[..., fan_in + 1:]
         outputs = sums[..., -1]
         if layer.activation == cnn.RELU:
             outputs = np.maximum(outputs, 0)
@@ -174,18 +181,25 @@ def _layers_on_both_evaluators(net, pixels):
 
 def test_certificate_holds_on_random_networks():
     """Criterion 3's random networks on pixels in [-1, 1], the all +1 and
-    all -1 corners among them: every input, product, partial sum and
-    layer output, in exact integers, lies inside its certified interval;
-    each interval fits its certified width; and the scores are those of
-    classify.  On three of the networks, layer by layer, the whole-layer
-    evaluator and the gate path give the same values, NANDs and output
-    public_patterns, with fewer NANDs than at w bits."""
+    all -1 corners among them: each neuron's add tree uses every leaf and
+    every node but the root once, after it is built; every input,
+    product, tree node and layer output, in exact integers, lies inside
+    its certified interval; each interval fits its certified width; and
+    the scores are those of classify.  On three of the networks, layer by
+    layer, the whole-layer evaluator and the gate path give the same
+    values, NANDs and output public_patterns, with fewer NANDs than at w
+    bits."""
     rng = np.random.default_rng(321)
     for i in range(100):
         net = _random_small_net(1000 + i)
         fmt, shape = net.fmt, (1, net.input_height, net.input_width)
         certificate = net.certificate()
         for layer, widths in zip(net.layers, certificate):
+            out, fan_in = widths.sum_bits.shape
+            assert widths.fits
+            for tree in widths.operands:
+                assert sorted(tree.ravel().tolist()) == list(range(2 * fan_in))
+                assert (tree.max(axis=1) < np.arange(fan_in + 1, 2 * fan_in + 1)).all()
             limit = 1 << (widths.sum_bits - 1).astype(object)
             assert _inside(widths.sums[0], (-limit, limit - 1))
             assert _inside(widths.sums[1], (-limit, limit - 1))
@@ -212,8 +226,8 @@ def test_certificate_holds_on_random_networks():
         backend = fc.ClearBackend(fast_arith=True)
         cnn.classify(cnn.encrypt_image(pixels, net.fmt, backend), net, encrypt_weights=True)
         assert sum(nands for _, nands in fast) < backend.stats.nand_count
-    _report("3b", "100 random networks x 4 inputs in [-1, 1]: every value inside "
-                  "its certified interval; fast == gate per layer on 3 of them")
+    _report("3b", "100 random networks x 4 inputs in [-1, 1]: every value and add-tree "
+                  "node inside its certified interval; fast == gate per layer on 3 of them")
 
 
 # ----------------------------------------------------------------------
@@ -327,8 +341,9 @@ def test_criterion_7_encrypted_tiny_cnn(toy_params, toy_key, tiny_net):
     # public weights take the same shift-and-add circuits on both backends
     # (219,056 NANDs with the multiplier array unfolded, 123,781 folded,
     # 28,244 with one digit chain per product, 26,037 with shared adder
-    # graphs, all 12 bits wide)
-    assert gsw.stats.nand_count == clear.stats.nand_count == 15_783
+    # graphs, all 12 bits wide; 15,783 at certified widths, adding in
+    # input order)
+    assert gsw.stats.nand_count == clear.stats.nand_count == 14_403
     _report(7, f"tiny CNN fully encrypted on the toy preset decrypts "
                f"bit-identical to the clear backend (scores {gsw_ints}, "
                f"{gsw.stats.nand_count} NANDs, {gsw.stats.refresh_count} refreshes)")

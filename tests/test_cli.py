@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gatecnn import cli, error_analysis, model_io, serialize
-from gatecnn.demo import micro_model, write_demo_assets
+from gatecnn.demo import micro_model, tiny_model, write_demo_assets
 from gatecnn.errors import NoiseExhaustionError
 
 
@@ -137,22 +137,25 @@ def test_bound_empty_fc_only_model(workdir, capsys):
 
 
 def test_bound_prints_certified_widths(workdir, capsys):
-    """Per layer, b_x, the widest partial sum and the headroom to w.  The
+    """Per layer, b_x, the widest add-tree node and the headroom to w.  The
     micro model (w=10, f=5; one fc layer over 4 pixels in [-1, 1], ±32 as
-    integers) needs 7 input bits; its widest partial sum comes from every
-    corner of the inputs, the extremes of each floored product."""
+    integers) needs 7 input bits; its widest node comes from every corner
+    of the inputs, the extremes of each floored product, run through the
+    certificate's trees."""
     assert run("bound", "--model", workdir / "micro.txt") == 0
     lines = capsys.readouterr().out.splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("certified bit widths"))
     assert lines[start + 1].split() == ["layer", "b_x", "max", "b_s", "headroom"]
     net = model_io.load_model(workdir / "micro.txt")
     weights, biases = net.layers[0].scaled(net.fmt)
+    (certificate,) = net.certificate()
     widest = 0
     for corner in itertools.product((-32, 32), repeat=4):
         for node in range(2):
-            total = int(biases[node])
-            for x, z in zip(corner, weights[node]):
-                total += x * int(z) >> 5
+            values = [int(biases[node])] + [x * int(z) >> 5 for x, z in zip(corner, weights[node])]
+            for a, b in certificate.operands[node].tolist():
+                values.append(values[a] + values[b])
+                total = values[-1]
                 widest = max(widest, (total if total >= 0 else ~total).bit_length() + 1)
     assert lines[start + 2].split() == ["0", "7", str(widest), str(10 - widest)]
 
@@ -167,6 +170,35 @@ def test_bound_of_a_model_whose_weights_do_not_encode_exits_4(workdir, capsys):
     assert run("bound", "--model", workdir / "big.txt") == cli.EXIT_SHAPE
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: value 100.0") and err.count("\n") == 1
+
+
+def test_gsw_classify_of_a_model_that_does_not_fit_exits_4(workdir, capsys):
+    """The tiny model with its weights times 8 needs more than w=12 bits in
+    its fc layer for some pixels in [-1, 1].  The gsw backend cannot check
+    values as it computes them, so its classify refuses the model with
+    exit 4 and one error line, and writes no scores, as ``bound`` warns;
+    the clear backend classifies an image whose values fit."""
+    net = tiny_model()
+    for layer in net.layers:
+        layer.weights *= 8
+    model_io.save_model(net, workdir / "tiny8.txt")
+    model_io.save_csv(np.full((6, 6), 1 / 64), workdir / "faint.csv")
+    assert run("keygen", "--preset", "toy", "--seed", "3", "--out", workdir / "t.key") == 0
+    for backend in ("gsw", "clear"):
+        assert run("encrypt-image", "--model", workdir / "tiny8.txt", "--image",
+                   workdir / "faint.csv", "--backend", backend, "--key", workdir / "t.key",
+                   "--out", workdir / f"faint-{backend}.bin") == 0
+    capsys.readouterr()
+    assert run("classify", "--model", workdir / "tiny8.txt", "--in", workdir / "faint-gsw.bin",
+               "--key", workdir / "t.key", "--out", workdir / "faint-gsw.scores") == cli.EXIT_SHAPE
+    err = capsys.readouterr().err
+    assert err.startswith("error: layer 1 needs more than w=12 bits") and err.count("\n") == 1
+    assert not (workdir / "faint-gsw.scores").exists()
+    assert run("bound", "--model", workdir / "tiny8.txt") == 0
+    assert ("layer 1 needs more than w=12 bits: gsw classify with public weights "
+            "refuses this model") in capsys.readouterr().out.splitlines()
+    assert run("classify", "--model", workdir / "tiny8.txt", "--in",
+               workdir / "faint-clear.bin", "--out", workdir / "faint-clear.scores") == 0
 
 
 def test_pixels_outside_the_unit_interval_exit_4(workdir, capsys):

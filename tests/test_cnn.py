@@ -6,7 +6,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gatecnn import cnn
+from gatecnn import cnn, demo, model_io
 from gatecnn import fixedpoint as fp
 from gatecnn.errors import (OverflowDiagnostic, ParameterError, RangeError,
                             ShapeError)
@@ -328,8 +328,9 @@ def _folding_net():
     """Public weights that fold: conv map 0 is all zeros, so its outputs are
     public constants; map 1 has a zero and even power-of-two weights, so its
     outputs keep a public low bit; map 2 has a tiny negative weight that
-    floors to -1.  The fc layers read those partly public inputs, and the
-    first has an all-zero row, whose output is public too."""
+    floors to -1.  Every ReLU output's sign bit is the public constant 0.
+    The fc layers read those partly public inputs, and the first has an
+    all-zero row, whose output is public too."""
     conv_w = np.array([[[[0.0, 0.0], [0.0, 0.0]]],
                        [[[2.0, 0.0], [-2.0, 4.0]]],
                        [[[-1e-3, 0.5], [0.75, -0.25]]]])
@@ -362,7 +363,7 @@ def test_public_weights_fold_on_both_evaluators(fast_vs_gate):
         backend = ClearBackend(fast_arith=fast)
         out = cnn.conv_layer(cnn.encrypt_image(images[0], net.fmt, backend), net.layers[0])
         patterns = [{fp.public_pattern(v) for row in grid for v in row} for grid in out.channels]
-        assert patterns == [{(2 ** 10 - 1, 16)}, {(1, 0)}, {fp.PRIVATE}]
+        assert patterns == [{(2 ** 10 - 1, 16)}, {(2 ** 9 + 1, 0)}, {(2 ** 9, 0)}]
 
 
 EDGE_HEAVY_KERNEL = np.array([[0.5, -0.25, 0.0, 0.375, 0.5],
@@ -375,9 +376,10 @@ EDGE_HEAVY_KERNEL = np.array([[0.5, -0.25, 0.0, 0.375, 0.5],
 def _edge_heavy_net(kernels=None, biases=(-0.125,), act=cnn.LINEAR):
     """conv2's shape at w=8, f=3: 5x5 kernels over a 12x12 input, whose
     pixels meet every entry set from one corner entry to all 25.  A 1x1
-    layer first makes a private map (weight 1) and a partly public one
-    (weight 2: its low bit is a public 0); the default 5x5 kernels (one
-    output channel) have repeated, zero and ±power-of-two weights."""
+    layer first makes a private map (weight 1; its ReLU's sign bit is a
+    public 0) and a partly public one (weight 2: its low bit is a public
+    0 too); the default 5x5 kernels (one output channel) have repeated,
+    zero and ±power-of-two weights."""
     if kernels is None:
         kernels = np.stack([EDGE_HEAVY_KERNEL, -EDGE_HEAVY_KERNEL[::-1]])[None]
     out = len(kernels)
@@ -436,24 +438,28 @@ def _layer_by_layer(net, pixels, encrypt_weights=False, certified=False):
 
 def test_layer_evaluator_matches_gate_path_5x5_patterns():
     """Layer by layer on one image: the same values, NANDs and output
-    public_patterns, the 1x1 layer's maps private and partly public."""
+    public_patterns.  The 1x1 layer's maps are private but for the
+    ReLU's sign bit, a public 0, and map 1's public low bit."""
     pixels = np.random.default_rng(13).uniform(-0.5, 0.5, (12, 12))
     fast, gate = _layer_by_layer(_edge_heavy_net(), pixels)
     assert fast == gate
     maps = fast[0][0]
-    assert {p for _, p in maps[0][0]} == {fp.PRIVATE} and {p for _, p in maps[1][0]} == {(1, 0)}
+    assert {p for _, p in maps[0][0]} == {(128, 0)} and {p for _, p in maps[1][0]} == {(129, 0)}
 
 
 def test_layer_evaluator_matches_gate_path_5x5_patterns_certified():
     """The same at the certificate's widths (5x5 layer: 6-bit inputs of
-    w=8, partial sums of 4 to 8 bits), for fewer NANDs than at w bits."""
+    w=8, tree nodes of 1 to 8 bits), for fewer NANDs than at w bits.  The
+    1x1 layer's ReLUs are 5 and 6 bits wide, so its maps' bits from 4
+    and 5 up are public zeros."""
     net = _edge_heavy_net()
     assert net.certificate()[1].input_bits == 6
+    assert net.certificate()[0].sum_bits.tolist() == [[5], [6]]
     pixels = np.random.default_rng(13).uniform(-0.5, 0.5, (12, 12))
     fast, gate = _layer_by_layer(net, pixels, certified=True)
     assert fast == gate
     maps = fast[0][0]
-    assert {p for _, p in maps[0][0]} == {fp.PRIVATE} and {p for _, p in maps[1][0]} == {(1, 0)}
+    assert {p for _, p in maps[0][0]} == {(240, 0)} and {p for _, p in maps[1][0]} == {(225, 0)}
     wide = _layer_by_layer(net, pixels)[0]
     assert all(narrow[1] < full[1] for narrow, full in zip(fast, wide))
 
@@ -467,7 +473,7 @@ def test_layer_evaluator_matches_gate_path_across_channels(encrypt_weights):
     fast, gate = _layer_by_layer(_cross_channel_net(), pixels, encrypt_weights)
     assert fast == gate
     maps = fast[0][0]
-    assert {p for _, p in maps[0][0]} == {fp.PRIVATE} and {p for _, p in maps[1][0]} == {(1, 0)}
+    assert {p for _, p in maps[0][0]} == {(128, 0)} and {p for _, p in maps[1][0]} == {(129, 0)}
     assert len(fast[1][0]) == 3 and fast[1][1] > 0
 
 
@@ -513,6 +519,8 @@ def test_layers_guard_the_certified_widths():
     spec = make_fc(2, 1, weights=np.array([[0.75, 0.5]]), biases=np.zeros(1))
     (certificate,) = cnn.NetworkSpec([spec], 1, 2, FMT).certificate()
     assert certificate.input_bits == 18 and certificate.sum_bits.tolist() == [[17, 18]]
+    # the 1-bit bias and the first 17-bit product, then the second
+    assert certificate.operands.tolist() == [[[0, 1], [2, 3]]]
     narrow = dataclasses.replace(certificate, sum_bits=certificate.sum_bits - 1)
     for fast in (True, False):
         backend = ClearBackend(fast_arith=fast)
@@ -523,6 +531,111 @@ def test_layers_guard_the_certified_widths():
         past = [fp.encode(2.0, FMT, backend), fp.encode(0.0, FMT, backend)]
         with pytest.raises(OverflowDiagnostic, match="18-bit range"):
             cnn.fc_layer(past, spec, certificate=certificate)
+
+
+def test_add_trees_depend_only_on_the_public_weights(tmp_path):
+    """Two independent plans of the preset model, one from a saved and
+    reloaded copy, give equal trees and widths; each tree first adds the
+    two narrowest leaves, and its adds are narrower in total than the
+    left chain's."""
+    net = demo.preset_model()
+    model_io.save_model(net, tmp_path / "preset.txt")
+    again = model_io.load_model(tmp_path / "preset.txt")
+    for mine, theirs in zip(net.certificate(), again.certificate()):
+        assert np.array_equal(mine.operands, theirs.operands)
+        assert np.array_equal(mine.sum_bits, theirs.sum_bits)
+    for layer, certificate in zip(net.layers, net.certificate()):
+        biases = layer.scaled(net.fmt)[1][:, None]
+        leaves = cnn._signed_bits(*(np.concatenate([biases, ends], axis=1)
+                                    for ends in certificate.products))
+        for o, (a, b) in enumerate(certificate.operands[:, 0].tolist()):
+            assert sorted(leaves[o])[:2] == sorted([leaves[o, a], leaves[o, b]])
+        chain = cnn._signed_bits(*(np.cumsum(ends, axis=1) + biases
+                                   for ends in certificate.products))
+        assert certificate.sum_bits.sum() < np.minimum(chain, net.fmt.total_bits).sum()
+        assert not np.array_equal(certificate.operands,
+                                  cnn._left_chain(*certificate.sum_bits.shape))
+
+
+def test_encrypt_weights_adds_in_the_left_chain():
+    """With encrypted weights there is no certificate: each neuron adds its
+    terms to the bias in input order at w bits, the circuit of a left fold
+    of fp_add, gate for gate."""
+    net = cnn.NetworkSpec([make_conv(1, 2, 2, 1), make_fc(18, 2)], 4, 4,
+                          fp.FixedPointFormat(10, 5))
+    for layer, certificate in zip(net.layers, net.certificate()):
+        input_bits, sum_bits, operands = cnn._widths(layer, net.fmt, certificate, True)
+        out, fan_in = layer.scaled(net.fmt)[0].shape
+        assert input_bits == 10 and (sum_bits == 10).all()
+        chain = [[0, 1]] + [[fan_in + i, i + 1] for i in range(1, fan_in)]
+        assert operands.tolist() == [chain] * out
+    rnd = random.Random(22)
+    vals, ws = [rnd.uniform(-1, 1) for _ in range(4)], [rnd.uniform(-1, 1) for _ in range(4)]
+    runs = []
+    for by_hand in (False, True):
+        backend = ClearBackend()
+        xs = [fp.encode(v, net.fmt, backend) for v in vals]
+        if by_hand:
+            acc = fp.encode(0.25, net.fmt, backend)
+            for x, w in zip(xs, ws):
+                acc = fp.fp_add(acc, fp.fp_mul(x, fp.encode(w, net.fmt, backend)))
+        else:
+            acc = cnn.dot_product(xs, ws, 0.25, encrypt_weights=True)
+        runs.append((acc.bits.to_int(), backend.stats.nand_count))
+    assert runs[0] == runs[1]
+
+
+def test_layer_charges_are_kept_per_tree():
+    """Two trees of the same widths over zero and power-of-two weights fold
+    differently; the layer evaluator charges each what the gate path
+    evaluates, though the same LayerSpec keeps both charges."""
+    small = fp.FixedPointFormat(10, 5)
+    spec = make_fc(4, 1, weights=np.array([[0.0, 0.5, -0.25, 0.0]]),
+                   biases=np.array([0.25]), act=cnn.RELU)
+    (certificate,) = cnn.NetworkSpec([spec], 2, 2, small).certificate()
+    assert certificate.operands.tolist() == [[[1, 4], [5, 0], [3, 6], [2, 7]]]
+    charged = []
+    for operands in (cnn._left_chain(1, 4), certificate.operands):
+        tree = dataclasses.replace(certificate, operands=operands,
+                                   sum_bits=np.full((1, 4), 10))
+        runs = []
+        for fast in (True, False):
+            backend = ClearBackend(fast_arith=fast)
+            xs = [fp.encode(v, small, backend) for v in (0.5, 0.75, -1.0, 0.25)]
+            scores = scores_of(cnn.fc_layer(xs, spec, certificate=tree))
+            runs.append((scores, backend.stats.nand_count))
+        assert runs[0] == runs[1]
+        charged.append(runs[0])
+    assert charged[0][0] == charged[1][0] == [0.875]
+    assert charged[0][1] != charged[1][1]
+
+
+def _scaled_tiny(factor):
+    """A new tiny model with every weight times ``factor``."""
+    net = demo.tiny_model()
+    for layer in net.layers:
+        layer.weights = layer.weights * factor
+    return net
+
+
+def test_gsw_refuses_a_model_whose_certificate_does_not_fit(toy_params, toy_key):
+    """Public weights on an encrypted backend: a model some of whose values
+    need more than w bits for pixels in [-1, 1] is refused with
+    RangeError before any gate.  The clear backend, which checks every
+    value, still runs it on an image whose values fit."""
+    net = _scaled_tiny(8.0)
+    assert [c.fits for c in net.certificate()] == [True, False]
+    pixels = np.full((1, 6, 6), 1 / 64)
+    backend = GswBackend(toy_params, key=toy_key, seed=3, auto_refresh=True)
+    img = cnn.encrypt_image(pixels, net.fmt, backend)
+    before = backend.stats.nand_count
+    with pytest.raises(RangeError, match="layer 1 needs more than w=12 bits"):
+        cnn.classify(img, net)
+    assert backend.stats.nand_count == before
+    clear = ClearBackend(fast_arith=True)
+    cnn.classify(cnn.encrypt_image(pixels, net.fmt, clear), net)
+    assert clear.stats.nand_count > 0
+    assert all(c.fits for c in _scaled_tiny(1.0).certificate())
 
 
 def test_layer_evaluator_rejects_unencodable_weight():

@@ -478,6 +478,32 @@ def test_narrow_add_is_exact_where_the_sum_fits():
         fp.fp_add(fp.encode(0.75, small, backend), fp.encode(0.5, small, backend), width=6)
 
 
+def test_narrow_relu_is_exact_and_its_high_bits_are_public_zeros():
+    """fp_relu at each width b of a w=10 format, on every value that fits
+    b bits: the output is max(x, 0), its bits from b - 1 up are the
+    public constant 0, and it evaluates one NOT and b - 1 ANDs, as
+    fold_costs charges.  On the clear backend a value past b bits
+    raises."""
+    small = fp.FixedPointFormat(10, 5)
+    for width in range(2, 11):
+        half = 1 << (width - 1)
+        values = list(range(-half, half))
+        backend = fc.ClearBackend(lanes=len(values))
+        x = fp.FixedPointCipher(g.BitVector.from_lane_ints(values, 10, backend), small)
+        before = backend.stats.nand_count
+        out = fp.fp_relu(x, width)
+        assert fp._lane_values(out) == [max(z, 0) for z in values]
+        assert [bit.public for bit in out.bits.bits[width - 1:]] == [0] * (11 - width)
+        assert all(bit.public is None for bit in out.bits.bits[:width - 1])
+        nands = backend.stats.nand_count - before
+        assert nands == 2 * width - 1
+        assert fp.fold_costs("relu", small, [(fp.PRIVATE, fp.PRIVATE)], width)[0] == (
+            nands, (1023 ^ (half - 1), 0))
+    backend = fc.ClearBackend()
+    with pytest.raises(OverflowDiagnostic, match="ReLU operand .* 6-bit range"):
+        fp.fp_relu(fp.encode(1.0, small, backend), 6)
+
+
 def test_preset_kernel_plan_sizes():
     """The preset model's conv plans, one per input channel: 100 adder
     nodes for conv1's 100 weights, 1,470 over conv2's four input channels

@@ -4,7 +4,8 @@ One traced gsw_private image exercises ``true_noise``, the refresh
 path and the encrypted-image and score file round trips end to end,
 and the harness's own checks (bit-identical to a gate-level clear run,
 traced counts equal untraced counts) must all hold.  One untraced
-clear_paper image pins the folded NAND count of the paper architecture.
+clear_paper image pins the folded NAND count of the paper architecture,
+and the layer evaluator's charge of each of its layers adds up to it.
 """
 
 import json
@@ -12,7 +13,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from gatecnn import cnn
+from gatecnn.demo import synthetic_images
+from gatecnn.fhe_core import ClearBackend
+
 ROOT = Path(__file__).resolve().parent.parent
+CLEAR_PAPER_NANDS = 64_417_834
 
 
 def _run(workload: str, trace: int) -> dict:
@@ -36,4 +42,22 @@ def test_clear_paper_run_pins_the_folded_nand_count():
     result = _run("clear_paper", trace=0)
     assert result["correct"] is True
     assert result["failed"] == 0
-    assert result["metrics"]["nand_per_image"]["value"] == 69_586_326
+    assert result["metrics"]["nand_per_image"]["value"] == CLEAR_PAPER_NANDS
+
+
+def test_clear_paper_nands_per_layer(preset_net):
+    """The whole-layer charge of each preset layer for one encrypted image
+    at the certificate's widths: conv1, conv2, fc."""
+    backend = ClearBackend(fast_arith=True)
+    current = cnn.encrypt_image(synthetic_images(1, 28, 28)[0], preset_net.fmt, backend)
+    nands = []
+    for i, (layer, certificate) in enumerate(zip(preset_net.layers, preset_net.certificate())):
+        before = backend.stats.nand_count
+        if layer.kind == cnn.CONVOLUTION:
+            current = cnn.conv_layer(current, layer, layer_index=i, certificate=certificate)
+        else:
+            current = cnn.fc_layer(cnn.flatten_image(current), layer, layer_index=i,
+                                   certificate=certificate).scores
+        nands.append(backend.stats.nand_count - before)
+    assert nands == [23_147_125, 39_111_141, 2_159_568]
+    assert sum(nands) == CLEAR_PAPER_NANDS
