@@ -5,7 +5,9 @@ valid (no padding, stride 1) multi-channel convolution: every output
 channel's kernel spans all input channels, one bias per output channel,
 activation applied before the non-overlapping max pooling.  Flattening
 between the last convolution and the fully connected head is
-channel-major, then row, then column.
+channel-major, then row, then column, and a fully connected layer is the
+1 x 1 convolution whose input channels are those features, so each
+evaluator runs both kinds of layer through one layer routine.
 
 Independent input rows, output channels and nodes are embarrassingly
 parallel; a ``workers`` knob fans them out while per-task seed scopes,
@@ -98,8 +100,13 @@ paper_architecture_shapes = {
 }
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LayerSpec:
+    """One layer, frozen with read-only weights and biases, because the
+    caches below are keyed by format alone.  A fully connected layer is a
+    1 x 1 convolution over its in_channels flattened features: its
+    kernel_size and pool_size are 1, and its weights are (out, in)."""
+
     kind: str
     in_channels: int
     out_channels: int
@@ -111,15 +118,17 @@ class LayerSpec:
     # the whole-layer evaluator's NAND charges, kept per format, weight
     # entry, input patterns, widths and add trees for the last
     # _CHARGES_LIMIT inputs (see _charge_layer), per format the scaled
-    # weights and biases (see scaled), and per format and input width a
-    # conv layer's kernel plans (see kernel_plans)
-    charges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # weights and biases (see scaled), and per format and input width
+    # the kernel plans (see kernel_plans)
+    charges: dict = field(default_factory=dict, init=False, repr=False)
+    _scaled: dict = field(default_factory=dict, init=False, repr=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
+        for name in ("weights", "biases"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if self.kind not in (CONVOLUTION, FULLY_CONNECTED):
             raise ParameterError(f"unknown layer kind {self.kind!r}")
         if self.activation not in (RELU, LINEAR):
@@ -130,6 +139,8 @@ class LayerSpec:
                 raise ParameterError("convolution needs kernel_size >= 1, pool_size >= 1")
         else:
             want = (self.out_channels, self.in_channels)
+            object.__setattr__(self, "kernel_size", 1)
+            object.__setattr__(self, "pool_size", 1)
         if self.weights.shape != want:
             raise ShapeError(f"{self.kind} weights shape {self.weights.shape}, expected {want}")
         if self.biases.shape != (self.out_channels,):
@@ -148,12 +159,13 @@ class LayerSpec:
         return found
 
     def kernel_plans(self, fmt: FixedPointFormat, input_bits: int | None = None) -> list:
-        """Per input channel of a conv layer, the adder-graph plan
-        (``gates.const_mul_plan``) of every output channel's k x k kernel
-        on that channel, at fmt's product window, for inputs of
-        ``input_bits`` bits (default w): its constants are the kernels'
-        ``fmt`` integers in (oc, kr, kc) order, so constant oc·k² + kr·k +
-        kc is output channel oc's.  Built once per format and input width."""
+        """Per input channel, the adder-graph plan (``gates.const_mul_plan``)
+        of every output channel's k x k kernel on that channel, at fmt's
+        product window, for inputs of ``input_bits`` bits (default w): its
+        constants are the kernels' ``fmt`` integers in (oc, kr, kc) order,
+        so constant oc·k² + kr·k + kc is output channel oc's.  For a fully
+        connected layer that is one plan per input feature over its
+        column of out weights.  Built once per format and input width."""
         w, f = fmt.total_bits, fmt.frac_bits
         input_bits = w if input_bits is None else input_bits
         found = self._plans.get((fmt, input_bits))
@@ -232,17 +244,21 @@ def _left_chain(out: int, fan_in: int) -> np.ndarray:
                            (out, fan_in, 2))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NetworkSpec:
-    layers: list
+    """The layers in order, frozen like each LayerSpec, with ``layers`` a
+    tuple, because the certificates are cached per format."""
+
+    layers: tuple
     input_height: int
     input_width: int
     fmt: FixedPointFormat
     input_channels: int = 1
     # per format, the LayerCertificates (see certificate)
-    _certificates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _certificates: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise ShapeError("network needs at least one layer")
         if self.layers[-1].kind != FULLY_CONNECTED:
@@ -268,14 +284,16 @@ class NetworkSpec:
         values = tuple(np.full(self.input_channels, bound, dtype=dtype) for bound in (
             max(math.floor(-PIXEL_BOUND * fmt.scale), fmt.min_int),
             min(math.floor(PIXEL_BOUND * fmt.scale), fmt.max_int)))
-        # values holds one interval per channel (per node after an fc
-        # layer), each standing for ``pixels`` flattened features
-        sides, pixels = (self.input_height, self.input_width), self.input_height * self.input_width
+        # values holds one interval per channel of a sides[0] x sides[1]
+        # image; an fc layer reads it flattened, one channel per feature
+        sides = (self.input_height, self.input_width)
         found = []
         for layer in self.layers:
+            if layer.kind == FULLY_CONNECTED:
+                values = tuple(np.repeat(v, sides[0] * sides[1]) for v in values)
+                sides = (1, 1)
             weights, biases = layer.scaled(fmt)
-            repeat = layer.kernel_size ** 2 if layer.kind == CONVOLUTION else pixels
-            inputs = tuple(np.repeat(v, repeat) for v in values)
+            inputs = tuple(np.repeat(v, layer.kernel_size ** 2) for v in values)
             ends = [scaled_mul(v, weights, fmt) for v in inputs]
             ends = np.minimum(*ends), np.maximum(*ends)
             fits = bool((_signed_bits(*ends) <= w).all())
@@ -291,39 +309,31 @@ class NetworkSpec:
             found.append(LayerCertificate(
                 inputs, products, sums, values, np.array(pairs, dtype=np.int64),
                 min(w, int(_signed_bits(*inputs).max())), np.minimum(bits, w), fits))
-            if layer.kind == CONVOLUTION:
-                sides = tuple((n - layer.kernel_size + 1) // layer.pool_size for n in sides)
-            pixels = sides[0] * sides[1] if layer.kind == CONVOLUTION else 1
+            sides = tuple((n - layer.kernel_size + 1) // layer.pool_size for n in sides)
         self._certificates[fmt] = found
         return found
 
-    def check_shapes(self):
-        """Walk the layer chain and verify every input/output shape agrees."""
+    def check_shapes(self) -> None:
+        """Walk the layer chain and verify every input/output shape agrees;
+        an fc layer reads the c x h x w image flattened, as c·h·w channels
+        of a 1 x 1 image."""
         c, h, w = self.input_channels, self.input_height, self.input_width
-        flat = None
+        flat = False
         for i, layer in enumerate(self.layers):
-            if layer.kind == CONVOLUTION:
-                if flat is not None:
-                    raise ShapeError(f"layer {i}: convolution after flattening")
-                if layer.in_channels != c:
-                    raise ShapeError(
-                        f"layer {i}: expects {layer.in_channels} channels, input has {c}")
-                side_h, side_w = h - layer.kernel_size + 1, w - layer.kernel_size + 1
-                if side_h < 1 or side_w < 1:
-                    raise ShapeError(f"layer {i}: kernel larger than input {h}x{w}")
-                if side_h % layer.pool_size or side_w % layer.pool_size:
-                    raise ShapeError(
-                        f"layer {i}: conv output {side_h}x{side_w} not divisible "
-                        f"by pool {layer.pool_size}")
-                c, h, w = layer.out_channels, side_h // layer.pool_size, side_w // layer.pool_size
-            else:
-                if flat is None:
-                    flat = c * h * w
-                if layer.in_channels != flat:
-                    raise ShapeError(
-                        f"layer {i}: expects {layer.in_channels} inputs, got {flat}")
-                flat = layer.out_channels
-        return flat
+            if layer.kind == FULLY_CONNECTED:
+                c, h, w, flat = c * h * w, 1, 1, True
+            elif flat:
+                raise ShapeError(f"layer {i}: convolution after flattening")
+            if layer.in_channels != c:
+                raise ShapeError(f"layer {i}: expects {layer.in_channels} input channels, got {c}")
+            side_h, side_w = h - layer.kernel_size + 1, w - layer.kernel_size + 1
+            if side_h < 1 or side_w < 1:
+                raise ShapeError(f"layer {i}: kernel larger than input {h}x{w}")
+            if side_h % layer.pool_size or side_w % layer.pool_size:
+                raise ShapeError(
+                    f"layer {i}: conv output {side_h}x{side_w} not divisible "
+                    f"by pool {layer.pool_size}")
+            c, h, w = layer.out_channels, side_h // layer.pool_size, side_w // layer.pool_size
 
     @property
     def num_classes(self) -> int:
@@ -358,19 +368,15 @@ def flatten_image(img: EncImage) -> list:
             for ch, r, c in flatten_order(len(img.channels), img.height, img.width)]
 
 
-def dot_product(inputs, weights, bias: float, encrypt_weights: bool = False,
-                input_bits: int | None = None, sum_bits=None,
-                operands=None) -> FixedPointCipher:
-    """Weighted sum plus bias, added in a tree over the bias and then the
-    products in input order: node i adds the two values ``operands[i]``
-    names (see LayerCertificate), by default the left chain.
+def dot_product(inputs, weights, bias: float,
+                encrypt_weights: bool = False) -> FixedPointCipher:
+    """Weighted sum plus bias at w bits, added in the left chain: the bias
+    and then each product in input order.
 
     Public weights enter as noiseless constants, and the gates their bits
     fix fold away; with ``encrypt_weights`` they are encrypted first, which
     changes nothing about the plaintext result (a tested equivalence) but
     models the private-model setting, where no weight bit folds a gate.
-    From a LayerCertificate, ``input_bits`` narrows each multiply by a
-    public weight and ``sum_bits`` (one per node) each add (``fp_add``).
     """
     inputs = list(inputs)
     weights = list(weights)
@@ -388,10 +394,9 @@ def dot_product(inputs, weights, bias: float, encrypt_weights: bool = False,
         x, w = inputs[j - 1], float(weights[j - 1])
         if encrypt_weights:
             return fp_mul(x, encode(w, fmt, backend, encrypt=True))
-        return fp_mul_const(x, w, input_bits)
+        return fp_mul_const(x, w)
 
-    return _add_tree(leaf, _left_chain(1, fan_in)[0] if operands is None else operands,
-                     [fmt.total_bits] * fan_in if sum_bits is None else sum_bits)
+    return _add_tree(leaf, _left_chain(1, fan_in)[0], [fmt.total_bits] * fan_in)
 
 
 def _add_tree(leaf, operands, sum_bits) -> FixedPointCipher:
@@ -432,6 +437,33 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
     ``dot_product`` over the left chain.  Both give the same bits."""
     if spec.kind != CONVOLUTION:
         raise ParameterError("conv_layer needs a convolution LayerSpec")
+    return _layer(img, spec, encrypt_weights, workers, layer_index, certificate)
+
+
+def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
+             workers: int = 1, layer_index: int = 0,
+             certificate: LayerCertificate | None = None) -> EncScores:
+    """One neuron per output node; linear activation is the identity.
+
+    The layer runs as the 1 x 1 convolution it is (see LayerSpec): the
+    features are the channels of a 1 x 1 image, so with public weights
+    each feature's products with every node's weight come from one adder
+    graph, and each node is one output channel."""
+    if spec.kind != FULLY_CONNECTED:
+        raise ParameterError("fc_layer needs a fully connected LayerSpec")
+    features = list(features)
+    if len(features) != spec.in_channels:
+        raise ShapeError(f"{len(features)} features, layer expects {spec.in_channels}")
+    out = _layer(EncImage([[[x]] for x in features], 1, 1), spec, encrypt_weights, workers,
+                 layer_index, certificate)
+    return EncScores([grid[0][0] for grid in out.channels])
+
+
+def _layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: int,
+           layer_index: int, certificate: LayerCertificate | None) -> EncImage:
+    """``conv_layer`` for either kind of layer.  ``fc_layer`` calls this,
+    not ``conv_layer``, so that a span traced around each of them by name
+    never nests one layer inside another."""
     if len(img.channels) != spec.in_channels:
         raise ShapeError(f"image has {len(img.channels)} channels, "
                          f"layer expects {spec.in_channels}")
@@ -445,7 +477,7 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
     backend = first.backend
     widths = _widths(spec, first.fmt, certificate, encrypt_weights)
     if backend.fast_arith:
-        return _int_conv_layer(img, spec, backend, encrypt_weights, widths)
+        return _int_layer(img, spec, backend, encrypt_weights, widths)
     if not encrypt_weights:
         channels = _shared_conv(img, spec, workers, layer_index, widths)
         return EncImage(channels, side_h // pool, side_w // pool)
@@ -489,7 +521,7 @@ def _max_pool(rows, pool: int) -> list:
 
 def _shared_conv(img: EncImage, spec: LayerSpec, workers: int, layer_index: int,
                  widths: tuple) -> list:
-    """Output channel grids of a conv layer with public weights, equal to
+    """Output channel grids of a layer with public weights, equal to
     ``dot_product``'s bit for bit at the same ``widths`` (see _widths).
     Each input pixel's products with every output channel's kernel come
     from one adder graph, its input channel's plan (``fp_mul_consts``),
@@ -553,33 +585,6 @@ def _kernel_reads(size: int, k: int) -> list:
     return [range(max(0, i - size + k), min(k, i + 1)) for i in range(size)]
 
 
-def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
-             workers: int = 1, layer_index: int = 0,
-             certificate: LayerCertificate | None = None) -> EncScores:
-    """One dot product per output node; linear activation is the identity.
-    With public weights and a ``certificate``, its multiplies, add trees
-    and ReLU are built as the certificate allows, else w bits wide over
-    the left chain."""
-    if spec.kind != FULLY_CONNECTED:
-        raise ParameterError("fc_layer needs a fully connected LayerSpec")
-    features = list(features)
-    if len(features) != spec.in_channels:
-        raise ShapeError(f"{len(features)} features, layer expects {spec.in_channels}")
-    backend = features[0].backend
-    widths = _widths(spec, features[0].fmt, certificate, encrypt_weights)
-    if backend.fast_arith:
-        return _int_fc_layer(features, spec, backend, encrypt_weights, widths)
-    input_bits, sum_bits, operands = widths
-
-    def one_node(node: int):
-        with backend.seed_scope(layer_index, node):
-            value = dot_product(features, spec.weights[node], float(spec.biases[node]),
-                                encrypt_weights, input_bits, sum_bits[node], operands[node])
-            return _activate(value, spec, int(sum_bits[node, -1]))
-
-    return EncScores(_parallel_map(one_node, list(range(spec.out_channels)), workers))
-
-
 # ----------------------------------------------------------------------
 # whole-layer integer evaluation (clear backend with fast_arith)
 # ----------------------------------------------------------------------
@@ -625,8 +630,8 @@ def _tree_root(leaves, operands, add):
     return leaves[..., outs, a]
 
 
-def _int_conv_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bool,
-                    widths: tuple) -> EncImage:
+def _int_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bool,
+               widths: tuple) -> EncImage:
     fmt = img.channels[0][0][0].fmt
     k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
     x = np.array([[[_lane_values(v) for v in row] for row in grid] for grid in img.channels],
@@ -646,17 +651,6 @@ def _int_conv_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bo
     cells = [_from_ints(v, fmt, backend, pattern) for v, pattern in
              zip(values.transpose(3, 1, 2, 0).reshape(-1, lanes).tolist(), patterns)]
     return EncImage(np.array(cells, dtype=object).reshape(out, h, w).tolist(), h, w)
-
-
-def _int_fc_layer(features, spec: LayerSpec, backend, encrypt_weights: bool,
-                  widths: tuple) -> EncScores:
-    fmt = features[0].fmt
-    x = np.array([_lane_values(v) for v in features], dtype=int_dtype(fmt)).T
-    guard_range(x, fmt, "a layer input", widths[0])
-    values = _int_neurons(x, spec, fmt, widths)                # (lanes, out)
-    patterns = _charge_layer(features, spec, fmt, backend, encrypt_weights, widths)
-    return EncScores([_from_ints(v, fmt, backend, pattern)
-                      for v, pattern in zip(values.T.tolist(), patterns)])
 
 
 # ----------------------------------------------------------------------
@@ -705,35 +699,29 @@ class _FoldTable:
         return cost[inverse].reshape(a.shape), out[inverse].reshape(a.shape)
 
 
-def _neuron_charge(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bool,
-                   widths: tuple, products=None):
-    """NANDs of ``dot_product`` and the activation for neurons whose inputs
-    have pattern ids ``in_ids`` (..., fan-in), and the outputs' ids
-    (..., out), at ``widths`` (see _widths).  Weights and bias are public
-    unless ``encrypt_weights``.  ``products`` (out, fan-in, input id)
-    holds the product ids of a conv layer's shared multiplies, whose NANDs
-    _kernel_charge counts: the products then cost nothing here."""
-    input_bits, sum_bits, operands = widths
+def _neuron_charge(table: _FoldTable, spec: LayerSpec, in_ids, widths: tuple, products=None):
+    """NANDs of the neurons' products, add trees and activation for
+    neurons whose inputs have pattern ids ``in_ids`` (..., fan-in), and
+    the outputs' ids (..., out), at ``widths`` (see _widths).  With
+    public weights, ``products`` (out, fan-in, input id) holds the product
+    ids of the layer's shared multiplies, whose NANDs _kernel_charge
+    counts; without it the weights and bias are encrypted, and each
+    product is a w-bit ``fp_mul`` charged here."""
+    _, sum_bits, operands = widths
     fmt = table.fmt
     weights, biases = spec.scaled(fmt)
-    if encrypt_weights:
-        w_ids = np.zeros(weights.shape, dtype=np.int64)
-        b_ids = np.zeros(spec.out_channels, dtype=np.int64)
-    else:
-        full = (1 << fmt.total_bits) - 1
-        ints, where = np.unique(np.concatenate([weights.ravel(), biases]),
-                                return_inverse=True)
-        ids = table.ids([(full, z & full) for z in ints.tolist()])[where]
-        w_ids, b_ids = ids[:weights.size].reshape(weights.shape), ids[weights.size:]
+    out, fan_in = weights.shape
     # neurons whose inputs share patterns share charges: probe each input row once
     rows, where, repeats = np.unique(in_ids.reshape(-1, in_ids.shape[-1]), axis=0,
                                      return_inverse=True, return_counts=True)
-    out, fan_in = weights.shape
     if products is None:
+        b_ids = np.zeros(out, dtype=np.int64)
         # (rows, out, fan-in)
-        cost, terms = table.step("mul", rows[:, None, :], w_ids, input_bits)
+        cost, terms = table.step("mul", rows[:, None, :], np.zeros(weights.shape, dtype=np.int64))
         charge = cost.sum(axis=(1, 2))
     else:
+        full = (1 << fmt.total_bits) - 1
+        b_ids = table.ids([(full, z & full) for z in biases.tolist()])
         terms = products[np.arange(out)[:, None], np.arange(fan_in), rows[:, None, :]]
         charge = np.zeros(len(rows), dtype=np.int64)
 
@@ -755,9 +743,8 @@ def _neuron_charge(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: 
 def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
                   encrypt_weights: bool, widths: tuple) -> list:
     """Bump the counter by the NANDs the gate path evaluates for this layer
-    on ``inputs`` (a conv layer's channel grids or an fc layer's features)
-    at ``widths`` (see _widths), and return each output's public_pattern,
-    channel-major.
+    on ``inputs`` (its channel grids) at ``widths`` (see _widths), and
+    return each output's public_pattern, channel-major.
 
     Folding makes the count depend on the public weights and on which
     input bits are public, so it comes from walks and FoldProbe runs of
@@ -783,17 +770,13 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
 def _probe_layer(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bool,
                  widths: tuple):
     """(NANDs, output patterns) of the layer on inputs with pattern ids
-    ``in_ids``: (c, h, w) for convolution, (fan-in,) for fc."""
-    if spec.kind == FULLY_CONNECTED:
-        nands, out_ids = _neuron_charge(table, spec, in_ids, encrypt_weights, widths)
-        return nands, [table.patterns[i] for i in out_ids]
+    ``in_ids`` (c, h, w)."""
     k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
     win = sliding_window_view(in_ids, (k, k), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
     side_h, side_w = win.shape[:2]
     nands, products = (0, None) if encrypt_weights else \
         _kernel_charge(table, spec, in_ids, widths[0])
-    charge, acc = _neuron_charge(table, spec, win.reshape(side_h, side_w, -1),
-                                 encrypt_weights, widths, products)
+    charge, acc = _neuron_charge(table, spec, win.reshape(side_h, side_w, -1), widths, products)
     nands += charge
     h, w = side_h // pool, side_w // pool
     blocks = acc.reshape(h, pool, w, pool, out).swapaxes(1, 2).reshape(h, w, pool * pool, out)
@@ -805,7 +788,7 @@ def _probe_layer(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bo
 
 
 def _kernel_charge(table: _FoldTable, spec: LayerSpec, in_ids, input_bits: int):
-    """(NANDs, product ids) of a conv layer's shared multiplies
+    """(NANDs, product ids) of a layer's shared multiplies
     (``_shared_conv``), planned for ``input_bits``-bit inputs, on input
     pattern ids ``in_ids`` (c, h, w): the NANDs over every input pixel,
     and per output channel, kernel entry (ic, kr, kc) and input id, the

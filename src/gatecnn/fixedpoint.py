@@ -53,7 +53,6 @@ __all__ = [
     "FixedPointFormat",
     "FixedPointCipher",
     "encode",
-    "encode_const",
     "decode",
     "decode_lanes",
     "fp_add",
@@ -136,10 +135,6 @@ def encode(r: float, fmt: FixedPointFormat, backend, encrypt: bool = True) -> Fi
     z = float_to_scaled(r, fmt)
     bits = BitVector.from_int(z, fmt.total_bits, backend, encrypt=encrypt)
     return FixedPointCipher(bits, fmt)
-
-
-def encode_const(r: float, fmt: FixedPointFormat, backend) -> FixedPointCipher:
-    return encode(r, fmt, backend, encrypt=False)
 
 
 def encode_lanes(values, fmt: FixedPointFormat, backend: ClearBackend) -> FixedPointCipher:

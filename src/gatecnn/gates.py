@@ -48,7 +48,6 @@ __all__ = [
     "compare",
     "less_than",
     "mux",
-    "wallace_depth",
 ]
 
 
@@ -344,33 +343,6 @@ def _final_add(columns, lo: int, backend):
             s, carry = full_adder(*bits)
             out.append(s)
     return out
-
-
-def wallace_depth(width: int) -> int:
-    """Number of compression stages for a full width-w multiply (no gates
-    built).  The heights start from the Baugh–Wooley columns and evolve
-    exactly as in _compress_columns."""
-    heights = [len(col) for col in _partial_products(width, 2 * width)]
-    stages = 0
-    while max(heights) > 2:
-        heights = _compress_heights(heights)
-        stages += 1
-    return stages
-
-
-def _compress_heights(heights):
-    nxt = [0] * len(heights)
-    for c, h in enumerate(heights):
-        fas, rem = divmod(h, 3)
-        if rem == 2:
-            nxt[c] += fas + 1
-            carries = fas + 1
-        else:
-            nxt[c] += fas + rem
-            carries = fas
-        if c + 1 < len(heights):
-            nxt[c + 1] += carries
-    return nxt
 
 
 def mul_schoolbook(a: BitVector, b: BitVector) -> BitVector:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import shlex
 import struct
@@ -164,7 +165,10 @@ def test_bound_of_a_model_whose_weights_do_not_encode_exits_4(workdir, capsys):
     """A weight of 100 does not fit w=10, f=5, so no layer can be built or
     certified: one error line, exit 4, and no partial report."""
     net = model_io.load_model(workdir / "micro.txt")
-    net.layers[0].weights[0, 0] = 100.0
+    weights = net.layers[0].weights.copy()
+    weights[0, 0] = 100.0
+    net = dataclasses.replace(net, layers=[dataclasses.replace(net.layers[0], weights=weights),
+                                           *net.layers[1:]])
     model_io.save_model(net, workdir / "big.txt")
     capsys.readouterr()
     assert run("bound", "--model", workdir / "big.txt") == cli.EXIT_SHAPE
@@ -179,8 +183,8 @@ def test_gsw_classify_of_a_model_that_does_not_fit_exits_4(workdir, capsys):
     exit 4 and one error line, and writes no scores, as ``bound`` warns;
     the clear backend classifies an image whose values fit."""
     net = tiny_model()
-    for layer in net.layers:
-        layer.weights *= 8
+    net = dataclasses.replace(net, layers=[
+        dataclasses.replace(layer, weights=layer.weights * 8) for layer in net.layers])
     model_io.save_model(net, workdir / "tiny8.txt")
     model_io.save_csv(np.full((6, 6), 1 / 64), workdir / "faint.csv")
     assert run("keygen", "--preset", "toy", "--seed", "3", "--out", workdir / "t.key") == 0

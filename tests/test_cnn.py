@@ -613,9 +613,8 @@ def test_layer_charges_are_kept_per_tree():
 def _scaled_tiny(factor):
     """A new tiny model with every weight times ``factor``."""
     net = demo.tiny_model()
-    for layer in net.layers:
-        layer.weights = layer.weights * factor
-    return net
+    return dataclasses.replace(net, layers=[
+        dataclasses.replace(layer, weights=layer.weights * factor) for layer in net.layers])
 
 
 def test_gsw_refuses_a_model_whose_certificate_does_not_fit(toy_params, toy_key):
@@ -636,6 +635,29 @@ def test_gsw_refuses_a_model_whose_certificate_does_not_fit(toy_params, toy_key)
     cnn.classify(cnn.encrypt_image(pixels, net.fmt, clear), net)
     assert clear.stats.nand_count > 0
     assert all(c.fits for c in _scaled_tiny(1.0).certificate())
+
+
+def test_models_are_frozen_so_their_caches_stay_true():
+    """A certified model cannot be edited in place, where its cached
+    certificate, scaled weights and plans would go stale; a model rebuilt
+    with weights times 8 is certified afresh."""
+    net = demo.tiny_model()
+    assert all(c.fits for c in net.certificate())
+    head = net.layers[-1]
+    with pytest.raises(ValueError, match="read-only"):
+        head.weights *= 8
+    with pytest.raises(ValueError, match="read-only"):
+        head.biases[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        head.weights = head.weights * 8
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.layers = net.layers[:1]
+    with pytest.raises(TypeError):
+        net.layers[0] = head
+    scaled = dataclasses.replace(net, layers=[
+        dataclasses.replace(layer, weights=layer.weights * 8) for layer in net.layers])
+    assert [c.fits for c in scaled.certificate()] == [True, False]
+    assert all(c.fits for c in net.certificate())
 
 
 def test_layer_evaluator_rejects_unencodable_weight():
@@ -666,6 +688,61 @@ def test_classify_gate_trace_depends_only_on_shape(tiny_net):
         cnn.classify(cnn.encrypt_image(pixels, tiny_net.fmt, backend), tiny_net)
         counts.append(backend.stats.nand_count)
     assert counts[0] == counts[1]
+
+
+def _conv_fc_net():
+    """An fc layer after a 3x3 convolution on a 5x7 input: 2 maps of 3x5,
+    flattened to 30 features; some weights fold (zero, ±power of two)."""
+    rng = np.random.default_rng(31)
+    conv_w = rng.normal(0, 0.3, (2, 1, 3, 3))
+    conv_w[0, 0, 1] = [0.0, 0.5, -1.0]
+    fc_w = rng.normal(0, 0.2, (3, 30))
+    fc_w[1, ::4] = [0.0, 0.25, -0.5, 1.0, 0.0, -0.125, 0.5, 0.0]
+    return cnn.NetworkSpec([make_conv(1, 2, 3, 1, weights=conv_w, seed=32),
+                            make_fc(30, 3, weights=fc_w, seed=33)],
+                           input_height=5, input_width=7, fmt=fp.FixedPointFormat(10, 5))
+
+
+def _fc_fc_net():
+    """Two fc layers, 6 -> 4 (ReLU) -> 3, on a 2x3 input."""
+    return cnn.NetworkSpec([make_fc(6, 4, act=cnn.RELU, seed=34), make_fc(4, 3, seed=35)],
+                           input_height=2, input_width=3, fmt=fp.FixedPointFormat(10, 5))
+
+
+@pytest.mark.parametrize("certified", [False, True])
+@pytest.mark.parametrize("encrypt_weights", [False, True])
+@pytest.mark.parametrize("make_net", [_conv_fc_net, _fc_fc_net])
+def test_fc_layers_match_gate_path(make_net, encrypt_weights, certified):
+    """Layer by layer, with public or encrypted weights and with or
+    without the certificate's widths: the whole-layer evaluator gives the
+    gate path's values, output public_patterns and NANDs, on an fc layer
+    after a convolution of a non-square input and on an fc layer after
+    another."""
+    net = make_net()
+    pixels = np.random.default_rng(36).uniform(-1, 1, (1, net.input_height, net.input_width))
+    runs = []
+    for fast in (True, False):
+        backend = ClearBackend(fast_arith=fast)
+        current = cnn.encrypt_image(pixels, net.fmt, backend)
+        layers = []
+        for i, layer in enumerate(net.layers):
+            certificate = net.certificate()[i] if certified else None
+            before = backend.stats.nand_count
+            if layer.kind == cnn.CONVOLUTION:
+                current = cnn.conv_layer(current, layer, encrypt_weights, layer_index=i,
+                                         certificate=certificate)
+                cells = [v for grid in current.channels for row in grid for v in row]
+            else:
+                if isinstance(current, cnn.EncImage):
+                    current = cnn.flatten_image(current)
+                current = cells = cnn.fc_layer(current, layer, encrypt_weights, layer_index=i,
+                                               certificate=certificate).scores
+            layers.append(([(fp._lane_values(v)[0], fp.public_pattern(v)) for v in cells],
+                           backend.stats.nand_count - before))
+        runs.append(layers)
+    fast, gate = runs
+    assert fast == gate
+    assert all(nands > 0 for _, nands in fast)
 
 
 def test_two_fc_layer_network():

@@ -407,52 +407,6 @@ def test_mul_random_width8_vs_oracles():
         assert p == x * y == q
 
 
-def test_wallace_depth_matches_circuit(clear, monkeypatch):
-    stages_seen = []
-    original = g._compress_columns
-
-    def counting(columns):
-        stages = 0
-        while max(len(col) for col in columns) > 2:
-            heights = [len(col) for col in columns]
-            nxt_heights = g._compress_heights(heights)
-            columns = _one_stage(columns)
-            assert [len(col) for col in columns] == nxt_heights
-            stages += 1
-        stages_seen.append(stages)
-        return columns
-
-    def _one_stage(columns):
-        nxt = [[] for _ in range(len(columns))]
-        for c, col in enumerate(columns):
-            i = 0
-            while len(col) - i >= 3:
-                s, cout = g.full_adder(col[i], col[i + 1], col[i + 2])
-                nxt[c].append(s)
-                if c + 1 < len(columns):
-                    nxt[c + 1].append(cout)
-                i += 3
-            if len(col) - i == 2:
-                s, cout = g.half_adder(col[i], col[i + 1])
-                nxt[c].append(s)
-                if c + 1 < len(columns):
-                    nxt[c + 1].append(cout)
-            else:
-                nxt[c].extend(col[i:])
-        return nxt
-
-    monkeypatch.setattr(g, "_compress_columns", counting)
-    for w in (4, 8, 16):
-        a = g.BitVector.from_int(3, w, clear)
-        b = g.BitVector.from_int(-5, w, clear)
-        assert g.mul_wallace(a, b).to_int() == -15
-        assert stages_seen[-1] == g.wallace_depth(w)
-    monkeypatch.setattr(g, "_compress_columns", original)
-    # logarithmic-flavored depth, not linear
-    assert g.wallace_depth(16) <= 9
-    assert g.wallace_depth(32) <= 11
-
-
 def test_compare_examples(clear):
     r = g.compare(g.BitVector.from_int(5, 8, clear), g.BitVector.from_int(5, 8, clear))
     assert clear.reveal_bit(r.is_negative) == 0

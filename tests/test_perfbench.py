@@ -5,7 +5,8 @@ path and the encrypted-image and score file round trips end to end,
 and the harness's own checks (bit-identical to a gate-level clear run,
 traced counts equal untraced counts) must all hold.  One untraced
 clear_paper image pins the folded NAND count of the paper architecture,
-and the layer evaluator's charge of each of its layers adds up to it.
+and the layer evaluator's charge of each of its layers adds up to it; a
+traced one keeps its per-layer spans' sums.
 """
 
 import json
@@ -18,7 +19,7 @@ from gatecnn.demo import synthetic_images
 from gatecnn.fhe_core import ClearBackend
 
 ROOT = Path(__file__).resolve().parent.parent
-CLEAR_PAPER_NANDS = 64_417_834
+CLEAR_PAPER_NANDS = 63_564_470
 
 
 def _run(workload: str, trace: int) -> dict:
@@ -45,6 +46,15 @@ def test_clear_paper_run_pins_the_folded_nand_count():
     assert result["metrics"]["nand_per_image"]["value"] == CLEAR_PAPER_NANDS
 
 
+def test_clear_paper_traced_run_keeps_the_layer_sums():
+    """A traced clear_paper image: the per-layer spans of a conv + fc
+    network with public weights add up to the untraced counts, so no layer
+    span nests inside another."""
+    result = _run("clear_paper", trace=1)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+
+
 def test_clear_paper_nands_per_layer(preset_net):
     """The whole-layer charge of each preset layer for one encrypted image
     at the certificate's widths: conv1, conv2, fc."""
@@ -59,5 +69,5 @@ def test_clear_paper_nands_per_layer(preset_net):
             current = cnn.fc_layer(cnn.flatten_image(current), layer, layer_index=i,
                                    certificate=certificate).scores
         nands.append(backend.stats.nand_count - before)
-    assert nands == [23_147_125, 39_111_141, 2_159_568]
+    assert nands == [23_147_125, 39_111_141, 1_306_204]
     assert sum(nands) == CLEAR_PAPER_NANDS
