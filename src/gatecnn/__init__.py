@@ -29,7 +29,6 @@ from .fhe_core import (
     preset_params,
     rated_nand_depth,
     refresh,
-    trivial_const,
 )
 from .fixedpoint import FixedPointCipher, FixedPointFormat
 from .gates import BitVector, CompareResult

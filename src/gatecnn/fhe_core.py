@@ -21,7 +21,9 @@ rounding error handled by :mod:`gatecnn.error_analysis`.
 
 A clear (plaintext) backend implements the same bit contract for fast
 oracle runs; it can evaluate many independent inputs at once by packing
-one input per bit lane of a Python int.
+one input per bit lane of a Python int.  A fold probe runs a circuit
+without values to count the NANDs it evaluates once public constants
+fold.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ __all__ = [
     "decrypt_bit",
     "nand",
     "refresh",
-    "trivial_const",
     "fresh_noise_bound",
     "rated_nand_depth",
 ]
@@ -444,98 +445,31 @@ class ClearBackend(_SeedScopeMixin):
         return (bit.clear_value >> lane) & 1
 
 
-class _ProbeBit(EncBit):
-    """A FoldProbe bit: ``clear_value`` holds each lane's value and
-    ``public_lanes`` the lanes in which the bit is public."""
-
-    __slots__ = ("public_lanes",)
-
-    def __init__(self, backend, value: int, public_lanes: int, public=None):
-        # the slots set directly: this runs once per probed gate
-        self.backend = backend
-        self.clear_value = value
-        self.ciphertext = None
-        self.public = public
-        self.public_lanes = public_lanes
-
-
 class FoldProbe:
-    """Three-valued, bit-sliced evaluation of how a circuit folds.
+    """One-lane evaluation of how a circuit folds, for its NAND count.
 
-    Each lane is an independent instance of the circuit whose bits are
-    public (with a value) or private.  A NAND output lane is public, and
-    the gate folded there, exactly where ``nand`` folds it on a real
-    backend; every other lane evaluates, and counts, one gate.  Values of
-    private lanes are arbitrary, since folding never reads them, so the
-    per-lane counts and public outputs hold for any private data.
+    Its public bits are its two shared constants, as on a real backend;
+    its private bits carry no value, since folding never reads one.
+    ``nand`` runs only for the gates the module-level ``nand`` does not
+    fold, so ``nand_count`` is the count a real backend evaluates, and an
+    output bit's ``public`` is what it is there, for any private data.
+    It is not a ClearBackend, so fixed-point ops run no range check on it.
     """
 
-    def __init__(self, lanes: int):
-        if lanes < 1:
-            raise ParameterError("lanes must be >= 1")
-        self.lanes = lanes
-        self.lane_mask = (1 << lanes) - 1
-        self._consts = (_ProbeBit(self, 0, self.lane_mask, public=0),
-                        _ProbeBit(self, self.lane_mask, self.lane_mask, public=1))
-        self._in_every_lane = 0  # gates evaluated in all lanes
-        self._tally = []         # vertical counter: bit i of each lane's other gates
+    def __init__(self):
+        self.nand_count = 0
+        self._consts = (EncBit(self, public=0), EncBit(self, public=1))
 
     def const(self, bit: int) -> EncBit:
         return self._consts[bit]
 
-    def word_bits(self, values, publics, width: int) -> list:
-        """The ``width`` bits of one word per lane: lane l holds
-        ``values[l]`` where ``publics[l]`` has a bit set, private bits
-        elsewhere."""
-        return [_ProbeBit(self, v & p, p) for v, p in zip(
-            _words_to_masks(values, width), _words_to_masks(publics, width))]
+    def encrypt_bit(self, bit: int) -> EncBit:
+        """A private bit; its value ``bit`` is not kept."""
+        return EncBit(self)
 
-    def words(self, bits):
-        """(values, publics) of ``bits`` as one uint64 word per lane, the
-        inverse of ``word_bits``; values of private bits read 0."""
-        publics = _masks_to_words([b.public_lanes for b in bits], self.lanes)
-        values = _masks_to_words([b.clear_value for b in bits], self.lanes)
-        return values & publics, publics
-
-    def lane_counts(self) -> np.ndarray:
-        """NANDs evaluated so far in each lane."""
-        return self._in_every_lane + _masks_to_words(self._tally, self.lanes)
-
-    def nand(self, a: _ProbeBit, b: _ProbeBit) -> _ProbeBit:
-        pa, pb, va, vb = a.public_lanes, b.public_lanes, a.clear_value, b.clear_value
-        folded = (pa & ~va) | (pb & ~vb) | (pa & pb)
-        carry = self.lane_mask ^ folded
-        if carry == self.lane_mask:
-            self._in_every_lane += 1
-        else:
-            for i, level in enumerate(self._tally):
-                if not carry:
-                    break
-                self._tally[i] = level ^ carry
-                carry &= level
-            if carry:
-                self._tally.append(carry)
-        return _ProbeBit(self, (va & vb) ^ self.lane_mask, folded)
-
-
-def _words_to_masks(words, width: int) -> list:
-    """Per-lane words (< 2^64) to ``width`` lane masks, bit i of lane l at
-    bit l of mask i."""
-    words = np.asarray(words, dtype=np.uint64)
-    bits = (words >> np.arange(width, dtype=np.uint64)[:, None]) & np.uint64(1)
-    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _masks_to_words(masks, lanes: int) -> np.ndarray:
-    """Inverse of ``_words_to_masks``: one uint64 word per lane."""
-    if not masks:
-        return np.zeros(lanes, dtype=np.uint64)
-    nbytes = (lanes + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), np.uint8)
-    bits = np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=lanes,
-                         bitorder="little").astype(np.uint64)
-    return (bits << np.arange(len(masks), dtype=np.uint64)[:, None]).sum(axis=0)
+    def nand(self, a: EncBit, b: EncBit) -> EncBit:
+        self.nand_count += 1
+        return EncBit(self)
 
 
 class GswBackend(_SeedScopeMixin):
@@ -669,13 +603,6 @@ class GswBackend(_SeedScopeMixin):
         self.stats.bump_refresh()
         return out
 
-    def refresh_bit(self, bit: EncBit) -> EncBit:
-        if self.key is None:
-            raise ParameterError("backend has no secret key; cannot refresh")
-        if bit.ciphertext.is_trivial:
-            return bit
-        return EncBit(self, ciphertext=self._oracle_refresh(bit.ciphertext))
-
     def _nand_general(self, ca: Ciphertext, cb: Ciphertext) -> Ciphertext:
         # flatten(I - C_b @ C_a) recomposes to W - C_b @ M_a; a binary C_b
         # keeps the product exact in float64
@@ -706,11 +633,6 @@ def nand(a: EncBit, b: EncBit) -> EncBit:
     if a.public is not None and b.public is not None:
         return backend.const(0)
     return backend.nand(a, b)
-
-
-def trivial_const(bit: int, backend) -> EncBit:
-    """A noiseless public constant usable in circuits on either backend."""
-    return backend.const(bit)
 
 
 def rated_nand_depth(params: FheParams) -> int:

@@ -28,7 +28,10 @@ share the integer semantics written out here (``scaled_mul``,
 ``guard_range``) with the whole-layer evaluator in :mod:`gatecnn.cnn`:
 on a clear backend with ``fast_arith``, layers run as whole-array integer
 arithmetic and charge the gate counter the NANDs the circuits they stand
-for evaluate once public constants fold (``fold_costs``).
+for evaluate once public constants fold (``fold_costs``).  Those counts
+come from running each circuit once per operand pattern on a one-lane
+``FoldProbe``, whose bits are public constants or private bits without a
+value, and keeping the result for the process.
 """
 
 from __future__ import annotations
@@ -68,7 +71,10 @@ __all__ = [
     "public_pattern",
 ]
 
-# Widest format: fold_costs handles a word's bit pattern as one uint64.
+# Widest format.  Formats are read from untrusted files, and a format's
+# circuits grow with w (a Wallace multiplier by about w^2 gates, each run
+# in Python when a charge is probed) while theorem_bound needs 1/scale as
+# a float, so a file may not ask for an unbounded one.
 MAX_TOTAL_BITS = 64
 
 
@@ -382,14 +388,28 @@ _COST_OPS = {
 }
 
 
-_PROBE_LANES = 512  # lanes per FoldProbe pass: bounds its live lane masks
+# (kind, format, width, a, b) of a fold_costs circuit, or (negative,
+# carries, width, and the sum's and term's public_patterns) of a mul_const
+# step -> (NANDs, output states) of that circuit on a FoldProbe, where a
+# state is a bit's public value or None for a private bit.  A circuit's
+# cost depends on nothing else, so every model in the process shares the
+# entries.
+_FOLDS = {}
+_FOLDS_LIMIT = 1 << 17
 
-# (kind, format, width) -> {(a, b) public_patterns: (NANDs, output
-# public_pattern)} of each circuit fold_costs runs on the FoldProbe.  A
-# circuit's cost depends on nothing else, so every model in the process
-# shares the entries.
-_FOLD_COSTS = {}
-_FOLD_COSTS_LIMIT = 1 << 16  # entries per kind, format and width
+
+def _folded(key, circuit, *operands):
+    """(NANDs, output states) of ``circuit`` run once on a FoldProbe, on
+    bit lists with the per-bit states ``operands``, kept under ``key``."""
+    found = _FOLDS.get(key)
+    if found is None:
+        if len(_FOLDS) >= _FOLDS_LIMIT:
+            _FOLDS.clear()
+        probe = FoldProbe()
+        out = circuit(*([probe.encrypt_bit(0) if state is None else probe.const(state)
+                         for state in states] for states in operands))
+        found = _FOLDS[key] = (probe.nand_count, [bit.public for bit in out])
+    return found
 
 
 def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width: int | None = None) -> list:
@@ -398,55 +418,33 @@ def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width: int | None = None
     ignores b).  ``width`` (default w) is an ``add``'s or a ``relu``'s
     width (``fp_add``, ``fp_relu``) and, for a ``mul`` by a wholly public
     operand, the other operand's (``fp_mul_const``); ``maxfold`` ignores
-    it.  Counts depend on the
-    formats, widths and public bits only, never on private values.  A
-    ``mul`` with a wholly public operand is charged by walking its
-    constant's plan (``const_mul_costs``); one bit-sliced FoldProbe pass
-    runs each chunk of the other pairs not yet in ``_FOLD_COSTS`` through
-    the real circuit."""
-    width = fmt.total_bits if width is None else width
-    out = [_const_mul_cost(fmt, *pair, width) if kind == "mul" else None for pair in pairs]
-    cache = _FOLD_COSTS.setdefault((kind, fmt, width), {})
-    known = {pair: cache.get(pair) for pair, found in zip(pairs, out) if found is None}
-    probed = [pair for pair, found in known.items() if found is None]
-    for start in range(0, len(probed), _PROBE_LANES):
-        lanes = probed[start:start + _PROBE_LANES]
-        probe = FoldProbe(len(lanes))
-        a, b = (FixedPointCipher(BitVector(probe.word_bits(
-                    [pair[i][1] for pair in lanes], [pair[i][0] for pair in lanes],
-                    fmt.total_bits)), fmt)
-                for i in (0, 1))
-        values, publics = probe.words(_COST_OPS[kind](a, b, width).bits.bits)
-        if len(cache) + len(lanes) > _FOLD_COSTS_LIMIT:
-            cache.clear()
-        for pair, nands, pattern in zip(lanes, probe.lane_counts().tolist(),
-                                        zip(publics.tolist(), values.tolist())):
-            known[pair] = cache[pair] = (nands, pattern)
-    return [known[pair] if found is None else found for pair, found in zip(pairs, out)]
+    it.  Counts depend on the formats, widths and public bits only, never
+    on private values.  A ``mul`` with a wholly public operand is charged
+    by walking its constant's plan (``const_mul_costs``); every other
+    circuit runs once per key on a FoldProbe (``_folded``)."""
+    w = fmt.total_bits
+    width = w if width is None else width
 
+    def circuit(a, b):
+        a, b = (FixedPointCipher(BitVector(bits), fmt) for bits in (a, b))
+        return _COST_OPS[kind](a, b, width).bits.bits
 
-# (negative, carries, width, sum public_pattern, term public_pattern) ->
-# (NANDs, output states) of one mul_const step over ``width`` columns,
-# where a state is a bit's public value or None for a private bit.  Steps
-# depend on nothing else, so every model and format shares the entries.
-_STEP_COSTS = {}
-_STEP_COSTS_LIMIT = 1 << 16
+    out = []
+    for a, b in pairs:
+        found = _const_mul_cost(fmt, a, b, width) if kind == "mul" else None
+        if found is None:
+            nands, states = _folded((kind, fmt, width, a, b), circuit,
+                                    _states(a, w), _states(b, w))
+            found = nands, _pattern_of(states)
+        out.append(found)
+    return out
 
 
 def _step_cost(step: gates.ConstMulStep, xs, ts):
+    """(NANDs, output states) of one mul_const step on sum and term bits
+    with the per-bit states ``xs`` and ``ts``."""
     key = (step.negative, step.carries, len(xs), *_pattern_of(xs), *_pattern_of(ts))
-    found = _STEP_COSTS.get(key)
-    if found is None:
-        if len(_STEP_COSTS) >= _STEP_COSTS_LIMIT:
-            _STEP_COSTS.clear()
-        backend = ClearBackend()
-
-        def bit(state):
-            return backend.encrypt_bit(0) if state is None else backend.const(state)
-
-        out = gates.const_mul_step(step, [bit(x) for x in xs], [bit(t) for t in ts])
-        found = _STEP_COSTS[key] = (backend.stats.nand_count, [b.public for b in out])
-    return found
+    return _folded(key, lambda xs, ts: gates.const_mul_step(step, xs, ts), xs, ts)
 
 
 def _const_mul_cost(fmt: FixedPointFormat, a: tuple, b: tuple, width: int):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BackendMismatchError, ParameterError, WidthMismatchError
-from .fhe_core import EncBit, nand, trivial_const
+from .fhe_core import EncBit, nand
 
 __all__ = [
     "BitVector",
@@ -331,7 +331,7 @@ def _final_add(columns, lo: int, backend):
             elif len(bits) == 2:
                 carry = and_gate(*bits)
         elif not bits:
-            out.append(trivial_const(0, backend))
+            out.append(backend.const(0))
         elif len(bits) == 1:
             out.append(bits[0])
         elif c == top:
@@ -350,7 +350,7 @@ def mul_schoolbook(a: BitVector, b: BitVector) -> BitVector:
     _check_widths(a, b)
     w2 = 2 * a.width
     backend = a.backend
-    zero = trivial_const(0, backend)
+    zero = backend.const(0)
     aa = _sign_extend(a, w2)
     bb = _sign_extend(b, w2)
     acc = BitVector([zero] * w2)
@@ -739,7 +739,7 @@ def mul_consts(a: BitVector, plan: ConstMulPlan, wanted) -> list:
     if a.width != plan.width:
         raise ParameterError(f"a {a.width}-bit operand for a plan of "
                              f"{plan.width}-bit operands")
-    zero = trivial_const(0, a.backend)
+    zero = a.backend.const(0)
     values = const_mul_walk(plan, a.bits, zero, plan.closure(wanted), const_mul_step, not_gate)
     return [BitVector(const_mul_product(plan, values, j, zero)) for j in wanted]
 

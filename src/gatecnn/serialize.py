@@ -267,78 +267,67 @@ def _check_backend_match(file_tag: str, file_params: FheParams, backend) -> None
 # images and scores
 # ----------------------------------------------------------------------
 
-def save_enc_image(img: EncImage, fmt: FixedPointFormat, backend, path,
-                   params: FheParams | None = None) -> None:
+# record kind -> (its noun in messages, its article and name, the number
+# of u32 shape fields its metadata holds before the format's two)
+_RECORDS = {KIND_IMAGE: ("image", "an encrypted image", 3),
+            KIND_SCORES: ("score", "a score file", 1)}
+
+
+def _save_record(kind: int, shape, values, fmt: FixedPointFormat, backend, path,
+                 params: FheParams | None) -> None:
+    """Write ``values`` (FixedPointCiphers, row-major over ``shape``)."""
     params = params if backend.tag == "clear" else backend.params
     if params is None:
-        raise ParameterError("clear image files still need preset params for the header")
-    meta = struct.pack("<IIIII", len(img.channels), img.height, img.width,
-                       fmt.total_bits, fmt.frac_bits)
-    bits = []
-    for grid in img.channels:
-        for row in grid:
-            for value in row:
-                bits.extend(value.bits.bits)
-    blob = (_header(KIND_IMAGE, params, backend.tag)
+        raise ParameterError(
+            f"clear {_RECORDS[kind][0]} files still need preset params for the header")
+    meta = struct.pack(f"<{len(shape) + 2}I", *shape, fmt.total_bits, fmt.frac_bits)
+    bits = [bit for value in values for bit in value.bits.bits]
+    blob = (_header(kind, params, backend.tag)
             + _params_section(params)
             + _section(meta)
             + _section(_write_bits(bits, backend)))
     atomic_write_bytes(path, blob)
 
 
-def load_enc_image(path, backend):
-    """Returns (EncImage, FixedPointFormat); backend must match the file."""
+def _load_record(kind: int, path, backend):
+    """(shape, an iterator over its FixedPointCiphers in row-major order,
+    format) of a ``kind`` record; backend must match the file."""
     with open(path, "rb") as fh:
         rd = _Reader(fh.read())
-    kind, params, tag, rd = _parse_header(rd)
-    if kind != KIND_IMAGE:
-        raise ModelFormatError("file is not an encrypted image")
+    found, params, tag, rd = _parse_header(rd)
+    _, name, dims = _RECORDS[kind]
+    if found != kind:
+        raise ModelFormatError(f"file is not {name}")
     _check_backend_match(tag, params, backend)
-    channels, height, width, total_bits, frac_bits = rd.section_fields("<IIIII")
+    *shape, total_bits, frac_bits = rd.section_fields(f"<{dims + 2}I")
     fmt = _untrusted(FixedPointFormat, total_bits, frac_bits)
-    raw = _read_bits(rd, channels * height * width * total_bits, backend)
-    grids = []
-    pos = 0
-    for _ in range(channels):
-        grid = []
-        for _ in range(height):
-            row = []
-            for _ in range(width):
-                row.append(FixedPointCipher(
-                    BitVector(raw[pos:pos + total_bits]), fmt))
-                pos += total_bits
-            grid.append(row)
-        grids.append(grid)
+    raw = _read_bits(rd, math.prod(shape) * total_bits, backend)
+    values = (FixedPointCipher(BitVector(raw[i:i + total_bits]), fmt)
+              for i in range(0, len(raw), total_bits))
+    return shape, values, fmt
+
+
+def save_enc_image(img: EncImage, fmt: FixedPointFormat, backend, path,
+                   params: FheParams | None = None) -> None:
+    _save_record(KIND_IMAGE, (len(img.channels), img.height, img.width),
+                 [value for grid in img.channels for row in grid for value in row],
+                 fmt, backend, path, params)
+
+
+def load_enc_image(path, backend):
+    """Returns (EncImage, FixedPointFormat); backend must match the file."""
+    (channels, height, width), values, fmt = _load_record(KIND_IMAGE, path, backend)
+    grids = [[[next(values) for _ in range(width)] for _ in range(height)]
+             for _ in range(channels)]
     return EncImage(grids, height, width), fmt
 
 
 def save_scores(scores: EncScores, fmt: FixedPointFormat, backend, path,
                 params: FheParams | None = None) -> None:
-    params = params if backend.tag == "clear" else backend.params
-    if params is None:
-        raise ParameterError("clear score files still need preset params for the header")
-    meta = struct.pack("<III", len(scores.scores), fmt.total_bits, fmt.frac_bits)
-    bits = []
-    for value in scores.scores:
-        bits.extend(value.bits.bits)
-    blob = (_header(KIND_SCORES, params, backend.tag)
-            + _params_section(params)
-            + _section(meta)
-            + _section(_write_bits(bits, backend)))
-    atomic_write_bytes(path, blob)
+    _save_record(KIND_SCORES, (len(scores.scores),), scores.scores, fmt, backend, path, params)
 
 
 def load_scores(path, backend):
     """Returns (EncScores, FixedPointFormat)."""
-    with open(path, "rb") as fh:
-        rd = _Reader(fh.read())
-    kind, params, tag, rd = _parse_header(rd)
-    if kind != KIND_SCORES:
-        raise ModelFormatError("file is not a score file")
-    _check_backend_match(tag, params, backend)
-    count, total_bits, frac_bits = rd.section_fields("<III")
-    fmt = _untrusted(FixedPointFormat, total_bits, frac_bits)
-    raw = _read_bits(rd, count * total_bits, backend)
-    values = [FixedPointCipher(BitVector(raw[i * total_bits:(i + 1) * total_bits]), fmt)
-              for i in range(count)]
-    return EncScores(values), fmt
+    _, values, fmt = _load_record(KIND_SCORES, path, backend)
+    return EncScores(list(values)), fmt

@@ -131,8 +131,8 @@ def test_backend_mismatch_rejected(toy_params, toy_key):
 
 def test_trivial_const_identities(toy_params, toy_key):
     gsw = fc.GswBackend(toy_params, key=toy_key, seed=4)
-    one = fc.trivial_const(1, gsw)
-    zero = fc.trivial_const(0, gsw)
+    one = gsw.const(1)
+    zero = gsw.const(0)
     assert one.ciphertext.noise_estimate == 0.0
     # nand(1, x) = NOT x; nand(x, 0) = 1 (absorbing under AND)
     for bit in (0, 1):
@@ -145,7 +145,7 @@ def test_trivial_const_identities(toy_params, toy_key):
 def test_trivial_shortcut_estimates_are_exact(toy_params, toy_key):
     gsw = fc.GswBackend(toy_params, key=toy_key, seed=6)
     x = gsw.encrypt_bit(1)
-    out = fc.nand(fc.trivial_const(1, gsw), x)
+    out = fc.nand(gsw.const(1), x)
     assert out.ciphertext.noise_estimate == x.ciphertext.noise_estimate
     assert fc.true_noise(toy_key, out.ciphertext) <= out.ciphertext.noise_estimate
 
@@ -322,21 +322,18 @@ def test_nand_folds_exactly_the_publicly_fixed_gates(tag, toy_params, toy_key):
 
 
 def test_fold_probe_lanes_follow_the_fold_rule():
-    """One FoldProbe lane per operand mix: each lane counts and folds as a
-    scalar NAND on those operands would."""
-    mixes = [(a, b) for a in _OPERAND_KINDS for b in _OPERAND_KINDS]
-    probe = fc.FoldProbe(len(mixes))
-    a, b = (probe.word_bits([mix[side][1] for mix in mixes],
-                            [int(mix[side][0]) for mix in mixes], 1)[0]
-            for side in (0, 1))
-    out = fc.nand(a, b)
-    values, publics = probe.words([out])
-    for lane, (x, y) in enumerate(mixes):
+    """One FoldProbe per operand mix: each counts and folds as a scalar
+    NAND on those operands would."""
+    for x, y in [(a, b) for a in _OPERAND_KINDS for b in _OPERAND_KINDS]:
+        probe = fc.FoldProbe()
+        a, b = (probe.const(value) if public else probe.encrypt_bit(value)
+                for public, value in (x, y))
+        out = fc.nand(a, b)
         folded = _folds(x, y)
-        assert probe.lane_counts()[lane] == (0 if folded else 1), (x, y)
-        assert publics[lane] == folded, (x, y)
+        assert probe.nand_count == (0 if folded else 1), (x, y)
+        assert (out.public is not None) == folded, (x, y)
         if folded:
-            assert values[lane] == 1 - (x[1] & y[1]), (x, y)
+            assert out.public == 1 - (x[1] & y[1]), (x, y)
 
 
 def test_clear_lane_packing():
@@ -398,7 +395,7 @@ def _produced_ciphertexts(backend):
         "encrypt": x.ciphertext,
         "nand": fc.nand(x, y).ciphertext,
         "trivial_nand": fc.nand(backend.const(1), x).ciphertext,
-        "refresh": backend.refresh_bit(x).ciphertext,
+        "refresh": fc.refresh(backend.key, x.ciphertext, backend.params, 0),
         "const0": backend.const(0).ciphertext,
         "const1": backend.const(1).ciphertext,
     }

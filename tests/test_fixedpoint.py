@@ -369,7 +369,7 @@ def _assert_fold_costs_match(kind, fmt, cases):
 
 @pytest.mark.parametrize("kind", sorted(_FOLD_OPS))
 def test_fold_costs_match_gate_level(kind):
-    """For operands with any mix of public and private bits, the bit-sliced
+    """For operands with any mix of public and private bits, the fold
     probe's NAND count and output public bits equal a gate-level run's."""
     fmt = fp.FixedPointFormat(10, 5)
     full = (1 << 10) - 1
@@ -388,7 +388,7 @@ def test_fold_costs_match_gate_level_public_weights(width, frac):
     constant's digit plan; the composed charge and output public bits must
     equal a gate-level run's, for extreme, power-of-two and random weights
     against private and partly public operands, on either side.  At w=40
-    the product window reaches bit 69, past one uint64 word."""
+    the product window reaches bit 69."""
     fmt = fp.FixedPointFormat(width, frac)
     full = (1 << width) - 1
     rnd = random.Random(width)
@@ -513,6 +513,46 @@ def test_preset_kernel_plan_sizes():
                     for layer in net.layers[:2])
     assert conv1 == [100]
     assert len(conv2) == 4 and sum(conv2) == 1470
+
+
+def _count_probes(monkeypatch, limit=None):
+    """An empty fold memo (with ``limit`` entries at most), and a list
+    that grows by one per FoldProbe built."""
+    built = []
+    monkeypatch.setattr(fp, "_FOLDS", {})
+    if limit is not None:
+        monkeypatch.setattr(fp, "_FOLDS_LIMIT", limit)
+    monkeypatch.setattr(fp, "FoldProbe", lambda: built.append(1) or fc.FoldProbe())
+    return built
+
+
+def test_fold_memo_runs_each_circuit_once(monkeypatch):
+    """A second identical fold_costs or _step_cost call builds no probe."""
+    built = _count_probes(monkeypatch)
+    fmt = fp.FixedPointFormat(8, 4)
+    pairs = [(fp.PRIVATE, fp.PRIVATE), ((0b1111, 0b0101), fp.PRIVATE)]
+    first = fp.fold_costs("add", fmt, pairs)
+    assert len(built) == 2
+    assert fp.fold_costs("add", fmt, pairs) == first
+    assert len(built) == 2
+    step, xs, ts = SimpleNamespace(negative=True, carries=1), [None] * 4, [None, 1, None, 0]
+    first = fp._step_cost(step, xs, ts)
+    assert len(built) == 3
+    assert fp._step_cost(step, xs, ts) == first
+    assert len(built) == 3
+
+
+def test_fold_memo_clears_at_its_limit(monkeypatch):
+    """Past its limit the memo starts over instead of growing."""
+    built = _count_probes(monkeypatch, limit=3)
+    fmt = fp.FixedPointFormat(8, 4)
+    pairs = [((0b1111, value), fp.PRIVATE) for value in range(5)]
+    first = fp.fold_costs("add", fmt, pairs)
+    assert len(built) == 5
+    assert len(fp._FOLDS) == 2  # cleared at the fourth entry
+    assert fp.fold_costs("add", fmt, pairs) == first
+    assert len(built) == 10
+    assert len(fp._FOLDS) <= 3
 
 
 def _chain_nands(k, fmt):

@@ -211,13 +211,12 @@ def test_mul_const_never_costs_more_than_folded_wallace(width):
     average."""
     f, mask, half = width // 2, (1 << width) - 1, 1 << (width - 1)
     ks = range(-half, half)
-    probe = fc.FoldProbe(len(ks))
-    a = g.BitVector(probe.word_bits([0] * len(ks), [0] * len(ks), width))
-    b = g.BitVector(probe.word_bits([k & mask for k in ks], [mask] * len(ks), width))
-    g.mul_wallace(a, b, f, f + width)
-    wallace = probe.lane_counts().tolist()
-    const = []
+    wallace, const = [], []
     for k in ks:
+        probe = fc.FoldProbe()
+        a = g.BitVector.from_int(0, width, probe, encrypt=True)
+        g.mul_wallace(a, g.BitVector.from_int(k & mask, width, probe), f, f + width)
+        wallace.append(probe.nand_count)
         backend = fc.ClearBackend()
         g.mul_const(g.BitVector.from_int(0, width, backend, encrypt=True), k, f, f + width)
         const.append(backend.stats.nand_count)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -325,6 +326,60 @@ def test_section_lengths_are_exact(tmp_path, toy_params, toy_key, kind, defect):
     with pytest.raises(ModelFormatError, match="trailing" if defect == "trailing_byte"
                        else "expected"):
         load(path)
+
+
+def _wire_files(tmp_path, params, key):
+    """A clear image file and a clear score file from fixed values, and a
+    gsw image file from a fixed key and seed."""
+    fmt = fp.FixedPointFormat(6, 3)
+    clear = ClearBackend()
+    pixels = np.array([[[0.5, -0.25, 0.875], [-1.0, 0.125, 0.0]],
+                       [[0.75, -0.625, 0.25], [0.375, -0.5, 1.0 - 1 / 8]]])
+    paths = {name: tmp_path / f"{name}.bin" for name in ("image", "scores", "gsw")}
+    serialize.save_enc_image(cnn.encrypt_image(pixels, fmt, clear), fmt, clear,
+                             paths["image"], params=params)
+    scores = cnn.EncScores([fp.encode(v, fmt, clear) for v in (0.5, -0.25, 3.875, -4.0)])
+    serialize.save_scores(scores, fmt, clear, paths["scores"], params=params)
+    gsw = GswBackend(params, key=key, seed=3)
+    serialize.save_enc_image(cnn.encrypt_image(pixels[:1, :1, :2], fmt, gsw), fmt, gsw,
+                             paths["gsw"])
+    return paths
+
+
+def test_image_and_score_wire_format_is_pinned(tmp_path, toy_params, toy_key):
+    """The exact bytes of each record kind, for fixed inputs."""
+    paths = _wire_files(tmp_path, toy_params, toy_key)
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in paths.items()}
+    assert digests == {
+        "image": "4c676ab21b4d24752f378fc96c98e679c2cada2713a14d4655193f350aa9429b",
+        "scores": "e0a5f34386091d82bdbf2e48766e8877f7471599d4ba34ff6b47dcea89c0752c",
+        "gsw": "c773b17add00908ddada680b2a82363bd0440ae655278da69785c83162699fed",
+    }
+
+
+def test_image_and_score_record_errors(tmp_path, toy_params, toy_key):
+    paths = _wire_files(tmp_path, toy_params, toy_key)
+    clear = ClearBackend()
+    with pytest.raises(ModelFormatError, match="^file is not an encrypted image$"):
+        serialize.load_enc_image(paths["scores"], clear)
+    with pytest.raises(ModelFormatError, match="^file is not a score file$"):
+        serialize.load_scores(paths["image"], clear)
+    with pytest.raises(ParameterError, match="gsw backend, got clear"):
+        serialize.load_enc_image(paths["gsw"], clear)
+    fmt = fp.FixedPointFormat(6, 3)
+    img = cnn.encrypt_image(np.zeros((1, 1, 1)), fmt, clear)
+    with pytest.raises(ParameterError, match="^clear image files still need preset params"):
+        serialize.save_enc_image(img, fmt, clear, tmp_path / "x.bin")
+    with pytest.raises(ParameterError, match="^clear score files still need preset params"):
+        serialize.save_scores(cnn.EncScores([img.channels[0][0][0]]), fmt, clear,
+                              tmp_path / "x.bin")
+    loaded, fmt2 = serialize.load_enc_image(paths["image"], clear)
+    assert (len(loaded.channels), loaded.height, loaded.width, fmt2) == (2, 2, 3, fmt)
+    assert [fp.decode(v) for row in loaded.channels[1] for v in row] == \
+        [0.75, -0.625, 0.25, 0.375, -0.5, 0.875]
+    scores, _ = serialize.load_scores(paths["scores"], clear)
+    assert [fp.decode(v) for v in scores.scores] == [0.5, -0.25, 3.875, -4.0]
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
