@@ -153,8 +153,8 @@ def cmd_bound(args) -> int:
         print(f"{i:>5} {layer.input_bits:>5} {widest:>8} {net.fmt.total_bits - widest:>8}")
     for i, layer in enumerate(certificate):
         if not layer.fits:
-            print(f"layer {i} needs more than w={net.fmt.total_bits} bits: gsw classify "
-                  f"with public weights refuses this model")
+            print(f"layer {i} needs more than w={net.fmt.total_bits} bits: "
+                  "gsw classify refuses this model")
     print("machine-readable:")
     print(f"initial_delta={report.initial_delta!r}")
     print(f"r_product={report.r_product!r}")

@@ -7,7 +7,8 @@ activation applied before the non-overlapping max pooling.  Flattening
 between the last convolution and the fully connected head is
 channel-major, then row, then column, and a fully connected layer is the
 1 x 1 convolution whose input channels are those features, so each
-evaluator runs both kinds of layer through one layer routine.
+evaluator runs both kinds of layer, with public or encrypted weights,
+through one layer routine.
 
 Independent input rows, output channels and nodes are embarrassingly
 parallel; a ``workers`` knob fans them out while per-task seed scopes,
@@ -20,8 +21,11 @@ channel, which they share, and ``classify`` builds every multiply, add
 and ReLU only as wide as the network's interval certificate
 (``NetworkSpec.certificate``) proves its values need, for pixels in
 [-PIXEL_BOUND, PIXEL_BOUND], adding each neuron's terms narrowest first
-in a tree the certificate fixes.  Scores stay encrypted: argmax is the
-client's job after decryption.
+in a tree the certificate fixes.  With encrypted weights (the private
+model setting) each neuron adds var-by-var products in the w-bit left
+chain, and the certificate only decides whether an encrypted backend
+may run the model.  Scores stay encrypted: argmax is the client's job
+after decryption.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -49,7 +54,7 @@ from .fixedpoint import (
     fp_add,
     fp_max,
     fp_mul,
-    fp_mul_const,
+    fp_mul_const,  # unused here; kept so that tracers can wrap it by name on this module
     fp_mul_consts,
     fp_relu,
     guard_range,
@@ -66,7 +71,6 @@ __all__ = [
     "NetworkSpec",
     "EncImage",
     "EncScores",
-    "dot_product",
     "conv_layer",
     "fc_layer",
     "classify",
@@ -198,7 +202,8 @@ class LayerCertificate:
     - ``input_bits``: the signed bits every input fits, at most w;
     - ``sum_bits`` (out, fan-in): the signed bits each node fits, at
       most w;
-    - ``fits``: whether every input, product and node fits w bits, so
+    - ``fits``: whether every input, product and node fits w bits, and
+      with pooling every difference of two outputs of a channel, so
       that no circuit of the layer can wrap."""
 
     inputs: tuple
@@ -274,8 +279,10 @@ class NetworkSpec:
         depends on the public weights and the format alone), the
         activation and max pooling.  Products and outputs are clipped to
         the format's range, outside which the clear backend raises
-        OverflowDiagnostic.  Computed once per format; an unencodable
-        weight raises RangeError."""
+        OverflowDiagnostic.  A pooled layer fits only if any two of a
+        channel's outputs differ by at most the format's max_int, as the
+        pool's comparisons need.  Computed once per format; an
+        unencodable weight raises RangeError."""
         fmt = self.fmt
         found = self._certificates.get(fmt)
         if found is not None:
@@ -306,6 +313,8 @@ class NetworkSpec:
             values = tuple(np.clip(v[:, -1], fmt.min_int, fmt.max_int) for v in sums)
             if layer.activation == RELU:
                 values = tuple(np.maximum(v, 0) for v in values)
+            if layer.pool_size > 1:  # max pooling compares by subtraction
+                fits = fits and bool((values[1] - values[0] <= fmt.max_int).all())
             found.append(LayerCertificate(
                 inputs, products, sums, values, np.array(pairs, dtype=np.int64),
                 min(w, int(_signed_bits(*inputs).max())), np.minimum(bits, w), fits))
@@ -368,43 +377,12 @@ def flatten_image(img: EncImage) -> list:
             for ch, r, c in flatten_order(len(img.channels), img.height, img.width)]
 
 
-def dot_product(inputs, weights, bias: float,
-                encrypt_weights: bool = False) -> FixedPointCipher:
-    """Weighted sum plus bias at w bits, added in the left chain: the bias
-    and then each product in input order.
-
-    Public weights enter as noiseless constants, and the gates their bits
-    fix fold away; with ``encrypt_weights`` they are encrypted first, which
-    changes nothing about the plaintext result (a tested equivalence) but
-    models the private-model setting, where no weight bit folds a gate.
-    """
-    inputs = list(inputs)
-    weights = list(weights)
-    if len(inputs) != len(weights):
-        raise ShapeError(f"dot product length mismatch: {len(inputs)} inputs, "
-                         f"{len(weights)} weights")
-    if not inputs:
-        raise ParameterError("dot product needs at least one term")
-    fmt, backend = inputs[0].fmt, inputs[0].backend
-    fan_in = len(inputs)
-
-    def leaf(j: int) -> FixedPointCipher:
-        if j == 0:
-            return encode(float(bias), fmt, backend, encrypt=encrypt_weights)
-        x, w = inputs[j - 1], float(weights[j - 1])
-        if encrypt_weights:
-            return fp_mul(x, encode(w, fmt, backend, encrypt=True))
-        return fp_mul_const(x, w)
-
-    return _add_tree(leaf, _left_chain(1, fan_in)[0], [fmt.total_bits] * fan_in)
-
-
 def _add_tree(leaf, operands, sum_bits) -> FixedPointCipher:
     """The root of one neuron's add tree: node i adds the two values
-    ``operands[i]`` names at width ``sum_bits[i]``.  Leaf j is ``leaf(j)``,
-    built when a node first reads it; each value is read once and then
-    dropped, so the left chain builds and holds what a running sum
-    would."""
+    ``operands[i]`` names at width ``sum_bits[i]``.  Leaf j (the bias,
+    then product j - 1) is ``leaf(j)``, built when a node first reads it;
+    each value is read once and then dropped, so the left chain builds
+    and holds what a running sum would."""
     fan_in = len(sum_bits)
     nodes = {}
 
@@ -429,12 +407,13 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
                certificate: LayerCertificate | None = None) -> EncImage:
     """Valid convolution over all input channels, bias, activation, pooling.
 
-    With public weights each input pixel's products with every output
-    channel's kernel come from its input channel's shared adder graph
-    (``_shared_conv``), and each window adds them in the ``certificate``'s
-    trees at its widths when one is given (the w-bit left chain
-    otherwise); with ``encrypt_weights`` every window is a w-bit
-    ``dot_product`` over the left chain.  Both give the same bits."""
+    Each window adds its bias and products in an add tree (see
+    _gate_layer).  With public weights each input pixel's products with
+    every output channel's kernel come from its input channel's shared
+    adder graph, and the trees are the ``certificate``'s at its widths
+    when one is given; with ``encrypt_weights``, or without a
+    certificate, every tree is the w-bit left chain.  The weight modes
+    give the same bits."""
     if spec.kind != CONVOLUTION:
         raise ParameterError("conv_layer needs a convolution LayerSpec")
     return _layer(img, spec, encrypt_weights, workers, layer_index, certificate)
@@ -446,9 +425,10 @@ def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
     """One neuron per output node; linear activation is the identity.
 
     The layer runs as the 1 x 1 convolution it is (see LayerSpec): the
-    features are the channels of a 1 x 1 image, so with public weights
-    each feature's products with every node's weight come from one adder
-    graph, and each node is one output channel."""
+    features are the channels of a 1 x 1 image, each node is one output
+    channel, and its trees are built as ``conv_layer``'s: with public
+    weights each feature's products with every node's weight come from
+    one adder graph."""
     if spec.kind != FULLY_CONNECTED:
         raise ParameterError("fc_layer needs a fully connected LayerSpec")
     features = list(features)
@@ -474,32 +454,19 @@ def _layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: int,
     if side_h % pool or side_w % pool:
         raise ShapeError(f"conv output {side_h}x{side_w} not divisible by pool {pool}")
     first = img.channels[0][0][0]
-    backend = first.backend
     widths = _widths(spec, first.fmt, certificate, encrypt_weights)
-    if backend.fast_arith:
-        return _int_layer(img, spec, backend, encrypt_weights, widths)
-    if not encrypt_weights:
-        channels = _shared_conv(img, spec, workers, layer_index, widths)
-        return EncImage(channels, side_h // pool, side_w // pool)
-
-    def one_channel(oc: int):
-        with backend.seed_scope(layer_index, oc):
-            grid = [[_activate(dot_product([img.channels[ic][r + kr][c + kc]
-                                            for ic in range(spec.in_channels)
-                                            for kr in range(k) for kc in range(k)],
-                                           spec.weights[oc].ravel(), float(spec.biases[oc]),
-                                           encrypt_weights=True), spec, first.fmt.total_bits)
-                     for c in range(side_w)] for r in range(side_h)]
-            return _max_pool(grid, pool)
-
-    channels = _parallel_map(one_channel, list(range(spec.out_channels)), workers)
+    if first.backend.fast_arith:
+        return _int_layer(img, spec, first.backend, encrypt_weights, widths)
+    channels = _gate_layer(img, spec, encrypt_weights, workers, layer_index, widths)
     return EncImage(channels, side_h // pool, side_w // pool)
 
 
 def _widths(spec: LayerSpec, fmt: FixedPointFormat, certificate, encrypt_weights: bool) -> tuple:
     """(input bits, (out, fan-in) node bits, (out, fan-in, 2) node
     operands) of the layer's circuits: its certificate's with public
-    weights, else w throughout over the left chain."""
+    weights, else w throughout over the left chain.  Encrypted weights
+    ignore the certificate: its trees and widths follow the weights'
+    values, which the circuit must not reveal."""
     if certificate is None or encrypt_weights:
         shape = spec.scaled(fmt)[0].shape
         return fmt.total_bits, np.full(shape, fmt.total_bits), _left_chain(*shape)
@@ -519,26 +486,32 @@ def _max_pool(rows, pool: int) -> list:
              for c in range(0, len(rows[0]), pool)] for r in range(0, len(rows), pool)]
 
 
-def _shared_conv(img: EncImage, spec: LayerSpec, workers: int, layer_index: int,
-                 widths: tuple) -> list:
-    """Output channel grids of a layer with public weights, equal to
-    ``dot_product``'s bit for bit at the same ``widths`` (see _widths).
-    Each input pixel's products with every output channel's kernel come
-    from one adder graph, its input channel's plan (``fp_mul_consts``),
-    built for the kernel entries whose windows read the pixel.  Only the
-    products of the k input rows the current output row reads are held;
-    each output channel adds its bias and them, in window order (input
-    channel, kernel row, column), in its add tree.
+def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: int,
+                layer_index: int, widths: tuple) -> list:
+    """Output channel grids of a layer run gate by gate at ``widths`` (see
+    _widths).  Each output channel adds, per window, its bias and its
+    products in window order (input channel, kernel row, column) in its
+    add tree, each leaf built when the tree reads it.
 
-    Work fans out over input rows for products, in seed scope
+    With public weights each input pixel's products with every output
+    channel's kernel come from one adder graph, its input channel's plan
+    (``fp_mul_consts``), built for the kernel entries whose windows read
+    the pixel; only the products of the k input rows the current output
+    row reads are held.  With ``encrypt_weights`` the bias and each
+    weight are encrypted when the tree reads them, and each product is
+    one ``fp_mul``, so no product or weight outlives its window.
+
+    Work fans out over input rows for public products, in seed scope
     (layer_index, out_channels + row), and over output channels for sums,
     activation and pooling, in scope (layer_index, channel, row): every
     scope is entered once, so results are identical for any ``workers``."""
     k, out = spec.kernel_size, spec.out_channels
     side_h, side_w = img.height - k + 1, img.width - k + 1
     first = img.channels[0][0][0]
+    fmt, backend = first.fmt, first.backend
     input_bits, sum_bits, operands = widths
-    backend, plans = first.backend, spec.kernel_plans(first.fmt, input_bits)
+    weights = spec.weights.reshape(out, -1)
+    plans = None if encrypt_weights else spec.kernel_plans(fmt, input_bits)
     rows, cols = _kernel_reads(img.height, k), _kernel_reads(img.width, k)
 
     def products(r: int) -> list:
@@ -553,29 +526,34 @@ def _shared_conv(img: EncImage, spec: LayerSpec, workers: int, layer_index: int,
                 held.append(cells)
             return held
 
+    def leaf(oc: int, r: int, c: int, j: int) -> FixedPointCipher:
+        if j == 0:
+            return encode(float(spec.biases[oc]), fmt, backend, encrypt=encrypt_weights)
+        ic, at = divmod(j - 1, k * k)
+        kr, kc = divmod(at, k)
+        if encrypt_weights:
+            return fp_mul(img.channels[ic][r + kr][c + kc],
+                          encode(float(weights[oc, j - 1]), fmt, backend, encrypt=True))
+        return held[kr][ic][c + kc][oc * k * k + at]
+
     grids, pending = [[] for _ in range(out)], [[] for _ in range(out)]
-    held = []  # held[kr]: input row r + kr, per input channel and column
+    held = []  # public weights: held[kr] is input row r + kr, per input channel and column
     for r in range(side_h):
-        # the rows r..r+k-1 not held yet: all k at first, then one
-        held += _parallel_map(products, list(range(r + len(held), r + k)), workers)
+        if not encrypt_weights:
+            # the rows r..r+k-1 not held yet: all k at first, then one
+            held += _parallel_map(products, list(range(r + len(held), r + k)), workers)
 
         def one_row(oc: int):
-            bias, base = float(spec.biases[oc]), oc * k * k
             with backend.seed_scope(layer_index, oc, r):
-                row = []
-                for c in range(side_w):
-                    leaves = [encode(bias, first.fmt, backend, encrypt=False)]
-                    leaves += [per_row[c + kc][base + kr * k + kc] for cells in zip(*held)
-                               for kr, per_row in enumerate(cells) for kc in range(k)]
-                    acc = _add_tree(leaves.__getitem__, operands[oc], sum_bits[oc])
-                    row.append(_activate(acc, spec, int(sum_bits[oc, -1])))
-                pending[oc].append(row)
+                pending[oc].append([
+                    _activate(_add_tree(partial(leaf, oc, r, c), operands[oc], sum_bits[oc]),
+                              spec, int(sum_bits[oc, -1])) for c in range(side_w)])
                 if len(pending[oc]) == spec.pool_size:
                     grids[oc] += _max_pool(pending[oc], spec.pool_size)
                     pending[oc] = []
 
         _parallel_map(one_row, list(range(out)), workers)
-        held.pop(0)
+        held = held[1:]
     return grids
 
 
@@ -590,11 +568,11 @@ def _kernel_reads(size: int, k: int) -> list:
 # ----------------------------------------------------------------------
 
 def _int_neurons(x, spec: LayerSpec, fmt: FixedPointFormat, widths: tuple):
-    """``dot_product`` of x (lanes, ..., fan-in) with every output's weights,
-    then the activation: (lanes, ..., out).  Each output's add tree (see
-    _widths) runs over its bias and floored products; every product is
-    checked against the format's range and every tree node against its
-    width, as wide as its add is built."""
+    """Every output's bias plus the products of x (lanes, ..., fan-in)
+    with its weights, then the activation: (lanes, ..., out).  Each
+    output's add tree (see _widths) runs over its bias and floored
+    products; every product is checked against the format's range and
+    every tree node against its width, as wide as its add is built."""
     _, sum_bits, operands = widths
     weights, biases = spec.scaled(fmt)
     values = np.empty(x.shape[:-1] + (len(biases), x.shape[-1] + 1), dtype=int_dtype(fmt))
@@ -788,9 +766,9 @@ def _probe_layer(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bo
 
 
 def _kernel_charge(table: _FoldTable, spec: LayerSpec, in_ids, input_bits: int):
-    """(NANDs, product ids) of a layer's shared multiplies
-    (``_shared_conv``), planned for ``input_bits``-bit inputs, on input
-    pattern ids ``in_ids`` (c, h, w): the NANDs over every input pixel,
+    """(NANDs, product ids) of a layer's shared multiplies by public
+    weights (``_gate_layer``), planned for ``input_bits``-bit inputs, on
+    input pattern ids ``in_ids`` (c, h, w): the NANDs over every input pixel,
     and per output channel, kernel entry (ic, kr, kc) and input id, the
     product's id.
 
@@ -825,8 +803,11 @@ def classify(img: EncImage, net: NetworkSpec, encrypt_weights: bool = False,
     (``NetworkSpec.certificate``), exact for pixels in [-PIXEL_BOUND,
     PIXEL_BOUND]; on a clear backend a pixel outside raises RangeError.
     An encrypted backend cannot check values as they are computed, so
-    there a certificate that does not fit w bits raises RangeError
-    before any gate."""
+    there, with public or encrypted weights, a certificate that does not
+    fit w bits raises RangeError before any gate.  That holds for the
+    encrypted weights' w-bit left chains too: they add modulo 2^w, so
+    when every product and every node of the certificate's tree fits,
+    the chain's root is the same exact sum."""
     if (len(img.channels), img.height, img.width) != (
             net.input_channels, net.input_height, net.input_width):
         raise ShapeError(
@@ -836,8 +817,8 @@ def classify(img: EncImage, net: NetworkSpec, encrypt_weights: bool = False,
     encrypted = img.channels[0][0][0].backend.is_encrypted
     if not encrypted:
         _check_pixels([v for grid in img.channels for row in grid for v in row], net.fmt)
-    certificate = [None] * len(net.layers) if encrypt_weights else net.certificate()
-    unfit = next((i for i, c in enumerate(certificate) if c is not None and not c.fits), None)
+    certificate = net.certificate()
+    unfit = next((i for i, c in enumerate(certificate) if not c.fits), None)
     if encrypted and unfit is not None:
         raise RangeError(f"layer {unfit} needs more than w={net.fmt.total_bits} bits for "
                          f"pixels in [-{PIXEL_BOUND}, {PIXEL_BOUND}], and an encrypted "

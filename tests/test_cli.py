@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gatecnn import cli, error_analysis, model_io, serialize
+from gatecnn import cli, cnn, error_analysis, model_io, serialize
 from gatecnn.demo import micro_model, tiny_model, write_demo_assets
 from gatecnn.errors import NoiseExhaustionError
+from gatecnn.fixedpoint import FixedPointFormat
 
 
 @pytest.fixture(scope="module")
@@ -179,9 +180,10 @@ def test_bound_of_a_model_whose_weights_do_not_encode_exits_4(workdir, capsys):
 def test_gsw_classify_of_a_model_that_does_not_fit_exits_4(workdir, capsys):
     """The tiny model with its weights times 8 needs more than w=12 bits in
     its fc layer for some pixels in [-1, 1].  The gsw backend cannot check
-    values as it computes them, so its classify refuses the model with
-    exit 4 and one error line, and writes no scores, as ``bound`` warns;
-    the clear backend classifies an image whose values fit."""
+    values as it computes them, so its classify refuses the model, with
+    public or encrypted weights, with exit 4 and one error line, and
+    writes no scores, as ``bound`` warns; the clear backend classifies an
+    image whose values fit."""
     net = tiny_model()
     net = dataclasses.replace(net, layers=[
         dataclasses.replace(layer, weights=layer.weights * 8) for layer in net.layers])
@@ -193,16 +195,45 @@ def test_gsw_classify_of_a_model_that_does_not_fit_exits_4(workdir, capsys):
                    workdir / "faint.csv", "--backend", backend, "--key", workdir / "t.key",
                    "--out", workdir / f"faint-{backend}.bin") == 0
     capsys.readouterr()
-    assert run("classify", "--model", workdir / "tiny8.txt", "--in", workdir / "faint-gsw.bin",
-               "--key", workdir / "t.key", "--out", workdir / "faint-gsw.scores") == cli.EXIT_SHAPE
-    err = capsys.readouterr().err
-    assert err.startswith("error: layer 1 needs more than w=12 bits") and err.count("\n") == 1
-    assert not (workdir / "faint-gsw.scores").exists()
+    for flags in ((), ("--encrypt-weights",)):
+        assert run("classify", "--model", workdir / "tiny8.txt", "--in",
+                   workdir / "faint-gsw.bin", "--key", workdir / "t.key",
+                   "--out", workdir / "faint-gsw.scores", *flags) == cli.EXIT_SHAPE
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer 1 needs more than w=12 bits") and err.count("\n") == 1
+        assert not (workdir / "faint-gsw.scores").exists()
     assert run("bound", "--model", workdir / "tiny8.txt") == 0
-    assert ("layer 1 needs more than w=12 bits: gsw classify with public weights "
+    assert ("layer 1 needs more than w=12 bits: gsw classify "
             "refuses this model") in capsys.readouterr().out.splitlines()
     assert run("classify", "--model", workdir / "tiny8.txt", "--in",
                workdir / "faint-clear.bin", "--out", workdir / "faint-clear.scores") == 0
+
+
+def test_gsw_classify_of_a_model_whose_max_pool_does_not_fit_exits_4(workdir, capsys):
+    """A 1x1 linear conv with weight 10 and a 2x2 max pool at w=10, f=5:
+    every output fits, in [-320, 320], but two of them can differ by 640,
+    past the 511 a pool comparison can take.  gsw classify refuses it with
+    exit 4 and no scores, and ``bound`` names the layer."""
+    net = cnn.NetworkSpec(
+        [cnn.LayerSpec(cnn.CONVOLUTION, 1, 1, np.full((1, 1, 1, 1), 10.0), np.zeros(1),
+                       cnn.LINEAR, kernel_size=1, pool_size=2),
+         cnn.LayerSpec(cnn.FULLY_CONNECTED, 1, 1, np.ones((1, 1)), np.zeros(1), cnn.LINEAR)],
+        input_height=2, input_width=2, fmt=FixedPointFormat(10, 5))
+    model_io.save_model(net, workdir / "pool.txt")
+    model_io.save_csv(np.array([[1.0, -1.0], [-1.0, -1.0]]), workdir / "spread.csv")
+    assert run("keygen", "--preset", "toy", "--seed", "3", "--out", workdir / "p.key") == 0
+    assert run("encrypt-image", "--model", workdir / "pool.txt", "--image",
+               workdir / "spread.csv", "--backend", "gsw", "--key", workdir / "p.key",
+               "--out", workdir / "spread.bin") == 0
+    capsys.readouterr()
+    assert run("classify", "--model", workdir / "pool.txt", "--in", workdir / "spread.bin",
+               "--key", workdir / "p.key", "--out", workdir / "spread.scores") == cli.EXIT_SHAPE
+    err = capsys.readouterr().err
+    assert err.startswith("error: layer 0 needs more than w=10 bits") and err.count("\n") == 1
+    assert not (workdir / "spread.scores").exists()
+    assert run("bound", "--model", workdir / "pool.txt") == 0
+    assert ("layer 0 needs more than w=10 bits: gsw classify "
+            "refuses this model") in capsys.readouterr().out.splitlines()
 
 
 def test_pixels_outside_the_unit_interval_exit_4(workdir, capsys):

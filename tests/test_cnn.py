@@ -73,14 +73,22 @@ def test_flatten_order_bijection():
         assert flat == ch * 16 + r * 4 + c
 
 
+def dot_product(xs, ws, bias, encrypt_weights=False):
+    """``bias`` plus the products of ``xs`` with ``ws``: the score of an fc
+    layer with one output node, run without a certificate, so added in
+    the w-bit left chain."""
+    spec = make_fc(len(ws), 1, weights=np.array([ws], dtype=np.float64), biases=np.array([bias]))
+    return cnn.fc_layer(xs, spec, encrypt_weights).scores[0]
+
+
 def test_dot_product_examples():
     backend = ClearBackend()
     x = [fp.encode(0.5, FMT, backend)]
-    assert fp.decode(cnn.dot_product(x, [1.0], 0.0)) == 0.5
+    assert fp.decode(dot_product(x, [1.0], 0.0)) == 0.5
     xs = [fp.encode(0.5, FMT, backend), fp.encode(-0.5, FMT, backend)]
-    assert fp.decode(cnn.dot_product(xs, [1.0, 1.0], 0.25)) == 0.25
+    assert fp.decode(dot_product(xs, [1.0, 1.0], 0.25)) == 0.25
     with pytest.raises(ShapeError):
-        cnn.dot_product(xs, [1.0], 0.0)
+        dot_product(xs, [1.0], 0.0)
 
 
 def test_dot_product_dual_oracle():
@@ -95,7 +103,7 @@ def test_dot_product_dual_oracle():
         rows = [[rnd.uniform(-1, 1) for _ in range(n)] for _ in range(lanes)]
         backend = ClearBackend(lanes=lanes)
         xs = [fp.encode_lanes([row[i] for row in rows], FMT, backend) for i in range(n)]
-        got = cnn.dot_product(xs, ws, bias)
+        got = dot_product(xs, ws, bias)
 
         for lane, xs_vals in enumerate(rows):
             # oracle 1: integer fixed-point semantics
@@ -206,9 +214,9 @@ def test_encrypt_weights_equivalence_clear():
     vals = [rnd.uniform(-1, 1) for _ in range(5)]
     ws = [rnd.uniform(-1, 1) for _ in range(5)]
     xs1 = [fp.encode(v, small, backend) for v in vals]
-    public = cnn.dot_product(xs1, ws, 0.125, encrypt_weights=False)
+    public = dot_product(xs1, ws, 0.125, encrypt_weights=False)
     xs2 = [fp.encode(v, small, backend) for v in vals]
-    private = cnn.dot_product(xs2, ws, 0.125, encrypt_weights=True)
+    private = dot_product(xs2, ws, 0.125, encrypt_weights=True)
     assert public.bits.to_int() == private.bits.to_int()
 
 
@@ -233,7 +241,7 @@ def test_encrypt_weights_equivalence_gsw(toy_params, toy_key):
     for encrypt_weights in (False, True):
         backend = GswBackend(toy_params, key=toy_key, seed=40, auto_refresh=True)
         xs = [fp.encode(v, small, backend) for v in vals]
-        out = cnn.dot_product(xs, ws, 0.0625, encrypt_weights=encrypt_weights)
+        out = dot_product(xs, ws, 0.0625, encrypt_weights=encrypt_weights)
         results.append(out.bits.to_int())
     assert results[0] == results[1]
 
@@ -250,11 +258,12 @@ def test_workers_bit_identical(tiny_net):
     assert results[0] == results[1]
 
 
-def test_workers_bit_identical_encrypted(toy_params, toy_key):
-    """A two-output-channel conv with public weights on the toy preset:
-    workers 1 and 2 give the same score ciphertext bytes, and no seed
-    scope id tuple is entered twice in one classify (a re-entered scope
-    would replay its randomness)."""
+@pytest.mark.parametrize("encrypt_weights", [False, True])
+def test_workers_bit_identical_encrypted(toy_params, toy_key, encrypt_weights):
+    """A two-output-channel conv with public or encrypted weights on the
+    toy preset: workers 1 and 2 give the same score ciphertext bytes, and
+    no seed scope id tuple is entered twice in one classify (a re-entered
+    scope would replay its randomness)."""
     net = cnn.NetworkSpec(
         [make_conv(1, 2, 2, 1, weights=np.array([[[[0.75, -1.25], [0.5, 1.75]]],
                                                   [[[-0.75, 1.25], [1.5, -0.375]]]]),
@@ -278,7 +287,7 @@ def test_workers_bit_identical_encrypted(toy_params, toy_key):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often: a lost update would show
         try:
-            scores = cnn.classify(img, net, workers=workers)
+            scores = cnn.classify(img, net, encrypt_weights, workers=workers)
         finally:
             sys.setswitchinterval(interval)
         assert entered and len(set(entered)) == len(entered)
@@ -580,7 +589,7 @@ def test_encrypt_weights_adds_in_the_left_chain():
             for x, w in zip(xs, ws):
                 acc = fp.fp_add(acc, fp.fp_mul(x, fp.encode(w, net.fmt, backend)))
         else:
-            acc = cnn.dot_product(xs, ws, 0.25, encrypt_weights=True)
+            acc = dot_product(xs, ws, 0.25, encrypt_weights=True)
         runs.append((acc.bits.to_int(), backend.stats.nand_count))
     assert runs[0] == runs[1]
 
@@ -637,6 +646,46 @@ def test_gsw_refuses_a_model_whose_certificate_does_not_fit(toy_params, toy_key)
     assert all(c.fits for c in _scaled_tiny(1.0).certificate())
 
 
+def _pool_spread_net():
+    """A 1x1 linear conv with weight 10 and a 2x2 max pool at w=10, f=5,
+    then a 1 -> 1 fc: its outputs fit, in [-320, 320], but two of them can
+    differ by 640, past the 511 a pool comparison can take."""
+    return cnn.NetworkSpec(
+        [make_conv(1, 1, 1, 2, weights=np.full((1, 1, 1, 1), 10.0), biases=np.zeros(1),
+                   act=cnn.LINEAR),
+         make_fc(1, 1, weights=np.ones((1, 1)), biases=np.zeros(1))],
+        input_height=2, input_width=2, fmt=fp.FixedPointFormat(10, 5))
+
+
+@pytest.mark.parametrize("case", ["micro_times_14", "pool_spread"])
+def test_gsw_refuses_every_model_that_does_not_fit(toy_params, toy_key, case):
+    """Two models whose values wrap at w bits on one image: the micro
+    model with weights times 14 (its fc sums) and _pool_spread_net (its
+    pool's comparison).  The clear backend finds the overflow as it
+    computes; gsw, which cannot, refuses each with RangeError before any
+    gate, with public or encrypted weights, where it would return wrong
+    scores."""
+    if case == "micro_times_14":
+        net = dataclasses.replace(demo.micro_model(), layers=[
+            dataclasses.replace(layer, weights=layer.weights * 14)
+            for layer in demo.micro_model().layers])
+        pixels, want, overflow = [[1.0, -1.0], [1.0, 1.0]], [24.87, 11.78], "addition"
+    else:
+        net = _pool_spread_net()
+        pixels, want, overflow = [[1.0, -1.0], [-1.0, -1.0]], [10.0], "integer 640"
+    assert np.allclose(cnn.reference_classify(np.array(pixels), net), want, atol=0.005)
+    assert [c.fits for c in net.certificate()] == [False] + [True] * (len(net.layers) - 1)
+    for encrypt_weights in (False, True):
+        clear = ClearBackend()
+        with pytest.raises(OverflowDiagnostic, match=overflow):
+            cnn.classify(cnn.encrypt_image(pixels, net.fmt, clear), net, encrypt_weights)
+        backend = GswBackend(toy_params, key=toy_key, seed=3, auto_refresh=True)
+        img = cnn.encrypt_image(pixels, net.fmt, backend)
+        with pytest.raises(RangeError, match="layer 0 needs more than w="):
+            cnn.classify(img, net, encrypt_weights)
+        assert backend.stats.nand_count == 0
+
+
 def test_models_are_frozen_so_their_caches_stay_true():
     """A certified model cannot be edited in place, where its cached
     certificate, scaled weights and plans would go stale; a model rebuilt
@@ -679,13 +728,17 @@ def test_argmax_tie_rule():
     assert cnn.argmax(scores) == 2
 
 
-def test_classify_gate_trace_depends_only_on_shape(tiny_net):
+@pytest.mark.parametrize("encrypt_weights", [False, True])
+def test_classify_gate_trace_depends_only_on_shape(tiny_net, encrypt_weights):
+    """Two images give the same gate-level NAND count; with encrypted
+    weights so do two networks of the same shapes and other weights."""
     rng = np.random.default_rng(21)
+    other = _scaled_tiny(-0.5) if encrypt_weights else tiny_net
     counts = []
-    for _ in range(2):
+    for net in (tiny_net, other):
         backend = ClearBackend()  # gate-level
         pixels = rng.uniform(-1, 1, (1, 6, 6))
-        cnn.classify(cnn.encrypt_image(pixels, tiny_net.fmt, backend), tiny_net)
+        cnn.classify(cnn.encrypt_image(pixels, net.fmt, backend), net, encrypt_weights)
         counts.append(backend.stats.nand_count)
     assert counts[0] == counts[1]
 

@@ -438,5 +438,5 @@ def test_golden_score_ciphertexts(toy_params, toy_key):
             digest.update(bit.ciphertext.matrix.astype(np.int64).tobytes())
             digest.update(repr(bit.ciphertext.noise_estimate).encode())
     assert digest.hexdigest() == (
-        "6d4ad8ac0804d1f50425b8f9816b4ce443b5139a24c15a01676771a6ab8457be")
+        "d47575fc7d87d8e79d688d6af82a568a0ec6f12d5d7b15b52b56469630d8ee18")
     assert backend.stats.snapshot() == (7896, 13512, 218.0)
