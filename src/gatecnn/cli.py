@@ -138,8 +138,8 @@ def cmd_bound(args) -> int:
     if not args.model_path:
         raise ParameterError("bound needs --model")
     net = model_io.load_model(args.model_path)
-    report = error_analysis.theorem_bound(net)
     certificate = net.certificate()  # RangeError if a weight does not encode
+    report = error_analysis.theorem_bound(net)
     print(f"format: w={net.fmt.total_bits} f={net.fmt.frac_bits} "
           f"scale={net.fmt.scale}")
     print(f"{'layer':>5} {'kind':>5} {'s':>5} {'r_i':>10} {'d_i':>10} {'d_i(sum)':>10}")

@@ -13,8 +13,10 @@ through one layer routine.
 Independent input rows, output channels and nodes are embarrassingly
 parallel; a ``workers`` knob fans them out while per-task seed scopes,
 each entered once, keep results bit-identical for any worker count; a
-clear backend with ``fast_arith`` runs each layer as one whole-array
-integer computation instead, charged the NANDs the gate path evaluates.
+clear backend with ``fast_arith`` runs each layer instead as one array
+walk (windows, add trees, ReLU, max pooling) over the lanes' integers,
+and charges the NANDs the gate path evaluates by the same walk over the
+inputs' public patterns.
 With public weights, a convolution builds each input pixel's products
 with every output channel's kernel from one adder graph per input
 channel, which they share, and ``classify`` builds every multiply, add
@@ -79,7 +81,6 @@ __all__ = [
     "encrypt_image",
     "reference_classify",
     "argmax",
-    "paper_architecture_shapes",
 ]
 
 CONVOLUTION = "conv"
@@ -93,15 +94,6 @@ _CHARGES_LIMIT = 64
 # Pixels are reals in [-PIXEL_BOUND, PIXEL_BOUND]: encrypt_image and
 # classify enforce it, and the error bound and the certificate assume it.
 PIXEL_BOUND = 1.0
-
-# The network family the experiments use: 28x28 in, two 5x5 conv layers
-# (4 then 15 feature maps, 2x2 pooling), 240 features into 10 classes.
-paper_architecture_shapes = {
-    "input": (1, 28, 28),
-    "conv1": (4, 1, 5, 5),
-    "conv2": (15, 4, 5, 5),
-    "fc": (10, 240),
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -564,30 +556,29 @@ def _kernel_reads(size: int, k: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# whole-layer integer evaluation (clear backend with fast_arith)
+# whole-layer array evaluation (clear backend with fast_arith)
 # ----------------------------------------------------------------------
 
-def _int_neurons(x, spec: LayerSpec, fmt: FixedPointFormat, widths: tuple):
-    """Every output's bias plus the products of x (lanes, ..., fan-in)
-    with its weights, then the activation: (lanes, ..., out).  Each
-    output's add tree (see _widths) runs over its bias and floored
-    products; every product is checked against the format's range and
-    every tree node against its width, as wide as its add is built."""
-    _, sum_bits, operands = widths
-    weights, biases = spec.scaled(fmt)
-    values = np.empty(x.shape[:-1] + (len(biases), x.shape[-1] + 1), dtype=int_dtype(fmt))
-    values[..., 0] = biases
-    guard_range(scaled_mul(x[..., None, :], weights, fmt, out=values[..., 1:]), fmt,
-                "multiplication")
-
-    def add(i, a, b):
-        node = a + b
-        guard_range(node, fmt, "addition", sum_bits[:, i])
-        return node
-
-    values = _tree_root(values, operands, add)
+def _walk_layer(x, spec: LayerSpec, widths: tuple, leaves, add, relu, fold):
+    """The layer over x (lanes, c, h, w) in one domain's values, (lanes,
+    h', w', out): each window's values in window order (input channel,
+    kernel row, column) go to ``leaves``, which returns every output's
+    leaves (..., out, fan-in + 1), the bias and then the products; each
+    output's add tree (see _widths) adds them with ``add(i, a, b)``
+    (_tree_root), ``relu`` activates them when the layer has ReLU, and
+    ``fold(a, b)`` folds each pool window in row order."""
+    k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
+    win = sliding_window_view(x, (k, k), axis=(2, 3)).transpose(0, 2, 3, 1, 4, 5)
+    lanes, side_h, side_w = win.shape[:3]
+    values = _tree_root(leaves(win.reshape(lanes, side_h, side_w, -1)), widths[2], add)
     if spec.activation == RELU:
-        values = np.maximum(values, 0)
+        values = relu(values)
+    h, w = side_h // pool, side_w // pool
+    blocks = values.reshape(lanes, h, pool, w, pool, out).swapaxes(2, 3)
+    blocks = blocks.reshape(lanes, h, w, pool * pool, out)     # pool window in row order
+    values = blocks[:, :, :, 0]
+    for i in range(1, pool * pool):
+        values = fold(values, blocks[:, :, :, i])
     return values
 
 
@@ -610,21 +601,36 @@ def _tree_root(leaves, operands, add):
 
 def _int_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bool,
                widths: tuple) -> EncImage:
+    """The layer on the lanes' integers, as one _walk_layer over them,
+    then charged by _charge_layer.  Every input is checked against its
+    width, every floored product against the format's range, every tree
+    node against its width, as wide as its add is built, and every pool
+    comparison against the format's range."""
     fmt = img.channels[0][0][0].fmt
-    k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
+    weights, biases = spec.scaled(fmt)
     x = np.array([[[_lane_values(v) for v in row] for row in grid] for grid in img.channels],
-                 dtype=int_dtype(fmt))                         # (c, h, w, lanes)
+                 dtype=int_dtype(fmt)).transpose(3, 0, 1, 2)   # (lanes, c, h, w)
     guard_range(x, fmt, "a layer input", widths[0])
-    win = sliding_window_view(x, (k, k), axis=(1, 2)).transpose(3, 1, 2, 0, 4, 5)
-    lanes, side_h, side_w = win.shape[:3]                      # window order (c, kr, kc)
-    values = _int_neurons(win.reshape(lanes, side_h, side_w, -1), spec, fmt, widths)
-    h, w = side_h // pool, side_w // pool
-    blocks = values.reshape(lanes, h, pool, w, pool, out).swapaxes(2, 3)
-    blocks = blocks.reshape(lanes, h, w, pool * pool, out)     # pool window in row order
-    values = blocks[:, :, :, 0]
-    for i in range(1, pool * pool):
-        guard_range(values - blocks[:, :, :, i], fmt, "comparison")
-        values = np.maximum(values, blocks[:, :, :, i])
+
+    def leaves(windows):
+        values = np.empty(windows.shape[:-1] + (len(biases), windows.shape[-1] + 1),
+                          dtype=x.dtype)
+        values[..., 0] = biases
+        guard_range(scaled_mul(windows[..., None, :], weights, fmt, out=values[..., 1:]), fmt,
+                    "multiplication")
+        return values
+
+    def add(i, a, b):
+        node = a + b
+        guard_range(node, fmt, "addition", widths[1][:, i])
+        return node
+
+    def fold(a, b):
+        guard_range(a - b, fmt, "comparison")
+        return np.maximum(a, b)
+
+    values = _walk_layer(x, spec, widths, leaves, add, lambda v: np.maximum(v, 0), fold)
+    lanes, h, w, out = values.shape
     patterns = _charge_layer(img.channels, spec, fmt, backend, encrypt_weights, widths)
     cells = [_from_ints(v, fmt, backend, pattern) for v, pattern in
              zip(values.transpose(3, 1, 2, 0).reshape(-1, lanes).tolist(), patterns)]
@@ -664,58 +670,14 @@ class _FoldTable:
         n = len(self.patterns)
         keys, inverse = np.unique(((width * n + a) * n + b).ravel(), return_inverse=True)
         triples = [(key // (n * n), *divmod(key % (n * n), n)) for key in keys.tolist()]
-        todo = {}
         for triple in triples:
             if (kind, triple) not in self._costs:
-                todo.setdefault(triple[0], []).append(triple)
-        for bits, group in todo.items():
-            found = fold_costs(kind, self.fmt,
-                               [(self.patterns[i], self.patterns[j]) for _, i, j in group], bits)
-            for triple, (cost, pattern) in zip(group, found):
+                bits, i, j = triple
+                [(cost, pattern)] = fold_costs(kind, self.fmt,
+                                               [(self.patterns[i], self.patterns[j])], bits)
                 self._costs[kind, triple] = (cost, self.ids([pattern])[0])
         cost, out = np.array([self._costs[kind, triple] for triple in triples]).T
         return cost[inverse].reshape(a.shape), out[inverse].reshape(a.shape)
-
-
-def _neuron_charge(table: _FoldTable, spec: LayerSpec, in_ids, widths: tuple, products=None):
-    """NANDs of the neurons' products, add trees and activation for
-    neurons whose inputs have pattern ids ``in_ids`` (..., fan-in), and
-    the outputs' ids (..., out), at ``widths`` (see _widths).  With
-    public weights, ``products`` (out, fan-in, input id) holds the product
-    ids of the layer's shared multiplies, whose NANDs _kernel_charge
-    counts; without it the weights and bias are encrypted, and each
-    product is a w-bit ``fp_mul`` charged here."""
-    _, sum_bits, operands = widths
-    fmt = table.fmt
-    weights, biases = spec.scaled(fmt)
-    out, fan_in = weights.shape
-    # neurons whose inputs share patterns share charges: probe each input row once
-    rows, where, repeats = np.unique(in_ids.reshape(-1, in_ids.shape[-1]), axis=0,
-                                     return_inverse=True, return_counts=True)
-    if products is None:
-        b_ids = np.zeros(out, dtype=np.int64)
-        # (rows, out, fan-in)
-        cost, terms = table.step("mul", rows[:, None, :], np.zeros(weights.shape, dtype=np.int64))
-        charge = cost.sum(axis=(1, 2))
-    else:
-        full = (1 << fmt.total_bits) - 1
-        b_ids = table.ids([(full, z & full) for z in biases.tolist()])
-        terms = products[np.arange(out)[:, None], np.arange(fan_in), rows[:, None, :]]
-        charge = np.zeros(len(rows), dtype=np.int64)
-
-    def add(i, a, b):
-        cost, ids = table.step("add", a, b, sum_bits[:, i])
-        charge[:] += cost.sum(axis=1)
-        return ids
-
-    leaves = np.empty(terms.shape[:-1] + (fan_in + 1,), dtype=np.int64)
-    leaves[..., 0] = b_ids
-    leaves[..., 1:] = terms
-    acc = _tree_root(leaves, operands, add)
-    if spec.activation == RELU:
-        cost, acc = table.step("relu", acc, 0, sum_bits[:, -1])
-        charge += cost.sum(axis=1)
-    return int(charge @ repeats), acc[where.ravel()].reshape(in_ids.shape[:-1] + acc.shape[1:])
 
 
 def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
@@ -725,11 +687,15 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
     return each output's public_pattern, channel-major.
 
     Folding makes the count depend on the public weights and on which
-    input bits are public, so it comes from walks and FoldProbe runs of
-    the real circuits, one per distinct operand pair.  They run on the
-    first call and are kept in ``spec.charges`` for the same format,
-    weight entry, widths, add trees and input patterns; each public image
-    has patterns of its own, so only the latest _CHARGES_LIMIT are kept."""
+    input bits are public, so it comes from one _walk_layer over the
+    inputs' pattern ids, the same windows, add trees and pooling as the
+    values, whose every step charges its ``_FoldTable.step``.  With
+    public weights the leaves are the public bias and _kernel_charge's
+    shared products; with encrypted weights the bias is private and each
+    product is a w-bit ``fp_mul``.  The charges are kept in
+    ``spec.charges`` for the same format, weight entry, widths, add trees
+    and input patterns; each public image has patterns of its own, so
+    only the latest _CHARGES_LIMIT are kept."""
     table = _FoldTable(fmt)
     cells = np.array(inputs, dtype=object)
     in_ids = table.ids(public_pattern(v) for v in cells.ravel()).reshape(cells.shape)
@@ -739,30 +705,40 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
     if found is None:
         while len(spec.charges) >= _CHARGES_LIMIT:
             del spec.charges[next(iter(spec.charges))]  # the oldest
-        found = spec.charges[key] = _probe_layer(table, spec, in_ids, encrypt_weights, widths)
-    nands, patterns = found
-    backend.stats.bump_nand(nands)
-    return patterns
+        weights, biases = spec.scaled(fmt)
+        nands = 0
 
+        def step(kind, a, b, width=None):
+            nonlocal nands
+            cost, ids = table.step(kind, a, b, width)
+            nands += int(cost.sum())
+            return ids
 
-def _probe_layer(table: _FoldTable, spec: LayerSpec, in_ids, encrypt_weights: bool,
-                 widths: tuple):
-    """(NANDs, output patterns) of the layer on inputs with pattern ids
-    ``in_ids`` (c, h, w)."""
-    k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
-    win = sliding_window_view(in_ids, (k, k), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
-    side_h, side_w = win.shape[:2]
-    nands, products = (0, None) if encrypt_weights else \
-        _kernel_charge(table, spec, in_ids, widths[0])
-    charge, acc = _neuron_charge(table, spec, win.reshape(side_h, side_w, -1), widths, products)
-    nands += charge
-    h, w = side_h // pool, side_w // pool
-    blocks = acc.reshape(h, pool, w, pool, out).swapaxes(1, 2).reshape(h, w, pool * pool, out)
-    acc = blocks[:, :, 0]
-    for i in range(1, pool * pool):
-        cost, acc = table.step("maxfold", acc, blocks[:, :, i])
-        nands += int(cost.sum())
-    return nands, [table.patterns[i] for i in acc.transpose(2, 0, 1).ravel()]
+        bias, products = 0, None  # encrypted weights: a private bias
+        if not encrypt_weights:
+            nands, products = _kernel_charge(table, spec, in_ids, widths[0])
+            full = (1 << fmt.total_bits) - 1
+            bias = table.ids([(full, z & full) for z in biases.tolist()])
+
+        def leaves(windows):
+            if encrypt_weights:
+                terms = step("mul", windows[..., None, :], np.zeros(weights.shape, dtype=np.int64))
+            else:
+                out, fan_in = weights.shape
+                terms = products[np.arange(out)[:, None], np.arange(fan_in), windows[..., None, :]]
+            values = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,), dtype=np.int64)
+            values[..., 0] = bias
+            values[..., 1:] = terms
+            return values
+
+        ids = _walk_layer(in_ids[None], spec, widths, leaves,
+                          lambda i, a, b: step("add", a, b, widths[1][:, i]),
+                          lambda v: step("relu", v, 0, widths[1][:, -1]),
+                          lambda a, b: step("maxfold", a, b))
+        found = spec.charges[key] = nands, [table.patterns[i]
+                                            for i in ids[0].transpose(2, 0, 1).ravel()]
+    backend.stats.bump_nand(found[0])
+    return found[1]
 
 
 def _kernel_charge(table: _FoldTable, spec: LayerSpec, in_ids, input_bits: int):

@@ -160,6 +160,7 @@ def empirical_error(net: NetworkSpec, images) -> ErrorBoundReport:
     each image's argmax pair in ``classes`` and its per-score error array
     in ``errors``, in input order.
     """
+    net.certificate()  # RangeError if a weight does not encode, before its norm overflows
     report = theorem_bound(net)
     for pixels in images:
         pixels = np.asarray(pixels, dtype=np.float64)

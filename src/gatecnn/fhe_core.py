@@ -396,8 +396,8 @@ class ClearBackend(_SeedScopeMixin):
 
     ``lanes`` packs that many independent evaluations into each bit
     (clear_value is a lane mask), so one pass over a circuit checks many
-    inputs.  ``const`` makes public bits, ``encrypt_bit`` and
-    ``from_mask`` private ones, as on the encrypted backend.  With
+    inputs.  ``const`` makes public bits, ``encrypt_bit`` (as on the
+    encrypted backend) and ``from_mask`` (per lane) private ones.  With
     ``fast_arith``, CNN layers run as whole-array integer arithmetic with
     the circuits' semantics and charge the NANDs the circuits evaluate;
     single fixed-point operations always run gate by gate.
@@ -486,7 +486,6 @@ class GswBackend(_SeedScopeMixin):
     tag = "gsw"
     is_encrypted = True
     lanes = 1
-    lane_mask = 1
     fast_arith = False
 
     def __init__(self, params: FheParams, key: SecretKey | None = None,
@@ -530,10 +529,6 @@ class GswBackend(_SeedScopeMixin):
         ct = _encrypt_with_rng(self.key, self.params, int(bit), self._scope_rng())
         self.stats.note_noise(ct.noise_estimate)
         return EncBit(self, ciphertext=ct)
-
-    def from_mask(self, mask: int) -> EncBit:
-        # single lane: a mask is just a bit
-        return self.encrypt_bit(mask)
 
     def reveal_bit(self, bit: EncBit, lane: int = 0) -> int:
         if self.key is None:

@@ -127,7 +127,10 @@ def _check_formats(a: FixedPointCipher, b: FixedPointCipher) -> None:
 
 def float_to_scaled(r: float, fmt: FixedPointFormat) -> int:
     """floor(r * scale), rejecting values outside the representable range."""
-    z = math.floor(r * fmt.scale)
+    scaled = float(r) * fmt.scale
+    if not math.isfinite(scaled):
+        raise RangeError(f"value {r!r} times scale 2^{fmt.frac_bits} is not a finite number")
+    z = math.floor(scaled)
     if not fmt.min_int <= z <= fmt.max_int:
         raise RangeError(
             f"value {r!r} needs integer {z}, outside "

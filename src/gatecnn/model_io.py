@@ -102,7 +102,7 @@ def load_model(path) -> NetworkSpec:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}")
     rd = _TokenReader(text)
     rd.expect(_MAGIC)

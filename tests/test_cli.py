@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import shlex
 import struct
 from pathlib import Path
@@ -411,6 +412,101 @@ def test_readme_command_lines_parse():
             parser.parse_args(shlex.split(command, comments=True))
         except SystemExit:
             pytest.fail(f"README command does not parse: gatecnn {command}")
+
+
+def _run_model(command: str, model, workdir) -> int:
+    """``bound``, ``verify`` (of img.csv) or ``classify`` (of the clear
+    enc.bin) with ``model``."""
+    if command == "bound":
+        return run(command, "--model", model)
+    if command == "verify":
+        return run(command, "--model", model, "--images", workdir / "img.csv")
+    return run(command, "--model", model, "--in", workdir / "enc.bin",
+               "--out", workdir / "never.bin")
+
+
+@pytest.mark.parametrize("command", ["bound", "classify"])
+def test_model_file_that_is_not_utf8_is_io_error(workdir, capsys, command):
+    (workdir / "binary.txt").write_bytes(b"gatecnn-model 1\nformat 10 5\xff\n")
+    assert _run_model(command, workdir / "binary.txt", workdir) == cli.EXIT_IO
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["bound", "verify", "classify"])
+def test_weight_whose_scaled_value_is_not_finite_exits_4(workdir, capsys, command):
+    net = micro_model()
+    weights = net.layers[0].weights.copy()
+    weights[0, 0] = 1e308
+    model_io.save_model(dataclasses.replace(net, layers=[
+        dataclasses.replace(net.layers[0], weights=weights)]), workdir / "huge.txt")
+    run("encrypt-image", "--model", workdir / "micro.txt", "--image", workdir / "img.csv",
+        "--backend", "clear", "--out", workdir / "enc.bin")
+    capsys.readouterr()
+    assert _run_model(command, workdir / "huge.txt", workdir) == cli.EXIT_SHAPE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not a finite number" in err
+
+
+_FUZZ_TOKENS = [b"0", b"-1", b"99999999", b"nan", b"inf", b"1e308", b"x", b"64", b"65",
+                b"conv", b"fc", b"relu", b"end"]
+
+
+def _mutants(data: bytes, count: int, seed: int, tokens: bool):
+    """``count`` seeded mutants of ``data``: a truncation at a random
+    offset, 1-4 flipped bytes (mostly in the first 64), or, with
+    ``tokens``, one whitespace-separated token replaced by a _FUZZ_TOKENS
+    entry."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        kind = rng.integers(3 if tokens else 2)
+        if kind == 0:
+            yield data[:rng.integers(len(data))]
+        elif kind == 1:
+            out = bytearray(data)
+            for _ in range(rng.integers(1, 5)):
+                at = rng.integers(min(64, len(out)) if rng.random() < 0.8 else len(out))
+                out[at] ^= int(rng.integers(1, 256))
+            yield bytes(out)
+        else:
+            parts = re.split(rb"(\s+)", data)
+            at = 2 * rng.integers((len(parts) + 1) // 2)
+            parts[at] = _FUZZ_TOKENS[rng.integers(len(_FUZZ_TOKENS))]
+            yield b"".join(parts)
+
+
+def test_mutated_input_files_exit_with_a_documented_code(workdir, capsys):
+    """Malformed model, key, image and score files: every seeded mutant
+    returns 0 or a documented exit code, and ``main`` raises nothing."""
+    run("keygen", "--preset", "toy", "--seed", "1", "--out", workdir / "fuzz.key")
+    run("encrypt-image", "--model", workdir / "micro.txt", "--image", workdir / "img.csv",
+        "--backend", "clear", "--out", workdir / "fuzz_img.bin")
+    run("classify", "--model", workdir / "micro.txt", "--in", workdir / "fuzz_img.bin",
+        "--out", workdir / "fuzz_sc.bin")
+    mutant, out = workdir / "mutant", workdir / "mutant_out"
+    commands = {
+        "micro.txt": [["bound", "--model", mutant],
+                      ["classify", "--model", mutant, "--in", workdir / "fuzz_img.bin",
+                       "--out", out]],
+        "fuzz.key": [["encrypt-image", "--model", workdir / "micro.txt", "--image",
+                      workdir / "img.csv", "--backend", "gsw", "--key", mutant, "--out", out]],
+        "fuzz_img.bin": [["classify", "--model", workdir / "micro.txt", "--in", mutant,
+                          "--out", out]],
+        "fuzz_sc.bin": [["decrypt-scores", "--in", mutant, "--out", out]],
+    }
+    counts = {"micro.txt": 150, "fuzz.key": 30, "fuzz_img.bin": 60, "fuzz_sc.bin": 60}
+    documented = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_IO, cli.EXIT_SHAPE, cli.EXIT_NOISE,
+                  cli.EXIT_VERIFY}
+    for seed, (name, argvs) in enumerate(commands.items()):
+        data = (workdir / name).read_bytes()
+        for i, bad in enumerate(_mutants(data, counts[name], seed, name == "micro.txt")):
+            mutant.write_bytes(bad)
+            for argv in argvs:
+                try:
+                    code = run(*argv)
+                except Exception as exc:  # any escape from main is the failure
+                    pytest.fail(f"{name} mutant {i} {bad[:80]!r}: {argv[0]} raised {exc!r}")
+                assert code in documented, (name, i, argv[0], code)
+    capsys.readouterr()
 
 
 def test_missing_file_is_io_error(workdir):

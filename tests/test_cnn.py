@@ -762,17 +762,26 @@ def _fc_fc_net():
                            input_height=2, input_width=3, fmt=fp.FixedPointFormat(10, 5))
 
 
+def _pool3_net():
+    """A 2-channel 7x10 input, a 2x2 convolution to 3 maps with ReLU and
+    3x3 pooling (6x9 maps pooled to 2x3), then fc 18 -> 2."""
+    return cnn.NetworkSpec([make_conv(2, 3, 2, 3, seed=37), make_fc(18, 2, seed=38)],
+                           input_height=7, input_width=10, fmt=fp.FixedPointFormat(10, 5),
+                           input_channels=2)
+
+
 @pytest.mark.parametrize("certified", [False, True])
 @pytest.mark.parametrize("encrypt_weights", [False, True])
-@pytest.mark.parametrize("make_net", [_conv_fc_net, _fc_fc_net])
+@pytest.mark.parametrize("make_net", [_conv_fc_net, _fc_fc_net, _pool3_net])
 def test_fc_layers_match_gate_path(make_net, encrypt_weights, certified):
     """Layer by layer, with public or encrypted weights and with or
     without the certificate's widths: the whole-layer evaluator gives the
     gate path's values, output public_patterns and NANDs, on an fc layer
-    after a convolution of a non-square input and on an fc layer after
-    another."""
+    after a convolution of a non-square input, on an fc layer after
+    another, and after a 3x3 pooling of non-square maps."""
     net = make_net()
-    pixels = np.random.default_rng(36).uniform(-1, 1, (1, net.input_height, net.input_width))
+    pixels = np.random.default_rng(36).uniform(
+        -1, 1, (net.input_channels, net.input_height, net.input_width))
     runs = []
     for fast in (True, False):
         backend = ClearBackend(fast_arith=fast)
