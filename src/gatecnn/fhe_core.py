@@ -107,14 +107,6 @@ class FheParams:
     def ct_dim(self) -> int:
         return (self.lattice_dim + 1) * self.log_q
 
-    @staticmethod
-    def validate_modulus(modulus: int, log_q: int) -> None:
-        """Reject a (modulus, log_q) pair that is not a matching power of two."""
-        if modulus < 2 or modulus & (modulus - 1):
-            raise ParameterError(f"modulus {modulus} is not a power of two")
-        if modulus != 1 << log_q:
-            raise ParameterError(f"modulus {modulus} does not equal 2^{log_q}")
-
 
 # Desk-scale presets. Neither offers real-world security; they exist so the
 # circuits and the encrypted CNN can be exercised on one machine.
@@ -156,9 +148,10 @@ class Ciphertext:
     ``recomposed`` is ``M = C @ W mod q`` for the N x N binary GSW matrix
     ``C``, held in float64 (exact for the permitted moduli) so the hot
     matrix kernels run through BLAS; values are integers in [0, q).
-    ``matrix`` derives ``C`` on demand (the wire form).  ``trivial_value``
-    is set for the canonical noiseless encodings (0 -> zero matrix,
-    1 -> W, whose C is the identity), which are public constants.
+    ``matrix`` derives ``C`` on demand, for NAND's right operand.
+    ``trivial_value`` is set for the canonical noiseless encodings
+    (0 -> zero matrix, 1 -> W, whose C is the identity), which are public
+    constants.
     """
 
     __slots__ = ("recomposed", "noise_estimate", "params", "trivial_value")
@@ -282,7 +275,6 @@ def _rng_from_seed(seed: int, key: tuple = ()) -> np.random.Generator:
 
 def keygen(params: FheParams, rng_seed: int) -> SecretKey:
     """Sample a secret vector; deterministic for a fixed seed."""
-    FheParams.validate_modulus(params.modulus, params.log_q)
     rng = _rng_from_seed(rng_seed, key=(0x6B65,))
     vec = rng.integers(0, params.modulus, size=params.lattice_dim + 1, dtype=np.int64)
     vec[-1] = 1

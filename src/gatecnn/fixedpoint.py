@@ -132,8 +132,9 @@ def float_to_scaled(r: float, fmt: FixedPointFormat) -> int:
         raise RangeError(f"value {r!r} times scale 2^{fmt.frac_bits} is not a finite number")
     z = math.floor(scaled)
     if not fmt.min_int <= z <= fmt.max_int:
+        shown = z if abs(z) < 10 ** 20 else f"{scaled:.6g}"  # not 100+ digits
         raise RangeError(
-            f"value {r!r} needs integer {z}, outside "
+            f"value {r!r} needs integer {shown}, outside "
             f"[{fmt.min_int}, {fmt.max_int}] of w={fmt.total_bits}")
     return z
 

@@ -3,7 +3,7 @@
 Every file starts with a fixed 16-byte header:
 
     offset  size  field
-    0       4     magic "GCN1"
+    0       4     magic "GCN2"
     4       1     record kind: K key, I image, S scores
     5       1     preset id (0 toy, 1 demo, 255 custom)
     6       1     backend id (0 clear, 1 gsw)
@@ -18,12 +18,14 @@ followed by length-prefixed sections (u32 LE byte count, then payload):
     section 3  payload
 
 Matrix and vector entries are row-major unsigned little-endian integers
-of ceil(log_q / 8) bytes.  A gsw ciphertext record is its f64 noise
-estimate followed by the ct_dim^2 entries (each 0 or 1) of its binary
-matrix C; loading recomposes C @ W, the form ciphertexts are kept in.
+of ceil(log_q / 8) bytes.  A gsw payload stores what a Ciphertext holds:
+first every bit's f64 noise estimate, in bit order, then every bit's
+ct_dim x (lattice_dim + 1) recomposed matrix M, each entry below q.
 Clear payloads pack one bit per encoded bit, LSB-first within bytes.
-Every section must have exactly its kind's length and nothing may follow
-the last one.  Round trips are bit-exact.
+A preset's params block must equal that preset.  Every section must
+have exactly its kind's length and nothing may follow the last one.
+Round trips are bit-exact.  GCN1 files, which stored each bit's binary
+matrix C, are refused.
 """
 
 from __future__ import annotations
@@ -37,14 +39,7 @@ import numpy as np
 
 from .cnn import EncImage, EncScores
 from .errors import ModelFormatError, ParameterError
-from .fhe_core import (
-    Ciphertext,
-    EncBit,
-    FheParams,
-    SecretKey,
-    _PRESET_IDS,
-    _decomp_weights,
-)
+from .fhe_core import PRESETS, Ciphertext, EncBit, FheParams, SecretKey, _PRESET_IDS
 from .fixedpoint import FixedPointCipher, FixedPointFormat
 from .gates import BitVector
 
@@ -59,7 +54,7 @@ __all__ = [
     "atomic_write_bytes",
 ]
 
-MAGIC = b"GCN1"
+MAGIC = b"GCN2"
 KIND_KEY = ord("K")
 KIND_IMAGE = ord("I")
 KIND_SCORES = ord("S")
@@ -165,7 +160,12 @@ def read_header(path):
 
 
 def _parse_header(rd: _Reader):
-    if rd.bytes(4) != MAGIC:
+    magic = rd.bytes(4)
+    if magic == b"GCN1":
+        raise ModelFormatError(
+            "file predates the GCN2 format: regenerate its key with keygen --seed "
+            "(keygen is deterministic) and encrypt its images again")
+    if magic != MAGIC:
         raise ModelFormatError("not a gatecnn binary file (bad magic)")
     kind, preset_id, backend_id, _, ct_dim, log_q = rd.unpack("<BBBBII")
     if backend_id not in _BACKEND_NAMES:
@@ -173,8 +173,10 @@ def _parse_header(rd: _Reader):
     lattice_dim, stddev, budget = rd.section_fields("<Idd")
     if not (math.isfinite(stddev) and math.isfinite(budget)):
         raise ModelFormatError("params block holds a non-finite noise field")
-    params = _untrusted(FheParams, lattice_dim, log_q, stddev, budget,
-                        preset=_ID_PRESETS.get(preset_id, "custom"))
+    preset = _ID_PRESETS.get(preset_id, "custom")
+    params = _untrusted(FheParams, lattice_dim, log_q, stddev, budget, preset=preset)
+    if preset in PRESETS and params != PRESETS[preset]:
+        raise ModelFormatError(f"params block does not match preset {preset!r}")
     if params.ct_dim != ct_dim:
         raise ModelFormatError(
             f"header ct_dim {ct_dim} disagrees with (n+1)*log_q = {params.ct_dim}")
@@ -215,18 +217,12 @@ def _write_bits(bits, backend) -> bytes:
     if backend.tag == "clear":
         if backend.lanes != 1:
             raise ParameterError("clear files store single-lane data only")
-        packed = bytearray((len(bits) + 7) // 8)
-        for i, b in enumerate(bits):
-            if b.clear_value:
-                packed[i // 8] |= 1 << (i % 8)
-        return bytes(packed)
-    esize = _entry_size(backend.params.log_q)
-    chunks = []
-    for b in bits:
-        ct = b.ciphertext
-        chunks.append(struct.pack("<d", ct.noise_estimate))
-        chunks.append(_pack_entries(ct.matrix, esize))
-    return b"".join(chunks)
+        mask = np.array([b.clear_value for b in bits], dtype=bool)
+        return np.packbits(mask, bitorder="little").tobytes()
+    cts = [b.ciphertext for b in bits]
+    estimates = np.array([ct.noise_estimate for ct in cts], dtype="<f8")
+    matrices = np.array([ct.recomposed for ct in cts])
+    return estimates.tobytes() + _pack_entries(matrices, _entry_size(backend.params.log_q))
 
 
 def _read_bits(rd: _Reader, count: int, backend):
@@ -234,25 +230,25 @@ def _read_bits(rd: _Reader, count: int, backend):
     if backend.tag == "clear":
         blob = rd.section((count + 7) // 8)
         rd.end()
-        return [backend.from_mask((blob[i // 8] >> (i % 8)) & 1) for i in range(count)]
+        masks = np.unpackbits(np.frombuffer(blob, np.uint8), count=count, bitorder="little")
+        return [backend.from_mask(m) for m in masks.tolist()]
     params = backend.params
     esize = _entry_size(params.log_q)
-    nn = params.ct_dim
-    payload = _Reader(rd.section(count * (8 + nn * nn * esize)))
+    shape = (count, params.ct_dim, params.lattice_dim + 1)
+    payload = rd.section(count * (8 + math.prod(shape[1:]) * esize))
     rd.end()
-    weights = _decomp_weights(params)
-    bits = []
-    for _ in range(count):
-        (estimate,) = payload.unpack("<d")
-        if not (math.isfinite(estimate) and estimate >= 0):
-            raise ModelFormatError(f"ciphertext noise estimate {estimate} is not "
-                                   "a finite non-negative number")
-        matrix = _unpack_entries(payload.bytes(nn * nn * esize), nn * nn, esize)
-        if matrix.max() > 1:
-            raise ModelFormatError(f"ciphertext matrix entry {matrix.max()} is not 0 or 1")
-        ct = Ciphertext(matrix.reshape(nn, nn) @ weights, estimate, params)
-        bits.append(EncBit(backend, ciphertext=ct))
-    return bits
+    estimates = np.frombuffer(payload, dtype="<f8", count=count)
+    bad = estimates[~(np.isfinite(estimates) & (estimates >= 0))]
+    if bad.size:
+        raise ModelFormatError(f"ciphertext noise estimate {bad[0]} is not "
+                               "a finite non-negative number")
+    entries = _unpack_entries(payload[8 * count:], math.prod(shape), esize)
+    if entries.size and entries.max() >= params.modulus:
+        raise ModelFormatError(
+            f"ciphertext matrix entry {entries.max()} is not below q = {params.modulus}")
+    matrices = entries.reshape(shape).astype(np.float64)
+    return [EncBit(backend, ciphertext=Ciphertext(m, e, params))
+            for m, e in zip(matrices, estimates.tolist())]
 
 
 def _check_backend_match(file_tag: str, file_params: FheParams, backend) -> None:

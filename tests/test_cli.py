@@ -178,6 +178,21 @@ def test_bound_of_a_model_whose_weights_do_not_encode_exits_4(workdir, capsys):
     assert out == "" and err.startswith("error: value 100.0") and err.count("\n") == 1
 
 
+def test_bound_of_a_huge_weight_prints_a_short_error_line(workdir, capsys):
+    """A finite weight of 1e160 scales to a 162-digit integer; the error
+    names the value and the range, not every digit."""
+    net = micro_model()
+    weights = net.layers[0].weights.copy()
+    weights[0, 0] = 1e160
+    model_io.save_model(dataclasses.replace(net, layers=[
+        dataclasses.replace(net.layers[0], weights=weights)]), workdir / "e160.txt")
+    capsys.readouterr()
+    assert run("bound", "--model", workdir / "e160.txt") == cli.EXIT_SHAPE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
+    assert "1e+160" in err and "[-512, 511]" in err
+
+
 def test_gsw_classify_of_a_model_that_does_not_fit_exits_4(workdir, capsys):
     """The tiny model with its weights times 8 needs more than w=12 bits in
     its fc layer for some pixels in [-1, 1].  The gsw backend cannot check
@@ -362,6 +377,7 @@ def test_empty_csv_image_is_io_error(workdir, capsys):
     (32, struct.pack("<d", 2.0)),      # noise_budget <= 2 * noise_stddev
     (32, struct.pack("<d", 0.0)),      # noise_budget 0, not a stated budget
     (32, struct.pack("<d", 50.0)),     # too small a budget for auto-refresh
+    (31, bytes([0x3F ^ 0x20])),        # noise_stddev 7.5e-155, not the toy preset's
     (60, struct.pack("<H", 2)),        # the secret vector's last entry, not 1
 ])
 def test_bad_key_params_field_is_io_error(workdir, capsys, offset, packed):
@@ -376,6 +392,28 @@ def test_bad_key_params_field_is_io_error(workdir, capsys, offset, packed):
                "--key", workdir / "field.key", "--out", workdir / "field.bin")
     assert code == cli.EXIT_IO
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_files_of_the_gcn1_format_are_io_errors(workdir, capsys):
+    """A key, image or score file with the older GCN1 magic exits 3 with
+    one error line that says how to make new files."""
+    key, image, scores = (workdir / f"old.{ext}" for ext in ("key", "img", "sc"))
+    run("keygen", "--preset", "toy", "--seed", "1", "--out", key)
+    run("encrypt-image", "--model", workdir / "micro.txt", "--image", workdir / "img.csv",
+        "--backend", "clear", "--out", image)
+    run("classify", "--model", workdir / "micro.txt", "--in", image, "--out", scores)
+    for path in (key, image, scores):
+        path.write_bytes(b"GCN1" + path.read_bytes()[4:])
+    out = workdir / "old_out"
+    capsys.readouterr()
+    for argv in (["encrypt-image", "--model", workdir / "micro.txt", "--image",
+                  workdir / "img.csv", "--backend", "gsw", "--key", key, "--out", out],
+                 ["classify", "--model", workdir / "micro.txt", "--in", image, "--out", out],
+                 ["decrypt-scores", "--in", scores, "--out", out]):
+        assert run(*argv) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "predates the GCN2 format" in err and "keygen --seed" in err
 
 
 def test_image_file_zero_total_bits_is_io_error(workdir, capsys):
@@ -475,13 +513,18 @@ def _mutants(data: bytes, count: int, seed: int, tokens: bool):
 
 
 def test_mutated_input_files_exit_with_a_documented_code(workdir, capsys):
-    """Malformed model, key, image and score files: every seeded mutant
-    returns 0 or a documented exit code, and ``main`` raises nothing."""
+    """Malformed model, key, image and score files, clear and gsw: every
+    seeded mutant returns 0 or a documented exit code, and ``main`` raises
+    nothing."""
     run("keygen", "--preset", "toy", "--seed", "1", "--out", workdir / "fuzz.key")
     run("encrypt-image", "--model", workdir / "micro.txt", "--image", workdir / "img.csv",
         "--backend", "clear", "--out", workdir / "fuzz_img.bin")
     run("classify", "--model", workdir / "micro.txt", "--in", workdir / "fuzz_img.bin",
         "--out", workdir / "fuzz_sc.bin")
+    run("encrypt-image", "--model", workdir / "micro.txt", "--image", workdir / "img.csv",
+        "--backend", "gsw", "--key", workdir / "fuzz.key", "--out", workdir / "fuzz_gsw_img.bin")
+    run("classify", "--model", workdir / "micro.txt", "--in", workdir / "fuzz_gsw_img.bin",
+        "--key", workdir / "fuzz.key", "--out", workdir / "fuzz_gsw_sc.bin")
     mutant, out = workdir / "mutant", workdir / "mutant_out"
     commands = {
         "micro.txt": [["bound", "--model", mutant],
@@ -492,8 +535,13 @@ def test_mutated_input_files_exit_with_a_documented_code(workdir, capsys):
         "fuzz_img.bin": [["classify", "--model", workdir / "micro.txt", "--in", mutant,
                           "--out", out]],
         "fuzz_sc.bin": [["decrypt-scores", "--in", mutant, "--out", out]],
+        "fuzz_gsw_img.bin": [["classify", "--model", workdir / "micro.txt", "--in", mutant,
+                              "--key", workdir / "fuzz.key", "--out", out]],
+        "fuzz_gsw_sc.bin": [["decrypt-scores", "--in", mutant, "--key", workdir / "fuzz.key",
+                             "--out", out]],
     }
-    counts = {"micro.txt": 150, "fuzz.key": 30, "fuzz_img.bin": 60, "fuzz_sc.bin": 60}
+    counts = {"micro.txt": 150, "fuzz.key": 30, "fuzz_img.bin": 60, "fuzz_sc.bin": 60,
+              "fuzz_gsw_img.bin": 30, "fuzz_gsw_sc.bin": 30}
     documented = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_IO, cli.EXIT_SHAPE, cli.EXIT_NOISE,
                   cli.EXIT_VERIFY}
     for seed, (name, argvs) in enumerate(commands.items()):

@@ -21,13 +21,6 @@ def test_params_invariants(toy_params):
     assert 2 * toy_params.noise_stddev < toy_params.noise_budget
 
 
-def test_non_power_of_two_modulus_rejected():
-    with pytest.raises(ParameterError):
-        fc.FheParams.validate_modulus(1000, 10)
-    with pytest.raises(ParameterError):
-        fc.FheParams.validate_modulus(1 << 11, 10)
-
-
 def test_bad_params_rejected():
     with pytest.raises(ParameterError):
         fc.FheParams(lattice_dim=0, log_q=10, noise_stddev=1.0)

@@ -277,17 +277,19 @@ def test_gsw_image_resave_is_byte_identical(tmp_path, toy_params, toy_key):
     assert again.read_bytes() == image_path.read_bytes()
 
 
-@pytest.mark.parametrize("entry", ["two", "q_minus_1"])
-def test_gsw_matrix_entry_must_be_binary(tmp_path, toy_params, toy_key, entry):
-    """Loading recomposes C @ W, so a non-binary entry of C would silently
-    become a different ciphertext; the loader refuses it."""
+@pytest.mark.parametrize("entry", ["q", "u16_max"])
+def test_gsw_matrix_entry_must_be_below_q(tmp_path, toy_params, toy_key, entry):
+    """Entries of M are residues mod q; a two-byte field can hold larger
+    values, and the loader refuses them."""
     image_path, _ = _gsw_files(tmp_path, toy_params, toy_key)
     data = bytearray(image_path.read_bytes())
-    first_entry = _payload_offset(data, "image") + 4 + 8  # length, noise estimate
-    value = 2 if entry == "two" else toy_params.modulus - 1
+    count = 2 * 4  # two pixels of w=4 bits
+    first_entry = _payload_offset(data, "image") + 4 + 8 * count  # length, estimates
+    value = toy_params.modulus if entry == "q" else 2 ** 16 - 1
     data[first_entry:first_entry + 2] = struct.pack("<H", value)
     image_path.write_bytes(bytes(data))
-    with pytest.raises(ModelFormatError, match="not 0 or 1"):
+    with pytest.raises(ModelFormatError,
+                       match=f"entry {value} is not below q = {toy_params.modulus}"):
         serialize.load_enc_image(image_path, GswBackend(toy_params, key=toy_key))
 
 
@@ -352,9 +354,9 @@ def test_image_and_score_wire_format_is_pinned(tmp_path, toy_params, toy_key):
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in paths.items()}
     assert digests == {
-        "image": "4c676ab21b4d24752f378fc96c98e679c2cada2713a14d4655193f350aa9429b",
-        "scores": "e0a5f34386091d82bdbf2e48766e8877f7471599d4ba34ff6b47dcea89c0752c",
-        "gsw": "c773b17add00908ddada680b2a82363bd0440ae655278da69785c83162699fed",
+        "image": "ecdf732c9022719579ca263b3c9d87d0dec30701f88054b342ec384043d60e05",
+        "scores": "ad7b6217e19100d9b080b0d3484415b93624924cd93bafa1e67fddbf06eadd63",
+        "gsw": "d2a1bfe46c38b09af6d192cc1e50d0b0756fdf6390b8be81c35a45123164d18e",
     }
 
 
