@@ -71,8 +71,9 @@ class FheParams:
     lattice_dim   n, the LWE secret dimension
     log_q         bit size of the power-of-two modulus q
     noise_stddev  width of the centered-binomial fresh-noise sampler
-    noise_budget  max tolerated noise magnitude before decryption fails
-                  (None: q/8, the correctness margin of the decoder)
+    noise_budget  max tolerated noise magnitude before decryption fails,
+                  at most q/8, the correctness margin of the decoder
+                  (None: q/8)
     preset        optional name, carried into serialized headers
     """
 
@@ -94,8 +95,10 @@ class FheParams:
             raise ParameterError("noise_stddev must be positive")
         if self.noise_budget is None:
             object.__setattr__(self, "noise_budget", self.modulus / 8.0)
-        if self.noise_budget <= 0:
-            raise ParameterError("noise_budget must be positive")
+        if not 0 < self.noise_budget <= self.modulus / 8:
+            raise ParameterError(
+                f"noise_budget {self.noise_budget} must be positive and at most "
+                f"q/8 = {self.modulus / 8:g}, the decoder's correctness margin")
         if 2 * self.noise_stddev >= self.noise_budget:
             raise ParameterError("noise_stddev too large for the noise budget")
 
@@ -325,16 +328,16 @@ def _raw_decrypt(sk: SecretKey, ct: Ciphertext) -> int:
     return 1 if q // 8 < value < 3 * q // 8 else 0
 
 
-def refresh(sk_oracle: SecretKey, ct: Ciphertext, params: FheParams, rng_seed: int) -> Ciphertext:
+def refresh(sk: SecretKey, ct: Ciphertext, params: FheParams, rng_seed: int) -> Ciphertext:
     """Trusted re-encryption: same plaintext, fresh noise."""
     rng = _rng_from_seed(rng_seed, key=(0x7266,))
-    return _refresh_with_rng(sk_oracle, ct, params, rng)
+    return _refresh_with_rng(sk, ct, params, rng)
 
 
-def _refresh_with_rng(sk_oracle: SecretKey, ct: Ciphertext, params: FheParams,
+def _refresh_with_rng(sk: SecretKey, ct: Ciphertext, params: FheParams,
                       rng: np.random.Generator) -> Ciphertext:
-    bit = decrypt_bit(sk_oracle, ct)
-    return _encrypt_with_rng(sk_oracle, params, bit, rng)
+    bit = decrypt_bit(sk, ct)
+    return _encrypt_with_rng(sk, params, bit, rng)
 
 
 def true_noise(sk: SecretKey, ct: Ciphertext) -> int:
@@ -467,12 +470,16 @@ class FoldProbe:
 class GswBackend(_SeedScopeMixin):
     """Encrypted backend; all computation flows through NAND on matrices.
 
-    key               enables encryption/decryption and the refresh oracle
-    auto_refresh      re-encrypt operands whenever a NAND result's tracked
-                      noise would exceed noise_budget/2 (requires key)
-    eager_noise_check with auto_refresh off, raise as soon as a NAND would
-                      produce an undecryptable result; disable to let
-                      estimates run past the budget and fail at decrypt
+    key           enables encryption/decryption and the refresh oracle
+    auto_refresh  re-encrypt a NAND's output once, as it is made, when it
+                  could not be the left operand of a NAND with a fresh bit
+                  without reaching noise_budget/2 (requires key; the
+                  default when there is one)
+
+    Every NAND whose result's tracked estimate would reach noise_budget
+    raises NoiseExhaustionError.  With auto_refresh every bit the backend
+    hands out satisfies ``estimate * ct_dim + fresh < noise_budget/2``, so
+    only a bit from outside it (a loaded file) can trip that check.
     """
 
     tag = "gsw"
@@ -481,8 +488,7 @@ class GswBackend(_SeedScopeMixin):
     fast_arith = False
 
     def __init__(self, params: FheParams, key: SecretKey | None = None,
-                 seed: int = 0, auto_refresh: bool | None = None,
-                 eager_noise_check: bool = True):
+                 seed: int = 0, auto_refresh: bool | None = None):
         if key is not None and key.params != params:
             raise ParameterError("secret key was generated under different parameters")
         self.params = params
@@ -492,7 +498,6 @@ class GswBackend(_SeedScopeMixin):
         if auto_refresh and key is None:
             raise ParameterError("auto_refresh requires a refresh oracle (secret key)")
         self.auto_refresh = auto_refresh
-        self.eager_noise_check = eager_noise_check
         fresh = fresh_noise_bound(params)
         if auto_refresh and (params.ct_dim + 1) * fresh >= params.noise_budget / 2:
             raise ParameterError(
@@ -540,9 +545,12 @@ class GswBackend(_SeedScopeMixin):
         if ca.is_trivial or cb.is_trivial:
             out = self._nand_with_trivial(ca, cb)
         else:
-            ca, cb = self._maybe_refresh(ca, cb)
             out = self._nand_general(ca, cb)
         self.stats.note_noise(out.noise_estimate)
+        params = self.params
+        if self.auto_refresh and (out.noise_estimate * params.ct_dim + fresh_noise_bound(params)
+                                  >= params.noise_budget / 2):
+            out = self._oracle_refresh(out)
         return EncBit(self, ciphertext=out)
 
     def _nand_with_trivial(self, ca: Ciphertext, cb: Ciphertext) -> Ciphertext:
@@ -559,43 +567,25 @@ class GswBackend(_SeedScopeMixin):
         recomposed = np.mod(self._weights - other.recomposed, float(self.params.modulus))
         return Ciphertext(recomposed, other.noise_estimate, self.params)
 
-    def _projected_noise(self, ca: Ciphertext, cb: Ciphertext) -> float:
-        # estimate(out) = estimate(a) * ct_dim + estimate(b): the left
-        # operand of nand lands under the binary-matrix product.
-        return ca.noise_estimate * self.params.ct_dim + cb.noise_estimate
-
-    def _maybe_refresh(self, ca: Ciphertext, cb: Ciphertext):
-        params = self.params
-        if self.auto_refresh:
-            fresh = float(fresh_noise_bound(params))
-            threshold = params.noise_budget / 2
-            if self._projected_noise(ca, cb) >= threshold:
-                same = ca is cb  # not_gate: one refresh serves both sides
-                if ca.noise_estimate > fresh:
-                    ca = self._oracle_refresh(ca)
-                if same:
-                    cb = ca
-                elif cb.noise_estimate > fresh:
-                    cb = self._oracle_refresh(cb)
-        elif self.eager_noise_check:
-            if self._projected_noise(ca, cb) >= params.noise_budget:
-                raise NoiseExhaustionError(
-                    "NAND result would exceed the noise budget "
-                    "(enable auto_refresh or refresh operands manually)"
-                )
-        return ca, cb
-
     def _oracle_refresh(self, ct: Ciphertext) -> Ciphertext:
         out = _refresh_with_rng(self.key, ct, self.params, self._scope_rng())
         self.stats.bump_refresh()
         return out
 
     def _nand_general(self, ca: Ciphertext, cb: Ciphertext) -> Ciphertext:
+        # estimate(a) * ct_dim + estimate(b): the left operand lands under
+        # the binary-matrix product
+        estimate = ca.noise_estimate * self.params.ct_dim + cb.noise_estimate
+        if not estimate < self.params.noise_budget:
+            raise NoiseExhaustionError(
+                f"NAND of bits with noise estimates {ca.noise_estimate:g} and "
+                f"{cb.noise_estimate:g} would reach {estimate:g}, past the budget "
+                f"{self.params.noise_budget:g}; refresh its operands first")
         # flatten(I - C_b @ C_a) recomposes to W - C_b @ M_a; a binary C_b
         # keeps the product exact in float64
         recomposed = np.mod(self._weights - cb.matrix @ ca.recomposed,
                             float(self.params.modulus))
-        return Ciphertext(recomposed, self._projected_noise(ca, cb), self.params)
+        return Ciphertext(recomposed, estimate, self.params)
 
 
 # ----------------------------------------------------------------------

@@ -154,27 +154,13 @@ def encode_lanes(values, fmt: FixedPointFormat, backend: ClearBackend) -> FixedP
         BitVector.from_lane_ints(scaled, fmt.total_bits, backend), fmt)
 
 
-def decode(x: FixedPointCipher, sk_oracle=None, lane: int = 0) -> float:
+def decode(x: FixedPointCipher, lane: int = 0) -> float:
     """Decrypted two's-complement integer divided by the scale."""
-    return _scaled_ints(x, sk_oracle)[lane] / x.fmt.scale
+    return _lane_values(x)[lane] / x.fmt.scale
 
 
-def decode_lanes(x: FixedPointCipher, sk_oracle=None):
-    return [z / x.fmt.scale for z in _scaled_ints(x, sk_oracle)]
-
-
-def _scaled_ints(x: FixedPointCipher, sk_oracle=None):
-    backend = x.backend
-    if backend.is_encrypted and sk_oracle is not None and backend.key is None:
-        # a detached decryption oracle: decrypt bits directly
-        from .fhe_core import decrypt_bit
-        value = 0
-        for i, b in enumerate(x.bits.bits):
-            value |= decrypt_bit(sk_oracle, b.ciphertext) << i
-        if value >> (x.fmt.total_bits - 1):
-            value -= 1 << x.fmt.total_bits
-        return [value]
-    return _lane_values(x)
+def decode_lanes(x: FixedPointCipher):
+    return [z / x.fmt.scale for z in _lane_values(x)]
 
 
 def _lane_values(x: FixedPointCipher):

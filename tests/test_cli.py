@@ -394,6 +394,53 @@ def test_bad_key_params_field_is_io_error(workdir, capsys, offset, packed):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_custom_key_budget_above_q_over_8_is_io_error(workdir, capsys):
+    """A key whose header names the custom preset (id 255 at byte 5) states
+    its own budget, but the decoder is correct only while |e| < q/8: a
+    budget above q/8 exits 3 with one error line, and q/8 itself (512 on
+    toy) still encrypts."""
+    assert run("keygen", "--preset", "toy", "--seed", "1", "--out", workdir / "custom.key") == 0
+    data = bytearray((workdir / "custom.key").read_bytes())
+    data[5] = 255
+    for budget, want in ((2048.0, cli.EXIT_IO), (512.0, cli.EXIT_OK)):
+        struct.pack_into("<d", data, 32, budget)
+        (workdir / "custom.key").write_bytes(bytes(data))
+        capsys.readouterr()
+        assert run("encrypt-image", "--model", workdir / "micro.txt",
+                   "--image", workdir / "img.csv", "--backend", "gsw",
+                   "--key", workdir / "custom.key", "--out", workdir / "custom.bin") == want
+        if want:
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "q/8 = 512" in err
+
+
+def test_gsw_image_bit_with_a_noisy_estimate_exits_5(workdir, capsys):
+    """encrypt-image writes only fresh bits (estimate 2 on toy).  A bit
+    whose stated estimate is 300 would take a NAND past the budget, so
+    classify refuses it, with public or encrypted weights, with exit 5 and
+    one error line that names the estimate, and writes no scores."""
+    assert run("keygen", "--preset", "toy", "--seed", "1", "--out", workdir / "noisy.key") == 0
+    assert run("encrypt-image", "--model", workdir / "micro.txt", "--image",
+               workdir / "img.csv", "--backend", "gsw", "--key", workdir / "noisy.key",
+               "--out", workdir / "noisy.bin") == 0
+    data = bytearray((workdir / "noisy.bin").read_bytes())
+    # header 16 + params section 24 + meta section 24 + payload length 4:
+    # the first bit's f64 noise estimate
+    assert struct.unpack_from("<d", data, 68) == (2.0,)
+    struct.pack_into("<d", data, 68, 300.0)
+    (workdir / "noisy.bin").write_bytes(bytes(data))
+    capsys.readouterr()
+    for flags in ((), ("--encrypt-weights",)):
+        assert run("classify", "--model", workdir / "micro.txt", "--in", workdir / "noisy.bin",
+                   "--key", workdir / "noisy.key", "--out", workdir / "noisy.scores",
+                   *flags) == cli.EXIT_NOISE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search(r"\b300\b", err)
+        assert not (workdir / "noisy.scores").exists()
+
+
 def test_files_of_the_gcn1_format_are_io_errors(workdir, capsys):
     """A key, image or score file with the older GCN1 magic exits 3 with
     one error line that says how to make new files."""

@@ -261,9 +261,9 @@ def test_workers_bit_identical(tiny_net):
 @pytest.mark.parametrize("encrypt_weights", [False, True])
 def test_workers_bit_identical_encrypted(toy_params, toy_key, encrypt_weights):
     """A two-output-channel conv with public or encrypted weights on the
-    toy preset: workers 1 and 2 give the same score ciphertext bytes, and
-    no seed scope id tuple is entered twice in one classify (a re-entered
-    scope would replay its randomness)."""
+    toy preset: workers 1 and 2 give the same score ciphertext bytes and
+    the same NAND and refresh counts, and no seed scope id tuple is entered
+    twice in one classify (a re-entered scope would replay its randomness)."""
     net = cnn.NetworkSpec(
         [make_conv(1, 2, 2, 1, weights=np.array([[[[0.75, -1.25], [0.5, 1.75]]],
                                                   [[[-0.75, 1.25], [1.5, -0.375]]]]),
@@ -292,7 +292,8 @@ def test_workers_bit_identical_encrypted(toy_params, toy_key, encrypt_weights):
             sys.setswitchinterval(interval)
         assert entered and len(set(entered)) == len(entered)
         runs.append((sorted(entered), b"".join(bit.ciphertext.recomposed.tobytes()
-                                               for s in scores.scores for bit in s.bits.bits)))
+                                               for s in scores.scores for bit in s.bits.bits),
+                     backend.stats.snapshot()))
     assert runs[0] == runs[1]
 
 

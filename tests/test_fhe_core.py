@@ -32,7 +32,11 @@ def test_bad_params_rejected():
         fc.FheParams(lattice_dim=4, log_q=4, noise_stddev=8.0)  # 2*sigma >= q/8
     with pytest.raises(ParameterError):  # only an omitted budget means q/8
         fc.FheParams(lattice_dim=4, log_q=10, noise_stddev=1.0, noise_budget=0.0)
+    with pytest.raises(ParameterError):  # above q/8 the decoder can be wrong
+        fc.FheParams(lattice_dim=4, log_q=10, noise_stddev=1.0, noise_budget=128.5)
     assert fc.FheParams(lattice_dim=4, log_q=10, noise_stddev=1.0).noise_budget == 128.0
+    assert fc.FheParams(lattice_dim=4, log_q=10, noise_stddev=1.0,
+                        noise_budget=128.0).noise_budget == 128.0
 
 
 def test_keygen_small_custom_params():
@@ -101,7 +105,7 @@ def test_nand_truth_table_both_backends(toy_params, toy_key):
 
 
 def test_nand_noise_monotone_growth(toy_params, toy_key):
-    gsw = fc.GswBackend(toy_params, key=toy_key, seed=5)
+    gsw = fc.GswBackend(toy_params, key=toy_key, seed=5, auto_refresh=False)
     x = gsw.encrypt_bit(1)
     y = gsw.encrypt_bit(0)
     out = fc.nand(x, y)
@@ -152,8 +156,7 @@ def test_rated_depth_toy(toy_params):
 
 def test_balanced_tree_at_rated_depth_decrypts(toy_params, toy_key):
     depth = fc.rated_nand_depth(toy_params)
-    gsw = fc.GswBackend(toy_params, key=toy_key, seed=8, auto_refresh=False,
-                        eager_noise_check=True)
+    gsw = fc.GswBackend(toy_params, key=toy_key, seed=8, auto_refresh=False)
     for seed_block in range(30):
         leaves = [gsw.encrypt_bit(1) for _ in range(2 ** depth)]
         level = leaves
@@ -167,11 +170,14 @@ def test_balanced_tree_at_rated_depth_decrypts(toy_params, toy_key):
 
 
 def test_chain_past_budget_raises_on_decrypt(toy_params, toy_key):
-    gsw = fc.GswBackend(toy_params, key=toy_key, seed=9, auto_refresh=False,
-                        eager_noise_check=False)
+    """A NAND refuses to go past the budget, so the chain's last output is
+    given an estimate at the budget by hand."""
+    gsw = fc.GswBackend(toy_params, key=toy_key, seed=9, auto_refresh=False)
     x = gsw.encrypt_bit(1)
-    while x.ciphertext.noise_estimate < toy_params.noise_budget:
+    while (x.ciphertext.noise_estimate * toy_params.ct_dim
+           + fc.fresh_noise_bound(toy_params) < toy_params.noise_budget):
         x = fc.nand(x, gsw.encrypt_bit(1))
+    x.ciphertext.noise_estimate = toy_params.noise_budget
     with pytest.raises(NoiseExhaustionError):
         fc.decrypt_bit(toy_key, x.ciphertext)
     with pytest.raises(NoiseExhaustionError):
@@ -187,9 +193,8 @@ def test_nan_noise_estimate_refused(toy_params, toy_key):
         fc.refresh(toy_key, ct, toy_params, 1)
 
 
-def test_eager_noise_check_raises_in_nand(toy_params, toy_key):
-    gsw = fc.GswBackend(toy_params, key=toy_key, seed=10, auto_refresh=False,
-                        eager_noise_check=True)
+def test_nand_past_budget_raises(toy_params, toy_key):
+    gsw = fc.GswBackend(toy_params, key=toy_key, seed=10, auto_refresh=False)
     x = gsw.encrypt_bit(1)
     with pytest.raises(NoiseExhaustionError):
         for _ in range(10):
@@ -197,8 +202,7 @@ def test_eager_noise_check_raises_in_nand(toy_params, toy_key):
 
 
 def test_refresh_resets_noise_and_preserves_plaintext(toy_params, toy_key):
-    gsw = fc.GswBackend(toy_params, key=toy_key, seed=11, auto_refresh=False,
-                        eager_noise_check=True)
+    gsw = fc.GswBackend(toy_params, key=toy_key, seed=11, auto_refresh=False)
     x = fc.nand(gsw.encrypt_bit(1), gsw.encrypt_bit(1))  # encrypts 0
     noisy = x.ciphertext
     fresh = fc.refresh(toy_key, noisy, toy_params, 77)
@@ -209,8 +213,7 @@ def test_refresh_resets_noise_and_preserves_plaintext(toy_params, toy_key):
 
 def test_double_rated_depth_with_interposed_refresh(toy_params, toy_key):
     depth = fc.rated_nand_depth(toy_params)
-    gsw = fc.GswBackend(toy_params, key=toy_key, seed=12, auto_refresh=False,
-                        eager_noise_check=True)
+    gsw = fc.GswBackend(toy_params, key=toy_key, seed=12, auto_refresh=False)
     x = gsw.encrypt_bit(1)
     value = 1
     for level in range(2 * depth):
@@ -234,34 +237,75 @@ def test_auto_refresh_sustains_deep_chains(toy_params, toy_key):
     assert gsw.stats.max_noise_seen < toy_params.noise_budget
 
 
-def test_not_gate_of_noisy_bit_refreshes_once(toy_params, toy_key):
+def test_fan_out_bit_is_refreshed_once_when_made(toy_params, toy_key):
+    """A NAND output read by not_gate (NAND(x, x)) and by two more NANDs is
+    refreshed once, by the NAND that makes it: each of the four general
+    NANDs adds one refresh, of its own output, and no read adds another."""
     gsw = fc.GswBackend(toy_params, key=toy_key, seed=15, auto_refresh=True)
-    noisy = fc.nand(gsw.encrypt_bit(1), gsw.encrypt_bit(0))
-    assert noisy.ciphertext.noise_estimate > fc.fresh_noise_bound(toy_params)
+    x, y = gsw.encrypt_bit(1), gsw.encrypt_bit(0)
     before = gsw.stats.refresh_count
-    out = not_gate(noisy)
+    made = fc.nand(x, y)
     assert gsw.stats.refresh_count - before == 1
-    assert gsw.reveal_bit(out) == 0
+    one, zero = gsw.encrypt_bit(1), gsw.encrypt_bit(0)
+    for read, want in ((lambda: not_gate(made), 0),
+                       (lambda: fc.nand(made, one), 0),
+                       (lambda: fc.nand(zero, made), 1)):
+        assert made.ciphertext.noise_estimate == fc.fresh_noise_bound(toy_params)
+        before = gsw.stats.refresh_count
+        out = read()
+        assert gsw.stats.refresh_count - before == 1
+        assert gsw.reveal_bit(out) == want
+    assert gsw.reveal_bit(made) == 1
 
 
 def test_noise_soundness_random_dags(toy_params, toy_key):
     """While the tracked estimate stays below the budget, decryption never
     fails and the true noise never exceeds the estimate."""
     rng = np.random.default_rng(0)
-    gsw = fc.GswBackend(toy_params, key=toy_key, seed=14, auto_refresh=False,
-                        eager_noise_check=False)
+    gsw = fc.GswBackend(toy_params, key=toy_key, seed=14, auto_refresh=False)
     pool = [(gsw.encrypt_bit(int(b)), int(b)) for b in rng.integers(0, 2, 8)]
     for step in range(120):
         i, j = rng.integers(0, len(pool), 2)
         (ea, va), (eb, vb) = pool[i], pool[j]
-        out = fc.nand(ea, eb)
         want = 1 - (va & vb)
-        if out.ciphertext.noise_estimate < toy_params.noise_budget:
-            assert fc.true_noise(toy_key, out.ciphertext) <= out.ciphertext.noise_estimate
-            assert fc.decrypt_bit(toy_key, out.ciphertext) == want
-            pool.append((out, want))
-        else:
+        try:
+            out = fc.nand(ea, eb)
+        except NoiseExhaustionError:  # the estimate would reach the budget
             pool[i] = (gsw.encrypt_bit(va), va)  # keep the pool decryptable
+            continue
+        assert fc.true_noise(toy_key, out.ciphertext) <= out.ciphertext.noise_estimate
+        assert fc.decrypt_bit(toy_key, out.ciphertext) == want
+        pool.append((out, want))
+
+
+def test_auto_refresh_invariant_random_dags(toy_params, toy_key):
+    """With auto-refresh, every bit the backend hands out (encryptions,
+    NANDs, not_gate's NAND(x, x) and NAND(public 1, x), which passes its
+    operand's noise through) meets estimate * ct_dim + fresh < budget/2, so
+    any NAND of two of them stays below the budget, and decrypts to its
+    plaintext."""
+    rng = np.random.default_rng(1)
+    gsw = fc.GswBackend(toy_params, key=toy_key, seed=16, auto_refresh=True)
+    fresh = fc.fresh_noise_bound(toy_params)
+
+    def check(bit, want):
+        estimate = bit.ciphertext.noise_estimate
+        assert estimate * toy_params.ct_dim + fresh < toy_params.noise_budget / 2
+        assert fc.true_noise(toy_key, bit.ciphertext) <= estimate
+        assert gsw.reveal_bit(bit) == want
+        return bit, want
+
+    pool = [check(gsw.encrypt_bit(int(b)), int(b)) for b in rng.integers(0, 2, 8)]
+    for step in range(150):
+        i, j = rng.integers(0, len(pool), 2)
+        (ea, va), (eb, vb) = pool[i], pool[j]
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            pool.append(check(not_gate(ea), 1 - va))
+        elif kind == 1:
+            pool.append(check(fc.nand(gsw.const(1), ea), 1 - va))
+        else:
+            pool.append(check(fc.nand(ea, eb), 1 - (va & vb)))
 
 
 def test_gate_stats_concurrent_increments():
@@ -431,5 +475,5 @@ def test_golden_score_ciphertexts(toy_params, toy_key):
             digest.update(bit.ciphertext.matrix.astype(np.int64).tobytes())
             digest.update(repr(bit.ciphertext.noise_estimate).encode())
     assert digest.hexdigest() == (
-        "d47575fc7d87d8e79d688d6af82a568a0ec6f12d5d7b15b52b56469630d8ee18")
-    assert backend.stats.snapshot() == (7896, 13512, 218.0)
+        "ca3dbddd5731cf88bcc7236c10ababed110ca2e1c9b2f41feef3d64821f8583b")
+    assert backend.stats.snapshot() == (7896, 7896, 218.0)

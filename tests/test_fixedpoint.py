@@ -283,17 +283,6 @@ def test_gsw_fixedpoint_roundtrip(toy_params, toy_key):
     assert fp.decode(fp.fp_mul_const(fp.encode(0.5, small, backend), 0.5)) == 0.25
 
 
-def test_detached_decryption_oracle(toy_params, toy_key):
-    sender = fc.GswBackend(toy_params, key=toy_key, seed=22)
-    server = fc.GswBackend(toy_params, seed=23)
-    small = fp.FixedPointFormat(6, 3)
-    x = fp.encode(0.625, small, sender)
-    moved = fp.FixedPointCipher(
-        type(x.bits)([fc.EncBit(server, ciphertext=b.ciphertext) for b in x.bits.bits]),
-        small)
-    assert fp.decode(moved, sk_oracle=toy_key) == 0.625
-
-
 @pytest.mark.parametrize("width", [10, 32])
 def test_mul_fast_equals_gate_at_every_frac_position(width):
     """The product window depends on f: a one-input fc layer on the layer
