@@ -24,10 +24,10 @@ and ReLU only as wide as the network's interval certificate
 (``NetworkSpec.certificate``) proves its values need, for pixels in
 [-PIXEL_BOUND, PIXEL_BOUND], adding each neuron's terms narrowest first
 in a tree the certificate fixes.  With encrypted weights (the private
-model setting) each neuron adds var-by-var products in the w-bit left
-chain, and the certificate only decides whether an encrypted backend
-may run the model.  Scores stay encrypted: argmax is the client's job
-after decryption.
+model setting) the certificate walks only each layer's public weight
+and bias bit widths, so every neuron shares one tree, and its var-by-var
+products and adds are built that narrow.  Scores stay encrypted: argmax
+is the client's job after decryption.
 """
 
 from __future__ import annotations
@@ -172,6 +172,12 @@ class LayerSpec:
                 for ic in range(self.in_channels)]
         return found
 
+    def bit_widths(self, fmt: FixedPointFormat) -> tuple:
+        """(b_w, b_b): the signed bits of the largest |weight| and |bias|
+        as ``fmt`` integers, the only facts about the values of encrypted
+        weights that their circuits reveal (see NetworkSpec.certificate)."""
+        return tuple(int(np.abs(v).max()).bit_length() + 1 for v in self.scaled(fmt))
+
 
 @dataclass(frozen=True, eq=False)
 class LayerCertificate:
@@ -196,7 +202,9 @@ class LayerCertificate:
       most w;
     - ``fits``: whether every input, product and node fits w bits, and
       with pooling every difference of two outputs of a channel, so
-      that no circuit of the layer can wrap."""
+      that no circuit of the layer can wrap;
+    - ``mul_bits``: the (b_x, b_w, b_p) each ``fp_mul`` by an encrypted
+      weight is built at, (w, w, w) for a walk over public weights."""
 
     inputs: tuple
     products: tuple
@@ -206,6 +214,7 @@ class LayerCertificate:
     input_bits: int
     sum_bits: np.ndarray
     fits: bool
+    mul_bits: tuple
 
 
 def _signed_bits(low, high) -> np.ndarray:
@@ -262,24 +271,29 @@ class NetworkSpec:
             raise ShapeError("final layer must be fully connected")
         self.check_shapes()
 
-    def certificate(self) -> list:
+    def certificate(self, encrypt_weights: bool = False) -> list:
         """Per layer, the LayerCertificate at ``fmt``, from an interval
         walk over the scaled integers in the evaluators' order: pixels in
         [-PIXEL_BOUND, PIXEL_BOUND] (as ``fmt`` integers), then per layer
-        each floored product (``scaled_mul``), each neuron's add tree
-        (``_sum_tree`` over the bias and the products, so the tree
-        depends on the public weights and the format alone), the
-        activation and max pooling.  Products and outputs are clipped to
-        the format's range, outside which the clear backend raises
-        OverflowDiagnostic.  A pooled layer fits only if any two of a
-        channel's outputs differ by at most the format's max_int, as the
-        pool's comparisons need.  Computed once per format; an
-        unencodable weight raises RangeError."""
+        each floored product (``scaled_mul`` at the corners of its
+        operands' intervals), each neuron's add tree (``_sum_tree`` over
+        the bias and the products, so the tree depends on the public
+        weights and the format alone), the activation and max pooling.
+        Products and outputs are clipped to the format's range, outside
+        which the clear backend raises OverflowDiagnostic.  A pooled
+        layer fits only if any two of a channel's outputs differ by at
+        most the format's max_int, as the pool's comparisons need.
+
+        With ``encrypt_weights`` the walk reads no weight or bias, only
+        the intervals ±(2^(b-1) - 1) of their layer's ``bit_widths`` b, so
+        every neuron of a layer has the same tree, built once, and the
+        multiplies' widths follow (``mul_bits``).  Computed once per
+        format and mode; an unencodable weight raises RangeError."""
         fmt = self.fmt
-        found = self._certificates.get(fmt)
+        found = self._certificates.get((fmt, encrypt_weights))
         if found is not None:
             return found
-        w, dtype = fmt.total_bits, int_dtype(fmt)
+        w, f, dtype = fmt.total_bits, fmt.frac_bits, int_dtype(fmt)
         values = tuple(np.full(self.input_channels, bound, dtype=dtype) for bound in (
             max(math.floor(-PIXEL_BOUND * fmt.scale), fmt.min_int),
             min(math.floor(PIXEL_BOUND * fmt.scale), fmt.max_int)))
@@ -292,13 +306,20 @@ class NetworkSpec:
                 values = tuple(np.repeat(v, sides[0] * sides[1]) for v in values)
                 sides = (1, 1)
             weights, biases = layer.scaled(fmt)
+            out, fan_in = weights.shape
+            weights, biases = (weights,), (biases, biases)  # each interval's distinct ends
+            if encrypt_weights:  # one row of intervals for every neuron
+                bound_w, bound_b = ((1 << b - 1) - 1 for b in layer.bit_widths(fmt))
+                weights = tuple(np.full((1, fan_in), z, dtype=dtype) for z in (-bound_w, bound_w))
+                biases = tuple(np.full(1, z, dtype=dtype) for z in (-bound_b, bound_b))
             inputs = tuple(np.repeat(v, layer.kernel_size ** 2) for v in values)
-            ends = [scaled_mul(v, weights, fmt) for v in inputs]
-            ends = np.minimum(*ends), np.maximum(*ends)
+            ends = [scaled_mul(x, z, fmt) for x in inputs for z in weights]
+            ends = np.minimum.reduce(ends), np.maximum.reduce(ends)
             fits = bool((_signed_bits(*ends) <= w).all())
             products = tuple(np.clip(v, fmt.min_int, fmt.max_int) for v in ends)
-            pairs, lows, highs = zip(*(_sum_tree([b] + low, [b] + high) for b, low, high in zip(
-                biases.tolist(), products[0].tolist(), products[1].tolist())))
+            trees = [_sum_tree([bl] + low, [bh] + high) for bl, bh, low, high in zip(
+                *(v.tolist() for v in biases + products))]
+            pairs, lows, highs = zip(*trees * (out // len(trees)))
             sums = np.array(lows, dtype=dtype), np.array(highs, dtype=dtype)
             bits = _signed_bits(*sums)
             fits = fits and bool((bits <= w).all())
@@ -307,11 +328,16 @@ class NetworkSpec:
                 values = tuple(np.maximum(v, 0) for v in values)
             if layer.pool_size > 1:  # max pooling compares by subtraction
                 fits = fits and bool((values[1] - values[0] <= fmt.max_int).all())
+            input_bits, mul_bits = min(w, int(_signed_bits(*inputs).max())), (w, w, w)
+            if encrypt_weights:  # operands at least f + b_p bits wide in all
+                b_p = int(_signed_bits(*products).max())
+                b_w = min(w, max(layer.bit_widths(fmt)[0], f + b_p - input_bits))
+                mul_bits = (max(input_bits, f + b_p - b_w), b_w, b_p)
             found.append(LayerCertificate(
-                inputs, products, sums, values, np.array(pairs, dtype=np.int64),
-                min(w, int(_signed_bits(*inputs).max())), np.minimum(bits, w), fits))
+                inputs, tuple(np.broadcast_to(v, (out, fan_in)) for v in products), sums, values,
+                np.array(pairs, dtype=np.int64), input_bits, np.minimum(bits, w), fits, mul_bits))
             sides = tuple((n - layer.kernel_size + 1) // layer.pool_size for n in sides)
-        self._certificates[fmt] = found
+        self._certificates[fmt, encrypt_weights] = found
         return found
 
     def check_shapes(self) -> None:
@@ -400,12 +426,11 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
     """Valid convolution over all input channels, bias, activation, pooling.
 
     Each window adds its bias and products in an add tree (see
-    _gate_layer).  With public weights each input pixel's products with
-    every output channel's kernel come from its input channel's shared
-    adder graph, and the trees are the ``certificate``'s at its widths
-    when one is given; with ``encrypt_weights``, or without a
-    certificate, every tree is the w-bit left chain.  The weight modes
-    give the same bits."""
+    _gate_layer), the ``certificate``'s at its widths when one is given
+    (with ``encrypt_weights``, the bounded walk's), else the w-bit left
+    chain.  With public weights each input pixel's products with every
+    output channel's kernel come from its input channel's shared adder
+    graph.  The weight modes give the same bits."""
     if spec.kind != CONVOLUTION:
         raise ParameterError("conv_layer needs a convolution LayerSpec")
     return _layer(img, spec, encrypt_weights, workers, layer_index, certificate)
@@ -446,23 +471,25 @@ def _layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: int,
     if side_h % pool or side_w % pool:
         raise ShapeError(f"conv output {side_h}x{side_w} not divisible by pool {pool}")
     first = img.channels[0][0][0]
-    widths = _widths(spec, first.fmt, certificate, encrypt_weights)
+    widths = _widths(spec, first.fmt, certificate)
     if first.backend.fast_arith:
         return _int_layer(img, spec, first.backend, encrypt_weights, widths)
     channels = _gate_layer(img, spec, encrypt_weights, workers, layer_index, widths)
     return EncImage(channels, side_h // pool, side_w // pool)
 
 
-def _widths(spec: LayerSpec, fmt: FixedPointFormat, certificate, encrypt_weights: bool) -> tuple:
+def _widths(spec: LayerSpec, fmt: FixedPointFormat, certificate) -> tuple:
     """(input bits, (out, fan-in) node bits, (out, fan-in, 2) node
-    operands) of the layer's circuits: its certificate's with public
-    weights, else w throughout over the left chain.  Encrypted weights
-    ignore the certificate: its trees and widths follow the weights'
-    values, which the circuit must not reveal."""
-    if certificate is None or encrypt_weights:
+    operands, and the encrypted weights' multiplies' (b_x, b_w, b_p)) of
+    the layer's circuits: its certificate's, else w throughout over the
+    left chain.  With encrypted weights the certificate is the bounded
+    walk's (``NetworkSpec.certificate(encrypt_weights=True)``), whose
+    trees and widths follow only the weights' public bit widths."""
+    w = fmt.total_bits
+    if certificate is None:
         shape = spec.scaled(fmt)[0].shape
-        return fmt.total_bits, np.full(shape, fmt.total_bits), _left_chain(*shape)
-    return certificate.input_bits, certificate.sum_bits, certificate.operands
+        return w, np.full(shape, w), _left_chain(*shape), (w, w, w)
+    return certificate.input_bits, certificate.sum_bits, certificate.operands, certificate.mul_bits
 
 
 def _activate(v: FixedPointCipher, spec: LayerSpec, width: int) -> FixedPointCipher:
@@ -491,7 +518,8 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: 
     the pixel; only the products of the k input rows the current output
     row reads are held.  With ``encrypt_weights`` the bias and each
     weight are encrypted when the tree reads them, and each product is
-    one ``fp_mul``, so no product or weight outlives its window.
+    one ``fp_mul`` at the widths' (b_x, b_w, b_p), so no product or
+    weight outlives its window.
 
     Work fans out over input rows for public products, in seed scope
     (layer_index, out_channels + row), and over output channels for sums,
@@ -501,7 +529,7 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: 
     side_h, side_w = img.height - k + 1, img.width - k + 1
     first = img.channels[0][0][0]
     fmt, backend = first.fmt, first.backend
-    input_bits, sum_bits, operands = widths
+    input_bits, sum_bits, operands, mul_bits = widths
     weights = spec.weights.reshape(out, -1)
     plans = None if encrypt_weights else spec.kernel_plans(fmt, input_bits)
     rows, cols = _kernel_reads(img.height, k), _kernel_reads(img.width, k)
@@ -525,7 +553,7 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: 
         kr, kc = divmod(at, k)
         if encrypt_weights:
             return fp_mul(img.channels[ic][r + kr][c + kc],
-                          encode(float(weights[oc, j - 1]), fmt, backend, encrypt=True))
+                          encode(float(weights[oc, j - 1]), fmt, backend, encrypt=True), mul_bits)
         return held[kr][ic][c + kc][oc * k * k + at]
 
     grids, pending = [[] for _ in range(out)], [[] for _ in range(out)]
@@ -603,11 +631,12 @@ def _int_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bool,
                widths: tuple) -> EncImage:
     """The layer on the lanes' integers, as one _walk_layer over them,
     then charged by _charge_layer.  Every input is checked against its
-    width, every floored product against the format's range, every tree
-    node against its width, as wide as its add is built, and every pool
-    comparison against the format's range."""
+    width, every floored product against the format's range or its
+    multiplies' b_p, every tree node against its width, as wide as its
+    add is built, and every pool comparison against the format's range."""
     fmt = img.channels[0][0][0].fmt
     weights, biases = spec.scaled(fmt)
+    product_bits = None if widths[3][2] == fmt.total_bits else widths[3][2]
     x = np.array([[[_lane_values(v) for v in row] for row in grid] for grid in img.channels],
                  dtype=int_dtype(fmt)).transpose(3, 0, 1, 2)   # (lanes, c, h, w)
     guard_range(x, fmt, "a layer input", widths[0])
@@ -617,7 +646,7 @@ def _int_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bool,
                           dtype=x.dtype)
         values[..., 0] = biases
         guard_range(scaled_mul(windows[..., None, :], weights, fmt, out=values[..., 1:]), fmt,
-                    "multiplication")
+                    "multiplication", product_bits)
         return values
 
     def add(i, a, b):
@@ -665,18 +694,22 @@ class _FoldTable:
     def step(self, kind: str, a, b, width=None):
         """Per element of the broadcast id arrays a, b and ``width``
         (default w): the NANDs one ``kind`` circuit of that width
-        (``fold_costs``) evaluates on those operands, and its output's id."""
-        a, b, width = np.broadcast_arrays(a, b, self.fmt.total_bits if width is None else width)
+        (``fold_costs``) evaluates on those operands, and its output's id.
+        A ``mul``'s width is one (b_x, b_w, b_p) tuple for all of them."""
+        shared = width if kind == "mul" else None
+        a, b, width = np.broadcast_arrays(a, b, width if width is not None and not shared
+                                          else self.fmt.total_bits)
         n = len(self.patterns)
         keys, inverse = np.unique(((width * n + a) * n + b).ravel(), return_inverse=True)
         triples = [(key // (n * n), *divmod(key % (n * n), n)) for key in keys.tolist()]
         for triple in triples:
-            if (kind, triple) not in self._costs:
+            if (kind, shared, triple) not in self._costs:
                 bits, i, j = triple
                 [(cost, pattern)] = fold_costs(kind, self.fmt,
-                                               [(self.patterns[i], self.patterns[j])], bits)
-                self._costs[kind, triple] = (cost, self.ids([pattern])[0])
-        cost, out = np.array([self._costs[kind, triple] for triple in triples]).T
+                                               [(self.patterns[i], self.patterns[j])],
+                                               shared or bits)
+                self._costs[kind, shared, triple] = (cost, self.ids([pattern])[0])
+        cost, out = np.array([self._costs[kind, shared, triple] for triple in triples]).T
         return cost[inverse].reshape(a.shape), out[inverse].reshape(a.shape)
 
 
@@ -692,14 +725,14 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
     values, whose every step charges its ``_FoldTable.step``.  With
     public weights the leaves are the public bias and _kernel_charge's
     shared products; with encrypted weights the bias is private and each
-    product is a w-bit ``fp_mul``.  The charges are kept in
-    ``spec.charges`` for the same format, weight entry, widths, add trees
-    and input patterns; each public image has patterns of its own, so
-    only the latest _CHARGES_LIMIT are kept."""
+    product is an ``fp_mul`` at the multiplies' widths.  The charges are
+    kept in ``spec.charges`` for the same format, weight entry, widths,
+    add trees and input patterns; each public image has patterns of its
+    own, so only the latest _CHARGES_LIMIT are kept."""
     table = _FoldTable(fmt)
     cells = np.array(inputs, dtype=object)
     in_ids = table.ids(public_pattern(v) for v in cells.ravel()).reshape(cells.shape)
-    key = (fmt, encrypt_weights, widths[0], widths[1].tobytes(), widths[2].tobytes(),
+    key = (fmt, encrypt_weights, widths[0], widths[1].tobytes(), widths[2].tobytes(), widths[3],
            tuple(table.patterns), in_ids.shape, in_ids.tobytes())
     found = spec.charges.get(key)
     if found is None:
@@ -722,7 +755,8 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
 
         def leaves(windows):
             if encrypt_weights:
-                terms = step("mul", windows[..., None, :], np.zeros(weights.shape, dtype=np.int64))
+                terms = step("mul", windows[..., None, :], np.zeros(weights.shape, dtype=np.int64),
+                             widths[3])
             else:
                 out, fan_in = weights.shape
                 terms = products[np.arange(out)[:, None], np.arange(fan_in), windows[..., None, :]]
@@ -775,15 +809,17 @@ def classify(img: EncImage, net: NetworkSpec, encrypt_weights: bool = False,
              workers: int = 1) -> EncScores:
     """Run all layers in order; returns per-class encrypted scores.
 
-    With public weights every layer is built to the network's certificate
+    Every layer is built to the network's certificate
     (``NetworkSpec.certificate``), exact for pixels in [-PIXEL_BOUND,
     PIXEL_BOUND]; on a clear backend a pixel outside raises RangeError.
-    An encrypted backend cannot check values as they are computed, so
-    there, with public or encrypted weights, a certificate that does not
-    fit w bits raises RangeError before any gate.  That holds for the
-    encrypted weights' w-bit left chains too: they add modulo 2^w, so
-    when every product and every node of the certificate's tree fits,
-    the chain's root is the same exact sum."""
+    With encrypted weights that is the certificate of the weights' public
+    bit widths alone.  An encrypted backend cannot check values as they
+    are computed, so there, with public or encrypted weights, a model
+    whose certificate of its actual weights does not fit w bits raises
+    RangeError before any gate.  That refusal covers the encrypted
+    weights' circuits too: a product or node whose bounded width reaches
+    w is built at w and adds modulo 2^w, so when every product and the
+    root of every neuron fit w bits, the root is the same exact sum."""
     if (len(img.channels), img.height, img.width) != (
             net.input_channels, net.input_height, net.input_width):
         raise ShapeError(
@@ -799,6 +835,8 @@ def classify(img: EncImage, net: NetworkSpec, encrypt_weights: bool = False,
         raise RangeError(f"layer {unfit} needs more than w={net.fmt.total_bits} bits for "
                          f"pixels in [-{PIXEL_BOUND}, {PIXEL_BOUND}], and an encrypted "
                          f"backend cannot check its values; retrain or widen the format")
+    if encrypt_weights:
+        certificate = net.certificate(encrypt_weights=True)
     current = img
     features = None
     for i, layer in enumerate(net.layers):

@@ -281,23 +281,35 @@ def fp_sub(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
     return FixedPointCipher(gates.sub(a.bits, b.bits), a.fmt)
 
 
-def fp_mul(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
+def fp_mul(a: FixedPointCipher, b: FixedPointCipher, widths=None) -> FixedPointCipher:
     """Product floored back to the format's scale: bits f..f+w-1 of the
     exact double-width product, the only ones the circuit builds.
 
     When one operand is wholly public (b is tried first), its integer is a
     constant and the shift-and-add ``gates.mul_const`` multiplies by it,
     the one-constant case of ``fp_mul_consts``; otherwise the
-    Baugh–Wooley/Wallace array does."""
+    Baugh–Wooley/Wallace array does.  With ``widths`` (b_a, b_b, b_p),
+    certified to hold a, b and the floored product, with f + b_p at most
+    b_a + b_b, only a's low b_a bits and b's low b_b bits are read, the
+    array builds product bits f..f+b_p-1, and the product's bits above
+    are wires copying its bit b_p - 1; the clear backend checks all three
+    fit."""
     _check_formats(a, b)
-    _diagnose(a, b, lambda za, zb: scaled_mul(za, zb, a.fmt), "multiplication")
     f, w = a.fmt.frac_bits, a.fmt.total_bits
-    for x, y in ((a, b), (b, a)):
+    bits_a, bits_b, bits_p = (w, w, w) if widths is None else widths
+    _diagnose(a, b, lambda za, zb: scaled_mul(za, zb, a.fmt), "multiplication",
+              None if bits_p == w else bits_p)
+    for x, width in ((a, bits_a), (b, bits_b)):
+        if width < w and isinstance(x.backend, ClearBackend):
+            guard_range(np.array(_lane_values(x), dtype=int_dtype(x.fmt)), x.fmt,
+                        "a multiplication operand", width)
+    for x, y, width in ((a, b, bits_a), (b, a, bits_b)):
         public, value = public_pattern(y)
         if public == (1 << w) - 1:
             return FixedPointCipher(
-                gates.mul_const(x.bits, _signed(value, w), lo=f, hi=f + w), a.fmt)
-    return FixedPointCipher(gates.mul_wallace(a.bits, b.bits, lo=f, hi=f + w), a.fmt)
+                gates.mul_const(_low_bits(x, width), _signed(value, w), lo=f, hi=f + w), a.fmt)
+    out = gates.mul_wallace(_low_bits(a, bits_a), _low_bits(b, bits_b), lo=f, hi=f + bits_p)
+    return FixedPointCipher(BitVector(out.bits + out.bits[-1:] * (w - bits_p)), a.fmt)
 
 
 def fp_mul_consts(x: FixedPointCipher, plan: gates.ConstMulPlan, wanted) -> list:
@@ -371,7 +383,7 @@ def fp_max(values) -> FixedPointCipher:
 
 
 _COST_OPS = {
-    "mul": lambda a, b, width: fp_mul(a, b),
+    "mul": fp_mul,
     "add": fp_add,
     "relu": lambda a, b, width: fp_relu(a, width),
     "maxfold": lambda a, b, width: fp_max([a, b]),
@@ -402,18 +414,19 @@ def _folded(key, circuit, *operands):
     return found
 
 
-def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width: int | None = None) -> list:
+def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width=None) -> list:
     """(NANDs evaluated, output public_pattern) of one ``kind`` circuit at
     ``fmt`` for each (a, b) pair of operand public_patterns (``relu``
     ignores b).  ``width`` (default w) is an ``add``'s or a ``relu``'s
-    width (``fp_add``, ``fp_relu``) and, for a ``mul`` by a wholly public
-    operand, the other operand's (``fp_mul_const``); ``maxfold`` ignores
-    it.  Counts depend on the formats, widths and public bits only, never
-    on private values.  A ``mul`` with a wholly public operand is charged
-    by walking its constant's plan (``const_mul_costs``); every other
-    circuit runs once per key on a FoldProbe (``_folded``)."""
+    width (``fp_add``, ``fp_relu``) and a ``mul``'s widths (``fp_mul``,
+    default (w, w, w)); ``maxfold`` ignores it.  Counts depend on the
+    formats, widths and public bits only, never on private values.  A
+    ``mul`` with a wholly public operand is charged by walking its
+    constant's plan (``const_mul_costs``); every other circuit runs once
+    per key on a FoldProbe (``_folded``)."""
     w = fmt.total_bits
-    width = w if width is None else width
+    if width is None:
+        width = (w, w, w) if kind == "mul" else w
 
     def circuit(a, b):
         a, b = (FixedPointCipher(BitVector(bits), fmt) for bits in (a, b))
@@ -437,14 +450,14 @@ def _step_cost(step: gates.ConstMulStep, xs, ts):
     return _folded(key, lambda xs, ts: gates.const_mul_step(step, xs, ts), xs, ts)
 
 
-def _const_mul_cost(fmt: FixedPointFormat, a: tuple, b: tuple, width: int):
-    """(NANDs, output public_pattern) of ``fp_mul_const`` on operands with
-    public_patterns a, b, the other one built ``width`` bits wide, when
-    one is wholly public, else None: the one-constant plan, walked by
+def _const_mul_cost(fmt: FixedPointFormat, a: tuple, b: tuple, widths: tuple):
+    """(NANDs, output public_pattern) of ``fp_mul`` at ``widths`` on
+    operands with public_patterns a, b when one is wholly public, else
+    None: the one-constant plan for the other one's width, walked by
     const_mul_costs."""
     w, f = fmt.total_bits, fmt.frac_bits
     full = (1 << w) - 1
-    for x, (y_public, y_value) in ((a, b), (b, a)):
+    for x, (y_public, y_value), width in ((a, b, widths[0]), (b, a, widths[1])):
         if y_public == full:
             plan = gates.const_mul_plan((_signed(y_value, w),), width, f, f + w)
             (nands,), (pattern,) = const_mul_costs(fmt, plan, x, [[0]])

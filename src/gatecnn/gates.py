@@ -211,47 +211,51 @@ def _sign_extend(v: BitVector, width: int):
     return list(v.bits) + [v.bits[-1]] * (width - v.width)
 
 
-def _partial_products(width: int, hi: int):
-    """Baugh–Wooley partial products of a signed width x width multiply,
-    per column, for the columns below ``hi``.
+def _partial_products(m: int, n: int, hi: int):
+    """Baugh–Wooley partial products of a signed m x n multiply, per
+    column, for the columns below ``hi``.
 
     A term (i, j, positive) stands for a_i & b_j, or for its complement
-    NAND(a_i, b_j) when ``positive`` is False.  With t = width - 1,
+    NAND(a_i, b_j) when ``positive`` is False.  With s = m - 1, t = n - 1,
 
-        a*b = a_t b_t 2^(2t) + sum_{i,j<t} a_i b_j 2^(i+j)
-              + sum_{i<t} (~(a_t b_i) + ~(a_i b_t)) 2^(t+i)
-              + 2^width - 2^(2 width - 1).
+        a*b = a_s b_t 2^(s+t) + sum_{i<s, j<t} a_i b_j 2^(i+j)
+              + sum_{j<t} ~(a_s b_j) 2^(s+j) + sum_{i<s} ~(a_i b_t) 2^(i+t)
+              + 2^s + 2^t - 2^(m+n-1).
 
-    The constant 2^width enters as p + 1 = ~p + 2p for a term p of column
-    ``width``, preferably an AND whose NAND the circuit builds anyway.
-    The constant -2^(2 width - 1) flips the top product bit; mul_wallace
-    applies it.  Width 1 has no constant (the two cancel).
+    Each bit c < m + n - 1 of that constant (modulo 2^(m+n)) enters as
+    p + 1 = ~p + 2p for a term p of column c, preferably an AND whose
+    NAND the circuit builds anyway.  Its bit m + n - 1, set unless
+    m = n = 1, flips the top product bit; mul_wallace applies it.
     """
-    t = width - 1
     columns = [[] for _ in range(hi)]
 
     def put(column, term):
         if column < hi:
             columns[column].append(term)
 
-    for i in range(t):
+    s, t = m - 1, n - 1
+    for i in range(s):
         for j in range(t):
             put(i + j, (i, j, True))
-    for i in range(t):
-        put(t + i, (t, i, False))
-        put(t + i, (i, t, False))
-    put(2 * t, (t, t, True))
-    if t and width < hi:
-        col = columns[width]
-        k = next((k for k, term in enumerate(col) if term[2]), 0)
-        i, j, positive = col[k]
-        col[k] = (i, j, not positive)
-        put(width + 1, (i, j, positive))
+    for j in range(t):
+        put(s + j, (s, j, False))
+    for i in range(s):
+        put(i + t, (i, t, False))
+    put(s + t, (s, t, True))
+    constant = ((1 << s) + (1 << t) - (1 << (m + n - 1))) % (1 << (m + n))
+    for c in range(min(hi, m + n - 1)):
+        if constant >> c & 1:
+            col = columns[c]
+            k = next((k for k, term in enumerate(col) if term[2]), 0)
+            i, j, positive = col[k]
+            col[k] = (i, j, not positive)
+            put(c + 1, (i, j, positive))
     return columns
 
 
 def mul_wallace(a: BitVector, b: BitVector, lo: int = 0, hi: int | None = None) -> BitVector:
-    """Bits [lo, hi) of the signed product; by default all 2w bits.
+    """Bits [lo, hi) of the signed product of an m-bit a and an n-bit b;
+    by default all m + n bits.
 
     Baugh–Wooley partial products fill the columns below ``hi`` (none
     above is built), a Wallace tree of full and half adders compresses
@@ -260,26 +264,25 @@ def mul_wallace(a: BitVector, b: BitVector, lo: int = 0, hi: int | None = None) 
     forms only carries below ``lo``.  Every kept bit is exact because
     the circuit works modulo 2^hi.
     """
-    _check_widths(a, b)
-    width = a.width
+    m, n = a.width, b.width
     if hi is None:
-        hi = 2 * width
-    if not 0 <= lo < hi <= 2 * width:
-        raise ParameterError(f"product window [{lo}, {hi}) outside [0, {2 * width})")
+        hi = m + n
+    if not 0 <= lo < hi <= m + n:
+        raise ParameterError(f"product window [{lo}, {hi}) outside [0, {m + n})")
     a_bits, b_bits = a.bits, b.bits
     nands = {}
 
     def materialize(term):
         i, j, positive = term
-        n = nands.get((i, j))
-        if n is None:
-            n = nands[(i, j)] = nand(a_bits[i], b_bits[j])
-        return not_gate(n) if positive else n
+        gate = nands.get((i, j))
+        if gate is None:
+            gate = nands[(i, j)] = nand(a_bits[i], b_bits[j])
+        return not_gate(gate) if positive else gate
 
     columns = [[materialize(term) for term in col]
-               for col in _partial_products(width, hi)]
+               for col in _partial_products(m, n, hi)]
     out = _final_add(_compress_columns(columns), lo, a.backend)
-    if hi == 2 * width and width > 1:
+    if hi == m + n > 2:
         out[-1] = not_gate(out[-1])
     return BitVector(out)
 

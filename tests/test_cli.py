@@ -163,6 +163,19 @@ def test_bound_prints_certified_widths(workdir, capsys):
     assert lines[start + 2].split() == ["0", "7", str(widest), str(10 - widest)]
 
 
+def test_bound_prints_private_weight_widths(workdir, capsys):
+    """Per layer, what the encrypted-weight circuits are built from and
+    at: the micro model's 6-bit weights and 3-bit biases, the 7-bit pixels
+    and 6-bit floored products each multiply reads and builds, and its
+    widest add-tree node, 8 bits."""
+    assert run("bound", "--model", workdir / "micro.txt") == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("with --encrypt-weights"))
+    assert lines[start + 1].split() == ["layer", "b_w", "b_b", "b_x", "b_p", "max", "b_s"]
+    assert lines[start + 2].split() == ["0", "6", "3", "7", "6", "8"]
+    assert lines[start + 3] == "machine-readable:"
+
+
 def test_bound_of_a_model_whose_weights_do_not_encode_exits_4(workdir, capsys):
     """A weight of 100 does not fit w=10, f=5, so no layer can be built or
     certified: one error line, exit 4, and no partial report."""

@@ -567,32 +567,45 @@ def test_add_trees_depend_only_on_the_public_weights(tmp_path):
                                   cnn._left_chain(*certificate.sum_bits.shape))
 
 
-def test_encrypt_weights_adds_in_the_left_chain():
-    """With encrypted weights there is no certificate: each neuron adds its
-    terms to the bias in input order at w bits, the circuit of a left fold
-    of fp_add, gate for gate."""
-    net = cnn.NetworkSpec([make_conv(1, 2, 2, 1), make_fc(18, 2)], 4, 4,
-                          fp.FixedPointFormat(10, 5))
-    for layer, certificate in zip(net.layers, net.certificate()):
-        input_bits, sum_bits, operands = cnn._widths(layer, net.fmt, certificate, True)
-        out, fan_in = layer.scaled(net.fmt)[0].shape
-        assert input_bits == 10 and (sum_bits == 10).all()
-        chain = [[0, 1]] + [[fan_in + i, i + 1] for i in range(1, fan_in)]
-        assert operands.tolist() == [chain] * out
+def test_encrypt_weights_fold_over_the_bounded_tree():
+    """With encrypted weights a neuron is the fold of fp_mul and fp_add
+    over the bounded walk's tree at its widths, gate for gate; every
+    neuron of the layer has the same tree.  The micro model's bounds: 7-bit
+    pixels, 6-bit weights, 3-bit biases, 6-bit floored products (window
+    [5, 11)) and nodes of 7, 7, 8 and 8 bits."""
+    (micro,) = demo.micro_model().certificate(encrypt_weights=True)
+    assert demo.micro_model().layers[0].bit_widths(fp.FixedPointFormat(10, 5)) == (6, 3)
+    assert micro.mul_bits == (7, 6, 6)
+    assert micro.sum_bits.tolist() == [[7, 7, 8, 8]] * 2
+    small = fp.FixedPointFormat(10, 5)
     rnd = random.Random(22)
-    vals, ws = [rnd.uniform(-1, 1) for _ in range(4)], [rnd.uniform(-1, 1) for _ in range(4)]
+    spec = make_fc(4, 2, weights=np.array([[rnd.uniform(-1, 1) for _ in range(4)]
+                                           for _ in range(2)]), biases=np.array([0.25, -0.5]))
+    (certificate,) = cnn.NetworkSpec([spec], 2, 2, small).certificate(encrypt_weights=True)
+    input_bits, sum_bits, operands, mul_bits = cnn._widths(spec, small, certificate)
+    assert (operands == operands[0]).all() and (sum_bits == sum_bits[0]).all()
+    assert input_bits == 7 and mul_bits[0] == 7 and mul_bits[1] < 10 and mul_bits[2] < 10
+    vals = [rnd.uniform(-1, 1) for _ in range(4)]
     runs = []
     for by_hand in (False, True):
         backend = ClearBackend()
-        xs = [fp.encode(v, net.fmt, backend) for v in vals]
+        xs = [fp.encode(v, small, backend) for v in vals]
         if by_hand:
-            acc = fp.encode(0.25, net.fmt, backend)
-            for x, w in zip(xs, ws):
-                acc = fp.fp_add(acc, fp.fp_mul(x, fp.encode(w, net.fmt, backend)))
+            scores = []
+            for o in range(2):
+                values = [fp.encode(spec.biases[o], small, backend)] + [
+                    fp.fp_mul(x, fp.encode(w, small, backend), mul_bits)
+                    for x, w in zip(xs, spec.weights[o])]
+                for (a, b), bits in zip(operands[o].tolist(), sum_bits[o].tolist()):
+                    values.append(fp.fp_add(values[a], values[b], bits))
+                scores.append(values[-1])
         else:
-            acc = dot_product(xs, ws, 0.25, encrypt_weights=True)
-        runs.append((acc.bits.to_int(), backend.stats.nand_count))
+            scores = cnn.fc_layer(xs, spec, True, certificate=certificate).scores
+        runs.append(([s.bits.to_int() for s in scores], backend.stats.nand_count))
     assert runs[0] == runs[1]
+    backend = ClearBackend()
+    public = cnn.fc_layer([fp.encode(v, small, backend) for v in vals], spec).scores
+    assert [s.bits.to_int() for s in public] == runs[0][0]
 
 
 def test_layer_charges_are_kept_per_tree():
@@ -732,9 +745,16 @@ def test_argmax_tie_rule():
 @pytest.mark.parametrize("encrypt_weights", [False, True])
 def test_classify_gate_trace_depends_only_on_shape(tiny_net, encrypt_weights):
     """Two images give the same gate-level NAND count; with encrypted
-    weights so do two networks of the same shapes and other weights."""
+    weights so do two networks of the same shapes whose weights and
+    biases are permuted within each layer, which keeps the layers' public
+    bit widths."""
     rng = np.random.default_rng(21)
-    other = _scaled_tiny(-0.5) if encrypt_weights else tiny_net
+    other = tiny_net
+    if encrypt_weights:
+        other = dataclasses.replace(tiny_net, layers=[dataclasses.replace(
+            layer, weights=rng.permutation(layer.weights.ravel()).reshape(layer.weights.shape),
+            biases=rng.permutation(layer.biases)) for layer in tiny_net.layers])
+        assert not np.array_equal(other.layers[0].weights, tiny_net.layers[0].weights)
     counts = []
     for net in (tiny_net, other):
         backend = ClearBackend()  # gate-level
@@ -742,6 +762,46 @@ def test_classify_gate_trace_depends_only_on_shape(tiny_net, encrypt_weights):
         cnn.classify(cnn.encrypt_image(pixels, net.fmt, backend), net, encrypt_weights)
         counts.append(backend.stats.nand_count)
     assert counts[0] == counts[1]
+
+
+def test_private_widths_follow_only_the_weight_bit_widths(tiny_net):
+    """What an encrypted model's circuits reveal: a head weight raised to
+    the largest magnitude of the head's weight bits leaves every layer's
+    widths as they are; one that crosses the next power of two widens the
+    head's multiplies and nothing before it."""
+    fmt, head = tiny_net.fmt, tiny_net.layers[-1]
+    b_w = head.bit_widths(fmt)[0]
+
+    def widths(value):
+        weights = head.weights.copy()
+        weights[0, 0] = value
+        net = dataclasses.replace(tiny_net, layers=[
+            *tiny_net.layers[:-1], dataclasses.replace(head, weights=weights)])
+        return [tuple(np.asarray(v).tolist() for v in cnn._widths(layer, fmt, certificate))
+                for layer, certificate in zip(net.layers, net.certificate(encrypt_weights=True))]
+
+    base = widths(head.weights[0, 0])
+    assert widths(-((1 << b_w - 1) - 1) / fmt.scale) == base
+    wider = widths((1 << b_w - 1) / fmt.scale)
+    assert wider[:-1] == base[:-1]
+    assert wider[-1][3][1] == b_w + 1 and wider[-1][3] > base[-1][3]
+
+
+def test_private_multiply_reads_enough_bits_for_its_window(fast_vs_gate):
+    """A layer whose inputs and weights fit 2 bits each has floored
+    products in [-1, 0], bit f = 5 of a product that fits 4 bits; the
+    multiply reads the weight at 4 bits, enough for the window [5, 6),
+    and both evaluators give the public weights' scores."""
+    small = fp.FixedPointFormat(10, 5)
+    net = cnn.NetworkSpec([make_fc(1, 2, weights=np.full((2, 1), 1 / 32), biases=np.zeros(2),
+                                   act=cnn.RELU),
+                           make_fc(2, 2, weights=np.array([[1, -1], [-1, -1]]) / 32,
+                                   biases=np.zeros(2))], 1, 1, small)
+    assert net.certificate(encrypt_weights=True)[1].mul_bits == (2, 4, 1)
+    pixels = np.linspace(-1, 1, 7)[:, None, None, None]
+    (scores, nands), gate = fast_vs_gate(net, pixels, encrypt_weights=True)
+    assert (scores, nands) == gate and nands > 0
+    assert scores == fast_vs_gate(net, pixels)[0][0]
 
 
 def _conv_fc_net():
@@ -789,7 +849,7 @@ def test_fc_layers_match_gate_path(make_net, encrypt_weights, certified):
         current = cnn.encrypt_image(pixels, net.fmt, backend)
         layers = []
         for i, layer in enumerate(net.layers):
-            certificate = net.certificate()[i] if certified else None
+            certificate = net.certificate(encrypt_weights)[i] if certified else None
             before = backend.stats.nand_count
             if layer.kind == cnn.CONVOLUTION:
                 current = cnn.conv_layer(current, layer, encrypt_weights, layer_index=i,
@@ -806,6 +866,25 @@ def test_fc_layers_match_gate_path(make_net, encrypt_weights, certified):
     fast, gate = runs
     assert fast == gate
     assert all(nands > 0 for _, nands in fast)
+
+
+@pytest.mark.parametrize("make_net", [_conv_fc_net, _fc_fc_net, _pool3_net])
+def test_private_weights_on_a_public_image_match_gate_path(make_net):
+    """Encrypted weights on a public image: each product is a mul_const by
+    the pixel, planned at the weight's width; the whole-layer evaluator
+    gives the gate path's values and NANDs, and the values of public
+    weights."""
+    net = make_net()
+    pixels = np.random.default_rng(39).uniform(
+        -1, 1, (net.input_channels, net.input_height, net.input_width))
+    runs = []
+    for fast, encrypt_weights in ((True, True), (False, True), (True, False)):
+        backend = ClearBackend(fast_arith=fast)
+        scores = cnn.classify(cnn.encrypt_image(pixels, net.fmt, backend, encrypt=False), net,
+                              encrypt_weights)
+        runs.append(([fp._lane_values(s)[0] for s in scores.scores], backend.stats.nand_count))
+    assert runs[0] == runs[1] and runs[0][1] > 0
+    assert runs[2][0] == runs[0][0]
 
 
 def test_two_fc_layer_network():

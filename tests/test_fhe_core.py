@@ -464,7 +464,9 @@ def test_ciphertexts_are_kept_recomposed(preset):
 
 def test_golden_score_ciphertexts(toy_params, toy_key):
     """The encrypted micro model (private weights, auto-refresh) yields
-    these exact score ciphertexts, noise estimates and counts."""
+    these exact score ciphertexts, noise estimates and counts, and
+    decrypts to the score integers it gave when its circuits were w bits
+    wide."""
     backend = fc.GswBackend(toy_params, key=toy_key, seed=5, auto_refresh=True)
     net = micro_model()
     img = cnn.encrypt_image(synthetic_images(1, 2, 2)[0], net.fmt, backend, encrypt=True)
@@ -475,5 +477,6 @@ def test_golden_score_ciphertexts(toy_params, toy_key):
             digest.update(bit.ciphertext.matrix.astype(np.int64).tobytes())
             digest.update(repr(bit.ciphertext.noise_estimate).encode())
     assert digest.hexdigest() == (
-        "ca3dbddd5731cf88bcc7236c10ababed110ca2e1c9b2f41feef3d64821f8583b")
-    assert backend.stats.snapshot() == (7896, 7896, 218.0)
+        "9a10ab2b6975512e10f2ce236087e4a67d2c598c5f9f946e554856b7e83ed4fa")
+    assert backend.stats.snapshot() == (3692, 3692, 218.0)
+    assert [value.bits.to_int() for value in scores.scores] == [-10, 22]

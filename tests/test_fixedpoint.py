@@ -611,10 +611,23 @@ def test_readme_public_weight_mul_row():
         for layer, widths in zip(net.layers, net.certificate()):
             pairs = [(fp.PRIVATE, (full, int(k) & full)) for k in layer.scaled(fmt)[0].ravel()]
             costs += [n for n, _ in fp.fold_costs("mul", fmt, pairs)]
-            certified += [n for n, _ in fp.fold_costs("mul", fmt, pairs, widths.input_bits)]
+            certified += [n for n, _ in fp.fold_costs(
+                "mul", fmt, pairs, (widths.input_bits, widths.input_bits, fmt.total_bits))]
         want += [f"{private:,}", _spread(costs)]
     want.append(_spread(certified))
     assert [cell.strip() for cell in row.strip().strip("|").split("|")[1:]] == want
+
+
+def test_readme_private_weight_mul_cell():
+    """The README's certified-widths ``fp_mul`` cell: what fold_costs
+    charges for the preset model's private-weight multiply in each layer,
+    at the (b_x, b_w, b_p) of the walk over the weights' bit widths."""
+    row = next(line for line in README.read_text().splitlines()
+               if line.strip().startswith("| `fp_mul` |"))
+    net = demo.preset_model()
+    costs = [fp.fold_costs("mul", net.fmt, [(fp.PRIVATE, fp.PRIVATE)], c.mul_bits)[0][0]
+             for c in net.certificate(encrypt_weights=True)]
+    assert row.strip().strip("|").split("|")[-1].strip() == " / ".join(f"{n:,}" for n in costs)
 
 
 def test_readme_kernel_shared_mul_row():

@@ -92,7 +92,7 @@ def test_add_sub_exhaustive_width6():
 def test_width_mismatch_rejected(clear):
     a = g.BitVector.from_int(1, 4, clear)
     b = g.BitVector.from_int(1, 5, clear)
-    for op in (g.add, g.sub, g.mul_wallace, g.compare, g.less_than,
+    for op in (g.add, g.sub, g.compare, g.less_than,
                lambda x, y: g.mux(clear.const(1), x, y)):
         with pytest.raises(WidthMismatchError):
             op(a, b)
@@ -121,19 +121,19 @@ def test_mul_exhaustive_width4():
 
 @pytest.mark.parametrize("width", range(1, 7))
 def test_mul_window_exhaustive(width):
-    """Every product window [lo, hi) equals bits lo..hi-1 of x*y."""
-    half = 1 << (width - 1)
-    pairs = [(x, y) for x in range(-half, half) for y in range(-half, half)]
-    backend = fc.ClearBackend(lanes=len(pairs))
-    a = g.BitVector.from_lane_ints([p[0] for p in pairs], width, backend)
-    b = g.BitVector.from_lane_ints([p[1] for p in pairs], width, backend)
-    for lo in range(2 * width):
-        for hi in range(lo + 1, 2 * width + 1):
-            got = g.mul_wallace(a, b, lo=lo, hi=hi)
-            assert got.width == hi - lo
-            mask = (1 << (hi - lo)) - 1
-            for lane, (x, y) in enumerate(pairs):
-                assert got.to_int(lane) & mask == ((x * y) >> lo) & mask, (lo, hi, x, y)
+    """For a width-bit a and every n-bit b, n from 1 to 6, every product
+    window [lo, hi) of the m x n array equals bits lo..hi-1 of x*y."""
+    for n in range(1, 7):
+        pairs = [(x, y) for x in range(-(1 << width - 1), 1 << width - 1)
+                 for y in range(-(1 << n - 1), 1 << n - 1)]
+        backend = fc.ClearBackend(lanes=len(pairs))
+        a = g.BitVector.from_lane_ints([p[0] for p in pairs], width, backend)
+        b = g.BitVector.from_lane_ints([p[1] for p in pairs], n, backend)
+        exact = _lane_masks([x * y for x, y in pairs], width + n)
+        for lo in range(width + n):
+            for hi in range(lo + 1, width + n + 1):
+                got = g.mul_wallace(a, b, lo=lo, hi=hi)
+                assert [bit.clear_value for bit in got.bits] == exact[lo:hi], (width, n, lo, hi)
 
 
 def _lane_masks(values, width):
@@ -369,8 +369,10 @@ def test_circuit_nand_budgets(clear):
     assert _nands(clear, lambda: g.add(vec(w), vec(w))) == 9 * w - 5
     assert _nands(clear, lambda: g.sub(vec(w), vec(w))) == 10 * w - 5
     assert _nands(clear, lambda: g.less_than(vec(w), vec(w))) == 6 * w - 1
-    assert _nands(clear, lambda: g.mul_wallace(vec(10), vec(10), lo=5, hi=15)) <= 903
-    assert _nands(clear, lambda: g.mul_wallace(vec(32), vec(32), lo=16, hi=48)) <= 9982
+    assert _nands(clear, lambda: g.mul_wallace(vec(10), vec(10), lo=5, hi=15)) == 902
+    assert _nands(clear, lambda: g.mul_wallace(vec(32), vec(32), lo=16, hi=48)) == 9981
+    # the micro model's private-weight multiply: 7-bit pixels, 6-bit weights
+    assert _nands(clear, lambda: g.mul_wallace(vec(7), vec(6), lo=5, hi=11)) == 399
 
 
 @pytest.mark.parametrize("width", [16, 32])
