@@ -10,13 +10,15 @@ channel-major, then row, then column, and a fully connected layer is the
 evaluator runs both kinds of layer, with public or encrypted weights,
 through one layer routine.
 
-Independent input rows, output channels and nodes are embarrassingly
-parallel; a ``workers`` knob fans them out while per-task seed scopes,
-each entered once, keep results bit-identical for any worker count; a
-clear backend with ``fast_arith`` runs each layer instead as one array
-walk (windows, add trees, ReLU, max pooling) over the lanes' integers,
+Each layer is one walk (windows, add trees, ReLU, max pooling) in one
+of three domains: the gate path walks the input cells' ciphertexts, and
+a clear backend with ``fast_arith`` walks the lanes' integers instead
 and charges the NANDs the gate path evaluates by the same walk over the
-inputs' public patterns.
+inputs' public patterns.  On the gate path the products of independent
+input rows and the walks of independent blocks of pool-size output rows
+are embarrassingly parallel; a ``workers`` knob fans them out while
+per-task seed scopes, each entered once, keep results bit-identical for
+any worker count.
 With public weights, a convolution builds each input pixel's products
 with every output channel's kernel from one adder graph per input
 channel, which they share, and ``classify`` builds every multiply, add
@@ -37,7 +39,7 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -395,24 +397,6 @@ def flatten_image(img: EncImage) -> list:
             for ch, r, c in flatten_order(len(img.channels), img.height, img.width)]
 
 
-def _add_tree(leaf, operands, sum_bits) -> FixedPointCipher:
-    """The root of one neuron's add tree: node i adds the two values
-    ``operands[i]`` names at width ``sum_bits[i]``.  Leaf j (the bias,
-    then product j - 1) is ``leaf(j)``, built when a node first reads it;
-    each value is read once and then dropped, so the left chain builds
-    and holds what a running sum would."""
-    fan_in = len(sum_bits)
-    nodes = {}
-
-    def value(v: int) -> FixedPointCipher:
-        return leaf(v) if v <= fan_in else nodes.pop(v)
-
-    for i, ((a, b), bits) in enumerate(zip(np.asarray(operands).tolist(),
-                                          np.asarray(sum_bits).tolist())):
-        nodes[fan_in + 1 + i] = fp_add(value(a), value(b), bits)
-    return nodes.pop(2 * fan_in)
-
-
 def _parallel_map(fn, items, workers: int):
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -426,11 +410,14 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
     """Valid convolution over all input channels, bias, activation, pooling.
 
     Each window adds its bias and products in an add tree (see
-    _gate_layer), the ``certificate``'s at its widths when one is given
+    _walk_layer), the ``certificate``'s at its widths when one is given
     (with ``encrypt_weights``, the bounded walk's), else the w-bit left
     chain.  With public weights each input pixel's products with every
     output channel's kernel come from its input channel's shared adder
-    graph.  The weight modes give the same bits."""
+    graph; with encrypted weights the weights and biases are encrypted
+    once per call.  The weight modes give the same bits.  ``workers``
+    fans out input rows and blocks of pool_size output rows (see
+    _gate_layer)."""
     if spec.kind != CONVOLUTION:
         raise ParameterError("conv_layer needs a convolution LayerSpec")
     return _layer(img, spec, encrypt_weights, workers, layer_index, certificate)
@@ -445,7 +432,9 @@ def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
     features are the channels of a 1 x 1 image, each node is one output
     channel, and its trees are built as ``conv_layer``'s: with public
     weights each feature's products with every node's weight come from
-    one adder graph."""
+    one adder graph, and with encrypted weights each weight is encrypted
+    once per call.  The single output row is one block, so ``workers``
+    has nothing to fan out."""
     if spec.kind != FULLY_CONNECTED:
         raise ParameterError("fc_layer needs a fully connected LayerSpec")
     features = list(features)
@@ -492,109 +481,121 @@ def _widths(spec: LayerSpec, fmt: FixedPointFormat, certificate) -> tuple:
     return certificate.input_bits, certificate.sum_bits, certificate.operands, certificate.mul_bits
 
 
-def _activate(v: FixedPointCipher, spec: LayerSpec, width: int) -> FixedPointCipher:
-    """The activation of a neuron whose value fits ``width`` bits."""
-    return fp_relu(v, width) if spec.activation == RELU else v
-
-
-def _max_pool(rows, pool: int) -> list:
-    """``rows`` max pooled over non-overlapping pool x pool windows."""
-    if pool == 1:
-        return rows
-    return [[fp_max([rows[r + dr][c + dc] for dr in range(pool) for dc in range(pool)])
-             for c in range(0, len(rows[0]), pool)] for r in range(0, len(rows), pool)]
-
-
 def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: int,
                 layer_index: int, widths: tuple) -> list:
     """Output channel grids of a layer run gate by gate at ``widths`` (see
-    _widths).  Each output channel adds, per window, its bias and its
-    products in window order (input channel, kernel row, column) in its
-    add tree, each leaf built when the tree reads it.
+    _widths): _walk_layer over the flat indices of the input cells, whose
+    steps build each node's ``fp_add``, each ReLU's ``fp_relu`` and each
+    pool fold's pairwise ``fp_max``.
 
-    With public weights each input pixel's products with every output
-    channel's kernel come from one adder graph, its input channel's plan
-    (``fp_mul_consts``), built for the kernel entries whose windows read
-    the pixel; only the products of the k input rows the current output
-    row reads are held.  With ``encrypt_weights`` the bias and each
-    weight are encrypted when the tree reads them, and each product is
-    one ``fp_mul`` at the widths' (b_x, b_w, b_p), so no product or
-    weight outlives its window.
+    With public weights the leaves are the biases' public encodings and a
+    table of products, indexed like _kernel_charge's but by the pixel's
+    place r·w + c in its channel in place of its pattern id: each input
+    pixel's products with every output channel's kernel come from one
+    adder graph, its input channel's plan (``fp_mul_consts``), built for the
+    kernel entries whose windows read the pixel (_kernel_entries).  With
+    ``encrypt_weights`` the weights and biases are encrypted once per
+    call, and each product is one ``fp_mul`` at the widths' (b_x, b_w,
+    b_p).
 
-    Work fans out over input rows for public products, in seed scope
-    (layer_index, out_channels + row), and over output channels for sums,
-    activation and pooling, in scope (layer_index, channel, row): every
-    scope is entered once, so results are identical for any ``workers``."""
-    k, out = spec.kernel_size, spec.out_channels
-    side_h, side_w = img.height - k + 1, img.width - k + 1
+    The weights are encrypted in seed scope (layer_index,), products fan
+    out over input rows in scopes (layer_index, 0, row), and the walk over
+    blocks of pool_size output rows in scopes (layer_index, 1, block):
+    every scope is entered once, so results are identical for any
+    ``workers``."""
+    k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
     first = img.channels[0][0][0]
     fmt, backend = first.fmt, first.backend
-    input_bits, sum_bits, operands, mul_bits = widths
-    weights = spec.weights.reshape(out, -1)
-    plans = None if encrypt_weights else spec.kernel_plans(fmt, input_bits)
-    rows, cols = _kernel_reads(img.height, k), _kernel_reads(img.width, k)
+    input_bits, sum_bits, _, mul_bits = widths
+    cells = np.array(img.channels, dtype=object)
+    channels, h, w = cells.shape
+    fan_in = channels * k * k
+    with backend.seed_scope(layer_index):
+        weights = np.array([encode(float(z), fmt, backend, encrypt=True)
+                            for z in spec.weights.ravel()], dtype=object).reshape(out, -1) \
+            if encrypt_weights else None
+        bias = np.array([encode(float(z), fmt, backend, encrypt=encrypt_weights)
+                         for z in spec.biases], dtype=object)
 
-    def products(r: int) -> list:
-        with backend.seed_scope(layer_index, out + r):
-            held = []
-            for grid, plan in zip(img.channels, plans):
-                cells = []
-                for c, x in enumerate(grid[r]):
-                    wanted = [oc * k * k + kr * k + kc for oc in range(out)
-                              for kr in rows[r] for kc in cols[c]]
-                    cells.append(dict(zip(wanted, fp_mul_consts(x, plan, wanted))))
-                held.append(cells)
-            return held
+    def products_of(r: int):
+        with backend.seed_scope(layer_index, 0, r):
+            for ic, plan in enumerate(plans):
+                for c, wanted in enumerate(entries[r]):
+                    table = products[:, ic * k * k:(ic + 1) * k * k, r * w + c]
+                    table[np.divmod(wanted, k * k)] = fp_mul_consts(cells[ic, r, c], plan, wanted)
 
-    def leaf(oc: int, r: int, c: int, j: int) -> FixedPointCipher:
-        if j == 0:
-            return encode(float(spec.biases[oc]), fmt, backend, encrypt=encrypt_weights)
-        ic, at = divmod(j - 1, k * k)
-        kr, kc = divmod(at, k)
+    def leaves(windows):
         if encrypt_weights:
-            return fp_mul(img.channels[ic][r + kr][c + kc],
-                          encode(float(weights[oc, j - 1]), fmt, backend, encrypt=True), mul_bits)
-        return held[kr][ic][c + kc][oc * k * k + at]
+            terms = _each(lambda v, z: fp_mul(v, z, mul_bits), cells.ravel()[windows[..., None, :]],
+                          weights)
+        else:
+            terms = products[np.arange(out)[:, None], np.arange(fan_in),
+                             windows[..., None, :] % (h * w)]
+        return _leaves(bias, terms)
 
-    grids, pending = [[] for _ in range(out)], [[] for _ in range(out)]
-    held = []  # public weights: held[kr] is input row r + kr, per input channel and column
-    for r in range(side_h):
-        if not encrypt_weights:
-            # the rows r..r+k-1 not held yet: all k at first, then one
-            held += _parallel_map(products, list(range(r + len(held), r + k)), workers)
+    def block(b: int):
+        with backend.seed_scope(layer_index, 1, b):
+            return _walk_layer(
+                x[:, :, b * pool:(b + 1) * pool + k - 1], spec, widths, leaves,
+                lambda i, p, q: _each(fp_add, p, q, sum_bits[:, i]),
+                lambda v: _each(fp_relu, v, sum_bits[:, -1]),
+                lambda p, q: _each(lambda a, z: fp_max([a, z]), p, q))
 
-        def one_row(oc: int):
-            with backend.seed_scope(layer_index, oc, r):
-                pending[oc].append([
-                    _activate(_add_tree(partial(leaf, oc, r, c), operands[oc], sum_bits[oc]),
-                              spec, int(sum_bits[oc, -1])) for c in range(side_w)])
-                if len(pending[oc]) == spec.pool_size:
-                    grids[oc] += _max_pool(pending[oc], spec.pool_size)
-                    pending[oc] = []
-
-        _parallel_map(one_row, list(range(out)), workers)
-        held = held[1:]
-    return grids
+    if not encrypt_weights:
+        plans, entries = spec.kernel_plans(fmt, input_bits), _kernel_entries(spec, h, w)
+        products = np.empty((out, fan_in, h * w), dtype=object)
+        _parallel_map(products_of, list(range(h)), workers)
+    x = np.arange(cells.size).reshape(1, channels, h, w)
+    blocks = _parallel_map(block, list(range((h - k + 1) // pool)), workers)
+    return np.concatenate(blocks, axis=1)[0].transpose(2, 0, 1).tolist()
 
 
-def _kernel_reads(size: int, k: int) -> list:
-    """For each of ``size`` input rows (or columns) of a valid k x k
-    convolution, the kernel rows (or columns) whose windows read it."""
-    return [range(max(0, i - size + k), min(k, i + 1)) for i in range(size)]
+def _each(fn, *arrays) -> np.ndarray:
+    """``fn`` of each element tuple of the broadcast ``arrays``, in C order,
+    as an object array."""
+    return np.frompyfunc(fn, len(arrays), 1)(*arrays)
+
+
+def _leaves(bias, terms) -> np.ndarray:
+    """Each output's leaves (..., out, fan-in + 1) of a walk's add tree:
+    its ``bias``, then its ``terms`` (..., out, fan-in)."""
+    values = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,), dtype=terms.dtype)
+    values[..., 0] = bias
+    values[..., 1:] = terms
+    return values
+
+
+def _kernel_entries(spec: LayerSpec, h: int, w: int) -> list:
+    """Per pixel (r, c) of an h x w input channel, the kernel entries
+    whose windows read it, as the ``kernel_plans`` constants oc·k² + kr·k
+    + kc of every output channel oc: the pixel's products that the gate
+    path builds and _kernel_charge charges.  Pixels that the same kernel
+    rows and columns read share one tuple."""
+    k, out = spec.kernel_size, spec.out_channels
+
+    @cache
+    def entries(rows: range, cols: range) -> tuple:
+        return tuple(oc * k * k + kr * k + kc for oc in range(out) for kr in rows for kc in cols)
+
+    rows, cols = ([range(max(0, i - n + k), min(k, i + 1)) for i in range(n)] for n in (h, w))
+    return [[entries(kr, kc) for kc in cols] for kr in rows]
 
 
 # ----------------------------------------------------------------------
-# whole-layer array evaluation (clear backend with fast_arith)
+# the layer walk, and the whole-layer evaluation on the lanes' integers
+# (clear backend with fast_arith)
 # ----------------------------------------------------------------------
 
 def _walk_layer(x, spec: LayerSpec, widths: tuple, leaves, add, relu, fold):
     """The layer over x (lanes, c, h, w) in one domain's values, (lanes,
-    h', w', out): each window's values in window order (input channel,
-    kernel row, column) go to ``leaves``, which returns every output's
-    leaves (..., out, fan-in + 1), the bias and then the products; each
-    output's add tree (see _widths) adds them with ``add(i, a, b)``
-    (_tree_root), ``relu`` activates them when the layer has ReLU, and
-    ``fold(a, b)`` folds each pool window in row order."""
+    h', w', out), where x may be indices that ``leaves`` looks up, as the
+    gate path's flat input cell indices: each window's values in window
+    order (input channel, kernel row, column) go to ``leaves``, which
+    returns every output's leaves (..., out, fan-in + 1), the bias and
+    then the products; each output's add tree (see _widths) adds them
+    with ``add(i, a, b)`` (_tree_root), ``relu`` activates them when the
+    layer has ReLU, and ``fold(a, b)`` folds each pool window in row
+    order."""
     k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
     win = sliding_window_view(x, (k, k), axis=(2, 3)).transpose(0, 2, 3, 1, 4, 5)
     lanes, side_h, side_w = win.shape[:3]
@@ -760,10 +761,7 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
             else:
                 out, fan_in = weights.shape
                 terms = products[np.arange(out)[:, None], np.arange(fan_in), windows[..., None, :]]
-            values = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,), dtype=np.int64)
-            values[..., 0] = bias
-            values[..., 1:] = terms
-            return values
+            return _leaves(bias, terms)
 
         ids = _walk_layer(in_ids[None], spec, widths, leaves,
                           lambda i, a, b: step("add", a, b, widths[1][:, i]),
@@ -789,11 +787,10 @@ def _kernel_charge(table: _FoldTable, spec: LayerSpec, in_ids, input_bits: int):
     fmt, k, out = table.fmt, spec.kernel_size, spec.out_channels
     channels, h, w = in_ids.shape
     plans = spec.kernel_plans(fmt, input_bits)
-    rows, cols = _kernel_reads(h, k), _kernel_reads(w, k)
-    pixels = Counter((ic, p, rows[r], cols[c]) for (ic, r, c), p in np.ndenumerate(in_ids))
+    entries = _kernel_entries(spec, h, w)
+    pixels = Counter((ic, p, entries[r][c]) for (ic, r, c), p in np.ndenumerate(in_ids))
     groups = {}
-    for (ic, p, kr, kc), count in pixels.items():
-        wanted = [oc * k * k + a * k + b for oc in range(out) for a in kr for b in kc]
+    for (ic, p, wanted), count in pixels.items():
         groups.setdefault((ic, p), []).append((wanted, count))
     products = np.zeros((out, channels * k * k, len(table.patterns)), dtype=np.int64)
     nands = 0
