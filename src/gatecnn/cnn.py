@@ -66,7 +66,7 @@ from .fixedpoint import (
     public_pattern,
     scaled_mul,
 )
-from .gates import const_mul_plan
+from .gates import BitVector, _sign_extend, const_mul_plan
 
 __all__ = [
     "PIXEL_BOUND",
@@ -495,8 +495,9 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: 
     adder graph, its input channel's plan (``fp_mul_consts``), built for the
     kernel entries whose windows read the pixel (_kernel_entries).  With
     ``encrypt_weights`` the weights and biases are encrypted once per
-    call, and each product is one ``fp_mul`` at the widths' (b_x, b_w,
-    b_p).
+    call, only their low ``bit_widths`` bits (the bits above are wires of
+    the top one), and each product is one ``fp_mul`` at the widths' (b_x,
+    b_w, b_p).
 
     The weights are encrypted in seed scope (layer_index,), products fan
     out over input rows in scopes (layer_index, 0, row), and the walk over
@@ -511,11 +512,13 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: 
     channels, h, w = cells.shape
     fan_in = channels * k * k
     with backend.seed_scope(layer_index):
-        weights = np.array([encode(float(z), fmt, backend, encrypt=True)
-                            for z in spec.weights.ravel()], dtype=object).reshape(out, -1) \
-            if encrypt_weights else None
-        bias = np.array([encode(float(z), fmt, backend, encrypt=encrypt_weights)
-                         for z in spec.biases], dtype=object)
+        if encrypt_weights:
+            (weights, b_w), (biases, b_b) = zip(spec.scaled(fmt), spec.bit_widths(fmt))
+            weights = _each(lambda z: _encrypt_low(int(z), b_w, fmt, backend), weights)
+            bias = _each(lambda z: _encrypt_low(int(z), b_b, fmt, backend), biases)
+        else:
+            bias = np.array([encode(float(z), fmt, backend, encrypt=False)
+                             for z in spec.biases], dtype=object)
 
     def products_of(r: int):
         with backend.seed_scope(layer_index, 0, r):
@@ -548,6 +551,14 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: 
     x = np.arange(cells.size).reshape(1, channels, h, w)
     blocks = _parallel_map(block, list(range((h - k + 1) // pool)), workers)
     return np.concatenate(blocks, axis=1)[0].transpose(2, 0, 1).tolist()
+
+
+def _encrypt_low(z: int, bits: int, fmt: FixedPointFormat, backend) -> FixedPointCipher:
+    """The ``fmt`` word of the integer z, which fits ``bits`` signed bits,
+    with only those low bits encrypted: the bits above are wires of the
+    top one."""
+    low = BitVector.from_int(z, min(bits, fmt.total_bits), backend, encrypt=True)
+    return FixedPointCipher(BitVector(_sign_extend(low, fmt.total_bits)), fmt)
 
 
 def _each(fn, *arrays) -> np.ndarray:

@@ -7,10 +7,10 @@ exact product, i.e. the product arithmetic-shifted right by ``frac_bits``
 error of one multiply is one-sided and below 1/scale.  The multiplier
 circuits build only those product bits and the carries they need: a
 shift-and-add over the constant's signed digits when one operand is
-wholly public (a model weight), a Wallace-tree array otherwise.  The
-products of one value with several public constants (every kernel of a
-convolution layer on one input channel) can share that shift-and-add's
-adders (``fp_mul_consts``).  A value certified to fit b < w bits (see
+wholly public (a model weight), a Baugh–Wooley array whose columns one
+reducer sums otherwise.  The products of one value with several public
+constants (every kernel of a convolution layer on one input channel) can
+share that shift-and-add's adders (``fp_mul_consts``).  A value certified to fit b < w bits (see
 ``cnn.NetworkSpec.certificate``) can be built narrow: an add of width b
 ripples over the low b bits and copies bit b-1 upward as wires, a
 constant multiply planned for b-bit operands reads only the low b bits,
@@ -72,9 +72,9 @@ __all__ = [
 ]
 
 # Widest format.  Formats are read from untrusted files, and a format's
-# circuits grow with w (a Wallace multiplier by about w^2 gates, each run
-# in Python when a charge is probed) while theorem_bound needs 1/scale as
-# a float, so a file may not ask for an unbounded one.
+# circuits grow with w (a private-operand multiplier by about w^2 gates,
+# each run in Python when a charge is probed) while theorem_bound needs
+# 1/scale as a float, so a file may not ask for an unbounded one.
 MAX_TOTAL_BITS = 64
 
 
@@ -288,12 +288,12 @@ def fp_mul(a: FixedPointCipher, b: FixedPointCipher, widths=None) -> FixedPointC
     When one operand is wholly public (b is tried first), its integer is a
     constant and the shift-and-add ``gates.mul_const`` multiplies by it,
     the one-constant case of ``fp_mul_consts``; otherwise the
-    Baugh–Wooley/Wallace array does.  With ``widths`` (b_a, b_b, b_p),
-    certified to hold a, b and the floored product, with f + b_p at most
-    b_a + b_b, only a's low b_a bits and b's low b_b bits are read, the
-    array builds product bits f..f+b_p-1, and the product's bits above
-    are wires copying its bit b_p - 1; the clear backend checks all three
-    fit."""
+    Baugh–Wooley array ``gates.mul_wallace`` does.  With ``widths`` (b_a,
+    b_b, b_p), certified to hold a, b and the floored product, with
+    f + b_p at most b_a + b_b, only a's low b_a bits and b's low b_b bits
+    are read, the array builds product bits f..f+b_p-1, and the product's
+    bits above are wires copying its bit b_p - 1; the clear backend
+    checks all three fit."""
     _check_formats(a, b)
     f, w = a.fmt.frac_bits, a.fmt.total_bits
     bits_a, bits_b, bits_p = (w, w, w) if widths is None else widths

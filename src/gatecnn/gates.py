@@ -1,21 +1,24 @@
 """Boolean circuits composed from the single NAND primitive.
 
 Everything here is a pure function over immutable bits: derived gates,
-ripple adders, two's-complement subtract, a Baugh–Wooley multiplier with
-a Wallace-tree reduction that builds only a requested window of product
-bits, multiplication by public integers as shift-and-add over one adder
-graph that their products share (a digit chain for one integer, a
-greedy graph planned over numpy arrays for several), sign-based
-comparison and an oblivious multiplexer.  A constant multiply is planned
-for its operand's width, which may be narrower than a word when the
-operand is known to fit fewer bits.  The gate sequence of every
-circuit depends only on operand widths and on which bits are public
-constants (``nand`` folds gates those fix), never on private values, so
-encrypted evaluation leaks nothing through the trace.
+ripple adders, two's-complement subtract, a Baugh–Wooley multiplier
+whose columns one reducer sums, earliest-ready bits first, building only
+a requested window of product bits, multiplication by public integers
+as shift-and-add over one adder graph that their products share (a
+digit chain for one integer, a greedy graph planned over numpy arrays
+for several), sign-based comparison and an oblivious multiplexer.  A
+constant multiply is planned for its operand's width, which may be
+narrower than a word when the operand is known to fit fewer bits.  The
+gate sequence of every circuit depends only on operand widths and on
+which bits are public constants (``nand`` folds gates those fix), never
+on private values, so encrypted evaluation leaks nothing through the
+trace.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -258,11 +261,10 @@ def mul_wallace(a: BitVector, b: BitVector, lo: int = 0, hi: int | None = None) 
     by default all m + n bits.
 
     Baugh–Wooley partial products fill the columns below ``hi`` (none
-    above is built), a Wallace tree of full and half adders compresses
-    them to two rows, and a final ripple add produces bits lo..hi-1.
-    Compressors in column hi-1 drop their carries, and the final adder
-    forms only carries below ``lo``.  Every kept bit is exact because
-    the circuit works modulo 2^hi.
+    above is built) and _reduce_columns sums them to bits lo..hi-1.
+    Every kept bit is exact because the circuit works modulo 2^hi.  The
+    name is the multiplier's public one, which tracers wrap by name,
+    though no Wallace tree is left.
     """
     m, n = a.width, b.width
     if hi is None:
@@ -279,77 +281,60 @@ def mul_wallace(a: BitVector, b: BitVector, lo: int = 0, hi: int | None = None) 
             gate = nands[(i, j)] = nand(a_bits[i], b_bits[j])
         return not_gate(gate) if positive else gate
 
-    columns = [[materialize(term) for term in col]
+    columns = [[(2 if term[2] else 1, materialize(term)) for term in col]
                for col in _partial_products(m, n, hi)]
-    out = _final_add(_compress_columns(columns), lo, a.backend)
+    out = _reduce_columns(columns, lo, a.backend)
     if hi == m + n > 2:
         out[-1] = not_gate(out[-1])
     return BitVector(out)
 
 
-def _compress_columns(columns):
-    """One classic Wallace reduction: full adders on triples, a half adder
-    on a leftover pair, until every column holds at most two bits.  The
-    last column's carries would leave the window, so there a full adder
-    keeps only its sum and a half adder becomes an XOR."""
-    top = len(columns) - 1
-    while max(len(col) for col in columns) > 2:
-        nxt = [[] for _ in range(len(columns))]
-        for c, col in enumerate(columns):
-            i = 0
-            while len(col) - i >= 3:
-                if c == top:
-                    nxt[c].append(_xor3(col[i], col[i + 1], col[i + 2]))
-                else:
-                    s, cout = full_adder(col[i], col[i + 1], col[i + 2])
-                    nxt[c].append(s)
-                    nxt[c + 1].append(cout)
-                i += 3
-            if len(col) - i == 2:
-                if c == top:
-                    nxt[c].append(xor_gate(col[i], col[i + 1]))
-                else:
-                    s, cout = half_adder(col[i], col[i + 1])
-                    nxt[c].append(s)
-                    nxt[c + 1].append(cout)
-            else:
-                nxt[c].extend(col[i:])
-        columns = nxt
-    return columns
+def _reduce_columns(columns, lo: int, backend):
+    """Sum the bits of ``columns`` (pairs (ready, bit), column c weighing
+    2^c) modulo 2^len(columns); return the sum bits of columns lo and up.
 
-
-def _final_add(columns, lo: int, backend):
-    """Add the (at most) two rows left in ``columns``; return the sum bits
-    of columns lo and up.  Below ``lo`` only the carry is formed; a column
-    holding a single bit and no carry passes through without a gate."""
-    out = []
-    carry = None
+    Each column, lowest first, is folded with the carries from below to
+    one bit: a full adder on three bits, a half adder only on a final
+    pair.  Below ``lo`` the final adder forms only its carry, and the top
+    column's adders only their sums, since their carries leave the window.
+    Each adder takes the column's earliest-ready bits, the latest of them
+    as carry-in, where ``ready`` is a bit's NAND depth under the adders'
+    own: a full adder's sum is ready at max(a, b) + 6 or cin + 3 and its
+    carry at max(a, b) + 5 or cin + 2, a half adder's at + 3 and + 2.
+    The order depends only on the shapes, never on private values.
+    """
+    out, carries = [], []
     top = len(columns) - 1
+    order = itertools.count()
     for c, col in enumerate(columns):
-        bits = col if carry is None else [*col, carry]
-        carry = None
-        if c < lo:
-            if len(bits) == 3:
-                carry = _majority(*bits)
-            elif len(bits) == 2:
-                carry = and_gate(*bits)
-        elif not bits:
-            out.append(backend.const(0))
-        elif len(bits) == 1:
-            out.append(bits[0])
-        elif c == top:
-            out.append(xor_gate(*bits) if len(bits) == 2 else _xor3(*bits))
-        elif len(bits) == 2:
-            s, carry = half_adder(*bits)
-            out.append(s)
-        else:
-            s, carry = full_adder(*bits)
-            out.append(s)
+        bits = [(ready, next(order), bit) for ready, bit in col] + carries
+        heapq.heapify(bits)
+        carries = []
+        while len(bits) > 1:
+            group = [heapq.heappop(bits) for _ in range(min(3, len(bits)))]
+            ready, _, ins = zip(*group)
+            full = len(ins) == 3
+            if full:
+                ready_s, ready_c = max(ready[1] + 6, ready[2] + 3), max(ready[1] + 5, ready[2] + 2)
+            else:
+                ready_s, ready_c = ready[1] + 3, ready[1] + 2
+            if c == top:  # the carry would leave the window
+                s, cout = (_xor3 if full else xor_gate)(*ins), None
+            elif c < lo and not bits:  # the column's last adder: no sum is read
+                s, cout = None, (_majority if full else and_gate)(*ins)
+            else:
+                s, cout = (full_adder if full else half_adder)(*ins)
+            if s is not None:
+                heapq.heappush(bits, (ready_s, next(order), s))
+            if cout is not None:
+                carries.append((ready_c, next(order), cout))
+        if c >= lo:
+            out.append(bits[0][2] if bits else backend.const(0))
     return out
 
 
 def mul_schoolbook(a: BitVector, b: BitVector) -> BitVector:
-    """Shift-and-add reference multiplier (independent of the Wallace path)."""
+    """Shift-and-add reference multiplier (independent of mul_wallace)."""
     _check_widths(a, b)
     w2 = 2 * a.width
     backend = a.backend

@@ -313,12 +313,15 @@ def test_workers_bit_identical_encrypted_tiny(toy_params, toy_key, tiny_net, enc
     weight modes, as test_workers_bit_identical_encrypted: with one output
     channel a product scope (layer, input row) and a pool-block scope
     (layer, block) would both be (0, 2).  classify encrypts each weight and
-    bias once, 20 words of 12 bits, not once per window that reads it
-    (2,040 bits)."""
+    bias once, not once per window that reads it (2,040 bits), and only
+    the low bits of its layer's ``bit_widths`` that the circuits read:
+    116 bits of 20 12-bit words (240)."""
     encrypted = classify_with_workers_1_and_2(tiny_net, demo.synthetic_images(1, 6, 6, seed=5)[0],
                                               encrypt_weights, toy_params, toy_key)
-    words = sum(layer.weights.size + layer.biases.size for layer in tiny_net.layers)
-    assert (words, encrypted) == (20, 240 if encrypt_weights else 0)
+    fmt = tiny_net.fmt
+    narrow = sum(layer.weights.size * layer.bit_widths(fmt)[0]
+                 + layer.biases.size * layer.bit_widths(fmt)[1] for layer in tiny_net.layers)
+    assert (narrow, encrypted) == (116, 116 if encrypt_weights else 0)
 
 
 @pytest.mark.parametrize("seed, conv_act, fc_act, lanes", [

@@ -477,6 +477,6 @@ def test_golden_score_ciphertexts(toy_params, toy_key):
             digest.update(bit.ciphertext.matrix.astype(np.int64).tobytes())
             digest.update(repr(bit.ciphertext.noise_estimate).encode())
     assert digest.hexdigest() == (
-        "b144dff2197d30c54e117f91d3c3a4ca8d56b8b4564c61b503fb04303fa51137")
-    assert backend.stats.snapshot() == (3692, 3692, 218.0)
+        "c18136ea0663208397740518d77a7e56bdc8da29bd96f18d368964dc0792fb5b")
+    assert backend.stats.snapshot() == (3436, 3436, 218.0)
     assert [value.bits.to_int() for value in scores.scores] == [-10, 22]

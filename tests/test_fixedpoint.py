@@ -596,7 +596,7 @@ def _spread(costs) -> str:
 
 def test_readme_public_weight_mul_row():
     """The README's NANDs for ``fp_mul`` by a public weight are what
-    fold_costs charges: on private operands (the Wallace array), and min /
+    fold_costs charges: on private operands (the multiplier array), and min /
     mean / max over the micro model's weights at w=10 and the preset
     model's at w=32, then with the operand at its layer's certified input
     width."""

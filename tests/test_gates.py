@@ -142,6 +142,71 @@ def _lane_masks(values, width):
             for i in range(width)]
 
 
+# Windows [lo, hi) of an m x n mul_wallace: its NANDs, and the NAND depth
+# the classic Wallace tree it replaced had there.
+MUL_SHAPES = [
+    (10, 10, 5, 15, 850, 47),  # a w-bit fp_mul at w=10, f=5
+    (32, 32, 16, 48, 9507, 118),  # at w=32, f=16
+    (7, 6, 5, 11, 367, 36),  # the micro model: 7-bit pixels, 6-bit weights
+    (18, 16, 16, 32, 2935, 81),  # the preset model's conv1
+    (21, 17, 16, 37, 3691, 91),  # conv2
+    (28, 16, 16, 43, 4662, 103),  # fc
+]
+
+# The preset model's private-weight multiplies (b_x, b_w, [f, f + b_p)).
+PRESET_MUL_SHAPES = [shape[:4] for shape in MUL_SHAPES[3:]]
+
+
+@pytest.mark.parametrize("m, n, lo, hi", PRESET_MUL_SHAPES)
+def test_mul_wide_rectangular_windows_exact(m, n, lo, hi):
+    """At the preset model's private-weight shapes, bits [lo, hi) of x·y for
+    random operands and every pair of the extremes -2^(b-1), ±(2^(b-1) - 1)
+    and 0."""
+    rnd = random.Random(m * 100 + n)
+    tm, tn = 1 << (m - 1), 1 << (n - 1)
+    pairs = [(x, y) for x in (-tm, 1 - tm, tm - 1, 0) for y in (-tn, 1 - tn, tn - 1, 0)]
+    pairs += [(rnd.randrange(-tm, tm), rnd.randrange(-tn, tn)) for _ in range(200)]
+    backend = fc.ClearBackend(lanes=len(pairs))
+    a = g.BitVector.from_lane_ints([x for x, _ in pairs], m, backend)
+    b = g.BitVector.from_lane_ints([y for _, y in pairs], n, backend)
+    got = g.mul_wallace(a, b, lo=lo, hi=hi)
+    assert [bit.clear_value for bit in got.bits] == \
+        _lane_masks([x * y for x, y in pairs], hi)[lo:]
+
+
+class _DeepBit(fc.EncBit):
+    __slots__ = ("depth",)
+
+
+class DepthProbe(fc.FoldProbe):
+    """A FoldProbe whose private bits carry their NAND depth: 0 for an
+    input, one more than the deeper operand for a NAND's output (a public
+    constant counts as depth 0)."""
+
+    def _bit(self, depth: int) -> _DeepBit:
+        bit = _DeepBit(self)
+        bit.depth = depth
+        return bit
+
+    def encrypt_bit(self, bit: int) -> _DeepBit:
+        return self._bit(0)
+
+    def nand(self, a, b) -> _DeepBit:
+        super().nand(a, b)
+        return self._bit(max(getattr(a, "depth", 0), getattr(b, "depth", 0)) + 1)
+
+
+@pytest.mark.parametrize("m, n, lo, hi, _, wallace_depth", MUL_SHAPES)
+def test_mul_wallace_no_deeper_than_the_wallace_tree(m, n, lo, hi, _, wallace_depth):
+    """Each column's adders take its earliest-ready bits, so the circuit
+    is no deeper than the classic Wallace tree was (a first-in-first-out
+    order within a column is about twice as deep or more)."""
+    probe = DepthProbe()
+    out = g.mul_wallace(g.BitVector.from_int(0, m, probe, encrypt=True),
+                        g.BitVector.from_int(0, n, probe, encrypt=True), lo=lo, hi=hi)
+    assert max(bit.depth for bit in out.bits) <= wallace_depth
+
+
 @pytest.mark.parametrize("width", range(1, 7))
 def test_mul_const_exhaustive(width):
     """For every k in [-2^width, 2^width] and every window [lo, hi) with hi
@@ -207,7 +272,7 @@ def test_mul_const_gate_trace_depends_on_k_only():
 def test_mul_const_never_costs_more_than_folded_wallace(width):
     """At the fixed-point window [f, f+w), a private operand times each
     public w-bit k: the shift-and-add circuit evaluates no more NANDs than
-    the Wallace array with k's bits folded in, and under half as many on
+    the mul_wallace array with k's bits folded in, and under half as many on
     average."""
     f, mask, half = width // 2, (1 << width) - 1, 1 << (width - 1)
     ks = range(-half, half)
@@ -369,10 +434,8 @@ def test_circuit_nand_budgets(clear):
     assert _nands(clear, lambda: g.add(vec(w), vec(w))) == 9 * w - 5
     assert _nands(clear, lambda: g.sub(vec(w), vec(w))) == 10 * w - 5
     assert _nands(clear, lambda: g.less_than(vec(w), vec(w))) == 6 * w - 1
-    assert _nands(clear, lambda: g.mul_wallace(vec(10), vec(10), lo=5, hi=15)) == 902
-    assert _nands(clear, lambda: g.mul_wallace(vec(32), vec(32), lo=16, hi=48)) == 9981
-    # the micro model's private-weight multiply: 7-bit pixels, 6-bit weights
-    assert _nands(clear, lambda: g.mul_wallace(vec(7), vec(6), lo=5, hi=11)) == 399
+    for m, n, lo, hi, nands, _ in MUL_SHAPES:
+        assert _nands(clear, lambda: g.mul_wallace(vec(m), vec(n), lo=lo, hi=hi)) == nands
 
 
 @pytest.mark.parametrize("width", [16, 32])

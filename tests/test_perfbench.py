@@ -36,7 +36,7 @@ def test_gsw_private_traced_run_is_correct():
     result = _run("gsw_private", trace=1)
     assert result["correct"] is True
     assert result["failed"] == 0
-    assert result["metrics"]["fhe_core.nand_calls"]["value"] == 3692
+    assert result["metrics"]["fhe_core.nand_calls"]["value"] == 3436
 
 
 def test_clear_paper_run_pins_the_folded_nand_count():
