@@ -20,12 +20,12 @@ are embarrassingly parallel; a ``workers`` knob fans them out while
 per-task seed scopes, each entered once, keep results bit-identical for
 any worker count.
 With public weights, a convolution builds each input pixel's products
-with every output channel's kernel from one adder graph per input
-channel, which they share, and ``classify`` builds every multiply, add
-and ReLU only as wide as the network's interval certificate
-(``NetworkSpec.certificate``) proves its values need, for pixels in
-[-PIXEL_BOUND, PIXEL_BOUND], adding each neuron's terms narrowest first
-in a tree the certificate fixes.  With encrypted weights (the private
+with the kernel entries its windows read, in every output channel, from
+one adder graph planned over just those weights, and ``classify``
+builds every multiply, add and ReLU only as wide as the network's
+interval certificate (``NetworkSpec.certificate``) proves its values
+need, for pixels in [-PIXEL_BOUND, PIXEL_BOUND], adding each neuron's
+terms narrowest first in a tree the certificate fixes.  With encrypted weights (the private
 model setting) the certificate walks only each layer's public weight
 and bias bit widths, so every neuron shares one tree, and its var-by-var
 products and adds are built that narrow.  Scores stay encrypted: argmax
@@ -115,12 +115,10 @@ class LayerSpec:
     pool_size: int = 1
     # the whole-layer evaluator's NAND charges, kept per format, weight
     # entry, input patterns, widths and add trees for the last
-    # _CHARGES_LIMIT inputs (see _charge_layer), per format the scaled
-    # weights and biases (see scaled), and per format and input width
-    # the kernel plans (see kernel_plans)
+    # _CHARGES_LIMIT inputs (see _charge_layer), and per format the scaled
+    # weights and biases (see scaled)
     charges: dict = field(default_factory=dict, init=False, repr=False)
     _scaled: dict = field(default_factory=dict, init=False, repr=False)
-    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("weights", "biases"):
@@ -156,23 +154,15 @@ class LayerSpec:
                 for values in (self.weights.reshape(self.out_channels, -1), self.biases))
         return found
 
-    def kernel_plans(self, fmt: FixedPointFormat, input_bits: int | None = None) -> list:
-        """Per input channel, the adder-graph plan (``gates.const_mul_plan``)
-        of every output channel's k x k kernel on that channel, at fmt's
-        product window, for inputs of ``input_bits`` bits (default w): its
-        constants are the kernels' ``fmt`` integers in (oc, kr, kc) order,
-        so constant oc·k² + kr·k + kc is output channel oc's.  For a fully
-        connected layer that is one plan per input feature over its
-        column of out weights.  Built once per format and input width."""
-        w, f = fmt.total_bits, fmt.frac_bits
-        input_bits = w if input_bits is None else input_bits
-        found = self._plans.get((fmt, input_bits))
-        if found is None:
-            kernels = self.scaled(fmt)[0].reshape(self.out_channels, self.in_channels, -1)
-            found = self._plans[fmt, input_bits] = [
-                const_mul_plan([int(z) for z in kernels[:, ic].ravel()], input_bits, f, f + w)
-                for ic in range(self.in_channels)]
-        return found
+    def kernel_constants(self, fmt: FixedPointFormat, ic: int, entries) -> tuple:
+        """The ``fmt`` integers of the kernel entries ``entries`` on input
+        channel ic, where entry oc·k² + kr·k + kc is output channel oc's
+        weight at (kr, kc) (see _kernel_entries): the constants of the
+        adder-graph plan (``gates.const_mul_plan``) of a pixel whose
+        windows read those entries.  For a fully connected layer the one
+        entry set of a feature is its column of out weights."""
+        kernels = self.scaled(fmt)[0].reshape(self.out_channels, self.in_channels, -1)
+        return tuple(kernels[:, ic].ravel()[list(entries)].tolist())
 
     def bit_widths(self, fmt: FixedPointFormat) -> tuple:
         """(b_w, b_b): the signed bits of the largest |weight| and |bias|
@@ -412,12 +402,12 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
     Each window adds its bias and products in an add tree (see
     _walk_layer), the ``certificate``'s at its widths when one is given
     (with ``encrypt_weights``, the bounded walk's), else the w-bit left
-    chain.  With public weights each input pixel's products with every
-    output channel's kernel come from its input channel's shared adder
-    graph; with encrypted weights the weights and biases are encrypted
-    once per call.  The weight modes give the same bits.  ``workers``
-    fans out input rows and blocks of pool_size output rows (see
-    _gate_layer)."""
+    chain.  With public weights each input pixel's products with the
+    kernel entries its windows read come from one shared adder graph,
+    planned for its input channel and entry set; with encrypted weights
+    the weights and biases are encrypted once per call.  The weight modes
+    give the same bits.  ``workers`` fans out input rows and blocks of
+    pool_size output rows (see _gate_layer)."""
     if spec.kind != CONVOLUTION:
         raise ParameterError("conv_layer needs a convolution LayerSpec")
     return _layer(img, spec, encrypt_weights, workers, layer_index, certificate)
@@ -489,11 +479,13 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: 
     pool fold's pairwise ``fp_max``.
 
     With public weights the leaves are the biases' public encodings and a
-    table of products, indexed like _kernel_charge's but by the pixel's
-    place r·w + c in its channel in place of its pattern id: each input
-    pixel's products with every output channel's kernel come from one
-    adder graph, its input channel's plan (``fp_mul_consts``), built for the
-    kernel entries whose windows read the pixel (_kernel_entries).  With
+    table of products (out, fan-in, h·w) by output channel, kernel entry
+    (ic, kr, kc) and the pixel's place r·w + c in its channel: each input
+    pixel's products with the kernel entries whose windows read it
+    (_kernel_entries), in every output channel, come from one adder graph
+    (``fp_mul_consts``), the plan of its input channel and entry set.
+    Each (input channel, entry set) of the layer is planned once per call,
+    before the products fan out, and the plans live until it returns.  With
     ``encrypt_weights`` the weights and biases are encrypted once per
     call, only their low ``bit_widths`` bits (the bits above are wires of
     the top one), and each product is one ``fp_mul`` at the widths' (b_x,
@@ -522,10 +514,11 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: 
 
     def products_of(r: int):
         with backend.seed_scope(layer_index, 0, r):
-            for ic, plan in enumerate(plans):
-                for c, wanted in enumerate(entries[r]):
+            for ic in range(channels):
+                for c, entry_set in enumerate(entries[r]):
                     table = products[:, ic * k * k:(ic + 1) * k * k, r * w + c]
-                    table[np.divmod(wanted, k * k)] = fp_mul_consts(cells[ic, r, c], plan, wanted)
+                    table[np.divmod(entry_set, k * k)] = fp_mul_consts(cells[ic, r, c],
+                                                                       plans[ic, entry_set])
 
     def leaves(windows):
         if encrypt_weights:
@@ -545,7 +538,11 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: 
                 lambda p, q: _each(lambda a, z: fp_max([a, z]), p, q))
 
     if not encrypt_weights:
-        plans, entries = spec.kernel_plans(fmt, input_bits), _kernel_entries(spec, h, w)
+        entries = _kernel_entries(spec, h, w)
+        plans = {(ic, entry_set): const_mul_plan(spec.kernel_constants(fmt, ic, entry_set),
+                                                 input_bits, fmt.frac_bits,
+                                                 fmt.frac_bits + fmt.total_bits)
+                 for ic in range(channels) for entry_set in {e for row in entries for e in row}}
         products = np.empty((out, fan_in, h * w), dtype=object)
         _parallel_map(products_of, list(range(h)), workers)
     x = np.arange(cells.size).reshape(1, channels, h, w)
@@ -577,11 +574,13 @@ def _leaves(bias, terms) -> np.ndarray:
 
 
 def _kernel_entries(spec: LayerSpec, h: int, w: int) -> list:
-    """Per pixel (r, c) of an h x w input channel, the kernel entries
-    whose windows read it, as the ``kernel_plans`` constants oc·k² + kr·k
-    + kc of every output channel oc: the pixel's products that the gate
-    path builds and _kernel_charge charges.  Pixels that the same kernel
-    rows and columns read share one tuple."""
+    """Per pixel (r, c) of an h x w input channel, its entry set: the
+    kernel entries oc·k² + kr·k + kc, of every output channel oc, whose
+    windows read it, which pick its products, its plan
+    (``LayerSpec.kernel_constants``) and so its charge.  Pixels that the
+    same kernel rows and columns read share one tuple: a k x k kernel has
+    at most (2k - 1)² entry sets (81 for k = 5), corners and edges
+    holding fewer entries than the interior's k²·out."""
     k, out = spec.kernel_size, spec.out_channels
 
     @cache
@@ -759,9 +758,9 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
             nands += int(cost.sum())
             return ids
 
-        bias, products = 0, None  # encrypted weights: a private bias
+        bias, x = 0, in_ids  # encrypted weights: a private bias
         if not encrypt_weights:
-            nands, products = _kernel_charge(table, spec, in_ids, widths[0])
+            nands, products, slots, x = _kernel_charge(table, spec, in_ids, widths[0])
             full = (1 << fmt.total_bits) - 1
             bias = table.ids([(full, z & full) for z in biases.tolist()])
 
@@ -770,11 +769,10 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
                 terms = step("mul", windows[..., None, :], np.zeros(weights.shape, dtype=np.int64),
                              widths[3])
             else:
-                out, fan_in = weights.shape
-                terms = products[np.arange(out)[:, None], np.arange(fan_in), windows[..., None, :]]
+                terms = products[slots[np.arange(weights.shape[1]), windows]].swapaxes(-1, -2)
             return _leaves(bias, terms)
 
-        ids = _walk_layer(in_ids[None], spec, widths, leaves,
+        ids = _walk_layer(x[None], spec, widths, leaves,
                           lambda i, a, b: step("add", a, b, widths[1][:, i]),
                           lambda v: step("relu", v, 0, widths[1][:, -1]),
                           lambda a, b: step("maxfold", a, b))
@@ -785,32 +783,42 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
 
 
 def _kernel_charge(table: _FoldTable, spec: LayerSpec, in_ids, input_bits: int):
-    """(NANDs, product ids) of a layer's shared multiplies by public
-    weights (``_gate_layer``), planned for ``input_bits``-bit inputs, on
-    input pattern ids ``in_ids`` (c, h, w): the NANDs over every input pixel,
-    and per output channel, kernel entry (ic, kr, kc) and input id, the
-    product's id.
+    """(NANDs, products, slots, classes) of a layer's shared multiplies by
+    public weights (``_gate_layer``), planned for ``input_bits``-bit
+    inputs, on input pattern ids ``in_ids`` (c, h, w): the NANDs over
+    every input pixel, each pixel's class (c, h, w), and per kernel entry
+    (ic, kr, kc) and class the slot, a row of ``products`` (rows, out),
+    that holds the ids of that entry's products in every output channel.
 
-    A pixel's NANDs depend on its pattern and on which kernel entries'
-    windows read it (the same in every output channel's kernel), so each
-    (input channel, pattern) is walked once over its channel's plan and
-    charged once per such entry set."""
+    A pixel's products and NANDs depend on its pattern and on its entry
+    set, the kernel entries whose windows read it (the same in every
+    output channel's kernel), which pick its plan; a class is one such
+    (entry set, pattern), and only its set's entries get slots.  Each
+    (input channel, entry set) is planned at most once, walked for each
+    of its patterns and dropped before the next (``const_mul_costs``), so
+    one plan is held at a time."""
     fmt, k, out = table.fmt, spec.kernel_size, spec.out_channels
     channels, h, w = in_ids.shape
-    plans = spec.kernel_plans(fmt, input_bits)
     entries = _kernel_entries(spec, h, w)
-    pixels = Counter((ic, p, entries[r][c]) for (ic, r, c), p in np.ndenumerate(in_ids))
-    groups = {}
-    for (ic, p, wanted), count in pixels.items():
-        groups.setdefault((ic, p), []).append((wanted, count))
-    products = np.zeros((out, channels * k * k, len(table.patterns)), dtype=np.int64)
-    nands = 0
-    for (ic, p), sets in groups.items():
-        wanted, counts = zip(*sets)
-        charges, patterns = const_mul_costs(fmt, plans[ic], table.patterns[p], wanted)
-        nands += sum(n * count for n, count in zip(charges, counts))
-        products[:, ic * k * k:(ic + 1) * k * k, p] = table.ids(patterns).reshape(out, k * k)
-    return nands, products
+    classes, groups = {}, {}
+    cls = np.empty(in_ids.shape, dtype=np.int64)
+    for (ic, r, c), p in np.ndenumerate(in_ids):
+        cls[ic, r, c] = classes.setdefault((entries[r][c], p), len(classes))
+        groups.setdefault((ic, entries[r][c]), Counter())[p] += 1
+    slots = np.zeros((channels * k * k, len(classes)), dtype=np.int32)
+    products = np.zeros((sum(len(s) // out * len(n) for (_, s), n in groups.items()), out),
+                        dtype=np.int32)
+    nands = row = 0
+    for (ic, entry_set), counts in groups.items():
+        local = np.array(entry_set[:len(entry_set) // out])  # kr·k + kc, as in every channel
+        costs = const_mul_costs(fmt, spec.kernel_constants(fmt, ic, entry_set), input_bits,
+                                [table.patterns[p] for p in counts])
+        for (p, count), (charge, patterns) in zip(counts.items(), costs):
+            nands += charge * count
+            slots[ic * k * k + local, classes[entry_set, p]] = np.arange(row, row + len(local))
+            products[row:row + len(local)] = table.ids(patterns).reshape(out, -1).T
+            row += len(local)
+    return nands, products, slots, cls
 
 
 def classify(img: EncImage, net: NetworkSpec, encrypt_weights: bool = False,

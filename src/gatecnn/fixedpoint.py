@@ -9,8 +9,9 @@ circuits build only those product bits and the carries they need: a
 shift-and-add over the constant's signed digits when one operand is
 wholly public (a model weight), a Baugh–Wooley array whose columns one
 reducer sums otherwise.  The products of one value with several public
-constants (every kernel of a convolution layer on one input channel) can
-share that shift-and-add's adders (``fp_mul_consts``).  A value certified to fit b < w bits (see
+constants (the kernel entries that a convolution's windows read at one
+input pixel) can share that shift-and-add's adders (``fp_mul_consts``).
+A value certified to fit b < w bits (see
 ``cnn.NetworkSpec.certificate``) can be built narrow: an add of width b
 ripples over the low b bits and copies bit b-1 upward as wires, a
 constant multiply planned for b-bit operands reads only the low b bits,
@@ -312,22 +313,22 @@ def fp_mul(a: FixedPointCipher, b: FixedPointCipher, widths=None) -> FixedPointC
     return FixedPointCipher(BitVector(out.bits + out.bits[-1:] * (w - bits_p)), a.fmt)
 
 
-def fp_mul_consts(x: FixedPointCipher, plan: gates.ConstMulPlan, wanted) -> list:
-    """x times each public integer plan.constants[j], j in ``wanted``,
-    floored back to the scale: bit-identical to ``fp_mul`` by the
-    constant's encoding, with one shared adder graph
-    (``gates.mul_consts``) for all of them.  ``plan`` is the
-    ``gates.const_mul_plan`` of the constants at the window [f, f+w) for
-    operands of plan.width bits, at most w: only x's lowest plan.width
-    bits are read, so x must fit them (the clear backend checks)."""
+def fp_mul_consts(x: FixedPointCipher, plan: gates.ConstMulPlan) -> list:
+    """x times each public integer of plan.constants, floored back to the
+    scale: bit-identical to ``fp_mul`` by the constant's encoding, with
+    one shared adder graph (``gates.mul_consts``) for all of them.
+    ``plan`` is the ``gates.const_mul_plan`` of the constants at the
+    window [f, f+w) for operands of plan.width bits, at most w: only x's
+    lowest plan.width bits are read, so x must fit them (the clear backend
+    checks)."""
     if isinstance(x.backend, ClearBackend):
         zx = np.array(_lane_values(x), dtype=int_dtype(x.fmt))
         if plan.width < x.fmt.total_bits:
             guard_range(zx, x.fmt, "a multiplication operand", plan.width)
-        for j in wanted:
-            guard_range(scaled_mul(zx, plan.constants[j], x.fmt), x.fmt, "multiplication")
+        for k in plan.constants:
+            guard_range(scaled_mul(zx, k, x.fmt), x.fmt, "multiplication")
     return [FixedPointCipher(bits, x.fmt)
-            for bits in gates.mul_consts(_low_bits(x, plan.width), plan, wanted)]
+            for bits in gates.mul_consts(_low_bits(x, plan.width), plan)]
 
 
 def fp_mul_const(a: FixedPointCipher, c: float, width: int | None = None) -> FixedPointCipher:
@@ -338,7 +339,7 @@ def fp_mul_const(a: FixedPointCipher, c: float, width: int | None = None) -> Fix
     f, w = a.fmt.frac_bits, a.fmt.total_bits
     plan = gates.const_mul_plan((float_to_scaled(c, a.fmt),), w if width is None else width,
                                 f, f + w)
-    return fp_mul_consts(a, plan, [0])[0]
+    return fp_mul_consts(a, plan)[0]
 
 
 def fp_geq_zero(x: FixedPointCipher) -> EncBit:
@@ -390,12 +391,13 @@ _COST_OPS = {
 }
 
 
-# (kind, format, width, a, b) of a fold_costs circuit, or (negative,
-# carries, width, and the sum's and term's public_patterns) of a mul_const
-# step -> (NANDs, output states) of that circuit on a FoldProbe, where a
-# state is a bit's public value or None for a private bit.  A circuit's
-# cost depends on nothing else, so every model in the process shares the
-# entries.
+# (kind, format, width, a, b) of a fold_costs circuit, or (circuit, input
+# states) of one column of a mul_const step -> (NANDs, output states) of
+# that circuit on a FoldProbe, where a state is a bit's public value or
+# None for a private bit; (negative, carries, width, and the sum's and
+# term's public_patterns) of a step -> (NANDs, output width and
+# public_pattern).  A circuit's cost depends on nothing else, so every
+# model in the process shares the entries.
 _FOLDS = {}
 _FOLDS_LIMIT = 1 << 17
 
@@ -445,61 +447,80 @@ def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width=None) -> list:
 
 def _step_cost(step: gates.ConstMulStep, xs, ts):
     """(NANDs, output states) of one mul_const step on sum and term bits
-    with the per-bit states ``xs`` and ``ts``."""
+    with the per-bit states ``xs`` and ``ts``, kept per shape and states
+    (with the output as a public_pattern, the smaller): the sums over its
+    column circuits (``gates.const_mul_step``'s cells), each run once per
+    input states on a FoldProbe."""
     key = (step.negative, step.carries, len(xs), *_pattern_of(xs), *_pattern_of(ts))
-    return _folded(key, lambda xs, ts: gates.const_mul_step(step, xs, ts), xs, ts)
+    found = _FOLDS.get(key)
+    if found is None:
+        nands = 0
+
+        def cell(circuit, *states):
+            nonlocal nands
+            cost, out = _folded((circuit, *states),
+                                lambda *bits: gates._cell(circuit, *(bit for [bit] in bits)),
+                                *([state] for state in states))
+            nands += cost
+            return out
+
+        out = gates.const_mul_step(step, xs, ts, cell)
+        found = _FOLDS[key] = (nands, len(out), _pattern_of(out))
+    nands, width, pattern = found
+    return nands, _states(pattern, width)
 
 
 def _const_mul_cost(fmt: FixedPointFormat, a: tuple, b: tuple, widths: tuple):
     """(NANDs, output public_pattern) of ``fp_mul`` at ``widths`` on
     operands with public_patterns a, b when one is wholly public, else
-    None: the one-constant plan for the other one's width, walked by
-    const_mul_costs."""
-    w, f = fmt.total_bits, fmt.frac_bits
+    None: the one-constant charge of const_mul_costs at the other one's
+    width."""
+    w = fmt.total_bits
     full = (1 << w) - 1
     for x, (y_public, y_value), width in ((a, b, widths[0]), (b, a, widths[1])):
         if y_public == full:
-            plan = gates.const_mul_plan((_signed(y_value, w),), width, f, f + w)
-            (nands,), (pattern,) = const_mul_costs(fmt, plan, x, [[0]])
+            [(nands, (pattern,))] = const_mul_costs(fmt, (_signed(y_value, w),), width, [x])
             return nands, pattern
     return None
 
 
-def const_mul_costs(fmt: FixedPointFormat, plan: gates.ConstMulPlan, pattern, wanted_sets):
-    """The NANDs ``fp_mul_consts(x, plan, wanted)`` evaluates for each
-    ``wanted`` of ``wanted_sets``, and each constant's product
-    public_pattern, for an x with public_pattern ``pattern``.
+def const_mul_costs(fmt: FixedPointFormat, ks, width: int, patterns) -> list:
+    """Per public_pattern of ``patterns``, the NANDs ``fp_mul_consts``
+    evaluates on an x with that pattern, by the plan of the public
+    integers ``ks`` for width-bit operands at fmt's window, and each
+    constant's product public_pattern.
 
-    Walks the plan's nodes over the per-bit states (public value, or
-    None) of x's lowest plan.width bits, the ones the plan reads; a node's
-    step is run once per shape and operand states (``_step_cost``), not
-    once per plan.  A wanted set is charged the steps of the nodes its
-    products read and the shared NOTs of each node a negative one of those
-    steps reads."""
-    width = plan.width
-    low = (1 << width) - 1
-    if pattern[0] & low == low:  # every gate folds
-        x = _signed(pattern[1] & low, width)
-        full = (1 << fmt.total_bits) - 1
-        return [0] * len(wanted_sets), [(full, (x * k >> fmt.frac_bits) & full)
-                                        for k in plan.constants]
-    nands = {}
+    An x whose lowest ``width`` bits (the ones the plan reads) are all
+    public folds every gate: it is charged 0 and its products are
+    computed as integers.  The plan is made only if some x has a private
+    bit there, once, and dropped on return.  It is walked over the per-bit
+    states (public value, or None) of each such x; a node's step runs once
+    per shape and operand states (``_step_cost``), not once per plan, and
+    each node a negative step reads charges the NOTs of its private bits
+    that those steps share."""
+    f, low, full = fmt.frac_bits, (1 << width) - 1, (1 << fmt.total_bits) - 1
+    plan, out = None, []
+    for pattern in patterns:
+        if pattern[0] & low == low:  # every gate folds
+            x = _signed(pattern[1] & low, width)
+            out.append((0, [(full, (x * k >> f) & full) for k in ks]))
+            continue
+        if plan is None:
+            plan = gates.const_mul_plan(ks, width, f, f + fmt.total_bits)
+        nands = 0
 
-    def step(st, xs, ts):
-        nands[st], out = _step_cost(st, xs, ts)
-        return out
+        def step(st, xs, ts):
+            nonlocal nands
+            cost, states = _step_cost(st, xs, ts)
+            nands += cost
+            return states
 
-    values = gates.const_mul_walk(plan, _states(pattern, width), 0,
-                                  range(1, len(plan.steps) + 1), step, _invert_state)
-    charges = []
-    for wanted in wanted_sets:
-        nodes = [plan.steps[i - 1] for i in plan.closure(wanted)]
-        negated = {st.term for st in nodes if st.negative and st.column < st.top}
-        charges.append(sum(nands.get(st, 0) for st in nodes)
-                       + sum([values[q][j] for j in plan.inverted[q]].count(None) for q in negated))
-    products = [_pattern_of(gates.const_mul_product(plan, values, j, 0))
-                for j in range(len(plan.constants))]
-    return charges, products
+        values = gates.const_mul_walk(plan, _states(pattern, width), 0, step, _invert_state)
+        negated = {st.term for st in plan.steps if st.negative and st.column < st.top}
+        nands += sum([values[q][j] for j in plan.inverted[q]].count(None) for q in negated)
+        out.append((nands, [_pattern_of(gates.const_mul_product(plan, values, j, 0))
+                            for j in range(len(ks))]))
+    return out
 
 
 def _invert_state(state):

@@ -17,6 +17,7 @@ trace.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -401,29 +402,15 @@ class ConstMulPlan(NamedTuple):
     (node i is steps[i - 1]), the indices of each node's bits whose NOT
     the negative steps reading it share, and per constant the node and
     shift whose bits [lo - shift, hi - shift) are its product (node None:
-    the product is 0) and the nodes that product reads, as a bit mask."""
+    the product is 0)."""
 
     constants: tuple
     steps: tuple
     inverted: tuple
     targets: tuple
-    needs: tuple
     lo: int
     hi: int
     width: int
-
-    def closure(self, wanted) -> list:
-        """The nodes above 0 that the products of constants ``wanted`` read,
-        in build order."""
-        mask = 0
-        for j in wanted:
-            mask |= self.needs[j]
-        nodes = []
-        while mask:
-            low = mask & -mask
-            nodes.append(low.bit_length() - 1)
-            mask ^= low
-        return nodes
 
 
 def _chain(u: int) -> list:
@@ -453,51 +440,57 @@ def _adder_graph(targets) -> list:
     furthest one-step prefix of the cheapest target's _chain.  Shifts stop
     where a shifted node passes 2^(bits of the largest target + 1).
 
-    The values one step from the built nodes (``reach``) grow by numpy
-    arrays as nodes are added; targets' partners are formed only in the
-    rounds that vote.  With B = 2^(bits of the largest target), shifted
-    nodes stay within 2·B and nodes (targets, chain prefixes and vote
-    winners) within 3·B, so every one-step value fits reach's window of
-    8·B."""
+    ``marks`` holds the built nodes (_NODE) and the values one step from
+    them (_REACH), which grow by numpy arrays after each round's nodes are
+    added; targets' partners are formed only in the rounds that vote.
+    With B = 2^(bits of the largest target), shifted nodes stay within
+    2·B and nodes (targets, chain prefixes and vote winners) within 3·B,
+    so every one-step value fits the window of 8·B."""
     bound = 1 << max(abs(t) for t in targets).bit_length()
     dtype = np.int64 if bound < 1 << 58 else object  # 8·bound fits an int64
-    reach = _OddSet(8 * bound, dtype)
+    marks = _OddMarks(8 * bound, dtype)
     remaining = [t for t in targets if t != 1]
-    nodes, built, ops = [], set(), []
+    ops = []
+    nodes = np.zeros(0, dtype)  # in build order
     shifted = np.zeros(0, dtype)  # every built node's shifts
+    powers = np.array([1 << i for i in range(1, (2 * bound).bit_length())], dtype)
 
-    def add(value):
-        nonlocal shifted
-        if nodes:
-            ops.append((value, *_best_step(value, nodes, built)))
-        nodes.append(value)
-        built.add(value)
-        ys = np.array([value << i for i in range(1, (2 * bound // abs(value)).bit_length())],
-                      dtype)
-        shifted = np.concatenate([shifted, ys])
-        column = np.array(nodes, dtype)[:, None]
-        # value ± r·2^i, r·2^i - value, r ± value·2^i, value·2^i - r and -value
-        reach.add(np.concatenate([value + shifted, value - shifted, shifted - value,
-                                  (column + ys).ravel(), (column - ys).ravel(),
-                                  (ys - column).ravel(), np.array([-value], dtype)]))
-        reach.discard(column.ravel())
+    def add(values):
+        """Build ``values`` in order, then mark _REACH every value one step
+        from them and the built nodes, a chunk of them at a time."""
+        nonlocal nodes, shifted
+        first = len(nodes)
+        nodes = np.concatenate([nodes, np.array(values, dtype)])
+        for i in range(first, len(nodes)):
+            if i:
+                ops.append((values[i - first], *_best_step(values[i - first], nodes[:i], marks)))
+            marks.mark(nodes[i:i + 1], _NODE)
+        ys = [v * powers[:(2 * bound // abs(v)).bit_length() - 1] for v in values]
+        shifted = np.concatenate([shifted, *ys])
+        size = max(1, _CHUNK // (3 * (len(shifted) + len(nodes) * len(powers))))
+        for start in range(0, len(values), size):
+            fresh = nodes[first + start:first + start + size]
+            # v ± r·2^i, r·2^i - v, r ± v·2^i, v·2^i - r and -v for a new v, node r
+            marks.mark_pairs(fresh, shifted)
+            marks.mark_pairs(nodes, np.concatenate(ys[start:start + size]))
+            marks.mark(-fresh, _REACH)
+        marks.mark(nodes, _NODE)  # over the marks of the values they reach
 
-    add(1)
+    add([1])
     while remaining:
-        within = set(reach.members(remaining).tolist())
-        ready = [t for t in remaining if t in within]
-        if ready:
-            for t in ready:
-                add(t)
-        else:
-            best = _votes(remaining, np.array(nodes, dtype), shifted, 2 * bound, reach)
+        near = marks.has(np.array(remaining, dtype), _REACH)
+        ready = [t for t, one_step in zip(remaining, near) if one_step]
+        if not ready:
+            best = _votes(remaining, nodes, shifted, 2 * bound, marks)
             if best is None:
                 t = min(remaining, key=lambda t: (len(_naf(t)), abs(t), t))
-                prefixes = [v for v, *_ in _chain(t)]
-                within = set(reach.members(prefixes).tolist())
-                best = next(v for v in reversed(prefixes) if v in within)
-            add(best)
-        remaining = [t for t in remaining if t not in built]
+                prefixes = [v for v, *_ in _chain(t)][::-1]
+                near = marks.has(np.array(prefixes, dtype), _REACH)
+                best = next(v for v, one_step in zip(prefixes, near) if one_step)
+            ready = [best]
+        add(ready)
+        done = set(ready)
+        remaining = [t for t in remaining if t not in done]
     live = set(targets)  # a greedy round may add a node no other node reads
     for value, sum_value, _, term_value, _, _ in reversed(ops):
         if value in live:
@@ -505,87 +498,128 @@ def _adder_graph(targets) -> list:
     return [op for op in ops if op[0] in live]
 
 
-# Widest window of odd values an _OddSet keeps as a bitmap (one byte each).
+# Most entries of one planner array built at once (256 KB of int64).
+_CHUNK = 1 << 15
+
+# Widest window of odd values an _OddMarks keeps as a bitmap (one byte each).
 _BITMAP_SPAN = 1 << 22
 
+# The marks of an odd value in _adder_graph: a built node, or one step from them.
+_NODE, _REACH = 1, 2
 
-class _OddSet:
-    """A set of odd integers of magnitude below ``span`` that takes and
-    gives arrays of ``dtype``: a bitmap up to _BITMAP_SPAN, else a Python
-    set."""
+
+class _OddMarks:
+    """Marks (_NODE or _REACH) on odd integers of magnitude below ``span``,
+    taken and given as arrays of ``dtype``: a bitmap up to _BITMAP_SPAN,
+    else a Python set per mark, where _NODE outranks _REACH.  In the bitmap
+    the slot of an odd v is (v + span - 1) / 2, and a later mark replaces
+    an earlier one."""
 
     def __init__(self, span: int, dtype):
         self.span, self.dtype = span, dtype
-        self.bits = np.zeros(span, dtype=bool) if span <= _BITMAP_SPAN else None
-        self.items = set()
+        self.marks = np.zeros(span, dtype=np.int8) if span <= _BITMAP_SPAN else None
+        self.sets = {_NODE: set(), _REACH: set()}
 
-    def add(self, values) -> None:
-        if self.bits is None:
-            self.items.update(values.tolist())
+    def mark(self, values, mark: int) -> None:
+        if self.marks is None:
+            self.sets[mark].update(values.tolist())
         else:
-            self.bits[(values + self.span) >> 1] = True
+            self.marks[(values + self.span) >> 1] = mark
 
-    def discard(self, values) -> None:
-        if self.bits is None:
-            self.items.difference_update(values.tolist())
-        else:
-            self.bits[(values + self.span) >> 1] = False
+    def mark_pairs(self, odd, even) -> None:
+        """Mark _REACH a ± b and b - a for every entry a of the odd ``odd``
+        and b of the even ``even``: the slots of a and -a plus or minus
+        b / 2."""
+        if self.marks is None:
+            a, b = odd[:, None], even[None, :]
+            self.mark(np.concatenate([(a + b).ravel(), (a - b).ravel(), (b - a).ravel()]), _REACH)
+            return
+        half = even >> 1
+        plus, minus = ((self.span - 1 + odd) >> 1)[:, None], ((self.span - 1 - odd) >> 1)[:, None]
+        self.marks[plus + half] = _REACH
+        self.marks[plus - half] = _REACH
+        self.marks[minus + half] = _REACH
 
-    def members(self, values) -> np.ndarray:
-        """The distinct entries of ``values`` that are in the set."""
-        values = np.asarray(values, dtype=self.dtype)
-        if self.bits is None:
-            return np.array(list(self.items.intersection(values.tolist())), self.dtype)
-        found = np.sort(values[self.bits[(values + self.span) >> 1]])
-        return np.concatenate([found[:1], found[1:][found[1:] != found[:-1]]])
+    def has(self, values, mark: int) -> np.ndarray:
+        """Whether each entry of the array ``values`` bears ``mark``."""
+        if self.marks is None:
+            found = self.sets[mark].intersection(values.ravel().tolist())
+            if mark == _REACH:
+                found -= self.sets[_NODE]
+            return np.isin(values, np.array(list(found), self.dtype))
+        return self.marks[(values + self.span) >> 1] == mark
 
 
-def _votes(remaining, nodes, shifted, limit: int, reach: _OddSet):
-    """The value of ``reach`` that is a partner of the most ``remaining``
-    targets, the smallest (|s|, s) on ties; None if there is none.  A
-    target's partners, the values one step forms it from with a built node
-    or alone, are t ± r·2^i and r·2^i - t for every shifted node, the odd
-    parts s of t - r (t = r ± s·2^i) and of t + r (t = s·2^i - r) for
-    every node r with |t ∓ r| <= ``limit``, and _partners_alone(t)."""
+def _votes(remaining, nodes, shifted, limit: int, marks: _OddMarks):
+    """The _REACH value of ``marks`` that is a partner of the most
+    ``remaining`` targets, the smallest (|s|, s) on ties; None if there is
+    none.  A target's partners, the values one step forms it from with a
+    built node or alone, are t ± r·2^i and r·2^i - t for every shifted
+    node, the odd parts s of t - r (t = r ± s·2^i) and of t + r (t =
+    s·2^i - r) for every node r with |t ∓ r| <= ``limit``, -t, and s =
+    t / (2^i ± 1) where 2^i - 1 <= |t|.  Targets are taken a chunk at a
+    time."""
+    targets = np.array(remaining, nodes.dtype)
+    factors, least = _alone_factors(limit, nodes.dtype)
+    size = max(1, _CHUNK // (3 * (len(shifted) + len(nodes) + len(factors))))
     found = []
-    for t in remaining:
-        near = [d[(d != 0) & (abs(d) <= limit)] for d in (t - nodes, t + nodes)]
-        near = [d // (d & -d) for d in near]  # odd parts
-        found.append(reach.members(np.concatenate([
-            np.array(list(_partners_alone(t)), nodes.dtype),
-            t - shifted, t + shifted, shifted - t, near[0], -near[0], near[1]])))
+    for start in range(0, len(targets), size):
+        t = targets[start:start + size, None]
+        near = [t - nodes, t + nodes]
+        near = [np.where((d != 0) & (abs(d) <= limit), d, 0) for d in near]
+        near = [np.where(d != 0, d // np.where(d != 0, d & -d, 1), 0) for d in near]  # odd parts
+        alone = np.where((least <= abs(t)) & (t % factors == 0), t // factors, 0)
+        values = np.concatenate([alone, -t, t - shifted, t + shifted, shifted - t,
+                                 near[0], -near[0], near[1]], axis=1)
+        values = np.where(marks.has(values, _REACH), values, 0)
+        values.sort(axis=1)  # to drop a target's repeats
+        fresh = values != 0
+        fresh[:, 1:] &= values[:, 1:] != values[:, :-1]
+        found.append(values[fresh])
     values, counts = np.unique(np.concatenate(found), return_counts=True)
     if not len(values):
         return None
     return min(values[counts == counts.max()].tolist(), key=lambda s: (abs(s), s))
 
 
-def _partners_alone(t: int) -> set:
-    """The values s from which one step forms t alone: -s, or s·(2^i ± 1)."""
-    out = {-t}
-    i = 2
-    while (1 << i) - 1 <= abs(t):
-        for m in ((1 << i) + 1, (1 << i) - 1, 1 - (1 << i)):
-            if t % m == 0:
-                out.add(t // m)
-        i += 1
-    return out
+@functools.lru_cache(maxsize=64)
+def _alone_factors(limit: int, dtype) -> tuple:
+    """The factors m of _votes' partners t / m, 2^i + 1, 2^i - 1 and
+    1 - 2^i for i >= 2 up to the bits of ``limit``, and for each the least
+    |t| it applies to, 2^i - 1 (read-only arrays of ``dtype``)."""
+    ones = [1 << i for i in range(2, limit.bit_length() + 1)]
+    factors = np.array([m for one in ones for m in (one + 1, one - 1, 1 - one)], dtype)
+    least = np.repeat(np.array(ones, dtype) - 1, 3)
+    factors.flags.writeable = least.flags.writeable = False
+    return factors, least
 
 
-def _best_step(value: int, nodes, built) -> tuple:
-    """(sum, shift, term, column, negative) of a step that forms ``value``
-    from the built nodes, the one with the highest term column (it forms
-    the fewest columns), the earliest found on ties."""
-    found = [(None, 0, -value, 0, True)] if -value in built else []
-    for r in nodes:
-        y, column = _odd_part(value - r)  # value = r ± y·2^column
-        if y in built or -y in built:
-            found.append((r, 0, y, column, False) if y in built else (r, 0, -y, column, True))
-        if value + r:  # value = y·2^column - r
-            y, column = _odd_part(value + r)
-            if y in built:
-                found.append((y, column, r, 0, True))
-    return max(found, key=lambda step: step[3])
+def _odd_parts(values) -> tuple:
+    """Per nonzero entry k of an integer array, (u, 2^s) with k = u·2^s
+    and u odd, as two arrays."""
+    low = values & -values
+    return values // low, low
+
+
+def _best_step(value: int, nodes, marks: _OddMarks) -> tuple:
+    """(sum, shift, term, column, negative) of a step that forms an odd
+    ``value`` from the built nodes (``nodes``, odd, in build order, each
+    marked _NODE): the one with the highest term column (it forms the
+    fewest columns), the earliest in node order on ties.  value = r ±
+    y·2^column with nodes r and ±y has column >= 1 and wins; else value =
+    -(-value); else value = y·2^column - r, whose term column is 0."""
+    y, low = _odd_parts(value - nodes)
+    plus = marks.has(y, _NODE)
+    columns = np.where(plus | marks.has(-y, _NODE), low, 0)
+    i = int(columns.argmax())
+    if columns[i]:
+        r, y, column = int(nodes[i]), int(y[i]), int(low[i]).bit_length() - 1
+        return (r, 0, y, column, False) if plus[i] else (r, 0, -y, column, True)
+    if marks.has(np.array([-value], nodes.dtype), _NODE)[0]:
+        return None, 0, -value, 0, True
+    y, low = _odd_parts(value + nodes)  # nonzero: -value is no node
+    i = int(marks.has(y, _NODE).argmax())
+    return int(y[i]), int(low[i]).bit_length() - 1, int(nodes[i]), 0, True
 
 
 def const_mul_plan(ks, width: int, lo: int, hi: int) -> ConstMulPlan:
@@ -602,8 +636,9 @@ def const_mul_plan(ks, width: int, lo: int, hi: int) -> ConstMulPlan:
     ks = tuple(ks)
     parts = []
     for k in ks:
-        digits = [(j, d) for j, d in _naf(k) if j < hi]
-        parts.append(_odd_part(sum(d << j for j, d in digits)) if digits else None)
+        if abs(k).bit_length() >= hi:  # drop the digits from hi up
+            k = sum(d << j for j, d in _naf(k) if j < hi)
+        parts.append(_odd_part(k) if k else None)
     odd = sorted({part[0] for part in parts if part}, key=lambda u: (abs(u), u))
     ops = [] if not odd else _chain(odd[0]) if len(odd) == 1 else _adder_graph(odd)
     index = {1: 0}
@@ -611,7 +646,7 @@ def const_mul_plan(ks, width: int, lo: int, hi: int) -> ConstMulPlan:
         index[op[0]] = len(index)
     need_lo, need_hi = [hi] * len(index), [0] * len(index)
     targets = [(index[part[0]], part[1]) if part else (None, 0) for part in parts]
-    for node, shift in targets:
+    for node, shift in set(targets):
         if node is not None:
             need_lo[node] = min(need_lo[node], max(0, lo - shift))
             need_hi[node] = max(need_hi[node], hi - shift)
@@ -629,39 +664,30 @@ def const_mul_plan(ks, width: int, lo: int, hi: int) -> ConstMulPlan:
             need_hi[term] = max(need_hi[term], top - column)
         steps[i - 1] = ConstMulStep(summed, shift, term, column, negative, top,
                                     max(0, min(need_lo[i], top - 1) - column))
-    # a negative step reads its term's bit 0 and ~term above it, sign-extended;
-    # a product reads the nodes its node reads (masks)
-    lengths, stops, masks = [width], [0] * len(index), [0]
-    for i, st in enumerate(steps, 1):
+    # a negative step reads its term's bit 0 and ~term above it, sign-extended
+    lengths, stops = [width], [0] * len(index)
+    for st in steps:
         lengths.append(st.top)
-        reads = 1 << i if st.sum is None else 1 << i | masks[st.sum]
-        if st.column < st.top:
-            reads |= masks[st.term]
-            if st.negative and st.top - st.column > 1:
-                stops[st.term] = max(stops[st.term], min(st.top - st.column, lengths[st.term]))
-        masks.append(reads)
+        if st.negative and st.top - st.column > 1:
+            stops[st.term] = max(stops[st.term], min(st.top - st.column, lengths[st.term]))
     inverted = tuple(range(min(1, n - 1), stop) if stop else range(0)
                      for n, stop in zip(lengths, stops))
-    needs = tuple(0 if node is None else masks[node] for node, _ in targets)
-    return ConstMulPlan(ks, tuple(steps), inverted, tuple(targets), needs, lo, hi, width)
+    return ConstMulPlan(ks, tuple(steps), inverted, tuple(targets), lo, hi, width)
 
 
 def _sign_extended(bits, width: int) -> list:
     return [*bits[:width], *bits[-1:] * (width - len(bits))]
 
 
-def const_mul_walk(plan: ConstMulPlan, bits, zero, nodes, step, invert) -> list:
-    """The plan's nodes ``nodes`` (in build order, with every node they
-    read) built from ``bits`` (a, low bit first), ``zero``, ``invert``
-    (a NOT) and ``step`` (const_mul_step's contract), which may work on
-    bits or on any stand-ins for them: a list with the bits of each node
-    over its columns [0, top), None for the nodes not built.  The lowest
-    ``carries`` columns of a step's range are not the node's bits; no
-    reader reads them."""
-    values = [list(bits)] + [None] * len(plan.steps)
+def const_mul_walk(plan: ConstMulPlan, bits, zero, step, invert) -> list:
+    """The plan's nodes built from ``bits`` (a, low bit first), ``zero``,
+    ``invert`` (a NOT) and ``step`` (const_mul_step's contract), which may
+    work on bits or on any stand-ins for them: a list with the bits of
+    each node over its columns [0, top).  The lowest ``carries`` columns
+    of a step's range are not the node's bits; no reader reads them."""
+    values = [list(bits)]
     inverted = {}
-    for i in nodes:
-        st = plan.steps[i - 1]
+    for st in plan.steps:
         if st.sum is None:
             acc = [zero] * st.top
         elif st.shift:
@@ -680,7 +706,7 @@ def const_mul_walk(plan: ConstMulPlan, bits, zero, nodes, step, invert) -> list:
             else:
                 terms = _sign_extended(term, width)
             acc[st.column + st.carries:] = step(st, acc[st.column:], terms)
-        values[i] = acc
+        values.append(acc)
     return values
 
 
@@ -694,42 +720,62 @@ def const_mul_product(plan: ConstMulPlan, values, j: int, zero) -> list:
     return [zero] * -start + bits if start < 0 else bits[start:]
 
 
-def const_mul_step(step: ConstMulStep, xs, ts) -> list:
+def _first_column(x: EncBit, y: EncBit, negative: bool, sums: bool) -> tuple:
+    """A step's lowest column, its sum x ^ y when ``sums`` and then its
+    carry: x & y, or x | ~y for a negative step (see const_mul_step)."""
+    n = nand(x, y)
+    right = nand(y, n) if negative or sums else None  # x | ~y
+    out = (nand(nand(x, n), right),) if sums else ()
+    return (*out, right if negative else not_gate(n))
+
+
+# A step's lowest-column circuit per (negative, forms the sum).
+_FIRST_COLUMNS = {(negative, sums): functools.partial(_first_column, negative=negative, sums=sums)
+                  for negative in (False, True) for sums in (False, True)}
+
+
+def _cell(circuit, *bits) -> tuple:
+    """The output bits of ``circuit`` on ``bits``, as a tuple."""
+    out = circuit(*bits)
+    return out if isinstance(out, tuple) else (out,)
+
+
+def const_mul_step(step: ConstMulStep, xs, ts, cell=_cell) -> list:
     """The sum bits of one plan step, from the running sum's bits ``xs``
     and the term's bits ``ts`` over its columns: x + a ripple add, or
     x - a as x + ~a + 1, where ``ts`` holds a in the lowest column (whose
     sum x ^ a and carry x | ~a fold the +1) and ~a above it.  The top
-    column forms no carry: above it the sum is a sign extension."""
-    x, y = xs[0], ts[0]
-    if len(xs) == 1:
-        return [xor_gate(x, y)]
-    n = nand(x, y)
-    right = nand(y, n) if step.negative or not step.carries else None  # x | ~y
-    out = [] if step.carries else [nand(nand(x, n), right)]
-    carry = right if step.negative else not_gate(n)
+    column forms no carry: above it the sum is a sign extension.
+
+    Each column is one circuit of its bits, which ``cell(circuit, *bits)``
+    runs and returns the output bits of (_cell's contract), so that a
+    charge can run each column on per-bit states instead."""
     top = len(xs) - 1
+    if not top:
+        return list(cell(xor_gate, xs[0], ts[0]))
+    *out, carry = cell(_FIRST_COLUMNS[step.negative, not step.carries], xs[0], ts[0])
     for c in range(1, top):
         if c < step.carries:
-            carry = _majority(xs[c], ts[c], carry)
+            (carry,) = cell(_majority, xs[c], ts[c], carry)
         else:
-            s, carry = full_adder(xs[c], ts[c], carry)
+            s, carry = cell(full_adder, xs[c], ts[c], carry)
             out.append(s)
-    out.append(_xor3(xs[top], ts[top], carry))
-    return out
+    return [*out, *cell(_xor3, xs[top], ts[top], carry)]
 
 
-def mul_consts(a: BitVector, plan: ConstMulPlan, wanted) -> list:
-    """Bits [lo, hi) of a·k modulo 2^hi for the plan's constants at indices
-    ``wanted``, from one shared adder graph: only the nodes those products
-    read are built, each once, and a product is wires into its node.  The
-    gates depend on the plan and on which bits of a are public, never on
-    a's private values.  ``a`` must have the plan's operand width."""
+def mul_consts(a: BitVector, plan: ConstMulPlan) -> list:
+    """Bits [lo, hi) of a·k modulo 2^hi for each of the plan's constants,
+    from one shared adder graph: each node is built once, and a product
+    is wires into its node.  The gates depend on the plan and on which
+    bits of a are public, never on a's private values.  ``a`` must have
+    the plan's operand width."""
     if a.width != plan.width:
         raise ParameterError(f"a {a.width}-bit operand for a plan of "
                              f"{plan.width}-bit operands")
     zero = a.backend.const(0)
-    values = const_mul_walk(plan, a.bits, zero, plan.closure(wanted), const_mul_step, not_gate)
-    return [BitVector(const_mul_product(plan, values, j, zero)) for j in wanted]
+    values = const_mul_walk(plan, a.bits, zero, const_mul_step, not_gate)
+    return [BitVector(const_mul_product(plan, values, j, zero))
+            for j in range(len(plan.constants))]
 
 
 def mul_const(a: BitVector, k: int, lo: int, hi: int) -> BitVector:
@@ -743,7 +789,7 @@ def mul_const(a: BitVector, k: int, lo: int, hi: int) -> BitVector:
     one ~a among the subtractions."""
     if not 0 <= lo < hi:
         raise ParameterError(f"product window [{lo}, {hi}) needs 0 <= lo < hi")
-    return mul_consts(a, const_mul_plan((k,), a.width, lo, hi), [0])[0]
+    return mul_consts(a, const_mul_plan((k,), a.width, lo, hi))[0]
 
 
 def compare(a: BitVector, b: BitVector) -> CompareResult:

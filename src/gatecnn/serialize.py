@@ -17,6 +17,11 @@ followed by length-prefixed sections (u32 LE byte count, then payload):
     section 2  kind-specific metadata (see _*_META below)
     section 3  payload
 
+A key file has no metadata section: its payload, the secret vector,
+follows the params block and is followed by a section holding the
+SHA-256 digest of every byte before that section, so that an altered
+key is refused instead of loading as another valid key.
+
 Matrix and vector entries are row-major unsigned little-endian integers
 of ceil(log_q / 8) bytes.  A gsw payload stores what a Ciphertext holds:
 first every bit's f64 noise estimate, in bit order, then every bit's
@@ -30,6 +35,7 @@ matrix C, are refused.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -193,7 +199,7 @@ def save_secret_key(sk: SecretKey, path) -> None:
     blob = (_header(KIND_KEY, params, "gsw")
             + _params_section(params)
             + _section(_pack_entries(sk.secret_vector, esize)))
-    atomic_write_bytes(path, blob)
+    atomic_write_bytes(path, blob + _section(hashlib.sha256(blob).digest()))
 
 
 def load_secret_key(path) -> SecretKey:
@@ -205,6 +211,12 @@ def load_secret_key(path) -> SecretKey:
     esize = _entry_size(params.log_q)
     count = params.lattice_dim + 1
     vec = _unpack_entries(rd.section(count * esize), count, esize)
+    signed = rd.pos
+    if signed == len(rd.data):
+        raise ModelFormatError("key file has no checksum section: regenerate it with "
+                               "keygen --seed (keygen is deterministic)")
+    if rd.section(32) != hashlib.sha256(rd.data[:signed]).digest():
+        raise ModelFormatError("key file checksum mismatch: the file was altered")
     rd.end()
     return _untrusted(SecretKey, vec, params)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import re
 import shlex
@@ -411,12 +412,14 @@ def test_custom_key_budget_above_q_over_8_is_io_error(workdir, capsys):
     """A key whose header names the custom preset (id 255 at byte 5) states
     its own budget, but the decoder is correct only while |e| < q/8: a
     budget above q/8 exits 3 with one error line, and q/8 itself (512 on
-    toy) still encrypts."""
+    toy) still encrypts.  Each crafted key carries the digest of its own
+    bytes (the last 32), as keygen writes it."""
     assert run("keygen", "--preset", "toy", "--seed", "1", "--out", workdir / "custom.key") == 0
     data = bytearray((workdir / "custom.key").read_bytes())
     data[5] = 255
     for budget, want in ((2048.0, cli.EXIT_IO), (512.0, cli.EXIT_OK)):
         struct.pack_into("<d", data, 32, budget)
+        data[-32:] = hashlib.sha256(data[:-36]).digest()
         (workdir / "custom.key").write_bytes(bytes(data))
         capsys.readouterr()
         assert run("encrypt-image", "--model", workdir / "micro.txt",
@@ -575,7 +578,7 @@ def _mutants(data: bytes, count: int, seed: int, tokens: bool):
 def test_mutated_input_files_exit_with_a_documented_code(workdir, capsys):
     """Malformed model, key, image and score files, clear and gsw: every
     seeded mutant returns 0 or a documented exit code, and ``main`` raises
-    nothing."""
+    nothing.  A key file carries a digest, so every altered key exits 3."""
     run("keygen", "--preset", "toy", "--seed", "1", "--out", workdir / "fuzz.key")
     run("encrypt-image", "--model", workdir / "micro.txt", "--image", workdir / "img.csv",
         "--backend", "clear", "--out", workdir / "fuzz_img.bin")
@@ -614,6 +617,8 @@ def test_mutated_input_files_exit_with_a_documented_code(workdir, capsys):
                 except Exception as exc:  # any escape from main is the failure
                     pytest.fail(f"{name} mutant {i} {bad[:80]!r}: {argv[0]} raised {exc!r}")
                 assert code in documented, (name, i, argv[0], code)
+                if name == "fuzz.key":
+                    assert code == cli.EXIT_IO or bad == data, (i, code)
     capsys.readouterr()
 
 

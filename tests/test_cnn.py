@@ -8,6 +8,7 @@ import pytest
 
 from gatecnn import cnn, demo, model_io
 from gatecnn import fixedpoint as fp
+from gatecnn import gates as g
 from gatecnn.errors import (OverflowDiagnostic, ParameterError, RangeError,
                             ShapeError)
 from gatecnn.fhe_core import ClearBackend, GswBackend
@@ -514,18 +515,98 @@ def test_layer_evaluator_matches_gate_path_across_channels(encrypt_weights):
     assert len(fast[1][0]) == 3 and fast[1][1] > 0
 
 
-def test_kernel_plans_are_planned_once_per_format():
-    """One plan per input channel, over every output channel's kernel on
-    it in (oc, kr, kc) order; a layer with the same weights plans the
-    same graphs."""
+def test_kernel_constants_follow_the_entry_order():
+    """A pixel's plan constants are its input channel's kernel entries
+    oc·k² + kr·k + kc of its entry set, over every output channel's
+    kernel in (oc, kr, kc) order; a layer with the same weights gives the
+    same constants, so it plans the same graphs."""
     for net in (_edge_heavy_net(), _cross_channel_net()):
         conv = net.layers[1]
-        plans = conv.kernel_plans(net.fmt)
-        assert conv.kernel_plans(net.fmt) is plans
         fresh = make_conv(2, conv.out_channels, 5, 2, weights=conv.weights, biases=conv.biases)
-        assert fresh.kernel_plans(net.fmt) == plans
-        assert [plan.constants for plan in plans] == [
-            tuple(int(z) for z in conv.weights[:, ic].ravel() * 8) for ic in range(2)]
+        sets = {e for row in cnn._kernel_entries(conv, 12, 12) for e in row}
+        assert len(sets) == 81
+        for ic in range(2):
+            every = tuple(int(z) for z in conv.weights[:, ic].ravel() * 8)
+            assert conv.kernel_constants(net.fmt, ic, range(len(every))) == every
+            for entries in sets:
+                ks = conv.kernel_constants(net.fmt, ic, entries)
+                assert ks == tuple(every[e] for e in entries)
+                assert g.const_mul_plan(fresh.kernel_constants(net.fmt, ic, entries), 8, 3, 11) \
+                    == g.const_mul_plan(ks, 8, 3, 11)
+
+
+def _count_plans(monkeypatch) -> list:
+    """A list that grows by one per adder-graph plan made."""
+    made, plan = [], g.const_mul_plan
+    monkeypatch.setattr(g, "const_mul_plan", lambda *args: made.append(args) or plan(*args))
+    return made
+
+
+def _entry_plans(net) -> int:
+    """The (layer, input channel, entry set) triples of a network's
+    public-weight multiplies: the plans one classify of a private image
+    makes."""
+    count, side = 0, net.input_height
+    for layer in net.layers:
+        side = 1 if layer.kind == cnn.FULLY_CONNECTED else side
+        count += layer.in_channels * len({e for row in cnn._kernel_entries(layer, side, side)
+                                          for e in row})
+        side = (side - layer.kernel_size + 1) // layer.pool_size
+    return count
+
+
+def test_public_pixels_plan_nothing(monkeypatch):
+    """On the fast path a pixel with no private bit charges 0 and gets its
+    products as integers, without a plan: a public image makes no plan
+    and evaluates no NAND.  A private image then plans each (input
+    channel, entry set) once (25 for the tiny model's conv layer, 4 for
+    its fc layer), a second one plans nothing, and the scores equal the
+    public image's."""
+    made = _count_plans(monkeypatch)
+    net = demo.tiny_model()
+    pixels = demo.synthetic_images(1, 6, 6, seed=5)[0]
+    backend = ClearBackend(fast_arith=True)
+    public = cnn.classify(cnn.encrypt_image(pixels, net.fmt, backend, encrypt=False), net)
+    assert made == [] and backend.stats.nand_count == 0
+    assert all(bit.public is not None for score in public.scores for bit in score.bits.bits)
+    private = [scores_of(cnn.classify(cnn.encrypt_image(pixels, net.fmt, backend), net))
+               for _ in range(2)]
+    assert len(made) == _entry_plans(net) == 25 + 4
+    assert private[0] == private[1] == scores_of(public)
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through containers, object
+    arrays and the attributes of gatecnn objects."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, dict):
+            stack.extend([*obj.keys(), *obj.values()])
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, np.ndarray) and obj.dtype == object:
+            stack.extend(obj.ravel().tolist())
+        elif type(obj).__module__.startswith("gatecnn") and hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+
+
+def test_fast_classify_keeps_no_plan(monkeypatch):
+    """A fast_arith classify makes its entry-set plans, walks each and
+    drops it: no plan stays reachable from the model, so the plans never
+    add up in memory."""
+    made = _count_plans(monkeypatch)
+    net = demo.tiny_model()
+    backend = ClearBackend(fast_arith=True)
+    cnn.classify(cnn.encrypt_image(demo.synthetic_images(1, 6, 6)[0], net.fmt, backend), net)
+    assert len(made) == _entry_plans(net)
+    objects = list(_reachable(net))
+    assert any(isinstance(obj, cnn.LayerSpec) and obj.charges for obj in objects)
+    assert not any(isinstance(obj, g.ConstMulPlan) for obj in objects)
 
 
 def test_layer_charges_keep_the_latest_inputs(monkeypatch):

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import random
 from pathlib import Path
 from types import SimpleNamespace
@@ -395,14 +397,23 @@ def test_fold_costs_match_gate_level_public_weights(width, frac):
     _assert_fold_costs_match("mul", fmt, cases)
 
 
+def _plan(layer, fmt, ic, entries, width=None):
+    """The adder-graph plan of layer's kernel entries ``entries`` on input
+    channel ic, for operands of ``width`` bits (default w)."""
+    f, w = fmt.frac_bits, fmt.total_bits
+    return g.const_mul_plan(layer.kernel_constants(fmt, ic, entries),
+                            w if width is None else width, f, f + w)
+
+
 def test_preset_kernel_products_match_scaled_mul():
-    """Every preset conv plan (one per input channel: 1 + 4, w=32, over
-    4 and 15 kernels) times lane-packed private operands, min_int,
-    max_int, -1, 0 and 1 among them, for the kernel entries each corner
-    and an interior pixel meet in every kernel, and for conv1's plan also
-    each edge: each product of the shared adder graph is scaled_mul of its
-    weight, bit for bit.  (Every entry set of a 5 x 5 kernel runs through
-    the layer in test_layer_evaluator_matches_gate_path_5x5.)"""
+    """Preset conv plans, one per input channel and entry set (w=32, over
+    4 and 15 kernels), times lane-packed private operands, min_int,
+    max_int, -1, 0 and 1 among them: every entry set of conv1 (corners,
+    edges, interior and all between), and on each of conv2's four input
+    channels the entry sets of the four corners, the four edges and the
+    interior.  Each product of the shared adder graph is scaled_mul of
+    its weight, bit for bit.  (Every entry set of a 5 x 5 kernel runs
+    through the layer in test_layer_evaluator_matches_gate_path_5x5.)"""
     net = demo.preset_model()
     fmt = net.fmt
     rnd = random.Random(64)
@@ -410,41 +421,45 @@ def test_preset_kernel_products_match_scaled_mul():
                                                     for _ in range(3)]
     backend = fc.ClearBackend(lanes=len(values))
     x = fp.FixedPointCipher(g.BitVector.from_lane_ints(values, 32, backend), fmt)
+    conv1, conv2 = net.layers[:2]
     first, middle, last = range(0, 1), range(0, 5), range(4, 5)  # rows a pixel meets
-    corners = [(rows, cols) for rows in (first, last) for cols in (first, last)]
-    edges = [(first, middle), (last, middle), (middle, first), (middle, last)]
+    shapes = [(rows, cols) for rows in (first, middle, last) for cols in (first, middle, last)]
+    conv2_sets = [tuple(oc * 25 + kr * 5 + kc for oc in range(15) for kr in rows for kc in cols)
+                  for rows, cols in shapes]
+    conv1_sets = {e for row in cnn._kernel_entries(conv1, 28, 28) for e in row}
+    assert len(conv1_sets) == 81
+    cases = [(conv1, 0, entries) for entries in conv1_sets]
+    cases += [(conv2, ic, entries) for ic in range(4) for entries in conv2_sets]
     zx = np.array(values, dtype=np.int64)
-    plans = [(layer.out_channels, plan) for layer in net.layers[:2]
-             for plan in layer.kernel_plans(fmt)]
-    assert len(plans) == 5
-    for i, (out, plan) in enumerate(plans):
-        for rows, cols in corners + [(middle, middle)] + (edges if i == 0 else []):
-            wanted = [oc * 25 + kr * 5 + kc for oc in range(out) for kr in rows for kc in cols]
-            for j, got in zip(wanted, fp.fp_mul_consts(x, plan, wanted)):
-                want = fp.scaled_mul(zx, plan.constants[j], fmt).tolist()
-                assert fp._lane_values(got) == want, (plan.constants[j], j)
+    for layer, ic, entries in cases:
+        plan = _plan(layer, fmt, ic, entries)
+        assert plan.constants == tuple(fp.float_to_scaled(layer.weights[e // 25, ic, e % 25 // 5,
+                                                                        e % 5], fmt)
+                                       for e in entries)
+        for k, got in zip(plan.constants, fp.fp_mul_consts(x, plan)):
+            assert fp._lane_values(got) == fp.scaled_mul(zx, k, fmt).tolist(), (ic, entries, k)
 
 
 def test_certified_width_plan_products_match_scaled_mul():
-    """conv1's plan for its certified 18-bit inputs, run on the low 18
-    bits of 32-bit operands: on 64 lanes, pixels ±1.0 (±65,536) among
-    them, every product equals scaled_mul bit for bit.  The clear backend
-    refuses an operand past 18 bits, where the plan would be wrong."""
+    """conv1's interior plan (all 100 weights) for its certified 18-bit
+    inputs, run on the low 18 bits of 32-bit operands: on 64 lanes, pixels
+    ±1.0 (±65,536) among them, every product equals scaled_mul bit for
+    bit.  The clear backend refuses an operand past 18 bits, where the
+    plan would be wrong."""
     net = demo.preset_model()
     fmt, layer = net.fmt, net.layers[0]
     assert net.certificate()[0].input_bits == 18
-    (plan,) = layer.kernel_plans(fmt, 18)
+    plan = _plan(layer, fmt, 0, range(100), 18)
     rnd = random.Random(18)
     values = [-65536, 65536, -1, 0, 1] + [rnd.randrange(-65536, 65537) for _ in range(59)]
     backend = fc.ClearBackend(lanes=len(values))
     x = fp.FixedPointCipher(g.BitVector.from_lane_ints(values, 32, backend), fmt)
-    wanted = range(len(plan.constants))
     zx = np.array(values, dtype=np.int64)
-    for k, got in zip(plan.constants, fp.fp_mul_consts(x, plan, wanted)):
+    for k, got in zip(plan.constants, fp.fp_mul_consts(x, plan)):
         assert fp._lane_values(got) == fp.scaled_mul(zx, k, fmt).tolist(), k
     past = fp.FixedPointCipher(g.BitVector.from_lane_ints([1 << 17] * 64, 32, backend), fmt)
     with pytest.raises(OverflowDiagnostic, match="18-bit range"):
-        fp.fp_mul_consts(past, plan, wanted)
+        fp.fp_mul_consts(past, plan)
 
 
 def test_narrow_add_is_exact_where_the_sum_fits():
@@ -493,15 +508,51 @@ def test_narrow_relu_is_exact_and_its_high_bits_are_public_zeros():
         fp.fp_relu(fp.encode(1.0, small, backend), 6)
 
 
-def test_preset_kernel_plan_sizes():
-    """The preset model's conv plans, one per input channel: 100 adder
-    nodes for conv1's 100 weights, 1,470 over conv2's four input channels
-    (1,500 weights).  One plan per kernel took 2,098 over both layers."""
+@functools.cache
+def _preset_plans() -> dict:
+    """Every plan a preset classify makes, as it makes them: per (layer,
+    input channel, entry set), the plan of those kernel entries at the
+    layer's certified input width."""
     net = demo.preset_model()
-    conv1, conv2 = ([len(plan.steps) for plan in layer.kernel_plans(net.fmt)]
-                    for layer in net.layers[:2])
-    assert conv1 == [100]
-    assert len(conv2) == 4 and sum(conv2) == 1470
+    plans, side = {}, net.input_height
+    for i, (layer, certificate) in enumerate(zip(net.layers, net.certificate())):
+        side = 1 if layer.kind == cnn.FULLY_CONNECTED else side
+        sets = {e for row in cnn._kernel_entries(layer, side, side) for e in row}
+        for ic in range(layer.in_channels):
+            for entries in sets:
+                plans[i, ic, entries] = _plan(layer, net.fmt, ic, entries, certificate.input_bits)
+        side = (side - layer.kernel_size + 1) // layer.pool_size
+    return plans
+
+
+def test_preset_entry_set_plans_are_pinned():
+    """A digest of every preset entry-set plan's steps, shared NOTs and
+    targets, in (layer, input channel, entries) order: 81 sets for conv1,
+    4 x 81 for conv2 and one per fc feature.  A faster planner must plan
+    the same graphs."""
+    plans = _preset_plans()
+    assert len(plans) == 81 + 4 * 81 + 240
+    digest = hashlib.sha256()
+    for key in sorted(plans):
+        plan = plans[key]
+        digest.update(repr((key, [tuple(st) for st in plan.steps], plan.inverted,
+                            plan.targets)).encode())
+    assert digest.hexdigest() == "af0a24d8542ab5adc4b89d52453c3feb9edbadb4b4a584c0acd711eb1b51507b"
+
+
+def test_preset_kernel_plan_sizes():
+    """The preset model's conv plans, one per input channel and entry set
+    (81 sets of a 5 x 5 kernel): the interior set's plan reads every
+    weight, with 100 adder nodes for conv1's 100 weights and 1,470 over
+    conv2's four input channels (1,500 weights), as one plan per input
+    channel had; over all sets, 3,013 nodes for conv1 and 38,162 for
+    conv2.  One plan per kernel took 2,098 over both layers."""
+    plans = _preset_plans()
+    for layer, out, interior, total in ((0, 4, [100], 3013), (1, 15, [367, 364, 371, 368], 38162)):
+        full = tuple(range(out * 25))
+        assert [len(plans[layer, ic, full].steps) for ic in range(len(interior))] == interior
+        assert sum(len(plan.steps) for key, plan in plans.items() if key[0] == layer) == total
+    assert sum(interior) == 1470
 
 
 def _count_probes(monkeypatch, limit=None):
@@ -516,7 +567,9 @@ def _count_probes(monkeypatch, limit=None):
 
 
 def test_fold_memo_runs_each_circuit_once(monkeypatch):
-    """A second identical fold_costs or _step_cost call builds no probe."""
+    """A second identical fold_costs or _step_cost call builds no probe.
+    A step runs each of its column circuits once per input states: four
+    distinct columns here."""
     built = _count_probes(monkeypatch)
     fmt = fp.FixedPointFormat(8, 4)
     pairs = [(fp.PRIVATE, fp.PRIVATE), ((0b1111, 0b0101), fp.PRIVATE)]
@@ -526,9 +579,9 @@ def test_fold_memo_runs_each_circuit_once(monkeypatch):
     assert len(built) == 2
     step, xs, ts = SimpleNamespace(negative=True, carries=1), [None] * 4, [None, 1, None, 0]
     first = fp._step_cost(step, xs, ts)
-    assert len(built) == 3
+    assert len(built) == 2 + 4
     assert fp._step_cost(step, xs, ts) == first
-    assert len(built) == 3
+    assert len(built) == 2 + 4
 
 
 def test_fold_memo_clears_at_its_limit(monkeypatch):

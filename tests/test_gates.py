@@ -294,7 +294,8 @@ def test_mul_consts_exhaustive_windows(width):
     """One adder graph for a set of constants (zero, repeated, ±powers of
     two, odd and even values) gives bits lo..hi-1 of a·k modulo 2^hi for
     every width-bit a and every constant, at every window with hi up to
-    2·width + 1, for all constants at once and for each one alone."""
+    2·width + 1, from the plan of all constants at once and from each
+    one's own plan."""
     half = 1 << (width - 1)
     values = list(range(-half, half))
     backend = fc.ClearBackend(lanes=len(values))
@@ -305,11 +306,10 @@ def test_mul_consts_exhaustive_windows(width):
     for ks in sets:
         for hi in range(1, 2 * width + 2):
             for lo in range(hi):
-                plan = g.const_mul_plan(ks, width, lo, hi)
-                together = g.mul_consts(a, plan, range(len(ks)))
+                together = g.mul_consts(a, g.const_mul_plan(ks, width, lo, hi))
                 for j, k in enumerate(ks):
                     want = _lane_masks([v * k for v in values], hi)[lo:]
-                    alone = g.mul_consts(a, plan, [j])[0]
+                    (alone,) = g.mul_consts(a, g.const_mul_plan([k], width, lo, hi))
                     assert [bit.clear_value for bit in together[j].bits] == want, (ks, k, lo, hi)
                     assert [bit.clear_value for bit in alone.bits] == want, (ks, k, lo, hi)
 
@@ -322,21 +322,22 @@ def test_mul_consts_rejects_an_operand_of_another_width():
     assert (narrow.width, wide.width) == (18, 32)
     for plan, width in ((narrow, 32), (narrow, 17), (wide, 18)):
         with pytest.raises(ParameterError, match=f"{plan.width}-bit operands"):
-            g.mul_consts(g.BitVector.from_int(3, width, backend), plan, [0])
+            g.mul_consts(g.BitVector.from_int(3, width, backend), plan)
 
 
 def test_mul_consts_gate_trace_depends_on_the_plan_only():
-    """Two private pixels times one kernel's constants, for the products
-    of every kernel entry and of a corner's and an edge's entries: the
-    same gates on the same operands, in the same order."""
+    """Two private pixels times one kernel's constants, by the plans of
+    every kernel entry and of a corner's and an edge's entries: the same
+    gates on the same operands, in the same order."""
     ks = [5, -3, 0, 12, 5, -16, 1, 93, -128, 127, 22, -7, 64, 0, 3, -3]
-    plan = g.const_mul_plan(ks, 8, 4, 12)
+    plans = [g.const_mul_plan([ks[j] for j in wanted], 8, 4, 12)
+             for wanted in (range(len(ks)), [0], [0, 1, 4, 5])]
     traces = []
     for x in (37, -90):
         backend = _TracingBackend()
         a = g.BitVector.from_int(x, 8, backend, encrypt=True)
-        for wanted in (range(len(ks)), [0], [0, 1, 4, 5]):
-            g.mul_consts(a, plan, wanted)
+        for plan in plans:
+            g.mul_consts(a, plan)
         traces.append(backend.trace)
     assert traces[0] == traces[1]
     assert traces[0]
@@ -355,7 +356,6 @@ def test_const_mul_plan_is_a_function_of_the_constants():
     shuffled = g.const_mul_plan([ks[i] for i in order], 32, 16, 48)
     assert shuffled.steps == plan.steps and shuffled.inverted == plan.inverted
     assert list(shuffled.targets) == [plan.targets[i] for i in order]
-    assert list(shuffled.needs) == [plan.needs[i] for i in order]
 
 
 def test_const_mul_plan_of_375_constants_stays_small():
@@ -394,7 +394,7 @@ def test_mul_consts_past_int64():
     rnd = random.Random(62)
     ks = [rnd.randrange(-(1 << 62), 1 << 62) for _ in range(4)] + [(1 << 62) - 1, 3]
     lo, hi = 40, 71
-    products = g.mul_consts(a, g.const_mul_plan(ks, 8, lo, hi), range(len(ks)))
+    products = g.mul_consts(a, g.const_mul_plan(ks, 8, lo, hi))
     for k, product in zip(ks, products):
         assert [bit.clear_value for bit in product.bits] == \
             _lane_masks([v * k for v in values], hi)[lo:], k

@@ -19,7 +19,7 @@ from gatecnn.demo import synthetic_images
 from gatecnn.fhe_core import ClearBackend
 
 ROOT = Path(__file__).resolve().parent.parent
-CLEAR_PAPER_NANDS = 63_564_470
+CLEAR_PAPER_NANDS = 57_198_888
 
 
 def _run(workload: str, trace: int) -> dict:
@@ -69,5 +69,5 @@ def test_clear_paper_nands_per_layer(preset_net):
             current = cnn.fc_layer(cnn.flatten_image(current), layer, layer_index=i,
                                    certificate=certificate).scores
         nands.append(backend.stats.nand_count - before)
-    assert nands == [23_147_125, 39_111_141, 1_306_204]
+    assert nands == [21_637_048, 34_255_636, 1_306_204]
     assert sum(nands) == CLEAR_PAPER_NANDS

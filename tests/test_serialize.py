@@ -29,6 +29,26 @@ def test_key_files_byte_identical_for_same_seed(tmp_path, toy_params):
     assert p1.read_bytes() != p2.read_bytes()
 
 
+def test_altered_key_file_is_refused(tmp_path, toy_key):
+    """Each bit of a key file's secret vector or digest, flipped, is
+    refused as an altered file; a key file without the digest section is
+    refused with a hint to regenerate it."""
+    path = tmp_path / "k.key"
+    serialize.save_secret_key(toy_key, path)
+    data = path.read_bytes()
+    vector = _payload_offset(data, "key") + 4
+    for at in (vector, vector + len(data) // 3, len(data) - 1):
+        for bit in range(8):
+            bad = bytearray(data)
+            bad[at] ^= 1 << bit
+            path.write_bytes(bytes(bad))
+            with pytest.raises(ModelFormatError, match="checksum mismatch"):
+                serialize.load_secret_key(path)
+    path.write_bytes(data[:-36])
+    with pytest.raises(ModelFormatError, match="no checksum section: regenerate"):
+        serialize.load_secret_key(path)
+
+
 def test_header_magic_and_kind_checks(tmp_path, toy_key):
     path = tmp_path / "k.key"
     serialize.save_secret_key(toy_key, path)
@@ -260,7 +280,7 @@ def _gsw_files(tmp_path, params, key):
 
 
 def _payload_offset(data: bytes, kind: str) -> int:
-    """Position of the last (payload) section's u32 length prefix."""
+    """Position of the payload section's u32 length prefix."""
     rd = serialize._Reader(data)
     serialize._parse_header(rd)
     if kind != "key":
