@@ -149,14 +149,14 @@ def cmd_bound(args) -> int:
     print(f"certified bit widths, pixels in [-{PIXEL_BOUND}, {PIXEL_BOUND}]:")
     print(f"{'layer':>5} {'b_x':>5} {'max b_s':>8} {'headroom':>8}")
     for i, layer in enumerate(certificate):
-        widest = int(layer.sum_bits.max())
+        widest = int(layer.root_bits.max())
         print(f"{i:>5} {layer.input_bits:>5} {widest:>8} {net.fmt.total_bits - widest:>8}")
     print("with --encrypt-weights, from each layer's weight and bias bits b_w, b_b alone:")
     print(f"{'layer':>5} {'b_w':>5} {'b_b':>5} {'b_x':>5} {'b_p':>5} {'max b_s':>8}")
     for i, (spec, layer) in enumerate(zip(net.layers, net.certificate(encrypt_weights=True))):
         b_x, _, b_p = layer.mul_bits
         b_w, b_b = spec.bit_widths(net.fmt)
-        print(f"{i:>5} {b_w:>5} {b_b:>5} {b_x:>5} {b_p:>5} {int(layer.sum_bits.max()):>8}")
+        print(f"{i:>5} {b_w:>5} {b_b:>5} {b_x:>5} {b_p:>5} {int(layer.root_bits.max()):>8}")
     for i, layer in enumerate(certificate):
         if not layer.fits:
             print(f"layer {i} needs more than w={net.fmt.total_bits} bits: "

@@ -10,7 +10,7 @@ channel-major, then row, then column, and a fully connected layer is the
 evaluator runs both kinds of layer, with public or encrypted weights,
 through one layer routine.
 
-Each layer is one walk (windows, add trees, ReLU, max pooling) in one
+Each layer is one walk (windows, neuron sums, ReLU, max pooling) in one
 of three domains: the gate path walks the input cells' ciphertexts, and
 a clear backend with ``fast_arith`` walks the lanes' integers instead
 and charges the NANDs the gate path evaluates by the same walk over the
@@ -22,19 +22,20 @@ any worker count.
 With public weights, a convolution builds each input pixel's products
 with the kernel entries its windows read, in every output channel, from
 one adder graph planned over just those weights, and ``classify``
-builds every multiply, add and ReLU only as wide as the network's
+builds every multiply, sum and ReLU only as wide as the network's
 interval certificate (``NetworkSpec.certificate``) proves its values
-need, for pixels in [-PIXEL_BOUND, PIXEL_BOUND], adding each neuron's
-terms narrowest first in a tree the certificate fixes.  With encrypted weights (the private
-model setting) the certificate walks only each layer's public weight
-and bias bit widths, so every neuron shares one tree, and its var-by-var
-products and adds are built that narrow.  Scores stay encrypted: argmax
+need, for pixels in [-PIXEL_BOUND, PIXEL_BOUND].  Each neuron sums its
+bias and products in one column reducer (``fixedpoint.fp_sum``), which
+reads each of them at its certified bits and folds every public bit into
+one constant.  With encrypted weights (the private model setting) the
+certificate walks only each layer's public weight and bias bit widths,
+so every neuron of a layer has the same widths, and its var-by-var
+products and sum are built that narrow.  Scores stay encrypted: argmax
 is the client's job after decryption.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -51,20 +52,23 @@ from .fixedpoint import (
     PRIVATE,
     _from_ints,
     _lane_values,
+    _signed,
     const_mul_costs,
     encode,
     float_to_scaled,
     fold_costs,
-    fp_add,
+    fp_add,  # unused here, like fp_mul_const; kept so that tracers can wrap them by name
     fp_max,
     fp_mul,
-    fp_mul_const,  # unused here; kept so that tracers can wrap it by name on this module
+    fp_mul_const,
     fp_mul_consts,
     fp_relu,
+    fp_sum,
     guard_range,
     int_dtype,
     public_pattern,
     scaled_mul,
+    sum_costs,
 )
 from .gates import BitVector, _sign_extend, const_mul_plan
 
@@ -114,9 +118,9 @@ class LayerSpec:
     kernel_size: int = 0
     pool_size: int = 1
     # the whole-layer evaluator's NAND charges, kept per format, weight
-    # entry, input patterns, widths and add trees for the last
-    # _CHARGES_LIMIT inputs (see _charge_layer), and per format the scaled
-    # weights and biases (see scaled)
+    # entry, input patterns and widths for the last _CHARGES_LIMIT inputs
+    # (see _charge_layer), and per format the scaled weights and biases
+    # (see scaled)
     charges: dict = field(default_factory=dict, init=False, repr=False)
     _scaled: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -175,24 +179,26 @@ class LayerSpec:
 class LayerCertificate:
     """Intervals of one layer's scaled integers, each a (low, high) pair
     of arrays in the format's ``int_dtype``, when every pixel lies in
-    [-PIXEL_BOUND, PIXEL_BOUND], and the circuits built from them.
+    [-PIXEL_BOUND, PIXEL_BOUND], and the widths of the circuits built
+    from them.
 
-    Each neuron adds its fan-in + 1 leaves, the bias (leaf 0) and then
-    the floored products in window order (leaf j + 1 is product j), in a
-    tree of fan-in adds: node i (value fan-in + 1 + i) adds the two
-    values ``operands[:, i]`` names, and the last node is the neuron.
+    Each neuron sums its fan-in + 1 leaves, the bias (leaf 0) and then
+    the floored products in window order (leaf j + 1 is product j), in
+    one column reducer (``fixedpoint.fp_sum``), whose root is the neuron.
 
     - ``inputs`` (fan-in,): the values each neuron's terms read, in
       window order (input channel, kernel row, column) for convolution;
     - ``products`` (out, fan-in): each floored product with a weight;
-    - ``sums`` (out, fan-in): each tree node;
+    - ``roots`` (out,): each neuron's sum;
     - ``outputs`` (out,): each output channel or node after the
       activation (max pooling keeps the interval);
-    - ``operands`` (out, fan-in, 2): the two values each node adds;
     - ``input_bits``: the signed bits every input fits, at most w;
-    - ``sum_bits`` (out, fan-in): the signed bits each node fits, at
-      most w;
-    - ``fits``: whether every input, product and node fits w bits, and
+    - ``leaf_bits`` and ``leaf_signed`` (out, fan-in + 1): the bits each
+      leaf is read at, unsigned (the bits of its high end) when its
+      interval is >= 0, else signed;
+    - ``root_bits`` (out,): the signed bits each root fits, at most w,
+      the width of its reducer and its ReLU;
+    - ``fits``: whether every input, product and root fits w bits, and
       with pooling every difference of two outputs of a channel, so
       that no circuit of the layer can wrap;
     - ``mul_bits``: the (b_x, b_w, b_p) each ``fp_mul`` by an encrypted
@@ -200,11 +206,12 @@ class LayerCertificate:
 
     inputs: tuple
     products: tuple
-    sums: tuple
+    roots: tuple
     outputs: tuple
-    operands: np.ndarray
     input_bits: int
-    sum_bits: np.ndarray
+    leaf_bits: np.ndarray
+    leaf_signed: np.ndarray
+    root_bits: np.ndarray
     fits: bool
     mul_bits: tuple
 
@@ -214,32 +221,6 @@ def _signed_bits(low, high) -> np.ndarray:
     magnitude = np.maximum(high, ~low)  # >= 0 wherever low <= high
     return np.array([int(m).bit_length() + 1 for m in np.ravel(magnitude).tolist()],
                     dtype=np.int64).reshape(np.shape(magnitude))
-
-
-def _sum_tree(lows: list, highs: list) -> tuple:
-    """The add tree over leaves with intervals [lows[i], highs[i]]: add the
-    two narrowest values (in signed bits; ties to the lower index) until
-    one is left, so most adds stay narrow.  Returns each node's operand
-    pair and its interval's ends, in build order; the last is the root."""
-    heap = [(max(high, ~low).bit_length(), i) for i, (low, high) in enumerate(zip(lows, highs))]
-    heapq.heapify(heap)
-    lows, highs, pairs = list(lows), list(highs), []
-    while len(heap) > 1:
-        (_, a), (_, b) = heapq.heappop(heap), heapq.heappop(heap)
-        pairs.append((a, b))
-        lows.append(lows[a] + lows[b])
-        highs.append(highs[a] + highs[b])
-        heapq.heappush(heap, (max(highs[-1], ~lows[-1]).bit_length(), len(lows) - 1))
-    leaves = len(pairs) + 1
-    return pairs, lows[leaves:], highs[leaves:]
-
-
-def _left_chain(out: int, fan_in: int) -> np.ndarray:
-    """(out, fan-in, 2) operands of the left chain: node i adds leaf i + 1
-    to node i - 1 (to the bias for i = 0)."""
-    first = np.concatenate([[0], np.arange(fan_in + 1, 2 * fan_in)])
-    return np.broadcast_to(np.stack([first, np.arange(1, fan_in + 1)], axis=1),
-                           (out, fan_in, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,9 +249,8 @@ class NetworkSpec:
         walk over the scaled integers in the evaluators' order: pixels in
         [-PIXEL_BOUND, PIXEL_BOUND] (as ``fmt`` integers), then per layer
         each floored product (``scaled_mul`` at the corners of its
-        operands' intervals), each neuron's add tree (``_sum_tree`` over
-        the bias and the products, so the tree depends on the public
-        weights and the format alone), the activation and max pooling.
+        operands' intervals), each neuron's sum of the bias and the
+        products, the activation and max pooling.
         Products and outputs are clipped to the format's range, outside
         which the clear backend raises OverflowDiagnostic.  A pooled
         layer fits only if any two of a channel's outputs differ by at
@@ -278,7 +258,7 @@ class NetworkSpec:
 
         With ``encrypt_weights`` the walk reads no weight or bias, only
         the intervals ±(2^(b-1) - 1) of their layer's ``bit_widths`` b, so
-        every neuron of a layer has the same tree, built once, and the
+        every neuron of a layer has the same widths, found once, and the
         multiplies' widths follow (``mul_bits``).  Computed once per
         format and mode; an unencodable weight raises RangeError."""
         fmt = self.fmt
@@ -309,13 +289,12 @@ class NetworkSpec:
             ends = np.minimum.reduce(ends), np.maximum.reduce(ends)
             fits = bool((_signed_bits(*ends) <= w).all())
             products = tuple(np.clip(v, fmt.min_int, fmt.max_int) for v in ends)
-            trees = [_sum_tree([bl] + low, [bh] + high) for bl, bh, low, high in zip(
-                *(v.tolist() for v in biases + products))]
-            pairs, lows, highs = zip(*trees * (out // len(trees)))
-            sums = np.array(lows, dtype=dtype), np.array(highs, dtype=dtype)
-            bits = _signed_bits(*sums)
-            fits = fits and bool((bits <= w).all())
-            values = tuple(np.clip(v[:, -1], fmt.min_int, fmt.max_int) for v in sums)
+            leaves = tuple(np.broadcast_to(np.concatenate([b[:, None], p], axis=1),
+                                           (out, fan_in + 1)) for b, p in zip(biases, products))
+            roots = tuple(v.sum(axis=1) for v in leaves)
+            root_bits = _signed_bits(*roots)
+            fits = fits and bool((root_bits <= w).all())
+            values = tuple(np.clip(v, fmt.min_int, fmt.max_int) for v in roots)
             if layer.activation == RELU:
                 values = tuple(np.maximum(v, 0) for v in values)
             if layer.pool_size > 1:  # max pooling compares by subtraction
@@ -325,9 +304,11 @@ class NetworkSpec:
                 b_p = int(_signed_bits(*products).max())
                 b_w = min(w, max(layer.bit_widths(fmt)[0], f + b_p - input_bits))
                 mul_bits = (max(input_bits, f + b_p - b_w), b_w, b_p)
+            unsigned = leaves[0] >= 0
             found.append(LayerCertificate(
-                inputs, tuple(np.broadcast_to(v, (out, fan_in)) for v in products), sums, values,
-                np.array(pairs, dtype=np.int64), input_bits, np.minimum(bits, w), fits, mul_bits))
+                inputs, tuple(np.broadcast_to(v, (out, fan_in)) for v in products), roots, values,
+                input_bits, _signed_bits(*leaves) - unsigned, ~unsigned,
+                np.minimum(root_bits, w), fits, mul_bits))
             sides = tuple((n - layer.kernel_size + 1) // layer.pool_size for n in sides)
         self._certificates[fmt, encrypt_weights] = found
         return found
@@ -399,13 +380,13 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
                certificate: LayerCertificate | None = None) -> EncImage:
     """Valid convolution over all input channels, bias, activation, pooling.
 
-    Each window adds its bias and products in an add tree (see
-    _walk_layer), the ``certificate``'s at its widths when one is given
-    (with ``encrypt_weights``, the bounded walk's), else the w-bit left
-    chain.  With public weights each input pixel's products with the
-    kernel entries its windows read come from one shared adder graph,
-    planned for its input channel and entry set; with encrypted weights
-    the weights and biases are encrypted once per call.  The weight modes
+    Each window sums its bias and products in one column reducer (see
+    _walk_layer), at the ``certificate``'s widths when one is given (with
+    ``encrypt_weights``, the bounded walk's), else at w bits.  With public
+    weights each input pixel's products with the kernel entries its
+    windows read come from one shared adder graph, planned for its input
+    channel and entry set; with encrypted weights the weights and biases
+    are encrypted once per call.  The weight modes
     give the same bits.  ``workers`` fans out input rows and blocks of
     pool_size output rows (see _gate_layer)."""
     if spec.kind != CONVOLUTION:
@@ -420,7 +401,7 @@ def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
 
     The layer runs as the 1 x 1 convolution it is (see LayerSpec): the
     features are the channels of a 1 x 1 image, each node is one output
-    channel, and its trees are built as ``conv_layer``'s: with public
+    channel, and its sum is built as ``conv_layer``'s: with public
     weights each feature's products with every node's weight come from
     one adder graph, and with encrypted weights each weight is encrypted
     once per call.  The single output row is one block, so ``workers``
@@ -458,24 +439,27 @@ def _layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: int,
 
 
 def _widths(spec: LayerSpec, fmt: FixedPointFormat, certificate) -> tuple:
-    """(input bits, (out, fan-in) node bits, (out, fan-in, 2) node
-    operands, and the encrypted weights' multiplies' (b_x, b_w, b_p)) of
-    the layer's circuits: its certificate's, else w throughout over the
-    left chain.  With encrypted weights the certificate is the bounded
-    walk's (``NetworkSpec.certificate(encrypt_weights=True)``), whose
-    trees and widths follow only the weights' public bit widths."""
+    """(input bits, (out, fan-in + 1) leaf bits and leaf signedness, (out,)
+    root bits, and the encrypted weights' multiplies' (b_x, b_w, b_p)) of
+    the layer's circuits (see LayerCertificate): its certificate's, else
+    w throughout, every leaf read signed.  With encrypted weights the
+    certificate is the bounded walk's
+    (``NetworkSpec.certificate(encrypt_weights=True)``), whose widths
+    follow only the weights' public bit widths."""
     w = fmt.total_bits
     if certificate is None:
-        shape = spec.scaled(fmt)[0].shape
-        return w, np.full(shape, w), _left_chain(*shape), (w, w, w)
-    return certificate.input_bits, certificate.sum_bits, certificate.operands, certificate.mul_bits
+        out, fan_in = spec.scaled(fmt)[0].shape
+        return (w, np.full((out, fan_in + 1), w), np.ones((out, fan_in + 1), dtype=bool),
+                np.full(out, w), (w, w, w))
+    c = certificate
+    return c.input_bits, c.leaf_bits, c.leaf_signed, c.root_bits, c.mul_bits
 
 
 def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: int,
                 layer_index: int, widths: tuple) -> list:
     """Output channel grids of a layer run gate by gate at ``widths`` (see
     _widths): _walk_layer over the flat indices of the input cells, whose
-    steps build each node's ``fp_add``, each ReLU's ``fp_relu`` and each
+    steps build each neuron's ``fp_sum``, each ReLU's ``fp_relu`` and each
     pool fold's pairwise ``fp_max``.
 
     With public weights the leaves are the biases' public encodings and a
@@ -499,7 +483,8 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: 
     k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
     first = img.channels[0][0][0]
     fmt, backend = first.fmt, first.backend
-    input_bits, sum_bits, _, mul_bits = widths
+    input_bits, leaf_bits, leaf_signed, root_bits, mul_bits = widths
+    terms = [list(zip(*row)) for row in zip(leaf_bits.tolist(), leaf_signed.tolist())]
     cells = np.array(img.channels, dtype=object)
     channels, h, w = cells.shape
     fan_in = channels * k * k
@@ -522,19 +507,24 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: 
 
     def leaves(windows):
         if encrypt_weights:
-            terms = _each(lambda v, z: fp_mul(v, z, mul_bits), cells.ravel()[windows[..., None, :]],
-                          weights)
+            values = _each(lambda v, z: fp_mul(v, z, mul_bits),
+                           cells.ravel()[windows[..., None, :]], weights)
         else:
-            terms = products[np.arange(out)[:, None], np.arange(fan_in),
-                             windows[..., None, :] % (h * w)]
-        return _leaves(bias, terms)
+            values = products[np.arange(out)[:, None], np.arange(fan_in),
+                              windows[..., None, :] % (h * w)]
+        return _leaves(bias, values)
+
+    def sums(values):
+        roots = np.empty(values.shape[:-1], dtype=object)
+        for i in np.ndindex(roots.shape):
+            roots[i] = fp_sum(list(values[i]), terms[i[-1]], int(root_bits[i[-1]]))
+        return roots
 
     def block(b: int):
         with backend.seed_scope(layer_index, 1, b):
             return _walk_layer(
-                x[:, :, b * pool:(b + 1) * pool + k - 1], spec, widths, leaves,
-                lambda i, p, q: _each(fp_add, p, q, sum_bits[:, i]),
-                lambda v: _each(fp_relu, v, sum_bits[:, -1]),
+                x[:, :, b * pool:(b + 1) * pool + k - 1], spec, leaves, sums,
+                lambda v: _each(fp_relu, v, root_bits),
                 lambda p, q: _each(lambda a, z: fp_max([a, z]), p, q))
 
     if not encrypt_weights:
@@ -565,8 +555,8 @@ def _each(fn, *arrays) -> np.ndarray:
 
 
 def _leaves(bias, terms) -> np.ndarray:
-    """Each output's leaves (..., out, fan-in + 1) of a walk's add tree:
-    its ``bias``, then its ``terms`` (..., out, fan-in)."""
+    """Each output's leaves (..., out, fan-in + 1) of a walk's sum: its
+    ``bias``, then its ``terms`` (..., out, fan-in)."""
     values = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,), dtype=terms.dtype)
     values[..., 0] = bias
     values[..., 1:] = terms
@@ -596,20 +586,19 @@ def _kernel_entries(spec: LayerSpec, h: int, w: int) -> list:
 # (clear backend with fast_arith)
 # ----------------------------------------------------------------------
 
-def _walk_layer(x, spec: LayerSpec, widths: tuple, leaves, add, relu, fold):
+def _walk_layer(x, spec: LayerSpec, leaves, sums, relu, fold):
     """The layer over x (lanes, c, h, w) in one domain's values, (lanes,
     h', w', out), where x may be indices that ``leaves`` looks up, as the
     gate path's flat input cell indices: each window's values in window
     order (input channel, kernel row, column) go to ``leaves``, which
     returns every output's leaves (..., out, fan-in + 1), the bias and
-    then the products; each output's add tree (see _widths) adds them
-    with ``add(i, a, b)`` (_tree_root), ``relu`` activates them when the
-    layer has ReLU, and ``fold(a, b)`` folds each pool window in row
-    order."""
+    then the products; ``sums`` adds each output's leaves to its root
+    (..., out), ``relu`` activates them when the layer has ReLU, and
+    ``fold(a, b)`` folds each pool window in row order."""
     k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
     win = sliding_window_view(x, (k, k), axis=(2, 3)).transpose(0, 2, 3, 1, 4, 5)
     lanes, side_h, side_w = win.shape[:3]
-    values = _tree_root(leaves(win.reshape(lanes, side_h, side_w, -1)), widths[2], add)
+    values = sums(leaves(win.reshape(lanes, side_h, side_w, -1)))
     if spec.activation == RELU:
         values = relu(values)
     h, w = side_h // pool, side_w // pool
@@ -621,36 +610,21 @@ def _walk_layer(x, spec: LayerSpec, widths: tuple, leaves, add, relu, fold):
     return values
 
 
-def _tree_root(leaves, operands, add):
-    """The root (..., out) of every output's add tree over its ``leaves``
-    (..., out, fan-in + 1), the bias and then the terms: node i is
-    ``add(i, a, b)`` of its operands' values a, b (..., out).  Each node
-    is written in place over its first operand, which no later node
-    reads."""
-    out, fan_in = operands.shape[:2]
-    outs = np.arange(out)
-    slots = np.zeros((out, 2 * fan_in + 1), dtype=np.int64)  # where each value is
-    slots[:, :fan_in + 1] = np.arange(fan_in + 1)
-    for i in range(fan_in):
-        a, b = slots[outs, operands[:, i, 0]], slots[outs, operands[:, i, 1]]
-        leaves[..., outs, a] = add(i, leaves[..., outs, a], leaves[..., outs, b])
-        slots[:, fan_in + 1 + i] = a
-    return leaves[..., outs, a]
-
-
 def _int_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bool,
                widths: tuple) -> EncImage:
     """The layer on the lanes' integers, as one _walk_layer over them,
     then charged by _charge_layer.  Every input is checked against its
     width, every floored product against the format's range or its
-    multiplies' b_p, every tree node against its width, as wide as its
-    add is built, and every pool comparison against the format's range."""
+    multiplies' b_p, every leaf against the width it is read at, every
+    root against its width, as wide as its reducer is built, and every
+    pool comparison against the format's range."""
     fmt = img.channels[0][0][0].fmt
     weights, biases = spec.scaled(fmt)
-    product_bits = None if widths[3][2] == fmt.total_bits else widths[3][2]
+    input_bits, leaf_bits, leaf_signed, root_bits, mul_bits = widths
+    product_bits = None if mul_bits[2] == fmt.total_bits else mul_bits[2]
     x = np.array([[[_lane_values(v) for v in row] for row in grid] for grid in img.channels],
                  dtype=int_dtype(fmt)).transpose(3, 0, 1, 2)   # (lanes, c, h, w)
-    guard_range(x, fmt, "a layer input", widths[0])
+    guard_range(x, fmt, "a layer input", input_bits)
 
     def leaves(windows):
         values = np.empty(windows.shape[:-1] + (len(biases), windows.shape[-1] + 1),
@@ -660,16 +634,17 @@ def _int_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bool,
                     "multiplication", product_bits)
         return values
 
-    def add(i, a, b):
-        node = a + b
-        guard_range(node, fmt, "addition", widths[1][:, i])
-        return node
+    def sums(values):
+        guard_range(values, fmt, "a sum term", leaf_bits, leaf_signed)
+        roots = values.sum(axis=-1)
+        guard_range(roots, fmt, "addition", root_bits)
+        return roots
 
     def fold(a, b):
         guard_range(a - b, fmt, "comparison")
         return np.maximum(a, b)
 
-    values = _walk_layer(x, spec, widths, leaves, add, lambda v: np.maximum(v, 0), fold)
+    values = _walk_layer(x, spec, leaves, sums, lambda v: np.maximum(v, 0), fold)
     lanes, h, w, out = values.shape
     patterns = _charge_layer(img.channels, spec, fmt, backend, encrypt_weights, widths)
     cells = [_from_ints(v, fmt, backend, pattern) for v, pattern in
@@ -716,12 +691,27 @@ class _FoldTable:
         for triple in triples:
             if (kind, shared, triple) not in self._costs:
                 bits, i, j = triple
-                [(cost, pattern)] = fold_costs(kind, self.fmt,
-                                               [(self.patterns[i], self.patterns[j])],
-                                               shared or bits)
+                pattern = self._public(kind, i, j)
+                cost = 0
+                if pattern is None:
+                    [(cost, pattern)] = fold_costs(kind, self.fmt,
+                                                   [(self.patterns[i], self.patterns[j])],
+                                                   shared or bits)
                 self._costs[kind, shared, triple] = (cost, self.ids([pattern])[0])
         cost, out = np.array([self._costs[kind, shared, triple] for triple in triples]).T
         return cost[inverse].reshape(a.shape), out[inverse].reshape(a.shape)
+
+    def _public(self, kind: str, i: int, j: int):
+        """The output public_pattern of a ReLU (of id i) or a max fold (of
+        ids i, j) whose operands are wholly public, which folds every gate:
+        the public integer max(a, 0) or max(a, b).  None otherwise."""
+        w = self.fmt.total_bits
+        full = (1 << w) - 1
+        operands = {"relu": (i,), "maxfold": (i, j)}.get(kind, ())
+        if not operands or any(self.patterns[p][0] != full for p in operands):
+            return None
+        values = [_signed(self.patterns[p][1], w) for p in operands]
+        return full, max(values + [0] * (kind == "relu")) & full
 
 
 def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
@@ -732,19 +722,22 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
 
     Folding makes the count depend on the public weights and on which
     input bits are public, so it comes from one _walk_layer over the
-    inputs' pattern ids, the same windows, add trees and pooling as the
-    values, whose every step charges its ``_FoldTable.step``.  With
-    public weights the leaves are the public bias and _kernel_charge's
-    shared products; with encrypted weights the bias is private and each
-    product is an ``fp_mul`` at the multiplies' widths.  The charges are
-    kept in ``spec.charges`` for the same format, weight entry, widths,
-    add trees and input patterns; each public image has patterns of its
-    own, so only the latest _CHARGES_LIMIT are kept."""
+    inputs' pattern ids, the same windows, sums and pooling as the
+    values, whose every step charges its ``_FoldTable`` cost: each
+    output's sum once per distinct leaf ids (``sum_costs``), every
+    other circuit once per distinct operand ids (``_FoldTable.step``).
+    With public weights the leaves are the public bias and
+    _kernel_charge's shared products; with encrypted weights the bias is
+    private and each product is an ``fp_mul`` at the multiplies' widths.
+    The charges are kept in ``spec.charges`` for the same format, weight
+    entry, widths and input patterns; each public image has patterns of
+    its own, so only the latest _CHARGES_LIMIT are kept."""
+    input_bits, leaf_bits, leaf_signed, root_bits, mul_bits = widths
     table = _FoldTable(fmt)
     cells = np.array(inputs, dtype=object)
     in_ids = table.ids(public_pattern(v) for v in cells.ravel()).reshape(cells.shape)
-    key = (fmt, encrypt_weights, widths[0], widths[1].tobytes(), widths[2].tobytes(), widths[3],
-           tuple(table.patterns), in_ids.shape, in_ids.tobytes())
+    key = (fmt, encrypt_weights, input_bits, leaf_bits.tobytes(), leaf_signed.tobytes(),
+           root_bits.tobytes(), mul_bits, tuple(table.patterns), in_ids.shape, in_ids.tobytes())
     found = spec.charges.get(key)
     if found is None:
         while len(spec.charges) >= _CHARGES_LIMIT:
@@ -760,21 +753,34 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
 
         bias, x = 0, in_ids  # encrypted weights: a private bias
         if not encrypt_weights:
-            nands, products, slots, x = _kernel_charge(table, spec, in_ids, widths[0])
+            nands, products, slots, x = _kernel_charge(table, spec, in_ids, input_bits)
             full = (1 << fmt.total_bits) - 1
             bias = table.ids([(full, z & full) for z in biases.tolist()])
+        terms = [list(zip(*row)) for row in zip(leaf_bits.tolist(), leaf_signed.tolist())]
 
         def leaves(windows):
             if encrypt_weights:
-                terms = step("mul", windows[..., None, :], np.zeros(weights.shape, dtype=np.int64),
-                             widths[3])
+                values = step("mul", windows[..., None, :],
+                              np.zeros(weights.shape, dtype=np.int64), mul_bits)
             else:
-                terms = products[slots[np.arange(weights.shape[1]), windows]].swapaxes(-1, -2)
-            return _leaves(bias, terms)
+                values = products[slots[np.arange(weights.shape[1]), windows]].swapaxes(-1, -2)
+            return _leaves(bias, values)
 
-        ids = _walk_layer(x[None], spec, widths, leaves,
-                          lambda i, a, b: step("add", a, b, widths[1][:, i]),
-                          lambda v: step("relu", v, 0, widths[1][:, -1]),
+        def sums(ids):
+            nonlocal nands
+            roots = np.empty(ids.shape[:-1], dtype=np.int64)
+            for o, row_terms in enumerate(terms):
+                rows, inverse = np.unique(ids[..., o, :].reshape(-1, ids.shape[-1]), axis=0,
+                                          return_inverse=True)
+                cost, patterns = zip(*(sum_costs(fmt, [(table.patterns[i], *term) for i, term
+                                                       in zip(row, row_terms)], int(root_bits[o]))
+                                       for row in rows.tolist()))
+                nands += int(np.array(cost)[inverse.ravel()].sum())
+                roots[..., o] = table.ids(patterns)[inverse.ravel()].reshape(roots.shape[:-1])
+            return roots
+
+        ids = _walk_layer(x[None], spec, leaves, sums,
+                          lambda v: step("relu", v, 0, root_bits),
                           lambda a, b: step("maxfold", a, b))
         found = spec.charges[key] = nands, [table.patterns[i]
                                             for i in ids[0].transpose(2, 0, 1).ravel()]
@@ -833,9 +839,10 @@ def classify(img: EncImage, net: NetworkSpec, encrypt_weights: bool = False,
     are computed, so there, with public or encrypted weights, a model
     whose certificate of its actual weights does not fit w bits raises
     RangeError before any gate.  That refusal covers the encrypted
-    weights' circuits too: a product or node whose bounded width reaches
-    w is built at w and adds modulo 2^w, so when every product and the
-    root of every neuron fit w bits, the root is the same exact sum."""
+    weights' circuits too: a product or root whose bounded width reaches
+    w is built at w, and a neuron's reducer sums modulo 2^w there, so when
+    every product and the root of every neuron fit w bits, the root is
+    the same exact sum."""
     if (len(img.channels), img.height, img.width) != (
             net.input_channels, net.input_height, net.input_width):
         raise ShapeError(

@@ -12,11 +12,12 @@ reducer sums otherwise.  The products of one value with several public
 constants (the kernel entries that a convolution's windows read at one
 input pixel) can share that shift-and-add's adders (``fp_mul_consts``).
 A value certified to fit b < w bits (see
-``cnn.NetworkSpec.certificate``) can be built narrow: an add of width b
-ripples over the low b bits and copies bit b-1 upward as wires, a
-constant multiply planned for b-bit operands reads only the low b bits,
-and a ReLU of width b selects only the bits below b-1, its output's
-bits from b-1 up being public zeros.
+``cnn.NetworkSpec.certificate``) can be built narrow: a sum of many
+terms (``fp_sum``) reads each term at its own bits, sums them in one
+column reducer modulo 2^b and copies bit b-1 upward as wires, a
+constant multiply planned for b-bit
+operands reads only the low b bits, and a ReLU of width b selects only
+the bits below b-1, its output's bits from b-1 up being public zeros.
 ReLU and max are computed exactly through oblivious selection: their
 outputs are bitwise identical to one of the inputs (or to zero) and add
 no numerical error.
@@ -29,7 +30,7 @@ share the integer semantics written out here (``scaled_mul``,
 ``guard_range``) with the whole-layer evaluator in :mod:`gatecnn.cnn`:
 on a clear backend with ``fast_arith``, layers run as whole-array integer
 arithmetic and charge the gate counter the NANDs the circuits they stand
-for evaluate once public constants fold (``fold_costs``).  Those counts
+for evaluate once public constants fold (``fold_costs``, ``sum_costs``).  Those counts
 come from running each circuit once per operand pattern on a one-lane
 ``FoldProbe``, whose bits are public constants or private bits without a
 value, and keeping the result for the process.
@@ -37,6 +38,7 @@ value, and keeping the result for the process.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -60,6 +62,7 @@ __all__ = [
     "decode",
     "decode_lanes",
     "fp_add",
+    "fp_sum",
     "fp_sub",
     "fp_mul",
     "fp_mul_const",
@@ -68,6 +71,7 @@ __all__ = [
     "fp_relu",
     "fp_max",
     "fold_costs",
+    "sum_costs",
     "const_mul_costs",
     "public_pattern",
 ]
@@ -224,20 +228,24 @@ def scaled_mul(za, zb, fmt: FixedPointFormat, out=None):
     return product
 
 
-def guard_range(values: np.ndarray, fmt: FixedPointFormat, what: str, bits=None) -> None:
+def guard_range(values: np.ndarray, fmt: FixedPointFormat, what: str, bits=None,
+                signed=True) -> None:
     """Raise OverflowDiagnostic naming the first of ``values`` (in C order)
     outside the format's range, where the circuit would silently wrap, or
-    outside the signed range of ``bits`` (an int or an array broadcasting
-    against values), where a circuit built that narrow would."""
+    outside the range of ``bits``, signed or not as ``signed`` says (each
+    an int or an array broadcasting against values), where a circuit
+    built that narrow would."""
     if bits is None:
         low, high = fmt.min_int, fmt.max_int
     else:
-        half = np.left_shift(1, np.asarray(bits, dtype=int_dtype(fmt)) - 1)
-        low, high = -half, half - 1
+        span = np.left_shift(1, np.asarray(bits, dtype=int_dtype(fmt)))
+        low = np.where(signed, -(span >> 1), 0)
+        high = np.where(signed, span >> 1, span) - 1
     outside = (values < low) | (values > high)
     if outside.any():
+        kind = "" if np.broadcast_to(signed, values.shape)[outside][0] else "unsigned "
         where = f"w={fmt.total_bits} range" if bits is None else \
-            f"{np.broadcast_to(bits, values.shape)[outside][0]}-bit range built for it"
+            f"{np.broadcast_to(bits, values.shape)[outside][0]}-bit {kind}range built for it"
         raise OverflowDiagnostic(
             f"{what} produced integer {values[outside][0]} outside the "
             f"{where}; the error bound no longer applies")
@@ -260,20 +268,36 @@ def _low_bits(x: FixedPointCipher, width: int) -> BitVector:
 # arithmetic
 # ----------------------------------------------------------------------
 
-def fp_add(a: FixedPointCipher, b: FixedPointCipher, width: int | None = None) -> FixedPointCipher:
-    """Exact fixed-point sum; adds no representation error.
-
-    With ``width`` (certified to hold the sum) the ripple adds only the
-    lowest ``width`` bits, and the sum's bits above are wires copying its
-    bit width - 1; the clear backend checks the sum fits."""
+def fp_add(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
+    """Exact fixed-point sum; adds no representation error."""
     _check_formats(a, b)
-    w = a.fmt.total_bits
-    width = w if width is None else width
-    _diagnose(a, b, operator.add, "addition", None if width == w else width)
-    out = gates.add(_low_bits(a, width), _low_bits(b, width))
-    if width < w:
-        out = BitVector(out.bits + out.bits[-1:] * (w - width))
-    return FixedPointCipher(out, a.fmt)
+    _diagnose(a, b, operator.add, "addition")
+    return FixedPointCipher(gates.add(a.bits, b.bits), a.fmt)
+
+
+def fp_sum(terms, widths, bits: int | None = None) -> FixedPointCipher:
+    """Exact sum of ``terms`` from one column reducer (``gates.sum_words``);
+    adds no representation error.
+
+    Term i is read at widths[i] = (n, signed): its low n bits as an
+    unsigned integer or in two's complement, which must hold it.  The
+    reducer works modulo 2^``bits`` (default w), certified to hold the sum,
+    and the sum's bits from ``bits`` up are wires copying its bit
+    bits - 1; the clear backend checks every term and the sum fit."""
+    first = terms[0]
+    for x in terms[1:]:
+        _check_formats(first, x)
+    fmt, backend = first.fmt, first.backend
+    w = fmt.total_bits
+    bits = w if bits is None else bits
+    if isinstance(backend, ClearBackend):
+        values = np.array([_lane_values(x) for x in terms], dtype=int_dtype(fmt))
+        n, signed = (np.array(v)[:, None] for v in zip(*widths))
+        guard_range(values, fmt, "a sum term", n, signed)
+        guard_range(values.sum(axis=0), fmt, "addition", None if bits == w else bits)
+    out = gates.sum_words([(x.bits.bits[:n], signed) for x, (n, signed) in zip(terms, widths)],
+                          bits, backend)
+    return FixedPointCipher(BitVector(out + out[-1:] * (w - bits)), fmt)
 
 
 def fp_sub(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
@@ -385,7 +409,7 @@ def fp_max(values) -> FixedPointCipher:
 
 _COST_OPS = {
     "mul": fp_mul,
-    "add": fp_add,
+    "add": lambda a, b, width: fp_add(a, b),
     "relu": lambda a, b, width: fp_relu(a, width),
     "maxfold": lambda a, b, width: fp_max([a, b]),
 }
@@ -443,6 +467,72 @@ def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width=None) -> list:
             found = nands, _pattern_of(states)
         out.append(found)
     return out
+
+
+def sum_costs(fmt: FixedPointFormat, terms, bits: int):
+    """(NANDs evaluated, output public_pattern) of ``fp_sum`` at ``bits``
+    on terms given as (public_pattern, n, signed), each read as it says.
+
+    Terms whose read bits are all public fold every gate: they are charged
+    0, and the output is their integer sum.  Otherwise the columns are
+    laid out (``gates._sum_columns``, its NOTs run) on a FoldProbe, and
+    each column is charged ``_column_cost``."""
+    w = fmt.total_bits
+    words = [(public & (1 << n) - 1, value & (1 << n) - 1, n, signed)
+             for (public, value), n, signed in terms]
+    if all(public == (1 << n) - 1 for public, _, n, _ in words):
+        total = sum(_signed(value, n) if signed else value for _, value, n, signed in words)
+        return 0, ((1 << w) - 1, _signed(total & (1 << bits) - 1, bits) & (1 << w) - 1)
+    probe = FoldProbe()
+    private = probe.encrypt_bit(0)  # _sum_columns tells bits apart by place, not identity
+    columns = gates._sum_columns([([private if s is None else probe.const(s)
+                                    for s in _states((public, value), n)], signed)
+                                  for public, value, n, signed in words], bits, probe)
+    nands, states, carries = probe.nand_count, [], []
+    for c, col in enumerate(columns):
+        cost, (state, *carries) = _column_cost(tuple(carries) + tuple(b.public for _, b in col),
+                                               c == bits - 1)
+        nands += cost
+        states.append(state)
+    return nands, _pattern_of(states + states[-1:] * (w - bits))
+
+
+def _column_cost(states, top: bool):
+    """(NANDs, [output state, *carry states]) of one
+    ``gates._reduce_column`` on bits with the per-bit states ``states``,
+    the carries from below and then the column's bits, with every ready 0
+    (0 and a public 0 for no bits).  Readies only pick which bits each
+    adder takes, and that changes no count or state when no bit is a
+    public 0 and at most one is a public 1, as in _sum_columns' columns:
+    no gate then folds.
+
+    With every ready 0 the adders take the bits in order, each leaving
+    its sum last, so a column of more than three bits costs its first
+    adder plus the column that adder leaves.  Each such suffix is kept,
+    under its length and public_pattern, and columns of up to three bits
+    run once on a FoldProbe (``_folded``), so that columns of any length
+    share their work."""
+    if not states:
+        return 0, [0]
+    key = ("column", top, len(states), *_pattern_of(states))
+    taken = []  # (key, NANDs, carry state) of each first adder not yet kept
+    while len(states) > 3 and key not in _FOLDS:
+        nands, (out, *carry) = _column_cost(states[:3], top)
+        taken.append((key, nands, carry))
+        states = states[3:] + (out,)
+        key = ("column", top, len(states), *_pattern_of(states))
+    found = _folded(key, lambda bits: _reduced(bits, top), states)
+    for key, nands, carry in reversed(taken):
+        found = _FOLDS[key] = (nands + found[0], [found[1][0], *carry, *found[1][1:]])
+    return found
+
+
+def _reduced(bits, top: bool) -> list:
+    """[output bit, *carries] of a ``gates._reduce_column`` of ``bits``,
+    every ready 0."""
+    out, carries = gates._reduce_column([(0, bit) for bit in bits], [], itertools.count(), top,
+                                        False)
+    return [out, *(bit for *_, bit in carries)]
 
 
 def _step_cost(step: gates.ConstMulStep, xs, ts):
@@ -529,6 +619,8 @@ def _invert_state(state):
 
 def _pattern_of(states) -> tuple:
     """The public_pattern of per-bit states."""
+    if states.count(None) == len(states):
+        return PRIVATE
     public = value = 0
     for i, state in enumerate(states):
         if state is not None:

@@ -3,7 +3,9 @@
 Everything here is a pure function over immutable bits: derived gates,
 ripple adders, two's-complement subtract, a Baugh–Wooley multiplier
 whose columns one reducer sums, earliest-ready bits first, building only
-a requested window of product bits, multiplication by public integers
+a requested window of product bits, a multi-operand adder that sums
+signed and unsigned words of any widths in the same reducer, public bits
+folded into one constant, multiplication by public integers
 as shift-and-add over one adder graph that their products share (a
 digit chain for one integer, a greedy graph planned over numpy arrays
 for several), sign-based comparison and an oblivious multiplexer.  A
@@ -40,6 +42,7 @@ __all__ = [
     "add",
     "sub",
     "mul_wallace",
+    "sum_words",
     "mul_schoolbook",
     "mul_const",
     "mul_consts",
@@ -290,48 +293,109 @@ def mul_wallace(a: BitVector, b: BitVector, lo: int = 0, hi: int | None = None) 
     return BitVector(out)
 
 
+def sum_words(words, width: int, backend) -> list:
+    """Bits [0, width) of the sum of ``words`` modulo 2^width, from one
+    column reducer (_reduce_columns) over their _sum_columns.  A word is a
+    pair (bits, signed): its bits of ``backend``, low first, read as an
+    unsigned integer or, when ``signed``, in two's complement."""
+    return _reduce_columns(_sum_columns(words, width, backend), 0, backend)
+
+
+def _sum_columns(words, width: int, backend) -> list:
+    """The columns (pairs (ready, bit)) of sum_words below ``width``.
+
+    Private bits go straight into their columns (Dadda 1965), a signed
+    word's sign bit s as ~s, since -s·2^t = ~s·2^t - 2^t.  Every public
+    bit and every -2^t fold into one constant K modulo 2^width (the
+    Baugh–Wooley correction).  A set bit c of K enters as p + 1 = ~p + 2p
+    on a private bit p of column c, an inverted sign bit when there is
+    one (its ~p is the sign bit itself); only a column without a private
+    bit gets a public 1.  The columns depend only on the widths and on
+    which bits are public, never on private values."""
+    constant, columns = 0, [[] for _ in range(width)]
+    for n, (bits, signed) in enumerate(words):
+        top = len(bits) - 1 if signed else len(bits)
+        for i, bit in enumerate(bits):
+            if bit.public is not None:
+                constant += (-bit.public if i == top else bit.public) << i
+            elif i < width:
+                constant -= (i == top) << i
+                columns[i].append((bit, i == top, n, i))  # (bit, read inverted, word, place)
+    for c, col in enumerate(columns):
+        if constant >> c & 1:
+            if not col:
+                col.append((backend.const(1), False, None, None))
+                continue
+            k = next((k for k, e in enumerate(col) if e[1]), 0)
+            if c + 1 < width:
+                columns[c + 1].append(col[k])
+            bit, inverted, n, i = col[k]
+            col[k] = (bit, not inverted, n, i)
+    nots = {}  # per word bit, not per bit object: words may share wires
+
+    def ready_bit(bit, inverted, *where):
+        if not inverted:
+            return 0, bit
+        if where not in nots:
+            nots[where] = not_gate(bit)
+        return 1, nots[where]
+
+    return [[ready_bit(*e) for e in col] for col in columns]
+
+
 def _reduce_columns(columns, lo: int, backend):
     """Sum the bits of ``columns`` (pairs (ready, bit), column c weighing
     2^c) modulo 2^len(columns); return the sum bits of columns lo and up.
 
     Each column, lowest first, is folded with the carries from below to
-    one bit: a full adder on three bits, a half adder only on a final
-    pair.  Below ``lo`` the final adder forms only its carry, and the top
-    column's adders only their sums, since their carries leave the window.
+    one bit (_reduce_column).  Below ``lo`` the final adder forms only its
+    carry, and the top column's adders only their sums, since their
+    carries leave the window."""
+    out, carries = [], []
+    order = itertools.count()
+    for c, col in enumerate(columns):
+        bit, carries = _reduce_column(col, carries, order, c == len(columns) - 1, c < lo)
+        if c >= lo:
+            out.append(backend.const(0) if bit is None else bit)
+    return out
+
+
+def _reduce_column(col, carries, order, top: bool, below: bool) -> tuple:
+    """(bit, carries out) of one column of _reduce_columns: its pairs
+    (ready, bit) and the ``carries`` from below, triples (ready, order,
+    bit), folded to one bit (None for no bit) by full adders on three bits
+    and a half adder only on a final pair.  Bits enter in ``order`` after
+    the carries.  A ``top`` column's adders form only sums, and the last
+    adder of a column ``below`` the window only its carry.
+
     Each adder takes the column's earliest-ready bits, the latest of them
     as carry-in, where ``ready`` is a bit's NAND depth under the adders'
     own: a full adder's sum is ready at max(a, b) + 6 or cin + 3 and its
     carry at max(a, b) + 5 or cin + 2, a half adder's at + 3 and + 2.
     The order depends only on the shapes, never on private values.
     """
-    out, carries = [], []
-    top = len(columns) - 1
-    order = itertools.count()
-    for c, col in enumerate(columns):
-        bits = [(ready, next(order), bit) for ready, bit in col] + carries
-        heapq.heapify(bits)
-        carries = []
-        while len(bits) > 1:
-            group = [heapq.heappop(bits) for _ in range(min(3, len(bits)))]
-            ready, _, ins = zip(*group)
-            full = len(ins) == 3
-            if full:
-                ready_s, ready_c = max(ready[1] + 6, ready[2] + 3), max(ready[1] + 5, ready[2] + 2)
-            else:
-                ready_s, ready_c = ready[1] + 3, ready[1] + 2
-            if c == top:  # the carry would leave the window
-                s, cout = (_xor3 if full else xor_gate)(*ins), None
-            elif c < lo and not bits:  # the column's last adder: no sum is read
-                s, cout = None, (_majority if full else and_gate)(*ins)
-            else:
-                s, cout = (full_adder if full else half_adder)(*ins)
-            if s is not None:
-                heapq.heappush(bits, (ready_s, next(order), s))
-            if cout is not None:
-                carries.append((ready_c, next(order), cout))
-        if c >= lo:
-            out.append(bits[0][2] if bits else backend.const(0))
-    return out
+    bits = [(ready, next(order), bit) for ready, bit in col] + carries
+    heapq.heapify(bits)
+    carries = []
+    while len(bits) > 1:
+        group = [heapq.heappop(bits) for _ in range(min(3, len(bits)))]
+        ready, _, ins = zip(*group)
+        full = len(ins) == 3
+        if full:
+            ready_s, ready_c = max(ready[1] + 6, ready[2] + 3), max(ready[1] + 5, ready[2] + 2)
+        else:
+            ready_s, ready_c = ready[1] + 3, ready[1] + 2
+        if top:  # the carry would leave the window
+            s, cout = (_xor3 if full else xor_gate)(*ins), None
+        elif below and not bits:  # the column's last adder: no sum is read
+            s, cout = None, (_majority if full else and_gate)(*ins)
+        else:
+            s, cout = (full_adder if full else half_adder)(*ins)
+        if s is not None:
+            heapq.heappush(bits, (ready_s, next(order), s))
+        if cout is not None:
+            carries.append((ready_c, next(order), cout))
+    return (bits[0][2] if bits else None), carries
 
 
 def mul_schoolbook(a: BitVector, b: BitVector) -> BitVector:

@@ -14,13 +14,14 @@ Every file starts with a fixed 16-byte header:
 followed by length-prefixed sections (u32 LE byte count, then payload):
 
     section 1  params block: u32 lattice_dim, f64 noise_stddev, f64 noise_budget
-    section 2  kind-specific metadata (see _*_META below)
+    section 2  kind-specific metadata (see _RECORDS below)
     section 3  payload
+    section 4  SHA-256 digest of every byte before this section
 
 A key file has no metadata section: its payload, the secret vector,
-follows the params block and is followed by a section holding the
-SHA-256 digest of every byte before that section, so that an altered
-key is refused instead of loading as another valid key.
+follows the params block.  The digest makes an altered file, say a
+flipped matrix entry that is still below q, refused instead of loaded as
+another valid key or ciphertext.
 
 Matrix and vector entries are row-major unsigned little-endian integers
 of ceil(log_q / 8) bytes.  A gsw payload stores what a Ciphertext holds:
@@ -150,6 +151,27 @@ class _Reader:
                 f"{len(self.data) - self.pos} trailing bytes after the last section")
 
 
+def _with_digest(blob: bytes) -> bytes:
+    """``blob`` followed by a section holding the SHA-256 digest of it."""
+    return blob + _section(hashlib.sha256(blob).digest())
+
+
+def _open_signed(path, noun: str, remedy: str) -> _Reader:
+    """A reader over the bytes of a ``noun`` file before its digest
+    section, once they hash to it, so that any altered byte is refused
+    before a field is read.  A file without the section, or too short to
+    hold it, is refused with ``remedy``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    _check_magic(data[:4])
+    body, length, digest = data[:-36], data[-36:-32], data[-32:]
+    if len(data) < 36 or length != struct.pack("<I", 32):
+        raise ModelFormatError(f"{noun} file has no checksum section: {remedy}")
+    if hashlib.sha256(body).digest() != digest:
+        raise ModelFormatError(f"{noun} file checksum mismatch: the file was altered")
+    return _Reader(body)
+
+
 def _untrusted(make, *fields, **named):
     """Build a value from file fields; a field it rejects is a format error."""
     try:
@@ -165,14 +187,17 @@ def read_header(path):
     return _parse_header(_Reader(data))[:3]
 
 
-def _parse_header(rd: _Reader):
-    magic = rd.bytes(4)
+def _check_magic(magic: bytes) -> None:
     if magic == b"GCN1":
         raise ModelFormatError(
             "file predates the GCN2 format: regenerate its key with keygen --seed "
             "(keygen is deterministic) and encrypt its images again")
     if magic != MAGIC:
         raise ModelFormatError("not a gatecnn binary file (bad magic)")
+
+
+def _parse_header(rd: _Reader):
+    _check_magic(rd.bytes(4))
     kind, preset_id, backend_id, _, ct_dim, log_q = rd.unpack("<BBBBII")
     if backend_id not in _BACKEND_NAMES:
         raise ModelFormatError(f"unknown backend id {backend_id}")
@@ -196,27 +221,19 @@ def _parse_header(rd: _Reader):
 def save_secret_key(sk: SecretKey, path) -> None:
     params = sk.params
     esize = _entry_size(params.log_q)
-    blob = (_header(KIND_KEY, params, "gsw")
-            + _params_section(params)
-            + _section(_pack_entries(sk.secret_vector, esize)))
-    atomic_write_bytes(path, blob + _section(hashlib.sha256(blob).digest()))
+    atomic_write_bytes(path, _with_digest(_header(KIND_KEY, params, "gsw")
+                                          + _params_section(params)
+                                          + _section(_pack_entries(sk.secret_vector, esize))))
 
 
 def load_secret_key(path) -> SecretKey:
-    with open(path, "rb") as fh:
-        rd = _Reader(fh.read())
+    rd = _open_signed(path, "key", "regenerate it with keygen --seed (keygen is deterministic)")
     kind, params, _, rd = _parse_header(rd)
     if kind != KIND_KEY:
         raise ModelFormatError("file is not a secret key")
     esize = _entry_size(params.log_q)
     count = params.lattice_dim + 1
     vec = _unpack_entries(rd.section(count * esize), count, esize)
-    signed = rd.pos
-    if signed == len(rd.data):
-        raise ModelFormatError("key file has no checksum section: regenerate it with "
-                               "keygen --seed (keygen is deterministic)")
-    if rd.section(32) != hashlib.sha256(rd.data[:signed]).digest():
-        raise ModelFormatError("key file checksum mismatch: the file was altered")
     rd.end()
     return _untrusted(SecretKey, vec, params)
 
@@ -276,9 +293,10 @@ def _check_backend_match(file_tag: str, file_params: FheParams, backend) -> None
 # ----------------------------------------------------------------------
 
 # record kind -> (its noun in messages, its article and name, the number
-# of u32 shape fields its metadata holds before the format's two)
-_RECORDS = {KIND_IMAGE: ("image", "an encrypted image", 3),
-            KIND_SCORES: ("score", "a score file", 1)}
+# of u32 shape fields its metadata holds before the format's two, and how
+# to make the file again)
+_RECORDS = {KIND_IMAGE: ("image", "an encrypted image", 3, "encrypt the image again"),
+            KIND_SCORES: ("score", "a score file", 1, "classify the image again")}
 
 
 def _save_record(kind: int, shape, values, fmt: FixedPointFormat, backend, path,
@@ -290,20 +308,17 @@ def _save_record(kind: int, shape, values, fmt: FixedPointFormat, backend, path,
             f"clear {_RECORDS[kind][0]} files still need preset params for the header")
     meta = struct.pack(f"<{len(shape) + 2}I", *shape, fmt.total_bits, fmt.frac_bits)
     bits = [bit for value in values for bit in value.bits.bits]
-    blob = (_header(kind, params, backend.tag)
-            + _params_section(params)
-            + _section(meta)
-            + _section(_write_bits(bits, backend)))
-    atomic_write_bytes(path, blob)
+    atomic_write_bytes(path, _with_digest(_header(kind, params, backend.tag)
+                                          + _params_section(params)
+                                          + _section(meta)
+                                          + _section(_write_bits(bits, backend))))
 
 
 def _load_record(kind: int, path, backend):
     """(shape, an iterator over its FixedPointCiphers in row-major order,
     format) of a ``kind`` record; backend must match the file."""
-    with open(path, "rb") as fh:
-        rd = _Reader(fh.read())
-    found, params, tag, rd = _parse_header(rd)
-    _, name, dims = _RECORDS[kind]
+    noun, name, dims, remedy = _RECORDS[kind]
+    found, params, tag, rd = _parse_header(_open_signed(path, noun, remedy))
     if found != kind:
         raise ModelFormatError(f"file is not {name}")
     _check_backend_match(tag, params, backend)

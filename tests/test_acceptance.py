@@ -109,14 +109,14 @@ def test_criterion_3_bound_property_random_networks():
 def _exact_layers(net, pixels):
     """Per layer, the scaled integers the evaluators compute for one
     (c, h, w) image, as Python integers: the terms each neuron reads
-    (..., fan-in) in window order, the floored products and the nodes of
-    each neuron's certified add tree over the bias and them (..., out,
-    fan-in), and the outputs after activation and pooling (..., out)."""
+    (..., fan-in) in window order, the floored products (..., out,
+    fan-in), each neuron's root, its bias plus its products (..., out),
+    and the outputs after activation and pooling (..., out)."""
     fmt = net.fmt
     x = np.array([[[fp.float_to_scaled(v, fmt) for v in row] for row in grid]
                   for grid in pixels], dtype=object)
     layers = []
-    for layer, certificate in zip(net.layers, net.certificate()):
+    for layer in net.layers:
         weights = np.array([[fp.float_to_scaled(v, fmt) for v in row]
                             for row in layer.weights.reshape(layer.out_channels, -1)],
                            dtype=object)
@@ -128,15 +128,8 @@ def _exact_layers(net, pixels):
         else:
             terms = x.reshape(-1)
         products = (terms[..., None, :] * weights) >> fmt.frac_bits
-        out, fan_in = weights.shape
-        values = np.concatenate([np.broadcast_to(biases[:, None], products.shape[:-1] + (1,)),
-                                 products, np.zeros_like(products)], axis=-1)
-        for i in range(fan_in):
-            for o in range(out):
-                a, b = certificate.operands[o, i]
-                values[..., o, fan_in + 1 + i] = values[..., o, a] + values[..., o, b]
-        sums = values[..., fan_in + 1:]
-        outputs = sums[..., -1]
+        roots = biases + products.sum(axis=-1)
+        outputs = roots
         if layer.activation == cnn.RELU:
             outputs = np.maximum(outputs, 0)
         if layer.kind == cnn.CONVOLUTION:
@@ -146,7 +139,7 @@ def _exact_layers(net, pixels):
             x = outputs.transpose(2, 0, 1)
         else:
             x = outputs
-        layers.append((terms, products, sums, outputs))
+        layers.append((terms, products, roots, outputs))
     return layers
 
 
@@ -181,11 +174,12 @@ def _layers_on_both_evaluators(net, pixels):
 
 def test_certificate_holds_on_random_networks():
     """Criterion 3's random networks on pixels in [-1, 1], the all +1 and
-    all -1 corners among them: each neuron's add tree uses every leaf and
-    every node but the root once, after it is built; every input,
-    product, tree node and layer output, in exact integers, lies inside
-    its certified interval; each interval fits its certified width; and
-    the scores are those of classify.  On three of the networks, layer by
+    all -1 corners among them: every input, product, root and layer
+    output, in exact integers, lies inside its certified interval; each
+    leaf's interval (the bias, then the products) fits the width it is
+    read at, unsigned where the interval is >= 0, each root's its root
+    width and each input's the input width; and the scores are those of
+    classify.  On three of the networks, layer by
     layer, the whole-layer evaluator and the gate path give the same
     values, NANDs and output public_patterns, with fewer NANDs than at w
     bits."""
@@ -195,23 +189,24 @@ def test_certificate_holds_on_random_networks():
         fmt, shape = net.fmt, (1, net.input_height, net.input_width)
         certificate = net.certificate()
         for layer, widths in zip(net.layers, certificate):
-            out, fan_in = widths.sum_bits.shape
             assert widths.fits
-            for tree in widths.operands:
-                assert sorted(tree.ravel().tolist()) == list(range(2 * fan_in))
-                assert (tree.max(axis=1) < np.arange(fan_in + 1, 2 * fan_in + 1)).all()
-            limit = 1 << (widths.sum_bits - 1).astype(object)
-            assert _inside(widths.sums[0], (-limit, limit - 1))
-            assert _inside(widths.sums[1], (-limit, limit - 1))
+            biases = layer.scaled(fmt)[1][:, None]
+            leaves = [np.concatenate([biases, ends], axis=1) for ends in widths.products]
+            span, signed = 1 << widths.leaf_bits.astype(object), widths.leaf_signed
+            reading = np.where(signed, -(span >> 1), 0), np.where(signed, span >> 1, span) - 1
+            assert _inside(leaves[0], reading) and _inside(leaves[1], reading)
+            limit = 1 << (widths.root_bits - 1).astype(object)
+            assert _inside(widths.roots[0], (-limit, limit - 1))
+            assert _inside(widths.roots[1], (-limit, limit - 1))
             half = 1 << (widths.input_bits - 1)
             assert _inside(np.concatenate(widths.inputs), (-half, half - 1))
         for pixels in (np.ones(shape), -np.ones(shape), rng.choice((-1.0, 1.0), shape),
                        rng.uniform(-1, 1, shape)):
             layers = _exact_layers(net, pixels)
-            for (terms, products, sums, outputs), widths in zip(layers, certificate):
+            for (terms, products, roots, outputs), widths in zip(layers, certificate):
                 assert _inside(terms, widths.inputs), i
                 assert _inside(products, widths.products), i
-                assert _inside(sums, widths.sums), i
+                assert _inside(roots, widths.roots), i
                 assert _inside(outputs, widths.outputs), i
             backend = fc.ClearBackend(fast_arith=True)
             scores = cnn.classify(cnn.encrypt_image(pixels, fmt, backend), net)
@@ -226,8 +221,8 @@ def test_certificate_holds_on_random_networks():
         backend = fc.ClearBackend(fast_arith=True)
         cnn.classify(cnn.encrypt_image(pixels, net.fmt, backend), net, encrypt_weights=True)
         assert sum(nands for _, nands in fast) < backend.stats.nand_count
-    _report("3b", "100 random networks x 4 inputs in [-1, 1]: every value and add-tree "
-                  "node inside its certified interval; fast == gate per layer on 3 of them")
+    _report("3b", "100 random networks x 4 inputs in [-1, 1]: every value and neuron "
+                  "sum inside its certified interval; fast == gate per layer on 3 of them")
 
 
 # ----------------------------------------------------------------------
@@ -344,8 +339,9 @@ def test_criterion_7_encrypted_tiny_cnn(toy_params, toy_key, tiny_net):
     # graphs, all 12 bits wide; 15,783 at certified widths, adding in
     # input order; 14,403 with add trees and narrow ReLUs, before the fc
     # layer shared its adder graphs as a 1x1 convolution; 14,233 with one
-    # adder graph per input channel, before one per entry set)
-    assert gsw.stats.nand_count == clear.stats.nand_count == 13_562
+    # adder graph per input channel, before one per entry set; 13,562
+    # with add trees of ripple adds, before one column reducer per neuron)
+    assert gsw.stats.nand_count == clear.stats.nand_count == 12_796
     _report(7, f"tiny CNN fully encrypted on the toy preset decrypts "
                f"bit-identical to the clear backend (scores {gsw_ints}, "
                f"{gsw.stats.nand_count} NANDs, {gsw.stats.refresh_count} refreshes)")

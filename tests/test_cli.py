@@ -141,26 +141,22 @@ def test_bound_empty_fc_only_model(workdir, capsys):
 
 
 def test_bound_prints_certified_widths(workdir, capsys):
-    """Per layer, b_x, the widest add-tree node and the headroom to w.  The
-    micro model (w=10, f=5; one fc layer over 4 pixels in [-1, 1], ±32 as
-    integers) needs 7 input bits; its widest node comes from every corner
-    of the inputs, the extremes of each floored product, run through the
-    certificate's trees."""
+    """Per layer, b_x, the widest neuron sum (root) and the headroom to w.
+    The micro model (w=10, f=5; one fc layer over 4 pixels in [-1, 1], ±32
+    as integers) needs 7 input bits; its widest root comes from every
+    corner of the inputs, the extremes of each floored product, summed
+    with the bias."""
     assert run("bound", "--model", workdir / "micro.txt") == 0
     lines = capsys.readouterr().out.splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("certified bit widths"))
     assert lines[start + 1].split() == ["layer", "b_x", "max", "b_s", "headroom"]
     net = model_io.load_model(workdir / "micro.txt")
     weights, biases = net.layers[0].scaled(net.fmt)
-    (certificate,) = net.certificate()
     widest = 0
     for corner in itertools.product((-32, 32), repeat=4):
         for node in range(2):
-            values = [int(biases[node])] + [x * int(z) >> 5 for x, z in zip(corner, weights[node])]
-            for a, b in certificate.operands[node].tolist():
-                values.append(values[a] + values[b])
-                total = values[-1]
-                widest = max(widest, (total if total >= 0 else ~total).bit_length() + 1)
+            total = int(biases[node]) + sum(x * int(z) >> 5 for x, z in zip(corner, weights[node]))
+            widest = max(widest, (total if total >= 0 else ~total).bit_length() + 1)
     assert lines[start + 2].split() == ["0", "7", str(widest), str(10 - widest)]
 
 
@@ -168,7 +164,7 @@ def test_bound_prints_private_weight_widths(workdir, capsys):
     """Per layer, what the encrypted-weight circuits are built from and
     at: the micro model's 6-bit weights and 3-bit biases, the 7-bit pixels
     and 6-bit floored products each multiply reads and builds, and its
-    widest add-tree node, 8 bits."""
+    widest root, 8 bits."""
     assert run("bound", "--model", workdir / "micro.txt") == 0
     lines = capsys.readouterr().out.splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("with --encrypt-weights"))
@@ -399,6 +395,7 @@ def test_bad_key_params_field_is_io_error(workdir, capsys, offset, packed):
                "--out", workdir / "field.key") == 0
     data = bytearray((workdir / "field.key").read_bytes())
     data[offset:offset + len(packed)] = packed
+    data[-32:] = hashlib.sha256(data[:-36]).digest()  # the file's own digest
     (workdir / "field.key").write_bytes(bytes(data))
     capsys.readouterr()
     code = run("encrypt-image", "--model", workdir / "micro.txt",
@@ -445,6 +442,7 @@ def test_gsw_image_bit_with_a_noisy_estimate_exits_5(workdir, capsys):
     # the first bit's f64 noise estimate
     assert struct.unpack_from("<d", data, 68) == (2.0,)
     struct.pack_into("<d", data, 68, 300.0)
+    data[-32:] = hashlib.sha256(data[:-36]).digest()  # the file's own digest
     (workdir / "noisy.bin").write_bytes(bytes(data))
     capsys.readouterr()
     for flags in ((), ("--encrypt-weights",)):
@@ -486,6 +484,7 @@ def test_image_file_zero_total_bits_is_io_error(workdir, capsys):
     data = bytearray((workdir / "zero.bin").read_bytes())
     # header 16 + params section 24 + meta length 4; total_bits is meta's 4th u32
     struct.pack_into("<I", data, 16 + 24 + 4 + 12, 0)
+    data[-32:] = hashlib.sha256(data[:-36]).digest()  # the file's own digest
     (workdir / "zero.bin").write_bytes(bytes(data))
     capsys.readouterr()
     code = run("classify", "--model", workdir / "micro.txt",
@@ -578,7 +577,8 @@ def _mutants(data: bytes, count: int, seed: int, tokens: bool):
 def test_mutated_input_files_exit_with_a_documented_code(workdir, capsys):
     """Malformed model, key, image and score files, clear and gsw: every
     seeded mutant returns 0 or a documented exit code, and ``main`` raises
-    nothing.  A key file carries a digest, so every altered key exits 3."""
+    nothing.  Key, image and score files carry a digest, so every altered
+    one exits 3."""
     run("keygen", "--preset", "toy", "--seed", "1", "--out", workdir / "fuzz.key")
     run("encrypt-image", "--model", workdir / "micro.txt", "--image", workdir / "img.csv",
         "--backend", "clear", "--out", workdir / "fuzz_img.bin")
@@ -609,7 +609,11 @@ def test_mutated_input_files_exit_with_a_documented_code(workdir, capsys):
                   cli.EXIT_VERIFY}
     for seed, (name, argvs) in enumerate(commands.items()):
         data = (workdir / name).read_bytes()
-        for i, bad in enumerate(_mutants(data, counts[name], seed, name == "micro.txt")):
+        mutants = list(_mutants(data, counts[name], seed, name == "micro.txt"))
+        if name != "micro.txt":  # and one flipped bit at eight places past the header
+            mutants += [data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+                        for at in range(64, len(data), -(-(len(data) - 64) // 8))]
+        for i, bad in enumerate(mutants):
             mutant.write_bytes(bad)
             for argv in argvs:
                 try:
@@ -617,8 +621,8 @@ def test_mutated_input_files_exit_with_a_documented_code(workdir, capsys):
                 except Exception as exc:  # any escape from main is the failure
                     pytest.fail(f"{name} mutant {i} {bad[:80]!r}: {argv[0]} raised {exc!r}")
                 assert code in documented, (name, i, argv[0], code)
-                if name == "fuzz.key":
-                    assert code == cli.EXIT_IO or bad == data, (i, code)
+                if name != "micro.txt":  # key, image and score files carry a digest
+                    assert code == cli.EXIT_IO or bad == data, (name, i, code)
     capsys.readouterr()
 
 

@@ -11,7 +11,7 @@ from gatecnn import fixedpoint as fp
 from gatecnn import gates as g
 from gatecnn.errors import (OverflowDiagnostic, ParameterError, RangeError,
                             ShapeError)
-from gatecnn.fhe_core import ClearBackend, GswBackend
+from gatecnn.fhe_core import ClearBackend, FoldProbe, GswBackend
 
 FMT = fp.FixedPointFormat(32, 16)
 
@@ -487,12 +487,12 @@ def test_layer_evaluator_matches_gate_path_5x5_patterns():
 
 def test_layer_evaluator_matches_gate_path_5x5_patterns_certified():
     """The same at the certificate's widths (5x5 layer: 6-bit inputs of
-    w=8, tree nodes of 1 to 8 bits), for fewer NANDs than at w bits.  The
-    1x1 layer's ReLUs are 5 and 6 bits wide, so its maps' bits from 4
-    and 5 up are public zeros."""
+    w=8), for fewer NANDs than at w bits.  The 1x1 layer's roots, and so
+    its ReLUs, are 5 and 6 bits wide, so its maps' bits from 4 and 5 up
+    are public zeros."""
     net = _edge_heavy_net()
     assert net.certificate()[1].input_bits == 6
-    assert net.certificate()[0].sum_bits.tolist() == [[5], [6]]
+    assert net.certificate()[0].root_bits.tolist() == [5, 6]
     pixels = np.random.default_rng(13).uniform(-0.5, 0.5, (12, 12))
     fast, gate = _layer_by_layer(net, pixels, certified=True)
     assert fast == gate
@@ -575,6 +575,29 @@ def test_public_pixels_plan_nothing(monkeypatch):
     assert private[0] == private[1] == scores_of(public)
 
 
+def test_public_images_fold_without_a_probe(monkeypatch):
+    """A public image folds every gate, so the fast path charges it 0
+    without running any circuit on a FoldProbe: each neuron's sum, ReLU
+    and max fold of wholly public operands is the public integer.  Two
+    different public images build no probe, even with an empty fold memo;
+    their scores' public bits are their values, and they score as their
+    private encryptions do."""
+    built = []
+    monkeypatch.setattr(fp, "_FOLDS", {})
+    monkeypatch.setattr(fp, "FoldProbe", lambda: built.append(1) or FoldProbe())
+    net = demo.tiny_model()
+    for pixels in demo.synthetic_images(2, 6, 6, seed=8):
+        backend = ClearBackend(fast_arith=True)
+        public = cnn.classify(cnn.encrypt_image(pixels, net.fmt, backend, encrypt=False), net)
+        assert built == [] and backend.stats.nand_count == 0
+        full = (1 << net.fmt.total_bits) - 1
+        assert [fp.public_pattern(score) for score in public.scores] == [
+            (full, fp._lane_values(score)[0] & full) for score in public.scores]
+        private = cnn.classify(cnn.encrypt_image(pixels, net.fmt, ClearBackend(), encrypt=True),
+                               net)
+        assert scores_of(public) == scores_of(private)
+
+
 def _reachable(root):
     """Every object reachable from ``root`` through containers, object
     arrays and the attributes of gatecnn objects."""
@@ -630,68 +653,77 @@ def test_layer_charges_keep_the_latest_inputs(monkeypatch):
 
 def test_layers_guard_the_certified_widths():
     """Given a certificate, both evaluators check each layer input against
-    its input width and each partial sum against its width, where the
-    narrow circuits stop being exact: with pixels of 1.0 (18 bits at
-    f=16) the certified layer runs, a certificate one bit narrower on the
-    partial sums raises, and so does an input of 2.0 (19 bits)."""
+    its input width, each leaf against the width it is read at and each
+    root against its width, where the narrow circuits stop being exact:
+    with pixels of 1.0 (18 bits at f=16) the certified layer runs, a
+    certificate one bit narrower on the root or on a leaf raises, and so
+    does an input of 2.0 (19 bits)."""
     spec = make_fc(2, 1, weights=np.array([[0.75, 0.5]]), biases=np.zeros(1))
     (certificate,) = cnn.NetworkSpec([spec], 1, 2, FMT).certificate()
-    assert certificate.input_bits == 18 and certificate.sum_bits.tolist() == [[17, 18]]
-    # the 1-bit bias and the first 17-bit product, then the second
-    assert certificate.operands.tolist() == [[[0, 1], [2, 3]]]
-    narrow = dataclasses.replace(certificate, sum_bits=certificate.sum_bits - 1)
+    assert certificate.input_bits == 18 and certificate.root_bits.tolist() == [18]
+    # the zero bias is read at 0 bits, each product at its 17 signed bits
+    assert certificate.leaf_bits.tolist() == [[0, 17, 17]]
+    assert certificate.leaf_signed.tolist() == [[False, True, True]]
+    narrow = dataclasses.replace(certificate, root_bits=certificate.root_bits - 1)
+    short = dataclasses.replace(certificate, leaf_bits=certificate.leaf_bits - [0, 1, 0])
     for fast in (True, False):
         backend = ClearBackend(fast_arith=fast)
         ones = [fp.encode(1.0, FMT, backend)] * 2
         assert scores_of(cnn.fc_layer(ones, spec, certificate=certificate)) == [1.25]
-        with pytest.raises(OverflowDiagnostic, match="addition .* 16-bit range"):
+        with pytest.raises(OverflowDiagnostic, match="addition .* 17-bit range"):
             cnn.fc_layer(ones, spec, certificate=narrow)
+        with pytest.raises(OverflowDiagnostic, match="a sum term .* 16-bit range"):
+            cnn.fc_layer(ones, spec, certificate=short)
         past = [fp.encode(2.0, FMT, backend), fp.encode(0.0, FMT, backend)]
         with pytest.raises(OverflowDiagnostic, match="18-bit range"):
             cnn.fc_layer(past, spec, certificate=certificate)
 
 
 def test_add_trees_depend_only_on_the_public_weights(tmp_path):
-    """Two independent plans of the preset model, one from a saved and
-    reloaded copy, give equal trees and widths; each tree first adds the
-    two narrowest leaves, and its adds are narrower in total than the
-    left chain's."""
+    """Two independent certificates of the preset model, one from a saved
+    and reloaded copy, give equal leaf and root widths.  Each leaf is read
+    at the bits of its interval, unsigned when it is >= 0: conv2 and fc
+    read the ReLU'd maps, so their products by positive weights are read
+    unsigned, in fewer bits in all than signed, while every conv1 product
+    of a pixel in [-1, 1] is read signed."""
     net = demo.preset_model()
     model_io.save_model(net, tmp_path / "preset.txt")
     again = model_io.load_model(tmp_path / "preset.txt")
     for mine, theirs in zip(net.certificate(), again.certificate()):
-        assert np.array_equal(mine.operands, theirs.operands)
-        assert np.array_equal(mine.sum_bits, theirs.sum_bits)
-    for layer, certificate in zip(net.layers, net.certificate()):
+        for name in ("leaf_bits", "leaf_signed", "root_bits"):
+            assert np.array_equal(getattr(mine, name), getattr(theirs, name))
+    for i, (layer, certificate) in enumerate(zip(net.layers, net.certificate())):
         biases = layer.scaled(net.fmt)[1][:, None]
-        leaves = cnn._signed_bits(*(np.concatenate([biases, ends], axis=1)
-                                    for ends in certificate.products))
-        for o, (a, b) in enumerate(certificate.operands[:, 0].tolist()):
-            assert sorted(leaves[o])[:2] == sorted([leaves[o, a], leaves[o, b]])
-        chain = cnn._signed_bits(*(np.cumsum(ends, axis=1) + biases
-                                   for ends in certificate.products))
-        assert certificate.sum_bits.sum() < np.minimum(chain, net.fmt.total_bits).sum()
-        assert not np.array_equal(certificate.operands,
-                                  cnn._left_chain(*certificate.sum_bits.shape))
+        low, high = (np.concatenate([biases, ends], axis=1) for ends in certificate.products)
+        signed = cnn._signed_bits(low, high)
+        assert np.array_equal(certificate.leaf_signed, low < 0)
+        assert np.array_equal(certificate.leaf_bits, np.where(low < 0, signed, signed - 1))
+        roots = cnn._signed_bits(*(v.sum(axis=1) for v in (low, high)))
+        assert np.array_equal(certificate.root_bits, np.minimum(roots, net.fmt.total_bits))
+        products = certificate.leaf_bits[:, 1:].sum()
+        assert (products < signed[:, 1:].sum()) == (i > 0)
 
 
 def test_encrypt_weights_fold_over_the_bounded_tree():
-    """With encrypted weights a neuron is the fold of fp_mul and fp_add
-    over the bounded walk's tree at its widths, gate for gate; every
-    neuron of the layer has the same tree.  The micro model's bounds: 7-bit
-    pixels, 6-bit weights, 3-bit biases, 6-bit floored products (window
-    [5, 11)) and nodes of 7, 7, 8 and 8 bits."""
+    """With encrypted weights a neuron is fp_mul's products and one fp_sum
+    of them and the bias at the bounded walk's widths, gate for gate;
+    every neuron of the layer has the same widths.  The micro model's
+    bounds: 7-bit pixels, 6-bit weights, 3-bit biases, 6-bit floored
+    products (window [5, 11)), all read signed, and 8-bit roots."""
     (micro,) = demo.micro_model().certificate(encrypt_weights=True)
     assert demo.micro_model().layers[0].bit_widths(fp.FixedPointFormat(10, 5)) == (6, 3)
     assert micro.mul_bits == (7, 6, 6)
-    assert micro.sum_bits.tolist() == [[7, 7, 8, 8]] * 2
+    assert micro.leaf_bits.tolist() == [[3, 6, 6, 6, 6]] * 2 and micro.leaf_signed.all()
+    assert micro.root_bits.tolist() == [8, 8]
     small = fp.FixedPointFormat(10, 5)
     rnd = random.Random(22)
     spec = make_fc(4, 2, weights=np.array([[rnd.uniform(-1, 1) for _ in range(4)]
                                            for _ in range(2)]), biases=np.array([0.25, -0.5]))
     (certificate,) = cnn.NetworkSpec([spec], 2, 2, small).certificate(encrypt_weights=True)
-    input_bits, sum_bits, operands, mul_bits = cnn._widths(spec, small, certificate)
-    assert (operands == operands[0]).all() and (sum_bits == sum_bits[0]).all()
+    input_bits, leaf_bits, leaf_signed, root_bits, mul_bits = cnn._widths(spec, small,
+                                                                           certificate)
+    assert (leaf_bits == leaf_bits[0]).all() and (leaf_signed == leaf_signed[0]).all()
+    assert (root_bits == root_bits[0]).all()
     assert input_bits == 7 and mul_bits[0] == 7 and mul_bits[1] < 10 and mul_bits[2] < 10
     vals = [rnd.uniform(-1, 1) for _ in range(4)]
     runs = []
@@ -704,9 +736,8 @@ def test_encrypt_weights_fold_over_the_bounded_tree():
                 values = [fp.encode(spec.biases[o], small, backend)] + [
                     fp.fp_mul(x, fp.encode(w, small, backend), mul_bits)
                     for x, w in zip(xs, spec.weights[o])]
-                for (a, b), bits in zip(operands[o].tolist(), sum_bits[o].tolist()):
-                    values.append(fp.fp_add(values[a], values[b], bits))
-                scores.append(values[-1])
+                terms = list(zip(leaf_bits[o].tolist(), leaf_signed[o].tolist()))
+                scores.append(fp.fp_sum(values, terms, int(root_bits[o])))
         else:
             scores = cnn.fc_layer(xs, spec, True, certificate=certificate).scores
         runs.append(([s.bits.to_int() for s in scores], backend.stats.nand_count))
@@ -717,18 +748,22 @@ def test_encrypt_weights_fold_over_the_bounded_tree():
 
 
 def test_layer_charges_are_kept_per_tree():
-    """Two trees of the same widths over zero and power-of-two weights fold
-    differently; the layer evaluator charges each what the gate path
-    evaluates, though the same LayerSpec keeps both charges."""
+    """Two sums at the same root width over zero and power-of-two weights,
+    one reading every leaf signed at w bits and one at the certified leaf
+    widths, fold differently; the layer evaluator charges each what the
+    gate path evaluates, though the same LayerSpec keeps both charges."""
     small = fp.FixedPointFormat(10, 5)
     spec = make_fc(4, 1, weights=np.array([[0.0, 0.5, -0.25, 0.0]]),
                    biases=np.array([0.25]), act=cnn.RELU)
     (certificate,) = cnn.NetworkSpec([spec], 2, 2, small).certificate()
-    assert certificate.operands.tolist() == [[[1, 4], [5, 0], [3, 6], [2, 7]]]
+    # the bias 8 unsigned, the zero products in 0 bits, ±16 and ±8 signed
+    assert certificate.leaf_bits.tolist() == [[4, 0, 6, 5, 0]]
+    assert certificate.leaf_signed.tolist() == [[False, False, True, True, False]]
     charged = []
-    for operands in (cnn._left_chain(1, 4), certificate.operands):
-        tree = dataclasses.replace(certificate, operands=operands,
-                                   sum_bits=np.full((1, 4), 10))
+    for leaf_bits, leaf_signed in ((np.full((1, 5), 10), np.ones((1, 5), dtype=bool)),
+                                   (certificate.leaf_bits, certificate.leaf_signed)):
+        tree = dataclasses.replace(certificate, leaf_bits=leaf_bits, leaf_signed=leaf_signed,
+                                   root_bits=np.full(1, 10))
         runs = []
         for fast in (True, False):
             backend = ClearBackend(fast_arith=fast)
@@ -892,7 +927,7 @@ def test_private_widths_follow_only_the_weight_bit_widths(tiny_net):
     assert widths(-((1 << b_w - 1) - 1) / fmt.scale) == base
     wider = widths((1 << b_w - 1) / fmt.scale)
     assert wider[:-1] == base[:-1]
-    assert wider[-1][3][1] == b_w + 1 and wider[-1][3] > base[-1][3]
+    assert wider[-1][4][1] == b_w + 1 and wider[-1][4] > base[-1][4]
 
 
 def test_private_multiply_reads_enough_bits_for_its_window(fast_vs_gate):

@@ -477,6 +477,6 @@ def test_golden_score_ciphertexts(toy_params, toy_key):
             digest.update(bit.ciphertext.matrix.astype(np.int64).tobytes())
             digest.update(repr(bit.ciphertext.noise_estimate).encode())
     assert digest.hexdigest() == (
-        "c18136ea0663208397740518d77a7e56bdc8da29bd96f18d368964dc0792fb5b")
-    assert backend.stats.snapshot() == (3436, 3436, 218.0)
+        "e561411d5c25743e47d5ebf00b3abe1140c1a3a5051ab19a18e0640b96d269b4")
+    assert backend.stats.snapshot() == (3368, 3368, 218.0)
     assert [value.bits.to_int() for value in scores.scores] == [-10, 22]

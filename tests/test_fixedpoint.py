@@ -463,23 +463,27 @@ def test_certified_width_plan_products_match_scaled_mul():
 
 
 def test_narrow_add_is_exact_where_the_sum_fits():
-    """fp_add at width 6 of a w=10 format: the sum of every pair whose
-    sum fits 6 bits is exact, its bits above bit 5 are that bit's wires,
-    and it evaluates the gates of a 6-bit ripple.  On the clear backend a
-    sum past 6 bits raises."""
+    """fp_sum of two 7-bit terms at width 6 of a w=10 format: the sum of
+    every pair whose sum fits 6 bits is exact, its bits above bit 5 are
+    that bit's wires, and it evaluates the gates of a 6-bit ripple.  On
+    the clear backend a sum past 6 bits raises."""
     small = fp.FixedPointFormat(10, 5)
     pairs = [(a, b) for a in range(-40, 40) for b in range(-40, 40) if -32 <= a + b < 32]
     backend = fc.ClearBackend(lanes=len(pairs))
     x, y = (fp.FixedPointCipher(g.BitVector.from_lane_ints([p[i] for p in pairs], 10, backend),
                                 small) for i in (0, 1))
     before = backend.stats.nand_count
-    total = fp.fp_add(x, y, width=6)
+    total = fp.fp_sum([x, y], [(7, True)] * 2, 6)
     assert fp._lane_values(total) == [a + b for a, b in pairs]
     assert all(bit is total.bits.bits[5] for bit in total.bits.bits[6:])
     assert backend.stats.nand_count - before == fp.fold_costs(
         "add", fp.FixedPointFormat(6, 0), [(fp.PRIVATE, fp.PRIVATE)])[0][0]
-    with pytest.raises(OverflowDiagnostic, match="6-bit range"):
-        fp.fp_add(fp.encode(0.75, small, backend), fp.encode(0.5, small, backend), width=6)
+    with pytest.raises(OverflowDiagnostic, match="addition .* 6-bit range"):
+        fp.fp_sum([fp.encode(0.75, small, backend), fp.encode(0.5, small, backend)],
+                  [(7, True)] * 2, 6)
+    with pytest.raises(OverflowDiagnostic, match="a sum term .* 7-bit range"):
+        fp.fp_sum([fp.encode(2.0, small, backend), fp.encode(-2.0, small, backend)],
+                  [(7, True)] * 2, 6)
 
 
 def test_narrow_relu_is_exact_and_its_high_bits_are_public_zeros():

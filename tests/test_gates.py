@@ -1,9 +1,11 @@
+import itertools
 import random
 import tracemalloc
 
 import pytest
 
 from gatecnn import fhe_core as fc
+from gatecnn import fixedpoint as fp
 from gatecnn import gates as g
 from gatecnn.errors import ParameterError, WidthMismatchError
 
@@ -205,6 +207,111 @@ def test_mul_wallace_no_deeper_than_the_wallace_tree(m, n, lo, hi, _, wallace_de
     out = g.mul_wallace(g.BitVector.from_int(0, m, probe, encrypt=True),
                         g.BitVector.from_int(0, n, probe, encrypt=True), lo=lo, hi=hi)
     assert max(bit.depth for bit in out.bits) <= wallace_depth
+
+
+def _word_range(n: int, signed: bool) -> range:
+    return range(-(1 << n - 1), 1 << n - 1) if signed else range(1 << n)
+
+
+def _sum_cases(count: int):
+    """(shapes, publics) of ``count`` words for sum_words: each shape is
+    (bits, signed), each public a (mask, value) pair over the word's bits:
+    every bit private; the first word a public constant (its least, zero
+    and greatest value); each word's bit 0 public; the first word's top
+    bit a public 0."""
+    shapes_1_to_4 = [(n, signed) for n in range(1, 5) for signed in (False, True)]
+    for shapes in itertools.combinations_with_replacement(shapes_1_to_4, count):
+        private = [(0, 0)] * count
+        yield shapes, private
+        n, signed = shapes[0]
+        full = (1 << n) - 1
+        for v in sorted({min(_word_range(*shapes[0])), 0, max(_word_range(*shapes[0]))}):
+            yield shapes, [(full, v & full)] + private[1:]
+        yield shapes, [(1, i % 2) for i in range(count)]
+        yield shapes, [(1 << n - 1, 0)] + private[1:]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_sum_words_exhaustive(count):
+    """For up to 3 words of 1 to 4 bits, unsigned and signed, some of
+    whose bits are public, and every value of their private bits at once
+    (one lane each): sum_words gives the sum modulo 2^R, at the root's
+    signed bits R and at two bits fewer.  The fold charge over per-bit
+    states (fixedpoint.sum_costs) equals the NANDs the gates evaluate, and
+    its output public_pattern is theirs."""
+    fmt = fp.FixedPointFormat(8, 0)
+    for shapes, publics in _sum_cases(count):
+        private = [[i for i in range(n) if not mask >> i & 1]
+                   for (n, _), (mask, _) in zip(shapes, publics)]
+        lanes = 1 << sum(map(len, private))
+        # lane l's private bits are the bits of l, word by word, low first
+        values, shift = [[] for _ in range(lanes)], 0
+        for (n, signed), (mask, value), bits in zip(shapes, publics, private):
+            for lane in range(lanes):
+                v = value
+                for j, i in enumerate(bits):
+                    v |= (lane >> shift + j & 1) << i
+                values[lane].append(v - (v >> n - 1 << n) if signed else v)
+            shift += len(bits)
+        totals = [sum(v) for v in values]
+        root = max(max(totals), ~min(totals)).bit_length() + 1
+        for width in sorted({root, max(1, root - 2)}):
+            backend = fc.ClearBackend(lanes=lanes)
+            words = []
+            for k, ((n, signed), (mask, value)) in enumerate(zip(shapes, publics)):
+                lane_bits = _lane_masks([v[k] for v in values], n)
+                words.append(([backend.const(value >> i & 1) if mask >> i & 1
+                               else backend.from_mask(lane_bits[i]) for i in range(n)], signed))
+            out = g.sum_words(words, width, backend)
+            case = (shapes, publics, width)
+            assert [bit.clear_value for bit in out] == _lane_masks(totals, width), case
+            states = [bit.public for bit in out]
+            charge = fp.sum_costs(fmt, [(p, n, signed) for (n, signed), p in zip(shapes, publics)],
+                                  width)
+            assert charge == (backend.stats.nand_count,
+                              fp._pattern_of(states + states[-1:] * (8 - width))), case
+
+
+def test_sum_costs_of_long_columns_equal_the_gates(monkeypatch):
+    """Columns far longer than three bits: on 40 random sets of 10 to 60
+    words of 1 to 12 bits, some of their bits public, the fold charge
+    (which keeps each column's cost per suffix) equals the NANDs that
+    sum_words evaluates on a FoldProbe, and its output public_pattern is
+    theirs, with the fold memo empty and then full."""
+    rng = random.Random(5)
+    fmt = fp.FixedPointFormat(16, 0)
+    cases = []
+    for _ in range(40):
+        terms = []
+        for _ in range(rng.randint(10, 60)):
+            n = rng.randint(1, 12)
+            mask = rng.getrandbits(n) if rng.random() < 0.3 else 0
+            terms.append(((mask, rng.getrandbits(n) & mask), n, rng.random() < 0.5))
+        cases.append((terms, rng.randint(1, 16)))
+    monkeypatch.setattr(fp, "_FOLDS", {})
+    for _ in range(2):
+        for terms, width in cases:
+            probe = fc.FoldProbe()
+            words = [([probe.const(value >> i & 1) if public >> i & 1 else probe.encrypt_bit(0)
+                       for i in range(n)], signed) for (public, value), n, signed in terms]
+            states = [bit.public for bit in g.sum_words(words, width, probe)]
+            assert fp.sum_costs(fmt, terms, width) == (
+                probe.nand_count, fp._pattern_of(states + states[-1:] * (16 - width)))
+
+
+def test_sum_words_gate_trace_depends_on_shapes_only():
+    """Two different private inputs, the same words and public bits: the
+    same gates on the same operands, in the same order."""
+    traces = []
+    for values in ((5, -3, 200, 1), (-8, 7, 13, 0)):
+        backend = _TracingBackend()
+        words = [(g.BitVector.from_int(v, n, backend, encrypt=True).bits, signed)
+                 for v, (n, signed) in zip(values, ((4, True), (4, True), (8, False), (1, False)))]
+        words.append(([backend.const(1), backend.encrypt_bit(values[0] & 1)], True))
+        g.sum_words(words, 9, backend)
+        traces.append(backend.trace)
+    assert traces[0] == traces[1]
+    assert traces[0]
 
 
 @pytest.mark.parametrize("width", range(1, 7))

@@ -252,7 +252,7 @@ def test_ciphertext_with_bad_noise_field_rejected(tmp_path, toy_params, toy_key,
     first = struct.pack("<d", scores.scores[0].bits.bits[0].ciphertext.noise_estimate)
     offset = data.index(first)
     data[offset:offset + 8] = struct.pack("<d", field)
-    path.write_bytes(bytes(data))
+    path.write_bytes(_resigned(data))
     with pytest.raises(ModelFormatError):
         serialize.load_scores(path, GswBackend(toy_params, key=toy_key))
 
@@ -263,7 +263,7 @@ def test_params_with_nan_noise_field_rejected(tmp_path, toy_key):
     data = bytearray(path.read_bytes())
     # header (16) + section length (4) + u32 lattice_dim: then noise_stddev
     data[24:32] = struct.pack("<d", float("nan"))
-    path.write_bytes(bytes(data))
+    path.write_bytes(_resigned(data))
     with pytest.raises(ModelFormatError):
         serialize.load_secret_key(path)
 
@@ -277,6 +277,12 @@ def _gsw_files(tmp_path, params, key):
     serialize.save_enc_image(img, fmt, backend, image_path)
     serialize.save_scores(cnn.EncScores([img.channels[0][0][1]]), fmt, backend, scores_path)
     return image_path, scores_path
+
+
+def _resigned(data) -> bytes:
+    """A file's bytes before its digest section, with a digest section of
+    their own, so that a field altered in them reaches its own check."""
+    return serialize._with_digest(bytes(data[:-36]))
 
 
 def _payload_offset(data: bytes, kind: str) -> int:
@@ -307,7 +313,7 @@ def test_gsw_matrix_entry_must_be_below_q(tmp_path, toy_params, toy_key, entry):
     first_entry = _payload_offset(data, "image") + 4 + 8 * count  # length, estimates
     value = toy_params.modulus if entry == "q" else 2 ** 16 - 1
     data[first_entry:first_entry + 2] = struct.pack("<H", value)
-    image_path.write_bytes(bytes(data))
+    image_path.write_bytes(_resigned(data))
     with pytest.raises(ModelFormatError,
                        match=f"entry {value} is not below q = {toy_params.modulus}"):
         serialize.load_enc_image(image_path, GswBackend(toy_params, key=toy_key))
@@ -331,7 +337,7 @@ def test_section_lengths_are_exact(tmp_path, toy_params, toy_key, kind, defect):
         "clear_image": (clear_path, lambda p: serialize.load_enc_image(p, ClearBackend())),
     }[kind]
     load(path)  # intact
-    data = bytearray(path.read_bytes())
+    data = bytearray(path.read_bytes()[:-36])  # before the digest section
     if defect == "trailing_byte":
         data += b"\x00"
     else:
@@ -344,7 +350,7 @@ def test_section_lengths_are_exact(tmp_path, toy_params, toy_key, kind, defect):
             length -= 1
             del data[-1]
         struct.pack_into("<I", data, at, length)
-    path.write_bytes(bytes(data))
+    path.write_bytes(serialize._with_digest(bytes(data)))
     with pytest.raises(ModelFormatError, match="trailing" if defect == "trailing_byte"
                        else "expected"):
         load(path)
@@ -369,15 +375,45 @@ def _wire_files(tmp_path, params, key):
 
 
 def test_image_and_score_wire_format_is_pinned(tmp_path, toy_params, toy_key):
-    """The exact bytes of each record kind, for fixed inputs."""
+    """The exact bytes of each record kind, for fixed inputs: the bytes
+    before the digest section are those of files without one, and the
+    section holds their SHA-256."""
     paths = _wire_files(tmp_path, toy_params, toy_key)
-    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for name, path in paths.items()}
-    assert digests == {
+    data = {name: path.read_bytes() for name, path in paths.items()}
+    assert {name: hashlib.sha256(b[:-36]).hexdigest() for name, b in data.items()} == {
         "image": "ecdf732c9022719579ca263b3c9d87d0dec30701f88054b342ec384043d60e05",
         "scores": "ad7b6217e19100d9b080b0d3484415b93624924cd93bafa1e67fddbf06eadd63",
         "gsw": "d2a1bfe46c38b09af6d192cc1e50d0b0756fdf6390b8be81c35a45123164d18e",
     }
+    assert all(b[-36:] == struct.pack("<I", 32) + hashlib.sha256(b[:-36]).digest()
+               for b in data.values())
+    assert {name: hashlib.sha256(b).hexdigest() for name, b in data.items()} == {
+        "image": "05344ca46a4726c021bda1ef23393b68b02c9f6a8f214cef9270b18785a2d772",
+        "scores": "9dfcae150a36aac7d59def3a6ca243c668e309b1ff61bb635b753f1e94d87203",
+        "gsw": "bcd60b1404bfcde50180ef5f6a51d2031a8944163e210355313a202749e06234",
+    }
+
+
+@pytest.mark.parametrize("record", ["image", "scores", "gsw"])
+def test_altered_image_and_score_files_are_refused(tmp_path, toy_params, toy_key, record):
+    """As for keys: a flipped bit anywhere in an image or score file, a
+    matrix entry still below q included, is refused as an altered file
+    before any field is read, and a file without the digest section
+    (as written before files carried one) is refused with a hint."""
+    path = _wire_files(tmp_path, toy_params, toy_key)[record]
+    data = path.read_bytes()
+    backend = GswBackend(toy_params, key=toy_key) if record == "gsw" else ClearBackend()
+    load = serialize.load_scores if record == "scores" else serialize.load_enc_image
+    load(path, backend)  # intact
+    for at in (5, 6, _payload_offset(data, "image") + 4, len(data) // 2, len(data) - 1):
+        bad = bytearray(data)
+        bad[at] ^= 1
+        path.write_bytes(bytes(bad))
+        with pytest.raises(ModelFormatError, match="checksum mismatch: the file was altered"):
+            load(path, backend)
+    path.write_bytes(data[:-36])
+    with pytest.raises(ModelFormatError, match="no checksum section: (encrypt|classify)"):
+        load(path, backend)
 
 
 def test_image_and_score_record_errors(tmp_path, toy_params, toy_key):
