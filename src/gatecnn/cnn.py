@@ -10,15 +10,16 @@ channel-major, then row, then column, and a fully connected layer is the
 evaluator runs both kinds of layer, with public or encrypted weights,
 through one layer routine.
 
-Each layer is one walk (windows, neuron sums, ReLU, max pooling) in one
-of three domains: the gate path walks the input cells' ciphertexts, and
-a clear backend with ``fast_arith`` walks the lanes' integers instead
-and charges the NANDs the gate path evaluates by the same walk over the
-inputs' public patterns.  On the gate path the products of independent
-input rows and the walks of independent blocks of pool-size output rows
-are embarrassingly parallel; a ``workers`` knob fans them out while
-per-task seed scopes, each entered once, keep results bit-identical for
-any worker count.
+Each layer is one array walk (windows, neuron sums, ReLU, max pooling):
+the gate path walks the input cells' ciphertexts, and a clear backend
+with ``fast_arith`` walks the lanes' integers instead.  It charges the
+NANDs the gate path evaluates by running the gate path's own layer walk
+over the inputs' public patterns, each circuit replaced by its folded
+cost and output pattern, not by a walk of its own.  On the gate path the
+products of independent input rows and the walks of independent blocks
+of pool-size output rows are embarrassingly parallel; a ``workers`` knob
+fans them out while per-task seed scopes, each entered once, keep
+results bit-identical for any worker count.
 With public weights, a convolution builds each input pixel's products
 with the kernel entries its windows read, in every output channel, from
 one adder graph planned over just those weights, and ``classify``
@@ -37,7 +38,7 @@ is the client's job after decryption.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
@@ -52,7 +53,6 @@ from .fixedpoint import (
     PRIVATE,
     _from_ints,
     _lane_values,
-    _signed,
     const_mul_costs,
     encode,
     float_to_scaled,
@@ -458,36 +458,19 @@ def _widths(spec: LayerSpec, fmt: FixedPointFormat, certificate) -> tuple:
 def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: int,
                 layer_index: int, widths: tuple) -> list:
     """Output channel grids of a layer run gate by gate at ``widths`` (see
-    _widths): _walk_layer over the flat indices of the input cells, whose
-    steps build each neuron's ``fp_sum``, each ReLU's ``fp_relu`` and each
-    pool fold's pairwise ``fp_max``.
+    _widths): _cells_walk over the input cells' ciphertexts with
+    ``fp_mul``, ``fp_sum``, ``fp_relu`` and ``fp_max``.
 
-    With public weights the leaves are the biases' public encodings and a
-    table of products (out, fan-in, h·w) by output channel, kernel entry
-    (ic, kr, kc) and the pixel's place r·w + c in its channel: each input
-    pixel's products with the kernel entries whose windows read it
-    (_kernel_entries), in every output channel, come from one adder graph
-    (``fp_mul_consts``), the plan of its input channel and entry set.
-    Each (input channel, entry set) of the layer is planned once per call,
-    before the products fan out, and the plans live until it returns.  With
-    ``encrypt_weights`` the weights and biases are encrypted once per
-    call, only their low ``bit_widths`` bits (the bits above are wires of
-    the top one), and each product is one ``fp_mul`` at the widths' (b_x,
-    b_w, b_p).
-
-    The weights are encrypted in seed scope (layer_index,), products fan
-    out over input rows in scopes (layer_index, 0, row), and the walk over
-    blocks of pool_size output rows in scopes (layer_index, 1, block):
-    every scope is entered once, so results are identical for any
-    ``workers``."""
-    k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
+    With public weights the biases are public encodings, and each pixel's
+    products come from the adder graph (``fp_mul_consts``) of its input
+    channel and entry set, each planned once per call before the products
+    fan out.  With ``encrypt_weights`` the weights and biases are
+    encrypted once per call, in seed scope (layer_index,), only their low
+    ``bit_widths`` bits (the bits above are wires of the top one)."""
     first = img.channels[0][0][0]
     fmt, backend = first.fmt, first.backend
-    input_bits, leaf_bits, leaf_signed, root_bits, mul_bits = widths
-    terms = [list(zip(*row)) for row in zip(leaf_bits.tolist(), leaf_signed.tolist())]
     cells = np.array(img.channels, dtype=object)
-    channels, h, w = cells.shape
-    fan_in = channels * k * k
+    weights = products = None
     with backend.seed_scope(layer_index):
         if encrypt_weights:
             (weights, b_w), (biases, b_b) = zip(spec.scaled(fmt), spec.bit_widths(fmt))
@@ -496,48 +479,17 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: 
         else:
             bias = np.array([encode(float(z), fmt, backend, encrypt=False)
                              for z in spec.biases], dtype=object)
-
-    def products_of(r: int):
-        with backend.seed_scope(layer_index, 0, r):
-            for ic in range(channels):
-                for c, entry_set in enumerate(entries[r]):
-                    table = products[:, ic * k * k:(ic + 1) * k * k, r * w + c]
-                    table[np.divmod(entry_set, k * k)] = fp_mul_consts(cells[ic, r, c],
-                                                                       plans[ic, entry_set])
-
-    def leaves(windows):
-        if encrypt_weights:
-            values = _each(lambda v, z: fp_mul(v, z, mul_bits),
-                           cells.ravel()[windows[..., None, :]], weights)
-        else:
-            values = products[np.arange(out)[:, None], np.arange(fan_in),
-                              windows[..., None, :] % (h * w)]
-        return _leaves(bias, values)
-
-    def sums(values):
-        roots = np.empty(values.shape[:-1], dtype=object)
-        for i in np.ndindex(roots.shape):
-            roots[i] = fp_sum(list(values[i]), terms[i[-1]], int(root_bits[i[-1]]))
-        return roots
-
-    def block(b: int):
-        with backend.seed_scope(layer_index, 1, b):
-            return _walk_layer(
-                x[:, :, b * pool:(b + 1) * pool + k - 1], spec, leaves, sums,
-                lambda v: _each(fp_relu, v, root_bits),
-                lambda p, q: _each(lambda a, z: fp_max([a, z]), p, q))
-
     if not encrypt_weights:
-        entries = _kernel_entries(spec, h, w)
-        plans = {(ic, entry_set): const_mul_plan(spec.kernel_constants(fmt, ic, entry_set),
-                                                 input_bits, fmt.frac_bits,
-                                                 fmt.frac_bits + fmt.total_bits)
-                 for ic in range(channels) for entry_set in {e for row in entries for e in row}}
-        products = np.empty((out, fan_in, h * w), dtype=object)
-        _parallel_map(products_of, list(range(h)), workers)
-    x = np.arange(cells.size).reshape(1, channels, h, w)
-    blocks = _parallel_map(block, list(range((h - k + 1) // pool)), workers)
-    return np.concatenate(blocks, axis=1)[0].transpose(2, 0, 1).tolist()
+        f, w = fmt.frac_bits, fmt.total_bits
+        entry_sets = {e for row in _kernel_entries(spec, *cells.shape[1:]) for e in row}
+        plans = {(ic, e): const_mul_plan(spec.kernel_constants(fmt, ic, e), widths[0], f, f + w)
+                 for ic in range(cells.shape[0]) for e in entry_sets}
+
+        def products(ic, r, c, entry_set):
+            return fp_mul_consts(cells[ic, r, c], plans[ic, entry_set])
+    return _cells_walk(cells, spec, widths, (fp_mul, fp_sum, fp_relu, fp_max), weights, bias,
+                       products, lambda *task: backend.seed_scope(layer_index, *task),
+                       workers).tolist()
 
 
 def _encrypt_low(z: int, bits: int, fmt: FixedPointFormat, backend) -> FixedPointCipher:
@@ -554,13 +506,9 @@ def _each(fn, *arrays) -> np.ndarray:
     return np.frompyfunc(fn, len(arrays), 1)(*arrays)
 
 
-def _leaves(bias, terms) -> np.ndarray:
-    """Each output's leaves (..., out, fan-in + 1) of a walk's sum: its
-    ``bias``, then its ``terms`` (..., out, fan-in)."""
-    values = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,), dtype=terms.dtype)
-    values[..., 0] = bias
-    values[..., 1:] = terms
-    return values
+def _objects(values) -> np.ndarray:
+    """A 1-D object array of ``values``, each kept whole, tuples too."""
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
 def _kernel_entries(spec: LayerSpec, h: int, w: int) -> list:
@@ -582,14 +530,14 @@ def _kernel_entries(spec: LayerSpec, h: int, w: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# the layer walk, and the whole-layer evaluation on the lanes' integers
+# the layer walks, and the whole-layer evaluation on the lanes' integers
 # (clear backend with fast_arith)
 # ----------------------------------------------------------------------
 
 def _walk_layer(x, spec: LayerSpec, leaves, sums, relu, fold):
     """The layer over x (lanes, c, h, w) in one domain's values, (lanes,
-    h', w', out), where x may be indices that ``leaves`` looks up, as the
-    gate path's flat input cell indices: each window's values in window
+    h', w', out), where x may be indices that ``leaves`` looks up, as
+    _cells_walk's flat cell indices: each window's values in window
     order (input channel, kernel row, column) go to ``leaves``, which
     returns every output's leaves (..., out, fan-in + 1), the bias and
     then the products; ``sums`` adds each output's leaves to its root
@@ -608,6 +556,74 @@ def _walk_layer(x, spec: LayerSpec, leaves, sums, relu, fold):
     for i in range(1, pool * pool):
         values = fold(values, blocks[:, :, :, i])
     return values
+
+
+def _cells_walk(cells, spec: LayerSpec, widths: tuple, ops, weights, bias, products, scope,
+                workers: int) -> np.ndarray:
+    """The output grids (out, h', w') of a layer over ``cells`` (c, h, w),
+    an object array of one domain's values at ``widths`` (see _widths):
+    ciphertexts on the gate path, public_patterns in _charge_layer.
+
+    _walk_layer over the cells' flat indices builds each neuron's sum of
+    its leaves, its ``bias`` and then its products, each ReLU and each
+    pool fold's pairwise max with ``ops``, the domain's (``fp_mul``,
+    ``fp_sum``, ``fp_relu``, ``fp_max``), called as the gate path calls
+    those.  With encrypted ``weights`` (out, fan-in) each product is one
+    mul at the widths' (b_x, b_w, b_p).  With public weights (``weights``
+    None) the products are a table (out, fan-in, h·w) by output channel,
+    kernel entry (ic, kr, kc) and pixel place r·w + c, which
+    ``products(ic, r, c, entry_set)`` fills with each input pixel's
+    products with the kernel entries whose windows read it
+    (_kernel_entries), in entry order.
+
+    The table fills over input rows in scopes ``scope(0, row)`` and the
+    walk runs over blocks of pool_size output rows in scopes ``scope(1,
+    block)``, both fanned out over ``workers``: the gate path's scopes are
+    its seed scopes (layer_index, 0, row) and (layer_index, 1, block),
+    each entered once, so results are identical for any ``workers``."""
+    k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
+    mul, add, relu, fold = ops
+    input_bits, leaf_bits, leaf_signed, root_bits, mul_bits = widths
+    terms = [tuple(zip(*row)) for row in zip(leaf_bits.tolist(), leaf_signed.tolist())]
+    channels, h, w = cells.shape
+
+    def products_of(r: int):
+        with scope(0, r):
+            for ic in range(channels):
+                for c, entry_set in enumerate(entries[r]):
+                    column = table[:, ic * k * k:(ic + 1) * k * k, r * w + c]
+                    column[np.divmod(entry_set, k * k)] = products(ic, r, c, entry_set)
+
+    def leaves(windows):
+        if weights is not None:
+            values = _each(lambda v, z: mul(v, z, mul_bits),
+                           cells.ravel()[windows[..., None, :]], weights)
+        else:
+            values = table[np.arange(out)[:, None], np.arange(windows.shape[-1]),
+                           windows[..., None, :] % (h * w)]
+        return np.concatenate([np.broadcast_to(bias[:, None], values.shape[:-1] + (1,)),
+                               values], axis=-1)
+
+    def sums(values):
+        roots = np.empty(values.shape[:-1], dtype=object)
+        for i in np.ndindex(roots.shape):
+            roots[i] = add(list(values[i]), terms[i[-1]], int(root_bits[i[-1]]))
+        return roots
+
+    def block(b: int):
+        with scope(1, b):
+            return _walk_layer(
+                x[:, :, b * pool:(b + 1) * pool + k - 1], spec, leaves, sums,
+                lambda v: _each(relu, v, root_bits),
+                lambda p, q: _each(lambda a, z: fold([a, z]), p, q))
+
+    if weights is None:
+        entries = _kernel_entries(spec, h, w)
+        table = np.empty((out, channels * k * k, h * w), dtype=object)
+        _parallel_map(products_of, list(range(h)), workers)
+    x = np.arange(cells.size).reshape(1, channels, h, w)
+    blocks = _parallel_map(block, list(range((h - k + 1) // pool)), workers)
+    return np.concatenate(blocks, axis=1)[0].transpose(2, 0, 1)
 
 
 def _int_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bool,
@@ -656,64 +672,6 @@ def _int_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bool,
 # NAND charges of the whole-layer evaluator: what the gate path evaluates
 # ----------------------------------------------------------------------
 
-class _FoldTable:
-    """Interned public_patterns of one layer (id 0 is PRIVATE) and the
-    folded cost of each circuit kind and width on each pair of pattern
-    ids."""
-
-    def __init__(self, fmt: FixedPointFormat):
-        self.fmt = fmt
-        self.patterns = [PRIVATE]
-        self._ids = {PRIVATE: 0}
-        self._costs = {}
-
-    def ids(self, patterns) -> np.ndarray:
-        out = []
-        for pattern in patterns:
-            i = self._ids.get(pattern)
-            if i is None:
-                i = self._ids[pattern] = len(self.patterns)
-                self.patterns.append(pattern)
-            out.append(i)
-        return np.array(out, dtype=np.int64)
-
-    def step(self, kind: str, a, b, width=None):
-        """Per element of the broadcast id arrays a, b and ``width``
-        (default w): the NANDs one ``kind`` circuit of that width
-        (``fold_costs``) evaluates on those operands, and its output's id.
-        A ``mul``'s width is one (b_x, b_w, b_p) tuple for all of them."""
-        shared = width if kind == "mul" else None
-        a, b, width = np.broadcast_arrays(a, b, width if width is not None and not shared
-                                          else self.fmt.total_bits)
-        n = len(self.patterns)
-        keys, inverse = np.unique(((width * n + a) * n + b).ravel(), return_inverse=True)
-        triples = [(key // (n * n), *divmod(key % (n * n), n)) for key in keys.tolist()]
-        for triple in triples:
-            if (kind, shared, triple) not in self._costs:
-                bits, i, j = triple
-                pattern = self._public(kind, i, j)
-                cost = 0
-                if pattern is None:
-                    [(cost, pattern)] = fold_costs(kind, self.fmt,
-                                                   [(self.patterns[i], self.patterns[j])],
-                                                   shared or bits)
-                self._costs[kind, shared, triple] = (cost, self.ids([pattern])[0])
-        cost, out = np.array([self._costs[kind, shared, triple] for triple in triples]).T
-        return cost[inverse].reshape(a.shape), out[inverse].reshape(a.shape)
-
-    def _public(self, kind: str, i: int, j: int):
-        """The output public_pattern of a ReLU (of id i) or a max fold (of
-        ids i, j) whose operands are wholly public, which folds every gate:
-        the public integer max(a, 0) or max(a, b).  None otherwise."""
-        w = self.fmt.total_bits
-        full = (1 << w) - 1
-        operands = {"relu": (i,), "maxfold": (i, j)}.get(kind, ())
-        if not operands or any(self.patterns[p][0] != full for p in operands):
-            return None
-        values = [_signed(self.patterns[p][1], w) for p in operands]
-        return full, max(values + [0] * (kind == "relu")) & full
-
-
 def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
                   encrypt_weights: bool, widths: tuple) -> list:
     """Bump the counter by the NANDs the gate path evaluates for this layer
@@ -721,110 +679,77 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
     return each output's public_pattern, channel-major.
 
     Folding makes the count depend on the public weights and on which
-    input bits are public, so it comes from one _walk_layer over the
-    inputs' pattern ids, the same windows, sums and pooling as the
-    values, whose every step charges its ``_FoldTable`` cost: each
-    output's sum once per distinct leaf ids (``sum_costs``), every
-    other circuit once per distinct operand ids (``_FoldTable.step``).
-    With public weights the leaves are the public bias and
-    _kernel_charge's shared products; with encrypted weights the bias is
-    private and each product is an ``fp_mul`` at the multiplies' widths.
-    The charges are kept in ``spec.charges`` for the same format, weight
-    entry, widths and input patterns; each public image has patterns of
-    its own, so only the latest _CHARGES_LIMIT are kept."""
+    input bits are public, so the gate path's own walk (_cells_walk) runs
+    over the inputs' public_patterns, each op replaced by its folded cost
+    and output pattern (``sum_costs`` for a sum, else ``fold_costs``),
+    found once per operands and widths in one memo, which with public
+    weights starts with _kernel_charge's products.  ``spec.charges``
+    keeps the charges per format, weight mode, widths and input patterns;
+    each public image has patterns of its own, so only the latest
+    _CHARGES_LIMIT are kept."""
     input_bits, leaf_bits, leaf_signed, root_bits, mul_bits = widths
-    table = _FoldTable(fmt)
-    cells = np.array(inputs, dtype=object)
-    in_ids = table.ids(public_pattern(v) for v in cells.ravel()).reshape(cells.shape)
+    cells = _each(public_pattern, np.array(inputs, dtype=object))
     key = (fmt, encrypt_weights, input_bits, leaf_bits.tobytes(), leaf_signed.tobytes(),
-           root_bits.tobytes(), mul_bits, tuple(table.patterns), in_ids.shape, in_ids.tobytes())
+           root_bits.tobytes(), mul_bits, cells.shape, tuple(cells.ravel().tolist()))
     found = spec.charges.get(key)
     if found is None:
         while len(spec.charges) >= _CHARGES_LIMIT:
             del spec.charges[next(iter(spec.charges))]  # the oldest
-        weights, biases = spec.scaled(fmt)
-        nands = 0
+        memo, nands = {}, 0
 
-        def step(kind, a, b, width=None):
+        def charged(key, cost=None):
             nonlocal nands
-            cost, ids = table.step(kind, a, b, width)
-            nands += int(cost.sum())
-            return ids
+            found = memo.get(key) or memo.setdefault(key, cost())
+            nands += found[0]
+            return found[1]
 
-        bias, x = 0, in_ids  # encrypted weights: a private bias
-        if not encrypt_weights:
-            nands, products, slots, x = _kernel_charge(table, spec, in_ids, input_bits)
+        def step(kind, a, b=PRIVATE, width=None):
+            return charged((kind, a, b, width),
+                           lambda: fold_costs(kind, fmt, [(a, b)], width)[0])
+
+        ops = (lambda a, b, bits: step("mul", a, b, bits),
+               lambda leaves, terms, bits: charged(("sum", *leaves, terms, bits), lambda: sum_costs(
+                   fmt, [(p, *term) for p, term in zip(leaves, terms)], bits)),
+               lambda a, bits: step("relu", a, width=bits),
+               lambda pair: step("maxfold", *pair))
+        if encrypt_weights:
+            weights = _objects([PRIVATE] * spec.weights.size).reshape(spec.out_channels, -1)
+            bias, products = _objects([PRIVATE] * spec.out_channels), None
+        else:
             full = (1 << fmt.total_bits) - 1
-            bias = table.ids([(full, z & full) for z in biases.tolist()])
-        terms = [list(zip(*row)) for row in zip(leaf_bits.tolist(), leaf_signed.tolist())]
+            weights = None
+            bias = _objects([(full, z & full) for z in spec.scaled(fmt)[1].tolist()])
+            memo.update(_kernel_charge(spec, fmt, cells, input_bits))
 
-        def leaves(windows):
-            if encrypt_weights:
-                values = step("mul", windows[..., None, :],
-                              np.zeros(weights.shape, dtype=np.int64), mul_bits)
-            else:
-                values = products[slots[np.arange(weights.shape[1]), windows]].swapaxes(-1, -2)
-            return _leaves(bias, values)
-
-        def sums(ids):
-            nonlocal nands
-            roots = np.empty(ids.shape[:-1], dtype=np.int64)
-            for o, row_terms in enumerate(terms):
-                rows, inverse = np.unique(ids[..., o, :].reshape(-1, ids.shape[-1]), axis=0,
-                                          return_inverse=True)
-                cost, patterns = zip(*(sum_costs(fmt, [(table.patterns[i], *term) for i, term
-                                                       in zip(row, row_terms)], int(root_bits[o]))
-                                       for row in rows.tolist()))
-                nands += int(np.array(cost)[inverse.ravel()].sum())
-                roots[..., o] = table.ids(patterns)[inverse.ravel()].reshape(roots.shape[:-1])
-            return roots
-
-        ids = _walk_layer(x[None], spec, leaves, sums,
-                          lambda v: step("relu", v, 0, root_bits),
-                          lambda a, b: step("maxfold", a, b))
-        found = spec.charges[key] = nands, [table.patterns[i]
-                                            for i in ids[0].transpose(2, 0, 1).ravel()]
+            def products(ic, r, c, entry_set):
+                return charged((ic, entry_set, cells[ic, r, c]))
+        outputs = _cells_walk(cells, spec, widths, ops, weights, bias, products,
+                              lambda *task: nullcontext(), 1)
+        found = spec.charges[key] = nands, outputs.ravel().tolist()
     backend.stats.bump_nand(found[0])
     return found[1]
 
 
-def _kernel_charge(table: _FoldTable, spec: LayerSpec, in_ids, input_bits: int):
-    """(NANDs, products, slots, classes) of a layer's shared multiplies by
-    public weights (``_gate_layer``), planned for ``input_bits``-bit
-    inputs, on input pattern ids ``in_ids`` (c, h, w): the NANDs over
-    every input pixel, each pixel's class (c, h, w), and per kernel entry
-    (ic, kr, kc) and class the slot, a row of ``products`` (rows, out),
-    that holds the ids of that entry's products in every output channel.
-
-    A pixel's products and NANDs depend on its pattern and on its entry
-    set, the kernel entries whose windows read it (the same in every
-    output channel's kernel), which pick its plan; a class is one such
-    (entry set, pattern), and only its set's entries get slots.  Each
-    (input channel, entry set) is planned at most once, walked for each
-    of its patterns and dropped before the next (``const_mul_costs``), so
-    one plan is held at a time."""
-    fmt, k, out = table.fmt, spec.kernel_size, spec.out_channels
-    channels, h, w = in_ids.shape
-    entries = _kernel_entries(spec, h, w)
-    classes, groups = {}, {}
-    cls = np.empty(in_ids.shape, dtype=np.int64)
-    for (ic, r, c), p in np.ndenumerate(in_ids):
-        cls[ic, r, c] = classes.setdefault((entries[r][c], p), len(classes))
-        groups.setdefault((ic, entries[r][c]), Counter())[p] += 1
-    slots = np.zeros((channels * k * k, len(classes)), dtype=np.int32)
-    products = np.zeros((sum(len(s) // out * len(n) for (_, s), n in groups.items()), out),
-                        dtype=np.int32)
-    nands = row = 0
-    for (ic, entry_set), counts in groups.items():
-        local = np.array(entry_set[:len(entry_set) // out])  # kr·k + kc, as in every channel
-        costs = const_mul_costs(fmt, spec.kernel_constants(fmt, ic, entry_set), input_bits,
-                                [table.patterns[p] for p in counts])
-        for (p, count), (charge, patterns) in zip(counts.items(), costs):
-            nands += charge * count
-            slots[ic * k * k + local, classes[entry_set, p]] = np.arange(row, row + len(local))
-            products[row:row + len(local)] = table.ids(patterns).reshape(out, -1).T
-            row += len(local)
-    return nands, products, slots, cls
+def _kernel_charge(spec: LayerSpec, fmt: FixedPointFormat, cells, input_bits: int) -> dict:
+    """Per (input channel, entry set, public_pattern) of the pixels of
+    ``cells`` (c, h, w), public_patterns, the (NANDs, products) of their
+    shared multiplies by public weights (``fp_mul_consts``) planned for
+    ``input_bits``-bit inputs, the products' public_patterns in entry set
+    order as an object array.  Each (input channel, entry set) is planned
+    at most once, walked for each of its pixels' patterns and dropped
+    before the next (``const_mul_costs``), so one plan is held at a time;
+    equal product patterns are kept as one object."""
+    entries = _kernel_entries(spec, *cells.shape[1:])
+    groups, costs, kept = {}, {}, {}
+    for (ic, r, c), pattern in np.ndenumerate(cells):
+        groups.setdefault((ic, entries[r][c]), {})[pattern] = None
+    for (ic, entry_set), patterns in groups.items():
+        found = const_mul_costs(fmt, spec.kernel_constants(fmt, ic, entry_set), input_bits,
+                                list(patterns))
+        for pattern, (nands, products) in zip(patterns, found):
+            products = [kept.setdefault(p, p) for p in products]
+            costs[ic, entry_set, pattern] = nands, _objects(products)
+    return costs
 
 
 def classify(img: EncImage, net: NetworkSpec, encrypt_weights: bool = False,
@@ -908,12 +833,12 @@ def encrypt_image(pixels: np.ndarray, fmt: FixedPointFormat, backend,
 
 
 def argmax(values) -> int:
-    """Index of the maximum; ties resolve to the lowest index."""
-    best, best_idx = None, 0
-    for i, v in enumerate(values):
-        if best is None or v > best:
-            best, best_idx = v, i
-    return best_idx
+    """Index of the maximum; ties resolve to the lowest index, and no
+    values raise ParameterError."""
+    values = list(values)
+    if not values:
+        raise ParameterError("argmax needs at least one value")
+    return max(range(len(values)), key=values.__getitem__)
 
 
 # ----------------------------------------------------------------------

@@ -30,10 +30,14 @@ share the integer semantics written out here (``scaled_mul``,
 ``guard_range``) with the whole-layer evaluator in :mod:`gatecnn.cnn`:
 on a clear backend with ``fast_arith``, layers run as whole-array integer
 arithmetic and charge the gate counter the NANDs the circuits they stand
-for evaluate once public constants fold (``fold_costs``, ``sum_costs``).  Those counts
-come from running each circuit once per operand pattern on a one-lane
+for evaluate once public constants fold.  The charge is the gate path's
+own layer walk run over public_patterns instead of ciphertexts, each of
+these operations replaced by its (NANDs, output pattern) from
+``fold_costs``, ``sum_costs`` or ``const_mul_costs``.  Those counts come
+from running each circuit once per operand pattern on a one-lane
 ``FoldProbe``, whose bits are public constants or private bits without a
-value, and keeping the result for the process.
+value, and keeping the result for the process; operands whose bits are
+all public fold every gate and are charged 0 without a probe.
 """
 
 from __future__ import annotations
@@ -448,8 +452,10 @@ def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width=None) -> list:
     default (w, w, w)); ``maxfold`` ignores it.  Counts depend on the
     formats, widths and public bits only, never on private values.  A
     ``mul`` with a wholly public operand is charged by walking its
-    constant's plan (``const_mul_costs``); every other circuit runs once
-    per key on a FoldProbe (``_folded``)."""
+    constant's plan (``const_mul_costs``), a ``relu`` or ``maxfold`` of
+    wholly public operands folds every gate and is charged 0
+    (``_public_fold``), and every other circuit runs once per key on a
+    FoldProbe (``_folded``)."""
     w = fmt.total_bits
     if width is None:
         width = (w, w, w) if kind == "mul" else w
@@ -460,13 +466,26 @@ def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width=None) -> list:
 
     out = []
     for a, b in pairs:
-        found = _const_mul_cost(fmt, a, b, width) if kind == "mul" else None
+        found = (_const_mul_cost(fmt, a, b, width) if kind == "mul"
+                 else _public_fold(kind, fmt, a, b, width))
         if found is None:
             nands, states = _folded((kind, fmt, width, a, b), circuit,
                                     _states(a, w), _states(b, w))
             found = nands, _pattern_of(states)
         out.append(found)
     return out
+
+
+def _public_fold(kind: str, fmt: FixedPointFormat, a: tuple, b: tuple, width: int):
+    """(0, output public_pattern) of a ``relu`` of a at ``width`` or a
+    ``maxfold`` of a, b when its operands are wholly public, so that every
+    gate folds: the public integer the circuit computes.  Else None."""
+    w, full = fmt.total_bits, (1 << fmt.total_bits) - 1
+    if kind == "relu" and a[0] == full:
+        return 0, (full, max(_signed(a[1], w), 0) & (1 << width - 1) - 1)
+    if kind == "maxfold" and a[0] == b[0] == full:
+        return 0, b if _signed(a[1] - b[1] & full, w) < 0 else a  # the sign of a - b picks
+    return None
 
 
 def sum_costs(fmt: FixedPointFormat, terms, bits: int):

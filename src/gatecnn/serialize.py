@@ -316,13 +316,16 @@ def _save_record(kind: int, shape, values, fmt: FixedPointFormat, backend, path,
 
 def _load_record(kind: int, path, backend):
     """(shape, an iterator over its FixedPointCiphers in row-major order,
-    format) of a ``kind`` record; backend must match the file."""
+    format) of a ``kind`` record; backend must match the file.  A record
+    of no values (a 0 in its shape) is refused."""
     noun, name, dims, remedy = _RECORDS[kind]
     found, params, tag, rd = _parse_header(_open_signed(path, noun, remedy))
     if found != kind:
         raise ModelFormatError(f"file is not {name}")
     _check_backend_match(tag, params, backend)
     *shape, total_bits, frac_bits = rd.section_fields(f"<{dims + 2}I")
+    if 0 in shape:
+        raise ModelFormatError(f"{noun} file shape {tuple(shape)} holds a 0: {remedy}")
     fmt = _untrusted(FixedPointFormat, total_bits, frac_bits)
     raw = _read_bits(rd, math.prod(shape) * total_bits, backend)
     values = (FixedPointCipher(BitVector(raw[i:i + total_bits]), fmt)

@@ -12,6 +12,7 @@ import pytest
 from gatecnn import cli, cnn, error_analysis, model_io, serialize
 from gatecnn.demo import micro_model, tiny_model, write_demo_assets
 from gatecnn.errors import NoiseExhaustionError
+from gatecnn.fhe_core import ClearBackend, preset_params
 from gatecnn.fixedpoint import FixedPointFormat
 
 
@@ -491,6 +492,21 @@ def test_image_file_zero_total_bits_is_io_error(workdir, capsys):
                "--in", workdir / "zero.bin", "--out", workdir / "zero_scores.bin")
     assert code == cli.EXIT_IO
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_score_file_of_no_scores_is_io_error(workdir, capsys):
+    """A score file with zero scores and a valid digest exits 3 with one
+    error line, instead of printing an argmax of nothing."""
+    fmt = FixedPointFormat(10, 5)
+    serialize.save_scores(cnn.EncScores([]), fmt, ClearBackend(), workdir / "none.bin",
+                          params=preset_params("toy"))
+    capsys.readouterr()
+    assert run("decrypt-scores", "--in", workdir / "none.bin",
+               "--out", workdir / "none.txt") == cli.EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "holds a 0" in captured.err and "argmax" not in captured.out
+    assert not (workdir / "none.txt").exists()
 
 
 def test_workers_below_one_is_usage_error(workdir, capsys):

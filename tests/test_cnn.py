@@ -880,6 +880,8 @@ def test_argmax_tie_rule():
     assert cnn.argmax([0.1, 0.9, 0.3]) == 1
     assert cnn.argmax([0.2, 0.7, 0.7]) == 1
     assert cnn.argmax([0.5, 0.2, 0.5, 0.5]) == 0
+    with pytest.raises(ParameterError, match="at least one value"):
+        cnn.argmax([])
     scores = [0.0] * 10
     scores[2] = scores[7] = 0.9  # tied maxima at 2 and 7 -> lowest index
     assert cnn.argmax(scores) == 2

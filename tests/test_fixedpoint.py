@@ -359,9 +359,11 @@ def _assert_fold_costs_match(kind, fmt, cases):
 
 
 @pytest.mark.parametrize("kind", sorted(_FOLD_OPS))
-def test_fold_costs_match_gate_level(kind):
+def test_fold_costs_match_gate_level(kind, monkeypatch):
     """For operands with any mix of public and private bits, the fold
-    probe's NAND count and output public bits equal a gate-level run's."""
+    probe's NAND count and output public bits equal a gate-level run's.
+    A ReLU or max fold of wholly public operands folds every gate: it is
+    charged 0 without building a probe, as for a public image."""
     fmt = fp.FixedPointFormat(10, 5)
     full = (1 << 10) - 1
     rnd = random.Random(kind)
@@ -371,6 +373,14 @@ def test_fold_costs_match_gate_level(kind):
     # public weights: 0, -1 (a tiny negative real), 0.5, 1 and 2
     cases += [((rnd.randrange(-64, 64), 0), (w, full)) for w in (0, -1, 16, 32, 64)]
     _assert_fold_costs_match(kind, fmt, cases)
+    if kind in ("relu", "maxfold"):
+        built = _count_probes(monkeypatch)
+        ends = [fmt.min_int // 2, -1, 0, 1, fmt.max_int // 2]
+        public = [((a, full), (b, full)) for a in ends for b in ends]
+        public += [((rnd.randrange(-256, 256), full), (rnd.randrange(-256, 256), full))
+                   for _ in range(10)]
+        _assert_fold_costs_match(kind, fmt, public)
+        assert built == []
 
 
 @pytest.mark.parametrize("width, frac", [(10, 5), (32, 16), (40, 30)])
@@ -687,6 +697,17 @@ def test_readme_private_weight_mul_cell():
     assert row.strip().strip("|").split("|")[-1].strip() == " / ".join(f"{n:,}" for n in costs)
 
 
+def _kernel_nands(layer, fmt, shape, bits) -> int:
+    """The layer evaluator's charge of a layer's shared multiplies
+    (``cnn._kernel_charge``), planned for ``bits``-bit inputs, over every
+    pixel of a private input of ``shape`` (c, h, w)."""
+    cells = np.empty(shape, dtype=object)
+    cells.fill(fp.PRIVATE)
+    costs = cnn._kernel_charge(layer, fmt, cells, bits)
+    entries = cnn._kernel_entries(layer, *shape[1:])
+    return sum(costs[ic, entries[r][c], fp.PRIVATE][0] for ic, r, c in np.ndindex(shape))
+
+
 def test_readme_kernel_shared_mul_row():
     """The README's mean NANDs per conv product of the preset model, on
     private inputs: one digit chain per product (fold_costs of each weight,
@@ -705,9 +726,8 @@ def test_readme_kernel_shared_mul_row():
         ks = [int(k) for k in layer.scaled(fmt)[0].ravel()]
         costs = fp.fold_costs("mul", fmt, [(fp.PRIVATE, (full, k & full)) for k in ks])
         chain += windows * sum(n for n, _ in costs)
-        ids = np.zeros((channels, side, side), dtype=np.int64)
-        shared += cnn._kernel_charge(cnn._FoldTable(fmt), layer, ids, fmt.total_bits)[0]
-        certified += cnn._kernel_charge(cnn._FoldTable(fmt), layer, ids, widths.input_bits)[0]
+        shared += _kernel_nands(layer, fmt, (channels, side, side), fmt.total_bits)
+        certified += _kernel_nands(layer, fmt, (channels, side, side), widths.input_bits)
         products += windows * len(ks)
         channels, side = layer.out_channels, (side - layer.kernel_size + 1) // layer.pool_size
     want = ["—", "—"] + [f"{round(n / products):,}" for n in (chain, shared, certified)]

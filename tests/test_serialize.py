@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -438,6 +439,23 @@ def test_image_and_score_record_errors(tmp_path, toy_params, toy_key):
         [0.75, -0.625, 0.25, 0.375, -0.5, 0.875]
     scores, _ = serialize.load_scores(paths["scores"], clear)
     assert [fp.decode(v) for v in scores.scores] == [0.5, -0.25, 3.875, -4.0]
+
+
+def test_records_whose_shape_holds_a_zero_are_refused(tmp_path, toy_params):
+    """An image or score file of no values is refused at load, though its
+    digest is valid: no classification can come of it."""
+    fmt = fp.FixedPointFormat(6, 3)
+    clear = ClearBackend()
+    for shape in ((0, 2, 2), (1, 0, 3), (2, 3, 0)):
+        channels, height, width = shape
+        img = cnn.EncImage([[[] for _ in range(height)] for _ in range(channels)], height, width)
+        serialize.save_enc_image(img, fmt, clear, tmp_path / "img.bin", params=toy_params)
+        with pytest.raises(ModelFormatError,
+                           match=rf"^image file shape {re.escape(str(shape))} holds a 0"):
+            serialize.load_enc_image(tmp_path / "img.bin", clear)
+    serialize.save_scores(cnn.EncScores([]), fmt, clear, tmp_path / "s.bin", params=toy_params)
+    with pytest.raises(ModelFormatError, match=r"^score file shape \(0,\) holds a 0: classify"):
+        serialize.load_scores(tmp_path / "s.bin", clear)
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
