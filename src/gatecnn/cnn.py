@@ -30,9 +30,10 @@ bias and products in one column reducer (``fixedpoint.fp_sum``), which
 reads each of them at its certified bits and folds every public bit into
 one constant.  With encrypted weights (the private model setting) the
 certificate walks only each layer's public weight and bias bit widths,
-so every neuron of a layer has the same widths, and its var-by-var
-products and sum are built that narrow.  Scores stay encrypted: argmax
-is the client's job after decryption.
+so every neuron of a layer has the same widths, and its one reducer sums
+the bias and the partial products of its (input, weight) products
+straight away (merged arithmetic), built that narrow.  Scores stay
+encrypted: argmax is the client's job after decryption.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .fixedpoint import (
     encode,
     float_to_scaled,
     fold_costs,
-    fp_add,  # unused here, like fp_mul_const; kept so that tracers can wrap them by name
+    fp_add,  # unused here, like fp_mul and fp_mul_const: tracers wrap them by name
     fp_max,
     fp_mul,
     fp_mul_const,
@@ -201,8 +202,9 @@ class LayerCertificate:
     - ``fits``: whether every input, product and root fits w bits, and
       with pooling every difference of two outputs of a channel, so
       that no circuit of the layer can wrap;
-    - ``mul_bits``: the (b_x, b_w, b_p) each ``fp_mul`` by an encrypted
-      weight is built at, (w, w, w) for a walk over public weights."""
+    - ``mul_bits``: the (b_x, b_w, b_p) each product with an encrypted
+      weight is read at (``fixedpoint.fp_sum``), (w, w, w) for a walk over
+      public weights."""
 
     inputs: tuple
     products: tuple
@@ -459,7 +461,7 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: 
                 layer_index: int, widths: tuple) -> list:
     """Output channel grids of a layer run gate by gate at ``widths`` (see
     _widths): _cells_walk over the input cells' ciphertexts with
-    ``fp_mul``, ``fp_sum``, ``fp_relu`` and ``fp_max``.
+    ``fp_sum``, ``fp_relu`` and ``fp_max``.
 
     With public weights the biases are public encodings, and each pixel's
     products come from the adder graph (``fp_mul_consts``) of its input
@@ -487,7 +489,7 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: 
 
         def products(ic, r, c, entry_set):
             return fp_mul_consts(cells[ic, r, c], plans[ic, entry_set])
-    return _cells_walk(cells, spec, widths, (fp_mul, fp_sum, fp_relu, fp_max), weights, bias,
+    return _cells_walk(cells, spec, widths, (fp_sum, fp_relu, fp_max), weights, bias,
                        products, lambda *task: backend.seed_scope(layer_index, *task),
                        workers).tolist()
 
@@ -566,12 +568,13 @@ def _cells_walk(cells, spec: LayerSpec, widths: tuple, ops, weights, bias, produ
 
     _walk_layer over the cells' flat indices builds each neuron's sum of
     its leaves, its ``bias`` and then its products, each ReLU and each
-    pool fold's pairwise max with ``ops``, the domain's (``fp_mul``,
-    ``fp_sum``, ``fp_relu``, ``fp_max``), called as the gate path calls
-    those.  With encrypted ``weights`` (out, fan-in) each product is one
-    mul at the widths' (b_x, b_w, b_p).  With public weights (``weights``
-    None) the products are a table (out, fan-in, h·w) by output channel,
-    kernel entry (ic, kr, kc) and pixel place r·w + c, which
+    pool fold's pairwise max with ``ops``, the domain's (``fp_sum``,
+    ``fp_relu``, ``fp_max``), called as the gate path calls those.  With
+    encrypted ``weights`` (out, fan-in) each product leaf is the pair
+    (input, weight), read at the widths' (b_x, b_w, b_p).  With public
+    weights (``weights`` None) the products are a table (out, fan-in,
+    h·w) by output channel, kernel entry (ic, kr, kc) and pixel place
+    r·w + c, which
     ``products(ic, r, c, entry_set)`` fills with each input pixel's
     products with the kernel entries whose windows read it
     (_kernel_entries), in entry order.
@@ -582,9 +585,11 @@ def _cells_walk(cells, spec: LayerSpec, widths: tuple, ops, weights, bias, produ
     its seed scopes (layer_index, 0, row) and (layer_index, 1, block),
     each entered once, so results are identical for any ``workers``."""
     k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
-    mul, add, relu, fold = ops
+    add, relu, fold = ops
     input_bits, leaf_bits, leaf_signed, root_bits, mul_bits = widths
     terms = [tuple(zip(*row)) for row in zip(leaf_bits.tolist(), leaf_signed.tolist())]
+    if weights is not None:  # each product is read at its multiply's widths
+        terms = [term[:1] + (mul_bits,) * (len(term) - 1) for term in terms]
     channels, h, w = cells.shape
 
     def products_of(r: int):
@@ -596,8 +601,7 @@ def _cells_walk(cells, spec: LayerSpec, widths: tuple, ops, weights, bias, produ
 
     def leaves(windows):
         if weights is not None:
-            values = _each(lambda v, z: mul(v, z, mul_bits),
-                           cells.ravel()[windows[..., None, :]], weights)
+            values = _each(lambda v, z: (v, z), cells.ravel()[windows[..., None, :]], weights)
         else:
             values = table[np.arange(out)[:, None], np.arange(windows.shape[-1]),
                            windows[..., None, :] % (h * w)]
@@ -707,9 +711,8 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
             return charged((kind, a, b, width),
                            lambda: fold_costs(kind, fmt, [(a, b)], width)[0])
 
-        ops = (lambda a, b, bits: step("mul", a, b, bits),
-               lambda leaves, terms, bits: charged(("sum", *leaves, terms, bits), lambda: sum_costs(
-                   fmt, [(p, *term) for p, term in zip(leaves, terms)], bits)),
+        ops = (lambda leaves, terms, bits: charged(("sum", *leaves, terms, bits), lambda:
+                   sum_costs(fmt, [(p, *term) for p, term in zip(leaves, terms)], bits)),
                lambda a, bits: step("relu", a, width=bits),
                lambda pair: step("maxfold", *pair))
         if encrypt_weights:

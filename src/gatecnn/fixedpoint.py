@@ -7,10 +7,14 @@ exact product, i.e. the product arithmetic-shifted right by ``frac_bits``
 error of one multiply is one-sided and below 1/scale.  The multiplier
 circuits build only those product bits and the carries they need: a
 shift-and-add over the constant's signed digits when one operand is
-wholly public (a model weight), a Baugh–Wooley array whose columns one
-reducer sums otherwise.  The products of one value with several public
-constants (the kernel entries that a convolution's windows read at one
-input pixel) can share that shift-and-add's adders (``fp_mul_consts``).
+wholly public (a model weight), a Baugh–Wooley array otherwise.  A sum
+(``fp_sum``) takes such an array's partial products from column f up
+into its own column reducer, each product's lower columns reduced to
+their carries first so that it is floored on its own (merged
+arithmetic); ``fp_mul`` is the one-product sum.  The products of one
+value with several public constants (the kernel entries that a
+convolution's windows read at one input pixel) can share that
+shift-and-add's adders (``fp_mul_consts``).
 A value certified to fit b < w bits (see
 ``cnn.NetworkSpec.certificate``) can be built narrow: a sum of many
 terms (``fp_sum``) reads each term at its own bits, sums them in one
@@ -42,7 +46,6 @@ all public fold every gate and are charged 0 without a probe.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -255,12 +258,10 @@ def guard_range(values: np.ndarray, fmt: FixedPointFormat, what: str, bits=None,
             f"{where}; the error bound no longer applies")
 
 
-def _diagnose(a: FixedPointCipher, b: FixedPointCipher, combine, what: str,
-              bits=None) -> None:
+def _diagnose(a: FixedPointCipher, b: FixedPointCipher, combine, what: str) -> None:
     """Clear-backend range check of one operation on its exact integers."""
     if isinstance(a.backend, ClearBackend):
-        za, zb = (np.array(_lane_values(x), dtype=int_dtype(a.fmt)) for x in (a, b))
-        guard_range(combine(za, zb), a.fmt, what, bits)
+        guard_range(combine(_lane_array(a), _lane_array(b)), a.fmt, what)
 
 
 def _low_bits(x: FixedPointCipher, width: int) -> BitVector:
@@ -283,25 +284,52 @@ def fp_sum(terms, widths, bits: int | None = None) -> FixedPointCipher:
     """Exact sum of ``terms`` from one column reducer (``gates.sum_words``);
     adds no representation error.
 
-    Term i is read at widths[i] = (n, signed): its low n bits as an
-    unsigned integer or in two's complement, which must hold it.  The
-    reducer works modulo 2^``bits`` (default w), certified to hold the sum,
-    and the sum's bits from ``bits`` up are wires copying its bit
-    bits - 1; the clear backend checks every term and the sum fit."""
-    first = terms[0]
-    for x in terms[1:]:
-        _check_formats(first, x)
-    fmt, backend = first.fmt, first.backend
-    w = fmt.total_bits
+    Term i is a value read at widths[i] = (n, signed): its low n bits as
+    an unsigned integer or in two's complement, which must hold it; or a
+    pair (x, y) read at fp_mul's widths[i] = (b_x, b_y, b_p): their
+    floored product, from the shift-and-add ``gates.mul_const`` by y or
+    else x when wholly public, read at (b_p, signed), else from their
+    Baugh–Wooley partial products in the reducer.  It works modulo
+    2^``bits`` (default w), certified to hold the sum, whose bits from
+    ``bits`` up are wires copying its bit bits - 1; the clear backend
+    checks every term, product operand and the sum fit."""
+    ciphers = [x for term in terms for x in (term if isinstance(term, tuple) else (term,))]
+    for x in ciphers[1:]:
+        _check_formats(ciphers[0], x)
+    fmt, backend = ciphers[0].fmt, ciphers[0].backend
+    f, w = fmt.frac_bits, fmt.total_bits
     bits = w if bits is None else bits
     if isinstance(backend, ClearBackend):
-        values = np.array([_lane_values(x) for x in terms], dtype=int_dtype(fmt))
-        n, signed = (np.array(v)[:, None] for v in zip(*widths))
-        guard_range(values, fmt, "a sum term", n, signed)
-        guard_range(values.sum(axis=0), fmt, "addition", None if bits == w else bits)
-    out = gates.sum_words([(x.bits.bits[:n], signed) for x, (n, signed) in zip(terms, widths)],
-                          bits, backend)
+        values = []
+        for term, width in zip(terms, widths):
+            if len(width) == 2:
+                values.append(_lane_array(term))
+                guard_range(values[-1], fmt, "a sum term", *width)
+                continue
+            values.append(scaled_mul(*map(_lane_array, term), fmt))
+            guard_range(values[-1], fmt, "multiplication", None if width[2] == w else width[2])
+            for x, n in zip(term, width):
+                guard_range(_lane_array(x), fmt, "a multiplication operand", n)
+        guard_range(sum(values), fmt, "addition", None if bits == w else bits)
+    words = []
+    for term, width in zip(terms, widths):
+        if len(width) == 2:
+            words.append((term.bits.bits[:width[0]], width[1]))
+            continue
+        for x, y, n in ((term[0], term[1], width[0]), (term[1], term[0], width[1])):
+            public, value = public_pattern(y)
+            if public == (1 << w) - 1:
+                product = gates.mul_const(_low_bits(x, n), _signed(value, w), f, f + w)
+                words.append((product.bits[:width[2]], True))
+                break
+        else:
+            words.append((term[0].bits.bits[:width[0]], term[1].bits.bits[:width[1]], f))
+    out = gates.sum_words(words, bits, backend)
     return FixedPointCipher(BitVector(out + out[-1:] * (w - bits)), fmt)
+
+
+def _lane_array(x: FixedPointCipher) -> np.ndarray:
+    return np.array(_lane_values(x), dtype=int_dtype(x.fmt))
 
 
 def fp_sub(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
@@ -314,31 +342,15 @@ def fp_mul(a: FixedPointCipher, b: FixedPointCipher, widths=None) -> FixedPointC
     """Product floored back to the format's scale: bits f..f+w-1 of the
     exact double-width product, the only ones the circuit builds.
 
-    When one operand is wholly public (b is tried first), its integer is a
-    constant and the shift-and-add ``gates.mul_const`` multiplies by it,
-    the one-constant case of ``fp_mul_consts``; otherwise the
-    Baugh–Wooley array ``gates.mul_wallace`` does.  With ``widths`` (b_a,
-    b_b, b_p), certified to hold a, b and the floored product, with
-    f + b_p at most b_a + b_b, only a's low b_a bits and b's low b_b bits
-    are read, the array builds product bits f..f+b_p-1, and the product's
-    bits above are wires copying its bit b_p - 1; the clear backend
-    checks all three fit."""
-    _check_formats(a, b)
-    f, w = a.fmt.frac_bits, a.fmt.total_bits
-    bits_a, bits_b, bits_p = (w, w, w) if widths is None else widths
-    _diagnose(a, b, lambda za, zb: scaled_mul(za, zb, a.fmt), "multiplication",
-              None if bits_p == w else bits_p)
-    for x, width in ((a, bits_a), (b, bits_b)):
-        if width < w and isinstance(x.backend, ClearBackend):
-            guard_range(np.array(_lane_values(x), dtype=int_dtype(x.fmt)), x.fmt,
-                        "a multiplication operand", width)
-    for x, y, width in ((a, b, bits_a), (b, a, bits_b)):
-        public, value = public_pattern(y)
-        if public == (1 << w) - 1:
-            return FixedPointCipher(
-                gates.mul_const(_low_bits(x, width), _signed(value, w), lo=f, hi=f + w), a.fmt)
-    out = gates.mul_wallace(_low_bits(a, bits_a), _low_bits(b, bits_b), lo=f, hi=f + bits_p)
-    return FixedPointCipher(BitVector(out.bits + out.bits[-1:] * (w - bits_p)), a.fmt)
+    The one-product ``fp_sum``: with one operand wholly public (b is tried
+    first), the one-constant case of ``fp_mul_consts``, else the array of
+    ``gates.mul_wallace``.  With ``widths`` (b_a, b_b, b_p), certified to
+    hold a, b and the floored product, with f + b_p at most b_a + b_b,
+    only a's low b_a bits and b's low b_b bits are read, product bits
+    f..f+b_p-1 are built, and the bits above copy bit b_p - 1."""
+    w = a.fmt.total_bits
+    widths = (w, w, w) if widths is None else widths
+    return fp_sum([(a, b)], [widths], widths[2])
 
 
 def fp_mul_consts(x: FixedPointCipher, plan: gates.ConstMulPlan) -> list:
@@ -385,8 +397,7 @@ def fp_relu(x: FixedPointCipher, width: int | None = None) -> FixedPointCipher:
     w = x.fmt.total_bits
     width = w if width is None else width
     if width < w and isinstance(x.backend, ClearBackend):
-        guard_range(np.array(_lane_values(x), dtype=int_dtype(x.fmt)), x.fmt,
-                    "a ReLU operand", width)
+        guard_range(_lane_array(x), x.fmt, "a ReLU operand", width)
     keep = fp_geq_zero(x)
     return FixedPointCipher(
         BitVector([gates.and_gate(keep, bit) for bit in x.bits.bits[:width - 1]]
@@ -420,28 +431,38 @@ _COST_OPS = {
 
 
 # (kind, format, width, a, b) of a fold_costs circuit, or (circuit, input
-# states) of one column of a mul_const step -> (NANDs, output states) of
-# that circuit on a FoldProbe, where a state is a bit's public value or
-# None for a private bit; (negative, carries, width, and the sum's and
-# term's public_patterns) of a step -> (NANDs, output width and
-# public_pattern).  A circuit's cost depends on nothing else, so every
-# model in the process shares the entries.
+# states) of one column of a mul_const step or one adder of a sum ->
+# (NANDs, output states) of that circuit on a FoldProbe, where a state is
+# a bit's public value or None for a private bit; ("const", format,
+# widths, a, b) of an fp_mul by a public operand -> (NANDs, output
+# public_pattern); ("low", lo, and each operand's states) of a product's
+# part below lo -> (NANDs, its (ready, state) carries and copies);
+# (negative, carries, width, and the sum's and term's public_patterns) of
+# a step -> (NANDs, output width and public_pattern).  A circuit's cost
+# depends on nothing else, so every model in the process shares the
+# entries.
 _FOLDS = {}
 _FOLDS_LIMIT = 1 << 17
+
+
+def _kept(key, compute):
+    """``compute()``, kept in _FOLDS under ``key``."""
+    found = _FOLDS.get(key)
+    if found is None:
+        if len(_FOLDS) >= _FOLDS_LIMIT:
+            _FOLDS.clear()
+        found = _FOLDS[key] = compute()
+    return found
 
 
 def _folded(key, circuit, *operands):
     """(NANDs, output states) of ``circuit`` run once on a FoldProbe, on
     bit lists with the per-bit states ``operands``, kept under ``key``."""
-    found = _FOLDS.get(key)
-    if found is None:
-        if len(_FOLDS) >= _FOLDS_LIMIT:
-            _FOLDS.clear()
+    def run():
         probe = FoldProbe()
-        out = circuit(*([probe.encrypt_bit(0) if state is None else probe.const(state)
-                         for state in states] for states in operands))
-        found = _FOLDS[key] = (probe.nand_count, [bit.public for bit in out])
-    return found
+        out = circuit(*(_probe_bits(probe, states) for states in operands))
+        return probe.nand_count, [bit.public for bit in out]
+    return _kept(key, run)
 
 
 def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width=None) -> list:
@@ -464,10 +485,12 @@ def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width=None) -> list:
         a, b = (FixedPointCipher(BitVector(bits), fmt) for bits in (a, b))
         return _COST_OPS[kind](a, b, width).bits.bits
 
-    out = []
+    out, full = [], (1 << w) - 1
     for a, b in pairs:
-        found = (_const_mul_cost(fmt, a, b, width) if kind == "mul"
-                 else _public_fold(kind, fmt, a, b, width))
+        if kind == "mul" and full in (a[0], b[0]):
+            found = _kept(("const", fmt, width, a, b), lambda: _const_mul_cost(fmt, a, b, width))
+        else:
+            found = _public_fold(kind, fmt, a, b, width)
         if found is None:
             nands, states = _folded((kind, fmt, width, a, b), circuit,
                                     _states(a, w), _states(b, w))
@@ -490,68 +513,66 @@ def _public_fold(kind: str, fmt: FixedPointFormat, a: tuple, b: tuple, width: in
 
 def sum_costs(fmt: FixedPointFormat, terms, bits: int):
     """(NANDs evaluated, output public_pattern) of ``fp_sum`` at ``bits``
-    on terms given as (public_pattern, n, signed), each read as it says.
+    on terms given as (public_pattern, n, signed), each read as it says,
+    or as ((x, y), b_x, b_y, b_p), a product of operands with
+    public_patterns x and y read at fp_mul's widths.
 
-    Terms whose read bits are all public fold every gate: they are charged
-    0, and the output is their integer sum.  Otherwise the columns are
-    laid out (``gates._sum_columns``, its NOTs run) on a FoldProbe, and
-    each column is charged ``_column_cost``."""
-    w = fmt.total_bits
-    words = [(public & (1 << n) - 1, value & (1 << n) - 1, n, signed)
-             for (public, value), n, signed in terms]
-    if all(public == (1 << n) - 1 for public, _, n, _ in words):
-        total = sum(_signed(value, n) if signed else value for _, value, n, signed in words)
-        return 0, ((1 << w) - 1, _signed(total & (1 << bits) - 1, bits) & (1 << w) - 1)
+    A product with a wholly public operand is charged as ``fp_mul``
+    (``fold_costs``) and read as its word.  Words whose read bits are all
+    public fold every gate: they are charged 0, and the output is their
+    integer sum.  Otherwise the sum's own columns (``gates._sum_columns``)
+    and reducer run on a FoldProbe, each product's part below f
+    (``gates._low_part``) and each adder once per operand states."""
+    w, f, full = fmt.total_bits, fmt.frac_bits, (1 << fmt.total_bits) - 1
+    nands, words = 0, []
+    for pattern, *width in terms:
+        if len(width) == 3 and full in (pattern[0][0], pattern[1][0]):
+            cost, pattern = fold_costs("mul", fmt, [pattern], tuple(width))[0]
+            nands, width = nands + cost, (width[2], True)
+        words.append((pattern, *width))
+    if all(len(word) == 3 and ~word[0][0] & (1 << word[1]) - 1 == 0 for word in words):
+        total = sum(_signed(value & (1 << n) - 1, n) if signed else value & (1 << n) - 1
+                    for (_, value), n, signed in words)
+        return nands, (full, _signed(total & (1 << bits) - 1, bits) & full)
     probe = FoldProbe()
-    private = probe.encrypt_bit(0)  # _sum_columns tells bits apart by place, not identity
-    columns = gates._sum_columns([([private if s is None else probe.const(s)
-                                    for s in _states((public, value), n)], signed)
-                                  for public, value, n, signed in words], bits, probe)
-    nands, states, carries = probe.nand_count, [], []
-    for c, col in enumerate(columns):
-        cost, (state, *carries) = _column_cost(tuple(carries) + tuple(b.public for _, b in col),
-                                               c == bits - 1)
+
+    def low(product, columns) -> list:
+        nonlocal nands
+        states = [tuple(bit.public for bit in x) for x in product[:2]]
+
+        def run():  # on a probe of its own
+            own = FoldProbe()
+            parts = gates._low_part((*(_probe_bits(own, x) for x in states), product[2]), columns)
+            return own.nand_count, [[(ready, bit.public) for ready, bit in part] for part in parts]
+
+        cost, parts = _kept(("low", product[2], *states), run)
         nands += cost
-        states.append(state)
+        return [[(ready, *_probe_bits(probe, [s])) for ready, s in part] for part in parts]
+
+    def cell(circuit, *ins):
+        nonlocal nands
+        cost, out = _folded((circuit, *(bit.public for bit in ins)),
+                            lambda *bits: gates._cell(circuit, *(bit for [bit] in bits)),
+                            *([bit.public] for bit in ins))
+        nands += cost
+        return _probe_bits(probe, out)
+
+    words = [(_probe_bits(probe, _states(*word[:2])), word[2]) if len(word) == 3 else
+             (*(_probe_bits(probe, _states(*pair)) for pair in zip(word[0], word[1:3])), f)
+             for word in words]
+    columns, flip = gates._sum_columns(words, bits, probe, low)
+    states = [0 if bit is None else bit.public
+              for bit in gates._reduce_columns(columns, bits, cell=cell)]
+    nands += probe.nand_count
+    if flip:
+        nands += states[-1] is None
+        states[-1] = _invert_state(states[-1])
     return nands, _pattern_of(states + states[-1:] * (w - bits))
 
 
-def _column_cost(states, top: bool):
-    """(NANDs, [output state, *carry states]) of one
-    ``gates._reduce_column`` on bits with the per-bit states ``states``,
-    the carries from below and then the column's bits, with every ready 0
-    (0 and a public 0 for no bits).  Readies only pick which bits each
-    adder takes, and that changes no count or state when no bit is a
-    public 0 and at most one is a public 1, as in _sum_columns' columns:
-    no gate then folds.
-
-    With every ready 0 the adders take the bits in order, each leaving
-    its sum last, so a column of more than three bits costs its first
-    adder plus the column that adder leaves.  Each such suffix is kept,
-    under its length and public_pattern, and columns of up to three bits
-    run once on a FoldProbe (``_folded``), so that columns of any length
-    share their work."""
-    if not states:
-        return 0, [0]
-    key = ("column", top, len(states), *_pattern_of(states))
-    taken = []  # (key, NANDs, carry state) of each first adder not yet kept
-    while len(states) > 3 and key not in _FOLDS:
-        nands, (out, *carry) = _column_cost(states[:3], top)
-        taken.append((key, nands, carry))
-        states = states[3:] + (out,)
-        key = ("column", top, len(states), *_pattern_of(states))
-    found = _folded(key, lambda bits: _reduced(bits, top), states)
-    for key, nands, carry in reversed(taken):
-        found = _FOLDS[key] = (nands + found[0], [found[1][0], *carry, *found[1][1:]])
-    return found
-
-
-def _reduced(bits, top: bool) -> list:
-    """[output bit, *carries] of a ``gates._reduce_column`` of ``bits``,
-    every ready 0."""
-    out, carries = gates._reduce_column([(0, bit) for bit in bits], [], itertools.count(), top,
-                                        False)
-    return [out, *(bit for *_, bit in carries)]
+def _probe_bits(probe: FoldProbe, states) -> list:
+    """Bits of ``probe`` with the per-bit public states ``states``."""
+    return [probe.encrypt_bit(0) if state is None else probe.const(state) for state in states]
 
 
 def _step_cost(step: gates.ConstMulStep, xs, ts):
@@ -583,13 +604,14 @@ def _const_mul_cost(fmt: FixedPointFormat, a: tuple, b: tuple, widths: tuple):
     """(NANDs, output public_pattern) of ``fp_mul`` at ``widths`` on
     operands with public_patterns a, b when one is wholly public, else
     None: the one-constant charge of const_mul_costs at the other one's
-    width."""
+    width, its product's bits from b_p up copying bit b_p - 1."""
     w = fmt.total_bits
     full = (1 << w) - 1
     for x, (y_public, y_value), width in ((a, b, widths[0]), (b, a, widths[1])):
         if y_public == full:
             [(nands, (pattern,))] = const_mul_costs(fmt, (_signed(y_value, w),), width, [x])
-            return nands, pattern
+            states = _states(pattern, w)[:widths[2]]
+            return nands, _pattern_of(states + states[-1:] * (w - widths[2]))
     return None
 
 

@@ -4,8 +4,9 @@ Everything here is a pure function over immutable bits: derived gates,
 ripple adders, two's-complement subtract, a Baugh–Wooley multiplier
 whose columns one reducer sums, earliest-ready bits first, building only
 a requested window of product bits, a multi-operand adder that sums
-signed and unsigned words of any widths in the same reducer, public bits
-folded into one constant, multiplication by public integers
+signed and unsigned words of any widths and such products, each floored
+on its own, in the same reducer, public word bits and every constant
+folded into one, multiplication by public integers
 as shift-and-add over one adder graph that their products share (a
 digit chain for one integer, a greedy graph planned over numpy arrays
 for several), sign-based comparison and an oblivious multiplexer.  A
@@ -174,6 +175,12 @@ def _majority(a: EncBit, b: EncBit, c: EncBit) -> EncBit:
     return nand(nand(a, b), nand(c, nand(not_gate(a), not_gate(b))))
 
 
+def _cell(circuit, *bits) -> tuple:
+    """The output bits of ``circuit`` on ``bits``, as a tuple."""
+    out = circuit(*bits)
+    return out if isinstance(out, tuple) else (out,)
+
+
 def _ripple(a_bits, b_bits, carry):
     """Sum bits of a + b + carry modulo 2^len (``carry`` None means 0).
 
@@ -218,149 +225,189 @@ def _sign_extend(v: BitVector, width: int):
     return list(v.bits) + [v.bits[-1]] * (width - v.width)
 
 
-def _partial_products(m: int, n: int, hi: int):
-    """Baugh–Wooley partial products of a signed m x n multiply, per
-    column, for the columns below ``hi``.
+def _partial_products(m: int, n: int) -> tuple:
+    """(columns, constant): the Baugh–Wooley partial products of a signed
+    m x n multiply, per column, and the integer they leave out.
 
     A term (i, j, positive) stands for a_i & b_j, or for its complement
     NAND(a_i, b_j) when ``positive`` is False.  With s = m - 1, t = n - 1,
 
         a*b = a_s b_t 2^(s+t) + sum_{i<s, j<t} a_i b_j 2^(i+j)
               + sum_{j<t} ~(a_s b_j) 2^(s+j) + sum_{i<s} ~(a_i b_t) 2^(i+t)
-              + 2^s + 2^t - 2^(m+n-1).
-
-    Each bit c < m + n - 1 of that constant (modulo 2^(m+n)) enters as
-    p + 1 = ~p + 2p for a term p of column c, preferably an AND whose
-    NAND the circuit builds anyway.  Its bit m + n - 1, set unless
-    m = n = 1, flips the top product bit; mul_wallace applies it.
-    """
-    columns = [[] for _ in range(hi)]
-
-    def put(column, term):
-        if column < hi:
-            columns[column].append(term)
-
+              + 2^s + 2^t - 2^(m+n-1)."""
     s, t = m - 1, n - 1
+    columns = [[] for _ in range(m + n)]
     for i in range(s):
         for j in range(t):
-            put(i + j, (i, j, True))
+            columns[i + j].append((i, j, True))
     for j in range(t):
-        put(s + j, (s, j, False))
+        columns[s + j].append((s, j, False))
     for i in range(s):
-        put(i + t, (i, t, False))
-    put(s + t, (s, t, True))
-    constant = ((1 << s) + (1 << t) - (1 << (m + n - 1))) % (1 << (m + n))
-    for c in range(min(hi, m + n - 1)):
-        if constant >> c & 1:
-            col = columns[c]
-            k = next((k for k, term in enumerate(col) if term[2]), 0)
-            i, j, positive = col[k]
-            col[k] = (i, j, not positive)
-            put(c + 1, (i, j, positive))
-    return columns
+        columns[i + t].append((i, t, False))
+    columns[s + t].append((s, t, True))
+    return columns, (1 << s) + (1 << t) - (1 << (m + n - 1))
 
 
 def mul_wallace(a: BitVector, b: BitVector, lo: int = 0, hi: int | None = None) -> BitVector:
     """Bits [lo, hi) of the signed product of an m-bit a and an n-bit b;
-    by default all m + n bits.
-
-    Baugh–Wooley partial products fill the columns below ``hi`` (none
-    above is built) and _reduce_columns sums them to bits lo..hi-1.
-    Every kept bit is exact because the circuit works modulo 2^hi.  The
-    name is the multiplier's public one, which tracers wrap by name,
-    though no Wallace tree is left.
-    """
+    by default all m + n bits: the one-product sum_words at width
+    hi - lo, exact because the circuit works modulo 2^hi.  The name is the
+    multiplier's public one, which tracers wrap by name, though no Wallace
+    tree is left."""
     m, n = a.width, b.width
     if hi is None:
         hi = m + n
     if not 0 <= lo < hi <= m + n:
         raise ParameterError(f"product window [{lo}, {hi}) outside [0, {m + n})")
-    a_bits, b_bits = a.bits, b.bits
-    nands = {}
-
-    def materialize(term):
-        i, j, positive = term
-        gate = nands.get((i, j))
-        if gate is None:
-            gate = nands[(i, j)] = nand(a_bits[i], b_bits[j])
-        return not_gate(gate) if positive else gate
-
-    columns = [[(2 if term[2] else 1, materialize(term)) for term in col]
-               for col in _partial_products(m, n, hi)]
-    out = _reduce_columns(columns, lo, a.backend)
-    if hi == m + n > 2:
-        out[-1] = not_gate(out[-1])
-    return BitVector(out)
+    return BitVector(sum_words([(a.bits, b.bits, lo)], hi - lo, a.backend))
 
 
 def sum_words(words, width: int, backend) -> list:
     """Bits [0, width) of the sum of ``words`` modulo 2^width, from one
     column reducer (_reduce_columns) over their _sum_columns.  A word is a
     pair (bits, signed): its bits of ``backend``, low first, read as an
-    unsigned integer or, when ``signed``, in two's complement."""
-    return _reduce_columns(_sum_columns(words, width, backend), 0, backend)
-
-
-def _sum_columns(words, width: int, backend) -> list:
-    """The columns (pairs (ready, bit)) of sum_words below ``width``.
-
-    Private bits go straight into their columns (Dadda 1965), a signed
-    word's sign bit s as ~s, since -s·2^t = ~s·2^t - 2^t.  Every public
-    bit and every -2^t fold into one constant K modulo 2^width (the
-    Baugh–Wooley correction).  A set bit c of K enters as p + 1 = ~p + 2p
-    on a private bit p of column c, an inverted sign bit when there is
-    one (its ~p is the sign bit itself); only a column without a private
-    bit gets a public 1.  The columns depend only on the widths and on
-    which bits are public, never on private values."""
-    constant, columns = 0, [[] for _ in range(width)]
-    for n, (bits, signed) in enumerate(words):
-        top = len(bits) - 1 if signed else len(bits)
-        for i, bit in enumerate(bits):
-            if bit.public is not None:
-                constant += (-bit.public if i == top else bit.public) << i
-            elif i < width:
-                constant -= (i == top) << i
-                columns[i].append((bit, i == top, n, i))  # (bit, read inverted, word, place)
-    for c, col in enumerate(columns):
-        if constant >> c & 1:
-            if not col:
-                col.append((backend.const(1), False, None, None))
-                continue
-            k = next((k for k, e in enumerate(col) if e[1]), 0)
-            if c + 1 < width:
-                columns[c + 1].append(col[k])
-            bit, inverted, n, i = col[k]
-            col[k] = (bit, not inverted, n, i)
-    nots = {}  # per word bit, not per bit object: words may share wires
-
-    def ready_bit(bit, inverted, *where):
-        if not inverted:
-            return 0, bit
-        if where not in nots:
-            nots[where] = not_gate(bit)
-        return 1, nots[where]
-
-    return [[ready_bit(*e) for e in col] for col in columns]
-
-
-def _reduce_columns(columns, lo: int, backend):
-    """Sum the bits of ``columns`` (pairs (ready, bit), column c weighing
-    2^c) modulo 2^len(columns); return the sum bits of columns lo and up.
-
-    Each column, lowest first, is folded with the carries from below to
-    one bit (_reduce_column).  Below ``lo`` the final adder forms only its
-    carry, and the top column's adders only their sums, since their
-    carries leave the window."""
-    out, carries = [], []
-    order = itertools.count()
-    for c, col in enumerate(columns):
-        bit, carries = _reduce_column(col, carries, order, c == len(columns) - 1, c < lo)
-        if c >= lo:
-            out.append(backend.const(0) if bit is None else bit)
+    unsigned integer or, when ``signed``, in two's complement.  A product
+    is a triple (a_bits, b_bits, lo): the two's-complement a times b,
+    floored by 2^lo (merged arithmetic, Swartzlander 1980)."""
+    columns, flip = _sum_columns(words, width, backend)
+    out = [backend.const(0) if bit is None else bit for bit in _reduce_columns(columns, width)]
+    if flip:
+        out[-1] = not_gate(out[-1])
     return out
 
 
-def _reduce_column(col, carries, order, top: bool, below: bool) -> tuple:
+def _sum_columns(words, width: int, backend, low=None) -> tuple:
+    """(columns, flip): the columns of sum_words below ``width``, each
+    built (_materialized) only when the reducer reaches it, and whether the
+    top sum bit is to be inverted.
+
+    Private bits go straight into their columns (Dadda 1965), a signed
+    word's sign bit s as ~s, since -s·2^t = ~s·2^t - 2^t, and so do the
+    partial products of a product from column lo up, shifted down by lo.
+    Its partial products below lo are reduced per product, so that each
+    product is floored on its own, by ``low`` (_low_part's contract),
+    whose carries and copies enter column 0.  Every public word bit, every
+    -2^t and each product's Baugh–Wooley constant (its part below lo in
+    its own columns) fold into one constant K modulo 2^width, which enters
+    by _fold_constant.  The columns depend only on the shapes and on which
+    bits are public, never on private values."""
+    constant, layout, lows = 0, [[] for _ in range(width)], []
+    for n, word in enumerate(words):
+        if len(word) == 2:
+            bits, signed = word
+            top = len(bits) - 1 if signed else len(bits)
+            for i, bit in enumerate(bits):
+                if bit.public is not None:
+                    constant += (-bit.public if i == top else bit.public) << i
+                elif i < width:
+                    constant -= (i == top) << i
+                    layout[i].append(((n, i), i == top))  # (key, read inverted)
+            continue
+        a, b, lo = word
+        terms, exact = _partial_products(len(a), len(b))
+        for c, col in enumerate(terms[lo:lo + width]):
+            layout[c] += [((n, i, j), positive) for i, j, positive in col]
+        constant += exact >> lo
+        if lo:  # the last column: copies into column lo
+            below = [[((i, j), positive) for i, j, positive in col] for col in terms[:lo]] + [[]]
+            _fold_constant(below, exact, lo)
+            lows.append((word, below))
+    flip = _fold_constant(layout, constant, width, any(len(word) == 3 for word in words))
+
+    def base(key):
+        if key is None:
+            return 0, backend.const(1)
+        if len(key) == 2:
+            return 0, words[key[0]][0][key[1]]
+        n, i, j = key
+        return 1, nand(words[n][0][i], words[n][1][j])
+
+    def columns():
+        parts = [(low or _low_part)(word, below) for word, below in lows]
+        made = _materialized(layout, base)
+        yield [*(bit for carries, _ in parts for bit in carries), *next(made),
+               *(bit for _, copies in parts for bit in copies)]
+        yield from made
+
+    return columns(), flip
+
+
+def _fold_constant(columns, constant: int, bits: int, invert_top: bool = False) -> bool:
+    """Fold bits c < ``bits`` of ``constant`` into ``columns`` of entries
+    (key, inverted), in place: a set bit c enters as p + 1 = ~p + 2p on
+    an entry p of column c, an inverted one if any (its ~p is the bit
+    itself), copying p into column c + 1 if that is one of the columns;
+    a column without an entry gets a public 1 (key None), except, with
+    ``invert_top``, the last one.  Returns whether that one's bit is left
+    to invert its sum bit."""
+    for c in range(bits):
+        col = columns[c]
+        if not constant >> c & 1:
+            continue
+        if not col:
+            if invert_top and c == len(columns) - 1:
+                return True
+            col.append((None, False))
+            continue
+        k = next((k for k, (_, inverted) in enumerate(col) if inverted), 0)
+        if c + 1 < len(columns):
+            columns[c + 1].append(col[k])
+        col[k] = (col[k][0], not col[k][1])
+    return False
+
+
+def _materialized(columns, base):
+    """Per column of entries (key, inverted), its pairs (ready, bit), built
+    when the column is asked for: ``base(key)`` gives an entry's (ready,
+    bit) and an inverted entry reads its NOT, one NAND deeper, each built
+    once and dropped after the key's last column."""
+    last = {key: c for c, col in enumerate(columns) for key, _ in col}
+    built = {}
+    for c, col in enumerate(columns):
+        for key, inverted in col:
+            if (key, False) not in built:
+                built[key, False] = base(key)
+            if inverted and (key, True) not in built:
+                ready, bit = built[key, False]
+                built[key, True] = ready + 1, not_gate(bit)
+        yield [built[entry] for entry in col]
+        for entry in [entry for entry in built if last[entry[0]] == c]:
+            del built[entry]
+
+
+def _low_part(product, columns) -> tuple:
+    """(carries, copies): the pairs (ready, bit) that a product (a_bits,
+    b_bits, lo) sends into column lo from its ``columns`` of entries (key
+    (i, j), inverted) below lo, reduced with carry-only last adders, and
+    the entries its last column holds, copied there by _fold_constant."""
+    a, b, lo = product
+
+    def base(key):
+        return (0, a[0].backend.const(1)) if key is None else (1, nand(a[key[0]], b[key[1]]))
+
+    made = _materialized(columns, base)
+    return _reduce_columns(itertools.islice(made, lo), lo, below=True), next(made)
+
+
+def _reduce_columns(columns, width: int, below: bool = False, cell=_cell) -> list:
+    """Sum the bits of the ``width`` ``columns`` (pairs (ready, bit),
+    column c weighing 2^c) modulo 2^width: each column's sum bit (None for
+    none), lowest column first folded with the carries from below to one
+    bit (_reduce_column, each adder run by ``cell``, _cell's contract).
+    The top column's adders form only sums, their carries leaving the
+    window.  With ``below`` every column lies below the window: its last
+    adder forms only its carry, and the top column's carries, pairs
+    (ready, bit), are returned instead."""
+    out, carries = [], []
+    order = itertools.count()
+    for c, col in enumerate(columns):
+        bit, carries = _reduce_column(col, carries, order, not below and c == width - 1, below,
+                                      cell)
+        out.append(bit)
+    return [(ready, bit) for ready, _, bit in carries] if below else out
+
+
+def _reduce_column(col, carries, order, top: bool, below: bool, cell=_cell) -> tuple:
     """(bit, carries out) of one column of _reduce_columns: its pairs
     (ready, bit) and the ``carries`` from below, triples (ready, order,
     bit), folded to one bit (None for no bit) by full adders on three bits
@@ -386,11 +433,11 @@ def _reduce_column(col, carries, order, top: bool, below: bool) -> tuple:
         else:
             ready_s, ready_c = ready[1] + 3, ready[1] + 2
         if top:  # the carry would leave the window
-            s, cout = (_xor3 if full else xor_gate)(*ins), None
+            s, cout = *cell(_xor3 if full else xor_gate, *ins), None
         elif below and not bits:  # the column's last adder: no sum is read
-            s, cout = None, (_majority if full else and_gate)(*ins)
+            s, cout = None, *cell(_majority if full else and_gate, *ins)
         else:
-            s, cout = (full_adder if full else half_adder)(*ins)
+            s, cout = cell(full_adder if full else half_adder, *ins)
         if s is not None:
             heapq.heappush(bits, (ready_s, next(order), s))
         if cout is not None:
@@ -796,12 +843,6 @@ def _first_column(x: EncBit, y: EncBit, negative: bool, sums: bool) -> tuple:
 # A step's lowest-column circuit per (negative, forms the sum).
 _FIRST_COLUMNS = {(negative, sums): functools.partial(_first_column, negative=negative, sums=sums)
                   for negative in (False, True) for sums in (False, True)}
-
-
-def _cell(circuit, *bits) -> tuple:
-    """The output bits of ``circuit`` on ``bits``, as a tuple."""
-    out = circuit(*bits)
-    return out if isinstance(out, tuple) else (out,)
 
 
 def const_mul_step(step: ConstMulStep, xs, ts, cell=_cell) -> list:

@@ -45,7 +45,7 @@ import tempfile
 import numpy as np
 
 from .cnn import EncImage, EncScores
-from .errors import ModelFormatError, ParameterError
+from .errors import FormatMismatchError, ModelFormatError, ParameterError
 from .fhe_core import PRESETS, Ciphertext, EncBit, FheParams, SecretKey, _PRESET_IDS
 from .fixedpoint import FixedPointCipher, FixedPointFormat
 from .gates import BitVector
@@ -259,6 +259,8 @@ def _read_bits(rd: _Reader, count: int, backend):
     if backend.tag == "clear":
         blob = rd.section((count + 7) // 8)
         rd.end()
+        if blob[-1] >> (count % 8 or 8):
+            raise ModelFormatError("clear payload has padding bits set after its last bit")
         masks = np.unpackbits(np.frombuffer(blob, np.uint8), count=count, bitorder="little")
         return [backend.from_mask(m) for m in masks.tolist()]
     params = backend.params
@@ -301,11 +303,19 @@ _RECORDS = {KIND_IMAGE: ("image", "an encrypted image", 3, "encrypt the image ag
 
 def _save_record(kind: int, shape, values, fmt: FixedPointFormat, backend, path,
                  params: FheParams | None) -> None:
-    """Write ``values`` (FixedPointCiphers, row-major over ``shape``)."""
+    """Write ``values`` (FixedPointCiphers of format ``fmt``, row-major over
+    ``shape``).  A shape holding a 0, which every load refuses, or a value
+    of another format, which would load misread, is refused before a byte
+    is written."""
+    noun = _RECORDS[kind][0]
+    if 0 in shape:
+        raise ParameterError(f"{noun} shape {tuple(shape)} holds a 0: a file of no values")
+    if any(value.fmt != fmt for value in values):
+        raise FormatMismatchError(f"{noun} values not all of the file's format {fmt}")
     params = params if backend.tag == "clear" else backend.params
     if params is None:
         raise ParameterError(
-            f"clear {_RECORDS[kind][0]} files still need preset params for the header")
+            f"clear {noun} files still need preset params for the header")
     meta = struct.pack(f"<{len(shape) + 2}I", *shape, fmt.total_bits, fmt.frac_bits)
     bits = [bit for value in values for bit in value.bits.bits]
     atomic_write_bytes(path, _with_digest(_header(kind, params, backend.tag)

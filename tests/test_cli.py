@@ -12,7 +12,7 @@ import pytest
 from gatecnn import cli, cnn, error_analysis, model_io, serialize
 from gatecnn.demo import micro_model, tiny_model, write_demo_assets
 from gatecnn.errors import NoiseExhaustionError
-from gatecnn.fhe_core import ClearBackend, preset_params
+from gatecnn.fhe_core import preset_params
 from gatecnn.fixedpoint import FixedPointFormat
 
 
@@ -495,11 +495,14 @@ def test_image_file_zero_total_bits_is_io_error(workdir, capsys):
 
 
 def test_score_file_of_no_scores_is_io_error(workdir, capsys):
-    """A score file with zero scores and a valid digest exits 3 with one
-    error line, instead of printing an argmax of nothing."""
-    fmt = FixedPointFormat(10, 5)
-    serialize.save_scores(cnn.EncScores([]), fmt, ClearBackend(), workdir / "none.bin",
-                          params=preset_params("toy"))
+    """A score file with zero scores and a valid digest (which no save
+    function writes) exits 3 with one error line, instead of printing an
+    argmax of nothing."""
+    params = preset_params("toy")
+    (workdir / "none.bin").write_bytes(serialize._with_digest(
+        serialize._header(serialize.KIND_SCORES, params, "clear")
+        + serialize._params_section(params) + serialize._section(struct.pack("<3I", 0, 10, 5))
+        + serialize._section(b"")))
     capsys.readouterr()
     assert run("decrypt-scores", "--in", workdir / "none.bin",
                "--out", workdir / "none.txt") == cli.EXIT_IO

@@ -705,8 +705,8 @@ def test_add_trees_depend_only_on_the_public_weights(tmp_path):
 
 
 def test_encrypt_weights_fold_over_the_bounded_tree():
-    """With encrypted weights a neuron is fp_mul's products and one fp_sum
-    of them and the bias at the bounded walk's widths, gate for gate;
+    """With encrypted weights a neuron is one fp_sum of the bias and the
+    (input, weight) products at the bounded walk's widths, gate for gate;
     every neuron of the layer has the same widths.  The micro model's
     bounds: 7-bit pixels, 6-bit weights, 3-bit biases, 6-bit floored
     products (window [5, 11)), all read signed, and 8-bit roots."""
@@ -734,9 +734,8 @@ def test_encrypt_weights_fold_over_the_bounded_tree():
             scores = []
             for o in range(2):
                 values = [fp.encode(spec.biases[o], small, backend)] + [
-                    fp.fp_mul(x, fp.encode(w, small, backend), mul_bits)
-                    for x, w in zip(xs, spec.weights[o])]
-                terms = list(zip(leaf_bits[o].tolist(), leaf_signed[o].tolist()))
+                    (x, fp.encode(w, small, backend)) for x, w in zip(xs, spec.weights[o])]
+                terms = [(int(leaf_bits[o, 0]), bool(leaf_signed[o, 0]))] + [mul_bits] * 4
                 scores.append(fp.fp_sum(values, terms, int(root_bits[o])))
         else:
             scores = cnn.fc_layer(xs, spec, True, certificate=certificate).scores
@@ -1070,3 +1069,60 @@ def test_reference_classify_matches_numpy_composition(preset_net):
         x = pooled
     manual = l3.weights @ x.reshape(-1) + l3.biases
     assert np.allclose(scores, manual)
+
+
+def _encrypted_weight_layers(net, pixels, fast: bool) -> tuple:
+    """(score integers, NANDs per layer) of one private image classified
+    with encrypted weights on a clear backend."""
+    backend = ClearBackend(fast_arith=fast)
+    current = cnn.encrypt_image(pixels, net.fmt, backend)
+    nands = []
+    for i, (layer, certificate) in enumerate(zip(net.layers,
+                                                 net.certificate(encrypt_weights=True))):
+        before = backend.stats.nand_count
+        if layer.kind == cnn.CONVOLUTION:
+            current = cnn.conv_layer(current, layer, True, layer_index=i, certificate=certificate)
+        else:
+            if isinstance(current, cnn.EncImage):
+                current = cnn.flatten_image(current)
+            current = cnn.fc_layer(current, layer, True, layer_index=i,
+                                   certificate=certificate).scores
+        nands.append(backend.stats.nand_count - before)
+    return [fp._lane_values(s)[0] for s in current], nands
+
+
+def test_encrypted_weight_model_counts(tiny_net, preset_net):
+    """The NANDs of one private image with encrypted weights, pinned per
+    layer: the tiny model's on the gate path and as the fast path's charge
+    (75,644 before each neuron summed its products' partial products in
+    its own reducer), and the preset model's charge (560,479,052 before)."""
+    tiny = demo.synthetic_images(1, 6, 6)[0]
+    assert _encrypted_weight_layers(tiny_net, tiny, True) == \
+        _encrypted_weight_layers(tiny_net, tiny, False) == ([-12, -8], [70_172, 4_694])
+    scores, nands = _encrypted_weight_layers(preset_net, demo.synthetic_images(1, 28, 28)[0],
+                                             True)
+    assert nands == [175_026_816, 360_379_440, 11_411_460]
+    assert sum(nands) == 546_817_716
+    assert scores == [-11573, -38049, -42303, 29431, 40512, -30593, 47464, 32579, -397, 8366]
+
+
+def test_merged_neurons_cost_no_more_than_separate_products():
+    """Per neuron of each layer of the micro, tiny and preset models with
+    encrypted weights, on private operands at the bounded walk's widths:
+    one reducer over the bias and the products' partial products (fp_sum
+    of the (input, weight) pairs) costs no more than fp_mul's products
+    summed as words, the neuron before (pinned: before, after)."""
+    costs = []
+    for net in (demo.micro_model(), demo.tiny_model(), demo.preset_model()):
+        for c in net.certificate(encrypt_weights=True):
+            bias = (fp.PRIVATE, int(c.leaf_bits[0, 0]), bool(c.leaf_signed[0, 0]))
+            fan_in, root = c.leaf_bits.shape[1] - 1, int(c.root_bits[0])
+            mul, product = fp.fold_costs("mul", net.fmt, [(fp.PRIVATE, fp.PRIVATE)],
+                                         c.mul_bits)[0]
+            words = [bias] + [(product, c.mul_bits[2], True)] * fan_in
+            merged = [bias] + [((fp.PRIVATE, fp.PRIVATE), *c.mul_bits)] * fan_in
+            costs.append((fan_in * mul + fp.sum_costs(net.fmt, words, root)[0],
+                          fp.sum_costs(net.fmt, merged, root)[0]))
+    assert all(after <= before for before, after in costs)
+    assert costs == [(1_684, 1_591), (4_327, 4_303), (2_580, 2_390), (77_003, 75_774),
+                     (388_103, 377_728), (1_177_382, 1_147_185)]

@@ -477,6 +477,6 @@ def test_golden_score_ciphertexts(toy_params, toy_key):
             digest.update(bit.ciphertext.matrix.astype(np.int64).tobytes())
             digest.update(repr(bit.ciphertext.noise_estimate).encode())
     assert digest.hexdigest() == (
-        "e561411d5c25743e47d5ebf00b3abe1140c1a3a5051ab19a18e0640b96d269b4")
-    assert backend.stats.snapshot() == (3368, 3368, 218.0)
+        "3a0f9f80017851e582eb08052a037b0f25252e004baf9f508c04cb4806b9451d")
+    assert backend.stats.snapshot() == (3182, 3182, 218.0)
     assert [value.bits.to_int() for value in scores.scores] == [-10, 22]

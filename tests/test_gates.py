@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from gatecnn import fhe_core as fc
@@ -698,3 +699,51 @@ def test_gsw_clear_observational_equivalence(op, toy_params, toy_key):
             results[tag] = g.mux(backend.encrypt_bit(1), a, b).to_int()
     assert results["clear"] == results["gsw"], (op, x, y)
     assert clear.stats.nand_count == gsw.stats.nand_count
+
+def _lane_cipher(values, fmt, backend):
+    """A FixedPointCipher holding one value of ``values`` (an int64 array)
+    per lane, its lanes' values kept for the clear backend's checks."""
+    masks = [int.from_bytes(np.packbits((values >> i) & 1 == 1, bitorder="little").tobytes(),
+                            "little") for i in range(fmt.total_bits)]
+    x = fp.FixedPointCipher(g.BitVector(backend.from_mask(m) for m in masks), fmt)
+    x._lane_cache = values.tolist()
+    return x
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_merged_neuron_exhaustive(m, n):
+    """Two products of private m-bit inputs and n-bit weights plus a
+    private 2-bit signed bias, every input at once (one lane each), at
+    every floor f in [0, m + n): one sum of the bias and the (input,
+    weight) pairs gives b + sum floor(x·w / 2^f) modulo 2^R, at the root's
+    signed bits R (fp_sum) and two bits fewer (sum_words, since the sum
+    wraps), equal to the products built on their own (fp_mul,
+    mul_wallace) and summed as words, for no more NANDs than those."""
+    values = [v.ravel() for v in np.meshgrid(
+        *[np.arange(-(1 << k - 1), 1 << k - 1) for k in (m, n, m, n, 2)], indexing="ij")]
+    x1, w1, x2, w2, bias = values
+    for f in range(m + n):
+        fmt = fp.FixedPointFormat(8, f)
+        totals = bias + (x1 * w1 >> f) + (x2 * w2 >> f)
+        root = int(max(totals.max(), ~totals.min())).bit_length() + 1
+        widths = (m, n, m + n - f)
+        for bits in sorted({root, max(1, root - 2)}):
+            runs = []
+            for merged in (True, False):
+                backend = fc.ClearBackend(lanes=len(totals))
+                a1, b1, a2, b2, c = (_lane_cipher(v, fmt, backend) for v in values)
+                pairs = [(a1, b1), (a2, b2)]
+                if bits == root:
+                    terms = [c, *(pairs if merged else [fp.fp_mul(*p, widths) for p in pairs])]
+                    out = fp.fp_sum(terms, [(2, True)] + [widths if merged else
+                                                           (widths[2], True)] * 2, bits)
+                    out = out.bits.bits
+                else:
+                    low = [(a.bits.bits[:m], b.bits.bits[:n]) for a, b in pairs]
+                    words = [(*p, f) if merged else (g.mul_wallace(
+                        *map(g.BitVector, p), f, m + n).bits, True) for p in low]
+                    out = g.sum_words([(c.bits.bits[:2], True), *words], bits, backend)
+                assert [bit.clear_value for bit in out[:bits]] == \
+                    _lane_masks(totals.tolist(), bits), (m, n, f, bits, merged)
+                runs.append(backend.stats.nand_count)
+            assert runs[0] <= runs[1], (m, n, f, bits, runs)

@@ -9,12 +9,13 @@ and the layer evaluator's charge of each of its layers adds up to it; a
 traced one keeps its per-layer spans' sums.
 """
 
+import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from gatecnn import cnn
+from gatecnn import cnn, gates
 from gatecnn.demo import synthetic_images
 from gatecnn.fhe_core import ClearBackend
 
@@ -36,7 +37,7 @@ def test_gsw_private_traced_run_is_correct():
     result = _run("gsw_private", trace=1)
     assert result["correct"] is True
     assert result["failed"] == 0
-    assert result["metrics"]["fhe_core.nand_calls"]["value"] == 3368
+    assert result["metrics"]["fhe_core.nand_calls"]["value"] == 3182
 
 
 def test_clear_paper_run_pins_the_folded_nand_count():
@@ -71,3 +72,16 @@ def test_clear_paper_nands_per_layer(preset_net):
         nands.append(backend.stats.nand_count - before)
     assert nands == [21_019_576, 33_202_226, 1_280_155]
     assert sum(nands) == CLEAR_PAPER_NANDS
+
+
+def test_traced_names_resolve():
+    """Every name perfbench's tracer wraps (``GATE_OPS`` on gates,
+    ``FIXEDPOINT_OPS`` on cnn, read from perfbench/run.py) is there to
+    wrap, so losing one fails here, not only in a traced gsw run."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    ops = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+           if isinstance(node, ast.Assign) and len(node.targets) == 1
+           and getattr(node.targets[0], "id", None) in ("GATE_OPS", "FIXEDPOINT_OPS")}
+    assert set(ops) == {"GATE_OPS", "FIXEDPOINT_OPS"} and all(ops.values())
+    for module, names in ((gates, ops["GATE_OPS"]), (cnn, ops["FIXEDPOINT_OPS"])):
+        assert [name for name in names if not callable(getattr(module, name, None))] == []

@@ -9,7 +9,7 @@ from gatecnn import cnn, serialize
 from gatecnn import fixedpoint as fp
 from gatecnn import model_io
 from gatecnn.demo import micro_model, synthetic_images, tiny_model
-from gatecnn.errors import ModelFormatError, ParameterError
+from gatecnn.errors import FormatMismatchError, ModelFormatError, ParameterError
 from gatecnn.fhe_core import ClearBackend, GswBackend, keygen, preset_params
 
 
@@ -441,21 +441,74 @@ def test_image_and_score_record_errors(tmp_path, toy_params, toy_key):
     assert [fp.decode(v) for v in scores.scores] == [0.5, -0.25, 3.875, -4.0]
 
 
+def _record_bytes(kind, params, shape, fmt, payload: bytes) -> bytes:
+    """A clear image or score file of ``shape`` and ``payload`` with a valid
+    digest, built field by field, as no save function writes it."""
+    meta = struct.pack(f"<{len(shape) + 2}I", *shape, fmt.total_bits, fmt.frac_bits)
+    return serialize._with_digest(serialize._header(kind, params, "clear")
+                                  + serialize._params_section(params)
+                                  + serialize._section(meta) + serialize._section(payload))
+
+
 def test_records_whose_shape_holds_a_zero_are_refused(tmp_path, toy_params):
     """An image or score file of no values is refused at load, though its
-    digest is valid: no classification can come of it."""
+    digest is valid: no classification can come of it.  Saving one is
+    refused before a byte is written."""
     fmt = fp.FixedPointFormat(6, 3)
     clear = ClearBackend()
+    path = tmp_path / "record.bin"
     for shape in ((0, 2, 2), (1, 0, 3), (2, 3, 0)):
         channels, height, width = shape
-        img = cnn.EncImage([[[] for _ in range(height)] for _ in range(channels)], height, width)
-        serialize.save_enc_image(img, fmt, clear, tmp_path / "img.bin", params=toy_params)
+        path.write_bytes(_record_bytes(serialize.KIND_IMAGE, toy_params, shape, fmt, b""))
         with pytest.raises(ModelFormatError,
                            match=rf"^image file shape {re.escape(str(shape))} holds a 0"):
-            serialize.load_enc_image(tmp_path / "img.bin", clear)
-    serialize.save_scores(cnn.EncScores([]), fmt, clear, tmp_path / "s.bin", params=toy_params)
+            serialize.load_enc_image(path, clear)
+        img = cnn.EncImage([[[] for _ in range(height)] for _ in range(channels)], height, width)
+        with pytest.raises(ParameterError,
+                           match=rf"^image shape {re.escape(str(shape))} holds a 0"):
+            serialize.save_enc_image(img, fmt, clear, tmp_path / "img.bin", params=toy_params)
+    path.write_bytes(_record_bytes(serialize.KIND_SCORES, toy_params, (0,), fmt, b""))
     with pytest.raises(ModelFormatError, match=r"^score file shape \(0,\) holds a 0: classify"):
-        serialize.load_scores(tmp_path / "s.bin", clear)
+        serialize.load_scores(path, clear)
+    with pytest.raises(ParameterError, match=r"^score shape \(0,\) holds a 0"):
+        serialize.save_scores(cnn.EncScores([]), fmt, clear, tmp_path / "s.bin",
+                              params=toy_params)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["record.bin"]
+
+
+def test_values_of_another_format_are_refused_before_writing(tmp_path, toy_params):
+    """A score or image value whose format is not the file's would load
+    misread (two w=12 scores saved as w=10 came back as 1.0 and -8.0), so
+    saving it is refused before a byte is written."""
+    clear = ClearBackend()
+    wide, narrow = fp.FixedPointFormat(12, 6), fp.FixedPointFormat(10, 5)
+    scores = cnn.EncScores([fp.encode(0.5, wide, clear), fp.encode(-1.0, wide, clear)])
+    with pytest.raises(FormatMismatchError, match="format"):
+        serialize.save_scores(scores, narrow, clear, tmp_path / "s.bin", params=toy_params)
+    img = cnn.encrypt_image(np.zeros((1, 1, 2)), narrow, clear)
+    img.channels[0][0][1] = fp.encode(0.25, wide, clear)
+    with pytest.raises(FormatMismatchError, match="format"):
+        serialize.save_enc_image(img, narrow, clear, tmp_path / "i.bin", params=toy_params)
+    assert list(tmp_path.iterdir()) == []
+    serialize.save_scores(scores, wide, clear, tmp_path / "s.bin", params=toy_params)
+    loaded, fmt = serialize.load_scores(tmp_path / "s.bin", clear)
+    assert (fmt, [fp.decode(v) for v in loaded.scores]) == (wide, [0.5, -1.0])
+
+
+def test_clear_padding_bits_must_be_zero(tmp_path, toy_params):
+    """A clear payload's bits after its last encoded bit are zero; a file
+    with one of them set, its digest valid, is refused at load."""
+    fmt = fp.FixedPointFormat(6, 3)
+    clear = ClearBackend()
+    path = tmp_path / "s.bin"
+    for payload, refused in ((b"\x05", False), (b"\x45", True), (b"\x85", True)):
+        path.write_bytes(_record_bytes(serialize.KIND_SCORES, toy_params, (1,), fmt, payload))
+        if refused:
+            with pytest.raises(ModelFormatError, match="padding bits"):
+                serialize.load_scores(path, clear)
+        else:
+            scores, _ = serialize.load_scores(path, clear)
+            assert fp.decode(scores.scores[0]) == 0.625
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
