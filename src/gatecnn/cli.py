@@ -30,7 +30,7 @@ from .errors import (
     WidthMismatchError,
 )
 from .fhe_core import ClearBackend, GswBackend, keygen, preset_params
-from .fixedpoint import decode_lanes
+from .fixedpoint import decode
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,22 +50,20 @@ _EXIT_BY_ERROR = (
 )
 
 
-def _make_backend(args, tag: str):
+def _make_backend(tag: str, key_path, seed: int):
     """The backend a file or ``--backend`` names; gsw needs ``--key``."""
     if tag == "clear":
         return ClearBackend(fast_arith=True)
-    if not args.key_path:
+    if not key_path:
         raise ParameterError("the gsw backend requires --key for this command")
-    sk = serialize.load_secret_key(args.key_path)
+    sk = serialize.load_secret_key(key_path)
     try:
-        return GswBackend(sk.params, key=sk, seed=args.seed, auto_refresh=True)
+        return GswBackend(sk.params, key=sk, seed=seed, auto_refresh=True)
     except ParameterError as exc:  # params a key file states, not the command line
-        raise ModelFormatError(f"key file {args.key_path}: {exc}")
+        raise ModelFormatError(f"key file {key_path}: {exc}")
 
 
 def cmd_keygen(args) -> int:
-    if args.backend == "clear":
-        raise ParameterError("the clear backend has no keys; use --backend gsw")
     if not args.output_path:
         raise ParameterError("keygen needs --out")
     params = preset_params(args.preset)
@@ -79,16 +77,16 @@ def cmd_keygen(args) -> int:
 def cmd_encrypt_image(args) -> int:
     if not (args.model_path and args.output_path):
         raise ParameterError("encrypt-image needs --model, --image and --out")
+    params = preset_params(args.preset)
     net = model_io.load_model(args.model_path)
     pixels = model_io.load_image(args.image)
     want = (net.input_channels, net.input_height, net.input_width)
     if pixels.shape != want:
         raise ShapeError(f"image shape {pixels.shape} does not match the "
                          f"model input {want}")
-    backend = _make_backend(args, args.backend)
+    backend = _make_backend(args.backend, args.key_path, args.seed)
     enc = encrypt_image(pixels, net.fmt, backend, encrypt=True)
-    serialize.save_enc_image(enc, net.fmt, backend, args.output_path,
-                             params=preset_params(args.preset))
+    serialize.save_enc_image(enc, net.fmt, backend, args.output_path, params=params)
     bits = int(np.prod(want)) * net.fmt.total_bits
     print(f"encrypted {want[1]}x{want[2]} image to {args.output_path} "
           f"({bits} bit records, backend {args.backend})")
@@ -99,19 +97,17 @@ def cmd_classify(args) -> int:
     if not (args.model_path and args.output_path):
         raise ParameterError("classify needs --model, --in and --out")
     net = model_io.load_model(args.model_path)
-    # the input file knows its backend; the command line stays the same
-    _, _, file_tag = serialize.read_header(args.input_path)
-    backend = _make_backend(args, file_tag)
+    # the input file knows its backend and params; the command line stays the same
+    _, params, file_tag = serialize.read_header(args.input_path)
+    backend = _make_backend(file_tag, args.key_path, args.seed)
     enc, fmt = serialize.load_enc_image(args.input_path, backend)
     if fmt != net.fmt:
         raise FormatMismatchError(
             f"image fixed-point format {fmt} does not match the model's {net.fmt}")
     started = time.perf_counter()
-    scores = classify(enc, net, encrypt_weights=args.encrypt_weights,
-                      workers=args.workers)
+    scores = classify(enc, net, encrypt_weights=args.encrypt_weights)
     elapsed = time.perf_counter() - started
-    serialize.save_scores(scores, net.fmt, backend, args.output_path,
-                          params=preset_params(args.preset))
+    serialize.save_scores(scores, net.fmt, backend, args.output_path, params=params)
     nands, refreshes, max_noise = backend.stats.snapshot()
     print(f"classified in {elapsed:.2f}s: {nands} NANDs, {refreshes} refreshes, "
           f"peak tracked noise {max_noise:.0f}")
@@ -121,9 +117,9 @@ def cmd_classify(args) -> int:
 
 def cmd_decrypt_scores(args) -> int:
     _, _, file_tag = serialize.read_header(args.input_path)
-    backend = _make_backend(args, file_tag)
+    backend = _make_backend(file_tag, args.key_path, seed=0)  # decryption draws no randomness
     scores, fmt = serialize.load_scores(args.input_path, backend)
-    values = [decode_lanes(s)[0] for s in scores.scores]
+    values = [decode(s) for s in scores.scores]
     winner = argmax(values)
     lines = [f"score[{i}] = {v:+.6f}" for i, v in enumerate(values)]
     lines.append(f"argmax = {winner}")
@@ -202,52 +198,45 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# each option once, then each command with the options it reads, in help order
+_OPTIONS = {
+    "--model": dict(dest="model_path"),
+    "--image": dict(required=True),
+    "--images": dict(nargs="+", required=True),
+    "--in": dict(dest="input_path", required=True),
+    "--backend": dict(choices=["clear", "gsw"], default="clear"),
+    "--preset": dict(default="toy", help="FHE parameter preset (toy, demo)"),
+    "--key": dict(dest="key_path"),
+    "--seed": dict(type=int, default=0),
+    "--encrypt-weights": dict(
+        action="store_true", help="encrypt model weights instead of using public constants"),
+    "--out": dict(dest="output_path"),
+}
+
+_COMMANDS = (
+    ("keygen", cmd_keygen, "generate a secret key file", ("--preset", "--seed", "--out")),
+    ("encrypt-image", cmd_encrypt_image, "encode and encrypt a PGM/CSV image",
+     ("--model", "--image", "--backend", "--preset", "--key", "--seed", "--out")),
+    ("classify", cmd_classify, "run the network over an encrypted image",
+     ("--model", "--in", "--key", "--seed", "--encrypt-weights", "--out")),
+    ("decrypt-scores", cmd_decrypt_scores, "decrypt scores and print the argmax",
+     ("--in", "--key", "--out")),
+    ("bound", cmd_bound, "print the per-layer error-bound report", ("--model",)),
+    ("verify", cmd_verify, "check fixed-point vs float64 classification",
+     ("--model", "--images")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gatecnn",
         description="NAND-only encrypted CNN inference and its error analysis")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--backend", choices=["clear", "gsw"], default="clear")
-        p.add_argument("--preset", default="toy",
-                       help="FHE parameter preset (toy, demo)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--model", dest="model_path")
-        p.add_argument("--key", dest="key_path")
-        p.add_argument("--out", dest="output_path")
-
-    p = sub.add_parser("keygen", help="generate a secret key file")
-    common(p)
-    p.set_defaults(func=cmd_keygen, backend="gsw")
-
-    p = sub.add_parser("encrypt-image", help="encode and encrypt a PGM/CSV image")
-    common(p)
-    p.add_argument("--image", dest="image", required=True)
-    p.set_defaults(func=cmd_encrypt_image)
-
-    p = sub.add_parser("classify", help="run the network over an encrypted image")
-    common(p)
-    p.add_argument("--in", dest="input_path", required=True)
-    p.add_argument("--encrypt-weights", action="store_true",
-                   help="encrypt model weights instead of using public constants")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("decrypt-scores", help="decrypt scores and print the argmax")
-    common(p)
-    p.add_argument("--in", dest="input_path", required=True)
-    p.set_defaults(func=cmd_decrypt_scores)
-
-    p = sub.add_parser("bound", help="print the per-layer error-bound report")
-    common(p)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("verify", help="check fixed-point vs float64 classification")
-    common(p)
-    p.add_argument("--images", nargs="+", required=True)
-    p.set_defaults(func=cmd_verify)
-
+    for name, func, help_text, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -255,8 +244,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.workers < 1:
-            raise ParameterError("workers must be >= 1")
         return args.func(args)
     except GatecnnError as exc:
         for err_type, code in _EXIT_BY_ERROR:

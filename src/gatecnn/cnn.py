@@ -15,11 +15,9 @@ the gate path walks the input cells' ciphertexts, and a clear backend
 with ``fast_arith`` walks the lanes' integers instead.  It charges the
 NANDs the gate path evaluates by running the gate path's own layer walk
 over the inputs' public patterns, each circuit replaced by its folded
-cost and output pattern, not by a walk of its own.  On the gate path the
-products of independent input rows and the walks of independent blocks
-of pool-size output rows are embarrassingly parallel; a ``workers`` knob
-fans them out while per-task seed scopes, each entered once, keep
-results bit-identical for any worker count.
+cost and output pattern, not by a walk of its own.  The gate path runs
+in one thread, its randomness drawn in seed scopes per layer, input row
+and block of pool-size output rows, each entered once.
 With public weights, a convolution builds each input pixel's products
 with the kernel entries its windows read, in every output channel, from
 one adder graph planned over just those weights, and ``classify``
@@ -40,7 +38,6 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -370,16 +367,8 @@ def flatten_image(img: EncImage) -> list:
             for ch, r, c in flatten_order(len(img.channels), img.height, img.width)]
 
 
-def _parallel_map(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
-               workers: int = 1, layer_index: int = 0,
-               certificate: LayerCertificate | None = None) -> EncImage:
+               layer_index: int = 0, certificate: LayerCertificate | None = None) -> EncImage:
     """Valid convolution over all input channels, bias, activation, pooling.
 
     Each window sums its bias and products in one column reducer (see
@@ -389,16 +378,14 @@ def conv_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool = False,
     windows read come from one shared adder graph, planned for its input
     channel and entry set; with encrypted weights the weights and biases
     are encrypted once per call.  The weight modes
-    give the same bits.  ``workers`` fans out input rows and blocks of
-    pool_size output rows (see _gate_layer)."""
+    give the same bits."""
     if spec.kind != CONVOLUTION:
         raise ParameterError("conv_layer needs a convolution LayerSpec")
-    return _layer(img, spec, encrypt_weights, workers, layer_index, certificate)
+    return _layer(img, spec, encrypt_weights, layer_index, certificate)
 
 
 def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
-             workers: int = 1, layer_index: int = 0,
-             certificate: LayerCertificate | None = None) -> EncScores:
+             layer_index: int = 0, certificate: LayerCertificate | None = None) -> EncScores:
     """One neuron per output node; linear activation is the identity.
 
     The layer runs as the 1 x 1 convolution it is (see LayerSpec): the
@@ -406,20 +393,19 @@ def fc_layer(features, spec: LayerSpec, encrypt_weights: bool = False,
     channel, and its sum is built as ``conv_layer``'s: with public
     weights each feature's products with every node's weight come from
     one adder graph, and with encrypted weights each weight is encrypted
-    once per call.  The single output row is one block, so ``workers``
-    has nothing to fan out."""
+    once per call."""
     if spec.kind != FULLY_CONNECTED:
         raise ParameterError("fc_layer needs a fully connected LayerSpec")
     features = list(features)
     if len(features) != spec.in_channels:
         raise ShapeError(f"{len(features)} features, layer expects {spec.in_channels}")
-    out = _layer(EncImage([[[x]] for x in features], 1, 1), spec, encrypt_weights, workers,
+    out = _layer(EncImage([[[x]] for x in features], 1, 1), spec, encrypt_weights,
                  layer_index, certificate)
     return EncScores([grid[0][0] for grid in out.channels])
 
 
-def _layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: int,
-           layer_index: int, certificate: LayerCertificate | None) -> EncImage:
+def _layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, layer_index: int,
+           certificate: LayerCertificate | None) -> EncImage:
     """``conv_layer`` for either kind of layer.  ``fc_layer`` calls this,
     not ``conv_layer``, so that a span traced around each of them by name
     never nests one layer inside another."""
@@ -436,7 +422,7 @@ def _layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: int,
     widths = _widths(spec, first.fmt, certificate)
     if first.backend.fast_arith:
         return _int_layer(img, spec, first.backend, encrypt_weights, widths)
-    channels = _gate_layer(img, spec, encrypt_weights, workers, layer_index, widths)
+    channels = _gate_layer(img, spec, encrypt_weights, layer_index, widths)
     return EncImage(channels, side_h // pool, side_w // pool)
 
 
@@ -457,18 +443,18 @@ def _widths(spec: LayerSpec, fmt: FixedPointFormat, certificate) -> tuple:
     return c.input_bits, c.leaf_bits, c.leaf_signed, c.root_bits, c.mul_bits
 
 
-def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: int,
-                layer_index: int, widths: tuple) -> list:
+def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, layer_index: int,
+                widths: tuple) -> list:
     """Output channel grids of a layer run gate by gate at ``widths`` (see
     _widths): _cells_walk over the input cells' ciphertexts with
     ``fp_sum``, ``fp_relu`` and ``fp_max``.
 
     With public weights the biases are public encodings, and each pixel's
     products come from the adder graph (``fp_mul_consts``) of its input
-    channel and entry set, each planned once per call before the products
-    fan out.  With ``encrypt_weights`` the weights and biases are
-    encrypted once per call, in seed scope (layer_index,), only their low
-    ``bit_widths`` bits (the bits above are wires of the top one)."""
+    channel and entry set, each planned once per call.  With
+    ``encrypt_weights`` the weights and biases are encrypted once per
+    call, in seed scope (layer_index,), only their low ``bit_widths``
+    bits (the bits above are wires of the top one)."""
     first = img.channels[0][0][0]
     fmt, backend = first.fmt, first.backend
     cells = np.array(img.channels, dtype=object)
@@ -490,8 +476,7 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, workers: 
         def products(ic, r, c, entry_set):
             return fp_mul_consts(cells[ic, r, c], plans[ic, entry_set])
     return _cells_walk(cells, spec, widths, (fp_sum, fp_relu, fp_max), weights, bias,
-                       products, lambda *task: backend.seed_scope(layer_index, *task),
-                       workers).tolist()
+                       products, lambda *task: backend.seed_scope(layer_index, *task)).tolist()
 
 
 def _encrypt_low(z: int, bits: int, fmt: FixedPointFormat, backend) -> FixedPointCipher:
@@ -560,8 +545,8 @@ def _walk_layer(x, spec: LayerSpec, leaves, sums, relu, fold):
     return values
 
 
-def _cells_walk(cells, spec: LayerSpec, widths: tuple, ops, weights, bias, products, scope,
-                workers: int) -> np.ndarray:
+def _cells_walk(cells, spec: LayerSpec, widths: tuple, ops, weights, bias, products,
+                scope) -> np.ndarray:
     """The output grids (out, h', w') of a layer over ``cells`` (c, h, w),
     an object array of one domain's values at ``widths`` (see _widths):
     ciphertexts on the gate path, public_patterns in _charge_layer.
@@ -579,11 +564,11 @@ def _cells_walk(cells, spec: LayerSpec, widths: tuple, ops, weights, bias, produ
     products with the kernel entries whose windows read it
     (_kernel_entries), in entry order.
 
-    The table fills over input rows in scopes ``scope(0, row)`` and the
-    walk runs over blocks of pool_size output rows in scopes ``scope(1,
-    block)``, both fanned out over ``workers``: the gate path's scopes are
-    its seed scopes (layer_index, 0, row) and (layer_index, 1, block),
-    each entered once, so results are identical for any ``workers``."""
+    The table fills row by input row, each in scope ``scope(0, row)``,
+    and the walk runs block by block of pool_size output rows, each in
+    scope ``scope(1, block)``: on the gate path these are the seed scopes
+    (layer_index, 0, row) and (layer_index, 1, block), each entered
+    once."""
     k, pool, out = spec.kernel_size, spec.pool_size, spec.out_channels
     add, relu, fold = ops
     input_bits, leaf_bits, leaf_signed, root_bits, mul_bits = widths
@@ -591,13 +576,6 @@ def _cells_walk(cells, spec: LayerSpec, widths: tuple, ops, weights, bias, produ
     if weights is not None:  # each product is read at its multiply's widths
         terms = [term[:1] + (mul_bits,) * (len(term) - 1) for term in terms]
     channels, h, w = cells.shape
-
-    def products_of(r: int):
-        with scope(0, r):
-            for ic in range(channels):
-                for c, entry_set in enumerate(entries[r]):
-                    column = table[:, ic * k * k:(ic + 1) * k * k, r * w + c]
-                    column[np.divmod(entry_set, k * k)] = products(ic, r, c, entry_set)
 
     def leaves(windows):
         if weights is not None:
@@ -614,19 +592,22 @@ def _cells_walk(cells, spec: LayerSpec, widths: tuple, ops, weights, bias, produ
             roots[i] = add(list(values[i]), terms[i[-1]], int(root_bits[i[-1]]))
         return roots
 
-    def block(b: int):
+    if weights is None:
+        table = np.empty((out, channels * k * k, h * w), dtype=object)
+        for r, row in enumerate(_kernel_entries(spec, h, w)):
+            with scope(0, r):
+                for ic in range(channels):
+                    for c, entry_set in enumerate(row):
+                        column = table[:, ic * k * k:(ic + 1) * k * k, r * w + c]
+                        column[np.divmod(entry_set, k * k)] = products(ic, r, c, entry_set)
+    x = np.arange(cells.size).reshape(1, channels, h, w)
+    blocks = []
+    for b in range((h - k + 1) // pool):
         with scope(1, b):
-            return _walk_layer(
+            blocks.append(_walk_layer(
                 x[:, :, b * pool:(b + 1) * pool + k - 1], spec, leaves, sums,
                 lambda v: _each(relu, v, root_bits),
-                lambda p, q: _each(lambda a, z: fold([a, z]), p, q))
-
-    if weights is None:
-        entries = _kernel_entries(spec, h, w)
-        table = np.empty((out, channels * k * k, h * w), dtype=object)
-        _parallel_map(products_of, list(range(h)), workers)
-    x = np.arange(cells.size).reshape(1, channels, h, w)
-    blocks = _parallel_map(block, list(range((h - k + 1) // pool)), workers)
+                lambda p, q: _each(lambda a, z: fold([a, z]), p, q)))
     return np.concatenate(blocks, axis=1)[0].transpose(2, 0, 1)
 
 
@@ -727,7 +708,7 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
             def products(ic, r, c, entry_set):
                 return charged((ic, entry_set, cells[ic, r, c]))
         outputs = _cells_walk(cells, spec, widths, ops, weights, bias, products,
-                              lambda *task: nullcontext(), 1)
+                              lambda *task: nullcontext())
         found = spec.charges[key] = nands, outputs.ravel().tolist()
     backend.stats.bump_nand(found[0])
     return found[1]
@@ -770,7 +751,10 @@ def classify(img: EncImage, net: NetworkSpec, encrypt_weights: bool = False,
     weights' circuits too: a product or root whose bounded width reaches
     w is built at w, and a neuron's reducer sums modulo 2^w there, so when
     every product and the root of every neuron fit w bits, the root is
-    the same exact sum."""
+    the same exact sum.
+
+    The layers run in one thread.  ``workers`` is accepted and ignored
+    only because perfbench/run.py still passes it; drop both together."""
     if (len(img.channels), img.height, img.width) != (
             net.input_channels, net.input_height, net.input_width):
         raise ShapeError(
@@ -793,13 +777,12 @@ def classify(img: EncImage, net: NetworkSpec, encrypt_weights: bool = False,
     for i, layer in enumerate(net.layers):
         if layer.kind == CONVOLUTION:
             current = conv_layer(current, layer, encrypt_weights=encrypt_weights,
-                                 workers=workers, layer_index=i, certificate=certificate[i])
+                                 layer_index=i, certificate=certificate[i])
         else:
             if features is None:
                 features = flatten_image(current)
             features = fc_layer(features, layer, encrypt_weights=encrypt_weights,
-                                workers=workers, layer_index=i,
-                                certificate=certificate[i]).scores
+                                layer_index=i, certificate=certificate[i]).scores
     return EncScores(features)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from .cnn import (CONVOLUTION, PIXEL_BOUND, NetworkSpec, argmax, classify,
                   encrypt_image, reference_classify)
 from .fhe_core import ClearBackend
-from .fixedpoint import decode_lanes
+from .fixedpoint import decode
 
 __all__ = ["LayerErrorFactors", "ErrorBoundReport", "layer_factors",
            "theorem_bound", "empirical_error"]
@@ -166,7 +166,7 @@ def empirical_error(net: NetworkSpec, images) -> ErrorBoundReport:
         pixels = np.asarray(pixels, dtype=np.float64)
         backend = ClearBackend(fast_arith=True)
         scores = classify(encrypt_image(pixels, net.fmt, backend), net)
-        got = np.array([decode_lanes(s)[0] for s in scores.scores])
+        got = np.array([decode(s) for s in scores.scores])
         want = reference_classify(pixels, net)
         report.classes.append((argmax(got), argmax(want)))
         report.errors.append(np.abs(got - want))

@@ -357,8 +357,9 @@ class _SeedScopeMixin:
     """Deterministic per-task randomness, independent of thread scheduling.
 
     Each scope owns one generator keyed by (backend seed, scope ids), so
-    randomness depends on which task consumed it, never on which worker
-    thread ran the task or in what order tasks finished.
+    randomness depends on which task consumed it, never on the order the
+    tasks ran in.  Scopes are thread-local: callers that share a backend
+    across their own threads never draw on one another's scope.
     """
 
     def _init_seeds(self, seed: int):

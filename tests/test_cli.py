@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import itertools
@@ -45,7 +46,12 @@ def test_keygen_bad_preset(workdir, capsys):
 
 
 def test_keygen_requires_gsw(workdir):
-    assert run("keygen", "--backend", "clear", "--out", workdir / "x.key") == cli.EXIT_USAGE
+    """keygen makes gsw keys only, so it has no ``--backend`` to ask for
+    clear: the option is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        run("keygen", "--backend", "clear", "--out", workdir / "x.key")
+    assert exc.value.code == cli.EXIT_USAGE
+    assert not (workdir / "x.key").exists()
 
 
 def test_encrypt_image_wrong_shape(workdir, capsys):
@@ -71,23 +77,22 @@ def test_clear_pipeline(workdir, capsys):
     assert (workdir / "scores.txt").exists()
 
 
-def test_gsw_pipeline_and_worker_determinism(workdir):
+def test_gsw_pipeline_and_rerun_determinism(workdir):
+    """Two classify runs of one gsw image with the same seed write
+    byte-identical scores, which decrypt to byte-identical text."""
     run("keygen", "--preset", "toy", "--seed", "3", "--out", workdir / "g.key")
     assert run("encrypt-image", "--model", workdir / "micro.txt",
                "--image", workdir / "img.csv", "--backend", "gsw",
                "--key", workdir / "g.key", "--seed", "4",
                "--out", workdir / "genc.bin") == 0
-    for workers, out in (("1", "s1.bin"), ("4", "s4.bin")):
+    for tag in ("1", "2"):
         assert run("classify", "--model", workdir / "micro.txt",
                    "--in", workdir / "genc.bin", "--key", workdir / "g.key",
-                   "--seed", "5", "--workers", workers,
-                   "--out", workdir / out) == 0
-    assert (workdir / "s1.bin").read_bytes() == (workdir / "s4.bin").read_bytes()
-    assert run("decrypt-scores", "--in", workdir / "s1.bin",
-               "--key", workdir / "g.key", "--out", workdir / "d1.txt") == 0
-    assert run("decrypt-scores", "--in", workdir / "s4.bin",
-               "--key", workdir / "g.key", "--out", workdir / "d4.txt") == 0
-    assert (workdir / "d1.txt").read_bytes() == (workdir / "d4.txt").read_bytes()
+                   "--seed", "5", "--out", workdir / f"s{tag}.bin") == 0
+        assert run("decrypt-scores", "--in", workdir / f"s{tag}.bin",
+                   "--key", workdir / "g.key", "--out", workdir / f"d{tag}.txt") == 0
+    assert (workdir / "s1.bin").read_bytes() == (workdir / "s2.bin").read_bytes()
+    assert (workdir / "d1.txt").read_bytes() == (workdir / "d2.txt").read_bytes()
 
 
 def test_gsw_clear_same_decrypted_scores(workdir):
@@ -512,9 +517,72 @@ def test_score_file_of_no_scores_is_io_error(workdir, capsys):
     assert not (workdir / "none.txt").exists()
 
 
-def test_workers_below_one_is_usage_error(workdir, capsys):
-    assert run("bound", "--model", workdir / "micro.txt", "--workers", "0") == cli.EXIT_USAGE
-    assert "workers must be >= 1" in capsys.readouterr().err
+# each command's options, as ``gatecnn <command> --help`` lists them
+OPTIONS = {
+    "keygen": ["--preset", "--seed", "--out"],
+    "encrypt-image": ["--model", "--image", "--backend", "--preset", "--key", "--seed", "--out"],
+    "classify": ["--model", "--in", "--key", "--seed", "--encrypt-weights", "--out"],
+    "decrypt-scores": ["--in", "--key", "--out"],
+    "bound": ["--model"],
+    "verify": ["--model", "--images"],
+}
+
+
+def test_each_command_accepts_only_the_options_it_reads():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {name: [s for a in sub._actions for s in a.option_strings
+                       if s not in ("-h", "--help")]
+                for name, sub in commands.choices.items()}
+    assert accepted == OPTIONS
+    assert sum(map(len, accepted.values())) == 22
+
+
+CLASSIFY = ["--model", "m.txt", "--in", "e.bin", "--out", "s.bin"]
+UNREAD = [  # (command, a line it parses, an option it does not read)
+    ("bound", ["--model", "m.txt"], ["--out", "b.txt"]),
+    ("verify", ["--model", "m.txt", "--images", "i.csv"], ["--key", "k.key"]),
+    ("decrypt-scores", ["--in", "s.bin"], ["--preset", "toy"]),
+    ("classify", CLASSIFY, ["--backend", "gsw"]),
+    ("classify", CLASSIFY, ["--workers", "2"]),
+    ("classify", CLASSIFY, ["--preset", "demo"]),
+]
+
+
+@pytest.mark.parametrize("command, argv, unread", UNREAD,
+                         ids=[f"{command} {unread[0]}" for command, _, unread in UNREAD])
+def test_unread_option_is_usage_error(tmp_path, monkeypatch, capsys, command, argv, unread):
+    """An option its command does not read exits with the usage code before
+    the command runs, so nothing is written; without it the line parses."""
+    monkeypatch.chdir(tmp_path)
+    cli.build_parser().parse_args([command, *argv])
+    with pytest.raises(SystemExit) as exc:
+        run(command, *argv, *unread)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert f"unrecognized arguments: {' '.join(unread)}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_classify_writes_the_score_header_of_its_image(workdir):
+    """A clear image keeps the params of the preset it was encrypted
+    under, and so do its scores: classify takes them from the image
+    file, not from a default preset."""
+    assert run("encrypt-image", "--model", workdir / "micro.txt", "--image", workdir / "img.csv",
+               "--backend", "clear", "--preset", "demo", "--out", workdir / "demo.bin") == 0
+    assert run("classify", "--model", workdir / "micro.txt", "--in", workdir / "demo.bin",
+               "--out", workdir / "demo.scores") == 0
+    for path in ("demo.bin", "demo.scores"):
+        assert serialize.read_header(workdir / path)[1:] == (preset_params("demo"), "clear")
+
+
+def test_encrypt_image_refuses_an_unknown_preset_before_encrypting(workdir, monkeypatch, capsys):
+    encrypted = []
+    monkeypatch.setattr(cli, "encrypt_image", lambda *a, **k: encrypted.append(a))
+    assert run("encrypt-image", "--model", workdir / "micro.txt", "--image", workdir / "img.csv",
+               "--backend", "clear", "--preset", "bogus",
+               "--out", workdir / "bogus.bin") == cli.EXIT_USAGE
+    assert "unknown preset 'bogus'" in capsys.readouterr().err
+    assert not encrypted and not (workdir / "bogus.bin").exists()
 
 
 def test_readme_command_lines_parse():

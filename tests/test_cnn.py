@@ -1,6 +1,5 @@
 import dataclasses
 import random
-import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -247,82 +246,35 @@ def test_encrypt_weights_equivalence_gsw(toy_params, toy_key):
     assert results[0] == results[1]
 
 
-def test_workers_bit_identical(tiny_net):
-    rng = np.random.default_rng(8)
-    pixels = rng.uniform(-1, 1, (1, 6, 6))
-    results = []
-    for workers in (1, 4):
-        backend = ClearBackend()  # gate level: the layer evaluator runs no threads
-        scores = cnn.classify(cnn.encrypt_image(pixels, tiny_net.fmt, backend),
-                              tiny_net, workers=workers)
-        results.append([s.bits.to_int() for s in scores.scores])
-    assert results[0] == results[1]
-
-
-def classify_with_workers_1_and_2(net, pixels, encrypt_weights, toy_params, toy_key) -> int:
-    """classify on the toy preset with workers 1 and 2, threads switching
-    often (a lost update would show): both give the same score ciphertext
-    bytes, NAND and refresh counts and seed scopes, and no seed scope id
-    tuple is entered twice in one classify (a re-entered scope would
-    replay its randomness).  Returns the number of bits classify encrypts."""
-    runs = []
-    for workers in (1, 2):
-        backend = GswBackend(toy_params, key=toy_key, seed=3, auto_refresh=True)
-        entered, scope = [], backend.seed_scope
-
-        @contextmanager
-        def recording(*ids):
-            entered.append(ids)
-            with scope(*ids):
-                yield
-
-        backend.seed_scope = recording
-        img = cnn.encrypt_image(pixels, net.fmt, backend)
-        encrypted, encrypt_bit = [], backend.encrypt_bit
-        backend.encrypt_bit = lambda bit: encrypted.append(bit) or encrypt_bit(bit)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            scores = cnn.classify(img, net, encrypt_weights, workers=workers)
-        finally:
-            sys.setswitchinterval(interval)
-        assert entered and len(set(entered)) == len(entered)
-        runs.append((sorted(entered), b"".join(bit.ciphertext.recomposed.tobytes()
-                                               for s in scores.scores for bit in s.bits.bits),
-                     backend.stats.snapshot(), len(encrypted)))
-    assert runs[0] == runs[1]
-    return runs[0][-1]
-
-
 @pytest.mark.parametrize("encrypt_weights", [False, True])
-def test_workers_bit_identical_encrypted(toy_params, toy_key, encrypt_weights):
-    """A two-output-channel conv with public or encrypted weights on the
-    toy preset: see classify_with_workers_1_and_2."""
-    net = cnn.NetworkSpec(
-        [make_conv(1, 2, 2, 1, weights=np.array([[[[0.75, -1.25], [0.5, 1.75]]],
-                                                  [[[-0.75, 1.25], [1.5, -0.375]]]]),
-                   biases=np.array([0.25, -0.125])),
-         make_fc(8, 2, seed=4)],
-        input_height=3, input_width=3, fmt=fp.FixedPointFormat(8, 3))
-    pixels = np.random.default_rng(23).uniform(-1, 1, (3, 3))
-    classify_with_workers_1_and_2(net, pixels, encrypt_weights, toy_params, toy_key)
-
-
-@pytest.mark.parametrize("encrypt_weights", [False, True])
-def test_workers_bit_identical_encrypted_tiny(toy_params, toy_key, tiny_net, encrypt_weights):
-    """The tiny model (one output channel, a pooled conv, then fc) in both
-    weight modes, as test_workers_bit_identical_encrypted: with one output
+def test_classify_enters_each_seed_scope_once(toy_params, toy_key, tiny_net, encrypt_weights):
+    """One classify of the tiny model (one output channel, a pooled conv,
+    then fc) on the toy preset enters no seed scope id tuple twice (a
+    re-entered scope would replay its randomness); with one output
     channel a product scope (layer, input row) and a pool-block scope
-    (layer, block) would both be (0, 2).  classify encrypts each weight and
-    bias once, not once per window that reads it (2,040 bits), and only
-    the low bits of its layer's ``bit_widths`` that the circuits read:
-    116 bits of 20 12-bit words (240)."""
-    encrypted = classify_with_workers_1_and_2(tiny_net, demo.synthetic_images(1, 6, 6, seed=5)[0],
-                                              encrypt_weights, toy_params, toy_key)
+    (layer, block) would both be (0, 2) without their kind.  classify
+    encrypts each weight and bias once, not once per window that reads it
+    (2,040 bits), and only the low bits of its layer's ``bit_widths``
+    that the circuits read: 116 bits of 20 12-bit words (240)."""
+    backend = GswBackend(toy_params, key=toy_key, seed=3, auto_refresh=True)
+    entered, scope = [], backend.seed_scope
+
+    @contextmanager
+    def recording(*ids):
+        entered.append(ids)
+        with scope(*ids):
+            yield
+
+    backend.seed_scope = recording
+    img = cnn.encrypt_image(demo.synthetic_images(1, 6, 6, seed=5)[0], tiny_net.fmt, backend)
+    encrypted, encrypt_bit = [], backend.encrypt_bit
+    backend.encrypt_bit = lambda bit: encrypted.append(bit) or encrypt_bit(bit)
+    cnn.classify(img, tiny_net, encrypt_weights)
+    assert entered and len(set(entered)) == len(entered)
     fmt = tiny_net.fmt
     narrow = sum(layer.weights.size * layer.bit_widths(fmt)[0]
                  + layer.biases.size * layer.bit_widths(fmt)[1] for layer in tiny_net.layers)
-    assert (narrow, encrypted) == (116, 116 if encrypt_weights else 0)
+    assert (narrow, len(encrypted)) == (116, 116 if encrypt_weights else 0)
 
 
 @pytest.mark.parametrize("seed, conv_act, fc_act, lanes", [
