@@ -66,10 +66,10 @@ def _make_backend(tag: str, key_path, seed: int):
 def cmd_keygen(args) -> int:
     if not args.output_path:
         raise ParameterError("keygen needs --out")
-    params = preset_params(args.preset)
+    params = preset_params(args.preset or "toy")
     sk = keygen(params, args.seed)
     serialize.save_secret_key(sk, args.output_path)
-    print(f"wrote secret key for preset {args.preset!r} "
+    print(f"wrote secret key for preset {params.preset!r} "
           f"(n={params.lattice_dim}, log_q={params.log_q}) to {args.output_path}")
     return EXIT_OK
 
@@ -77,7 +77,7 @@ def cmd_keygen(args) -> int:
 def cmd_encrypt_image(args) -> int:
     if not (args.model_path and args.output_path):
         raise ParameterError("encrypt-image needs --model, --image and --out")
-    params = preset_params(args.preset)
+    params = preset_params(args.preset or "toy")  # a gsw image takes its key's
     net = model_io.load_model(args.model_path)
     pixels = model_io.load_image(args.image)
     want = (net.input_channels, net.input_height, net.input_width)
@@ -85,6 +85,9 @@ def cmd_encrypt_image(args) -> int:
         raise ShapeError(f"image shape {pixels.shape} does not match the "
                          f"model input {want}")
     backend = _make_backend(args.backend, args.key_path, args.seed)
+    if args.backend == "gsw" and args.preset not in (None, backend.params.preset):
+        raise ParameterError(f"--preset {args.preset} does not match the key's preset "
+                             f"{backend.params.preset!r}; a gsw image takes its key's params")
     enc = encrypt_image(pixels, net.fmt, backend, encrypt=True)
     serialize.save_enc_image(enc, net.fmt, backend, args.output_path, params=params)
     bits = int(np.prod(want)) * net.fmt.total_bits
@@ -205,7 +208,7 @@ _OPTIONS = {
     "--images": dict(nargs="+", required=True),
     "--in": dict(dest="input_path", required=True),
     "--backend": dict(choices=["clear", "gsw"], default="clear"),
-    "--preset": dict(default="toy", help="FHE parameter preset (toy, demo)"),
+    "--preset": dict(help="FHE parameter preset (toy, demo); default toy, or a gsw key's"),
     "--key": dict(dest="key_path"),
     "--seed": dict(type=int, default=0),
     "--encrypt-weights": dict(

@@ -12,12 +12,14 @@ through one layer routine.
 
 Each layer is one array walk (windows, neuron sums, ReLU, max pooling):
 the gate path walks the input cells' ciphertexts, and a clear backend
-with ``fast_arith`` walks the lanes' integers instead.  It charges the
-NANDs the gate path evaluates by running the gate path's own layer walk
-over the inputs' public patterns, each circuit replaced by its folded
-cost and output pattern, not by a walk of its own.  The gate path runs
-in one thread, its randomness drawn in seed scopes per layer, input row
-and block of pool-size output rows, each entered once.
+with ``fast_arith`` walks the lanes' integers instead, through the
+integer forms that the fixedpoint ops' clear-backend branches call, so
+both evaluators make the same range checks.  It charges the NANDs the
+gate path evaluates by running the gate path's own layer walk over the
+inputs' public patterns, each circuit replaced by its folded cost and
+output pattern, not by a walk of its own.  The gate path runs in one
+thread, its randomness drawn in seed scopes per layer, input row and
+block of pool-size output rows, each entered once.
 With public weights, a convolution builds each input pixel's products
 with the kernel entries its windows read, in every output channel, from
 one adder graph planned over just those weights, and ``classify``
@@ -62,13 +64,16 @@ from .fixedpoint import (
     fp_mul_consts,
     fp_relu,
     fp_sum,
-    guard_range,
     int_dtype,
+    int_max,
+    int_mul,
+    int_relu,
+    int_sum,
     public_pattern,
     scaled_mul,
     sum_costs,
 )
-from .gates import BitVector, _sign_extend, const_mul_plan
+from .gates import BitVector, _sign_extended, const_mul_plan
 
 __all__ = [
     "PIXEL_BOUND",
@@ -484,7 +489,7 @@ def _encrypt_low(z: int, bits: int, fmt: FixedPointFormat, backend) -> FixedPoin
     with only those low bits encrypted: the bits above are wires of the
     top one."""
     low = BitVector.from_int(z, min(bits, fmt.total_bits), backend, encrypt=True)
-    return FixedPointCipher(BitVector(_sign_extend(low, fmt.total_bits)), fmt)
+    return FixedPointCipher(BitVector(_sign_extended(low.bits, fmt.total_bits)), fmt)
 
 
 def _each(fn, *arrays) -> np.ndarray:
@@ -613,39 +618,27 @@ def _cells_walk(cells, spec: LayerSpec, widths: tuple, ops, weights, bias, produ
 
 def _int_layer(img: EncImage, spec: LayerSpec, backend, encrypt_weights: bool,
                widths: tuple) -> EncImage:
-    """The layer on the lanes' integers, as one _walk_layer over them,
-    then charged by _charge_layer.  Every input is checked against its
-    width, every floored product against the format's range or its
-    multiplies' b_p, every leaf against the width it is read at, every
-    root against its width, as wide as its reducer is built, and every
-    pool comparison against the format's range."""
+    """The layer on the lanes' integers: one _walk_layer over them with
+    the integer forms of the gate path's ops at ``widths`` (each product's
+    input at the input bits, at most its multiply's b_x), then charged by
+    _charge_layer."""
     fmt = img.channels[0][0][0].fmt
     weights, biases = spec.scaled(fmt)
     input_bits, leaf_bits, leaf_signed, root_bits, mul_bits = widths
-    product_bits = None if mul_bits[2] == fmt.total_bits else mul_bits[2]
     x = np.array([[[_lane_values(v) for v in row] for row in grid] for grid in img.channels],
                  dtype=int_dtype(fmt)).transpose(3, 0, 1, 2)   # (lanes, c, h, w)
-    guard_range(x, fmt, "a layer input", input_bits)
 
     def leaves(windows):
         values = np.empty(windows.shape[:-1] + (len(biases), windows.shape[-1] + 1),
                           dtype=x.dtype)
         values[..., 0] = biases
-        guard_range(scaled_mul(windows[..., None, :], weights, fmt, out=values[..., 1:]), fmt,
-                    "multiplication", product_bits)
+        int_mul(windows[..., None, :], weights, fmt, (input_bits, *mul_bits[1:]),
+                out=values[..., 1:])
         return values
 
-    def sums(values):
-        guard_range(values, fmt, "a sum term", leaf_bits, leaf_signed)
-        roots = values.sum(axis=-1)
-        guard_range(roots, fmt, "addition", root_bits)
-        return roots
-
-    def fold(a, b):
-        guard_range(a - b, fmt, "comparison")
-        return np.maximum(a, b)
-
-    values = _walk_layer(x, spec, leaves, sums, lambda v: np.maximum(v, 0), fold)
+    values = _walk_layer(x, spec, leaves,
+                         lambda v: int_sum(v, fmt, leaf_bits, leaf_signed, root_bits),
+                         lambda v: int_relu(v, fmt, root_bits), lambda a, b: int_max(a, b, fmt))
     lanes, h, w, out = values.shape
     patterns = _charge_layer(img.channels, spec, fmt, backend, encrypt_weights, widths)
     cells = [_from_ints(v, fmt, backend, pattern) for v, pattern in

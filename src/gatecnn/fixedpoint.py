@@ -26,28 +26,28 @@ ReLU and max are computed exactly through oblivious selection: their
 outputs are bitwise identical to one of the inputs (or to zero) and add
 no numerical error.
 
-Each operation is defined once, by its circuit.  On the clear backend it
-also checks its exact integer result against the format's range (or the
-narrower width it is built for) and raises OverflowDiagnostic instead of
-wrapping, since a silent wrap voids the error analysis.  Those checks
-share the integer semantics written out here (``scaled_mul``,
-``guard_range``) with the whole-layer evaluator in :mod:`gatecnn.cnn`:
-on a clear backend with ``fast_arith``, layers run as whole-array integer
-arithmetic and charge the gate counter the NANDs the circuits they stand
-for evaluate once public constants fold.  The charge is the gate path's
-own layer walk run over public_patterns instead of ciphertexts, each of
-these operations replaced by its (NANDs, output pattern) from
-``fold_costs``, ``sum_costs`` or ``const_mul_costs``.  Those counts come
-from running each circuit once per operand pattern on a one-lane
-``FoldProbe``, whose bits are public constants or private bits without a
-value, and keeping the result for the process; operands whose bits are
-all public fold every gate and are charged 0 without a probe.
+Each operation is defined once, by its circuit, with one integer form
+beside it (``int_mul``, ``int_sum``, ``int_relu``, ``int_max``): the
+op's exact result on lane integers or arrays, after checking it against
+the format's range or the narrower widths the circuit is built for and
+raising OverflowDiagnostic instead of wrapping, since a silent wrap voids
+the error analysis.  The clear backend's branch of each op calls its
+form, and on a clear backend with ``fast_arith`` the layers of
+:mod:`gatecnn.cnn` run as whole-array calls of the same forms and charge
+the gate counter the NANDs the circuits they stand for evaluate once
+public constants fold.  The charge is the gate path's own layer walk
+run over public_patterns instead of ciphertexts, each of these
+operations replaced by its (NANDs, output pattern) from ``fold_costs``,
+``sum_costs`` or ``const_mul_costs``.  Those counts come from running
+each circuit once per operand pattern on a one-lane ``FoldProbe``, whose
+bits are public constants or private bits without a value, and keeping
+the result for the process; operands whose bits are all public fold
+every gate and are charged 0 without a probe.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,15 +192,7 @@ def _signed(value: int, width: int) -> int:
 def public_pattern(x: FixedPointCipher) -> tuple:
     """(public, value): masks of the bits of x that are public constants
     and of their values."""
-    bits = x.bits.bits
-    public = value = 0
-    if all(bit.public is None for bit in bits):
-        return PRIVATE
-    for i, bit in enumerate(bits):
-        if bit.public is not None:
-            public |= 1 << i
-            value |= bit.public << i
-    return public, value
+    return _pattern_of([bit.public for bit in x.bits.bits])
 
 
 def _from_ints(values, fmt: FixedPointFormat, backend, pattern=PRIVATE) -> FixedPointCipher:
@@ -217,8 +209,9 @@ def _from_ints(values, fmt: FixedPointFormat, backend, pattern=PRIVATE) -> Fixed
 
 
 # ----------------------------------------------------------------------
-# integer semantics of the circuits, shared by the clear-backend range
-# diagnostics below and the whole-layer evaluator in cnn
+# integer forms of the circuits: each op's exact result after its range
+# check, run by the clear-backend branches below and by the whole-layer
+# evaluator in cnn
 # ----------------------------------------------------------------------
 
 def int_dtype(fmt: FixedPointFormat):
@@ -228,8 +221,8 @@ def int_dtype(fmt: FixedPointFormat):
 
 
 def scaled_mul(za, zb, fmt: FixedPointFormat, out=None):
-    """The product floored back to the scale, as ``fp_mul`` computes it;
-    on arrays, into ``out`` when given."""
+    """The product floored back to the scale, unchecked (``int_mul``
+    checks); on arrays, into ``out`` when given."""
     product = za * zb if out is None else np.multiply(za, zb, out=out)
     product >>= fmt.frac_bits  # in place on arrays: no second temporary
     return product
@@ -238,30 +231,55 @@ def scaled_mul(za, zb, fmt: FixedPointFormat, out=None):
 def guard_range(values: np.ndarray, fmt: FixedPointFormat, what: str, bits=None,
                 signed=True) -> None:
     """Raise OverflowDiagnostic naming the first of ``values`` (in C order)
-    outside the format's range, where the circuit would silently wrap, or
-    outside the range of ``bits``, signed or not as ``signed`` says (each
-    an int or an array broadcasting against values), where a circuit
-    built that narrow would."""
-    if bits is None:
-        low, high = fmt.min_int, fmt.max_int
-    else:
-        span = np.left_shift(1, np.asarray(bits, dtype=int_dtype(fmt)))
-        low = np.where(signed, -(span >> 1), 0)
-        high = np.where(signed, span >> 1, span) - 1
+    outside the range of ``bits`` (default w), signed or not as ``signed``
+    says (each an int or an array broadcasting against values), where a
+    circuit built that wide would silently wrap."""
+    bits = fmt.total_bits if bits is None else bits
+    span = np.left_shift(1, np.asarray(bits, dtype=int_dtype(fmt)))
+    low, high = np.where(signed, -(span >> 1), 0), np.where(signed, span >> 1, span) - 1
     outside = (values < low) | (values > high)
     if outside.any():
-        kind = "" if np.broadcast_to(signed, values.shape)[outside][0] else "unsigned "
-        where = f"w={fmt.total_bits} range" if bits is None else \
-            f"{np.broadcast_to(bits, values.shape)[outside][0]}-bit {kind}range built for it"
+        n, is_signed = (np.broadcast_to(v, values.shape)[outside][0] for v in (bits, signed))
+        where = f"w={n} range" if n == fmt.total_bits and is_signed else \
+            f"{n}-bit {'' if is_signed else 'unsigned '}range built for it"
         raise OverflowDiagnostic(
             f"{what} produced integer {values[outside][0]} outside the "
             f"{where}; the error bound no longer applies")
 
 
-def _diagnose(a: FixedPointCipher, b: FixedPointCipher, combine, what: str) -> None:
-    """Clear-backend range check of one operation on its exact integers."""
-    if isinstance(a.backend, ClearBackend):
-        guard_range(combine(_lane_array(a), _lane_array(b)), a.fmt, what)
+def int_mul(x, y, fmt: FixedPointFormat, widths, out=None):
+    """``fp_mul`` at ``widths`` (b_x, b_y, b_p): the floored product (into
+    ``out`` on arrays), after checking that x, y and it fit those bits."""
+    for z, n in zip((x, y), widths[:2]):
+        if n < fmt.total_bits:  # a w-bit word always fits w bits
+            guard_range(z, fmt, "a multiplication operand", n)
+    product = scaled_mul(x, y, fmt, out)
+    guard_range(product, fmt, "multiplication", widths[2])
+    return product
+
+
+def int_sum(terms, fmt: FixedPointFormat, term_bits, signed, bits=None):
+    """``fp_sum`` at ``bits`` (default w): the sum over the last axis of
+    ``terms``, after checking each term against ``term_bits`` and
+    ``signed`` and the sum against ``bits`` (each may broadcast)."""
+    guard_range(terms, fmt, "a sum term", term_bits, signed)
+    total = terms.sum(axis=-1)
+    guard_range(total, fmt, "addition", bits)
+    return total
+
+
+def int_relu(z, fmt: FixedPointFormat, width):
+    """``fp_relu`` at ``width``: max(z, 0), after checking that z fits the
+    width, below whose sign bit the circuit selects."""
+    guard_range(z, fmt, "a ReLU operand", width)
+    return np.maximum(z, 0)
+
+
+def int_max(a, b, fmt: FixedPointFormat, what: str = "comparison"):
+    """A pairwise step of ``fp_max``: max(a, b), after checking that a - b
+    fits w bits, as its comparison and ``fp_sub`` (``what``) need."""
+    guard_range(a - b, fmt, what)
+    return np.maximum(a, b)
 
 
 def _low_bits(x: FixedPointCipher, width: int) -> BitVector:
@@ -276,7 +294,8 @@ def _low_bits(x: FixedPointCipher, width: int) -> BitVector:
 def fp_add(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
     """Exact fixed-point sum; adds no representation error."""
     _check_formats(a, b)
-    _diagnose(a, b, operator.add, "addition")
+    if isinstance(a.backend, ClearBackend):
+        int_sum(np.stack([_lane_array(a), _lane_array(b)], axis=-1), a.fmt, None, True)
     return FixedPointCipher(gates.add(a.bits, b.bits), a.fmt)
 
 
@@ -299,18 +318,11 @@ def fp_sum(terms, widths, bits: int | None = None) -> FixedPointCipher:
     fmt, backend = ciphers[0].fmt, ciphers[0].backend
     f, w = fmt.frac_bits, fmt.total_bits
     bits = w if bits is None else bits
-    if isinstance(backend, ClearBackend):
-        values = []
-        for term, width in zip(terms, widths):
-            if len(width) == 2:
-                values.append(_lane_array(term))
-                guard_range(values[-1], fmt, "a sum term", *width)
-                continue
-            values.append(scaled_mul(*map(_lane_array, term), fmt))
-            guard_range(values[-1], fmt, "multiplication", None if width[2] == w else width[2])
-            for x, n in zip(term, width):
-                guard_range(_lane_array(x), fmt, "a multiplication operand", n)
-        guard_range(sum(values), fmt, "addition", None if bits == w else bits)
+    if isinstance(backend, ClearBackend):  # a product is read at (b_p, signed)
+        values = [_lane_array(term) if len(width) == 2 else
+                  int_mul(*map(_lane_array, term), fmt, width) for term, width in zip(terms, widths)]
+        int_sum(np.stack(values, axis=-1), fmt,
+                *zip(*(width if len(width) == 2 else (width[2], True) for width in widths)), bits)
     words = []
     for term, width in zip(terms, widths):
         if len(width) == 2:
@@ -334,7 +346,8 @@ def _lane_array(x: FixedPointCipher) -> np.ndarray:
 
 def fp_sub(a: FixedPointCipher, b: FixedPointCipher) -> FixedPointCipher:
     _check_formats(a, b)
-    _diagnose(a, b, operator.sub, "subtraction")
+    if isinstance(a.backend, ClearBackend):
+        int_max(_lane_array(a), _lane_array(b), a.fmt, "subtraction")
     return FixedPointCipher(gates.sub(a.bits, b.bits), a.fmt)
 
 
@@ -348,8 +361,7 @@ def fp_mul(a: FixedPointCipher, b: FixedPointCipher, widths=None) -> FixedPointC
     hold a, b and the floored product, with f + b_p at most b_a + b_b,
     only a's low b_a bits and b's low b_b bits are read, product bits
     f..f+b_p-1 are built, and the bits above copy bit b_p - 1."""
-    w = a.fmt.total_bits
-    widths = (w, w, w) if widths is None else widths
+    widths = widths or (a.fmt.total_bits,) * 3
     return fp_sum([(a, b)], [widths], widths[2])
 
 
@@ -362,11 +374,8 @@ def fp_mul_consts(x: FixedPointCipher, plan: gates.ConstMulPlan) -> list:
     lowest plan.width bits are read, so x must fit them (the clear backend
     checks)."""
     if isinstance(x.backend, ClearBackend):
-        zx = np.array(_lane_values(x), dtype=int_dtype(x.fmt))
-        if plan.width < x.fmt.total_bits:
-            guard_range(zx, x.fmt, "a multiplication operand", plan.width)
-        for k in plan.constants:
-            guard_range(scaled_mul(zx, k, x.fmt), x.fmt, "multiplication")
+        ks = np.array(plan.constants, dtype=int_dtype(x.fmt))[:, None]  # a row per constant
+        int_mul(_lane_array(x), ks, x.fmt, (plan.width, x.fmt.total_bits, x.fmt.total_bits))
     return [FixedPointCipher(bits, x.fmt)
             for bits in gates.mul_consts(_low_bits(x, plan.width), plan)]
 
@@ -396,8 +405,8 @@ def fp_relu(x: FixedPointCipher, width: int | None = None) -> FixedPointCipher:
     constant 0."""
     w = x.fmt.total_bits
     width = w if width is None else width
-    if width < w and isinstance(x.backend, ClearBackend):
-        guard_range(_lane_array(x), x.fmt, "a ReLU operand", width)
+    if isinstance(x.backend, ClearBackend):
+        int_relu(_lane_array(x), x.fmt, width)
     keep = fp_geq_zero(x)
     return FixedPointCipher(
         BitVector([gates.and_gate(keep, bit) for bit in x.bits.bits[:width - 1]]
@@ -416,7 +425,8 @@ def fp_max(values) -> FixedPointCipher:
     cur = values[0]
     for nxt in values[1:]:
         _check_formats(cur, nxt)
-        _diagnose(cur, nxt, operator.sub, "comparison")
+        if isinstance(cur.backend, ClearBackend):
+            int_max(_lane_array(cur), _lane_array(nxt), cur.fmt)
         take_next = gates.less_than(cur.bits, nxt.bits)
         cur = FixedPointCipher(gates.mux(take_next, nxt.bits, cur.bits), cur.fmt)
     return cur
@@ -446,12 +456,14 @@ _FOLDS_LIMIT = 1 << 17
 
 
 def _kept(key, compute):
-    """``compute()``, kept in _FOLDS under ``key``."""
+    """``compute()``, kept in _FOLDS under ``key``; computed before the
+    limit is checked, so that entries ``compute`` keeps count too."""
     found = _FOLDS.get(key)
     if found is None:
+        found = compute()
         if len(_FOLDS) >= _FOLDS_LIMIT:
             _FOLDS.clear()
-        found = _FOLDS[key] = compute()
+        _FOLDS[key] = found
     return found
 
 
@@ -463,6 +475,18 @@ def _folded(key, circuit, *operands):
         out = circuit(*(_probe_bits(probe, states) for states in operands))
         return probe.nand_count, [bit.public for bit in out]
     return _kept(key, run)
+
+
+def _cells(spent: list):
+    """A ``cell`` callback of gates' column circuits on per-bit states: it
+    runs each ``gates._cell`` circuit once per input states on a FoldProbe
+    (``_folded``), adds its NANDs to spent[0] and returns its states."""
+    def cell(circuit, *states):
+        cost, out = _folded((circuit, *states), lambda *bits: gates._cell(
+            circuit, *(bit for [bit] in bits)), *([state] for state in states))
+        spent[0] += cost
+        return out
+    return cell
 
 
 def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width=None) -> list:
@@ -534,10 +558,9 @@ def sum_costs(fmt: FixedPointFormat, terms, bits: int):
         total = sum(_signed(value & (1 << n) - 1, n) if signed else value & (1 << n) - 1
                     for (_, value), n, signed in words)
         return nands, (full, _signed(total & (1 << bits) - 1, bits) & full)
-    probe = FoldProbe()
+    probe, spent = FoldProbe(), [0]  # spent: NANDs of the low parts and cells
 
     def low(product, columns) -> list:
-        nonlocal nands
         states = [tuple(bit.public for bit in x) for x in product[:2]]
 
         def run():  # on a probe of its own
@@ -546,24 +569,17 @@ def sum_costs(fmt: FixedPointFormat, terms, bits: int):
             return own.nand_count, [[(ready, bit.public) for ready, bit in part] for part in parts]
 
         cost, parts = _kept(("low", product[2], *states), run)
-        nands += cost
+        spent[0] += cost
         return [[(ready, *_probe_bits(probe, [s])) for ready, s in part] for part in parts]
 
-    def cell(circuit, *ins):
-        nonlocal nands
-        cost, out = _folded((circuit, *(bit.public for bit in ins)),
-                            lambda *bits: gates._cell(circuit, *(bit for [bit] in bits)),
-                            *([bit.public] for bit in ins))
-        nands += cost
-        return _probe_bits(probe, out)
-
+    cell = _cells(spent)
     words = [(_probe_bits(probe, _states(*word[:2])), word[2]) if len(word) == 3 else
              (*(_probe_bits(probe, _states(*pair)) for pair in zip(word[0], word[1:3])), f)
              for word in words]
     columns, flip = gates._sum_columns(words, bits, probe, low)
-    states = [0 if bit is None else bit.public
-              for bit in gates._reduce_columns(columns, bits, cell=cell)]
-    nands += probe.nand_count
+    states = [0 if bit is None else bit.public for bit in gates._reduce_columns(
+        columns, bits, cell=lambda c, *ins: _probe_bits(probe, cell(c, *(b.public for b in ins))))]
+    nands += probe.nand_count + spent[0]
     if flip:
         nands += states[-1] is None
         states[-1] = _invert_state(states[-1])
@@ -581,22 +597,13 @@ def _step_cost(step: gates.ConstMulStep, xs, ts):
     (with the output as a public_pattern, the smaller): the sums over its
     column circuits (``gates.const_mul_step``'s cells), each run once per
     input states on a FoldProbe."""
+    def run():
+        spent = [0]
+        out = gates.const_mul_step(step, xs, ts, _cells(spent))
+        return spent[0], len(out), _pattern_of(out)
+
     key = (step.negative, step.carries, len(xs), *_pattern_of(xs), *_pattern_of(ts))
-    found = _FOLDS.get(key)
-    if found is None:
-        nands = 0
-
-        def cell(circuit, *states):
-            nonlocal nands
-            cost, out = _folded((circuit, *states),
-                                lambda *bits: gates._cell(circuit, *(bit for [bit] in bits)),
-                                *([state] for state in states))
-            nands += cost
-            return out
-
-        out = gates.const_mul_step(step, xs, ts, cell)
-        found = _FOLDS[key] = (nands, len(out), _pattern_of(out))
-    nands, width, pattern = found
+    nands, width, pattern = _kept(key, run)
     return nands, _states(pattern, width)
 
 

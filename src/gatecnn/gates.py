@@ -221,10 +221,6 @@ def sub(a: BitVector, b: BitVector) -> BitVector:
     return BitVector([low] + rest)
 
 
-def _sign_extend(v: BitVector, width: int):
-    return list(v.bits) + [v.bits[-1]] * (width - v.width)
-
-
 def _partial_products(m: int, n: int) -> tuple:
     """(columns, constant): the Baugh–Wooley partial products of a signed
     m x n multiply, per column, and the integer they leave out.
@@ -451,8 +447,8 @@ def mul_schoolbook(a: BitVector, b: BitVector) -> BitVector:
     w2 = 2 * a.width
     backend = a.backend
     zero = backend.const(0)
-    aa = _sign_extend(a, w2)
-    bb = _sign_extend(b, w2)
+    aa = _sign_extended(a.bits, w2)
+    bb = _sign_extended(b.bits, w2)
     acc = BitVector([zero] * w2)
     for j in range(w2):
         shifted = [zero] * j + aa[: w2 - j]

@@ -585,6 +585,22 @@ def test_encrypt_image_refuses_an_unknown_preset_before_encrypting(workdir, monk
     assert not encrypted and not (workdir / "bogus.bin").exists()
 
 
+def test_gsw_encrypt_image_refuses_a_preset_other_than_its_keys(workdir, capsys):
+    """A gsw image is written under its key's params, so ``--preset demo``
+    with a toy key is a usage error that writes no file; the key's own
+    preset, or none, writes a toy image."""
+    assert run("keygen", "--seed", "1", "--out", workdir / "default.key") == 0
+    gsw = ["encrypt-image", "--model", workdir / "micro.txt", "--image", workdir / "img.csv",
+           "--backend", "gsw", "--key", workdir / "default.key"]
+    capsys.readouterr()
+    assert run(*gsw, "--preset", "demo", "--out", workdir / "demo-gsw.bin") == cli.EXIT_USAGE
+    assert "does not match the key's preset 'toy'" in capsys.readouterr().err
+    assert not (workdir / "demo-gsw.bin").exists()
+    for preset in ([], ["--preset", "toy"]):
+        assert run(*gsw, *preset, "--out", workdir / "toy-gsw.bin") == 0
+        assert serialize.read_header(workdir / "toy-gsw.bin")[1:] == (preset_params("toy"), "gsw")
+
+
 def test_readme_command_lines_parse():
     """Every ``$ gatecnn ...`` line of README.md parses with today's CLI, so a
     removed or renamed flag cannot stay documented."""

@@ -522,6 +522,65 @@ def test_narrow_relu_is_exact_and_its_high_bits_are_public_zeros():
         fp.fp_relu(fp.encode(1.0, small, backend), 6)
 
 
+SMALL = fp.FixedPointFormat(10, 5)
+_PRODUCT = (6, 5, 4)  # (b_x, b_y, b_p), with f + b_p <= b_x + b_y
+_PLANS = {ks: g.const_mul_plan(ks, 7, 5, 15) for ks in ((11, -7, 40), (11, 300))}
+
+# per integer form: the gate-level op on lane-packed ciphers, decoded per
+# output, and the form on the same lanes' integers
+INT_FORMS = {
+    "sum": (lambda a, b, c: [fp.fp_sum([a, (b, c)], [(7, True), _PRODUCT], 6)],
+            lambda a, b, c: [fp.int_sum(np.stack([a, fp.int_mul(b, c, SMALL, _PRODUCT)], -1),
+                                        SMALL, (7, _PRODUCT[2]), True, 6)]),
+    "mul_consts": (lambda x, ks: fp.fp_mul_consts(x, _PLANS[ks]),
+                   lambda x, ks: fp.int_mul(x, np.array(ks)[:, None], SMALL, (7, 10, 10))),
+    "relu": (lambda x: [fp.fp_relu(x, 6)], lambda x: [fp.int_relu(x, SMALL, 6)]),
+    "max": (lambda a, b, c: [fp.fp_max([a, b, c])],
+            lambda a, b, c: [fp.int_max(fp.int_max(a, b, SMALL), c, SMALL)]),
+}
+INT_FORM_CASES = {  # form-case: per operand its lanes or a constant tuple, the failing check
+    "sum-fits": ([[-20, 25, 0, -24], [-32, 31, 0, 15], [7, 7, -16, -16]], None),
+    "sum-term": ([[64, 0], [1, 1], [1, 1]], "a sum term .* 7-bit range"),
+    "sum-x": ([[0, 0], [1, 32], [1, 1]], "a multiplication operand .* 6-bit range"),
+    "sum-y": ([[0, 0], [1, 1], [-17, 1]], "a multiplication operand .* 5-bit range"),
+    "sum-product": ([[0, 0], [1, 31], [1, 15]], "multiplication .* 4-bit range"),
+    "sum-root": ([[0, 30], [1, 31], [1, 7]], "addition .* 6-bit range"),
+    "mul_consts-fits": ([[-64, 63, -1, 0, 1, 37], (11, -7, 40)], None),
+    "mul_consts-x": ([[-64, 64], (11, -7, 40)], "a multiplication operand .* 7-bit range"),
+    "mul_consts-product": ([[-1, 63], (11, 300)], "multiplication .* w=10 range"),
+    "relu-fits": ([[-32, -1, 0, 1, 31]], None),
+    "relu-x": ([[-32, 32]], "a ReLU operand .* 6-bit range"),
+    "max-fits": ([[-300, 200, 5, 7], [200, -300, 5, -8], [100, -100, 5, 511]], None),
+    "max-first": ([[0, -300], [1, 300], [0, 0]], "comparison .* w=10 range"),
+    "max-second": ([[0, 0], [1, 2], [0, -511]], "comparison .* w=10 range"),
+}
+
+
+@pytest.mark.parametrize("case", INT_FORM_CASES)
+def test_integer_forms_are_the_clear_backend_checks(case):
+    """Each integer form gives the gate-level op's decoded result on
+    multi-lane clear operands, and past a width both raise the same
+    OverflowDiagnostic."""
+    (operands, failure), form = INT_FORM_CASES[case], case.split("-")[0]
+    gate, integer = INT_FORMS[form]
+    lanes = len(operands[0])
+    backend = fc.ClearBackend(lanes=lanes)
+    ciphers = [v if isinstance(v, tuple) else
+               fp.FixedPointCipher(g.BitVector.from_lane_ints(v, 10, backend), SMALL)
+               for v in operands]
+    ints = [v if isinstance(v, tuple) else np.array(v, dtype=np.int64) for v in operands]
+    if failure is None:
+        assert [fp._lane_values(out) for out in gate(*ciphers)] == \
+            [out.tolist() for out in integer(*ints)]
+        return
+    messages = []
+    for run, args in ((gate, ciphers), (integer, ints)):
+        with pytest.raises(OverflowDiagnostic, match=failure) as exc:
+            run(*args)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
 @functools.cache
 def _preset_plans() -> dict:
     """Every plan a preset classify makes, as it makes them: per (layer,
@@ -609,6 +668,17 @@ def test_fold_memo_clears_at_its_limit(monkeypatch):
     assert fp.fold_costs("add", fmt, pairs) == first
     assert len(built) == 10
     assert len(fp._FOLDS) <= 3
+
+
+def test_fold_memo_keeps_its_limit_when_a_step_keeps_its_cells(monkeypatch):
+    """A mul_const step keeps its four column circuits and then itself:
+    five entries, which a memo of four may not hold at once."""
+    built = _count_probes(monkeypatch, limit=4)
+    step, xs, ts = SimpleNamespace(negative=True, carries=1), [None] * 4, [None, 1, None, 0]
+    first = fp._step_cost(step, xs, ts)
+    assert len(built) == 4
+    assert len(fp._FOLDS) <= 4
+    assert fp._step_cost(step, xs, ts) == first
 
 
 def _chain_nands(k, fmt):
