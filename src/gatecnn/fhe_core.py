@@ -444,28 +444,32 @@ class ClearBackend(_SeedScopeMixin):
 class FoldProbe:
     """One-lane evaluation of how a circuit folds, for its NAND count.
 
-    Its public bits are its two shared constants, as on a real backend;
-    its private bits carry no value, since folding never reads one.
-    ``nand`` runs only for the gates the module-level ``nand`` does not
-    fold, so ``nand_count`` is the count a real backend evaluates, and an
-    output bit's ``public`` is what it is there, for any private data.
-    It is not a ClearBackend, so fixed-point ops run no range check on it.
+    Its public bits are its two shared constants, as on a real backend,
+    and its private bits are one shared bit without a value, handed out
+    by ``encrypt_bit`` and by every evaluated ``nand``: folding reads only
+    whether a bit is public, never a value, so a probe run allocates no
+    bit per gate.  ``nand`` runs only for the gates the module-level
+    ``nand`` does not fold, so ``nand_count`` is the count a real backend
+    evaluates, and an output bit's ``public`` is what it is there, for
+    any private data.  It is not a ClearBackend, so fixed-point ops run
+    no range check on it.
     """
 
     def __init__(self):
         self.nand_count = 0
         self._consts = (EncBit(self, public=0), EncBit(self, public=1))
+        self._private = EncBit(self)
 
     def const(self, bit: int) -> EncBit:
         return self._consts[bit]
 
     def encrypt_bit(self, bit: int) -> EncBit:
-        """A private bit; its value ``bit`` is not kept."""
-        return EncBit(self)
+        """The private bit; its value ``bit`` is not kept."""
+        return self._private
 
     def nand(self, a: EncBit, b: EncBit) -> EncBit:
         self.nand_count += 1
-        return EncBit(self)
+        return self._private
 
 
 class GswBackend(_SeedScopeMixin):

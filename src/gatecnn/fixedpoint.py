@@ -38,11 +38,13 @@ the gate counter the NANDs the circuits they stand for evaluate once
 public constants fold.  The charge is the gate path's own layer walk
 run over public_patterns instead of ciphertexts, each of these
 operations replaced by its (NANDs, output pattern) from ``fold_costs``,
-``sum_costs`` or ``const_mul_costs``.  Those counts come from running
-each circuit once per operand pattern on a one-lane ``FoldProbe``, whose
-bits are public constants or private bits without a value, and keeping
-the result for the process; operands whose bits are all public fold
-every gate and are charged 0 without a probe.
+``sum_costs`` or ``const_mul_costs``.  Those counts come from the same
+functions the gate path runs (the op itself, or a constant multiply's
+plan walked by ``gates.const_mul_walk`` with ``gates.const_mul_step``)
+evaluated once per operand pattern on a one-lane ``FoldProbe``, whose
+bits are public constants or one private bit without a value, and kept
+for the process; operands whose bits are all public fold every gate and
+are charged 0 without a probe.
 """
 
 from __future__ import annotations
@@ -440,17 +442,14 @@ _COST_OPS = {
 }
 
 
-# (kind, format, width, a, b) of a fold_costs circuit, or (circuit, input
-# states) of one column of a mul_const step or one adder of a sum ->
-# (NANDs, output states) of that circuit on a FoldProbe, where a state is
-# a bit's public value or None for a private bit; ("const", format,
-# widths, a, b) of an fp_mul by a public operand -> (NANDs, output
-# public_pattern); ("low", lo, and each operand's states) of a product's
-# part below lo -> (NANDs, its (ready, state) carries and copies);
-# (negative, carries, width, and the sum's and term's public_patterns) of
-# a step -> (NANDs, output width and public_pattern).  A circuit's cost
-# depends on nothing else, so every model in the process shares the
-# entries.
+# (kind, format, width, a, b) of a fold_costs circuit and ("sum", format,
+# terms, bits) of a sum_costs one -> (NANDs, output public_pattern) of the
+# circuit run on a FoldProbe over operands with those public_patterns;
+# ("const", format, widths, a, b) of an fp_mul by a public operand ->
+# (NANDs, output public_pattern) of its plan's walk; (negative, carries,
+# width, and the sum's and term's public_patterns) of a mul_const step ->
+# (NANDs, output public_pattern).  A circuit's cost depends on nothing
+# else, so every model in the process shares the entries.
 _FOLDS = {}
 _FOLDS_LIMIT = 1 << 17
 
@@ -467,26 +466,14 @@ def _kept(key, compute):
     return found
 
 
-def _folded(key, circuit, *operands):
-    """(NANDs, output states) of ``circuit`` run once on a FoldProbe, on
-    bit lists with the per-bit states ``operands``, kept under ``key``."""
+def _probed(key, circuit):
+    """(NANDs, output public_pattern) of ``circuit(probe)``, which returns
+    output bits, run once on a FoldProbe and kept under ``key``."""
     def run():
         probe = FoldProbe()
-        out = circuit(*(_probe_bits(probe, states) for states in operands))
-        return probe.nand_count, [bit.public for bit in out]
+        out = circuit(probe)
+        return probe.nand_count, _pattern_of([bit.public for bit in out])
     return _kept(key, run)
-
-
-def _cells(spent: list):
-    """A ``cell`` callback of gates' column circuits on per-bit states: it
-    runs each ``gates._cell`` circuit once per input states on a FoldProbe
-    (``_folded``), adds its NANDs to spent[0] and returns its states."""
-    def cell(circuit, *states):
-        cost, out = _folded((circuit, *states), lambda *bits: gates._cell(
-            circuit, *(bit for [bit] in bits)), *([state] for state in states))
-        spent[0] += cost
-        return out
-    return cell
 
 
 def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width=None) -> list:
@@ -500,25 +487,18 @@ def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width=None) -> list:
     constant's plan (``const_mul_costs``), a ``relu`` or ``maxfold`` of
     wholly public operands folds every gate and is charged 0
     (``_public_fold``), and every other circuit runs once per key on a
-    FoldProbe (``_folded``)."""
+    FoldProbe (``_probed``)."""
     w = fmt.total_bits
     if width is None:
         width = (w, w, w) if kind == "mul" else w
-
-    def circuit(a, b):
-        a, b = (FixedPointCipher(BitVector(bits), fmt) for bits in (a, b))
-        return _COST_OPS[kind](a, b, width).bits.bits
-
     out, full = [], (1 << w) - 1
     for a, b in pairs:
         if kind == "mul" and full in (a[0], b[0]):
             found = _kept(("const", fmt, width, a, b), lambda: _const_mul_cost(fmt, a, b, width))
         else:
-            found = _public_fold(kind, fmt, a, b, width)
-        if found is None:
-            nands, states = _folded((kind, fmt, width, a, b), circuit,
-                                    _states(a, w), _states(b, w))
-            found = nands, _pattern_of(states)
+            found = _public_fold(kind, fmt, a, b, width) or _probed(
+                (kind, fmt, width, a, b), lambda probe: _COST_OPS[kind](
+                    _probe_cipher(probe, fmt, a), _probe_cipher(probe, fmt, b), width).bits.bits)
         out.append(found)
     return out
 
@@ -541,70 +521,42 @@ def sum_costs(fmt: FixedPointFormat, terms, bits: int):
     or as ((x, y), b_x, b_y, b_p), a product of operands with
     public_patterns x and y read at fp_mul's widths.
 
-    A product with a wholly public operand is charged as ``fp_mul``
-    (``fold_costs``) and read as its word.  Words whose read bits are all
-    public fold every gate: they are charged 0, and the output is their
-    integer sum.  Otherwise the sum's own columns (``gates._sum_columns``)
-    and reducer run on a FoldProbe, each product's part below f
-    (``gates._low_part``) and each adder once per operand states."""
-    w, f, full = fmt.total_bits, fmt.frac_bits, (1 << fmt.total_bits) - 1
-    nands, words = 0, []
-    for pattern, *width in terms:
-        if len(width) == 3 and full in (pattern[0][0], pattern[1][0]):
-            cost, pattern = fold_costs("mul", fmt, [pattern], tuple(width))[0]
-            nands, width = nands + cost, (width[2], True)
-        words.append((pattern, *width))
-    if all(len(word) == 3 and ~word[0][0] & (1 << word[1]) - 1 == 0 for word in words):
+    Words whose read bits are all public fold every gate: they are
+    charged 0, and the output is their integer sum.  Otherwise ``fp_sum``
+    itself runs once per terms and bits on a FoldProbe (``_probed``)."""
+    w, full = fmt.total_bits, (1 << fmt.total_bits) - 1
+    if all(len(term) == 3 and ~term[0][0] & (1 << term[1]) - 1 == 0 for term in terms):
         total = sum(_signed(value & (1 << n) - 1, n) if signed else value & (1 << n) - 1
-                    for (_, value), n, signed in words)
-        return nands, (full, _signed(total & (1 << bits) - 1, bits) & full)
-    probe, spent = FoldProbe(), [0]  # spent: NANDs of the low parts and cells
+                    for (_, value), n, signed in terms)
+        return 0, (full, _signed(total & (1 << bits) - 1, bits) & full)
 
-    def low(product, columns) -> list:
-        states = [tuple(bit.public for bit in x) for x in product[:2]]
-
-        def run():  # on a probe of its own
-            own = FoldProbe()
-            parts = gates._low_part((*(_probe_bits(own, x) for x in states), product[2]), columns)
-            return own.nand_count, [[(ready, bit.public) for ready, bit in part] for part in parts]
-
-        cost, parts = _kept(("low", product[2], *states), run)
-        spent[0] += cost
-        return [[(ready, *_probe_bits(probe, [s])) for ready, s in part] for part in parts]
-
-    cell = _cells(spent)
-    words = [(_probe_bits(probe, _states(*word[:2])), word[2]) if len(word) == 3 else
-             (*(_probe_bits(probe, _states(*pair)) for pair in zip(word[0], word[1:3])), f)
-             for word in words]
-    columns, flip = gates._sum_columns(words, bits, probe, low)
-    states = [0 if bit is None else bit.public for bit in gates._reduce_columns(
-        columns, bits, cell=lambda c, *ins: _probe_bits(probe, cell(c, *(b.public for b in ins))))]
-    nands += probe.nand_count + spent[0]
-    if flip:
-        nands += states[-1] is None
-        states[-1] = _invert_state(states[-1])
-    return nands, _pattern_of(states + states[-1:] * (w - bits))
+    def circuit(probe):
+        ciphers = [tuple(_probe_cipher(probe, fmt, x) for x in pattern) if len(width) == 3
+                   else _probe_cipher(probe, fmt, pattern) for pattern, *width in terms]
+        return fp_sum(ciphers, [tuple(width) for _, *width in terms], bits).bits.bits
+    return _probed(("sum", fmt, tuple(terms), bits), circuit)
 
 
 def _probe_bits(probe: FoldProbe, states) -> list:
     """Bits of ``probe`` with the per-bit public states ``states``."""
-    return [probe.encrypt_bit(0) if state is None else probe.const(state) for state in states]
+    bits = {0: probe.const(0), 1: probe.const(1), None: probe.encrypt_bit(0)}
+    return [bits[state] for state in states]
+
+
+def _probe_cipher(probe: FoldProbe, fmt: FixedPointFormat, pattern: tuple) -> FixedPointCipher:
+    """A cipher of ``probe`` with the public_pattern ``pattern``."""
+    return FixedPointCipher(BitVector(_probe_bits(probe, _states(pattern, fmt.total_bits))), fmt)
 
 
 def _step_cost(step: gates.ConstMulStep, xs, ts):
-    """(NANDs, output states) of one mul_const step on sum and term bits
-    with the per-bit states ``xs`` and ``ts``, kept per shape and states
-    (with the output as a public_pattern, the smaller): the sums over its
-    column circuits (``gates.const_mul_step``'s cells), each run once per
-    input states on a FoldProbe."""
-    def run():
-        spent = [0]
-        out = gates.const_mul_step(step, xs, ts, _cells(spent))
-        return spent[0], len(out), _pattern_of(out)
-
+    """(NANDs, output states) of ``gates.const_mul_step`` on sum and term
+    bits with the per-bit states ``xs`` and ``ts``, run once per shape and
+    states on a FoldProbe (``_probed``).  Its output covers the step's
+    columns from its carries up."""
     key = (step.negative, step.carries, len(xs), *_pattern_of(xs), *_pattern_of(ts))
-    nands, width, pattern = _kept(key, run)
-    return nands, _states(pattern, width)
+    nands, pattern = _probed(key, lambda probe: gates.const_mul_step(
+        step, _probe_bits(probe, xs), _probe_bits(probe, ts)))
+    return nands, _states(pattern, len(xs) - step.carries)
 
 
 def _const_mul_cost(fmt: FixedPointFormat, a: tuple, b: tuple, widths: tuple):
@@ -631,11 +583,10 @@ def const_mul_costs(fmt: FixedPointFormat, ks, width: int, patterns) -> list:
     An x whose lowest ``width`` bits (the ones the plan reads) are all
     public folds every gate: it is charged 0 and its products are
     computed as integers.  The plan is made only if some x has a private
-    bit there, once, and dropped on return.  It is walked over the per-bit
-    states (public value, or None) of each such x; a node's step runs once
-    per shape and operand states (``_step_cost``), not once per plan, and
-    each node a negative step reads charges the NOTs of its private bits
-    that those steps share."""
+    bit there, once, and dropped on return.  ``gates.const_mul_walk``
+    walks it over FoldProbe bits of each such x, so the NOTs of a negative
+    step's term are counted as they are evaluated, and each step's cost
+    is kept per shape and operand states (``_step_cost``), not per plan."""
     f, low, full = fmt.frac_bits, (1 << width) - 1, (1 << fmt.total_bits) - 1
     plan, out = None, []
     for pattern in patterns:
@@ -645,24 +596,19 @@ def const_mul_costs(fmt: FixedPointFormat, ks, width: int, patterns) -> list:
             continue
         if plan is None:
             plan = gates.const_mul_plan(ks, width, f, f + fmt.total_bits)
-        nands = 0
+        probe, nands = FoldProbe(), 0
 
         def step(st, xs, ts):
             nonlocal nands
-            cost, states = _step_cost(st, xs, ts)
+            cost, states = _step_cost(st, [bit.public for bit in xs], [bit.public for bit in ts])
             nands += cost
-            return states
+            return _probe_bits(probe, states)
 
-        values = gates.const_mul_walk(plan, _states(pattern, width), 0, step, _invert_state)
-        negated = {st.term for st in plan.steps if st.negative and st.column < st.top}
-        nands += sum([values[q][j] for j in plan.inverted[q]].count(None) for q in negated)
-        out.append((nands, [_pattern_of(gates.const_mul_product(plan, values, j, 0))
-                            for j in range(len(ks))]))
+        values = gates.const_mul_walk(plan, _probe_bits(probe, _states(pattern, width)), step)
+        products = [_pattern_of([bit.public for bit in gates.const_mul_product(plan, values, j)])
+                    for j in range(len(ks))]
+        out.append((nands + probe.nand_count, products))
     return out
-
-
-def _invert_state(state):
-    return state if state is None else 1 - state
 
 
 def _pattern_of(states) -> tuple:

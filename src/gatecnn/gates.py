@@ -175,12 +175,6 @@ def _majority(a: EncBit, b: EncBit, c: EncBit) -> EncBit:
     return nand(nand(a, b), nand(c, nand(not_gate(a), not_gate(b))))
 
 
-def _cell(circuit, *bits) -> tuple:
-    """The output bits of ``circuit`` on ``bits``, as a tuple."""
-    out = circuit(*bits)
-    return out if isinstance(out, tuple) else (out,)
-
-
 def _ripple(a_bits, b_bits, carry):
     """Sum bits of a + b + carry modulo 2^len (``carry`` None means 0).
 
@@ -272,7 +266,7 @@ def sum_words(words, width: int, backend) -> list:
     return out
 
 
-def _sum_columns(words, width: int, backend, low=None) -> tuple:
+def _sum_columns(words, width: int, backend) -> tuple:
     """(columns, flip): the columns of sum_words below ``width``, each
     built (_materialized) only when the reducer reaches it, and whether the
     top sum bit is to be inverted.
@@ -281,11 +275,10 @@ def _sum_columns(words, width: int, backend, low=None) -> tuple:
     word's sign bit s as ~s, since -s·2^t = ~s·2^t - 2^t, and so do the
     partial products of a product from column lo up, shifted down by lo.
     Its partial products below lo are reduced per product, so that each
-    product is floored on its own, by ``low`` (_low_part's contract),
-    whose carries and copies enter column 0.  Every public word bit, every
-    -2^t and each product's Baugh–Wooley constant (its part below lo in
-    its own columns) fold into one constant K modulo 2^width, which enters
-    by _fold_constant.  The columns depend only on the shapes and on which
+    product is floored on its own, by _low_part, whose carries and copies
+    enter column 0.  Every public word bit, every -2^t and each product's
+    Baugh–Wooley constant (its part below lo in its own columns) fold into
+    one constant K modulo 2^width, which enters by _fold_constant.  The columns depend only on the shapes and on which
     bits are public, never on private values."""
     constant, layout, lows = 0, [[] for _ in range(width)], []
     for n, word in enumerate(words):
@@ -319,7 +312,7 @@ def _sum_columns(words, width: int, backend, low=None) -> tuple:
         return 1, nand(words[n][0][i], words[n][1][j])
 
     def columns():
-        parts = [(low or _low_part)(word, below) for word, below in lows]
+        parts = [_low_part(word, below) for word, below in lows]
         made = _materialized(layout, base)
         yield [*(bit for carries, _ in parts for bit in carries), *next(made),
                *(bit for _, copies in parts for bit in copies)]
@@ -385,11 +378,11 @@ def _low_part(product, columns) -> tuple:
     return _reduce_columns(itertools.islice(made, lo), lo, below=True), next(made)
 
 
-def _reduce_columns(columns, width: int, below: bool = False, cell=_cell) -> list:
+def _reduce_columns(columns, width: int, below: bool = False) -> list:
     """Sum the bits of the ``width`` ``columns`` (pairs (ready, bit),
     column c weighing 2^c) modulo 2^width: each column's sum bit (None for
     none), lowest column first folded with the carries from below to one
-    bit (_reduce_column, each adder run by ``cell``, _cell's contract).
+    bit (_reduce_column).
     The top column's adders form only sums, their carries leaving the
     window.  With ``below`` every column lies below the window: its last
     adder forms only its carry, and the top column's carries, pairs
@@ -397,13 +390,12 @@ def _reduce_columns(columns, width: int, below: bool = False, cell=_cell) -> lis
     out, carries = [], []
     order = itertools.count()
     for c, col in enumerate(columns):
-        bit, carries = _reduce_column(col, carries, order, not below and c == width - 1, below,
-                                      cell)
+        bit, carries = _reduce_column(col, carries, order, not below and c == width - 1, below)
         out.append(bit)
     return [(ready, bit) for ready, _, bit in carries] if below else out
 
 
-def _reduce_column(col, carries, order, top: bool, below: bool, cell=_cell) -> tuple:
+def _reduce_column(col, carries, order, top: bool, below: bool) -> tuple:
     """(bit, carries out) of one column of _reduce_columns: its pairs
     (ready, bit) and the ``carries`` from below, triples (ready, order,
     bit), folded to one bit (None for no bit) by full adders on three bits
@@ -429,11 +421,11 @@ def _reduce_column(col, carries, order, top: bool, below: bool, cell=_cell) -> t
         else:
             ready_s, ready_c = ready[1] + 3, ready[1] + 2
         if top:  # the carry would leave the window
-            s, cout = *cell(_xor3 if full else xor_gate, *ins), None
+            s, cout = (_xor3 if full else xor_gate)(*ins), None
         elif below and not bits:  # the column's last adder: no sum is read
-            s, cout = None, *cell(_majority if full else and_gate, *ins)
+            s, cout = None, (_majority if full else and_gate)(*ins)
         else:
-            s, cout = cell(full_adder if full else half_adder, *ins)
+            s, cout = (full_adder if full else half_adder)(*ins)
         if s is not None:
             heapq.heappush(bits, (ready_s, next(order), s))
         if cout is not None:
@@ -786,12 +778,13 @@ def _sign_extended(bits, width: int) -> list:
     return [*bits[:width], *bits[-1:] * (width - len(bits))]
 
 
-def const_mul_walk(plan: ConstMulPlan, bits, zero, step, invert) -> list:
-    """The plan's nodes built from ``bits`` (a, low bit first), ``zero``,
-    ``invert`` (a NOT) and ``step`` (const_mul_step's contract), which may
-    work on bits or on any stand-ins for them: a list with the bits of
-    each node over its columns [0, top).  The lowest ``carries`` columns
-    of a step's range are not the node's bits; no reader reads them."""
+def const_mul_walk(plan: ConstMulPlan, bits, step) -> list:
+    """The plan's nodes built from ``bits`` (a, low bit first) by ``step``
+    (const_mul_step's contract), each negative step's term bits inverted
+    by not_gate, once per node: a list with the bits of each node over its
+    columns [0, top).  The lowest ``carries`` columns of a step's range
+    are not the node's bits; no reader reads them."""
+    zero = bits[0].backend.const(0)
     values = [list(bits)]
     inverted = {}
     for st in plan.steps:
@@ -808,7 +801,7 @@ def const_mul_walk(plan: ConstMulPlan, bits, zero, step, invert) -> list:
                 if st.term not in inverted:
                     inverted[st.term] = negated = [None] * len(term)
                     for j in plan.inverted[st.term]:
-                        negated[j] = invert(term[j])
+                        negated[j] = not_gate(term[j])
                 terms = [term[0], *_sign_extended(inverted[st.term], width)[1:]]
             else:
                 terms = _sign_extended(term, width)
@@ -817,9 +810,10 @@ def const_mul_walk(plan: ConstMulPlan, bits, zero, step, invert) -> list:
     return values
 
 
-def const_mul_product(plan: ConstMulPlan, values, j: int, zero) -> list:
+def const_mul_product(plan: ConstMulPlan, values, j: int) -> list:
     """Bits [lo, hi) of constant j's product, read from walked ``values``."""
     node, shift = plan.targets[j]
+    zero = values[0][0].backend.const(0)
     if node is None:
         return [zero] * (plan.hi - plan.lo)
     start = plan.lo - shift
@@ -836,32 +830,23 @@ def _first_column(x: EncBit, y: EncBit, negative: bool, sums: bool) -> tuple:
     return (*out, right if negative else not_gate(n))
 
 
-# A step's lowest-column circuit per (negative, forms the sum).
-_FIRST_COLUMNS = {(negative, sums): functools.partial(_first_column, negative=negative, sums=sums)
-                  for negative in (False, True) for sums in (False, True)}
-
-
-def const_mul_step(step: ConstMulStep, xs, ts, cell=_cell) -> list:
+def const_mul_step(step: ConstMulStep, xs, ts) -> list:
     """The sum bits of one plan step, from the running sum's bits ``xs``
     and the term's bits ``ts`` over its columns: x + a ripple add, or
     x - a as x + ~a + 1, where ``ts`` holds a in the lowest column (whose
     sum x ^ a and carry x | ~a fold the +1) and ~a above it.  The top
-    column forms no carry: above it the sum is a sign extension.
-
-    Each column is one circuit of its bits, which ``cell(circuit, *bits)``
-    runs and returns the output bits of (_cell's contract), so that a
-    charge can run each column on per-bit states instead."""
+    column forms no carry: above it the sum is a sign extension."""
     top = len(xs) - 1
     if not top:
-        return list(cell(xor_gate, xs[0], ts[0]))
-    *out, carry = cell(_FIRST_COLUMNS[step.negative, not step.carries], xs[0], ts[0])
+        return [xor_gate(xs[0], ts[0])]
+    *out, carry = _first_column(xs[0], ts[0], step.negative, not step.carries)
     for c in range(1, top):
         if c < step.carries:
-            (carry,) = cell(_majority, xs[c], ts[c], carry)
+            carry = _majority(xs[c], ts[c], carry)
         else:
-            s, carry = cell(full_adder, xs[c], ts[c], carry)
+            s, carry = full_adder(xs[c], ts[c], carry)
             out.append(s)
-    return [*out, *cell(_xor3, xs[top], ts[top], carry)]
+    return [*out, _xor3(xs[top], ts[top], carry)]
 
 
 def mul_consts(a: BitVector, plan: ConstMulPlan) -> list:
@@ -873,9 +858,8 @@ def mul_consts(a: BitVector, plan: ConstMulPlan) -> list:
     if a.width != plan.width:
         raise ParameterError(f"a {a.width}-bit operand for a plan of "
                              f"{plan.width}-bit operands")
-    zero = a.backend.const(0)
-    values = const_mul_walk(plan, a.bits, zero, const_mul_step, not_gate)
-    return [BitVector(const_mul_product(plan, values, j, zero))
+    values = const_mul_walk(plan, a.bits, const_mul_step)
+    return [BitVector(const_mul_product(plan, values, j))
             for j in range(len(plan.constants))]
 
 

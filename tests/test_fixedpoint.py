@@ -640,9 +640,9 @@ def _count_probes(monkeypatch, limit=None):
 
 
 def test_fold_memo_runs_each_circuit_once(monkeypatch):
-    """A second identical fold_costs or _step_cost call builds no probe.
-    A step runs each of its column circuits once per input states: four
-    distinct columns here."""
+    """Each op key (a fold_costs pair, a sum_costs terms and bits) and each
+    mul_const step key runs one FoldProbe, once: a second identical call
+    builds none, and a step or a sum keeps one entry, none per adder."""
     built = _count_probes(monkeypatch)
     fmt = fp.FixedPointFormat(8, 4)
     pairs = [(fp.PRIVATE, fp.PRIVATE), ((0b1111, 0b0101), fp.PRIVATE)]
@@ -652,9 +652,14 @@ def test_fold_memo_runs_each_circuit_once(monkeypatch):
     assert len(built) == 2
     step, xs, ts = SimpleNamespace(negative=True, carries=1), [None] * 4, [None, 1, None, 0]
     first = fp._step_cost(step, xs, ts)
-    assert len(built) == 2 + 4
+    assert (len(built), len(fp._FOLDS)) == (3, 3)
     assert fp._step_cost(step, xs, ts) == first
-    assert len(built) == 2 + 4
+    assert len(built) == 3
+    terms = [(fp.PRIVATE, 6, True), (((0xf0, 0), fp.PRIVATE), 5, 4, 5), ((0b11, 0b01), 3, False)]
+    first = fp.sum_costs(fmt, terms, 7)
+    assert (len(built), len(fp._FOLDS)) == (4, 4)
+    assert fp.sum_costs(fmt, terms, 7) == first
+    assert len(built) == 4
 
 
 def test_fold_memo_clears_at_its_limit(monkeypatch):
@@ -671,14 +676,21 @@ def test_fold_memo_clears_at_its_limit(monkeypatch):
 
 
 def test_fold_memo_keeps_its_limit_when_a_step_keeps_its_cells(monkeypatch):
-    """A mul_const step keeps its four column circuits and then itself:
-    five entries, which a memo of four may not hold at once."""
-    built = _count_probes(monkeypatch, limit=4)
+    """A mul_const step and a sum keep one entry each, not one per
+    column or adder, so a memo of two holds at its limit through a pair of
+    ops, a step and a sum, and each gives its first result again."""
+    built = _count_probes(monkeypatch, limit=2)
+    fmt = fp.FixedPointFormat(8, 4)
+    pairs = [(fp.PRIVATE, fp.PRIVATE), ((0b1111, 0b0101), fp.PRIVATE)]
     step, xs, ts = SimpleNamespace(negative=True, carries=1), [None] * 4, [None, 1, None, 0]
-    first = fp._step_cost(step, xs, ts)
+    terms = [(fp.PRIVATE, 6, True), (((0xf0, 0), fp.PRIVATE), 5, 4, 5)]
+    first = (fp.fold_costs("add", fmt, pairs), fp._step_cost(step, xs, ts),
+             fp.sum_costs(fmt, terms, 7))
     assert len(built) == 4
-    assert len(fp._FOLDS) <= 4
-    assert fp._step_cost(step, xs, ts) == first
+    assert len(fp._FOLDS) <= 2
+    assert (fp.fold_costs("add", fmt, pairs), fp._step_cost(step, xs, ts),
+            fp.sum_costs(fmt, terms, 7)) == first
+    assert len(fp._FOLDS) <= 2
 
 
 def _chain_nands(k, fmt):

@@ -276,28 +276,80 @@ def test_sum_words_exhaustive(count):
 def test_sum_costs_of_long_columns_equal_the_gates(monkeypatch):
     """Columns far longer than three bits: on 40 random sets of 10 to 60
     words of 1 to 12 bits, some of their bits public, the fold charge
-    (which keeps each column's cost per suffix) equals the NANDs that
-    sum_words evaluates on a FoldProbe, and its output public_pattern is
-    theirs, with the fold memo empty and then full."""
+    equals the NANDs that sum_words evaluates gate by gate on a 4-lane
+    clear backend with random private bits, and its output public_pattern
+    is theirs, with the fold memo empty and then full; the lanes hold the
+    sums modulo 2^width."""
     rng = random.Random(5)
     fmt = fp.FixedPointFormat(16, 0)
+    lanes = 4
     cases = []
     for _ in range(40):
-        terms = []
+        terms, masks = [], []
         for _ in range(rng.randint(10, 60)):
             n = rng.randint(1, 12)
             mask = rng.getrandbits(n) if rng.random() < 0.3 else 0
             terms.append(((mask, rng.getrandbits(n) & mask), n, rng.random() < 0.5))
-        cases.append((terms, rng.randint(1, 16)))
+            masks.append([rng.getrandbits(lanes) for _ in range(n)])
+        cases.append((terms, masks, rng.randint(1, 16)))
     monkeypatch.setattr(fp, "_FOLDS", {})
     for _ in range(2):
-        for terms, width in cases:
-            probe = fc.FoldProbe()
-            words = [([probe.const(value >> i & 1) if public >> i & 1 else probe.encrypt_bit(0)
-                       for i in range(n)], signed) for (public, value), n, signed in terms]
-            states = [bit.public for bit in g.sum_words(words, width, probe)]
+        for terms, masks, width in cases:
+            backend = fc.ClearBackend(lanes=lanes)
+            words = [([backend.const(value >> i & 1) if public >> i & 1 else backend.from_mask(m)
+                       for i, m in enumerate(lane_masks)], signed)
+                     for ((public, value), n, signed), lane_masks in zip(terms, masks)]
+            out = g.sum_words(words, width, backend)
+            totals = [sum(g.BitVector(bits).to_int(lane) if signed else
+                          g.BitVector([*bits, backend.const(0)]).to_int(lane)
+                          for bits, signed in words) for lane in range(lanes)]
+            assert [bit.clear_value for bit in out] == _lane_masks(totals, width)
+            states = [bit.public for bit in out]
             assert fp.sum_costs(fmt, terms, width) == (
-                probe.nand_count, fp._pattern_of(states + states[-1:] * (16 - width)))
+                backend.stats.nand_count, fp._pattern_of(states + states[-1:] * (16 - width)))
+
+
+def test_sum_costs_of_products_equal_the_gates():
+    """Sums with product terms at encrypted-weight widths: a private bias
+    and products of an input, private, partly public (a ReLU output's
+    public top zeros, a public low bit) or wholly public, with a private
+    weight read at b_y < w bits.  On 30 random sets, fp_sum on a 6-lane
+    clear backend evaluates the NANDs that sum_costs charges, its output
+    has the public_pattern charged, and its lanes hold the exact sums."""
+    rng = random.Random(11)
+    fmt = fp.FixedPointFormat(12, 4)
+    w, f, lanes = fmt.total_bits, fmt.frac_bits, 6
+    b_x, b_y, b_p, bias_bits, bits = 7, 5, 8, 5, 11
+    relu = (((1 << w) - 1) >> b_x - 1 << b_x - 1, 0)   # bits from b_x - 1 up: public 0
+
+    def lane_cipher(backend, values, pattern):
+        masks = _lane_masks(values, w)
+        return fp.FixedPointCipher(g.BitVector(
+            backend.const(pattern[1] >> i & 1) if pattern[0] >> i & 1
+            else backend.from_mask(masks[i]) for i in range(w)), fmt)
+
+    for _ in range(30):
+        backend = fc.ClearBackend(lanes=lanes)
+        bias = [rng.randrange(-16, 16) for _ in range(lanes)]
+        terms, patterns, total = [lane_cipher(backend, bias, fp.PRIVATE)], [fp.PRIVATE], bias
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.choice(["private", "relu", "low", "public"])
+            if kind == "public":
+                x = [rng.randrange(0, 64)] * lanes
+                x_pattern = ((1 << w) - 1, x[0])
+            else:
+                x = [rng.randrange(0, 64) | (kind == "low") for _ in range(lanes)]
+                x_pattern = {"private": fp.PRIVATE, "relu": relu,
+                             "low": (relu[0] | 1, 1)}[kind]
+            y = [rng.randrange(-16, 16) for _ in range(lanes)]
+            terms.append((lane_cipher(backend, x, x_pattern), lane_cipher(backend, y, fp.PRIVATE)))
+            patterns.append((x_pattern, fp.PRIVATE))
+            total = [t + (a * b >> f) for t, a, b in zip(total, x, y)]
+        widths = [(bias_bits, True)] + [(b_x, b_y, b_p)] * (len(terms) - 1)
+        out = fp.fp_sum(terms, widths, bits)
+        assert fp.decode_lanes(out) == [t / fmt.scale for t in total]
+        charge = fp.sum_costs(fmt, [(p, *width) for p, width in zip(patterns, widths)], bits)
+        assert charge == (backend.stats.nand_count, fp.public_pattern(out))
 
 
 def test_sum_words_gate_trace_depends_on_shapes_only():

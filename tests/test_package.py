@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -35,3 +36,46 @@ def test_the_layer_walk_checks_ranges_only_through_the_integer_forms():
     cnn = importlib.import_module("gatecnn.cnn")
     assert not hasattr(cnn, "guard_range")
     assert "guard_range" not in Path(cnn.__file__).read_text()
+
+
+def _module_privates(tree: ast.Module) -> list:
+    """(name, first line, last line) of each module-level statement that
+    binds a ``_private`` name (not a dunder): defs, classes, assignments."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target)
+                     if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [(name, node.lineno, node.end_lineno) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def test_every_private_helper_has_a_caller():
+    """Every module-level ``_private`` name of the package is read
+    somewhere in its source outside its own definition, so that removing
+    a hook or a helper's last caller cannot leave the helper behind."""
+    source = Path(gatecnn.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(source.glob("*.py"))}
+    reads = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            reads.setdefault(name, []).append((module, node.lineno))
+    dead = [f"{module}:{name}" for module, tree in trees.items()
+            for name, first, last in _module_privates(tree)
+            if all(where == module and first <= line <= last
+                   for where, line in reads.get(name, []))]
+    assert dead == []
