@@ -438,6 +438,8 @@ class ClearBackend(_SeedScopeMixin):
         return EncBit(self, clear_value=(a.clear_value & b.clear_value) ^ self.lane_mask)
 
     def reveal_bit(self, bit: EncBit, lane: int = 0) -> int:
+        if not 0 <= lane < self.lanes:
+            raise ParameterError(f"lane {lane} outside the backend's {self.lanes} lanes")
         return (bit.clear_value >> lane) & 1
 
 

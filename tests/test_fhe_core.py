@@ -12,7 +12,7 @@ from gatecnn.errors import (
     NoiseExhaustionError,
     ParameterError,
 )
-from gatecnn.gates import not_gate
+from gatecnn.gates import BitVector, not_gate
 
 
 def test_params_invariants(toy_params):
@@ -380,6 +380,20 @@ def test_clear_lane_packing():
     out = fc.nand(a, b)
     assert out.clear_value == (~(0b10110 & 0b11010)) & 0b11111
     assert backend.reveal_bit(out, lane=1) == 0
+
+
+@pytest.mark.parametrize("lane", [2, -1])
+def test_clear_reveal_refuses_a_lane_outside_the_backend(lane):
+    """A lane outside [0, lanes) raises ParameterError, as on the gsw
+    backend, instead of reading as 0 (lane = lanes) or raising a bare
+    ValueError (a negative shift)."""
+    backend = fc.ClearBackend(lanes=2)
+    bits = BitVector.from_lane_ints([1, -1], 4, backend)
+    assert bits.to_lane_ints() == [1, -1]
+    with pytest.raises(ParameterError, match="lane"):
+        backend.reveal_bit(backend.const(1), lane)
+    with pytest.raises(ParameterError, match="lane"):
+        bits.to_int(lane)
 
 
 def test_seed_scope_determinism_across_threads(toy_params, toy_key):
