@@ -442,14 +442,12 @@ _COST_OPS = {
 }
 
 
-# (kind, format, width, a, b) of a fold_costs circuit and ("sum", format,
-# terms, bits) of a sum_costs one -> (NANDs, output public_pattern) of the
-# circuit run on a FoldProbe over operands with those public_patterns;
-# ("const", format, widths, a, b) of an fp_mul by a public operand ->
-# (NANDs, output public_pattern) of its plan's walk; (negative, carries,
-# width, and the sum's and term's public_patterns) of a mul_const step ->
-# (NANDs, output public_pattern).  A circuit's cost depends on nothing
-# else, so every model in the process shares the entries.
+# (kind, format, width, a, b) of a fold_costs circuit, ("sum", format,
+# terms, bits) of a sum_costs one and (negative, carries, width, and the
+# sum's and term's public_patterns) of a mul_const step -> (NANDs, output
+# public_pattern) of the circuit run on a FoldProbe over operands with
+# those public_patterns.  A circuit's cost depends on nothing else, so
+# every model in the process shares the entries.
 _FOLDS = {}
 _FOLDS_LIMIT = 1 << 17
 
@@ -483,23 +481,18 @@ def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width=None) -> list:
     width (``fp_add``, ``fp_relu``) and a ``mul``'s widths (``fp_mul``,
     default (w, w, w)); ``maxfold`` ignores it.  Counts depend on the
     formats, widths and public bits only, never on private values.  A
-    ``mul`` with a wholly public operand is charged by walking its
-    constant's plan (``const_mul_costs``), a ``relu`` or ``maxfold`` of
-    wholly public operands folds every gate and is charged 0
-    (``_public_fold``), and every other circuit runs once per key on a
-    FoldProbe (``_probed``)."""
+    ``relu`` or ``maxfold`` of wholly public operands folds every gate and
+    is charged 0 (``_public_fold``); every other circuit runs once per key
+    on a FoldProbe (``_probed``)."""
     w = fmt.total_bits
     if width is None:
         width = (w, w, w) if kind == "mul" else w
-    out, full = [], (1 << w) - 1
+    out = []
     for a, b in pairs:
-        if kind == "mul" and full in (a[0], b[0]):
-            found = _kept(("const", fmt, width, a, b), lambda: _const_mul_cost(fmt, a, b, width))
-        else:
-            found = _public_fold(kind, fmt, a, b, width) or _probed(
-                (kind, fmt, width, a, b), lambda probe: _COST_OPS[kind](
-                    _probe_cipher(probe, fmt, a), _probe_cipher(probe, fmt, b), width).bits.bits)
-        out.append(found)
+        def circuit(probe):
+            x, y = (_probe_cipher(probe, fmt, pattern) for pattern in (a, b))
+            return _COST_OPS[kind](x, y, width).bits.bits
+        out.append(_public_fold(kind, fmt, a, b, width) or _probed((kind, fmt, width, a, b), circuit))
     return out
 
 
@@ -557,21 +550,6 @@ def _step_cost(step: gates.ConstMulStep, xs, ts):
     nands, pattern = _probed(key, lambda probe: gates.const_mul_step(
         step, _probe_bits(probe, xs), _probe_bits(probe, ts)))
     return nands, _states(pattern, len(xs) - step.carries)
-
-
-def _const_mul_cost(fmt: FixedPointFormat, a: tuple, b: tuple, widths: tuple):
-    """(NANDs, output public_pattern) of ``fp_mul`` at ``widths`` on
-    operands with public_patterns a, b when one is wholly public, else
-    None: the one-constant charge of const_mul_costs at the other one's
-    width, its product's bits from b_p up copying bit b_p - 1."""
-    w = fmt.total_bits
-    full = (1 << w) - 1
-    for x, (y_public, y_value), width in ((a, b, widths[0]), (b, a, widths[1])):
-        if y_public == full:
-            [(nands, (pattern,))] = const_mul_costs(fmt, (_signed(y_value, w),), width, [x])
-            states = _states(pattern, w)[:widths[2]]
-            return nands, _pattern_of(states + states[-1:] * (w - widths[2]))
-    return None
 
 
 def const_mul_costs(fmt: FixedPointFormat, ks, width: int, patterns) -> list:

@@ -278,8 +278,9 @@ def _sum_columns(words, width: int, backend) -> tuple:
     product is floored on its own, by _low_part, whose carries and copies
     enter column 0.  Every public word bit, every -2^t and each product's
     Baugh–Wooley constant (its part below lo in its own columns) fold into
-    one constant K modulo 2^width, which enters by _fold_constant.  The columns depend only on the shapes and on which
-    bits are public, never on private values."""
+    one constant K modulo 2^width, which enters by _fold_constant.  The
+    columns depend only on the shapes and on which bits are public, never
+    on private values."""
     constant, layout, lows = 0, [[] for _ in range(width)], []
     for n, word in enumerate(words):
         if len(word) == 2:
