@@ -685,8 +685,8 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
             return charged((kind, a, b, width),
                            lambda: fold_costs(kind, fmt, [(a, b)], width)[0])
 
-        ops = (lambda leaves, terms, bits: charged(("sum", *leaves, terms, bits), lambda:
-                   sum_costs(fmt, [(p, *term) for p, term in zip(leaves, terms)], bits)),
+        ops = (lambda leaves, terms, bits: charged(("sum", *leaves, terms, bits),
+                                                   lambda: sum_costs(fmt, leaves, terms, bits)),
                lambda a, bits: step("relu", a, width=bits),
                lambda pair: step("maxfold", *pair))
         if encrypt_weights:

@@ -443,7 +443,7 @@ _COST_OPS = {
 
 
 # (kind, format, width, a, b) of a fold_costs circuit, ("sum", format,
-# terms, bits) of a sum_costs one and (negative, carries, width, and the
+# patterns, widths, bits) of a sum_costs one and (negative, carries, width, and the
 # sum's and term's public_patterns) of a mul_const step -> (NANDs, output
 # public_pattern) of the circuit run on a FoldProbe over operands with
 # those public_patterns.  A circuit's cost depends on nothing else, so
@@ -508,26 +508,27 @@ def _public_fold(kind: str, fmt: FixedPointFormat, a: tuple, b: tuple, width: in
     return None
 
 
-def sum_costs(fmt: FixedPointFormat, terms, bits: int):
-    """(NANDs evaluated, output public_pattern) of ``fp_sum`` at ``bits``
-    on terms given as (public_pattern, n, signed), each read as it says,
-    or as ((x, y), b_x, b_y, b_p), a product of operands with
-    public_patterns x and y read at fp_mul's widths.
+def sum_costs(fmt: FixedPointFormat, patterns, widths, bits: int):
+    """(NANDs evaluated, output public_pattern) of ``fp_sum(terms, widths,
+    bits)`` on terms with the public_patterns ``patterns``: a word's, or
+    for a product the pair (x, y) of its operands'.
 
     Words whose read bits are all public fold every gate: they are
     charged 0, and the output is their integer sum.  Otherwise ``fp_sum``
-    itself runs once per terms and bits on a FoldProbe (``_probed``)."""
-    w, full = fmt.total_bits, (1 << fmt.total_bits) - 1
-    if all(len(term) == 3 and ~term[0][0] & (1 << term[1]) - 1 == 0 for term in terms):
+    itself runs once per patterns, widths and bits on a FoldProbe
+    (``_probed``)."""
+    full = (1 << fmt.total_bits) - 1
+    if all(len(width) == 2 and ~public & (1 << width[0]) - 1 == 0
+           for (public, _), width in zip(patterns, widths)):
         total = sum(_signed(value & (1 << n) - 1, n) if signed else value & (1 << n) - 1
-                    for (_, value), n, signed in terms)
+                    for (_, value), (n, signed) in zip(patterns, widths))
         return 0, (full, _signed(total & (1 << bits) - 1, bits) & full)
 
     def circuit(probe):
-        ciphers = [tuple(_probe_cipher(probe, fmt, x) for x in pattern) if len(width) == 3
-                   else _probe_cipher(probe, fmt, pattern) for pattern, *width in terms]
-        return fp_sum(ciphers, [tuple(width) for _, *width in terms], bits).bits.bits
-    return _probed(("sum", fmt, tuple(terms), bits), circuit)
+        terms = [tuple(_probe_cipher(probe, fmt, x) for x in pattern) if len(width) == 3
+                 else _probe_cipher(probe, fmt, pattern) for pattern, width in zip(patterns, widths)]
+        return fp_sum(terms, widths, bits).bits.bits
+    return _probed(("sum", fmt, tuple(patterns), tuple(widths), bits), circuit)
 
 
 def _probe_bits(probe: FoldProbe, states) -> list:

@@ -1067,14 +1067,15 @@ def test_merged_neurons_cost_no_more_than_separate_products():
     costs = []
     for net in (demo.micro_model(), demo.tiny_model(), demo.preset_model()):
         for c in net.certificate(encrypt_weights=True):
-            bias = (fp.PRIVATE, int(c.leaf_bits[0, 0]), bool(c.leaf_signed[0, 0]))
+            bias = (int(c.leaf_bits[0, 0]), bool(c.leaf_signed[0, 0]))
             fan_in, root = c.leaf_bits.shape[1] - 1, int(c.root_bits[0])
             mul, product = fp.fold_costs("mul", net.fmt, [(fp.PRIVATE, fp.PRIVATE)],
                                          c.mul_bits)[0]
-            words = [bias] + [(product, c.mul_bits[2], True)] * fan_in
-            merged = [bias] + [((fp.PRIVATE, fp.PRIVATE), *c.mul_bits)] * fan_in
-            costs.append((fan_in * mul + fp.sum_costs(net.fmt, words, root)[0],
-                          fp.sum_costs(net.fmt, merged, root)[0]))
+            words = fp.sum_costs(net.fmt, [fp.PRIVATE] + [product] * fan_in,
+                                 [bias] + [(c.mul_bits[2], True)] * fan_in, root)[0]
+            merged = fp.sum_costs(net.fmt, [fp.PRIVATE] + [(fp.PRIVATE, fp.PRIVATE)] * fan_in,
+                                  [bias] + [c.mul_bits] * fan_in, root)[0]
+            costs.append((fan_in * mul + words, merged))
     assert all(after <= before for before, after in costs)
     assert costs == [(1_684, 1_591), (4_327, 4_303), (2_580, 2_390), (77_003, 75_774),
                      (388_103, 377_728), (1_177_382, 1_147_185)]

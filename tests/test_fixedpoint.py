@@ -640,7 +640,7 @@ def _count_probes(monkeypatch, limit=None):
 
 
 def test_fold_memo_runs_each_circuit_once(monkeypatch):
-    """Each op key (a fold_costs pair, a sum_costs terms and bits) and each
+    """Each op key (a fold_costs pair, a sum_costs call) and each
     mul_const step key runs one FoldProbe, once: a second identical call
     builds none, and a step or a sum keeps one entry, none per adder."""
     built = _count_probes(monkeypatch)
@@ -655,10 +655,11 @@ def test_fold_memo_runs_each_circuit_once(monkeypatch):
     assert (len(built), len(fp._FOLDS)) == (3, 3)
     assert fp._step_cost(step, xs, ts) == first
     assert len(built) == 3
-    terms = [(fp.PRIVATE, 6, True), (((0xf0, 0), fp.PRIVATE), 5, 4, 5), ((0b11, 0b01), 3, False)]
-    first = fp.sum_costs(fmt, terms, 7)
+    patterns = [fp.PRIVATE, ((0xf0, 0), fp.PRIVATE), (0b11, 0b01)]
+    widths = [(6, True), (5, 4, 5), (3, False)]
+    first = fp.sum_costs(fmt, patterns, widths, 7)
     assert (len(built), len(fp._FOLDS)) == (4, 4)
-    assert fp.sum_costs(fmt, terms, 7) == first
+    assert fp.sum_costs(fmt, patterns, widths, 7) == first
     assert len(built) == 4
 
 
@@ -683,13 +684,13 @@ def test_fold_memo_keeps_its_limit_when_a_step_keeps_its_cells(monkeypatch):
     fmt = fp.FixedPointFormat(8, 4)
     pairs = [(fp.PRIVATE, fp.PRIVATE), ((0b1111, 0b0101), fp.PRIVATE)]
     step, xs, ts = SimpleNamespace(negative=True, carries=1), [None] * 4, [None, 1, None, 0]
-    terms = [(fp.PRIVATE, 6, True), (((0xf0, 0), fp.PRIVATE), 5, 4, 5)]
+    patterns, widths = [fp.PRIVATE, ((0xf0, 0), fp.PRIVATE)], [(6, True), (5, 4, 5)]
     first = (fp.fold_costs("add", fmt, pairs), fp._step_cost(step, xs, ts),
-             fp.sum_costs(fmt, terms, 7))
+             fp.sum_costs(fmt, patterns, widths, 7))
     assert len(built) == 4
     assert len(fp._FOLDS) <= 2
     assert (fp.fold_costs("add", fmt, pairs), fp._step_cost(step, xs, ts),
-            fp.sum_costs(fmt, terms, 7)) == first
+            fp.sum_costs(fmt, patterns, widths, 7)) == first
     assert len(fp._FOLDS) <= 2
 
 

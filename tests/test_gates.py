@@ -237,9 +237,9 @@ def test_sum_words_exhaustive(count):
     """For up to 3 words of 1 to 4 bits, unsigned and signed, some of
     whose bits are public, and every value of their private bits at once
     (one lane each): sum_words gives the sum modulo 2^R, at the root's
-    signed bits R and at two bits fewer.  The fold charge over per-bit
-    states (fixedpoint.sum_costs) equals the NANDs the gates evaluate, and
-    its output public_pattern is theirs."""
+    signed bits R and at two bits fewer.  The fold charge
+    (fixedpoint.sum_costs) equals the NANDs the gates evaluate, and its
+    output public_pattern is theirs."""
     fmt = fp.FixedPointFormat(8, 0)
     for shapes, publics in _sum_cases(count):
         private = [[i for i in range(n) if not mask >> i & 1]
@@ -267,8 +267,7 @@ def test_sum_words_exhaustive(count):
             case = (shapes, publics, width)
             assert [bit.clear_value for bit in out] == _lane_masks(totals, width), case
             states = [bit.public for bit in out]
-            charge = fp.sum_costs(fmt, [(p, n, signed) for (n, signed), p in zip(shapes, publics)],
-                                  width)
+            charge = fp.sum_costs(fmt, publics, shapes, width)
             assert charge == (backend.stats.nand_count,
                               fp._pattern_of(states + states[-1:] * (8 - width))), case
 
@@ -285,27 +284,28 @@ def test_sum_costs_of_long_columns_equal_the_gates(monkeypatch):
     lanes = 4
     cases = []
     for _ in range(40):
-        terms, masks = [], []
+        patterns, shapes, masks = [], [], []
         for _ in range(rng.randint(10, 60)):
             n = rng.randint(1, 12)
             mask = rng.getrandbits(n) if rng.random() < 0.3 else 0
-            terms.append(((mask, rng.getrandbits(n) & mask), n, rng.random() < 0.5))
+            patterns.append((mask, rng.getrandbits(n) & mask))
+            shapes.append((n, rng.random() < 0.5))
             masks.append([rng.getrandbits(lanes) for _ in range(n)])
-        cases.append((terms, masks, rng.randint(1, 16)))
+        cases.append((patterns, shapes, masks, rng.randint(1, 16)))
     monkeypatch.setattr(fp, "_FOLDS", {})
     for _ in range(2):
-        for terms, masks, width in cases:
+        for patterns, shapes, masks, width in cases:
             backend = fc.ClearBackend(lanes=lanes)
             words = [([backend.const(value >> i & 1) if public >> i & 1 else backend.from_mask(m)
                        for i, m in enumerate(lane_masks)], signed)
-                     for ((public, value), n, signed), lane_masks in zip(terms, masks)]
+                     for (public, value), (_, signed), lane_masks in zip(patterns, shapes, masks)]
             out = g.sum_words(words, width, backend)
             totals = [sum(g.BitVector(bits).to_int(lane) if signed else
                           g.BitVector([*bits, backend.const(0)]).to_int(lane)
                           for bits, signed in words) for lane in range(lanes)]
             assert [bit.clear_value for bit in out] == _lane_masks(totals, width)
             states = [bit.public for bit in out]
-            assert fp.sum_costs(fmt, terms, width) == (
+            assert fp.sum_costs(fmt, patterns, shapes, width) == (
                 backend.stats.nand_count, fp._pattern_of(states + states[-1:] * (16 - width)))
 
 
@@ -348,7 +348,7 @@ def test_sum_costs_of_products_equal_the_gates():
         widths = [(bias_bits, True)] + [(b_x, b_y, b_p)] * (len(terms) - 1)
         out = fp.fp_sum(terms, widths, bits)
         assert fp.decode_lanes(out) == [t / fmt.scale for t in total]
-        charge = fp.sum_costs(fmt, [(p, *width) for p, width in zip(patterns, widths)], bits)
+        charge = fp.sum_costs(fmt, patterns, widths, bits)
         assert charge == (backend.stats.nand_count, fp.public_pattern(out))
 
 
