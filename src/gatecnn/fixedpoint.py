@@ -443,11 +443,11 @@ _COST_OPS = {
 
 
 # (kind, format, width, a, b) of a fold_costs circuit, ("sum", format,
-# patterns, widths, bits) of a sum_costs one and (negative, carries, width, and the
-# sum's and term's public_patterns) of a mul_const step -> (NANDs, output
-# public_pattern) of the circuit run on a FoldProbe over operands with
-# those public_patterns.  A circuit's cost depends on nothing else, so
-# every model in the process shares the entries.
+# patterns, widths, bits) of a sum_costs one and (negative, carries,
+# width, and the sum's and term's public_patterns) of a mul_const step ->
+# (NANDs, output public_pattern) of the circuit run on a FoldProbe over
+# operands with those public_patterns.  A circuit's cost depends on
+# nothing else, so every model in the process shares the entries.
 _FOLDS = {}
 _FOLDS_LIMIT = 1 << 17
 
@@ -492,7 +492,8 @@ def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width=None) -> list:
         def circuit(probe):
             x, y = (_probe_cipher(probe, fmt, pattern) for pattern in (a, b))
             return _COST_OPS[kind](x, y, width).bits.bits
-        out.append(_public_fold(kind, fmt, a, b, width) or _probed((kind, fmt, width, a, b), circuit))
+        out.append(_public_fold(kind, fmt, a, b, width)
+                   or _probed((kind, fmt, width, a, b), circuit))
     return out
 
 
@@ -526,31 +527,33 @@ def sum_costs(fmt: FixedPointFormat, patterns, widths, bits: int):
 
     def circuit(probe):
         terms = [tuple(_probe_cipher(probe, fmt, x) for x in pattern) if len(width) == 3
-                 else _probe_cipher(probe, fmt, pattern) for pattern, width in zip(patterns, widths)]
+                 else _probe_cipher(probe, fmt, pattern)
+                 for pattern, width in zip(patterns, widths)]
         return fp_sum(terms, widths, bits).bits.bits
     return _probed(("sum", fmt, tuple(patterns), tuple(widths), bits), circuit)
 
 
-def _probe_bits(probe: FoldProbe, states) -> list:
-    """Bits of ``probe`` with the per-bit public states ``states``."""
-    bits = {0: probe.const(0), 1: probe.const(1), None: probe.encrypt_bit(0)}
-    return [bits[state] for state in states]
+def _probe_bits(probe: FoldProbe, pattern: tuple, width: int) -> list:
+    """``width`` bits of ``probe`` with the public_pattern ``pattern``."""
+    public, value = pattern
+    private = probe.encrypt_bit(0)
+    if not public:
+        return [private] * width
+    return [probe.const(value >> i & 1) if public >> i & 1 else private for i in range(width)]
 
 
 def _probe_cipher(probe: FoldProbe, fmt: FixedPointFormat, pattern: tuple) -> FixedPointCipher:
     """A cipher of ``probe`` with the public_pattern ``pattern``."""
-    return FixedPointCipher(BitVector(_probe_bits(probe, _states(pattern, fmt.total_bits))), fmt)
+    return FixedPointCipher(BitVector(_probe_bits(probe, pattern, fmt.total_bits)), fmt)
 
 
-def _step_cost(step: gates.ConstMulStep, xs, ts):
-    """(NANDs, output states) of ``gates.const_mul_step`` on sum and term
-    bits with the per-bit states ``xs`` and ``ts``, run once per shape and
-    states on a FoldProbe (``_probed``).  Its output covers the step's
-    columns from its carries up."""
-    key = (step.negative, step.carries, len(xs), *_pattern_of(xs), *_pattern_of(ts))
-    nands, pattern = _probed(key, lambda probe: gates.const_mul_step(
-        step, _probe_bits(probe, xs), _probe_bits(probe, ts)))
-    return nands, _states(pattern, len(xs) - step.carries)
+def _step_cost(step: gates.ConstMulStep, width: int, xs: tuple, ts: tuple):
+    """(NANDs, output public_pattern) of ``gates.const_mul_step`` on
+    ``width`` sum and term bits with the public_patterns ``xs`` and
+    ``ts``, run once per shape and patterns on a FoldProbe (``_probed``).
+    Its output covers the step's columns from its carries up."""
+    return _probed((step.negative, step.carries, width, *xs, *ts), lambda probe:
+                   gates.const_mul_step(step, *(_probe_bits(probe, p, width) for p in (xs, ts))))
 
 
 def const_mul_costs(fmt: FixedPointFormat, ks, width: int, patterns) -> list:
@@ -565,7 +568,7 @@ def const_mul_costs(fmt: FixedPointFormat, ks, width: int, patterns) -> list:
     bit there, once, and dropped on return.  ``gates.const_mul_walk``
     walks it over FoldProbe bits of each such x, so the NOTs of a negative
     step's term are counted as they are evaluated, and each step's cost
-    is kept per shape and operand states (``_step_cost``), not per plan."""
+    is kept per shape and operand patterns (``_step_cost``), not per plan."""
     f, low, full = fmt.frac_bits, (1 << width) - 1, (1 << fmt.total_bits) - 1
     plan, out = None, []
     for pattern in patterns:
@@ -579,11 +582,12 @@ def const_mul_costs(fmt: FixedPointFormat, ks, width: int, patterns) -> list:
 
         def step(st, xs, ts):
             nonlocal nands
-            cost, states = _step_cost(st, [bit.public for bit in xs], [bit.public for bit in ts])
+            cost, found = _step_cost(st, len(xs), _pattern_of([bit.public for bit in xs]),
+                                     _pattern_of([bit.public for bit in ts]))
             nands += cost
-            return _probe_bits(probe, states)
+            return _probe_bits(probe, found, len(xs) - st.carries)
 
-        values = gates.const_mul_walk(plan, _probe_bits(probe, _states(pattern, width)), step)
+        values = gates.const_mul_walk(plan, _probe_bits(probe, pattern, width), step)
         products = [_pattern_of([bit.public for bit in gates.const_mul_product(plan, values, j)])
                     for j in range(len(ks))]
         out.append((nands + probe.nand_count, products))
@@ -600,11 +604,3 @@ def _pattern_of(states) -> tuple:
             public |= 1 << i
             value |= state << i
     return public, value
-
-
-def _states(pattern, width: int) -> list:
-    """Per-bit public states of a public_pattern: the bit's value, or None."""
-    public, value = pattern
-    if not public:
-        return [None] * width
-    return [(value >> i) & 1 if (public >> i) & 1 else None for i in range(width)]

@@ -650,10 +650,10 @@ def test_fold_memo_runs_each_circuit_once(monkeypatch):
     assert len(built) == 2
     assert fp.fold_costs("add", fmt, pairs) == first
     assert len(built) == 2
-    step, xs, ts = SimpleNamespace(negative=True, carries=1), [None] * 4, [None, 1, None, 0]
-    first = fp._step_cost(step, xs, ts)
+    step, xs, ts = SimpleNamespace(negative=True, carries=1), fp.PRIVATE, (0b1010, 0b0010)
+    first = fp._step_cost(step, 4, xs, ts)
     assert (len(built), len(fp._FOLDS)) == (3, 3)
-    assert fp._step_cost(step, xs, ts) == first
+    assert fp._step_cost(step, 4, xs, ts) == first
     assert len(built) == 3
     patterns = [fp.PRIVATE, ((0xf0, 0), fp.PRIVATE), (0b11, 0b01)]
     widths = [(6, True), (5, 4, 5), (3, False)]
@@ -683,13 +683,13 @@ def test_fold_memo_keeps_its_limit_when_a_step_keeps_its_cells(monkeypatch):
     built = _count_probes(monkeypatch, limit=2)
     fmt = fp.FixedPointFormat(8, 4)
     pairs = [(fp.PRIVATE, fp.PRIVATE), ((0b1111, 0b0101), fp.PRIVATE)]
-    step, xs, ts = SimpleNamespace(negative=True, carries=1), [None] * 4, [None, 1, None, 0]
+    step, xs, ts = SimpleNamespace(negative=True, carries=1), fp.PRIVATE, (0b1010, 0b0010)
     patterns, widths = [fp.PRIVATE, ((0xf0, 0), fp.PRIVATE)], [(6, True), (5, 4, 5)]
-    first = (fp.fold_costs("add", fmt, pairs), fp._step_cost(step, xs, ts),
+    first = (fp.fold_costs("add", fmt, pairs), fp._step_cost(step, 4, xs, ts),
              fp.sum_costs(fmt, patterns, widths, 7))
     assert len(built) == 4
     assert len(fp._FOLDS) <= 2
-    assert (fp.fold_costs("add", fmt, pairs), fp._step_cost(step, xs, ts),
+    assert (fp.fold_costs("add", fmt, pairs), fp._step_cost(step, 4, xs, ts),
             fp.sum_costs(fmt, patterns, widths, 7)) == first
     assert len(fp._FOLDS) <= 2
 
@@ -717,10 +717,11 @@ def _chain_nands(k, fmt):
     nands = max(tops, default=1) - 1  # the shared NOTs of a's bits 1..
     acc = [0] * hi if start is None else [0] * start + [None] * (hi - start)
     for j, end, st in steps:
-        terms = [None] * (end - j)
-        cost, out = fp._step_cost(st, acc[j:end], terms)
+        cost, out = fp._step_cost(st, end - j, fp._pattern_of(acc[j:end]), fp.PRIVATE)
         nands += cost
-        acc[j + st.carries:end] = out
+        public, value = out
+        acc[j + st.carries:end] = [value >> i & 1 if public >> i & 1 else None
+                                   for i in range(end - j - st.carries)]
         acc[end:hi] = [acc[end - 1]] * (hi - end)
     return nands
 
