@@ -456,7 +456,8 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, layer_ind
 
     With public weights the biases are public encodings, and each pixel's
     products come from the adder graph (``fp_mul_consts``) of its input
-    channel and entry set, each planned once per call.  With
+    channel and entry set, each planned once per call and each product
+    built only to the bits its sums read (_kernel_reads).  With
     ``encrypt_weights`` the weights and biases are encrypted once per
     call, in seed scope (layer_index,), only their low ``bit_widths``
     bits (the bits above are wires of the top one)."""
@@ -475,7 +476,8 @@ def _gate_layer(img: EncImage, spec: LayerSpec, encrypt_weights: bool, layer_ind
     if not encrypt_weights:
         f, w = fmt.frac_bits, fmt.total_bits
         entry_sets = {e for row in _kernel_entries(spec, *cells.shape[1:]) for e in row}
-        plans = {(ic, e): const_mul_plan(spec.kernel_constants(fmt, ic, e), widths[0], f, f + w)
+        plans = {(ic, e): const_mul_plan(spec.kernel_constants(fmt, ic, e), widths[0], f, f + w,
+                                         _kernel_reads(spec, widths, ic, e))
                  for ic in range(cells.shape[0]) for e in entry_sets}
 
         def products(ic, r, c, entry_set):
@@ -496,6 +498,17 @@ def _each(fn, *arrays) -> np.ndarray:
     """``fn`` of each element tuple of the broadcast ``arrays``, in C order,
     as an object array."""
     return np.frompyfunc(fn, len(arrays), 1)(*arrays)
+
+
+def _kernel_reads(spec: LayerSpec, widths: tuple, ic: int, entries) -> tuple:
+    """Per kernel entry oc·k² + kr·k + kc of ``entries`` on input channel
+    ic (see _kernel_entries), the (bits, signed) at which output channel
+    oc's sums read its product: leaf (oc, 1 + ic·k² + kr·k + kc) of
+    ``widths`` (see _widths), which is the same at every window."""
+    k2 = spec.kernel_size ** 2
+    oc, kk = np.divmod(np.array(entries, dtype=np.int64), k2)
+    leaf = (oc, 1 + ic * k2 + kk)
+    return tuple(zip(widths[1][leaf].tolist(), widths[2][leaf].tolist()))
 
 
 def _objects(values) -> np.ndarray:
@@ -696,7 +709,7 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
             full = (1 << fmt.total_bits) - 1
             weights = None
             bias = _objects([(full, z & full) for z in spec.scaled(fmt)[1].tolist()])
-            memo.update(_kernel_charge(spec, fmt, cells, input_bits))
+            memo.update(_kernel_charge(spec, fmt, cells, widths))
 
             def products(ic, r, c, entry_set):
                 return charged((ic, entry_set, cells[ic, r, c]))
@@ -707,21 +720,24 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
     return found[1]
 
 
-def _kernel_charge(spec: LayerSpec, fmt: FixedPointFormat, cells, input_bits: int) -> dict:
+def _kernel_charge(spec: LayerSpec, fmt: FixedPointFormat, cells, widths: tuple) -> dict:
     """Per (input channel, entry set, public_pattern) of the pixels of
     ``cells`` (c, h, w), public_patterns, the (NANDs, products) of their
-    shared multiplies by public weights (``fp_mul_consts``) planned for
-    ``input_bits``-bit inputs, the products' public_patterns in entry set
-    order as an object array.  Each (input channel, entry set) is planned
-    at most once, walked for each of its pixels' patterns and dropped
-    before the next (``const_mul_costs``), so one plan is held at a time;
-    equal product patterns are kept as one object."""
+    shared multiplies by public weights (``fp_mul_consts``), planned at
+    ``widths`` (see _widths) as _gate_layer plans them (for input-bits-wide
+    inputs, each product read at its _kernel_reads), the products'
+    public_patterns in entry set order as an object array.  Each (input
+    channel, entry set) is planned at most once, walked for each of its
+    pixels' patterns and dropped before the next (``const_mul_costs``),
+    so one plan is held at a time; equal product patterns are kept as one
+    object."""
     entries = _kernel_entries(spec, *cells.shape[1:])
     groups, costs, kept = {}, {}, {}
     for (ic, r, c), pattern in np.ndenumerate(cells):
         groups.setdefault((ic, entries[r][c]), {})[pattern] = None
     for (ic, entry_set), patterns in groups.items():
-        found = const_mul_costs(fmt, spec.kernel_constants(fmt, ic, entry_set), input_bits,
+        found = const_mul_costs(fmt, spec.kernel_constants(fmt, ic, entry_set),
+                                _kernel_reads(spec, widths, ic, entry_set), widths[0],
                                 list(patterns))
         for pattern, (nands, products) in zip(patterns, found):
             products = [kept.setdefault(p, p) for p in products]

@@ -20,7 +20,8 @@ A value certified to fit b < w bits (see
 terms (``fp_sum``) reads each term at its own bits, sums them in one
 column reducer modulo 2^b and copies bit b-1 upward as wires, a
 constant multiply planned for b-bit
-operands reads only the low b bits, and a ReLU of width b selects only
+operands reads only the low b bits and builds each product only to the
+bits its sum reads, and a ReLU of width b selects only
 the bits below b-1, its output's bits from b-1 up being public zeros.
 ReLU and max are computed exactly through oblivious selection: their
 outputs are bitwise identical to one of the inputs (or to zero) and add
@@ -369,15 +370,21 @@ def fp_mul(a: FixedPointCipher, b: FixedPointCipher, widths=None) -> FixedPointC
 
 def fp_mul_consts(x: FixedPointCipher, plan: gates.ConstMulPlan) -> list:
     """x times each public integer of plan.constants, floored back to the
-    scale: bit-identical to ``fp_mul`` by the constant's encoding, with
-    one shared adder graph (``gates.mul_consts``) for all of them.
-    ``plan`` is the ``gates.const_mul_plan`` of the constants at the
-    window [f, f+w) for operands of plan.width bits, at most w: only x's
-    lowest plan.width bits are read, so x must fit them (the clear backend
-    checks)."""
+    scale, with one shared adder graph (``gates.mul_consts``) for all of
+    them.  ``plan`` is the ``gates.const_mul_plan`` of the constants and
+    their reads at the window [f, f+w) for operands of plan.width bits, at
+    most w: only x's lowest plan.width bits are read, so x must fit them,
+    and only each product's bits below its read (bits, signed) are built,
+    the bits above being copies of its top read bit when signed, else
+    public zeros, so each product must fit its read.  Products that do
+    are bit-identical to ``fp_mul`` by the constant's encoding; the clear
+    backend checks both before building anything."""
     if isinstance(x.backend, ClearBackend):
+        w = x.fmt.total_bits
         ks = np.array(plan.constants, dtype=int_dtype(x.fmt))[:, None]  # a row per constant
-        int_mul(_lane_array(x), ks, x.fmt, (plan.width, x.fmt.total_bits, x.fmt.total_bits))
+        products = int_mul(_lane_array(x), ks, x.fmt, (plan.width, w, w))
+        bits, signed = (np.array(v)[:, None] for v in zip(*plan.reads))
+        guard_range(products, x.fmt, "a sum term", bits, signed)
     return [FixedPointCipher(bits, x.fmt)
             for bits in gates.mul_consts(_low_bits(x, plan.width), plan)]
 
@@ -556,15 +563,16 @@ def _step_cost(step: gates.ConstMulStep, width: int, xs: tuple, ts: tuple):
                    gates.const_mul_step(step, *(_probe_bits(probe, p, width) for p in (xs, ts))))
 
 
-def const_mul_costs(fmt: FixedPointFormat, ks, width: int, patterns) -> list:
+def const_mul_costs(fmt: FixedPointFormat, ks, reads, width: int, patterns) -> list:
     """Per public_pattern of ``patterns``, the NANDs ``fp_mul_consts``
     evaluates on an x with that pattern, by the plan of the public
-    integers ``ks`` for width-bit operands at fmt's window, and each
-    constant's product public_pattern.
+    integers ``ks`` read at ``reads`` for width-bit operands at fmt's
+    window, and each constant's product public_pattern.
 
     An x whose lowest ``width`` bits (the ones the plan reads) are all
     public folds every gate: it is charged 0 and its products are
-    computed as integers.  The plan is made only if some x has a private
+    computed as integers, each filled above its read as the gate path
+    fills it.  The plan is made only if some x has a private
     bit there, once, and dropped on return.  ``gates.const_mul_walk``
     walks it over FoldProbe bits of each such x, so the NOTs of a negative
     step's term are counted as they are evaluated, and each step's cost
@@ -574,10 +582,10 @@ def const_mul_costs(fmt: FixedPointFormat, ks, width: int, patterns) -> list:
     for pattern in patterns:
         if pattern[0] & low == low:  # every gate folds
             x = _signed(pattern[1] & low, width)
-            out.append((0, [(full, (x * k >> f) & full) for k in ks]))
+            out.append((0, [(full, _read(x * k >> f, *read) & full) for k, read in zip(ks, reads)]))
             continue
         if plan is None:
-            plan = gates.const_mul_plan(ks, width, f, f + fmt.total_bits)
+            plan = gates.const_mul_plan(ks, width, f, f + fmt.total_bits, reads)
         probe, nands = FoldProbe(), 0
 
         def step(st, xs, ts):
@@ -592,6 +600,13 @@ def const_mul_costs(fmt: FixedPointFormat, ks, width: int, patterns) -> list:
                     for j in range(len(ks))]
         out.append((nands + probe.nand_count, products))
     return out
+
+
+def _read(z: int, bits: int, signed: bool) -> int:
+    """The integer of z's low ``bits`` bits, in two's complement when
+    ``signed``, else unsigned."""
+    z &= (1 << bits) - 1
+    return _signed(z, bits) if signed and bits else z
 
 
 def _pattern_of(states) -> tuple:

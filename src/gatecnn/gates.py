@@ -11,7 +11,8 @@ as shift-and-add over one adder graph that their products share (a
 digit chain for one integer, a greedy graph planned over numpy arrays
 for several), sign-based comparison and an oblivious multiplexer.  A
 constant multiply is planned for its operand's width, which may be
-narrower than a word when the operand is known to fit fewer bits.  The
+narrower than a word when the operand is known to fit fewer bits, and
+builds each product only up to the bits its reader reads.  The
 gate sequence of every circuit depends only on operand widths and on
 which bits are public constants (``nand`` folds gates those fix), never
 on private values, so encrypted evaluation leaks nothing through the
@@ -369,14 +370,18 @@ def _low_part(product, columns) -> tuple:
     """(carries, copies): the pairs (ready, bit) that a product (a_bits,
     b_bits, lo) sends into column lo from its ``columns`` of entries (key
     (i, j), inverted) below lo, reduced with carry-only last adders, and
-    the entries its last column holds, copied there by _fold_constant."""
+    the entries its last column holds, copied there by _fold_constant.
+    The lowest columns with at most one entry send no carry, so they are
+    skipped unbuilt; a key of theirs that a later column reads is built
+    there."""
     a, b, lo = product
+    skip = next((c for c, col in enumerate(columns[:lo]) if len(col) > 1), lo)
 
     def base(key):
         return (0, a[0].backend.const(1)) if key is None else (1, nand(a[key[0]], b[key[1]]))
 
-    made = _materialized(columns, base)
-    return _reduce_columns(itertools.islice(made, lo), lo, below=True), next(made)
+    made = _materialized(columns[skip:], base)
+    return _reduce_columns(itertools.islice(made, lo - skip), lo - skip, below=True), next(made)
 
 
 def _reduce_columns(columns, width: int, below: bool = False) -> list:
@@ -500,14 +505,18 @@ class ConstMulPlan(NamedTuple):
     """mul_const's adder graph for public integers ``constants`` at the
     product window [lo, hi) of a ``width``-bit operand: the node steps
     (node i is steps[i - 1]), the indices of each node's bits whose NOT
-    the negative steps reading it share, and per constant the node and
-    shift whose bits [lo - shift, hi - shift) are its product (node None:
-    the product is 0)."""
+    the negative steps reading it share, per constant the node and shift
+    whose bits [lo - shift, lo + bits - shift) are its product's exact
+    bits (node None: they are 0), and per constant its read (bits,
+    signed): its reader takes the product's low ``bits`` bits, in two's
+    complement or unsigned, and the bits above are filled from them
+    (const_mul_product)."""
 
     constants: tuple
     steps: tuple
     inverted: tuple
     targets: tuple
+    reads: tuple
     lo: int
     hi: int
     width: int
@@ -722,22 +731,28 @@ def _best_step(value: int, nodes, marks: _OddMarks) -> tuple:
     return int(y[i]), int(low[i]).bit_length() - 1, int(nodes[i]), 0, True
 
 
-def const_mul_plan(ks, width: int, lo: int, hi: int) -> ConstMulPlan:
+def const_mul_plan(ks, width: int, lo: int, hi: int, reads=None) -> ConstMulPlan:
     """The plan of the products a·k, bits [lo, hi), of a width-bit a with
-    each public integer of ``ks``: one adder graph over the constants'
-    distinct odd parts (of their non-adjacent-form digits below hi), the
-    digit chain when there is one, else a greedy graph (_adder_graph).
-    The plan is a function of the set of constants: their order only
-    orders ``targets``.
+    each public integer of ``ks``, each read at its (bits, signed) of
+    ``reads`` (default (hi - lo, True) for all): exact only up to its read
+    top lo + bits.  One adder graph over the constants' distinct odd parts
+    (of their non-adjacent-form digits below their read tops, none for a
+    read of 0 bits), the digit chain when there is one, else a greedy
+    graph (_adder_graph).  The plan is a function of the set of constants
+    and their reads: their order only orders ``targets``.
 
     Each node stops where its value provably fits (``_product_width``) or
-    where no reader needs more, and forms sums only from the lowest column
-    a reader needs: below that it builds only carries."""
+    at the highest read top of its readers, and forms sums only from the
+    lowest column a reader needs: below that it builds only carries."""
     ks = tuple(ks)
+    reads = ((hi - lo, True),) * len(ks) if reads is None else tuple(reads)
+    if len(reads) != len(ks) or not all(0 <= bits <= hi - lo for bits, _ in reads):
+        raise ParameterError(f"need one read of at most {hi - lo} bits per constant")
     parts = []
-    for k in ks:
-        if abs(k).bit_length() >= hi:  # drop the digits from hi up
-            k = sum(d << j for j, d in _naf(k) if j < hi)
+    for k, (bits, _) in zip(ks, reads):
+        top = lo + bits if bits else 0  # nothing read: the product is 0
+        if abs(k).bit_length() >= top:  # drop the digits from the read top up
+            k = sum(d << j for j, d in _naf(k) if j < top)
         parts.append(_odd_part(k) if k else None)
     odd = sorted({part[0] for part in parts if part}, key=lambda u: (abs(u), u))
     ops = [] if not odd else _chain(odd[0]) if len(odd) == 1 else _adder_graph(odd)
@@ -746,10 +761,10 @@ def const_mul_plan(ks, width: int, lo: int, hi: int) -> ConstMulPlan:
         index[op[0]] = len(index)
     need_lo, need_hi = [hi] * len(index), [0] * len(index)
     targets = [(index[part[0]], part[1]) if part else (None, 0) for part in parts]
-    for node, shift in set(targets):
+    for (node, shift), (bits, _) in set(zip(targets, reads)):
         if node is not None:
             need_lo[node] = min(need_lo[node], max(0, lo - shift))
-            need_hi[node] = max(need_hi[node], hi - shift)
+            need_hi[node] = max(need_hi[node], lo + bits - shift)
     steps = [None] * len(ops)
     for i in range(len(ops), 0, -1):
         value, summed, shift, term, column, negative = ops[i - 1]
@@ -772,7 +787,7 @@ def const_mul_plan(ks, width: int, lo: int, hi: int) -> ConstMulPlan:
             stops[st.term] = max(stops[st.term], min(st.top - st.column, lengths[st.term]))
     inverted = tuple(range(min(1, n - 1), stop) if stop else range(0)
                      for n, stop in zip(lengths, stops))
-    return ConstMulPlan(ks, tuple(steps), inverted, tuple(targets), lo, hi, width)
+    return ConstMulPlan(ks, tuple(steps), inverted, tuple(targets), reads, lo, hi, width)
 
 
 def _sign_extended(bits, width: int) -> list:
@@ -812,14 +827,19 @@ def const_mul_walk(plan: ConstMulPlan, bits, step) -> list:
 
 
 def const_mul_product(plan: ConstMulPlan, values, j: int) -> list:
-    """Bits [lo, hi) of constant j's product, read from walked ``values``."""
+    """Bits [lo, hi) of constant j's product, read from walked ``values``:
+    at its read (bits, signed), its bits [lo, lo + bits) and above them
+    copies of the top one when signed, else public zeros, so that the
+    word holds the product whenever the product fits its read."""
     node, shift = plan.targets[j]
+    bits, signed = plan.reads[j]
     zero = values[0][0].backend.const(0)
     if node is None:
         return [zero] * (plan.hi - plan.lo)
     start = plan.lo - shift
-    bits = _sign_extended(values[node], plan.hi - shift)
-    return [zero] * -start + bits if start < 0 else bits[start:]
+    low = _sign_extended(values[node], plan.lo + bits - shift)
+    low = [zero] * -start + low if start < 0 else low[start:]
+    return low + (low[-1:] if signed else [zero]) * (plan.hi - plan.lo - bits)
 
 
 def _first_column(x: EncBit, y: EncBit, negative: bool, sums: bool) -> tuple:
@@ -897,7 +917,8 @@ def less_than(a: BitVector, b: BitVector) -> EncBit:
     """Sign of a - b, i.e. a < b, without the difference's other bits.
 
     Only the carry chain of a + ~b + 1 is built (6 NANDs a bit), plus the
-    sum of the sign position.  Same precondition as compare.
+    sum of the sign position; the carry passes a position whose two bits
+    are public and equal without a gate.  Same precondition as compare.
     """
     _check_widths(a, b)
     a_bits, b_bits = a.bits, b.bits
@@ -905,6 +926,8 @@ def less_than(a: BitVector, b: BitVector) -> EncBit:
         return xor_gate(a_bits[0], b_bits[0])
     carry = nand(not_gate(a_bits[0]), b_bits[0])
     for x, y in zip(a_bits[1:-1], b_bits[1:-1]):
+        if x.public is not None and x.public == y.public:
+            continue  # majority(x, ~x, carry) is the carry
         # majority(x, ~y, carry)
         carry = nand(nand(x, not_gate(y)), nand(carry, nand(not_gate(x), y)))
     # a ^ ~b ^ carry

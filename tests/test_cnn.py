@@ -631,6 +631,41 @@ def test_layers_guard_the_certified_widths():
             cnn.fc_layer(past, spec, certificate=certificate)
 
 
+class _WiredBackend(ClearBackend):
+    """A ClearBackend that keeps each evaluated NAND's output bit with its
+    two operands."""
+
+    def __init__(self):
+        super().__init__()
+        self.gates = {}
+
+    def nand(self, a, b):
+        out = super().nand(a, b)
+        self.gates[id(out)] = (out, a, b)
+        return out
+
+
+@pytest.mark.parametrize("encrypt_weights", [False, True])
+@pytest.mark.parametrize("model, side", [(demo.micro_model, 2), (demo.tiny_model, 6)])
+def test_every_nand_reaches_a_score(model, side, encrypt_weights):
+    """Gate by gate, every NAND a classify evaluates lies in the cone of
+    the score bits: walking back from them through each gate's operands
+    reaches all of them, so no gate is built that no output reads."""
+    net = model()
+    backend = _WiredBackend()
+    pixels = demo.synthetic_images(1, side, side)[0]
+    scores = cnn.classify(cnn.encrypt_image(pixels, net.fmt, backend), net,
+                          encrypt_weights=encrypt_weights)
+    stack, reached = [bit for score in scores.scores for bit in score.bits.bits], set()
+    while stack:
+        bit = stack.pop()
+        if id(bit) in backend.gates and id(bit) not in reached:
+            reached.add(id(bit))
+            stack.extend(backend.gates[id(bit)][1:])
+    assert backend.stats.nand_count == len(backend.gates) > 0
+    assert len(backend.gates) - len(reached) == 0
+
+
 def test_add_trees_depend_only_on_the_public_weights(tmp_path):
     """Two independent certificates of the preset model, one from a saved
     and reloaded copy, give equal leaf and root widths.  Each leaf is read
@@ -1047,14 +1082,16 @@ def test_encrypted_weight_model_counts(tiny_net, preset_net):
     """The NANDs of one private image with encrypted weights, pinned per
     layer: the tiny model's on the gate path and as the fast path's charge
     (75,644 before each neuron summed its products' partial products in
-    its own reducer), and the preset model's charge (560,479,052 before)."""
+    its own reducer, 70,172 and 4,694 before each product skipped its
+    carry-free low columns and each max its public equal bits), and the
+    preset model's charge (560,479,052 and then 546,817,716 before)."""
     tiny = demo.synthetic_images(1, 6, 6)[0]
     assert _encrypted_weight_layers(tiny_net, tiny, True) == \
-        _encrypted_weight_layers(tiny_net, tiny, False) == ([-12, -8], [70_172, 4_694])
+        _encrypted_weight_layers(tiny_net, tiny, False) == ([-12, -8], [69_836, 4_678])
     scores, nands = _encrypted_weight_layers(preset_net, demo.synthetic_images(1, 28, 28)[0],
                                              True)
-    assert nands == [175_026_816, 360_379_440, 11_411_460]
-    assert sum(nands) == 546_817_716
+    assert nands == [174_873_600, 360_181_680, 11_406_660]
+    assert sum(nands) == 546_461_940
     assert scores == [-11573, -38049, -42303, 29431, 40512, -30593, 47464, 32579, -397, 8366]
 
 
@@ -1077,5 +1114,5 @@ def test_merged_neurons_cost_no_more_than_separate_products():
                                   [bias] + [c.mul_bits] * fan_in, root)[0]
             costs.append((fan_in * mul + words, merged))
     assert all(after <= before for before, after in costs)
-    assert costs == [(1_684, 1_591), (4_327, 4_303), (2_580, 2_390), (77_003, 75_774),
-                     (388_103, 377_728), (1_177_382, 1_147_185)]
+    assert costs == [(1_676, 1_583), (4_309, 4_285), (2_572, 2_382), (76_953, 75_724),
+                     (387_903, 377_528), (1_176_902, 1_146_705)]

@@ -491,6 +491,6 @@ def test_golden_score_ciphertexts(toy_params, toy_key):
             digest.update(bit.ciphertext.matrix.astype(np.int64).tobytes())
             digest.update(repr(bit.ciphertext.noise_estimate).encode())
     assert digest.hexdigest() == (
-        "3a0f9f80017851e582eb08052a037b0f25252e004baf9f508c04cb4806b9451d")
-    assert backend.stats.snapshot() == (3182, 3182, 218.0)
+        "0a8c1a0dd6adb956922c6c62b9147cae69ce0bef52d58d564c1f86a900b86cd0")
+    assert backend.stats.snapshot() == (3166, 3166, 218.0)
     assert [value.bits.to_int() for value in scores.scores] == [-10, 22]

@@ -407,12 +407,13 @@ def test_fold_costs_match_gate_level_public_weights(width, frac):
     _assert_fold_costs_match("mul", fmt, cases)
 
 
-def _plan(layer, fmt, ic, entries, width=None):
+def _plan(layer, fmt, ic, entries, width=None, reads=None):
     """The adder-graph plan of layer's kernel entries ``entries`` on input
-    channel ic, for operands of ``width`` bits (default w)."""
+    channel ic, for operands of ``width`` bits (default w), each product
+    read at its ``reads`` (default w bits, signed)."""
     f, w = fmt.frac_bits, fmt.total_bits
     return g.const_mul_plan(layer.kernel_constants(fmt, ic, entries),
-                            w if width is None else width, f, f + w)
+                            w if width is None else width, f, f + w, reads)
 
 
 def test_preset_kernel_products_match_scaled_mul():
@@ -585,15 +586,17 @@ def test_integer_forms_are_the_clear_backend_checks(case):
 def _preset_plans() -> dict:
     """Every plan a preset classify makes, as it makes them: per (layer,
     input channel, entry set), the plan of those kernel entries at the
-    layer's certified input width."""
+    layer's certified input width, each product read at its leaf width."""
     net = demo.preset_model()
     plans, side = {}, net.input_height
     for i, (layer, certificate) in enumerate(zip(net.layers, net.certificate())):
         side = 1 if layer.kind == cnn.FULLY_CONNECTED else side
         sets = {e for row in cnn._kernel_entries(layer, side, side) for e in row}
+        widths = cnn._widths(layer, net.fmt, certificate)
         for ic in range(layer.in_channels):
             for entries in sets:
-                plans[i, ic, entries] = _plan(layer, net.fmt, ic, entries, certificate.input_bits)
+                plans[i, ic, entries] = _plan(layer, net.fmt, ic, entries, certificate.input_bits,
+                                              cnn._kernel_reads(layer, widths, ic, entries))
         side = (side - layer.kernel_size + 1) // layer.pool_size
     return plans
 
@@ -610,7 +613,7 @@ def test_preset_entry_set_plans_are_pinned():
         plan = plans[key]
         digest.update(repr((key, [tuple(st) for st in plan.steps], plan.inverted,
                             plan.targets)).encode())
-    assert digest.hexdigest() == "af0a24d8542ab5adc4b89d52453c3feb9edbadb4b4a584c0acd711eb1b51507b"
+    assert digest.hexdigest() == "f1bf9c597cfedd05a708448378dda91e32e890dec42c221fa395bf796f44fb6e"
 
 
 def test_preset_kernel_plan_sizes():
@@ -781,13 +784,14 @@ def test_readme_private_weight_mul_cell():
     assert row.strip().strip("|").split("|")[-1].strip() == " / ".join(f"{n:,}" for n in costs)
 
 
-def _kernel_nands(layer, fmt, shape, bits) -> int:
+def _kernel_nands(layer, fmt, shape, certificate) -> int:
     """The layer evaluator's charge of a layer's shared multiplies
-    (``cnn._kernel_charge``), planned for ``bits``-bit inputs, over every
-    pixel of a private input of ``shape`` (c, h, w)."""
+    (``cnn._kernel_charge``), planned at the widths of ``certificate``
+    (None: w-bit inputs, each product read at w bits), over every pixel
+    of a private input of ``shape`` (c, h, w)."""
     cells = np.empty(shape, dtype=object)
     cells.fill(fp.PRIVATE)
-    costs = cnn._kernel_charge(layer, fmt, cells, bits)
+    costs = cnn._kernel_charge(layer, fmt, cells, cnn._widths(layer, fmt, certificate))
     entries = cnn._kernel_entries(layer, *shape[1:])
     return sum(costs[ic, entries[r][c], fp.PRIVATE][0] for ic, r, c in np.ndindex(shape))
 
@@ -796,8 +800,9 @@ def test_readme_kernel_shared_mul_row():
     """The README's mean NANDs per conv product of the preset model, on
     private inputs: one digit chain per product (fold_costs of each weight,
     once per window), and the shared adder graphs (the layer evaluator's
-    charge of the conv multiplies), planned for w-bit inputs and for the
-    layer's certified input width."""
+    charge of the conv multiplies), planned for w-bit inputs read at w
+    bits and at the layer's certified widths: its input width, and each
+    product built only to the bits its sum reads."""
     row = next(line for line in README.read_text().splitlines()
                if line.strip().startswith("| `fp_mul_consts`, per conv product |"))
     net = demo.preset_model()
@@ -810,8 +815,8 @@ def test_readme_kernel_shared_mul_row():
         ks = [int(k) for k in layer.scaled(fmt)[0].ravel()]
         costs = fp.fold_costs("mul", fmt, [(fp.PRIVATE, (full, k & full)) for k in ks])
         chain += windows * sum(n for n, _ in costs)
-        shared += _kernel_nands(layer, fmt, (channels, side, side), fmt.total_bits)
-        certified += _kernel_nands(layer, fmt, (channels, side, side), widths.input_bits)
+        shared += _kernel_nands(layer, fmt, (channels, side, side), None)
+        certified += _kernel_nands(layer, fmt, (channels, side, side), widths)
         products += windows * len(ks)
         channels, side = layer.out_channels, (side - layer.kernel_size + 1) // layer.pool_size
     want = ["—", "—"] + [f"{round(n / products):,}" for n in (chain, shared, certified)]

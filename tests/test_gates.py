@@ -148,12 +148,12 @@ def _lane_masks(values, width):
 # Windows [lo, hi) of an m x n mul_wallace: its NANDs, and the NAND depth
 # the classic Wallace tree it replaced had there.
 MUL_SHAPES = [
-    (10, 10, 5, 15, 850, 47),  # a w-bit fp_mul at w=10, f=5
-    (32, 32, 16, 48, 9507, 118),  # at w=32, f=16
-    (7, 6, 5, 11, 367, 36),  # the micro model: 7-bit pixels, 6-bit weights
-    (18, 16, 16, 32, 2935, 81),  # the preset model's conv1
-    (21, 17, 16, 37, 3691, 91),  # conv2
-    (28, 16, 16, 43, 4662, 103),  # fc
+    (10, 10, 5, 15, 848, 47),  # a w-bit fp_mul at w=10, f=5
+    (32, 32, 16, 48, 9505, 118),  # at w=32, f=16
+    (7, 6, 5, 11, 365, 36),  # the micro model: 7-bit pixels, 6-bit weights
+    (18, 16, 16, 32, 2933, 81),  # the preset model's conv1
+    (21, 17, 16, 37, 3689, 91),  # conv2
+    (28, 16, 16, 43, 4660, 103),  # fc
 ]
 
 # The preset model's private-weight multiplies (b_x, b_w, [f, f + b_p)).
@@ -545,6 +545,59 @@ def test_const_mul_plan_without_the_bitmap_plans_the_same(monkeypatch):
     assert g.const_mul_plan(ks, 32, 16, 48) == plan
 
 
+READ_FMT = fp.FixedPointFormat(8, 3)  # the product window [3, 11), reads of 0 to 8 bits
+
+
+def _read_sets(ks, rnd) -> list:
+    """Reads for the constants ``ks``: every (bits, signed) for all of
+    them at once, then random reads per constant, so that constants
+    sharing nodes differ in their read tops."""
+    w = READ_FMT.total_bits
+    sets = [[(bits, signed)] * len(ks) for bits in range(w + 1) for signed in (False, True)]
+    sets += [[(rnd.randrange(w + 1), rnd.random() < 0.5) for _ in ks] for _ in range(6)]
+    return sets
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_const_mul_reads_exhaustive(width):
+    """Constants read at their own (bits, signed), for every width-bit a
+    at the window [f, f+w) of a w=8, f=3 format: each product's bits
+    [0, bits) are those of a·k >> f, its bits above are copies of bit
+    bits - 1 when signed and public zeros when unsigned (all of them
+    for 0 bits).  const_mul_costs charges what the gate run of the plan
+    evaluates, and gives its products' public patterns, on a private a,
+    an a with public low bits and a public a.  A read wider than the
+    window, or a constant without a read, is a ParameterError."""
+    f, w = READ_FMT.frac_bits, READ_FMT.total_bits
+    half = 1 << (width - 1)
+    values = list(range(-half, half))
+    backend = fc.ClearBackend(lanes=len(values))
+    a = g.BitVector.from_lane_ints(values, width, backend)
+    rnd = random.Random(width)
+    ks = [0, 1, -1, 3, -3, 5, 6, -7, 11, -13, 20, 2 * half - 1, -2 * half]
+    ks += [rnd.randrange(-40, 41) for _ in range(5)]
+    for bad in ([(w + 1, True)] * len(ks), [(w, True)] * (len(ks) - 1)):
+        with pytest.raises(ParameterError, match=f"one read of at most {w} bits"):
+            g.const_mul_plan(ks, width, f, f + w, bad)
+    for reads in _read_sets(ks, rnd):
+        plan = g.const_mul_plan(ks, width, f, f + w, reads)
+        for k, (bits, signed), product in zip(ks, reads, g.mul_consts(a, plan)):
+            out = product.bits
+            want = _lane_masks([v * k >> f for v in values], bits)
+            assert [bit.clear_value for bit in out[:bits]] == want, (k, bits, signed)
+            fill = out[bits - 1] if signed and bits else backend.const(0)
+            assert all(bit is fill for bit in out[bits:]), (k, bits, signed)
+        patterns = [fp.PRIVATE, (1, 0), ((1 << w) - 1, 5)]
+        charged = fp.const_mul_costs(READ_FMT, ks, reads, width, patterns)
+        for (public, value), (nands, products) in zip(patterns, charged):
+            one = fc.ClearBackend()
+            x = g.BitVector(one.const(value >> i & 1) if public >> i & 1 else one.encrypt_bit(1)
+                            for i in range(width))
+            got = g.mul_consts(x, plan)
+            assert nands == one.stats.nand_count, (reads, public)
+            assert products == [fp.public_pattern(fp.FixedPointCipher(p, READ_FMT)) for p in got]
+
+
 def test_mul_consts_past_int64():
     """Constants near 2^62, whose shifted nodes pass int64, plan over
     Python integers, and every product of an 8-bit a is exact."""
@@ -578,6 +631,28 @@ def test_less_than_exhaustive_in_range():
         lt = g.less_than(a, b)
         for lane, (x, y) in enumerate(pairs):
             assert backend.reveal_bit(lt, lane) == (1 if x < y else 0), (width, x, y)
+
+
+def test_less_than_passes_the_carry_over_public_equal_bits():
+    """ReLU-shaped operands at w = 8, m private low bits and public zeros
+    above: every pair compares correctly, and the carry passes the public
+    positions without a gate, so the compare costs 6m - 1 NANDs, what an
+    m-bit less_than of private bits costs, and 0 when m = 0."""
+    w = 8
+    for m in range(w):
+        values = list(range(1 << m))
+        pairs = [(x, y) for x in values for y in values]
+        backend = fc.ClearBackend(lanes=len(pairs))
+
+        def operand(ints):
+            low = g.BitVector.from_lane_ints(ints, m, backend).bits if m else ()
+            return g.BitVector([*low, *[backend.const(0)] * (w - m)])
+
+        a, b = operand([x for x, _ in pairs]), operand([y for _, y in pairs])
+        lt = g.less_than(a, b)
+        assert [backend.reveal_bit(lt, lane) for lane in range(len(pairs))] == \
+            [int(x < y) for x, y in pairs]
+        assert backend.stats.nand_count == (6 * m - 1 if m else 0), m
 
 
 def _nands(clear, fn):
