@@ -672,12 +672,12 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
     Folding makes the count depend on the public weights and on which
     input bits are public, so the gate path's own walk (_cells_walk) runs
     over the inputs' public_patterns, each op replaced by its folded cost
-    and output pattern (``sum_costs`` for a sum, else ``fold_costs``),
-    found once per operands and widths in one memo, which with public
-    weights starts with _kernel_charge's products.  ``spec.charges``
-    keeps the charges per format, weight mode, widths and input patterns;
-    each public image has patterns of its own, so only the latest
-    _CHARGES_LIMIT are kept."""
+    and output pattern: ``sum_costs`` for a sum, else ``fold_costs``, which
+    probe each circuit once per operands and widths in the process, and
+    with public weights each pixel's products from _kernel_charge.
+    ``spec.charges`` keeps the charges per format, weight mode, widths and
+    input patterns; each public image has patterns of its own, so only the
+    latest _CHARGES_LIMIT are kept."""
     input_bits, leaf_bits, leaf_signed, root_bits, mul_bits = widths
     cells = _each(public_pattern, np.array(inputs, dtype=object))
     key = (fmt, encrypt_weights, input_bits, leaf_bits.tobytes(), leaf_signed.tobytes(),
@@ -686,22 +686,15 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
     if found is None:
         while len(spec.charges) >= _CHARGES_LIMIT:
             del spec.charges[next(iter(spec.charges))]  # the oldest
-        memo, nands = {}, 0
+        costs = []  # the (NANDs, output pattern) of each op the walk runs
 
-        def charged(key, cost=None):
-            nonlocal nands
-            found = memo.get(key) or memo.setdefault(key, cost())
-            nands += found[0]
-            return found[1]
+        def charged(cost):
+            costs.append(cost)
+            return cost[1]
 
-        def step(kind, a, b=PRIVATE, width=None):
-            return charged((kind, a, b, width),
-                           lambda: fold_costs(kind, fmt, [(a, b)], width)[0])
-
-        ops = (lambda leaves, terms, bits: charged(("sum", *leaves, terms, bits),
-                                                   lambda: sum_costs(fmt, leaves, terms, bits)),
-               lambda a, bits: step("relu", a, width=bits),
-               lambda pair: step("maxfold", *pair))
+        ops = (lambda leaves, terms, bits: charged(sum_costs(fmt, leaves, terms, bits)),
+               lambda a, bits: charged(fold_costs("relu", fmt, [(a, PRIVATE)], bits)[0]),
+               lambda pair: charged(fold_costs("maxfold", fmt, [pair])[0]))
         if encrypt_weights:
             weights = _objects([PRIVATE] * spec.weights.size).reshape(spec.out_channels, -1)
             bias, products = _objects([PRIVATE] * spec.out_channels), None
@@ -709,13 +702,13 @@ def _charge_layer(inputs, spec: LayerSpec, fmt: FixedPointFormat, backend,
             full = (1 << fmt.total_bits) - 1
             weights = None
             bias = _objects([(full, z & full) for z in spec.scaled(fmt)[1].tolist()])
-            memo.update(_kernel_charge(spec, fmt, cells, widths))
+            kernel = _kernel_charge(spec, fmt, cells, widths)
 
             def products(ic, r, c, entry_set):
-                return charged((ic, entry_set, cells[ic, r, c]))
+                return charged(kernel[ic, entry_set, cells[ic, r, c]])
         outputs = _cells_walk(cells, spec, widths, ops, weights, bias, products,
                               lambda *task: nullcontext())
-        found = spec.charges[key] = nands, outputs.ravel().tolist()
+        found = spec.charges[key] = sum(n for n, _ in costs), outputs.ravel().tolist()
     backend.stats.bump_nand(found[0])
     return found[1]
 

@@ -389,15 +389,12 @@ def fp_mul_consts(x: FixedPointCipher, plan: gates.ConstMulPlan) -> list:
             for bits in gates.mul_consts(_low_bits(x, plan.width), plan)]
 
 
-def fp_mul_const(a: FixedPointCipher, c: float, width: int | None = None) -> FixedPointCipher:
+def fp_mul_const(a: FixedPointCipher, c: float) -> FixedPointCipher:
     """Multiply by a public real: bit-identical to ``fp_mul`` by its public
     encoding, the shift-and-add over the constant's signed digits (no gate
-    for c = 0), here built for a's lowest ``width`` bits (default all w),
-    which must hold a (``fp_mul_consts``)."""
+    for c = 0; ``fp_mul_consts``)."""
     f, w = a.fmt.frac_bits, a.fmt.total_bits
-    plan = gates.const_mul_plan((float_to_scaled(c, a.fmt),), w if width is None else width,
-                                f, f + w)
-    return fp_mul_consts(a, plan)[0]
+    return fp_mul_consts(a, gates.const_mul_plan((float_to_scaled(c, a.fmt),), w, f, f + w))[0]
 
 
 def fp_geq_zero(x: FixedPointCipher) -> EncBit:
@@ -459,26 +456,20 @@ _FOLDS = {}
 _FOLDS_LIMIT = 1 << 17
 
 
-def _kept(key, compute):
-    """``compute()``, kept in _FOLDS under ``key``; computed before the
-    limit is checked, so that entries ``compute`` keeps count too."""
+def _probed(key, circuit):
+    """(NANDs, output public_pattern) of ``circuit(probe)``, which returns
+    output bits, run once on a FoldProbe and kept in _FOLDS under ``key``.
+    The limit is checked after the run, so that entries the run keeps
+    count too."""
     found = _FOLDS.get(key)
     if found is None:
-        found = compute()
+        probe = FoldProbe()
+        out = circuit(probe)
+        found = probe.nand_count, _pattern_of([bit.public for bit in out])
         if len(_FOLDS) >= _FOLDS_LIMIT:
             _FOLDS.clear()
         _FOLDS[key] = found
     return found
-
-
-def _probed(key, circuit):
-    """(NANDs, output public_pattern) of ``circuit(probe)``, which returns
-    output bits, run once on a FoldProbe and kept under ``key``."""
-    def run():
-        probe = FoldProbe()
-        out = circuit(probe)
-        return probe.nand_count, _pattern_of([bit.public for bit in out])
-    return _kept(key, run)
 
 
 def fold_costs(kind: str, fmt: FixedPointFormat, pairs, width=None) -> list:

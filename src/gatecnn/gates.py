@@ -1,7 +1,7 @@
 """Boolean circuits composed from the single NAND primitive.
 
 Everything here is a pure function over immutable bits: derived gates,
-ripple adders, two's-complement subtract, a Baugh–Wooley multiplier
+one ripple adder that also subtracts, a Baugh–Wooley multiplier
 whose columns one reducer sums, earliest-ready bits first, building only
 a requested window of product bits, a multi-operand adder that sums
 signed and unsigned words of any widths and such products, each floored
@@ -37,9 +37,7 @@ __all__ = [
     "CompareResult",
     "not_gate",
     "and_gate",
-    "or_gate",
     "xor_gate",
-    "half_adder",
     "full_adder",
     "add",
     "sub",
@@ -61,28 +59,18 @@ __all__ = [
 
 
 def not_gate(a: EncBit) -> EncBit:
-    return nand(a, a)
+    """NOT a as NAND(public 1, a): one gate, which multiplies no two
+    ciphertexts (on gsw it is W - M, passing a's noise through)."""
+    return nand(a.backend.const(1), a)
 
 
 def and_gate(a: EncBit, b: EncBit) -> EncBit:
-    n = nand(a, b)
-    return nand(n, n)
-
-
-def or_gate(a: EncBit, b: EncBit) -> EncBit:
-    return nand(nand(a, a), nand(b, b))
+    return not_gate(nand(a, b))
 
 
 def xor_gate(a: EncBit, b: EncBit) -> EncBit:
     n = nand(a, b)
     return nand(nand(a, n), nand(b, n))
-
-
-def half_adder(a: EncBit, b: EncBit):
-    """(sum, carry) in 5 NANDs."""
-    n = nand(a, b)
-    s = nand(nand(a, n), nand(b, n))
-    return s, nand(n, n)
 
 
 def full_adder(a: EncBit, b: EncBit, cin: EncBit):
@@ -176,44 +164,50 @@ def _majority(a: EncBit, b: EncBit, c: EncBit) -> EncBit:
     return nand(nand(a, b), nand(c, nand(not_gate(a), not_gate(b))))
 
 
-def _ripple(a_bits, b_bits, carry):
-    """Sum bits of a + b + carry modulo 2^len (``carry`` None means 0).
+def _first_column(x: EncBit, y: EncBit, negative: bool = False, sums: bool = True) -> tuple:
+    """(sum, carry) of a ripple's lowest column: the sum x ^ y, None
+    unless ``sums``, and the carry x & y, or x | ~y when ``negative``, where
+    y is a subtrahend's bit and the column folds its +1 (see _ripple).
+    A half adder in 5 NANDs, 4 when negative; the carry alone in 2."""
+    n = nand(x, y)
+    if not sums:
+        return None, (nand(y, n) if negative else not_gate(n))
+    left = nand(x, n)
+    right = nand(y, n)  # x | ~y
+    return nand(left, right), (right if negative else not_gate(n))
 
-    A half adder serves a position without carry-in, and the top position
-    builds only its sum, since its carry-out leaves the word.
-    """
-    out = []
-    top = len(a_bits) - 1
-    for k, (x, y) in enumerate(zip(a_bits, b_bits)):
-        if k == top:
-            s = xor_gate(x, y) if carry is None else _xor3(x, y, carry)
-        elif carry is None:
-            s, carry = half_adder(x, y)
+
+def _ripple(xs, ts, negative: bool, carries: int = 0) -> list:
+    """Bits [carries, len) of x + t modulo 2^len, of the words whose bits,
+    low first, are ``xs`` and ``ts``: a ripple add, or with ``negative``
+    x - a as x + ~a + 1, where ``ts`` holds a in the lowest column (whose
+    sum x ^ a and carry x | ~a fold the +1, _first_column) and ~a above
+    it.  The lowest ``carries`` columns form carries only, since no reader
+    needs their sums, and the top column no carry: it leaves the word."""
+    top = len(xs) - 1
+    if not top:
+        return [xor_gate(xs[0], ts[0])]
+    low, carry = _first_column(xs[0], ts[0], negative, not carries)
+    out = [] if carries else [low]
+    for c in range(1, top):
+        if c < carries:
+            carry = _majority(xs[c], ts[c], carry)
         else:
-            s, carry = full_adder(x, y, carry)
-        out.append(s)
-    return out
+            s, carry = full_adder(xs[c], ts[c], carry)
+            out.append(s)
+    return [*out, _xor3(xs[top], ts[top], carry)]
 
 
 def add(a: BitVector, b: BitVector) -> BitVector:
     """Two's-complement sum modulo 2^width (ripple carry, wraparound)."""
     _check_widths(a, b)
-    return BitVector(_ripple(a.bits, b.bits, None))
+    return BitVector(_ripple(a.bits, b.bits, False))
 
 
 def sub(a: BitVector, b: BitVector) -> BitVector:
-    """a - b as a + ~b + 1, same width.
-
-    Bit 0 folds the +1: its sum is a0 ^ b0 and its carry a0 | ~b0.
-    """
+    """a - b as a + ~b + 1, same width, the +1 folded into bit 0."""
     _check_widths(a, b)
-    a0, b0 = a.bits[0], b.bits[0]
-    low = xor_gate(a0, b0)
-    if a.width == 1:
-        return BitVector([low])
-    carry = nand(not_gate(a0), b0)
-    rest = _ripple(a.bits[1:], [not_gate(y) for y in b.bits[1:]], carry)
-    return BitVector([low] + rest)
+    return BitVector(_ripple(a.bits, [b.bits[0], *map(not_gate, b.bits[1:])], True))
 
 
 def _partial_products(m: int, n: int) -> tuple:
@@ -426,12 +420,13 @@ def _reduce_column(col, carries, order, top: bool, below: bool) -> tuple:
             ready_s, ready_c = max(ready[1] + 6, ready[2] + 3), max(ready[1] + 5, ready[2] + 2)
         else:
             ready_s, ready_c = ready[1] + 3, ready[1] + 2
+        last = below and not bits  # the column's last adder: no sum is read
         if top:  # the carry would leave the window
             s, cout = (_xor3 if full else xor_gate)(*ins), None
-        elif below and not bits:  # the column's last adder: no sum is read
-            s, cout = None, (_majority if full else and_gate)(*ins)
+        elif full:
+            s, cout = (None, _majority(*ins)) if last else full_adder(*ins)
         else:
-            s, cout = (full_adder if full else half_adder)(*ins)
+            s, cout = _first_column(*ins, sums=not last)
         if s is not None:
             heapq.heappush(bits, (ready_s, next(order), s))
         if cout is not None:
@@ -842,32 +837,11 @@ def const_mul_product(plan: ConstMulPlan, values, j: int) -> list:
     return low + (low[-1:] if signed else [zero]) * (plan.hi - plan.lo - bits)
 
 
-def _first_column(x: EncBit, y: EncBit, negative: bool, sums: bool) -> tuple:
-    """A step's lowest column, its sum x ^ y when ``sums`` and then its
-    carry: x & y, or x | ~y for a negative step (see const_mul_step)."""
-    n = nand(x, y)
-    right = nand(y, n) if negative or sums else None  # x | ~y
-    out = (nand(nand(x, n), right),) if sums else ()
-    return (*out, right if negative else not_gate(n))
-
-
 def const_mul_step(step: ConstMulStep, xs, ts) -> list:
     """The sum bits of one plan step, from the running sum's bits ``xs``
-    and the term's bits ``ts`` over its columns: x + a ripple add, or
-    x - a as x + ~a + 1, where ``ts`` holds a in the lowest column (whose
-    sum x ^ a and carry x | ~a fold the +1) and ~a above it.  The top
-    column forms no carry: above it the sum is a sign extension."""
-    top = len(xs) - 1
-    if not top:
-        return [xor_gate(xs[0], ts[0])]
-    *out, carry = _first_column(xs[0], ts[0], step.negative, not step.carries)
-    for c in range(1, top):
-        if c < step.carries:
-            carry = _majority(xs[c], ts[c], carry)
-        else:
-            s, carry = full_adder(xs[c], ts[c], carry)
-            out.append(s)
-    return [*out, _xor3(xs[top], ts[top], carry)]
+    and the term's bits ``ts`` over its columns (see _ripple): above the
+    top column the sum is a sign extension."""
+    return _ripple(xs, ts, step.negative, step.carries)
 
 
 def mul_consts(a: BitVector, plan: ConstMulPlan) -> list:

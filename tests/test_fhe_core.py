@@ -238,22 +238,23 @@ def test_auto_refresh_sustains_deep_chains(toy_params, toy_key):
 
 
 def test_fan_out_bit_is_refreshed_once_when_made(toy_params, toy_key):
-    """A NAND output read by not_gate (NAND(x, x)) and by two more NANDs is
-    refreshed once, by the NAND that makes it: each of the four general
-    NANDs adds one refresh, of its own output, and no read adds another."""
+    """A NAND output read by not_gate (NAND(public 1, x)) and by two more
+    NANDs is refreshed once, by the NAND that makes it: each of the three
+    general NANDs adds one refresh, of its own output, the NOT, which
+    multiplies no two ciphertexts, adds none, and no read adds another."""
     gsw = fc.GswBackend(toy_params, key=toy_key, seed=15, auto_refresh=True)
     x, y = gsw.encrypt_bit(1), gsw.encrypt_bit(0)
     before = gsw.stats.refresh_count
     made = fc.nand(x, y)
     assert gsw.stats.refresh_count - before == 1
     one, zero = gsw.encrypt_bit(1), gsw.encrypt_bit(0)
-    for read, want in ((lambda: not_gate(made), 0),
-                       (lambda: fc.nand(made, one), 0),
-                       (lambda: fc.nand(zero, made), 1)):
+    for read, want, refreshes in ((lambda: not_gate(made), 0, 0),
+                                  (lambda: fc.nand(made, one), 0, 1),
+                                  (lambda: fc.nand(zero, made), 1, 1)):
         assert made.ciphertext.noise_estimate == fc.fresh_noise_bound(toy_params)
         before = gsw.stats.refresh_count
         out = read()
-        assert gsw.stats.refresh_count - before == 1
+        assert gsw.stats.refresh_count - before == refreshes
         assert gsw.reveal_bit(out) == want
     assert gsw.reveal_bit(made) == 1
 
@@ -280,10 +281,10 @@ def test_noise_soundness_random_dags(toy_params, toy_key):
 
 def test_auto_refresh_invariant_random_dags(toy_params, toy_key):
     """With auto-refresh, every bit the backend hands out (encryptions,
-    NANDs, not_gate's NAND(x, x) and NAND(public 1, x), which passes its
-    operand's noise through) meets estimate * ct_dim + fresh < budget/2, so
-    any NAND of two of them stays below the budget, and decrypts to its
-    plaintext."""
+    NANDs, a NAND of a bit with itself and not_gate's NAND(public 1, x),
+    which passes its operand's noise through) meets estimate * ct_dim +
+    fresh < budget/2, so any NAND of two of them stays below the budget,
+    and decrypts to its plaintext."""
     rng = np.random.default_rng(1)
     gsw = fc.GswBackend(toy_params, key=toy_key, seed=16, auto_refresh=True)
     fresh = fc.fresh_noise_bound(toy_params)
@@ -301,9 +302,9 @@ def test_auto_refresh_invariant_random_dags(toy_params, toy_key):
         (ea, va), (eb, vb) = pool[i], pool[j]
         kind = rng.integers(0, 4)
         if kind == 0:
-            pool.append(check(not_gate(ea), 1 - va))
+            pool.append(check(fc.nand(ea, ea), 1 - va))
         elif kind == 1:
-            pool.append(check(fc.nand(gsw.const(1), ea), 1 - va))
+            pool.append(check(not_gate(ea), 1 - va))
         else:
             pool.append(check(fc.nand(ea, eb), 1 - (va & vb)))
 
@@ -491,6 +492,6 @@ def test_golden_score_ciphertexts(toy_params, toy_key):
             digest.update(bit.ciphertext.matrix.astype(np.int64).tobytes())
             digest.update(repr(bit.ciphertext.noise_estimate).encode())
     assert digest.hexdigest() == (
-        "0a8c1a0dd6adb956922c6c62b9147cae69ce0bef52d58d564c1f86a900b86cd0")
-    assert backend.stats.snapshot() == (3166, 3166, 218.0)
+        "712ec45d1a13b216058884e099e726c8aea988cd202c40ef34936de5396a2b38")
+    assert backend.stats.snapshot() == (3166, 2892, 218.0)
     assert [value.bits.to_int() for value in scores.scores] == [-10, 22]

@@ -79,3 +79,18 @@ def test_every_private_helper_has_a_caller():
             if all(where == module and first <= line <= last
                    for where, line in reads.get(name, []))]
     assert dead == []
+
+
+def test_no_bit_is_nanded_with_itself():
+    """No NAND call in the package repeats an operand: NOT is
+    ``gates.not_gate``, NAND(public 1, x), which multiplies no two
+    ciphertexts, so it has one definition."""
+    source = Path(gatecnn.__file__).parent
+    found = []
+    for path in sorted(source.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and len(node.args) == 2
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "nand"
+                    and ast.dump(node.args[0]) == ast.dump(node.args[1])):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
