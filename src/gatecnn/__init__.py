@@ -26,6 +26,7 @@ from .fhe_core import (
     encrypt_bit,
     keygen,
     nand,
+    not_,
     preset_params,
     rated_nand_depth,
     refresh,

@@ -24,6 +24,11 @@ oracle runs; it can evaluate many independent inputs at once by packing
 one input per bit lane of a Python int.  A fold probe runs a circuit
 without values to count the NANDs it evaluates once public constants
 fold.
+
+Each backend also has a NOT, ``not_``: a lane flip in the clear and
+``W - M`` on ciphertexts, which multiplies no two ciphertexts, passes its
+operand's noise through and needs no refresh.  No counter counts it, so
+``stats.nand_count`` counts the NANDs alone.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ __all__ = [
     "encrypt_bit",
     "decrypt_bit",
     "nand",
+    "not_",
     "refresh",
     "fresh_noise_bound",
     "rated_nand_depth",
@@ -437,6 +443,10 @@ class ClearBackend(_SeedScopeMixin):
         self.stats.bump_nand()
         return EncBit(self, clear_value=(a.clear_value & b.clear_value) ^ self.lane_mask)
 
+    def not_(self, a: EncBit) -> EncBit:
+        """NOT a in every lane; not counted."""
+        return EncBit(self, clear_value=a.clear_value ^ self.lane_mask)
+
     def reveal_bit(self, bit: EncBit, lane: int = 0) -> int:
         if not 0 <= lane < self.lanes:
             raise ParameterError(f"lane {lane} outside the backend's {self.lanes} lanes")
@@ -448,12 +458,13 @@ class FoldProbe:
 
     Its public bits are its two shared constants, as on a real backend,
     and its private bits are one shared bit without a value, handed out
-    by ``encrypt_bit`` and by every evaluated ``nand``: folding reads only
-    whether a bit is public, never a value, so a probe run allocates no
-    bit per gate.  ``nand`` runs only for the gates the module-level
-    ``nand`` does not fold, so ``nand_count`` is the count a real backend
-    evaluates, and an output bit's ``public`` is what it is there, for
-    any private data.  It is not a ClearBackend, so fixed-point ops run
+    by ``encrypt_bit``, by every evaluated ``nand`` and by ``not_``:
+    folding reads only whether a bit is public, never a value, so a probe
+    run allocates no bit per gate.  ``nand`` runs only for the gates the
+    module-level ``nand`` does not fold, so ``nand_count`` is the count a
+    real backend evaluates, and an output bit's ``public`` is what it is
+    there, for any private data.  ``not_``, like a real backend's, is not
+    counted.  It is not a ClearBackend, so fixed-point ops run
     no range check on it.
     """
 
@@ -473,9 +484,15 @@ class FoldProbe:
         self.nand_count += 1
         return self._private
 
+    def not_(self, a: EncBit) -> EncBit:
+        return self._private
+
 
 class GswBackend(_SeedScopeMixin):
-    """Encrypted backend; all computation flows through NAND on matrices.
+    """Encrypted backend; all computation flows through NAND on matrices,
+    with NOT (``not_``, ``W - M``) free: it multiplies no two ciphertexts,
+    keeps its operand's noise estimate (and its true noise, negated), is
+    not counted and never refreshes.
 
     key           enables encryption/decryption and the refresh oracle
     auto_refresh  re-encrypt a NAND's output once, as it is made, when it
@@ -570,9 +587,17 @@ class GswBackend(_SeedScopeMixin):
             return self.const(1).ciphertext
         if ca.trivial_value == 1 and cb.trivial_value == 1:
             return self.const(0).ciphertext
-        other = cb if ca.is_trivial else ca
-        recomposed = np.mod(self._weights - other.recomposed, float(self.params.modulus))
-        return Ciphertext(recomposed, other.noise_estimate, self.params)
+        return self._complement(cb if ca.is_trivial else ca)
+
+    def _complement(self, ct: Ciphertext) -> Ciphertext:
+        """NOT as W - M: 1 - bit, with the noise negated, so the estimate
+        passes through unamplified."""
+        recomposed = np.mod(self._weights - ct.recomposed, float(self.params.modulus))
+        return Ciphertext(recomposed, ct.noise_estimate, self.params)
+
+    def not_(self, a: EncBit) -> EncBit:
+        """NOT a: no product, no count, no refresh."""
+        return EncBit(self, ciphertext=self._complement(a.ciphertext))
 
     def _oracle_refresh(self, ct: Ciphertext) -> Ciphertext:
         out = _refresh_with_rng(self.key, ct, self.params, self._scope_rng())
@@ -600,14 +625,16 @@ class GswBackend(_SeedScopeMixin):
 # ----------------------------------------------------------------------
 
 def nand(a: EncBit, b: EncBit) -> EncBit:
-    """The one homomorphic gate; everything else is built from it.
+    """The one counted homomorphic gate; everything else is built from it
+    and from the free NOT (``not_``).
 
     A gate whose output public operands fix (either one is a public 0, or
     both are public) is folded: it returns the backend's shared public
     constant and is neither evaluated nor counted, so ``stats.nand_count``
-    counts exactly the gates a backend evaluates.  NAND(public 1, x) is
-    NOT x, one evaluated gate.  Folding reads public values only, so the
-    gate trace still never depends on private data.
+    counts exactly the NANDs a backend evaluates.  NAND(public 1, x) is
+    folded into ``not_(x)``, which no counter counts.  Folding reads
+    public values only, so the gate trace still never depends on private
+    data.
     """
     backend = a.backend
     if b.backend is not backend:
@@ -616,7 +643,17 @@ def nand(a: EncBit, b: EncBit) -> EncBit:
         return backend.const(1)
     if a.public is not None and b.public is not None:
         return backend.const(0)
+    if a.public == 1 or b.public == 1:
+        return not_(b if a.public == 1 else a)
     return backend.nand(a, b)
+
+
+def not_(a: EncBit) -> EncBit:
+    """NOT a: a public bit's complement constant, else the backend's
+    uncounted ``not_`` (no ciphertext product, no refresh)."""
+    if a.public is not None:
+        return a.backend.const(1 - a.public)
+    return a.backend.not_(a)
 
 
 def rated_nand_depth(params: FheParams) -> int:

@@ -311,21 +311,36 @@ def fp_sum(terms, widths, bits: int | None = None) -> FixedPointCipher:
     pair (x, y) read at fp_mul's widths[i] = (b_x, b_y, b_p): their
     floored product, from the shift-and-add ``gates.mul_const`` by y or
     else x when wholly public, read at (b_p, signed), else from their
-    Baugh–Wooley partial products in the reducer.  It works modulo
-    2^``bits`` (default w), certified to hold the sum, whose bits from
-    ``bits`` up are wires copying its bit bits - 1; the clear backend
-    checks every term, product operand and the sum fit."""
+    Baugh–Wooley partial products, in the reducer or each product apart
+    (``_sum_words``).  It works modulo 2^``bits`` (default w), certified
+    to hold the sum, whose bits from ``bits`` up are wires copying its
+    bit bits - 1; the clear backend checks every term, product operand
+    and the sum fit."""
     ciphers = [x for term in terms for x in (term if isinstance(term, tuple) else (term,))]
     for x in ciphers[1:]:
         _check_formats(ciphers[0], x)
     fmt, backend = ciphers[0].fmt, ciphers[0].backend
-    f, w = fmt.frac_bits, fmt.total_bits
+    w = fmt.total_bits
     bits = w if bits is None else bits
     if isinstance(backend, ClearBackend):  # a product is read at (b_p, signed)
         values = [_lane_array(term) if len(width) == 2 else
                   int_mul(*map(_lane_array, term), fmt, width) for term, width in zip(terms, widths)]
         int_sum(np.stack(values, axis=-1), fmt,
                 *zip(*(width if len(width) == 2 else (width[2], True) for width in widths)), bits)
+    out = gates.sum_words(_sum_words(terms, widths, bits), bits, backend)
+    return FixedPointCipher(BitVector(out + out[-1:] * (w - bits)), fmt)
+
+
+def _sum_words(terms, widths, bits: int, apart: bool | None = None) -> list:
+    """fp_sum's words for ``gates.sum_words``, one per term.  A product of
+    two private operands is its triple (a_bits, b_bits, f), whose partial
+    products the reducer sums, or with ``apart`` each such product is
+    built on its own (``gates.mul_wallace``) and read at (b_p, signed).
+    ``apart`` None takes the one that evaluates fewer NANDs (_apart): in
+    the reducer a product also sums its partial products from f + b_p up
+    to the root, which can cost more than the half adders it saves."""
+    fmt = next(x for term in terms for x in (term if isinstance(term, tuple) else (term,))).fmt
+    f, w = fmt.frac_bits, fmt.total_bits
     words = []
     for term, width in zip(terms, widths):
         if len(width) == 2:
@@ -339,8 +354,29 @@ def fp_sum(terms, widths, bits: int | None = None) -> FixedPointCipher:
                 break
         else:
             words.append((term[0].bits.bits[:width[0]], term[1].bits.bits[:width[1]], f))
-    out = gates.sum_words(words, bits, backend)
-    return FixedPointCipher(BitVector(out + out[-1:] * (w - bits)), fmt)
+    products = [i for i, word in enumerate(words) if len(word) == 3]
+    if products and (_apart(fmt, terms, widths, bits) if apart is None else apart):
+        for i in products:
+            a, b, lo = words[i]
+            words[i] = (gates.mul_wallace(BitVector(a), BitVector(b), lo, lo + widths[i][2]).bits,
+                        True)
+    return words
+
+
+def _apart(fmt: FixedPointFormat, terms, widths, bits: int) -> bool:
+    """Whether fp_sum builds its private products apart: when that
+    evaluates fewer NANDs than summing them in its reducer, on terms with
+    these terms' public_patterns, each way run once on a FoldProbe
+    (``_probed``)."""
+    patterns = tuple(public_pattern(term) if len(width) == 2 else tuple(map(public_pattern, term))
+                     for term, width in zip(terms, widths))
+
+    def circuit(way):
+        return lambda probe: gates.sum_words(
+            _sum_words(_probe_terms(probe, fmt, patterns, widths), widths, bits, way), bits, probe)
+    together, apart = (_probed(("sum", fmt, patterns, tuple(widths), bits, way), circuit(way))[0]
+                       for way in (False, True))
+    return apart < together
 
 
 def _lane_array(x: FixedPointCipher) -> np.ndarray:
@@ -524,11 +560,15 @@ def sum_costs(fmt: FixedPointFormat, patterns, widths, bits: int):
         return 0, (full, _signed(total & (1 << bits) - 1, bits) & full)
 
     def circuit(probe):
-        terms = [tuple(_probe_cipher(probe, fmt, x) for x in pattern) if len(width) == 3
-                 else _probe_cipher(probe, fmt, pattern)
-                 for pattern, width in zip(patterns, widths)]
-        return fp_sum(terms, widths, bits).bits.bits
+        return fp_sum(_probe_terms(probe, fmt, patterns, widths), widths, bits).bits.bits
     return _probed(("sum", fmt, tuple(patterns), tuple(widths), bits), circuit)
+
+
+def _probe_terms(probe: FoldProbe, fmt: FixedPointFormat, patterns, widths) -> list:
+    """fp_sum terms of ``probe`` with the public_patterns ``patterns``: a
+    word's, or for a product the pair (x, y) of its operands'."""
+    return [tuple(_probe_cipher(probe, fmt, x) for x in pattern) if len(width) == 3
+            else _probe_cipher(probe, fmt, pattern) for pattern, width in zip(patterns, widths)]
 
 
 def _probe_bits(probe: FoldProbe, pattern: tuple, width: int) -> list:
@@ -545,13 +585,13 @@ def _probe_cipher(probe: FoldProbe, fmt: FixedPointFormat, pattern: tuple) -> Fi
     return FixedPointCipher(BitVector(_probe_bits(probe, pattern, fmt.total_bits)), fmt)
 
 
-def _step_cost(step: gates.ConstMulStep, width: int, xs: tuple, ts: tuple):
-    """(NANDs, output public_pattern) of ``gates.const_mul_step`` on
-    ``width`` sum and term bits with the public_patterns ``xs`` and
-    ``ts``, run once per shape and patterns on a FoldProbe (``_probed``).
-    Its output covers the step's columns from its carries up."""
-    return _probed((step.negative, step.carries, width, *xs, *ts), lambda probe:
-                   gates.const_mul_step(step, *(_probe_bits(probe, p, width) for p in (xs, ts))))
+def _step_cost(step: gates.ConstMulStep, xs: tuple, ts: tuple):
+    """(NANDs, output public_pattern) of ``gates.const_mul_step`` on sum
+    and term bits ``xs`` and ``ts``, each a pair (count, public_pattern),
+    run once per shape and patterns on a FoldProbe (``_probed``).  Its
+    output covers the step's columns from its carries up."""
+    return _probed((step.negative, step.carries, step.top - step.column, *xs, *ts), lambda probe:
+                   gates.const_mul_step(step, *(_probe_bits(probe, p, n) for n, p in (xs, ts))))
 
 
 def const_mul_costs(fmt: FixedPointFormat, ks, reads, width: int, patterns) -> list:
@@ -565,9 +605,8 @@ def const_mul_costs(fmt: FixedPointFormat, ks, reads, width: int, patterns) -> l
     computed as integers, each filled above its read as the gate path
     fills it.  The plan is made only if some x has a private
     bit there, once, and dropped on return.  ``gates.const_mul_walk``
-    walks it over FoldProbe bits of each such x, so the NOTs of a negative
-    step's term are counted as they are evaluated, and each step's cost
-    is kept per shape and operand patterns (``_step_cost``), not per plan."""
+    walks it over FoldProbe bits of each such x, and each step's cost is
+    kept per shape and operand patterns (``_step_cost``), not per plan."""
     f, low, full = fmt.frac_bits, (1 << width) - 1, (1 << fmt.total_bits) - 1
     plan, out = None, []
     for pattern in patterns:
@@ -581,10 +620,10 @@ def const_mul_costs(fmt: FixedPointFormat, ks, reads, width: int, patterns) -> l
 
         def step(st, xs, ts):
             nonlocal nands
-            cost, found = _step_cost(st, len(xs), _pattern_of([bit.public for bit in xs]),
-                                     _pattern_of([bit.public for bit in ts]))
+            cost, found = _step_cost(st, *((len(bits), _pattern_of([bit.public for bit in bits]))
+                                           for bits in (xs, ts)))
             nands += cost
-            return _probe_bits(probe, found, len(xs) - st.carries)
+            return _probe_bits(probe, found, st.top - st.column - st.carries)
 
         values = gates.const_mul_walk(plan, _probe_bits(probe, pattern, width), step)
         products = [_pattern_of([bit.public for bit in gates.const_mul_product(plan, values, j)])

@@ -1,5 +1,8 @@
-"""Boolean circuits composed from the single NAND primitive.
+"""Boolean circuits of NANDs whose inputs are inverted for free.
 
+NAND is the one counted gate, and NOT (``fhe_core.not_``) is counted as
+no NAND and needs no refresh, so every circuit is an and-inverter graph (Mishchenko, Chatterjee &
+Brayton 2006): AND is 1 NAND, XOR 3, a half adder 3, a full adder 7.
 Everything here is a pure function over immutable bits: derived gates,
 one ripple adder that also subtracts, a Baugh–Wooley multiplier
 whose columns one reducer sums, earliest-ready bits first, building only
@@ -7,9 +10,10 @@ a requested window of product bits, a multi-operand adder that sums
 signed and unsigned words of any widths and such products, each floored
 on its own, in the same reducer, public word bits and every constant
 folded into one, multiplication by public integers
-as shift-and-add over one adder graph that their products share (a
-digit chain for one integer, a greedy graph planned over numpy arrays
-for several), sign-based comparison and an oblivious multiplexer.  A
+as shift-and-add over one adder graph that their products share (for
+one integer the cheaper of its digit chain and a greedy graph, a greedy
+graph planned over numpy arrays for several), sign-based comparison and
+an oblivious multiplexer.  A
 constant multiply is planned for its operand's width, which may be
 narrower than a word when the operand is known to fit fewer bits, and
 builds each product only up to the bits its reader reads.  The
@@ -30,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BackendMismatchError, ParameterError, WidthMismatchError
-from .fhe_core import EncBit, nand
+from .fhe_core import EncBit, FoldProbe, nand, not_
 
 __all__ = [
     "BitVector",
@@ -59,28 +63,30 @@ __all__ = [
 
 
 def not_gate(a: EncBit) -> EncBit:
-    """NOT a as NAND(public 1, a): one gate, which multiplies no two
-    ciphertexts (on gsw it is W - M, passing a's noise through)."""
-    return nand(a.backend.const(1), a)
+    """NOT a: free, counted as no NAND (``fhe_core.not_``)."""
+    return not_(a)
 
 
 def and_gate(a: EncBit, b: EncBit) -> EncBit:
     return not_gate(nand(a, b))
 
 
-def xor_gate(a: EncBit, b: EncBit) -> EncBit:
+def _half(a: EncBit, b: EncBit) -> tuple:
+    """(NAND(a, b), a ^ b) in 3 NANDs: a ^ b = AND(NAND(a, b), NAND(~a, ~b))."""
     n = nand(a, b)
-    return nand(nand(a, n), nand(b, n))
+    return n, and_gate(n, nand(not_gate(a), not_gate(b)))
+
+
+def xor_gate(a: EncBit, b: EncBit) -> EncBit:
+    return _half(a, b)[1]
 
 
 def full_adder(a: EncBit, b: EncBit, cin: EncBit):
-    """(sum, carry-out) in 9 NANDs: sum = a^b^cin, cout = majority."""
-    n1 = nand(a, b)
-    axb = nand(nand(a, n1), nand(b, n1))
-    n5 = nand(axb, cin)
-    s = nand(nand(axb, n5), nand(cin, n5))
-    cout = nand(n5, n1)
-    return s, cout
+    """(sum, carry-out) in 7 NANDs: sum = a^b^cin, and the carry
+    NAND(NAND(a, b), NAND(a ^ b, cin)) reuses both XORs' first NANDs."""
+    n1, axb = _half(a, b)
+    n2, s = _half(axb, cin)
+    return s, nand(n1, n2)
 
 
 class BitVector:
@@ -155,47 +161,98 @@ def _check_widths(a: BitVector, b: BitVector) -> None:
 
 
 def _xor3(a: EncBit, b: EncBit, c: EncBit) -> EncBit:
-    """a ^ b ^ c in 8 NANDs: a full adder's sum without its carry."""
+    """a ^ b ^ c in 6 NANDs: a full adder's sum without its carry."""
     return xor_gate(xor_gate(a, b), c)
 
 
 def _majority(a: EncBit, b: EncBit, c: EncBit) -> EncBit:
-    """Carry of a + b + c in 6 NANDs: a full adder's carry without its sum."""
+    """Carry of a + b + c in 4 NANDs, 1 with a public operand, taken first
+    so that it folds the inner NANDs: a full adder's carry without its sum."""
+    a, b, c = sorted((a, b, c), key=lambda bit: bit.public is None)
     return nand(nand(a, b), nand(c, nand(not_gate(a), not_gate(b))))
 
 
 def _first_column(x: EncBit, y: EncBit, negative: bool = False, sums: bool = True) -> tuple:
     """(sum, carry) of a ripple's lowest column: the sum x ^ y, None
-    unless ``sums``, and the carry x & y, or x | ~y when ``negative``, where
-    y is a subtrahend's bit and the column folds its +1 (see _ripple).
-    A half adder in 5 NANDs, 4 when negative; the carry alone in 2."""
-    n = nand(x, y)
+    unless ``sums``, and the carry x & y, or x | ~y = NAND(~x, y) when
+    ``negative``, where y is a subtrahend's bit and the column folds its
+    +1 (see _ripple).  A half adder in 3 NANDs, 4 when negative; the
+    carry alone in 1."""
+    if negative:
+        return (xor_gate(x, y) if sums else None), nand(not_gate(x), y)
     if not sums:
-        return None, (nand(y, n) if negative else not_gate(n))
-    left = nand(x, n)
-    right = nand(y, n)  # x | ~y
-    return nand(left, right), (right if negative else not_gate(n))
+        return None, and_gate(x, y)
+    n, s = _half(x, y)
+    return s, not_gate(n)
 
 
-def _ripple(xs, ts, negative: bool, carries: int = 0) -> list:
-    """Bits [carries, len) of x + t modulo 2^len, of the words whose bits,
-    low first, are ``xs`` and ``ts``: a ripple add, or with ``negative``
-    x - a as x + ~a + 1, where ``ts`` holds a in the lowest column (whose
-    sum x ^ a and carry x | ~a fold the +1, _first_column) and ~a above
-    it.  The lowest ``carries`` columns form carries only, since no reader
-    needs their sums, and the top column no carry: it leaves the word."""
-    top = len(xs) - 1
-    if not top:
-        return [xor_gate(xs[0], ts[0])]
-    low, carry = _first_column(xs[0], ts[0], negative, not carries)
-    out = [] if carries else [low]
-    for c in range(1, top):
+def _ripple(xs, ts, negative: bool, carries: int = 0, width: int | None = None) -> list:
+    """Bits [carries, width) of x + t modulo 2^width (default len(xs)), or
+    with ``negative`` of x - t as x + ~t + 1, of the two's-complement words
+    whose bits, low first, are ``xs`` and ``ts``, each sign-extended past
+    its last bit.  The lowest ``carries`` columns form carries only, since
+    no reader needs their sums, and the top column no carry.
+
+    Below the shorter word's sign column the columns are full adders, the
+    lowest one folding the +1 (_first_column).  From that column up the
+    shorter word is its sign bit e over and over, which adds -e there:
+    the longer word's bits and the carry c are summed with c - e
+    (_signed_tail), which needs no full adder."""
+    width = len(xs) if width is None else width
+    xs, ts = xs[:width], ts[:width]
+    split = min(len(xs), len(ts)) - 1  # the shorter word's sign column
+    if split:
+        term = [*ts[:1], *map(not_gate, ts[1:])] if negative else ts
+        low, carry = _first_column(xs[0], ts[0], negative, not carries)
+        out = [] if carries else [low]
+        for c in range(1, split):
+            if c < carries:
+                carry = _majority(xs[c], term[c], carry)
+            else:
+                s, carry = full_adder(xs[c], term[c], carry)
+                out.append(s)
+    else:  # from column 0: x + ~t + 1 takes ~t0 and a carry-in of 1
+        term = [not_gate(t) for t in ts] if negative else ts
+        out, carry = [], xs[0].backend.const(int(negative))
+    if len(xs) > len(ts):
+        longer, sign = xs, term[-1]
+    else:
+        longer, sign = term, xs[-1]
+    return out + _signed_tail(longer, sign, carry, split, width, carries)
+
+
+def _signed_tail(bits, sign: EncBit, carry: EncBit, start: int, width: int, carries: int) -> list:
+    """Bits [max(start, carries), width) of R + (carry - sign)·2^start
+    modulo 2^width, where R is the word whose bits are ``bits`` from
+    column ``start`` up, sign-extended.  A lone top column is the sum
+    bits ^ sign ^ carry.  Otherwise every carry lies in {-1, 0, 1} and is
+    kept as two exclusive bits, up = 1 and down = -1: a column's sum is
+    r ^ (up | down), and its carries r & up and ~r & down, 6 NANDs.  A
+    public 0 down makes each column the half adder of r and up, and a
+    public 0 up the complement of the half adder of ~r and down: 3 NANDs,
+    the carry-only columns below ``carries`` 1."""
+    if start == width - 1:
+        return [_xor3(bits[min(start, len(bits) - 1)], sign, carry)]
+    up, down = and_gate(carry, not_gate(sign)), and_gate(not_gate(carry), sign)
+    out = []
+    for c in range(start, width):
+        r = bits[min(c, len(bits) - 1)]
         if c < carries:
-            carry = _majority(xs[c], ts[c], carry)
-        else:
-            s, carry = full_adder(xs[c], ts[c], carry)
+            up, down = and_gate(r, up), and_gate(not_gate(r), down)
+        elif c == width - 1:
+            out.append(xor_gate(r, nand(not_gate(up), not_gate(down))))
+        elif down.public == 0:
+            n, s = _half(r, up)
             out.append(s)
-    return [*out, _xor3(xs[top], ts[top], carry)]
+            up = not_gate(n)
+        elif up.public == 0:
+            n, s = _half(not_gate(r), down)
+            out.append(not_gate(s))
+            down = not_gate(n)
+        else:
+            out.append(xor_gate(r, nand(not_gate(up), not_gate(down))))
+            up, down = and_gate(r, up), and_gate(not_gate(r), down)
+    return out
 
 
 def add(a: BitVector, b: BitVector) -> BitVector:
@@ -207,7 +264,7 @@ def add(a: BitVector, b: BitVector) -> BitVector:
 def sub(a: BitVector, b: BitVector) -> BitVector:
     """a - b as a + ~b + 1, same width, the +1 folded into bit 0."""
     _check_widths(a, b)
-    return BitVector(_ripple(a.bits, [b.bits[0], *map(not_gate, b.bits[1:])], True))
+    return BitVector(_ripple(a.bits, b.bits, True))
 
 
 def _partial_products(m: int, n: int) -> tuple:
@@ -270,8 +327,8 @@ def _sum_columns(words, width: int, backend) -> tuple:
     word's sign bit s as ~s, since -s·2^t = ~s·2^t - 2^t, and so do the
     partial products of a product from column lo up, shifted down by lo.
     Its partial products below lo are reduced per product, so that each
-    product is floored on its own, by _low_part, whose carries and copies
-    enter column 0.  Every public word bit, every -2^t and each product's
+    product is floored on its own, by _low_part, whose carries enter
+    column 0.  Every public word bit, every -2^t and each product's
     Baugh–Wooley constant (its part below lo in its own columns) fold into
     one constant K modulo 2^width, which enters by _fold_constant.  The
     columns depend only on the shapes and on which bits are public, never
@@ -293,11 +350,11 @@ def _sum_columns(words, width: int, backend) -> tuple:
         for c, col in enumerate(terms[lo:lo + width]):
             layout[c] += [((n, i, j), positive) for i, j, positive in col]
         constant += exact >> lo
-        if lo:  # the last column: copies into column lo
-            below = [[((i, j), positive) for i, j, positive in col] for col in terms[:lo]] + [[]]
-            _fold_constant(below, exact, lo)
+        if lo:
+            below = [[((i, j), positive) for i, j, positive in col] for col in terms[:lo]]
+            _fold_constant(below, exact, False)
             lows.append((word, below))
-    flip = _fold_constant(layout, constant, width, any(len(word) == 3 for word in words))
+    flip = _fold_constant(layout, constant, True)
 
     def base(key):
         if key is None:
@@ -310,42 +367,31 @@ def _sum_columns(words, width: int, backend) -> tuple:
     def columns():
         parts = [_low_part(word, below) for word, below in lows]
         made = _materialized(layout, base)
-        yield [*(bit for carries, _ in parts for bit in carries), *next(made),
-               *(bit for _, copies in parts for bit in copies)]
+        yield [*(bit for carries in parts for bit in carries), *next(made)]
         yield from made
 
     return columns(), flip
 
 
-def _fold_constant(columns, constant: int, bits: int, invert_top: bool = False) -> bool:
-    """Fold bits c < ``bits`` of ``constant`` into ``columns`` of entries
-    (key, inverted), in place: a set bit c enters as p + 1 = ~p + 2p on
-    an entry p of column c, an inverted one if any (its ~p is the bit
-    itself), copying p into column c + 1 if that is one of the columns;
-    a column without an entry gets a public 1 (key None), except, with
-    ``invert_top``, the last one.  Returns whether that one's bit is left
-    to invert its sum bit."""
-    for c in range(bits):
-        col = columns[c]
-        if not constant >> c & 1:
-            continue
-        if not col:
-            if invert_top and c == len(columns) - 1:
+def _fold_constant(columns, constant: int, top: bool) -> bool:
+    """Fold the bits of ``constant`` below len(columns) into ``columns`` of
+    entries (key, inverted), in place: a set bit c enters column c as a
+    public 1 (key None), which turns a full adder of that column into one
+    of 4 NANDs, except, with ``top``, the last column's, which is left to
+    invert that column's sum bit for free.  Returns whether it is."""
+    for c in range(len(columns)):
+        if constant >> c & 1:
+            if top and c == len(columns) - 1:
                 return True
-            col.append((None, False))
-            continue
-        k = next((k for k, (_, inverted) in enumerate(col) if inverted), 0)
-        if c + 1 < len(columns):
-            columns[c + 1].append(col[k])
-        col[k] = (col[k][0], not col[k][1])
+            columns[c].append((None, False))
     return False
 
 
 def _materialized(columns, base):
     """Per column of entries (key, inverted), its pairs (ready, bit), built
     when the column is asked for: ``base(key)`` gives an entry's (ready,
-    bit) and an inverted entry reads its NOT, one NAND deeper, each built
-    once and dropped after the key's last column."""
+    bit) and an inverted entry reads its NOT, free and no deeper, each
+    built once and dropped after the key's last column."""
     last = {key: c for c, col in enumerate(columns) for key, _ in col}
     built = {}
     for c, col in enumerate(columns):
@@ -354,28 +400,25 @@ def _materialized(columns, base):
                 built[key, False] = base(key)
             if inverted and (key, True) not in built:
                 ready, bit = built[key, False]
-                built[key, True] = ready + 1, not_gate(bit)
+                built[key, True] = ready, not_gate(bit)
         yield [built[entry] for entry in col]
         for entry in [entry for entry in built if last[entry[0]] == c]:
             del built[entry]
 
 
-def _low_part(product, columns) -> tuple:
-    """(carries, copies): the pairs (ready, bit) that a product (a_bits,
-    b_bits, lo) sends into column lo from its ``columns`` of entries (key
-    (i, j), inverted) below lo, reduced with carry-only last adders, and
-    the entries its last column holds, copied there by _fold_constant.
-    The lowest columns with at most one entry send no carry, so they are
-    skipped unbuilt; a key of theirs that a later column reads is built
-    there."""
+def _low_part(product, columns) -> list:
+    """The carries, pairs (ready, bit), that a product (a_bits, b_bits,
+    lo) sends into column lo from its ``columns`` of entries (key (i, j),
+    inverted) below lo, reduced with carry-only last adders.  The lowest
+    columns with at most one entry send no carry, so they are skipped
+    unbuilt; a key of theirs that a later column reads is built there."""
     a, b, lo = product
-    skip = next((c for c, col in enumerate(columns[:lo]) if len(col) > 1), lo)
+    skip = next((c for c, col in enumerate(columns) if len(col) > 1), lo)
 
     def base(key):
         return (0, a[0].backend.const(1)) if key is None else (1, nand(a[key[0]], b[key[1]]))
 
-    made = _materialized(columns[skip:], base)
-    return _reduce_columns(itertools.islice(made, lo - skip), lo - skip, below=True), next(made)
+    return _reduce_columns(_materialized(columns[skip:], base), lo - skip, below=True)
 
 
 def _reduce_columns(columns, width: int, below: bool = False) -> list:
@@ -405,8 +448,8 @@ def _reduce_column(col, carries, order, top: bool, below: bool) -> tuple:
 
     Each adder takes the column's earliest-ready bits, the latest of them
     as carry-in, where ``ready`` is a bit's NAND depth under the adders'
-    own: a full adder's sum is ready at max(a, b) + 6 or cin + 3 and its
-    carry at max(a, b) + 5 or cin + 2, a half adder's at + 3 and + 2.
+    own: a full adder's sum and carry are ready at max(a, b) + 4 or
+    cin + 2, a half adder's at + 2 and + 1 (a NOT adds no depth).
     The order depends only on the shapes, never on private values.
     """
     bits = [(ready, next(order), bit) for ready, bit in col] + carries
@@ -417,9 +460,9 @@ def _reduce_column(col, carries, order, top: bool, below: bool) -> tuple:
         ready, _, ins = zip(*group)
         full = len(ins) == 3
         if full:
-            ready_s, ready_c = max(ready[1] + 6, ready[2] + 3), max(ready[1] + 5, ready[2] + 2)
+            ready_s = ready_c = max(ready[1] + 4, ready[2] + 2)
         else:
-            ready_s, ready_c = ready[1] + 3, ready[1] + 2
+            ready_s, ready_c = ready[1] + 2, ready[1] + 1
         last = below and not bits  # the column's last adder: no sum is read
         if top:  # the carry would leave the window
             s, cout = (_xor3 if full else xor_gate)(*ins), None
@@ -499,8 +542,7 @@ class ConstMulStep(NamedTuple):
 class ConstMulPlan(NamedTuple):
     """mul_const's adder graph for public integers ``constants`` at the
     product window [lo, hi) of a ``width``-bit operand: the node steps
-    (node i is steps[i - 1]), the indices of each node's bits whose NOT
-    the negative steps reading it share, per constant the node and shift
+    (node i is steps[i - 1]), per constant the node and shift
     whose bits [lo - shift, lo + bits - shift) are its product's exact
     bits (node None: they are 0), and per constant its read (bits,
     signed): its reader takes the product's low ``bits`` bits, in two's
@@ -509,7 +551,6 @@ class ConstMulPlan(NamedTuple):
 
     constants: tuple
     steps: tuple
-    inverted: tuple
     targets: tuple
     reads: tuple
     lo: int
@@ -732,9 +773,10 @@ def const_mul_plan(ks, width: int, lo: int, hi: int, reads=None) -> ConstMulPlan
     ``reads`` (default (hi - lo, True) for all): exact only up to its read
     top lo + bits.  One adder graph over the constants' distinct odd parts
     (of their non-adjacent-form digits below their read tops, none for a
-    read of 0 bits), the digit chain when there is one, else a greedy
-    graph (_adder_graph).  The plan is a function of the set of constants
-    and their reads: their order only orders ``targets``.
+    read of 0 bits): a greedy graph (_adder_graph), and for one odd part
+    the cheaper of that and its digit chain on a private operand, the
+    chain on a tie.  The plan is a function of the set of constants and
+    their reads: their order only orders ``targets``.
 
     Each node stops where its value provably fits (``_product_width``) or
     at the highest read top of its readers, and forms sums only from the
@@ -750,7 +792,18 @@ def const_mul_plan(ks, width: int, lo: int, hi: int, reads=None) -> ConstMulPlan
             k = sum(d << j for j, d in _naf(k) if j < top)
         parts.append(_odd_part(k) if k else None)
     odd = sorted({part[0] for part in parts if part}, key=lambda u: (abs(u), u))
-    ops = [] if not odd else _chain(odd[0]) if len(odd) == 1 else _adder_graph(odd)
+    if len(odd) != 1:
+        return _planned(_adder_graph(odd) if odd else [], ks, parts, reads, width, lo, hi)
+    plans = [_planned(ops, ks, parts, reads, width, lo, hi)
+             for ops in (_chain(odd[0]), _adder_graph(odd))]
+    return min(plans, key=_private_cost)
+
+
+def _planned(ops, ks, parts, reads, width: int, lo: int, hi: int) -> ConstMulPlan:
+    """The ConstMulPlan of adder-graph nodes ``ops`` (as _chain gives
+    them) for const_mul_plan's constants, whose odd parts and shifts are
+    ``parts``: each node's top and lowest summed column from its
+    readers, latest node first."""
     index = {1: 0}
     for op in ops:
         index[op[0]] = len(index)
@@ -774,15 +827,14 @@ def const_mul_plan(ks, width: int, lo: int, hi: int, reads=None) -> ConstMulPlan
             need_hi[term] = max(need_hi[term], top - column)
         steps[i - 1] = ConstMulStep(summed, shift, term, column, negative, top,
                                     max(0, min(need_lo[i], top - 1) - column))
-    # a negative step reads its term's bit 0 and ~term above it, sign-extended
-    lengths, stops = [width], [0] * len(index)
-    for st in steps:
-        lengths.append(st.top)
-        if st.negative and st.top - st.column > 1:
-            stops[st.term] = max(stops[st.term], min(st.top - st.column, lengths[st.term]))
-    inverted = tuple(range(min(1, n - 1), stop) if stop else range(0)
-                     for n, stop in zip(lengths, stops))
-    return ConstMulPlan(ks, tuple(steps), inverted, tuple(targets), reads, lo, hi, width)
+    return ConstMulPlan(ks, tuple(steps), tuple(targets), reads, lo, hi, width)
+
+
+def _private_cost(plan: ConstMulPlan) -> int:
+    """NANDs of the plan's walk on a private operand (a FoldProbe)."""
+    probe = FoldProbe()
+    const_mul_walk(plan, [probe.encrypt_bit(0)] * plan.width, const_mul_step)
+    return probe.nand_count
 
 
 def _sign_extended(bits, width: int) -> list:
@@ -791,32 +843,24 @@ def _sign_extended(bits, width: int) -> list:
 
 def const_mul_walk(plan: ConstMulPlan, bits, step) -> list:
     """The plan's nodes built from ``bits`` (a, low bit first) by ``step``
-    (const_mul_step's contract), each negative step's term bits inverted
-    by not_gate, once per node: a list with the bits of each node over its
-    columns [0, top).  The lowest ``carries`` columns of a step's range
-    are not the node's bits; no reader reads them."""
+    (const_mul_step's contract): a list with the bits of each node over
+    its columns [0, top), read as sign-extended above.  A step gets the
+    running sum's bits from its column up to the sum's own top, at least
+    one, and the term's bits, each at most its width; the lowest
+    ``carries`` columns of its range are not the node's bits, and no
+    reader reads them."""
     zero = bits[0].backend.const(0)
     values = [list(bits)]
-    inverted = {}
     for st in plan.steps:
         if st.sum is None:
-            acc = [zero] * st.top
-        elif st.shift:
-            acc = ([zero] * st.shift + _sign_extended(values[st.sum], st.top - st.shift))[:st.top]
+            acc, top = [zero] * st.top, 0
         else:
-            acc = _sign_extended(values[st.sum], st.top)
+            top = st.shift + len(values[st.sum])
+            acc = ([zero] * st.shift + _sign_extended(values[st.sum], st.top - st.shift))[:st.top]
         if st.column < st.top:
             width = st.top - st.column
-            term = values[st.term]
-            if st.negative:
-                if st.term not in inverted:
-                    inverted[st.term] = negated = [None] * len(term)
-                    for j in plan.inverted[st.term]:
-                        negated[j] = not_gate(term[j])
-                terms = [term[0], *_sign_extended(inverted[st.term], width)[1:]]
-            else:
-                terms = _sign_extended(term, width)
-            acc[st.column + st.carries:] = step(st, acc[st.column:], terms)
+            xs = acc[st.column:max(top, st.column + 1)][:width]
+            acc[st.column + st.carries:] = step(st, xs, values[st.term][:width])
         values.append(acc)
     return values
 
@@ -839,9 +883,10 @@ def const_mul_product(plan: ConstMulPlan, values, j: int) -> list:
 
 def const_mul_step(step: ConstMulStep, xs, ts) -> list:
     """The sum bits of one plan step, from the running sum's bits ``xs``
-    and the term's bits ``ts`` over its columns (see _ripple): above the
-    top column the sum is a sign extension."""
-    return _ripple(xs, ts, step.negative, step.carries)
+    from its column up and the term's bits ``ts``, each sign-extended
+    over the step's columns (see _ripple): above the top column the sum
+    is a sign extension."""
+    return _ripple(xs, ts, step.negative, step.carries, step.top - step.column)
 
 
 def mul_consts(a: BitVector, plan: ConstMulPlan) -> list:
@@ -865,8 +910,9 @@ def mul_const(a: BitVector, k: int, lo: int, hi: int) -> BitVector:
     digits ±1 average a third of the columns: the one-constant plan of
     ``mul_consts``.  The lowest +1 digit's term a·2^j is a sign-extended
     wire and costs no gate, and every other digit is one ripple add or
-    subtract of a·2^j into the running sum, lowest column first, sharing
-    one ~a among the subtractions."""
+    subtract of a·2^j into the running sum, lowest column first; where a
+    greedy adder graph of k's odd part costs fewer NANDs, its steps
+    instead (const_mul_plan)."""
     if not 0 <= lo < hi:
         raise ParameterError(f"product window [{lo}, {hi}) needs 0 <= lo < hi")
     return mul_consts(a, const_mul_plan((k,), a.width, lo, hi))[0]
@@ -890,7 +936,7 @@ def compare(a: BitVector, b: BitVector) -> CompareResult:
 def less_than(a: BitVector, b: BitVector) -> EncBit:
     """Sign of a - b, i.e. a < b, without the difference's other bits.
 
-    Only the carry chain of a + ~b + 1 is built (6 NANDs a bit), plus the
+    Only the carry chain of a + ~b + 1 is built (4 NANDs a bit), plus the
     sum of the sign position; the carry passes a position whose two bits
     are public and equal without a gate.  Same precondition as compare.
     """
@@ -902,8 +948,7 @@ def less_than(a: BitVector, b: BitVector) -> EncBit:
     for x, y in zip(a_bits[1:-1], b_bits[1:-1]):
         if x.public is not None and x.public == y.public:
             continue  # majority(x, ~x, carry) is the carry
-        # majority(x, ~y, carry)
-        carry = nand(nand(x, not_gate(y)), nand(carry, nand(not_gate(x), y)))
+        carry = _majority(x, not_gate(y), carry)
     # a ^ ~b ^ carry
     return not_gate(_xor3(a_bits[-1], b_bits[-1], carry))
 

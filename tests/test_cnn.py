@@ -633,15 +633,20 @@ def test_layers_guard_the_certified_widths():
 
 class _WiredBackend(ClearBackend):
     """A ClearBackend that keeps each evaluated NAND's output bit with its
-    two operands."""
+    two operands, and each NOT's with its operand."""
 
     def __init__(self):
         super().__init__()
-        self.gates = {}
+        self.gates, self.nots = {}, {}
 
     def nand(self, a, b):
         out = super().nand(a, b)
         self.gates[id(out)] = (out, a, b)
+        return out
+
+    def not_(self, a):
+        out = super().not_(a)
+        self.nots[id(out)] = (out, a)
         return out
 
 
@@ -649,8 +654,9 @@ class _WiredBackend(ClearBackend):
 @pytest.mark.parametrize("model, side", [(demo.micro_model, 2), (demo.tiny_model, 6)])
 def test_every_nand_reaches_a_score(model, side, encrypt_weights):
     """Gate by gate, every NAND a classify evaluates lies in the cone of
-    the score bits: walking back from them through each gate's operands
-    reaches all of them, so no gate is built that no output reads."""
+    the score bits: walking back from them through each gate's operands,
+    NOTs included, reaches all of them, so no gate is built that no output
+    reads."""
     net = model()
     backend = _WiredBackend()
     pixels = demo.synthetic_images(1, side, side)[0]
@@ -659,9 +665,11 @@ def test_every_nand_reaches_a_score(model, side, encrypt_weights):
     stack, reached = [bit for score in scores.scores for bit in score.bits.bits], set()
     while stack:
         bit = stack.pop()
-        if id(bit) in backend.gates and id(bit) not in reached:
+        wired = backend.gates.get(id(bit)) or backend.nots.get(id(bit))
+        if wired and id(bit) not in reached:
             reached.add(id(bit))
-            stack.extend(backend.gates[id(bit)][1:])
+            stack.extend(wired[1:])
+    reached &= backend.gates.keys()
     assert backend.stats.nand_count == len(backend.gates) > 0
     assert len(backend.gates) - len(reached) == 0
 
@@ -1083,24 +1091,26 @@ def test_encrypted_weight_model_counts(tiny_net, preset_net):
     layer: the tiny model's on the gate path and as the fast path's charge
     (75,644 before each neuron summed its products' partial products in
     its own reducer, 70,172 and 4,694 before each product skipped its
-    carry-free low columns and each max its public equal bits), and the
-    preset model's charge (560,479,052 and then 546,817,716 before)."""
+    carry-free low columns and each max its public equal bits, 69,836
+    and 4,678 before NOT was free), and the preset model's charge
+    (560,479,052, then 546,817,716 and 546,461,940 before)."""
     tiny = demo.synthetic_images(1, 6, 6)[0]
     assert _encrypted_weight_layers(tiny_net, tiny, True) == \
-        _encrypted_weight_layers(tiny_net, tiny, False) == ([-12, -8], [69_836, 4_678])
+        _encrypted_weight_layers(tiny_net, tiny, False) == ([-12, -8], [48_016, 3_250])
     scores, nands = _encrypted_weight_layers(preset_net, demo.synthetic_images(1, 28, 28)[0],
                                              True)
-    assert nands == [174_873_600, 360_181_680, 11_406_660]
-    assert sum(nands) == 546_461_940
+    assert nands == [126_341_568, 258_067_680, 8_202_150]
+    assert sum(nands) == 392_611_398
     assert scores == [-11573, -38049, -42303, 29431, 40512, -30593, 47464, 32579, -397, 8366]
 
 
 def test_merged_neurons_cost_no_more_than_separate_products():
     """Per neuron of each layer of the micro, tiny and preset models with
     encrypted weights, on private operands at the bounded walk's widths:
-    one reducer over the bias and the products' partial products (fp_sum
-    of the (input, weight) pairs) costs no more than fp_mul's products
-    summed as words, the neuron before (pinned: before, after)."""
+    fp_sum of the bias and the (input, weight) pairs, which sums the
+    products' partial products in its reducer unless building them apart
+    is cheaper, costs no more than fp_mul's products summed as words, the
+    neuron before (pinned: before, after)."""
     costs = []
     for net in (demo.micro_model(), demo.tiny_model(), demo.preset_model()):
         for c in net.certificate(encrypt_weights=True):
@@ -1114,5 +1124,5 @@ def test_merged_neurons_cost_no_more_than_separate_products():
                                   [bias] + [c.mul_bits] * fan_in, root)[0]
             costs.append((fan_in * mul + words, merged))
     assert all(after <= before for before, after in costs)
-    assert costs == [(1_676, 1_583), (4_309, 4_285), (2_572, 2_382), (76_953, 75_724),
-                     (387_903, 377_528), (1_176_902, 1_146_705)]
+    assert costs == [(1_145, 1_145), (2_947, 2_947), (1_759, 1_728), (54_713, 54_713),
+                     (276_088, 275_813), (836_349, 836_349)]

@@ -238,10 +238,10 @@ def test_auto_refresh_sustains_deep_chains(toy_params, toy_key):
 
 
 def test_fan_out_bit_is_refreshed_once_when_made(toy_params, toy_key):
-    """A NAND output read by not_gate (NAND(public 1, x)) and by two more
-    NANDs is refreshed once, by the NAND that makes it: each of the three
-    general NANDs adds one refresh, of its own output, the NOT, which
-    multiplies no two ciphertexts, adds none, and no read adds another."""
+    """A NAND output read by not_gate and by two more NANDs is refreshed
+    once, by the NAND that makes it: each of the three general NANDs adds
+    one refresh, of its own output, the NOT, which multiplies no two
+    ciphertexts, adds none, and no read adds another."""
     gsw = fc.GswBackend(toy_params, key=toy_key, seed=15, auto_refresh=True)
     x, y = gsw.encrypt_bit(1), gsw.encrypt_bit(0)
     before = gsw.stats.refresh_count
@@ -257,6 +257,31 @@ def test_fan_out_bit_is_refreshed_once_when_made(toy_params, toy_key):
         assert gsw.stats.refresh_count - before == refreshes
         assert gsw.reveal_bit(out) == want
     assert gsw.reveal_bit(made) == 1
+
+
+def test_not_is_free_and_keeps_the_noise(toy_params, toy_key):
+    """With the key: NOT of a NAND output and of a fresh encryption, as
+    ``fhe_core.not_`` and as NAND(public 1, x), bumps no NAND count and
+    refreshes nothing, keeps the operand's noise estimate and its true
+    noise, which stays within it, and decrypts to the complement; NOT of
+    NOT gives the operand's ciphertext bit for bit."""
+    gsw = fc.GswBackend(toy_params, key=toy_key, seed=18, auto_refresh=True)
+    made = fc.nand(gsw.encrypt_bit(1), gsw.encrypt_bit(1))
+    for x, value in ((made, 0), (gsw.encrypt_bit(1), 1)):
+        for negate in (fc.not_, lambda bit: fc.nand(gsw.const(1), bit),
+                       lambda bit: fc.nand(bit, gsw.const(1))):
+            before = gsw.stats.snapshot()
+            out = negate(x)
+            assert gsw.stats.snapshot() == before
+            ct = out.ciphertext
+            assert out.public is None and ct.noise_estimate == x.ciphertext.noise_estimate
+            assert fc.true_noise(toy_key, ct) == fc.true_noise(toy_key, x.ciphertext)
+            assert fc.true_noise(toy_key, ct) <= ct.noise_estimate
+            assert gsw.reveal_bit(out) == 1 - value
+            twice = fc.not_(out).ciphertext
+            assert np.array_equal(twice.recomposed, x.ciphertext.recomposed)
+            assert twice.noise_estimate == x.ciphertext.noise_estimate
+    assert fc.not_(gsw.const(1)) is gsw.const(0) and fc.not_(gsw.const(0)) is gsw.const(1)
 
 
 def test_noise_soundness_random_dags(toy_params, toy_key):
@@ -281,8 +306,8 @@ def test_noise_soundness_random_dags(toy_params, toy_key):
 
 def test_auto_refresh_invariant_random_dags(toy_params, toy_key):
     """With auto-refresh, every bit the backend hands out (encryptions,
-    NANDs, a NAND of a bit with itself and not_gate's NAND(public 1, x),
-    which passes its operand's noise through) meets estimate * ct_dim +
+    NANDs, a NAND of a bit with itself and not_gate's W - M, which passes
+    its operand's noise through) meets estimate * ct_dim +
     fresh < budget/2, so any NAND of two of them stays below the budget,
     and decrypts to its plaintext."""
     rng = np.random.default_rng(1)
@@ -333,11 +358,18 @@ def _folds(a, b):
     return (a[0] and a[1] == 0) or (b[0] and b[1] == 0) or (a[0] and b[0])
 
 
+def _counted(a, b):
+    """Only a NAND of two private bits is evaluated; NAND(public 1, x) is
+    x's uncounted NOT."""
+    return not a[0] and not b[0]
+
+
 @pytest.mark.parametrize("tag", ["clear", "gsw"])
 def test_nand_folds_exactly_the_publicly_fixed_gates(tag, toy_params, toy_key):
     """Every public/private operand mix: a folded NAND returns the shared
-    public constant and leaves nand_count alone; any other, NAND(public 1,
-    x) included, is one evaluated and counted gate with a private output."""
+    public constant and leaves nand_count alone; any other has a private
+    output, NAND(public 1, x) as x's uncounted NOT and a NAND of two
+    private bits as one evaluated and counted gate."""
     backend = (fc.ClearBackend() if tag == "clear"
                else fc.GswBackend(toy_params, key=toy_key, seed=9))
 
@@ -356,7 +388,7 @@ def test_nand_folds_exactly_the_publicly_fixed_gates(tag, toy_params, toy_key):
                 assert backend.stats.nand_count == before, (a, b)
             else:
                 assert out.public is None, (a, b)
-                assert backend.stats.nand_count == before + 1, (a, b)
+                assert backend.stats.nand_count == before + _counted(a, b), (a, b)
 
 
 def test_fold_probe_lanes_follow_the_fold_rule():
@@ -368,7 +400,7 @@ def test_fold_probe_lanes_follow_the_fold_rule():
                 for public, value in (x, y))
         out = fc.nand(a, b)
         folded = _folds(x, y)
-        assert probe.nand_count == (0 if folded else 1), (x, y)
+        assert probe.nand_count == _counted(x, y), (x, y)
         assert (out.public is not None) == folded, (x, y)
         if folded:
             assert out.public == 1 - (x[1] & y[1]), (x, y)
@@ -492,6 +524,6 @@ def test_golden_score_ciphertexts(toy_params, toy_key):
             digest.update(bit.ciphertext.matrix.astype(np.int64).tobytes())
             digest.update(repr(bit.ciphertext.noise_estimate).encode())
     assert digest.hexdigest() == (
-        "712ec45d1a13b216058884e099e726c8aea988cd202c40ef34936de5396a2b38")
-    assert backend.stats.snapshot() == (3166, 2892, 218.0)
+        "0e76d18d4cced29e0694a16150c45ba70b5172146d3c38c945af358461cadd71")
+    assert backend.stats.snapshot() == (2290, 2290, 218.0)
     assert [value.bits.to_int() for value in scores.scores] == [-10, 22]

@@ -500,8 +500,8 @@ def test_narrow_add_is_exact_where_the_sum_fits():
 def test_narrow_relu_is_exact_and_its_high_bits_are_public_zeros():
     """fp_relu at each width b of a w=10 format, on every value that fits
     b bits: the output is max(x, 0), its bits from b - 1 up are the
-    public constant 0, and it evaluates one NOT and b - 1 ANDs, as
-    fold_costs charges.  On the clear backend a value past b bits
+    public constant 0, and it evaluates b - 1 ANDs, one NAND each (the
+    NOT of the sign is free), as fold_costs charges.  On the clear backend a value past b bits
     raises."""
     small = fp.FixedPointFormat(10, 5)
     for width in range(2, 11):
@@ -515,7 +515,7 @@ def test_narrow_relu_is_exact_and_its_high_bits_are_public_zeros():
         assert [bit.public for bit in out.bits.bits[width - 1:]] == [0] * (11 - width)
         assert all(bit.public is None for bit in out.bits.bits[:width - 1])
         nands = backend.stats.nand_count - before
-        assert nands == 2 * width - 1
+        assert nands == width - 1
         assert fp.fold_costs("relu", small, [(fp.PRIVATE, fp.PRIVATE)], width)[0] == (
             nands, (1023 ^ (half - 1), 0))
     backend = fc.ClearBackend()
@@ -602,18 +602,17 @@ def _preset_plans() -> dict:
 
 
 def test_preset_entry_set_plans_are_pinned():
-    """A digest of every preset entry-set plan's steps, shared NOTs and
-    targets, in (layer, input channel, entries) order: 81 sets for conv1,
-    4 x 81 for conv2 and one per fc feature.  A faster planner must plan
-    the same graphs."""
+    """A digest of every preset entry-set plan's steps and targets, in
+    (layer, input channel, entries) order: 81 sets for conv1, 4 x 81 for
+    conv2 and one per fc feature.  A faster planner must plan the same
+    graphs."""
     plans = _preset_plans()
     assert len(plans) == 81 + 4 * 81 + 240
     digest = hashlib.sha256()
     for key in sorted(plans):
         plan = plans[key]
-        digest.update(repr((key, [tuple(st) for st in plan.steps], plan.inverted,
-                            plan.targets)).encode())
-    assert digest.hexdigest() == "f1bf9c597cfedd05a708448378dda91e32e890dec42c221fa395bf796f44fb6e"
+        digest.update(repr((key, [tuple(st) for st in plan.steps], plan.targets)).encode())
+    assert digest.hexdigest() == "72cd705e7fee4b746dc0dc109cb27a0f2a3c050d7889feca2cafd456d3e4cb2d"
 
 
 def test_preset_kernel_plan_sizes():
@@ -644,8 +643,10 @@ def _count_probes(monkeypatch, limit=None):
 
 def test_fold_memo_runs_each_circuit_once(monkeypatch):
     """Each op key (a fold_costs pair, a sum_costs call) and each
-    mul_const step key runs one FoldProbe, once: a second identical call
-    builds none, and a step or a sum keeps one entry, none per adder."""
+    mul_const step key runs one FoldProbe, once, and a sum with a product
+    of private operands two more, one per way of building its products
+    (``_apart``): a second identical call builds none, and a step keeps
+    one entry and a sum three, none per adder."""
     built = _count_probes(monkeypatch)
     fmt = fp.FixedPointFormat(8, 4)
     pairs = [(fp.PRIVATE, fp.PRIVATE), ((0b1111, 0b0101), fp.PRIVATE)]
@@ -653,17 +654,18 @@ def test_fold_memo_runs_each_circuit_once(monkeypatch):
     assert len(built) == 2
     assert fp.fold_costs("add", fmt, pairs) == first
     assert len(built) == 2
-    step, xs, ts = SimpleNamespace(negative=True, carries=1), fp.PRIVATE, (0b1010, 0b0010)
-    first = fp._step_cost(step, 4, xs, ts)
+    step = SimpleNamespace(negative=True, carries=1, top=4, column=0)
+    xs, ts = (4, fp.PRIVATE), (4, (0b1010, 0b0010))
+    first = fp._step_cost(step, xs, ts)
     assert (len(built), len(fp._FOLDS)) == (3, 3)
-    assert fp._step_cost(step, 4, xs, ts) == first
+    assert fp._step_cost(step, xs, ts) == first
     assert len(built) == 3
     patterns = [fp.PRIVATE, ((0xf0, 0), fp.PRIVATE), (0b11, 0b01)]
     widths = [(6, True), (5, 4, 5), (3, False)]
     first = fp.sum_costs(fmt, patterns, widths, 7)
-    assert (len(built), len(fp._FOLDS)) == (4, 4)
+    assert (len(built), len(fp._FOLDS)) == (6, 6)
     assert fp.sum_costs(fmt, patterns, widths, 7) == first
-    assert len(built) == 4
+    assert len(built) == 6
 
 
 def test_fold_memo_clears_at_its_limit(monkeypatch):
@@ -680,19 +682,21 @@ def test_fold_memo_clears_at_its_limit(monkeypatch):
 
 
 def test_fold_memo_keeps_its_limit_when_a_step_keeps_its_cells(monkeypatch):
-    """A mul_const step and a sum keep one entry each, not one per
-    column or adder, so a memo of two holds at its limit through a pair of
-    ops, a step and a sum, and each gives its first result again."""
+    """A mul_const step keeps one entry and a sum three (itself and each
+    way of building its product), not one per column or adder, so a memo
+    of two holds at its limit through a pair of ops, a step and a sum,
+    and each gives its first result again."""
     built = _count_probes(monkeypatch, limit=2)
     fmt = fp.FixedPointFormat(8, 4)
     pairs = [(fp.PRIVATE, fp.PRIVATE), ((0b1111, 0b0101), fp.PRIVATE)]
-    step, xs, ts = SimpleNamespace(negative=True, carries=1), fp.PRIVATE, (0b1010, 0b0010)
+    step = SimpleNamespace(negative=True, carries=1, top=4, column=0)
+    xs, ts = (4, fp.PRIVATE), (4, (0b1010, 0b0010))
     patterns, widths = [fp.PRIVATE, ((0xf0, 0), fp.PRIVATE)], [(6, True), (5, 4, 5)]
-    first = (fp.fold_costs("add", fmt, pairs), fp._step_cost(step, 4, xs, ts),
+    first = (fp.fold_costs("add", fmt, pairs), fp._step_cost(step, xs, ts),
              fp.sum_costs(fmt, patterns, widths, 7))
-    assert len(built) == 4
+    assert len(built) == 6
     assert len(fp._FOLDS) <= 2
-    assert (fp.fold_costs("add", fmt, pairs), fp._step_cost(step, 4, xs, ts),
+    assert (fp.fold_costs("add", fmt, pairs), fp._step_cost(step, xs, ts),
             fp.sum_costs(fmt, patterns, widths, 7)) == first
     assert len(fp._FOLDS) <= 2
 
@@ -703,8 +707,8 @@ def _chain_nands(k, fmt):
     one-constant adder graph may not exceed: the lowest +1 digit's term
     a·2^j is a wire, and every other digit, lowest first, adds or
     subtracts a·2^j into one running sum, which forms sums only from
-    min(f, next digit) and stops where it provably fits; the subtractions
-    share one ~a.  Each step is charged its cached cost."""
+    min(f, next digit) and stops where it provably fits.  Each step is
+    charged its cached cost."""
     w, lo, hi = fmt.total_bits, fmt.frac_bits, fmt.frac_bits + fmt.total_bits
     digits = [(j, d) for j, d in g._naf(k) if j < hi]
     start = next((j for j, d in digits if d > 0), None)
@@ -715,13 +719,15 @@ def _chain_nands(k, fmt):
         end = min(g._product_width(multiplier, w), hi)
         following = rest[i + 1][0] if i + 1 < len(rest) else hi
         steps.append((j, end, SimpleNamespace(
-            negative=d < 0, carries=max(0, min(lo, following, end - 1) - j))))
-    tops = [min(end - j, w) for j, end, st in steps if st.negative and end - j > 1]
-    nands = max(tops, default=1) - 1  # the shared NOTs of a's bits 1..
+            negative=d < 0, carries=max(0, min(lo, following, end - 1) - j), top=end, column=j)))
+    nands = 0
     acc = [0] * hi if start is None else [0] * start + [None] * (hi - start)
+    top = 0 if start is None else start + w  # the running sum's own bits
     for j, end, st in steps:
-        cost, out = fp._step_cost(st, end - j, fp._pattern_of(acc[j:end]), fp.PRIVATE)
+        xs = acc[j:max(top, j + 1)][:end - j]
+        cost, out = fp._step_cost(st, (len(xs), fp._pattern_of(xs)), (min(w, end - j), fp.PRIVATE))
         nands += cost
+        top = end
         public, value = out
         acc[j + st.carries:end] = [value >> i & 1 if public >> i & 1 else None
                                    for i in range(end - j - st.carries)]

@@ -83,8 +83,8 @@ def test_every_private_helper_has_a_caller():
 
 def test_no_bit_is_nanded_with_itself():
     """No NAND call in the package repeats an operand: NOT is
-    ``gates.not_gate``, NAND(public 1, x), which multiplies no two
-    ciphertexts, so it has one definition."""
+    ``gates.not_gate``, the backend's free NOT, so it has one
+    definition."""
     source = Path(gatecnn.__file__).parent
     found = []
     for path in sorted(source.glob("*.py")):
@@ -92,5 +92,22 @@ def test_no_bit_is_nanded_with_itself():
             if (isinstance(node, ast.Call) and len(node.args) == 2
                     and getattr(node.func, "id", getattr(node.func, "attr", None)) == "nand"
                     and ast.dump(node.args[0]) == ast.dump(node.args[1])):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_nand_takes_a_public_one():
+    """No NAND call in the package takes a ``const(1)`` operand: every NOT
+    goes through ``gates.not_gate``, not through NAND(public 1, x)."""
+    source = Path(gatecnn.__file__).parent
+    found = []
+    for path in sorted(source.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "nand"
+                    and any(isinstance(arg, ast.Call)
+                            and getattr(arg.func, "attr", getattr(arg.func, "id", None)) == "const"
+                            and [ast.dump(a) for a in arg.args] == [ast.dump(ast.Constant(1))]
+                            for arg in node.args)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -20,7 +20,7 @@ from gatecnn.demo import synthetic_images
 from gatecnn.fhe_core import ClearBackend
 
 ROOT = Path(__file__).resolve().parent.parent
-CLEAR_PAPER_NANDS = 54_544_952
+CLEAR_PAPER_NANDS = 40_152_539
 
 
 def _run(workload: str, trace: int) -> dict:
@@ -37,7 +37,7 @@ def test_gsw_private_traced_run_is_correct():
     result = _run("gsw_private", trace=1)
     assert result["correct"] is True
     assert result["failed"] == 0
-    assert result["metrics"]["fhe_core.nand_calls"]["value"] == 3166
+    assert result["metrics"]["fhe_core.nand_calls"]["value"] == 2290
 
 
 def test_clear_paper_run_pins_the_folded_nand_count():
@@ -70,7 +70,7 @@ def test_clear_paper_nands_per_layer(preset_net):
             current = cnn.fc_layer(cnn.flatten_image(current), layer, layer_index=i,
                                    certificate=certificate).scores
         nands.append(backend.stats.nand_count - before)
-    assert nands == [20_650_586, 32_641_065, 1_253_301]
+    assert nands == [15_050_749, 24_210_899, 890_891]
     assert sum(nands) == CLEAR_PAPER_NANDS
 
 
