@@ -31,8 +31,8 @@ reads each of them at its certified bits and folds every public bit into
 one constant.  With encrypted weights (the private model setting) the
 certificate walks only each layer's public weight and bias bit widths,
 so every neuron of a layer has the same widths, and its one reducer sums
-the bias and the partial products of its (input, weight) products
-straight away (merged arithmetic), built that narrow.  Scores stay
+the bias and its (input, weight) products, each built that narrow on its
+own Baugh–Wooley array.  Scores stay
 encrypted: argmax is the client's job after decryption.
 """
 

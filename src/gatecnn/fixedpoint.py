@@ -8,10 +8,9 @@ error of one multiply is one-sided and below 1/scale.  The multiplier
 circuits build only those product bits and the carries they need: a
 shift-and-add over the constant's signed digits when one operand is
 wholly public (a model weight), a Baugh–Wooley array otherwise.  A sum
-(``fp_sum``) takes such an array's partial products from column f up
-into its own column reducer, each product's lower columns reduced to
-their carries first so that it is floored on its own (merged
-arithmetic); ``fp_mul`` is the one-product sum.  The products of one
+(``fp_sum``) builds each such array on its own, to the bits it reads
+of the product, and sums the products with its other terms in one
+column reducer; ``fp_mul`` is the one-product sum.  The products of one
 value with several public constants (the kernel entries that a
 convolution's windows read at one input pixel) can share that
 shift-and-add's adders (``fp_mul_consts``).
@@ -310,37 +309,25 @@ def fp_sum(terms, widths, bits: int | None = None) -> FixedPointCipher:
     an unsigned integer or in two's complement, which must hold it; or a
     pair (x, y) read at fp_mul's widths[i] = (b_x, b_y, b_p): their
     floored product, from the shift-and-add ``gates.mul_const`` by y or
-    else x when wholly public, read at (b_p, signed), else from their
-    Baugh–Wooley partial products, in the reducer or each product apart
-    (``_sum_words``).  It works modulo 2^``bits`` (default w), certified
-    to hold the sum, whose bits from ``bits`` up are wires copying its
-    bit bits - 1; the clear backend checks every term, product operand
-    and the sum fit."""
+    else x when wholly public, else from their Baugh–Wooley array
+    (``gates.mul_wallace``) built on its own, read at (b_p, signed).  Built
+    apart, a product drops the carries out of its bit b_p - 1, which the
+    reducer would have to sum up to its root if it took the product's
+    partial products among its own columns.  It works modulo
+    2^``bits`` (default w), certified to hold the sum, whose bits from
+    ``bits`` up are wires copying its bit bits - 1; the clear backend
+    checks every term, product operand and the sum fit."""
     ciphers = [x for term in terms for x in (term if isinstance(term, tuple) else (term,))]
     for x in ciphers[1:]:
         _check_formats(ciphers[0], x)
     fmt, backend = ciphers[0].fmt, ciphers[0].backend
-    w = fmt.total_bits
+    f, w = fmt.frac_bits, fmt.total_bits
     bits = w if bits is None else bits
     if isinstance(backend, ClearBackend):  # a product is read at (b_p, signed)
         values = [_lane_array(term) if len(width) == 2 else
                   int_mul(*map(_lane_array, term), fmt, width) for term, width in zip(terms, widths)]
         int_sum(np.stack(values, axis=-1), fmt,
                 *zip(*(width if len(width) == 2 else (width[2], True) for width in widths)), bits)
-    out = gates.sum_words(_sum_words(terms, widths, bits), bits, backend)
-    return FixedPointCipher(BitVector(out + out[-1:] * (w - bits)), fmt)
-
-
-def _sum_words(terms, widths, bits: int, apart: bool | None = None) -> list:
-    """fp_sum's words for ``gates.sum_words``, one per term.  A product of
-    two private operands is its triple (a_bits, b_bits, f), whose partial
-    products the reducer sums, or with ``apart`` each such product is
-    built on its own (``gates.mul_wallace``) and read at (b_p, signed).
-    ``apart`` None takes the one that evaluates fewer NANDs (_apart): in
-    the reducer a product also sums its partial products from f + b_p up
-    to the root, which can cost more than the half adders it saves."""
-    fmt = next(x for term in terms for x in (term if isinstance(term, tuple) else (term,))).fmt
-    f, w = fmt.frac_bits, fmt.total_bits
     words = []
     for term, width in zip(terms, widths):
         if len(width) == 2:
@@ -350,33 +337,13 @@ def _sum_words(terms, widths, bits: int, apart: bool | None = None) -> list:
             public, value = public_pattern(y)
             if public == (1 << w) - 1:
                 product = gates.mul_const(_low_bits(x, n), _signed(value, w), f, f + w)
-                words.append((product.bits[:width[2]], True))
                 break
         else:
-            words.append((term[0].bits.bits[:width[0]], term[1].bits.bits[:width[1]], f))
-    products = [i for i, word in enumerate(words) if len(word) == 3]
-    if products and (_apart(fmt, terms, widths, bits) if apart is None else apart):
-        for i in products:
-            a, b, lo = words[i]
-            words[i] = (gates.mul_wallace(BitVector(a), BitVector(b), lo, lo + widths[i][2]).bits,
-                        True)
-    return words
-
-
-def _apart(fmt: FixedPointFormat, terms, widths, bits: int) -> bool:
-    """Whether fp_sum builds its private products apart: when that
-    evaluates fewer NANDs than summing them in its reducer, on terms with
-    these terms' public_patterns, each way run once on a FoldProbe
-    (``_probed``)."""
-    patterns = tuple(public_pattern(term) if len(width) == 2 else tuple(map(public_pattern, term))
-                     for term, width in zip(terms, widths))
-
-    def circuit(way):
-        return lambda probe: gates.sum_words(
-            _sum_words(_probe_terms(probe, fmt, patterns, widths), widths, bits, way), bits, probe)
-    together, apart = (_probed(("sum", fmt, patterns, tuple(widths), bits, way), circuit(way))[0]
-                       for way in (False, True))
-    return apart < together
+            product = gates.mul_wallace(_low_bits(term[0], width[0]), _low_bits(term[1], width[1]),
+                                        f, f + width[2])
+        words.append((product.bits[:width[2]], True))
+    out = gates.sum_words(words, bits, backend)
+    return FixedPointCipher(BitVector(out + out[-1:] * (w - bits)), fmt)
 
 
 def _lane_array(x: FixedPointCipher) -> np.ndarray:
@@ -560,15 +527,11 @@ def sum_costs(fmt: FixedPointFormat, patterns, widths, bits: int):
         return 0, (full, _signed(total & (1 << bits) - 1, bits) & full)
 
     def circuit(probe):
-        return fp_sum(_probe_terms(probe, fmt, patterns, widths), widths, bits).bits.bits
+        terms = [tuple(_probe_cipher(probe, fmt, x) for x in pattern) if len(width) == 3
+                 else _probe_cipher(probe, fmt, pattern)
+                 for pattern, width in zip(patterns, widths)]
+        return fp_sum(terms, widths, bits).bits.bits
     return _probed(("sum", fmt, tuple(patterns), tuple(widths), bits), circuit)
-
-
-def _probe_terms(probe: FoldProbe, fmt: FixedPointFormat, patterns, widths) -> list:
-    """fp_sum terms of ``probe`` with the public_patterns ``patterns``: a
-    word's, or for a product the pair (x, y) of its operands'."""
-    return [tuple(_probe_cipher(probe, fmt, x) for x in pattern) if len(width) == 3
-            else _probe_cipher(probe, fmt, pattern) for pattern, width in zip(patterns, widths)]
 
 
 def _probe_bits(probe: FoldProbe, pattern: tuple, width: int) -> list:

@@ -1092,25 +1092,27 @@ def test_encrypted_weight_model_counts(tiny_net, preset_net):
     (75,644 before each neuron summed its products' partial products in
     its own reducer, 70,172 and 4,694 before each product skipped its
     carry-free low columns and each max its public equal bits, 69,836
-    and 4,678 before NOT was free), and the preset model's charge
-    (560,479,052, then 546,817,716 and 546,461,940 before)."""
+    and 4,678 before NOT was free and each neuron built its private
+    products apart), and the preset model's charge (560,479,052, then
+    546,817,716 and 546,461,940 before)."""
     tiny = demo.synthetic_images(1, 6, 6)[0]
     assert _encrypted_weight_layers(tiny_net, tiny, True) == \
-        _encrypted_weight_layers(tiny_net, tiny, False) == ([-12, -8], [48_016, 3_250])
+        _encrypted_weight_layers(tiny_net, tiny, False) == ([-12, -8], [48_016, 3_326])
     scores, nands = _encrypted_weight_layers(preset_net, demo.synthetic_images(1, 28, 28)[0],
                                              True)
-    assert nands == [126_341_568, 258_067_680, 8_202_150]
-    assert sum(nands) == 392_611_398
+    assert nands == [126_341_568, 258_676_320, 8_209_890]
+    assert sum(nands) == 393_227_778
     assert scores == [-11573, -38049, -42303, 29431, 40512, -30593, 47464, 32579, -397, 8366]
 
 
 def test_merged_neurons_cost_no_more_than_separate_products():
     """Per neuron of each layer of the micro, tiny and preset models with
     encrypted weights, on private operands at the bounded walk's widths:
-    fp_sum of the bias and the (input, weight) pairs, which sums the
-    products' partial products in its reducer unless building them apart
-    is cheaper, costs no more than fp_mul's products summed as words, the
-    neuron before (pinned: before, after)."""
+    fp_sum of the bias and the (input, weight) pairs costs no more than
+    fp_mul's products summed as words, the neuron before (pinned: before,
+    after).  Both now build each product on its own array, so they are
+    equal: summing the products' partial products in the neuron's reducer
+    would cost more on four of these six layers."""
     costs = []
     for net in (demo.micro_model(), demo.tiny_model(), demo.preset_model()):
         for c in net.certificate(encrypt_weights=True):
@@ -1124,5 +1126,5 @@ def test_merged_neurons_cost_no_more_than_separate_products():
                                   [bias] + [c.mul_bits] * fan_in, root)[0]
             costs.append((fan_in * mul + words, merged))
     assert all(after <= before for before, after in costs)
-    assert costs == [(1_145, 1_145), (2_947, 2_947), (1_759, 1_728), (54_713, 54_713),
-                     (276_088, 275_813), (836_349, 836_349)]
+    assert costs == [(1_145, 1_145), (2_947, 2_947), (1_759, 1_759), (54_713, 54_713),
+                     (276_088, 276_088), (836_349, 836_349)]

@@ -501,8 +501,8 @@ def test_narrow_relu_is_exact_and_its_high_bits_are_public_zeros():
     """fp_relu at each width b of a w=10 format, on every value that fits
     b bits: the output is max(x, 0), its bits from b - 1 up are the
     public constant 0, and it evaluates b - 1 ANDs, one NAND each (the
-    NOT of the sign is free), as fold_costs charges.  On the clear backend a value past b bits
-    raises."""
+    NOT of the sign is free), as fold_costs charges.  On the clear
+    backend a value past b bits raises."""
     small = fp.FixedPointFormat(10, 5)
     for width in range(2, 11):
         half = 1 << (width - 1)
@@ -643,10 +643,8 @@ def _count_probes(monkeypatch, limit=None):
 
 def test_fold_memo_runs_each_circuit_once(monkeypatch):
     """Each op key (a fold_costs pair, a sum_costs call) and each
-    mul_const step key runs one FoldProbe, once, and a sum with a product
-    of private operands two more, one per way of building its products
-    (``_apart``): a second identical call builds none, and a step keeps
-    one entry and a sum three, none per adder."""
+    mul_const step key runs one FoldProbe, once: a second identical call
+    builds none, and a step or a sum keeps one entry, none per adder."""
     built = _count_probes(monkeypatch)
     fmt = fp.FixedPointFormat(8, 4)
     pairs = [(fp.PRIVATE, fp.PRIVATE), ((0b1111, 0b0101), fp.PRIVATE)]
@@ -663,9 +661,9 @@ def test_fold_memo_runs_each_circuit_once(monkeypatch):
     patterns = [fp.PRIVATE, ((0xf0, 0), fp.PRIVATE), (0b11, 0b01)]
     widths = [(6, True), (5, 4, 5), (3, False)]
     first = fp.sum_costs(fmt, patterns, widths, 7)
-    assert (len(built), len(fp._FOLDS)) == (6, 6)
+    assert (len(built), len(fp._FOLDS)) == (4, 4)
     assert fp.sum_costs(fmt, patterns, widths, 7) == first
-    assert len(built) == 6
+    assert len(built) == 4
 
 
 def test_fold_memo_clears_at_its_limit(monkeypatch):
@@ -682,10 +680,9 @@ def test_fold_memo_clears_at_its_limit(monkeypatch):
 
 
 def test_fold_memo_keeps_its_limit_when_a_step_keeps_its_cells(monkeypatch):
-    """A mul_const step keeps one entry and a sum three (itself and each
-    way of building its product), not one per column or adder, so a memo
-    of two holds at its limit through a pair of ops, a step and a sum,
-    and each gives its first result again."""
+    """A mul_const step and a sum keep one entry each, not one per
+    column or adder, so a memo of two holds at its limit through a pair of
+    ops, a step and a sum, and each gives its first result again."""
     built = _count_probes(monkeypatch, limit=2)
     fmt = fp.FixedPointFormat(8, 4)
     pairs = [(fp.PRIVATE, fp.PRIVATE), ((0b1111, 0b0101), fp.PRIVATE)]
@@ -694,7 +691,7 @@ def test_fold_memo_keeps_its_limit_when_a_step_keeps_its_cells(monkeypatch):
     patterns, widths = [fp.PRIVATE, ((0xf0, 0), fp.PRIVATE)], [(6, True), (5, 4, 5)]
     first = (fp.fold_costs("add", fmt, pairs), fp._step_cost(step, xs, ts),
              fp.sum_costs(fmt, patterns, widths, 7))
-    assert len(built) == 6
+    assert len(built) == 4
     assert len(fp._FOLDS) <= 2
     assert (fp.fold_costs("add", fmt, pairs), fp._step_cost(step, xs, ts),
             fp.sum_costs(fmt, patterns, widths, 7)) == first

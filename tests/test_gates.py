@@ -199,14 +199,16 @@ def _lane_masks(values, width):
 
 
 # Windows [lo, hi) of an m x n mul_wallace: its NANDs, and the NAND depth
-# the classic Wallace tree it replaced had there.
+# the classic Wallace tree it replaced has there when built from today's
+# gates (a full adder's sum and carry at max(a, b) + 4 or cin + 2, a NOT
+# no deeper than its operand).
 MUL_SHAPES = [
-    (10, 10, 5, 15, 597, 47),  # a w-bit fp_mul at w=10, f=5
-    (32, 32, 16, 48, 6834, 118),  # at w=32, f=16
-    (7, 6, 5, 11, 249, 36),  # the micro model: 7-bit pixels, 6-bit weights
-    (18, 16, 16, 32, 2077, 81),  # the preset model's conv1
-    (21, 17, 16, 37, 2614, 91),  # conv2
-    (28, 16, 16, 43, 3296, 103),  # fc
+    (10, 10, 5, 15, 597, 37),  # a w-bit fp_mul at w=10, f=5
+    (32, 32, 16, 48, 6834, 104),  # at w=32, f=16
+    (7, 6, 5, 11, 249, 27),  # the micro model: 7-bit pixels, 6-bit weights
+    (18, 16, 16, 32, 2077, 70),  # the preset model's conv1
+    (21, 17, 16, 37, 2614, 80),  # conv2
+    (28, 16, 16, 43, 3296, 92),  # fc
 ]
 
 # The preset model's private-weight multiplies (b_x, b_w, [f, f + b_p)).
@@ -448,8 +450,9 @@ def test_mul_const_rejects_bad_window(clear):
 
 
 class _TracingBackend(fc.ClearBackend):
-    """Records each evaluated NAND as the serial numbers of its operands
-    (a public constant as its value)."""
+    """Records each evaluated NAND as the serial numbers of its two
+    operands (a public constant as its value), and each NOT as its
+    operand's alone."""
 
     def __init__(self):
         super().__init__()
@@ -468,6 +471,10 @@ class _TracingBackend(fc.ClearBackend):
     def nand(self, a, b):
         self.trace.append(tuple(self.serial.get(id(x), x.public) for x in (a, b)))
         return self._number(super().nand(a, b))
+
+    def not_(self, a):
+        self.trace.append((self.serial.get(id(a), a.public),))
+        return self._number(super().not_(a))
 
 
 def test_mul_const_gate_trace_depends_on_k_only():
