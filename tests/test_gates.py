@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -489,6 +490,31 @@ def test_mul_const_gate_trace_depends_on_k_only():
         traces.append(backend.trace)
     assert traces[0] == traces[1]
     assert traces[0]
+
+
+# (m, n, lo, hi, public top bits of a, digest) of mul_wallace windows;
+# the third operand's top bits are public zeros, as a ReLU'd input's are.
+MUL_TRACES = [
+    (10, 10, 5, 15, 0, "a9236c0008d749da2a50bccc2f48dd71497a757116302cbc9d517cdeb3017442"),
+    (21, 17, 16, 37, 0, "e362ed9c998130282f8982c95e207a5b09a921ed4d105cc24c9b0f097384895c"),
+    (21, 17, 16, 37, 3, "2874af1a3d7e08c5f35ab75ad7bdee531d4a0abed3756535e5e12098579d20ae"),
+]
+
+
+@pytest.mark.parametrize("m, n, lo, hi, public_top, digest", MUL_TRACES)
+def test_mul_wallace_gate_trace_is_pinned(m, n, lo, hi, public_top, digest):
+    """The gates of a product window, each NAND and NOT on the serials of
+    its operands, and the serials of the output bits, hash to a pinned
+    digest: a rewrite of the reducer must build the same circuit gate for
+    gate, not only one with the same NAND count."""
+    backend = _TracingBackend()
+    a = [backend.const(0) if i >= m - public_top else backend.encrypt_bit(i % 2)
+         for i in range(m)]
+    b = g.BitVector.from_int(-77, n, backend, encrypt=True)
+    out = g.mul_wallace(g.BitVector(a), b, lo, hi)
+    outputs = tuple(backend.serial.get(id(bit), bit.public) for bit in out.bits)
+    got = hashlib.sha256(repr((backend.trace, outputs)).encode()).hexdigest()
+    assert got == digest
 
 
 @pytest.mark.parametrize("width", [6, 8, 10])
