@@ -275,6 +275,10 @@ def _sample_noise(params: FheParams, rng: np.random.Generator, size: int) -> np.
 
 
 def _rng_from_seed(seed: int, key: tuple = ()) -> np.random.Generator:
+    """The generator of ``seed`` under ``key``; every seed passes through
+    here, so a negative one is refused here."""
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, not {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
@@ -564,12 +568,7 @@ class GswBackend(_SeedScopeMixin):
         if a.backend is not self or b.backend is not self:
             raise BackendMismatchError("nand operands belong to a different backend")
         self.stats.bump_nand()
-        ca, cb = a.ciphertext, b.ciphertext
-
-        if ca.is_trivial or cb.is_trivial:
-            out = self._nand_with_trivial(ca, cb)
-        else:
-            out = self._nand_general(ca, cb)
+        out = self._nand_general(a.ciphertext, b.ciphertext)
         self.stats.note_noise(out.noise_estimate)
         params = self.params
         if self.auto_refresh and (out.noise_estimate * params.ct_dim + fresh_noise_bound(params)
@@ -577,27 +576,12 @@ class GswBackend(_SeedScopeMixin):
             out = self._oracle_refresh(out)
         return EncBit(self, ciphertext=out)
 
-    def _nand_with_trivial(self, ca: Ciphertext, cb: Ciphertext) -> Ciphertext:
-        """Algebraic shortcuts when an operand is a public constant.
-
-        With C = bit * I the product collapses, so the estimate is exact:
-        the surviving operand's noise passes through unamplified.
-        """
-        if ca.trivial_value == 0 or cb.trivial_value == 0:
-            return self.const(1).ciphertext
-        if ca.trivial_value == 1 and cb.trivial_value == 1:
-            return self.const(0).ciphertext
-        return self._complement(cb if ca.is_trivial else ca)
-
-    def _complement(self, ct: Ciphertext) -> Ciphertext:
-        """NOT as W - M: 1 - bit, with the noise negated, so the estimate
-        passes through unamplified."""
-        recomposed = np.mod(self._weights - ct.recomposed, float(self.params.modulus))
-        return Ciphertext(recomposed, ct.noise_estimate, self.params)
-
     def not_(self, a: EncBit) -> EncBit:
-        """NOT a: no product, no count, no refresh."""
-        return EncBit(self, ciphertext=self._complement(a.ciphertext))
+        """NOT a as W - M: 1 - bit, with the noise negated, so the estimate
+        passes through unamplified; no product, no count, no refresh."""
+        recomposed = np.mod(self._weights - a.ciphertext.recomposed, float(self.params.modulus))
+        return EncBit(self, ciphertext=Ciphertext(recomposed, a.ciphertext.noise_estimate,
+                                                  self.params))
 
     def _oracle_refresh(self, ct: Ciphertext) -> Ciphertext:
         out = _refresh_with_rng(self.key, ct, self.params, self._scope_rng())

@@ -4,12 +4,11 @@ NAND is the one counted gate, and NOT (``fhe_core.not_``) is counted as
 no NAND and needs no refresh, so every circuit is an and-inverter graph (Mishchenko, Chatterjee &
 Brayton 2006): AND is 1 NAND, XOR 3, a half adder 3, a full adder 7.
 Everything here is a pure function over immutable bits: derived gates,
-one ripple adder that also subtracts, a Baugh–Wooley multiplier
-whose columns one reducer sums, earliest-ready bits first, building only
-a requested window of product bits, a multi-operand adder that sums
-signed and unsigned words of any widths and such products, each floored
-on its own, in the same reducer, public word bits and every constant
-folded into one, multiplication by public integers
+one ripple adder that also subtracts, one column reducer (earliest-ready
+bits first) that sums words, signed and unsigned of any widths, public
+word bits and every constant folded into one, and is a Baugh–Wooley
+product's own reduction in one pass, building only a requested window
+of product bits, multiplication by public integers
 as shift-and-add over one adder graph that their products share (for
 one integer the cheaper of its digit chain and a greedy graph, a greedy
 graph planned over numpy arrays for several), sign-based comparison and
@@ -271,8 +270,8 @@ def _partial_products(m: int, n: int) -> tuple:
     """(columns, constant): the Baugh–Wooley partial products of a signed
     m x n multiply, per column, and the integer they leave out.
 
-    A term (i, j, positive) stands for a_i & b_j, or for its complement
-    NAND(a_i, b_j) when ``positive`` is False.  With s = m - 1, t = n - 1,
+    An entry ((i, j), inverted) stands for NAND(a_i, b_j), read through a
+    NOT, so as a_i & b_j, when ``inverted``.  With s = m - 1, t = n - 1,
 
         a*b = a_s b_t 2^(s+t) + sum_{i<s, j<t} a_i b_j 2^(i+j)
               + sum_{j<t} ~(a_s b_j) 2^(s+j) + sum_{i<s} ~(a_i b_t) 2^(i+t)
@@ -281,110 +280,79 @@ def _partial_products(m: int, n: int) -> tuple:
     columns = [[] for _ in range(m + n)]
     for i in range(s):
         for j in range(t):
-            columns[i + j].append((i, j, True))
+            columns[i + j].append(((i, j), True))
     for j in range(t):
-        columns[s + j].append((s, j, False))
+        columns[s + j].append(((s, j), False))
     for i in range(s):
-        columns[i + t].append((i, t, False))
-    columns[s + t].append((s, t, True))
+        columns[i + t].append(((i, t), False))
+    columns[s + t].append(((s, t), True))
     return columns, (1 << s) + (1 << t) - (1 << (m + n - 1))
 
 
 def mul_wallace(a: BitVector, b: BitVector, lo: int = 0, hi: int | None = None) -> BitVector:
     """Bits [lo, hi) of the signed product of an m-bit a and an n-bit b;
-    by default all m + n bits: the one-product sum_words at width
-    hi - lo, exact because the circuit works modulo 2^hi.  The name is the
-    multiplier's public one, which tracers wrap by name, though no Wallace
-    tree is left."""
+    by default all m + n bits: its Baugh–Wooley partial products in
+    columns [0, hi) summed in one pass (_reduced), exact because the
+    circuit works modulo 2^hi, whose columns below lo form only carries.
+    The name is the multiplier's public one, which tracers wrap by name,
+    though no Wallace tree is left."""
     m, n = a.width, b.width
     if hi is None:
         hi = m + n
     if not 0 <= lo < hi <= m + n:
         raise ParameterError(f"product window [{lo}, {hi}) outside [0, {m + n})")
-    return BitVector(sum_words([(a.bits, b.bits, lo)], hi - lo, a.backend))
+    columns, constant = _partial_products(m, n)
+    return BitVector(_reduced(columns[:hi], constant, lo,
+                              lambda key: (1, nand(a.bits[key[0]], b.bits[key[1]])), a.backend))
 
 
 def sum_words(words, width: int, backend) -> list:
     """Bits [0, width) of the sum of ``words`` modulo 2^width, from one
-    column reducer (_reduce_columns) over their _sum_columns.  A word is a
-    pair (bits, signed): its bits of ``backend``, low first, read as an
-    unsigned integer or, when ``signed``, in two's complement.  A product
-    is a triple (a_bits, b_bits, lo): the two's-complement a times b,
-    floored by 2^lo (merged arithmetic, Swartzlander 1980)."""
-    columns, flip = _sum_columns(words, width, backend)
-    out = [backend.const(0) if bit is None else bit for bit in _reduce_columns(columns, width)]
-    if flip:
-        out[-1] = not_gate(out[-1])
-    return out
-
-
-def _sum_columns(words, width: int, backend) -> tuple:
-    """(columns, flip): the columns of sum_words below ``width``, each
-    built (_materialized) only when the reducer reaches it, and whether the
-    top sum bit is to be inverted.
+    column reducer (_reduced).  A word is a pair (bits, signed): its bits
+    of ``backend``, low first, read as an unsigned integer or, when
+    ``signed``, in two's complement.
 
     Private bits go straight into their columns (Dadda 1965), a signed
-    word's sign bit s as ~s, since -s·2^t = ~s·2^t - 2^t, and so do the
-    partial products of a product from column lo up, shifted down by lo.
-    Its partial products below lo are reduced per product, so that each
-    product is floored on its own, by _low_part, whose carries enter
-    column 0.  Every public word bit, every -2^t and each product's
-    Baugh–Wooley constant (its part below lo in its own columns) fold into
-    one constant K modulo 2^width, which enters by _fold_constant.  The
+    word's sign bit s as ~s, since -s·2^t = ~s·2^t - 2^t.  Every public
+    word bit and every -2^t fold into one constant modulo 2^width.  The
     columns depend only on the shapes and on which bits are public, never
     on private values."""
-    constant, layout, lows = 0, [[] for _ in range(width)], []
-    for n, word in enumerate(words):
-        if len(word) == 2:
-            bits, signed = word
-            top = len(bits) - 1 if signed else len(bits)
-            for i, bit in enumerate(bits):
-                if bit.public is not None:
-                    constant += (-bit.public if i == top else bit.public) << i
-                elif i < width:
-                    constant -= (i == top) << i
-                    layout[i].append(((n, i), i == top))  # (key, read inverted)
-            continue
-        a, b, lo = word
-        terms, exact = _partial_products(len(a), len(b))
-        for c, col in enumerate(terms[lo:lo + width]):
-            layout[c] += [((n, i, j), positive) for i, j, positive in col]
-        constant += exact >> lo
-        if lo:
-            below = [[((i, j), positive) for i, j, positive in col] for col in terms[:lo]]
-            _fold_constant(below, exact, False)
-            lows.append((word, below))
-    flip = _fold_constant(layout, constant, True)
-
-    def base(key):
-        if key is None:
-            return 0, backend.const(1)
-        if len(key) == 2:
-            return 0, words[key[0]][0][key[1]]
-        n, i, j = key
-        return 1, nand(words[n][0][i], words[n][1][j])
-
-    def columns():
-        parts = [_low_part(word, below) for word, below in lows]
-        made = _materialized(layout, base)
-        yield [*(bit for carries in parts for bit in carries), *next(made)]
-        yield from made
-
-    return columns(), flip
+    constant, columns = 0, [[] for _ in range(width)]
+    for n, (bits, signed) in enumerate(words):
+        top = len(bits) - 1 if signed else len(bits)
+        for i, bit in enumerate(bits):
+            if bit.public is not None:
+                constant += (-bit.public if i == top else bit.public) << i
+            elif i < width:
+                constant -= (i == top) << i
+                columns[i].append(((n, i), i == top))  # (key, read inverted)
+    return _reduced(columns, constant, 0, lambda key: (0, words[key[0]][0][key[1]]), backend)
 
 
-def _fold_constant(columns, constant: int, top: bool) -> bool:
-    """Fold the bits of ``constant`` below len(columns) into ``columns`` of
-    entries (key, inverted), in place: a set bit c enters column c as a
-    public 1 (key None), which turns a full adder of that column into one
-    of 4 NANDs, except, with ``top``, the last column's, which is left to
-    invert that column's sum bit for free.  Returns whether it is."""
-    for c in range(len(columns)):
+def _reduced(columns, constant: int, lo: int, base, backend) -> list:
+    """Bits [lo, len(columns)) of ``constant`` plus the bits of ``columns``
+    of entries (key, inverted), column c weighing 2^c, modulo
+    2^len(columns), from one pass of _reduce_columns whose columns below
+    lo form only carries.  ``base(key)`` gives a private entry's (ready,
+    bit), built only when the reducer reaches its column (_materialized).
+
+    A set bit c of the constant enters column c as a public 1 (key None),
+    which turns a full adder of that column into one of 4 NANDs, except
+    the top column's, which inverts that column's sum bit for free.  The
+    lowest columns with at most one entry send no carry, so they are
+    skipped unbuilt; empty columns' sum bits are public 0s."""
+    top = len(columns) - 1
+    for c in range(top):
         if constant >> c & 1:
-            if top and c == len(columns) - 1:
-                return True
             columns[c].append((None, False))
-    return False
+    skip = next((c for c, col in enumerate(columns[:lo]) if len(col) > 1), lo)
+    one = 0, backend.const(1)
+    made = _materialized(columns[skip:], lambda key: one if key is None else base(key))
+    out = [backend.const(0) if bit is None else bit
+           for bit in _reduce_columns(made, top + 1 - skip, lo - skip)]
+    if constant >> top & 1:
+        out[-1] = not_gate(out[-1])
+    return out
 
 
 def _materialized(columns, base):
@@ -406,36 +374,23 @@ def _materialized(columns, base):
             del built[entry]
 
 
-def _low_part(product, columns) -> list:
-    """The carries, pairs (ready, bit), that a product (a_bits, b_bits,
-    lo) sends into column lo from its ``columns`` of entries (key (i, j),
-    inverted) below lo, reduced with carry-only last adders.  The lowest
-    columns with at most one entry send no carry, so they are skipped
-    unbuilt; a key of theirs that a later column reads is built there."""
-    a, b, lo = product
-    skip = next((c for c, col in enumerate(columns) if len(col) > 1), lo)
-
-    def base(key):
-        return (0, a[0].backend.const(1)) if key is None else (1, nand(a[key[0]], b[key[1]]))
-
-    return _reduce_columns(_materialized(columns[skip:], base), lo - skip, below=True)
-
-
-def _reduce_columns(columns, width: int, below: bool = False) -> list:
+def _reduce_columns(columns, width: int, below: int) -> list:
     """Sum the bits of the ``width`` ``columns`` (pairs (ready, bit),
     column c weighing 2^c) modulo 2^width: each column's sum bit (None for
-    none), lowest column first folded with the carries from below to one
-    bit (_reduce_column).
+    none) from column ``below`` up, lowest column first folded with the
+    carries from below to one bit (_reduce_column).
     The top column's adders form only sums, their carries leaving the
-    window.  With ``below`` every column lies below the window: its last
-    adder forms only its carry, and the top column's carries, pairs
-    (ready, bit), are returned instead."""
+    window, and the last adder of each of the lowest ``below`` columns
+    only its carry, since no reader reads their sum bits.  A carry keeps
+    its order number into the next column, so it ranks ahead of that
+    column's own entries of the same ready."""
     out, carries = [], []
     order = itertools.count()
     for c, col in enumerate(columns):
-        bit, carries = _reduce_column(col, carries, order, not below and c == width - 1, below)
-        out.append(bit)
-    return [(ready, bit) for ready, _, bit in carries] if below else out
+        bit, carries = _reduce_column(col, carries, order, c == width - 1, c < below)
+        if c >= below:
+            out.append(bit)
+    return out
 
 
 def _reduce_column(col, carries, order, top: bool, below: bool) -> tuple:

@@ -601,6 +601,20 @@ def test_gsw_encrypt_image_refuses_a_preset_other_than_its_keys(workdir, capsys)
         assert serialize.read_header(workdir / "toy-gsw.bin")[1:] == (preset_params("toy"), "gsw")
 
 
+def test_negative_seed_is_usage_error(workdir, capsys):
+    """A negative ``--seed`` to keygen or to a gsw encrypt-image exits 2
+    with one error line and writes no file."""
+    assert run("keygen", "--seed", "-1", "--out", workdir / "neg.key") == cli.EXIT_USAGE
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (workdir / "neg.key").exists()
+    assert run("keygen", "--seed", "1", "--out", workdir / "seed.key") == 0
+    assert run("encrypt-image", "--model", workdir / "micro.txt", "--image", workdir / "img.csv",
+               "--backend", "gsw", "--key", workdir / "seed.key", "--seed", "-3",
+               "--out", workdir / "neg.bin") == cli.EXIT_USAGE
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (workdir / "neg.bin").exists()
+
+
 def test_readme_command_lines_parse():
     """Every ``$ gatecnn ...`` line of README.md parses with today's CLI, so a
     removed or renamed flag cannot stay documented."""

@@ -147,6 +147,22 @@ def test_trivial_shortcut_estimates_are_exact(toy_params, toy_key):
     assert fc.true_noise(toy_key, out.ciphertext) <= out.ciphertext.noise_estimate
 
 
+def test_backend_nand_with_a_public_operand_is_the_general_product(toy_params, toy_key):
+    """``backend.nand`` itself, past fhe_core.nand's folding, with a public
+    0 or 1 on either side of a private bit: the general product is exact
+    for them (the binary matrix of public 1 is the identity, of public 0
+    zero), so the result decrypts to the NAND and its true noise stays
+    within its estimate."""
+    gsw = fc.GswBackend(toy_params, key=toy_key, seed=7, auto_refresh=False)
+    for value in (0, 1):
+        for bit in (0, 1):
+            x = gsw.encrypt_bit(bit)
+            for a, b in ((gsw.const(value), x), (x, gsw.const(value))):
+                out = gsw.nand(a, b).ciphertext
+                assert fc.decrypt_bit(toy_key, out) == 1 - (value & bit), (value, bit)
+                assert fc.true_noise(toy_key, out) <= out.noise_estimate, (value, bit)
+
+
 def test_rated_depth_toy(toy_params):
     # frozen from the noise-growth harness: fresh bound 2, (N+1)=109,
     # budget 512 -> exactly one refresh-free balanced level

@@ -932,10 +932,11 @@ def test_merged_neuron_exhaustive(m, n):
     """Two products of private m-bit inputs and n-bit weights plus a
     private 2-bit signed bias, every input at once (one lane each), at
     every floor f in [0, m + n): one sum of the bias and the (input,
-    weight) pairs gives b + sum floor(x·w / 2^f) modulo 2^R, at the root's
-    signed bits R (fp_sum) and two bits fewer (sum_words, since the sum
-    wraps), equal to the products built on their own (fp_mul,
-    mul_wallace) and summed as words, for no more NANDs than those."""
+    weight) pairs gives b + sum floor(x·w / 2^f) modulo 2^R at the root's
+    signed bits R (fp_sum), equal to the products built on their own
+    (fp_mul) and summed as words, for no more NANDs than those; and
+    mul_wallace's products summed as words by sum_words give it at two
+    bits fewer, since the sum wraps."""
     values = [v.ravel() for v in np.meshgrid(
         *[np.arange(-(1 << k - 1), 1 << k - 1) for k in (m, n, m, n, 2)], indexing="ij")]
     x1, w1, x2, w2, bias = values
@@ -946,7 +947,7 @@ def test_merged_neuron_exhaustive(m, n):
         widths = (m, n, m + n - f)
         for bits in sorted({root, max(1, root - 2)}):
             runs = []
-            for merged in (True, False):
+            for merged in (True, False) if bits == root else (False,):
                 backend = fc.ClearBackend(lanes=len(totals))
                 a1, b1, a2, b2, c = (_lane_cipher(v, fmt, backend) for v in values)
                 pairs = [(a1, b1), (a2, b2)]
@@ -957,10 +958,10 @@ def test_merged_neuron_exhaustive(m, n):
                     out = out.bits.bits
                 else:
                     low = [(a.bits.bits[:m], b.bits.bits[:n]) for a, b in pairs]
-                    words = [(*p, f) if merged else (g.mul_wallace(
-                        *map(g.BitVector, p), f, m + n).bits, True) for p in low]
+                    words = [(g.mul_wallace(*map(g.BitVector, p), f, m + n).bits, True)
+                             for p in low]
                     out = g.sum_words([(c.bits.bits[:2], True), *words], bits, backend)
                 assert [bit.clear_value for bit in out[:bits]] == \
                     _lane_masks(totals.tolist(), bits), (m, n, f, bits, merged)
                 runs.append(backend.stats.nand_count)
-            assert runs[0] <= runs[1], (m, n, f, bits, runs)
+            assert len(runs) == 1 or runs[0] <= runs[1], (m, n, f, bits, runs)
