@@ -1,5 +1,6 @@
-"""gatecnn: CNN inference over encrypted bits via a single NAND gate,
-with a worst-case numerical error bound and its empirical validation."""
+"""gatecnn: CNN inference over encrypted bits via one homomorphic product,
+NAND, with free XOR and NOT, and a worst-case numerical error bound and
+its empirical validation."""
 
 from .errors import (
     BackendMismatchError,
@@ -30,6 +31,7 @@ from .fhe_core import (
     preset_params,
     rated_nand_depth,
     refresh,
+    xor_,
 )
 from .fixedpoint import FixedPointCipher, FixedPointFormat
 from .gates import BitVector, CompareResult

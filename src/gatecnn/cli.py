@@ -233,7 +233,7 @@ _COMMANDS = (
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gatecnn",
-        description="NAND-only encrypted CNN inference and its error analysis")
+        description="encrypted CNN inference over NAND, XOR and NOT, and its error analysis")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text, options in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
@@ -247,6 +247,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # the clear backend draws no seed to refuse it
+            raise ParameterError(f"seed must be a non-negative integer, not {args.seed}")
         return args.func(args)
     except GatecnnError as exc:
         for err_type, code in _EXIT_BY_ERROR:

@@ -1,34 +1,32 @@
-"""Bit encryption with a single homomorphic operation: NAND.
+"""Bit encryption with one homomorphic product, NAND, and free XOR and NOT.
 
-The scheme follows the matrix "approximate eigenvector" construction.
-A secret vector ``s`` of length ``n+1`` (last entry fixed to 1) induces
-``v = powers_of_two(s) = W @ s`` of length ``N = (n+1) * log2(q)``, with
-``W`` the N x (n+1) gadget matrix.  A ciphertext is an ``N x N`` binary
-matrix ``C = bit_decompose(M)`` with
+The scheme is the matrix "approximate eigenvector" construction (Gentry,
+Sahai & Waters 2013).  A secret vector ``s`` of length ``n+1`` (last
+entry 1) induces ``v = powers_of_two(s) = W @ s`` of length
+``N = (n+1) * log2(q)``, with ``W`` the N x (n+1) gadget matrix.  A
+ciphertext of an integer message mu is an N x N binary matrix
+``C = bit_decompose(M)`` with
 
-    C @ v = M @ s = bit * v + e   (mod q),   |e| small,
+    C @ v = M @ s = mu * v + e   (mod q),   |e| small,
 
-and only its recomposition ``M = C @ W mod q`` is stored.  NAND is
-``flatten(I - C_b @ C_a)``, i.e. ``M_out = W - C_b @ M_a (mod q)``: the
-plaintexts live on the diagonal, so this computes ``1 - bit_a * bit_b``.
-As ``C_b`` is binary, the product expands the left operand's noise by at
-most ``N``; the right operand's noise enters additively.
+and only ``M = C @ W mod q`` is stored.  ``M_a + M_b`` holds mu_a + mu_b
+with noise e_a + e_b, and NAND, ``flatten(I - C_b @ C_a)``, i.e.
+``W - C_b @ M_a (mod q)``, holds 1 - mu_a * mu_b with noise at most
+N * e_a + |mu_a| * e_b, as ``C_b`` is binary.  Decryption reads the row
+of ``v`` whose trap-door coefficient is q/2, mu * q/2 + e: the bit is mu
+mod 2 while |e| < q/4.  So ``M_a + M_b`` is XOR and ``W - M`` is NOT,
+and NAND is the one product.
 
-Noise here means the lattice randomness that secures the ciphertext and
-grows with every NAND; it is tracked pessimistically in
-``Ciphertext.noise_estimate`` and is unrelated to the fixed-point
+Noise is the lattice randomness that secures a ciphertext, tracked
+pessimistically in ``Ciphertext.noise_estimate`` next to the message
+interval ``Ciphertext.message``; it is unrelated to the fixed-point
 rounding error handled by :mod:`gatecnn.error_analysis`.
 
-A clear (plaintext) backend implements the same bit contract for fast
-oracle runs; it can evaluate many independent inputs at once by packing
-one input per bit lane of a Python int.  A fold probe runs a circuit
-without values to count the NANDs it evaluates once public constants
-fold.
-
-Each backend also has a NOT, ``not_``: a lane flip in the clear and
-``W - M`` on ciphertexts, which multiplies no two ciphertexts, passes its
-operand's noise through and needs no refresh.  No counter counts it, so
-``stats.nand_count`` counts the NANDs alone.
+A clear (plaintext) backend implements the same bit contract, one input
+per bit lane of a Python int, and a fold probe runs a circuit without
+values to count the NANDs it evaluates once public constants fold.  No
+counter counts XOR (``xor_``) or NOT (``not_``), so ``stats.nand_count``
+counts the products alone.
 """
 
 from __future__ import annotations
@@ -61,6 +59,7 @@ __all__ = [
     "decrypt_bit",
     "nand",
     "not_",
+    "xor_",
     "refresh",
     "fresh_noise_bound",
     "rated_nand_depth",
@@ -78,8 +77,8 @@ class FheParams:
     log_q         bit size of the power-of-two modulus q
     noise_stddev  width of the centered-binomial fresh-noise sampler
     noise_budget  max tolerated noise magnitude before decryption fails,
-                  at most q/8, the correctness margin of the decoder
-                  (None: q/8)
+                  at most q/4, the correctness margin of the decoder
+                  (None: q/4)
     preset        optional name, carried into serialized headers
     """
 
@@ -100,11 +99,11 @@ class FheParams:
         if self.noise_stddev <= 0:
             raise ParameterError("noise_stddev must be positive")
         if self.noise_budget is None:
-            object.__setattr__(self, "noise_budget", self.modulus / 8.0)
-        if not 0 < self.noise_budget <= self.modulus / 8:
+            object.__setattr__(self, "noise_budget", self.modulus / 4.0)
+        if not 0 < self.noise_budget <= self.modulus / 4:
             raise ParameterError(
                 f"noise_budget {self.noise_budget} must be positive and at most "
-                f"q/8 = {self.modulus / 8:g}, the decoder's correctness margin")
+                f"q/4 = {self.modulus / 4:g}, the decoder's correctness margin")
         if 2 * self.noise_stddev >= self.noise_budget:
             raise ParameterError("noise_stddev too large for the noise budget")
 
@@ -152,25 +151,31 @@ class SecretKey:
 
 
 class Ciphertext:
-    """One encrypted bit: its recomposed N x (n+1) matrix plus a noise bound.
+    """One encrypted bit: its recomposed N x (n+1) matrix plus a noise bound
+    and the interval of its integer message.
 
     ``recomposed`` is ``M = C @ W mod q`` for the N x N binary GSW matrix
     ``C``, held in float64 (exact for the permitted moduli) so the hot
     matrix kernels run through BLAS; values are integers in [0, q).
     ``matrix`` derives ``C`` on demand, for NAND's right operand.
+    ``message`` is (lo, hi), the integers the message can be, whose
+    parity is the bit: (0, 1) for a fresh bit.  Like the noise estimate
+    it follows from the circuit's shape alone, so it is public.
     ``trivial_value`` is set for the canonical noiseless encodings
     (0 -> zero matrix, 1 -> W, whose C is the identity), which are public
     constants.
     """
 
-    __slots__ = ("recomposed", "noise_estimate", "params", "trivial_value")
+    __slots__ = ("recomposed", "noise_estimate", "params", "trivial_value", "message")
 
     def __init__(self, recomposed: np.ndarray, noise_estimate: float,
-                 params: FheParams, trivial_value: int | None = None):
+                 params: FheParams, trivial_value: int | None = None,
+                 message: tuple = (0, 1)):
         self.recomposed = np.asarray(recomposed, dtype=np.float64)
         self.noise_estimate = float(noise_estimate)
         self.params = params
         self.trivial_value = trivial_value
+        self.message = message
 
     @property
     def matrix(self) -> np.ndarray:
@@ -187,7 +192,7 @@ class EncBit:
 
     ``public`` is the bit's value (0 or 1) when it is a public constant,
     made by a backend's ``const``; it is None for private data and for
-    every evaluated NAND's output.
+    every evaluated gate's output.
     """
 
     __slots__ = ("backend", "clear_value", "ciphertext", "public")
@@ -330,12 +335,10 @@ def decrypt_bit(sk: SecretKey, ct: Ciphertext) -> int:
 def _raw_decrypt(sk: SecretKey, ct: Ciphertext) -> int:
     params = ct.params
     q = params.modulus
-    # Row where the eigenvector carries coefficient q/4 on the trap-door 1.
-    idx = params.lattice_dim * params.log_q + params.log_q - 2
-    value = int(_phase(sk, ct.recomposed[idx]))
-    if value > q // 2:
-        value -= q
-    return 1 if q // 8 < value < 3 * q // 8 else 0
+    # Row where the eigenvector carries coefficient q/2 on the trap-door 1:
+    # its phase is mu * q/2 + e, near q/2 for an odd mu and near 0 for an even.
+    idx = params.lattice_dim * params.log_q + params.log_q - 1
+    return int(q // 4 <= int(_phase(sk, ct.recomposed[idx])) < 3 * q // 4)
 
 
 def refresh(sk: SecretKey, ct: Ciphertext, params: FheParams, rng_seed: int) -> Ciphertext:
@@ -351,12 +354,15 @@ def _refresh_with_rng(sk: SecretKey, ct: Ciphertext, params: FheParams,
 
 
 def true_noise(sk: SecretKey, ct: Ciphertext) -> int:
-    """Actual embedded noise magnitude (test instrumentation; needs the key)."""
+    """Actual embedded noise magnitude (test instrumentation; needs the key):
+    the largest entry of |M @ s - mu * v| for the message mu that makes it
+    smallest, among those of the tracked interval with the decoded parity."""
     q = ct.params.modulus
-    bit = _raw_decrypt(sk, ct)
-    err = _phase(sk, ct.recomposed - bit * _decomp_weights(ct.params))
-    err[err > q // 2] -= q
-    return int(np.max(np.abs(err)))
+    bit, (lo, hi) = _raw_decrypt(sk, ct), ct.message
+    mus = np.array([mu for mu in range(lo, hi + 1) if lo == hi or (mu - bit) % 2 == 0])
+    v = _phase(sk, _decomp_weights(ct.params))
+    err = (_phase(sk, ct.recomposed) - (mus[:, None] % q) * v) % q
+    return int(np.minimum(err, q - err).max(axis=1).min())
 
 
 # ----------------------------------------------------------------------
@@ -451,6 +457,10 @@ class ClearBackend(_SeedScopeMixin):
         """NOT a in every lane; not counted."""
         return EncBit(self, clear_value=a.clear_value ^ self.lane_mask)
 
+    def xor_(self, a: EncBit, b: EncBit) -> EncBit:
+        """a XOR b in every lane; not counted."""
+        return EncBit(self, clear_value=a.clear_value ^ b.clear_value)
+
     def reveal_bit(self, bit: EncBit, lane: int = 0) -> int:
         if not 0 <= lane < self.lanes:
             raise ParameterError(f"lane {lane} outside the backend's {self.lanes} lanes")
@@ -462,14 +472,14 @@ class FoldProbe:
 
     Its public bits are its two shared constants, as on a real backend,
     and its private bits are one shared bit without a value, handed out
-    by ``encrypt_bit``, by every evaluated ``nand`` and by ``not_``:
-    folding reads only whether a bit is public, never a value, so a probe
-    run allocates no bit per gate.  ``nand`` runs only for the gates the
-    module-level ``nand`` does not fold, so ``nand_count`` is the count a
-    real backend evaluates, and an output bit's ``public`` is what it is
-    there, for any private data.  ``not_``, like a real backend's, is not
-    counted.  It is not a ClearBackend, so fixed-point ops run
-    no range check on it.
+    by ``encrypt_bit``, by every evaluated ``nand``, ``xor_`` and
+    ``not_``: folding reads only whether a bit is public, never a value,
+    so a probe run allocates no bit per gate.  ``nand`` runs only for the
+    gates the module-level ``nand`` does not fold, so ``nand_count`` is
+    the count a real backend evaluates, and an output bit's ``public`` is
+    what it is there, for any private data.  ``xor_`` and ``not_``, like
+    a real backend's, are not counted.  It is not a ClearBackend, so
+    fixed-point ops run no range check on it.
     """
 
     def __init__(self):
@@ -491,23 +501,37 @@ class FoldProbe:
     def not_(self, a: EncBit) -> EncBit:
         return self._private
 
+    def xor_(self, a: EncBit, b: EncBit) -> EncBit:
+        return self._private
+
 
 class GswBackend(_SeedScopeMixin):
-    """Encrypted backend; all computation flows through NAND on matrices,
-    with NOT (``not_``, ``W - M``) free: it multiplies no two ciphertexts,
-    keeps its operand's noise estimate (and its true noise, negated), is
-    not counted and never refreshes.
+    """Encrypted backend: NAND is the one product, ``W - C_b @ M_a``, and
+    XOR (``xor_``, ``M_a + M_b``) and NOT (``not_``, ``W - M``) are free:
+    they multiply no two ciphertexts and are not counted.
 
     key           enables encryption/decryption and the refresh oracle
-    auto_refresh  re-encrypt a NAND's output once, as it is made, when it
-                  could not be the left operand of a NAND with a fresh bit
-                  without reaching noise_budget/2 (requires key; the
-                  default when there is one)
+    auto_refresh  re-encrypt a NAND's or an XOR's output once, as it is
+                  made, when it breaks the hand-out rule below (requires
+                  key; the default when there is one)
 
-    Every NAND whose result's tracked estimate would reach noise_budget
-    raises NoiseExhaustionError.  With auto_refresh every bit the backend
-    hands out satisfies ``estimate * ct_dim + fresh < noise_budget/2``, so
-    only a bit from outside it (a loaded file) can trip that check.
+    Each ciphertext carries its noise estimate e and message interval
+    [lo, hi].  XOR adds both; NOT maps [lo, hi] to [1 - hi, 1 - lo] and
+    keeps e; NAND gives 1 minus the product interval and the estimate
+    N * e_left + |mu_left| * e_right, where |mu| is the interval's
+    largest magnitude, N is ct_dim and the operand that gives the
+    smaller estimate goes on the left.  That choice reads tracked values
+    only, so the gate trace never depends on private data.  Every gate
+    whose estimate would reach noise_budget B raises NoiseExhaustionError.
+
+    With auto_refresh every bit the backend hands out meets the rule
+    (N + m) * e < B/2 and m <= N, where m = max(hi, 1 - lo) bounds |mu|
+    of the bit and of its NOT alike.  Then a NAND of any two handed-out
+    bits stays below B: N * e_left < B/2, and |mu_left| * e_right <=
+    N * e_right < B/2.  A fresh bit (m = 1) meets the rule when
+    (N + 1) * fresh < B/2, which the constructor checks, and a refresh
+    gives a fresh bit; so only a bit from outside the backend (a loaded
+    file) can trip the budget check.
     """
 
     tag = "gsw"
@@ -536,7 +560,8 @@ class GswBackend(_SeedScopeMixin):
         self._init_seeds(seed)
         self._weights = _decomp_weights(params)
         self._consts = tuple(
-            EncBit(self, ciphertext=Ciphertext(recomposed, 0.0, params, trivial_value=bit),
+            EncBit(self, ciphertext=Ciphertext(recomposed, 0.0, params, trivial_value=bit,
+                                               message=(bit, bit)),
                    public=bit)
             for bit, recomposed in enumerate((np.zeros(self._weights.shape), self._weights)))
 
@@ -562,46 +587,64 @@ class GswBackend(_SeedScopeMixin):
             raise ParameterError("gsw backend is single-lane")
         return decrypt_bit(self.key, bit.ciphertext)
 
-    # -- the homomorphic operation ------------------------------------
+    # -- the homomorphic operations -----------------------------------
 
     def nand(self, a: EncBit, b: EncBit) -> EncBit:
         if a.backend is not self or b.backend is not self:
             raise BackendMismatchError("nand operands belong to a different backend")
         self.stats.bump_nand()
-        out = self._nand_general(a.ciphertext, b.ciphertext)
-        self.stats.note_noise(out.noise_estimate)
-        params = self.params
-        if self.auto_refresh and (out.noise_estimate * params.ct_dim + fresh_noise_bound(params)
-                                  >= params.noise_budget / 2):
-            out = self._oracle_refresh(out)
-        return EncBit(self, ciphertext=out)
-
-    def not_(self, a: EncBit) -> EncBit:
-        """NOT a as W - M: 1 - bit, with the noise negated, so the estimate
-        passes through unamplified; no product, no count, no refresh."""
-        recomposed = np.mod(self._weights - a.ciphertext.recomposed, float(self.params.modulus))
-        return EncBit(self, ciphertext=Ciphertext(recomposed, a.ciphertext.noise_estimate,
-                                                  self.params))
-
-    def _oracle_refresh(self, ct: Ciphertext) -> Ciphertext:
-        out = _refresh_with_rng(self.key, ct, self.params, self._scope_rng())
-        self.stats.bump_refresh()
-        return out
-
-    def _nand_general(self, ca: Ciphertext, cb: Ciphertext) -> Ciphertext:
-        # estimate(a) * ct_dim + estimate(b): the left operand lands under
-        # the binary-matrix product
-        estimate = ca.noise_estimate * self.params.ct_dim + cb.noise_estimate
-        if not estimate < self.params.noise_budget:
-            raise NoiseExhaustionError(
-                f"NAND of bits with noise estimates {ca.noise_estimate:g} and "
-                f"{cb.noise_estimate:g} would reach {estimate:g}, past the budget "
-                f"{self.params.noise_budget:g}; refresh its operands first")
+        ca, cb = a.ciphertext, b.ciphertext
+        n = self.params.ct_dim
+        if n * cb.noise_estimate + _magnitude(cb) * ca.noise_estimate < \
+                n * ca.noise_estimate + _magnitude(ca) * cb.noise_estimate:
+            ca, cb = cb, ca
+        estimate = n * ca.noise_estimate + _magnitude(ca) * cb.noise_estimate
         # flatten(I - C_b @ C_a) recomposes to W - C_b @ M_a; a binary C_b
         # keeps the product exact in float64
         recomposed = np.mod(self._weights - cb.matrix @ ca.recomposed,
                             float(self.params.modulus))
-        return Ciphertext(recomposed, estimate, self.params)
+        ends = [x * y for x in ca.message for y in cb.message]
+        return self._made("NAND", Ciphertext(recomposed, estimate, self.params,
+                                             message=(1 - max(ends), 1 - min(ends))), ca, cb)
+
+    def xor_(self, a: EncBit, b: EncBit) -> EncBit:
+        """a XOR b as M_a + M_b: the messages and the estimates add; no
+        product and no count."""
+        ca, cb = a.ciphertext, b.ciphertext
+        recomposed = np.mod(ca.recomposed + cb.recomposed, float(self.params.modulus))
+        message = (ca.message[0] + cb.message[0], ca.message[1] + cb.message[1])
+        return self._made("XOR", Ciphertext(recomposed, ca.noise_estimate + cb.noise_estimate,
+                                            self.params, message=message), ca, cb)
+
+    def not_(self, a: EncBit) -> EncBit:
+        """NOT a as W - M: 1 - mu, with the noise negated, so the estimate
+        passes through unamplified; no product, no count, no refresh."""
+        ct, (lo, hi) = a.ciphertext, a.ciphertext.message
+        recomposed = np.mod(self._weights - ct.recomposed, float(self.params.modulus))
+        return EncBit(self, ciphertext=Ciphertext(recomposed, ct.noise_estimate, self.params,
+                                                  message=(1 - hi, 1 - lo)))
+
+    def _made(self, gate: str, ct: Ciphertext, ca: Ciphertext, cb: Ciphertext) -> EncBit:
+        """The output ``ct`` of ``gate`` on ``ca`` and ``cb``: refused when its
+        estimate reaches the budget, and re-encrypted when auto_refresh is
+        on and it breaks the hand-out rule (see the class docstring)."""
+        estimate, budget, n = ct.noise_estimate, self.params.noise_budget, self.params.ct_dim
+        if not estimate < budget:
+            raise NoiseExhaustionError(
+                f"{gate} of bits with noise estimates {ca.noise_estimate:g} and "
+                f"{cb.noise_estimate:g} would reach {estimate:g}, past the budget "
+                f"{budget:g}; refresh its operands first")
+        self.stats.note_noise(estimate)
+        reach = max(ct.message[1], 1 - ct.message[0])
+        if self.auto_refresh and not (reach <= n and (n + reach) * estimate < budget / 2):
+            ct = _refresh_with_rng(self.key, ct, self.params, self._scope_rng())
+            self.stats.bump_refresh()
+        return EncBit(self, ciphertext=ct)
+
+
+def _magnitude(ct: Ciphertext) -> int:
+    """The largest |mu| of the ciphertext's message interval."""
+    return max(-ct.message[0], ct.message[1])
 
 
 # ----------------------------------------------------------------------
@@ -610,7 +653,7 @@ class GswBackend(_SeedScopeMixin):
 
 def nand(a: EncBit, b: EncBit) -> EncBit:
     """The one counted homomorphic gate; everything else is built from it
-    and from the free NOT (``not_``).
+    and from the free XOR (``xor_``) and NOT (``not_``).
 
     A gate whose output public operands fix (either one is a public 0, or
     both are public) is folded: it returns the backend's shared public
@@ -638,6 +681,21 @@ def not_(a: EncBit) -> EncBit:
     if a.public is not None:
         return a.backend.const(1 - a.public)
     return a.backend.not_(a)
+
+
+def xor_(a: EncBit, b: EncBit) -> EncBit:
+    """a XOR b: a constant for two public operands, a wire for a public 0
+    and ``not_`` for a public 1, else the backend's uncounted ``xor_``
+    (no ciphertext product)."""
+    backend = a.backend
+    if b.backend is not backend:
+        raise BackendMismatchError("xor operands belong to different backends")
+    if a.public is not None and b.public is not None:
+        return backend.const(a.public ^ b.public)
+    if a.public is not None or b.public is not None:
+        public, other = (a, b) if a.public is not None else (b, a)
+        return not_(other) if public.public else other
+    return backend.xor_(a, b)
 
 
 def rated_nand_depth(params: FheParams) -> int:

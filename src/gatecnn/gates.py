@@ -1,9 +1,10 @@
-"""Boolean circuits of NANDs whose inputs are inverted for free.
+"""Boolean circuits over AND, XOR and NOT, with NAND the one counted gate.
 
-NAND is the one counted gate, and NOT (``fhe_core.not_``) is counted as
-no NAND and needs no refresh, so every circuit is an and-inverter graph (Mishchenko, Chatterjee &
-Brayton 2006): AND is 1 NAND, XOR 3, a half adder 3, a full adder 7.
-Everything here is a pure function over immutable bits: derived gates,
+XOR and NOT (``fhe_core.xor_``, ``fhe_core.not_``) are counted as no
+NAND, so a circuit costs its ANDs (Boyar & Peralta 2008; free XOR as in
+Kolesnikov & Schneider 2008): AND, a half or full adder and a majority
+1 NAND each, XOR 0, a multiplexer 1 a bit.  Everything here is a pure
+function over immutable bits: derived gates,
 one ripple adder that also subtracts, one column reducer (earliest-ready
 bits first) that sums words, signed and unsigned of any widths, public
 word bits and every constant folded into one, and is a Baugh–Wooley
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BackendMismatchError, ParameterError, WidthMismatchError
-from .fhe_core import EncBit, FoldProbe, nand, not_
+from .fhe_core import EncBit, FoldProbe, nand, not_, xor_
 
 __all__ = [
     "BitVector",
@@ -70,22 +71,14 @@ def and_gate(a: EncBit, b: EncBit) -> EncBit:
     return not_gate(nand(a, b))
 
 
-def _half(a: EncBit, b: EncBit) -> tuple:
-    """(NAND(a, b), a ^ b) in 3 NANDs: a ^ b = AND(NAND(a, b), NAND(~a, ~b))."""
-    n = nand(a, b)
-    return n, and_gate(n, nand(not_gate(a), not_gate(b)))
-
-
 def xor_gate(a: EncBit, b: EncBit) -> EncBit:
-    return _half(a, b)[1]
+    """a ^ b: free, counted as no NAND (``fhe_core.xor_``)."""
+    return xor_(a, b)
 
 
 def full_adder(a: EncBit, b: EncBit, cin: EncBit):
-    """(sum, carry-out) in 7 NANDs: sum = a^b^cin, and the carry
-    NAND(NAND(a, b), NAND(a ^ b, cin)) reuses both XORs' first NANDs."""
-    n1, axb = _half(a, b)
-    n2, s = _half(axb, cin)
-    return s, nand(n1, n2)
+    """(sum, carry-out) in 1 NAND: a ^ b ^ cin and the majority."""
+    return _xor3(a, b, cin), _majority(a, b, cin)
 
 
 class BitVector:
@@ -160,98 +153,37 @@ def _check_widths(a: BitVector, b: BitVector) -> None:
 
 
 def _xor3(a: EncBit, b: EncBit, c: EncBit) -> EncBit:
-    """a ^ b ^ c in 6 NANDs: a full adder's sum without its carry."""
+    """a ^ b ^ c, free: a full adder's sum without its carry."""
     return xor_gate(xor_gate(a, b), c)
 
 
 def _majority(a: EncBit, b: EncBit, c: EncBit) -> EncBit:
-    """Carry of a + b + c in 4 NANDs, 1 with a public operand, taken first
-    so that it folds the inner NANDs: a full adder's carry without its sum."""
-    a, b, c = sorted((a, b, c), key=lambda bit: bit.public is None)
-    return nand(nand(a, b), nand(c, nand(not_gate(a), not_gate(b))))
-
-
-def _first_column(x: EncBit, y: EncBit, negative: bool = False, sums: bool = True) -> tuple:
-    """(sum, carry) of a ripple's lowest column: the sum x ^ y, None
-    unless ``sums``, and the carry x & y, or x | ~y = NAND(~x, y) when
-    ``negative``, where y is a subtrahend's bit and the column folds its
-    +1 (see _ripple).  A half adder in 3 NANDs, 4 when negative; the
-    carry alone in 1."""
-    if negative:
-        return (xor_gate(x, y) if sums else None), nand(not_gate(x), y)
-    if not sums:
-        return None, and_gate(x, y)
-    n, s = _half(x, y)
-    return s, not_gate(n)
+    """Carry of a + b + c as ((a ^ c) & (b ^ c)) ^ c in 1 NAND: a full
+    adder's carry without its sum.  Public operands are taken last, as c
+    and then b, so that two of them fold the AND."""
+    a, b, c = sorted((a, b, c), key=lambda bit: bit.public is not None)
+    return xor_gate(and_gate(xor_gate(a, c), xor_gate(b, c)), c)
 
 
 def _ripple(xs, ts, negative: bool, carries: int = 0, width: int | None = None) -> list:
     """Bits [carries, width) of x + t modulo 2^width (default len(xs)), or
     with ``negative`` of x - t as x + ~t + 1, of the two's-complement words
     whose bits, low first, are ``xs`` and ``ts``, each sign-extended past
-    its last bit.  The lowest ``carries`` columns form carries only, since
-    no reader needs their sums, and the top column no carry.
-
-    Below the shorter word's sign column the columns are full adders, the
-    lowest one folding the +1 (_first_column).  From that column up the
-    shorter word is its sign bit e over and over, which adds -e there:
-    the longer word's bits and the carry c are summed with c - e
-    (_signed_tail), which needs no full adder."""
+    its last bit: a full adder a column, the +1 as the carry-in.  The
+    lowest ``carries`` columns form carries only, since no reader needs
+    their sums, and the top column its sum only."""
     width = len(xs) if width is None else width
-    xs, ts = xs[:width], ts[:width]
-    split = min(len(xs), len(ts)) - 1  # the shorter word's sign column
-    if split:
-        term = [*ts[:1], *map(not_gate, ts[1:])] if negative else ts
-        low, carry = _first_column(xs[0], ts[0], negative, not carries)
-        out = [] if carries else [low]
-        for c in range(1, split):
-            if c < carries:
-                carry = _majority(xs[c], term[c], carry)
-            else:
-                s, carry = full_adder(xs[c], term[c], carry)
-                out.append(s)
-    else:  # from column 0: x + ~t + 1 takes ~t0 and a carry-in of 1
-        term = [not_gate(t) for t in ts] if negative else ts
-        out, carry = [], xs[0].backend.const(int(negative))
-    if len(xs) > len(ts):
-        longer, sign = xs, term[-1]
-    else:
-        longer, sign = term, xs[-1]
-    return out + _signed_tail(longer, sign, carry, split, width, carries)
-
-
-def _signed_tail(bits, sign: EncBit, carry: EncBit, start: int, width: int, carries: int) -> list:
-    """Bits [max(start, carries), width) of R + (carry - sign)·2^start
-    modulo 2^width, where R is the word whose bits are ``bits`` from
-    column ``start`` up, sign-extended.  A lone top column is the sum
-    bits ^ sign ^ carry.  Otherwise every carry lies in {-1, 0, 1} and is
-    kept as two exclusive bits, up = 1 and down = -1: a column's sum is
-    r ^ (up | down), and its carries r & up and ~r & down, 6 NANDs.  A
-    public 0 down makes each column the half adder of r and up, and a
-    public 0 up the complement of the half adder of ~r and down: 3 NANDs,
-    the carry-only columns below ``carries`` 1."""
-    if start == width - 1:
-        return [_xor3(bits[min(start, len(bits) - 1)], sign, carry)]
-    up, down = and_gate(carry, not_gate(sign)), and_gate(not_gate(carry), sign)
-    out = []
-    for c in range(start, width):
-        r = bits[min(c, len(bits) - 1)]
+    xs, ts = _sign_extended(xs, width), _sign_extended(ts, width)
+    if negative:
+        ts = [not_gate(t) for t in ts]
+    carry, out = xs[0].backend.const(int(negative)), []
+    for c in range(width - 1):
         if c < carries:
-            up, down = and_gate(r, up), and_gate(not_gate(r), down)
-        elif c == width - 1:
-            out.append(xor_gate(r, nand(not_gate(up), not_gate(down))))
-        elif down.public == 0:
-            n, s = _half(r, up)
-            out.append(s)
-            up = not_gate(n)
-        elif up.public == 0:
-            n, s = _half(not_gate(r), down)
-            out.append(not_gate(s))
-            down = not_gate(n)
+            carry = _majority(xs[c], ts[c], carry)
         else:
-            out.append(xor_gate(r, nand(not_gate(up), not_gate(down))))
-            up, down = and_gate(r, up), and_gate(not_gate(r), down)
-    return out
+            s, carry = full_adder(xs[c], ts[c], carry)
+            out.append(s)
+    return out + [_xor3(xs[-1], ts[-1], carry)]
 
 
 def add(a: BitVector, b: BitVector) -> BitVector:
@@ -337,8 +269,8 @@ def _reduced(columns, constant: int, lo: int, base, backend) -> list:
     bit), built only when the reducer reaches its column (_materialized).
 
     A set bit c of the constant enters column c as a public 1 (key None),
-    which turns a full adder of that column into one of 4 NANDs, except
-    the top column's, which inverts that column's sum bit for free.  The
+    except the top column's, which inverts that column's sum bit for
+    free; a full adder with two public bits folds its AND.  The
     lowest columns with at most one entry send no carry, so they are
     skipped unbuilt; empty columns' sum bits are public 0s."""
     top = len(columns) - 1
@@ -402,10 +334,11 @@ def _reduce_column(col, carries, order, top: bool, below: bool) -> tuple:
     adder of a column ``below`` the window only its carry.
 
     Each adder takes the column's earliest-ready bits, the latest of them
-    as carry-in, where ``ready`` is a bit's NAND depth under the adders'
-    own: a full adder's sum and carry are ready at max(a, b) + 4 or
-    cin + 2, a half adder's at + 2 and + 1 (a NOT adds no depth).
-    The order depends only on the shapes, never on private values.
+    as carry-in, ranked by their depth in adders of NANDs and NOTs alone:
+    a full adder's sum and carry at max(a, b) + 4 or cin + 2, a half
+    adder's at + 2 and + 1, a NOT at its operand's.  That rank folds more
+    public bits than product depth does, for no more product depth.  The
+    order depends only on the shapes, never on private values.
     """
     bits = [(ready, next(order), bit) for ready, bit in col] + carries
     heapq.heapify(bits)
@@ -424,7 +357,7 @@ def _reduce_column(col, carries, order, top: bool, below: bool) -> tuple:
         elif full:
             s, cout = (None, _majority(*ins)) if last else full_adder(*ins)
         else:
-            s, cout = _first_column(*ins, sums=not last)
+            s, cout = (None if last else xor_gate(*ins)), and_gate(*ins)
         if s is not None:
             heapq.heappush(bits, (ready_s, next(order), s))
         if cout is not None:
@@ -891,7 +824,7 @@ def compare(a: BitVector, b: BitVector) -> CompareResult:
 def less_than(a: BitVector, b: BitVector) -> EncBit:
     """Sign of a - b, i.e. a < b, without the difference's other bits.
 
-    Only the carry chain of a + ~b + 1 is built (4 NANDs a bit), plus the
+    Only the carry chain of a + ~b + 1 is built (1 NAND a bit), plus the
     sum of the sign position; the carry passes a position whose two bits
     are public and equal without a gate.  Same precondition as compare.
     """
@@ -909,10 +842,8 @@ def less_than(a: BitVector, b: BitVector) -> EncBit:
 
 
 def mux(sel: EncBit, on_true: BitVector, on_false: BitVector) -> BitVector:
-    """Oblivious per-bit select: on_true where sel=1, else on_false."""
+    """Oblivious per-bit select, f ^ (sel & (t ^ f)) in 1 NAND a bit:
+    on_true where sel=1, else on_false."""
     _check_widths(on_true, on_false)
-    nsel = not_gate(sel)
-    return BitVector(
-        nand(nand(sel, t), nand(nsel, f))
-        for t, f in zip(on_true.bits, on_false.bits)
-    )
+    return BitVector(xor_gate(f, and_gate(sel, xor_gate(t, f)))
+                     for t, f in zip(on_true.bits, on_false.bits))

@@ -26,6 +26,7 @@ another valid key or ciphertext.
 Matrix and vector entries are row-major unsigned little-endian integers
 of ceil(log_q / 8) bytes.  A gsw payload stores what a Ciphertext holds:
 first every bit's f64 noise estimate, in bit order, then every bit's
+message interval as two i64 (lo <= hi), then every bit's
 ct_dim x (lattice_dim + 1) recomposed matrix M, each entry below q.
 Clear payloads pack one bit per encoded bit, LSB-first within bytes.
 A preset's params block must equal that preset.  Every section must
@@ -250,8 +251,10 @@ def _write_bits(bits, backend) -> bytes:
         return np.packbits(mask, bitorder="little").tobytes()
     cts = [b.ciphertext for b in bits]
     estimates = np.array([ct.noise_estimate for ct in cts], dtype="<f8")
+    messages = np.array([ct.message for ct in cts], dtype="<i8")
     matrices = np.array([ct.recomposed for ct in cts])
-    return estimates.tobytes() + _pack_entries(matrices, _entry_size(backend.params.log_q))
+    return (estimates.tobytes() + messages.tobytes()
+            + _pack_entries(matrices, _entry_size(backend.params.log_q)))
 
 
 def _read_bits(rd: _Reader, count: int, backend):
@@ -266,20 +269,24 @@ def _read_bits(rd: _Reader, count: int, backend):
     params = backend.params
     esize = _entry_size(params.log_q)
     shape = (count, params.ct_dim, params.lattice_dim + 1)
-    payload = rd.section(count * (8 + math.prod(shape[1:]) * esize))
+    payload = rd.section(count * (24 + math.prod(shape[1:]) * esize))
     rd.end()
     estimates = np.frombuffer(payload, dtype="<f8", count=count)
     bad = estimates[~(np.isfinite(estimates) & (estimates >= 0))]
     if bad.size:
         raise ModelFormatError(f"ciphertext noise estimate {bad[0]} is not "
                                "a finite non-negative number")
-    entries = _unpack_entries(payload[8 * count:], math.prod(shape), esize)
+    messages = np.frombuffer(payload, "<i8", 2 * count, 8 * count).reshape(count, 2)
+    bad = messages[messages[:, 0] > messages[:, 1]]
+    if bad.size:
+        raise ModelFormatError(f"ciphertext message interval {bad[0].tolist()} is empty")
+    entries = _unpack_entries(payload[24 * count:], math.prod(shape), esize)
     if entries.size and entries.max() >= params.modulus:
         raise ModelFormatError(
             f"ciphertext matrix entry {entries.max()} is not below q = {params.modulus}")
     matrices = entries.reshape(shape).astype(np.float64)
-    return [EncBit(backend, ciphertext=Ciphertext(m, e, params))
-            for m, e in zip(matrices, estimates.tolist())]
+    return [EncBit(backend, ciphertext=Ciphertext(m, e, params, message=tuple(message)))
+            for m, e, message in zip(matrices, estimates.tolist(), messages.tolist())]
 
 
 def _check_backend_match(file_tag: str, file_params: FheParams, backend) -> None:

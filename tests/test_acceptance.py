@@ -343,8 +343,9 @@ def test_criterion_7_encrypted_tiny_cnn(toy_params, toy_key, tiny_net):
     # with add trees of ripple adds, before one column reducer per neuron;
     # 12,796 before each constant multiply was built only to the bits its
     # sums read and each max passed its carry over public equal bits;
-    # 12,091 before NOT was free and XOR cost 3 NANDs)
-    assert gsw.stats.nand_count == clear.stats.nand_count == 8_259
+    # 12,091 before NOT was free and XOR cost 3 NANDs; 8,259 before XOR
+    # was free too)
+    assert gsw.stats.nand_count == clear.stats.nand_count == 1_484
     _report(7, f"tiny CNN fully encrypted on the toy preset decrypts "
                f"bit-identical to the clear backend (scores {gsw_ints}, "
                f"{gsw.stats.nand_count} NANDs, {gsw.stats.refresh_count} refreshes)")

@@ -413,14 +413,14 @@ def test_bad_key_params_field_is_io_error(workdir, capsys, offset, packed):
 
 def test_custom_key_budget_above_q_over_8_is_io_error(workdir, capsys):
     """A key whose header names the custom preset (id 255 at byte 5) states
-    its own budget, but the decoder is correct only while |e| < q/8: a
-    budget above q/8 exits 3 with one error line, and q/8 itself (512 on
+    its own budget, but the decoder is correct only while |e| < q/4: a
+    budget above q/4 exits 3 with one error line, and q/4 itself (1024 on
     toy) still encrypts.  Each crafted key carries the digest of its own
     bytes (the last 32), as keygen writes it."""
     assert run("keygen", "--preset", "toy", "--seed", "1", "--out", workdir / "custom.key") == 0
     data = bytearray((workdir / "custom.key").read_bytes())
     data[5] = 255
-    for budget, want in ((2048.0, cli.EXIT_IO), (512.0, cli.EXIT_OK)):
+    for budget, want in ((2048.0, cli.EXIT_IO), (1024.0, cli.EXIT_OK)):
         struct.pack_into("<d", data, 32, budget)
         data[-32:] = hashlib.sha256(data[:-36]).digest()
         (workdir / "custom.key").write_bytes(bytes(data))
@@ -431,14 +431,37 @@ def test_custom_key_budget_above_q_over_8_is_io_error(workdir, capsys):
         if want:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
-            assert "q/8 = 512" in err
+            assert "q/4 = 1024" in err
+
+
+def test_toy_key_with_the_q_over_8_budget_is_io_error(workdir, capsys):
+    """A toy key whose params block states the budget of the decoder that
+    read the q/4 row, q/8 = 512, no longer matches the toy preset (q/4 =
+    1024): encrypt-image exits 3 with one error line and writes no file."""
+    assert run("keygen", "--preset", "toy", "--seed", "1", "--out", workdir / "old.key") == 0
+    data = bytearray((workdir / "old.key").read_bytes())
+    assert struct.unpack_from("<d", data, 32) == (1024.0,)
+    struct.pack_into("<d", data, 32, 512.0)
+    data[-32:] = hashlib.sha256(data[:-36]).digest()
+    (workdir / "old.key").write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run("encrypt-image", "--model", workdir / "micro.txt", "--image", workdir / "img.csv",
+               "--backend", "gsw", "--key", workdir / "old.key",
+               "--out", workdir / "old.bin") == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "does not match preset 'toy'" in err
+    assert not (workdir / "old.bin").exists()
 
 
 def test_gsw_image_bit_with_a_noisy_estimate_exits_5(workdir, capsys):
     """encrypt-image writes only fresh bits (estimate 2 on toy).  A bit
-    whose stated estimate is 300 would take a NAND past the budget, so
-    classify refuses it, with public or encrypted weights, with exit 5 and
-    one error line that names the estimate, and writes no scores."""
+    whose stated estimate is 300 still classifies, since each gate puts
+    the noisier operand where it grows least and the budget is q/4 =
+    1024, but one stated past the budget, 1100, would take the first gate
+    it enters past it, so classify refuses it, with public or encrypted
+    weights, with exit 5 and one error line that names the estimate, and
+    writes no scores."""
     assert run("keygen", "--preset", "toy", "--seed", "1", "--out", workdir / "noisy.key") == 0
     assert run("encrypt-image", "--model", workdir / "micro.txt", "--image",
                workdir / "img.csv", "--backend", "gsw", "--key", workdir / "noisy.key",
@@ -447,18 +470,22 @@ def test_gsw_image_bit_with_a_noisy_estimate_exits_5(workdir, capsys):
     # header 16 + params section 24 + meta section 24 + payload length 4:
     # the first bit's f64 noise estimate
     assert struct.unpack_from("<d", data, 68) == (2.0,)
-    struct.pack_into("<d", data, 68, 300.0)
-    data[-32:] = hashlib.sha256(data[:-36]).digest()  # the file's own digest
-    (workdir / "noisy.bin").write_bytes(bytes(data))
-    capsys.readouterr()
-    for flags in ((), ("--encrypt-weights",)):
-        assert run("classify", "--model", workdir / "micro.txt", "--in", workdir / "noisy.bin",
-                   "--key", workdir / "noisy.key", "--out", workdir / "noisy.scores",
-                   *flags) == cli.EXIT_NOISE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert re.search(r"\b300\b", err)
-        assert not (workdir / "noisy.scores").exists()
+    for estimate, want in ((300.0, cli.EXIT_OK), (1100.0, cli.EXIT_NOISE)):
+        struct.pack_into("<d", data, 68, estimate)
+        data[-32:] = hashlib.sha256(data[:-36]).digest()  # the file's own digest
+        (workdir / "noisy.bin").write_bytes(bytes(data))
+        for flags in ((), ("--encrypt-weights",)):
+            capsys.readouterr()
+            assert run("classify", "--model", workdir / "micro.txt", "--in",
+                       workdir / "noisy.bin", "--key", workdir / "noisy.key",
+                       "--out", workdir / "noisy.scores", *flags) == want
+            if want == cli.EXIT_OK:
+                (workdir / "noisy.scores").unlink()
+                continue
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert re.search(r"\b1100\b", err)
+            assert not (workdir / "noisy.scores").exists()
 
 
 def test_files_of_the_gcn1_format_are_io_errors(workdir, capsys):
@@ -602,8 +629,9 @@ def test_gsw_encrypt_image_refuses_a_preset_other_than_its_keys(workdir, capsys)
 
 
 def test_negative_seed_is_usage_error(workdir, capsys):
-    """A negative ``--seed`` to keygen or to a gsw encrypt-image exits 2
-    with one error line and writes no file."""
+    """A negative ``--seed`` exits 2 with one error line and writes no
+    file: to keygen, to encrypt-image on either backend, and to classify
+    of a clear image, whose backend draws no randomness."""
     assert run("keygen", "--seed", "-1", "--out", workdir / "neg.key") == cli.EXIT_USAGE
     assert "seed must be a non-negative integer" in capsys.readouterr().err
     assert not (workdir / "neg.key").exists()
@@ -613,6 +641,18 @@ def test_negative_seed_is_usage_error(workdir, capsys):
                "--out", workdir / "neg.bin") == cli.EXIT_USAGE
     assert "seed must be a non-negative integer" in capsys.readouterr().err
     assert not (workdir / "neg.bin").exists()
+    assert run("encrypt-image", "--model", workdir / "micro.txt", "--image", workdir / "img.csv",
+               "--backend", "clear", "--seed", "-1",
+               "--out", workdir / "neg.bin") == cli.EXIT_USAGE
+    assert not (workdir / "neg.bin").exists()
+    assert run("encrypt-image", "--model", workdir / "micro.txt", "--image", workdir / "img.csv",
+               "--backend", "clear", "--out", workdir / "clear.bin") == 0
+    capsys.readouterr()
+    assert run("classify", "--model", workdir / "micro.txt", "--in", workdir / "clear.bin",
+               "--seed", "-5", "--out", workdir / "neg.scores") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed must be a non-negative integer" in err
+    assert not (workdir / "neg.scores").exists()
 
 
 def test_readme_command_lines_parse():

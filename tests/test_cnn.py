@@ -633,11 +633,11 @@ def test_layers_guard_the_certified_widths():
 
 class _WiredBackend(ClearBackend):
     """A ClearBackend that keeps each evaluated NAND's output bit with its
-    two operands, and each NOT's with its operand."""
+    two operands, each XOR's with its two and each NOT's with its one."""
 
     def __init__(self):
         super().__init__()
-        self.gates, self.nots = {}, {}
+        self.gates, self.free = {}, {}
 
     def nand(self, a, b):
         out = super().nand(a, b)
@@ -646,7 +646,12 @@ class _WiredBackend(ClearBackend):
 
     def not_(self, a):
         out = super().not_(a)
-        self.nots[id(out)] = (out, a)
+        self.free[id(out)] = (out, a)
+        return out
+
+    def xor_(self, a, b):
+        out = super().xor_(a, b)
+        self.free[id(out)] = (out, a, b)
         return out
 
 
@@ -655,8 +660,8 @@ class _WiredBackend(ClearBackend):
 def test_every_nand_reaches_a_score(model, side, encrypt_weights):
     """Gate by gate, every NAND a classify evaluates lies in the cone of
     the score bits: walking back from them through each gate's operands,
-    NOTs included, reaches all of them, so no gate is built that no output
-    reads."""
+    XORs and NOTs included, reaches all of them, so no gate is built that
+    no output reads."""
     net = model()
     backend = _WiredBackend()
     pixels = demo.synthetic_images(1, side, side)[0]
@@ -665,7 +670,7 @@ def test_every_nand_reaches_a_score(model, side, encrypt_weights):
     stack, reached = [bit for score in scores.scores for bit in score.bits.bits], set()
     while stack:
         bit = stack.pop()
-        wired = backend.gates.get(id(bit)) or backend.nots.get(id(bit))
+        wired = backend.gates.get(id(bit)) or backend.free.get(id(bit))
         if wired and id(bit) not in reached:
             reached.add(id(bit))
             stack.extend(wired[1:])
@@ -1093,15 +1098,16 @@ def test_encrypted_weight_model_counts(tiny_net, preset_net):
     its own reducer, 70,172 and 4,694 before each product skipped its
     carry-free low columns and each max its public equal bits, 69,836
     and 4,678 before NOT was free and each neuron built its private
-    products apart), and the preset model's charge (560,479,052, then
-    546,817,716 and 546,461,940 before)."""
+    products apart, 48,016 and 3,326 before XOR was free), and the preset
+    model's charge (560,479,052, then 546,817,716, 546,461,940 and
+    393,227,778 before)."""
     tiny = demo.synthetic_images(1, 6, 6)[0]
     assert _encrypted_weight_layers(tiny_net, tiny, True) == \
-        _encrypted_weight_layers(tiny_net, tiny, False) == ([-12, -8], [48_016, 3_326])
+        _encrypted_weight_layers(tiny_net, tiny, False) == ([-12, -8], [13_352, 906])
     scores, nands = _encrypted_weight_layers(preset_net, demo.synthetic_images(1, 28, 28)[0],
                                              True)
-    assert nands == [126_341_568, 258_676_320, 8_209_890]
-    assert sum(nands) == 393_227_778
+    assert nands == [32_954_112, 66_891_360, 2_107_260]
+    assert sum(nands) == 101_952_732
     assert scores == [-11573, -38049, -42303, 29431, 40512, -30593, 47464, 32579, -397, 8366]
 
 
@@ -1111,8 +1117,7 @@ def test_merged_neurons_cost_no_more_than_separate_products():
     fp_sum of the bias and the (input, weight) pairs costs no more than
     fp_mul's products summed as words, the neuron before (pinned: before,
     after).  Both now build each product on its own array, so they are
-    equal: summing the products' partial products in the neuron's reducer
-    would cost more on four of these six layers."""
+    equal."""
     costs = []
     for net in (demo.micro_model(), demo.tiny_model(), demo.preset_model()):
         for c in net.certificate(encrypt_weights=True):
@@ -1126,5 +1131,5 @@ def test_merged_neurons_cost_no_more_than_separate_products():
                                   [bias] + [c.mul_bits] * fan_in, root)[0]
             costs.append((fan_in * mul + words, merged))
     assert all(after <= before for before, after in costs)
-    assert costs == [(1_145, 1_145), (2_947, 2_947), (1_759, 1_759), (54_713, 54_713),
-                     (276_088, 276_088), (836_349, 836_349)]
+    assert costs == [(315, 315), (812, 812), (477, 477), (14_253, 14_253),
+                     (71_311, 71_311), (214_566, 214_566)]

@@ -29,12 +29,12 @@ def test_bad_params_rejected():
     with pytest.raises(ParameterError):
         fc.FheParams(lattice_dim=4, log_q=10, noise_stddev=-1.0)
     with pytest.raises(ParameterError):
-        fc.FheParams(lattice_dim=4, log_q=4, noise_stddev=8.0)  # 2*sigma >= q/8
-    with pytest.raises(ParameterError):  # only an omitted budget means q/8
+        fc.FheParams(lattice_dim=4, log_q=4, noise_stddev=8.0)  # 2*sigma >= q/4
+    with pytest.raises(ParameterError):  # only an omitted budget means q/4
         fc.FheParams(lattice_dim=4, log_q=10, noise_stddev=1.0, noise_budget=0.0)
-    with pytest.raises(ParameterError):  # above q/8 the decoder can be wrong
-        fc.FheParams(lattice_dim=4, log_q=10, noise_stddev=1.0, noise_budget=128.5)
-    assert fc.FheParams(lattice_dim=4, log_q=10, noise_stddev=1.0).noise_budget == 128.0
+    with pytest.raises(ParameterError):  # above q/4 the decoder can be wrong
+        fc.FheParams(lattice_dim=4, log_q=10, noise_stddev=1.0, noise_budget=256.5)
+    assert fc.FheParams(lattice_dim=4, log_q=10, noise_stddev=1.0).noise_budget == 256.0
     assert fc.FheParams(lattice_dim=4, log_q=10, noise_stddev=1.0,
                         noise_budget=128.0).noise_budget == 128.0
 
@@ -165,7 +165,7 @@ def test_backend_nand_with_a_public_operand_is_the_general_product(toy_params, t
 
 def test_rated_depth_toy(toy_params):
     # frozen from the noise-growth harness: fresh bound 2, (N+1)=109,
-    # budget 512 -> exactly one refresh-free balanced level
+    # budget 1024 -> exactly one refresh-free balanced level
     assert fc.fresh_noise_bound(toy_params) == 2
     assert fc.rated_nand_depth(toy_params) == 1
 
@@ -322,32 +322,108 @@ def test_noise_soundness_random_dags(toy_params, toy_key):
 
 def test_auto_refresh_invariant_random_dags(toy_params, toy_key):
     """With auto-refresh, every bit the backend hands out (encryptions,
-    NANDs, a NAND of a bit with itself and not_gate's W - M, which passes
-    its operand's noise through) meets estimate * ct_dim +
-    fresh < budget/2, so any NAND of two of them stays below the budget,
-    and decrypts to its plaintext."""
+    NANDs, a NAND of a bit with itself, XORs, XOR chains and not_gate's
+    W - M, which passes its operand's noise through) meets the hand-out
+    rule: (N + m) * estimate < budget/2 and m <= N for m = max(hi, 1 - lo)
+    of its message interval, so any NAND of two of them stays below the
+    budget, and decrypts to its plaintext."""
     rng = np.random.default_rng(1)
     gsw = fc.GswBackend(toy_params, key=toy_key, seed=16, auto_refresh=True)
-    fresh = fc.fresh_noise_bound(toy_params)
+    n = toy_params.ct_dim
 
     def check(bit, want):
-        estimate = bit.ciphertext.noise_estimate
-        assert estimate * toy_params.ct_dim + fresh < toy_params.noise_budget / 2
+        estimate, (lo, hi) = bit.ciphertext.noise_estimate, bit.ciphertext.message
+        reach = max(hi, 1 - lo)
+        assert reach <= n and (n + reach) * estimate < toy_params.noise_budget / 2
         assert fc.true_noise(toy_key, bit.ciphertext) <= estimate
         assert gsw.reveal_bit(bit) == want
         return bit, want
 
     pool = [check(gsw.encrypt_bit(int(b)), int(b)) for b in rng.integers(0, 2, 8)]
-    for step in range(150):
+    for step in range(200):
         i, j = rng.integers(0, len(pool), 2)
         (ea, va), (eb, vb) = pool[i], pool[j]
-        kind = rng.integers(0, 4)
+        kind = rng.integers(0, 5)
         if kind == 0:
             pool.append(check(fc.nand(ea, ea), 1 - va))
         elif kind == 1:
             pool.append(check(not_gate(ea), 1 - va))
+        elif kind == 2:
+            pool.append(check(fc.xor_(ea, eb), va ^ vb))
+        elif kind == 3:
+            bit, value = ea, va
+            for k in rng.integers(0, len(pool), 4):
+                bit, value = check(fc.xor_(bit, pool[k][0]), value ^ pool[k][1])
+            pool.append((bit, value))
         else:
             pool.append(check(fc.nand(ea, eb), 1 - (va & vb)))
+    assert gsw.stats.nand_count > 0 and gsw.stats.refresh_count > 0
+
+
+def test_integer_messages_decrypt_and_keep_their_noise_bound(toy_params, toy_key):
+    """With the key and no refresh: random NAND, XOR and NOT gates, and
+    XOR chains of up to six bits, whose messages grow past {0, 1} (an XOR
+    adds them, a NAND of such bits multiplies them): while the tracked
+    estimate stays below the budget every output decrypts to its bit (the
+    parity of its message), its true noise stays within its estimate and
+    its message within its interval."""
+    rng = np.random.default_rng(2)
+    gsw = fc.GswBackend(toy_params, key=toy_key, seed=19, auto_refresh=False)
+    pool = [(gsw.encrypt_bit(int(b)), int(b)) for b in rng.integers(0, 2, 8)]
+    wide = 0
+    for step in range(300):
+        i, j = rng.integers(0, len(pool), 2)
+        (ea, va), (eb, vb) = pool[i], pool[j]
+        kind = rng.integers(0, 4)
+        try:
+            if kind == 0:
+                out, want = fc.nand(ea, eb), 1 - (va & vb)
+            elif kind == 1:
+                out, want = fc.xor_(ea, eb), va ^ vb
+            elif kind == 2:
+                out, want = not_gate(ea), 1 - va
+            else:
+                out, want = ea, va
+                for k in rng.integers(0, len(pool), rng.integers(2, 6)):
+                    out, want = fc.xor_(out, pool[k][0]), want ^ pool[k][1]
+        except NoiseExhaustionError:  # the estimate would reach the budget
+            pool[i] = (gsw.encrypt_bit(va), va)  # keep the pool decryptable
+            continue
+        ct = out.ciphertext
+        assert fc.true_noise(toy_key, ct) <= ct.noise_estimate
+        assert fc.decrypt_bit(toy_key, ct) == want
+        wide += ct.message[1] - ct.message[0] > 1
+        pool.append((out, want))
+    assert wide > 0
+
+
+@pytest.mark.parametrize("tag", ["clear", "gsw", "probe"])
+def test_xor_folds_public_operands_and_is_free(tag, toy_params, toy_key):
+    """Every public/private operand mix: XOR of two public bits is the
+    shared constant, a public 0 makes it a wire and a public 1 a NOT, and
+    two private bits give the backend's XOR; none counts a NAND or (on
+    gsw, of fresh bits) refreshes."""
+    backend = {"clear": fc.ClearBackend(), "probe": fc.FoldProbe(),
+               "gsw": fc.GswBackend(toy_params, key=toy_key, seed=20)}[tag]
+    for a in _OPERAND_KINDS:
+        for b in _OPERAND_KINDS:
+            x, y = (backend.const(value) if public else backend.encrypt_bit(value)
+                    for public, value in (a, b))
+            out = fc.xor_(x, y)
+            want = a[1] ^ b[1]
+            if a[0] and b[0]:
+                assert out is backend.const(want), (a, b)
+            elif a[0] or b[0]:
+                private, public = (y, a[1]) if a[0] else (x, b[1])
+                assert out.public is None, (a, b)
+                if tag != "probe":  # whose private bits are one shared bit
+                    assert (out is private) == (public == 0), (a, b)
+            else:
+                assert out.public is None, (a, b)
+            if tag != "probe":
+                assert backend.reveal_bit(out) == want, (a, b)
+    stats = backend.nand_count if tag == "probe" else backend.stats.snapshot()[:2]
+    assert stats == (0 if tag == "probe" else (0, 0))
 
 
 def test_gate_stats_concurrent_increments():
@@ -540,6 +616,6 @@ def test_golden_score_ciphertexts(toy_params, toy_key):
             digest.update(bit.ciphertext.matrix.astype(np.int64).tobytes())
             digest.update(repr(bit.ciphertext.noise_estimate).encode())
     assert digest.hexdigest() == (
-        "0e76d18d4cced29e0694a16150c45ba70b5172146d3c38c945af358461cadd71")
-    assert backend.stats.snapshot() == (2290, 2290, 218.0)
+        "080481f2ae514ce273a849626f3f73a29081eb2e320df0eaa0855f97ae0adefa")
+    assert backend.stats.snapshot() == (630, 1234, 440.0)
     assert [value.bits.to_int() for value in scores.scores] == [-10, 22]

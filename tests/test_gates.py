@@ -36,7 +36,7 @@ def test_derived_gate_truth_tables(clear):
 
 
 def test_gate_nand_budgets(clear):
-    budgets = {g.not_gate: 0, g.and_gate: 1, g.xor_gate: 3}
+    budgets = {g.not_gate: 0, g.and_gate: 1, g.xor_gate: 0}
     for fn, budget in budgets.items():
         before = clear.stats.nand_count
         if fn is g.not_gate:
@@ -58,26 +58,18 @@ def test_full_adder_all_rows(clear):
 def test_full_adder_nand_count(clear):
     before = clear.stats.nand_count
     g.full_adder(clear.encrypt_bit(1), clear.encrypt_bit(1), clear.encrypt_bit(1))
-    assert clear.stats.nand_count - before == 7
+    assert clear.stats.nand_count - before == 1
 
 
 def test_public_operands_fold_the_adders():
-    """The NANDs xor_gate, full_adder, _majority and _first_column (both
-    ways, with and without its sum) evaluate on private bits and with one
-    public 0 or 1 operand in each place, and that every row still adds
-    up: an XOR with a public bit is a wire or a NOT, and a public 0 leaves
-    a full adder its XOR (3), a public 1 its XNOR and an OR (4)."""
+    """The NANDs xor_gate, full_adder and _majority evaluate on private
+    bits and with one public 0 or 1 operand in each place, and that every
+    row still adds up: an XOR is free, and a full adder's one NAND is its
+    majority's AND, which a public 0 leaves an AND and a public 1 an OR."""
     cases = {
-        "xor": (lambda a, b: (g.xor_gate(a, b),), 2, {None: 3, 0: 0, 1: 0}),
-        "full_adder": (g.full_adder, 3, {None: 7, 0: 3, 1: 4}),
-        "majority": (lambda a, b, c: (g._majority(a, b, c),), 3, {None: 4, 0: 1, 1: 1}),
-        "first_column": (g._first_column, 2, {None: 3, 0: 0, 1: 0}),
-        "first_column negative": (lambda a, b: g._first_column(a, b, True), 2,
-                                  {None: 4, 0: 0, 1: 0}),
-        "first_column carry": (lambda a, b: g._first_column(a, b, sums=False), 2,
-                               {None: 1, 0: 0, 1: 0}),
-        "first_column negative carry": (lambda a, b: g._first_column(a, b, True, False), 2,
-                                        {None: 1, 0: 0, 1: 0}),
+        "xor": (lambda a, b: (g.xor_gate(a, b),), 2, {None: 0, 0: 0, 1: 0}),
+        "full_adder": (g.full_adder, 3, {None: 1, 0: 1, 1: 1}),
+        "majority": (lambda a, b, c: (g._majority(a, b, c),), 3, {None: 1, 0: 1, 1: 1}),
     }
     for name, (circuit, arity, want) in cases.items():
         for public in (None, 0, 1):
@@ -94,10 +86,7 @@ def test_public_operands_fold_the_adders():
                     ins = list(row)
                     if public is not None:
                         ins.insert(place, public)
-                    a, b = ins[0], ins[1]
                     total = sum(ins)
-                    if name.startswith("first_column"):
-                        total = a + (1 - b) + 1 if "negative" in name else a + b
                     got = [None if bit is None else backend.reveal_bit(bit, lane) for bit in out]
                     if name in ("xor", "majority"):
                         assert got == [total & 1 if name == "xor" else total >> 1], (name, ins)
@@ -199,18 +188,19 @@ def _lane_masks(values, width):
             for i in range(width)]
 
 
-# Windows [lo, hi) of an m x n mul_wallace: its NANDs, and the NAND depth
-# the classic Wallace tree it replaced has there when built from today's
-# gates (a full adder's sum and carry at max(a, b) + 4 or cin + 2, a NOT
-# no deeper than its operand).
+# Windows [lo, hi) of an m x n mul_wallace: its NANDs, and the product
+# depth the classic Wallace tree it replaced has there when built from
+# today's gates (a NAND one deeper than its deeper operand, an XOR or NOT
+# no deeper).
 MUL_SHAPES = [
-    (10, 10, 5, 15, 597, 37),  # a w-bit fp_mul at w=10, f=5
-    (32, 32, 16, 48, 6834, 104),  # at w=32, f=16
-    (7, 6, 5, 11, 249, 27),  # the micro model: 7-bit pixels, 6-bit weights
-    (18, 16, 16, 32, 2077, 70),  # the preset model's conv1
-    (21, 17, 16, 37, 2614, 80),  # conv2
-    (28, 16, 16, 43, 3296, 92),  # fc
+    (10, 10, 5, 15, 164, 14),  # a w-bit fp_mul at w=10, f=5
+    (32, 32, 16, 48, 1759, 47),  # at w=32, f=16
+    (7, 6, 5, 11, 73, 10),  # the micro model: 7-bit pixels, 6-bit weights
+    (18, 16, 16, 32, 554, 31),  # the preset model's conv1
+    (21, 17, 16, 37, 692, 36),  # conv2
+    (28, 16, 16, 43, 867, 42),  # fc
 ]
+MUL_SHAPE_IDS = ["-".join(map(str, shape[:4])) for shape in MUL_SHAPES]
 
 # The preset model's private-weight multiplies (b_x, b_w, [f, f + b_p)).
 PRESET_MUL_SHAPES = [shape[:4] for shape in MUL_SHAPES[3:]]
@@ -238,9 +228,10 @@ class _DeepBit(fc.EncBit):
 
 
 class DepthProbe(fc.FoldProbe):
-    """A FoldProbe whose private bits carry their NAND depth: 0 for an
-    input, one more than the deeper operand for a NAND's output, its
-    operand's for a NOT's (a public constant counts as depth 0)."""
+    """A FoldProbe whose private bits carry their product depth: 0 for an
+    input, one more than the deeper operand for a NAND's output, the
+    deeper operand's for an XOR's and its operand's for a NOT's (a public
+    constant counts as depth 0)."""
 
     def _bit(self, depth: int) -> _DeepBit:
         bit = _DeepBit(self)
@@ -257,12 +248,14 @@ class DepthProbe(fc.FoldProbe):
     def not_(self, a) -> _DeepBit:
         return self._bit(a.depth)
 
+    def xor_(self, a, b) -> _DeepBit:
+        return self._bit(max(a.depth, b.depth))
 
-@pytest.mark.parametrize("m, n, lo, hi, _, wallace_depth", MUL_SHAPES)
+
+@pytest.mark.parametrize("m, n, lo, hi, _, wallace_depth", MUL_SHAPES, ids=MUL_SHAPE_IDS)
 def test_mul_wallace_no_deeper_than_the_wallace_tree(m, n, lo, hi, _, wallace_depth):
     """Each column's adders take its earliest-ready bits, so the circuit
-    is no deeper than the classic Wallace tree was (a first-in-first-out
-    order within a column is about twice as deep or more)."""
+    is no deeper in products than the classic Wallace tree was."""
     probe = DepthProbe()
     out = g.mul_wallace(g.BitVector.from_int(0, m, probe, encrypt=True),
                         g.BitVector.from_int(0, n, probe, encrypt=True), lo=lo, hi=hi)
@@ -452,8 +445,8 @@ def test_mul_const_rejects_bad_window(clear):
 
 class _TracingBackend(fc.ClearBackend):
     """Records each evaluated NAND as the serial numbers of its two
-    operands (a public constant as its value), and each NOT as its
-    operand's alone."""
+    operands (a public constant as its value), each NOT as its operand's
+    alone and each XOR as "xor" and its two operands'."""
 
     def __init__(self):
         super().__init__()
@@ -477,6 +470,10 @@ class _TracingBackend(fc.ClearBackend):
         self.trace.append((self.serial.get(id(a), a.public),))
         return self._number(super().not_(a))
 
+    def xor_(self, a, b):
+        self.trace.append(("xor", *(self.serial.get(id(x), x.public) for x in (a, b))))
+        return self._number(super().xor_(a, b))
+
 
 def test_mul_const_gate_trace_depends_on_k_only():
     """Two private operands, the same constants: the same gates on the
@@ -495,13 +492,14 @@ def test_mul_const_gate_trace_depends_on_k_only():
 # (m, n, lo, hi, public top bits of a, digest) of mul_wallace windows;
 # the third operand's top bits are public zeros, as a ReLU'd input's are.
 MUL_TRACES = [
-    (10, 10, 5, 15, 0, "a9236c0008d749da2a50bccc2f48dd71497a757116302cbc9d517cdeb3017442"),
-    (21, 17, 16, 37, 0, "e362ed9c998130282f8982c95e207a5b09a921ed4d105cc24c9b0f097384895c"),
-    (21, 17, 16, 37, 3, "2874af1a3d7e08c5f35ab75ad7bdee531d4a0abed3756535e5e12098579d20ae"),
+    (10, 10, 5, 15, 0, "4b4079ffd77e4dd864845dba81863534a2d336e93fbc29154148cb1654b061ba"),
+    (21, 17, 16, 37, 0, "84022f29b9d66b9415d9cf3deeabc3eb900e24e5395cc729989fa8fad08cd7f1"),
+    (21, 17, 16, 37, 3, "25403788ca9cff21d3f320ce40ba8c0cf581073cedd6716ce95fa36758442e50"),
 ]
 
 
-@pytest.mark.parametrize("m, n, lo, hi, public_top, digest", MUL_TRACES)
+@pytest.mark.parametrize("m, n, lo, hi, public_top, digest", MUL_TRACES,
+                         ids=["-".join(map(str, trace[:5])) for trace in MUL_TRACES])
 def test_mul_wallace_gate_trace_is_pinned(m, n, lo, hi, public_top, digest):
     """The gates of a product window, each NAND and NOT on the serials of
     its operands, and the serials of the output bits, hash to a pinned
@@ -725,9 +723,9 @@ def test_less_than_exhaustive_in_range():
 def test_less_than_passes_the_carry_over_public_equal_bits():
     """ReLU-shaped operands at w = 8, m private low bits and public zeros
     above: every pair compares correctly, and the carry passes the public
-    positions without a gate, so the compare costs 4m - 3 NANDs, its sign
-    position's XORs folding (an m-bit less_than of private bits costs
-    4m - 1), and 0 when m = 0."""
+    positions without a gate, so the compare costs m NANDs, one a private
+    position (an m-bit less_than of private bits costs m - 1, its sign
+    position's sum free), and 0 when m = 0."""
     w = 8
     for m in range(w):
         values = list(range(1 << m))
@@ -742,7 +740,7 @@ def test_less_than_passes_the_carry_over_public_equal_bits():
         lt = g.less_than(a, b)
         assert [backend.reveal_bit(lt, lane) for lane in range(len(pairs))] == \
             [int(x < y) for x, y in pairs]
-        assert backend.stats.nand_count == (4 * m - 3 if m else 0), m
+        assert backend.stats.nand_count == m, m
 
 
 def _nands(clear, fn):
@@ -756,9 +754,9 @@ def test_circuit_nand_budgets(clear):
         return g.BitVector.from_int(0, width, clear, encrypt=True)
 
     w = 32
-    assert _nands(clear, lambda: g.add(vec(w), vec(w))) == 7 * w - 5
-    assert _nands(clear, lambda: g.sub(vec(w), vec(w))) == 7 * w - 4
-    assert _nands(clear, lambda: g.less_than(vec(w), vec(w))) == 4 * w - 1
+    assert _nands(clear, lambda: g.add(vec(w), vec(w))) == w - 1
+    assert _nands(clear, lambda: g.sub(vec(w), vec(w))) == w - 1
+    assert _nands(clear, lambda: g.less_than(vec(w), vec(w))) == w - 1
     for m, n, lo, hi, nands, _ in MUL_SHAPES:
         assert _nands(clear, lambda: g.mul_wallace(vec(m), vec(n), lo=lo, hi=hi)) == nands
 
@@ -829,7 +827,7 @@ def test_mux_selects_and_counts(clear):
     before = clear.stats.nand_count
     g.mux(clear.encrypt_bit(1), g.BitVector.from_int(7, 32, clear, encrypt=True),
           g.BitVector.from_int(9, 32, clear, encrypt=True))
-    assert clear.stats.nand_count - before <= 32 * 3
+    assert clear.stats.nand_count - before <= 32
 
 
 def test_data_obliviousness_gate_traces():

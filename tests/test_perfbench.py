@@ -4,7 +4,9 @@ One traced gsw_private image exercises ``true_noise``, the refresh
 path and the encrypted-image and score file round trips end to end,
 and the harness's own checks (bit-identical to a gate-level clear run,
 traced counts equal untraced counts) must all hold.  One untraced
-clear_paper image pins the folded NAND count of the paper architecture,
+gsw_tiny image does the same for the encrypted conv, ReLU and max
+pooling.  One untraced clear_paper image pins the folded NAND count of
+the paper architecture,
 and the layer evaluator's charge of each of its layers adds up to it; a
 traced one keeps its per-layer spans' sums.
 """
@@ -20,7 +22,7 @@ from gatecnn.demo import synthetic_images
 from gatecnn.fhe_core import ClearBackend
 
 ROOT = Path(__file__).resolve().parent.parent
-CLEAR_PAPER_NANDS = 40_152_539
+CLEAR_PAPER_NANDS = 6_252_137
 
 
 def _run(workload: str, trace: int) -> dict:
@@ -34,10 +36,22 @@ def _run(workload: str, trace: int) -> dict:
 
 
 def test_gsw_private_traced_run_is_correct():
+    """Also: the true noise of the score bits, read back from the score
+    file, stays within the largest tracked estimate."""
     result = _run("gsw_private", trace=1)
     assert result["correct"] is True
     assert result["failed"] == 0
-    assert result["metrics"]["fhe_core.nand_calls"]["value"] == 2290
+    metrics = result["metrics"]
+    assert metrics["fhe_core.nand_calls"]["value"] == 630
+    assert metrics["fhe_core.true_noise_max"]["value"] <= \
+        metrics["fhe_core.peak_tracked_noise"]["value"]
+
+
+def test_gsw_tiny_run_is_correct():
+    result = _run("gsw_tiny", trace=0)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["nand_per_image"]["value"] == 1_484
 
 
 def test_clear_paper_run_pins_the_folded_nand_count():
@@ -70,7 +84,7 @@ def test_clear_paper_nands_per_layer(preset_net):
             current = cnn.fc_layer(cnn.flatten_image(current), layer, layer_index=i,
                                    certificate=certificate).scores
         nands.append(backend.stats.nand_count - before)
-    assert nands == [15_050_749, 24_210_899, 890_891]
+    assert nands == [2_385_025, 3_727_032, 140_080]
     assert sum(nands) == CLEAR_PAPER_NANDS
 
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from gatecnn import cnn, serialize
+from gatecnn import fhe_core as fc
 from gatecnn import fixedpoint as fp
+from gatecnn import gates as g
 from gatecnn import model_io
 from gatecnn.demo import micro_model, synthetic_images, tiny_model
 from gatecnn.errors import FormatMismatchError, ModelFormatError, ParameterError
@@ -311,13 +313,39 @@ def test_gsw_matrix_entry_must_be_below_q(tmp_path, toy_params, toy_key, entry):
     image_path, _ = _gsw_files(tmp_path, toy_params, toy_key)
     data = bytearray(image_path.read_bytes())
     count = 2 * 4  # two pixels of w=4 bits
-    first_entry = _payload_offset(data, "image") + 4 + 8 * count  # length, estimates
+    first_entry = _payload_offset(data, "image") + 4 + 24 * count  # length, estimates, messages
     value = toy_params.modulus if entry == "q" else 2 ** 16 - 1
     data[first_entry:first_entry + 2] = struct.pack("<H", value)
     image_path.write_bytes(_resigned(data))
     with pytest.raises(ModelFormatError,
                        match=f"entry {value} is not below q = {toy_params.modulus}"):
         serialize.load_enc_image(image_path, GswBackend(toy_params, key=toy_key))
+
+
+def test_gsw_message_intervals_round_trip_and_an_empty_one_is_refused(tmp_path, toy_params,
+                                                                     toy_key):
+    """Each gsw bit's message interval is stored next to its noise
+    estimate: score bits that are XORs of two fresh bits, whose messages
+    lie in [0, 2], load with that interval, so true noise stays measurable
+    after the file round trip; a stored interval with lo > hi is refused."""
+    fmt = fp.FixedPointFormat(4, 2)
+    backend = GswBackend(toy_params, key=toy_key, seed=13)
+    x, y = (fp.encode(v, fmt, backend) for v in (0.75, -0.5))
+    value = fp.FixedPointCipher(g.BitVector(fc.xor_(a, b) for a, b in zip(x.bits.bits,
+                                                                        y.bits.bits)), fmt)
+    path = tmp_path / "s.bin"
+    serialize.save_scores(cnn.EncScores([value]), fmt, backend, path)
+    (loaded,) = serialize.load_scores(path, backend)[0].scores
+    bits = loaded.bits.bits
+    assert [bit.ciphertext.message for bit in bits] == [(0, 2)] * 4
+    assert all(fc.true_noise(toy_key, bit.ciphertext) <= bit.ciphertext.noise_estimate
+               for bit in bits)
+    data = bytearray(path.read_bytes())
+    messages = _payload_offset(data, "scores") + 4 + 8 * 4  # length, estimates
+    struct.pack_into("<qq", data, messages, 3, 2)
+    path.write_bytes(_resigned(data))
+    with pytest.raises(ModelFormatError, match=r"message interval \[3, 2\] is empty"):
+        serialize.load_scores(path, backend)
 
 
 @pytest.mark.parametrize("kind", ["key", "image", "scores", "clear_image"])
@@ -382,16 +410,16 @@ def test_image_and_score_wire_format_is_pinned(tmp_path, toy_params, toy_key):
     paths = _wire_files(tmp_path, toy_params, toy_key)
     data = {name: path.read_bytes() for name, path in paths.items()}
     assert {name: hashlib.sha256(b[:-36]).hexdigest() for name, b in data.items()} == {
-        "image": "ecdf732c9022719579ca263b3c9d87d0dec30701f88054b342ec384043d60e05",
-        "scores": "ad7b6217e19100d9b080b0d3484415b93624924cd93bafa1e67fddbf06eadd63",
-        "gsw": "d2a1bfe46c38b09af6d192cc1e50d0b0756fdf6390b8be81c35a45123164d18e",
+        "image": "13759b070cf061e5bafcd94b582b1f7525872646ade3582b68b9c0f0c9254d93",
+        "scores": "722dfba2cf0e4688b889111ca1037edc8f8a4800f5c7bb5955d765ed6050204e",
+        "gsw": "12c68b61411aa6e6bf1a7737e09af5af07ab3e1bd8e379e33e6a6f82a5315a42",
     }
     assert all(b[-36:] == struct.pack("<I", 32) + hashlib.sha256(b[:-36]).digest()
                for b in data.values())
     assert {name: hashlib.sha256(b).hexdigest() for name, b in data.items()} == {
-        "image": "05344ca46a4726c021bda1ef23393b68b02c9f6a8f214cef9270b18785a2d772",
-        "scores": "9dfcae150a36aac7d59def3a6ca243c668e309b1ff61bb635b753f1e94d87203",
-        "gsw": "bcd60b1404bfcde50180ef5f6a51d2031a8944163e210355313a202749e06234",
+        "image": "080256bafa2ea7316a30018b8e4e2cda9900c8f22352e28226ee487c39352ecc",
+        "scores": "5f5a4ff7f40d27bb14d550420ad25a04d10b13785f155427e7442e5d44c014f7",
+        "gsw": "c831e3275cc79d1ea49e57a3280c844eae7b8fd3a5de8602680016669b61f174",
     }
 
 
